@@ -27,7 +27,6 @@ from .pauli import (
     PauliAtom,
     PauliString,
     Phase,
-    atom_mul,
     commutes,
     embed,
     string_mul,
@@ -35,7 +34,6 @@ from .pauli import (
 )
 from .stabilizer import (
     CanonicalTableau,
-    SymplecticRow,
     canonicalize,
     measure,
     measure_with_cost,
@@ -79,13 +77,11 @@ __all__ = [
     "Phase",
     "QType",
     "StabType",
-    "SymplecticRow",
     "Tableau",
     "TopOperandError",
     "WireError",
     "annotate",
     "apply_gate",
-    "atom_mul",
     "base_gates",
     "canonicalize",
     "check",

@@ -15,6 +15,7 @@ wires. Wire indices are 1-based. Unicode type operators are accepted on
 input; all output is ASCII.
 
 Exit statuses: 0 success, 1 type error, 2 parse error, 3 oracle mismatch.
+Only ``verify`` imports the oracle, and with it numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import json
 import re
 import sys
 
-from . import oracle
 from .checker import Circuit, Measure, annotate, check, infer_tableau
 from .errors import GottesmanError, ParseError
 from .gates import GateApp, GateSpec, derive_gate, standard_gates
@@ -254,6 +254,10 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(
+            f"cannot read {path}: not UTF-8 text (byte {err.start})"
+        ) from None
 
 
 def _cmd_check(args) -> int:
@@ -312,43 +316,28 @@ def _cmd_tableau(args) -> int:
 
 
 def _cmd_gates(args) -> int:
-    records = []
+    gates = []
     for spec in standard_gates().values():
-        rows = []
-        for atom in (PauliAtom.X, PauliAtom.Z):
-            images = spec.x_images if atom is PauliAtom.X else spec.z_images
-            for w in range(1, spec.arity + 1):
-                source = embed(atom, ONE, w, spec.arity)
-                rows.append((str(source), str(images[w - 1])))
-        records.append({"name": spec.name, "arity": spec.arity, "rows": rows})
+        rows = [
+            {"input": str(embed(atom, ONE, w, spec.arity)), "output": str(images[w - 1])}
+            for atom, images in ((PauliAtom.X, spec.x_images), (PauliAtom.Z, spec.z_images))
+            for w in range(1, spec.arity + 1)
+        ]
+        gates.append({"name": spec.name, "arity": spec.arity, "rows": rows})
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "gates",
-                    "gates": [
-                        {
-                            "name": rec["name"],
-                            "arity": rec["arity"],
-                            "rows": [
-                                {"input": src, "output": dst}
-                                for src, dst in rec["rows"]
-                            ],
-                        }
-                        for rec in records
-                    ],
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({"command": "gates", "gates": gates}, indent=2))
     else:
-        for rec in records:
-            for src, dst in rec["rows"]:
-                print(f"{rec['name']}: {src} -> {dst}")
+        for gate in gates:
+            for row in gate["rows"]:
+                print(f"{gate['name']}: {row['input']} -> {row['output']}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
+    args.seed = oracle.DEFAULT_SEED if args.seed is None else args.seed
+    args.samples = args.samples or oracle.DEFAULT_SAMPLES  # at least 1 when given
     circuit, input_type = parse(_read(args.file))
     if circuit.has_measurement:
         raise GottesmanError("verify requires a measurement-free circuit")
@@ -412,6 +401,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_ORACLE_MISMATCH
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gottesman",
@@ -432,8 +428,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check against the dense oracle")
     p_verify.add_argument("file")
-    p_verify.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
-    p_verify.add_argument("--samples", type=int, default=oracle.DEFAULT_SAMPLES)
+    p_verify.add_argument("--seed", type=int, help="sampling seed")
+    p_verify.add_argument(
+        "--samples", type=positive_int, help="eigenstates sampled per check"
+    )
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 

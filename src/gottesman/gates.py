@@ -7,6 +7,11 @@ generator factors in a fixed normal order (all X factors before all Z
 factors, ascending wire, with the reordering phase computed exactly), map
 each factor through its image, and splice the product back over the wires.
 
+The image of each of the 4**arity possible restrictions is worked out at
+most once per GateSpec and kept in a table indexed by the restriction's
+bits, so applying a gate reads the bits on its wires, looks up one entry
+and writes the entry's bits back.
+
 Non-Clifford gates carry all-Top images for the generators they cannot
 track; any use of such an image collapses the result to the all-Top
 string. The standard gate table is built once at first use and is
@@ -15,13 +20,14 @@ read-only afterwards; ``apply_gate`` is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import IllFormedTypeError, WireError
-from .pauli import ONE, PauliAtom, PauliString, Phase, commutes, embed, string_mul
+from .pauli import ONE, PauliAtom, PauliString, commutes, embed, from_bits, string_mul
 
 
 @dataclass(frozen=True)
@@ -39,38 +45,54 @@ class GateSpec:
     x_images: tuple[PauliString, ...]
     z_images: tuple[PauliString, ...]
     decomposition: Optional[tuple["GateApp", ...]] = None
+    # Restriction index -> image bits over the wires and exponent of i
+    # (None when Top), filled on first use; a cache, so it takes no part
+    # in equality or hashing.
+    _images: dict[int, Optional[tuple[int, int, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise IllFormedTypeError("gate arity must be at least 1")
         if len(self.x_images) != self.arity or len(self.z_images) != self.arity:
             raise IllFormedTypeError(f"{self.name}: need one X and one Z image per wire")
-        images = list(self.x_images) + list(self.z_images)
-        for img in images:
-            if img.arity != self.arity:
-                raise IllFormedTypeError(f"{self.name}: image arity mismatch")
-        # Commutation preservation, skipping pairs with a Top side.
-        for i in range(self.arity):
-            xi, zi = self.x_images[i], self.z_images[i]
-            if not xi.is_top and not zi.is_top and commutes(xi, zi):
+        images = self.x_images + self.z_images
+        if any(img.arity != self.arity for img in images):
+            raise IllFormedTypeError(f"{self.name}: image arity mismatch")
+        # The images must keep the generators' relations: X_w and Z_w
+        # anticommute and every other pair commutes. Top images are exempt.
+        names = [f"{p}_{w}" for p in "XZ" for w in range(1, self.arity + 1)]
+        for i, j in combinations(range(2 * self.arity), 2):
+            a, b = images[i], images[j]
+            paired = j == i + self.arity
+            if not (a.is_top or b.is_top) and commutes(a, b) == paired:
+                relation = "anticommute" if paired else "commute"
                 raise IllFormedTypeError(
-                    f"{self.name}: images of X_{i + 1} and Z_{i + 1} must anticommute"
+                    f"{self.name}: images of {names[i]} and {names[j]} must {relation}"
                 )
-        for i, a in enumerate(images):
-            for j in range(i + 1, len(images)):
-                b = images[j]
-                if a.is_top or b.is_top:
-                    continue
-                if j == i + self.arity:
-                    continue  # the X_w/Z_w pair on one wire, checked above
-                if not commutes(a, b):
-                    raise IllFormedTypeError(
-                        f"{self.name}: generator images must commute pairwise"
-                    )
 
     @property
     def is_clifford(self) -> bool:
         return not any(img.is_top for img in self.x_images + self.z_images)
+
+    def local_image(self, index: int) -> Optional[tuple[int, int, int]]:
+        """The image of the restriction with x bits ``index & (2**arity - 1)``
+        and z bits ``index >> arity`` (bit i for the gate's wire i + 1)."""
+        if index not in self._images:
+            xs, zs = index & ((1 << self.arity) - 1), index >> self.arity
+            image = PauliString.identity(self.arity)
+            for bits, images in ((xs, self.x_images), (zs, self.z_images)):
+                for w in range(self.arity):
+                    if bits >> w & 1:
+                        image = string_mul(image, images[w])
+            # Each Y in the restriction contributes one factor of i when
+            # split into X*Z; the normal order itself costs nothing extra
+            # because factors on distinct wires commute.
+            self._images[index] = (
+                None if image.is_top else (image.x, image.z, image.k + (xs & zs).bit_count())
+            )
+        return self._images[index]
 
 
 @dataclass(frozen=True)
@@ -79,6 +101,9 @@ class GateApp:
 
     gate: GateSpec
     wires: tuple[int, ...]
+    # Bit offsets (wire - 1) and their union, for apply_gate.
+    _shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         wires = tuple(self.wires)
@@ -91,6 +116,8 @@ class GateApp:
             raise WireError(f"{self.gate.name}: wires must be distinct, got {wires}")
         if any(w < 1 for w in wires):
             raise WireError(f"{self.gate.name}: wires are 1-based, got {wires}")
+        object.__setattr__(self, "_shifts", tuple(w - 1 for w in wires))
+        object.__setattr__(self, "_mask", sum(1 << (w - 1) for w in wires))
 
     def __str__(self) -> str:
         return " ".join([self.gate.name, *map(str, self.wires)])
@@ -104,31 +131,45 @@ def apply_gate(app: GateApp, p: PauliString) -> PauliString:
     ``p`` is already all-Top, the result is the all-Top string.
     """
     n = p.arity
-    for w in app.wires:
-        if w > n:
-            raise WireError(f"wire {w} out of range for {n} qubits")
+    if app._mask >> n:
+        raise WireError(f"wire {max(app.wires)} out of range for {n} qubits")
     if p.is_top:
         return p
-    gate = app.gate
-    xs = [p.atoms[w - 1].x_bit for w in app.wires]
-    zs = [p.atoms[w - 1].z_bit for w in app.wires]
-    # Each Y in the restriction contributes one factor of i when split
-    # into X*Z; the normal order itself costs nothing extra because
-    # factors on distinct wires commute.
-    split_phase = Phase(sum(x & z for x, z in zip(xs, zs)))
-    image = PauliString.identity(gate.arity)
-    for w0, x in enumerate(xs):
-        if x:
-            image = string_mul(image, gate.x_images[w0])
-    for w0, z in enumerate(zs):
-        if z:
-            image = string_mul(image, gate.z_images[w0])
-    if image.is_top:
+    x, z = p.x, p.z
+    keep = ~app._mask
+    shifts = app._shifts
+    if len(shifts) == 1:
+        (s,) = shifts
+        image = app.gate.local_image(x >> s & 1 | (z >> s & 1) << 1)
+        if image is None:
+            return PauliString.top(n)
+        ix, iz, k = image
+        return from_bits(n, x & keep | ix << s, z & keep | iz << s, p.k + k)
+    if len(shifts) == 2:
+        s, t = shifts
+        image = app.gate.local_image(
+            (x >> s & 1) | (x >> t & 1) << 1 | (z >> s & 1) << 2 | (z >> t & 1) << 3
+        )
+        if image is None:
+            return PauliString.top(n)
+        ix, iz, k = image
+        x = x & keep | (ix & 1) << s | (ix >> 1) << t
+        z = z & keep | (iz & 1) << s | (iz >> 1) << t
+        return from_bits(n, x, z, p.k + k)
+    arity = len(shifts)
+    index = 0
+    for i, s in enumerate(shifts):
+        index |= (x >> s & 1) << i | (z >> s & 1) << (arity + i)
+    image = app.gate.local_image(index)
+    if image is None:
         return PauliString.top(n)
-    atoms = list(p.atoms)
-    for w, atom in zip(app.wires, image.atoms):
-        atoms[w - 1] = atom
-    return PauliString(p.phase * split_phase * image.phase, tuple(atoms))
+    ix, iz, k = image
+    x &= keep
+    z &= keep
+    for i, s in enumerate(shifts):
+        x |= (ix >> i & 1) << s
+        z |= (iz >> i & 1) << s
+    return from_bits(n, x, z, p.k + k)
 
 
 def derive_gate(name: str, arity: int, steps: Sequence[GateApp]) -> GateSpec:

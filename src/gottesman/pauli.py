@@ -1,18 +1,21 @@
 """Exact Pauli-group algebra with phase tracking and a Top annihilator.
 
-Atoms are the single-qubit operators I, X, Y, Z plus TOP, the marker for a
-conjugate that has left the Pauli group. Internally an atom is a pair of
-bits (x, z) with Y standing for i*X*Z exactly, so every product works out
-to an integer power of i times another atom; phases are kept as exponents
-of i modulo 4 and nothing ever passes through floating point.
+A PauliString on n qubits is packed into two n-bit Python ints ``x`` and
+``z`` (bit j-1 for qubit j), an exponent ``k`` of i kept modulo 4, and a
+Top flag. Position j holds X^x Z^z rescaled so that Y = i*X*Z exactly:
+(x, z) = (0, 0) is I, (1, 0) X, (1, 1) Y, (0, 1) Z. This is the bitmask
+layout of CHP (Aaronson & Gottesman, quant-ph/0406196) and Stim (Gidney,
+arXiv:2103.02202): a product is an XOR of the masks with its phase read
+off popcounts, and commutation is the parity of one popcount. Phases
+never pass through floating point.
 
-A PauliString is a phase together with one atom per qubit. Any TOP atom
-collapses the whole string to all-TOP with phase +1: a non-Pauli conjugate
-is not locally a Pauli, so per-qubit claims or a phase would overstate
-what is known.
+Any TOP atom collapses the whole string to all-TOP with phase +1: a
+non-Pauli conjugate is not locally a Pauli, so per-qubit claims or a
+phase would overstate what is known. Top strings keep x = z = k = 0.
 
-Everything here is immutable; operations return fresh values and are safe
-to share between threads.
+``PauliAtom`` is only the per-qubit view used for parsing, printing and
+``PauliString.atoms``. Strings are immutable by convention (no operation
+mutates one) and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ ONE = Phase(0)
 PLUS_I = Phase(1)
 MINUS_ONE = Phase(2)
 MINUS_I = Phase(3)
+_PHASES = (ONE, PLUS_I, MINUS_ONE, MINUS_I)
 
 _PREFIX_TO_K = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 
@@ -89,105 +93,80 @@ class PauliAtom(Enum):
     def letter(self) -> str:
         return self.value
 
-    @property
-    def bits(self) -> tuple[int, int]:
-        """The (x, z) encoding; TOP has none."""
-        try:
-            return _ATOM_BITS[self]
-        except KeyError:
-            raise TopOperandError("Top has no symplectic bits") from None
 
-    @property
-    def x_bit(self) -> int:
-        return self.bits[0]
-
-    @property
-    def z_bit(self) -> int:
-        return self.bits[1]
-
-    @classmethod
-    def from_bits(cls, x: int, z: int) -> "PauliAtom":
-        return _BITS_ATOM[(x & 1, z & 1)]
-
-    @classmethod
-    def from_letter(cls, letter: str) -> "PauliAtom":
-        try:
-            return cls(letter)
-        except ValueError:
-            raise ValueError(f"not a Pauli atom: {letter!r}") from None
-
-
-_ATOM_BITS = {
-    PauliAtom.I: (0, 0),
-    PauliAtom.X: (1, 0),
-    PauliAtom.Y: (1, 1),
-    PauliAtom.Z: (0, 1),
-}
-_BITS_ATOM = {bits: atom for atom, bits in _ATOM_BITS.items()}
-
-
-def atom_mul(a: PauliAtom, b: PauliAtom) -> tuple[Phase, PauliAtom]:
-    """Normalized single-qubit product a*b as (phase, atom).
-
-    Top absorbs everything: any product involving TOP is (+1, TOP).
-    """
-    if a is PauliAtom.TOP or b is PauliAtom.TOP:
-        return ONE, PauliAtom.TOP
-    x1, z1 = a.bits
-    x2, z2 = b.bits
-    x3, z3 = x1 ^ x2, z1 ^ z2
-    # Writing each atom as i^(xz) X^x Z^z, the product reorders Z^z1 past
-    # X^x2 at a cost of (-1)^(z1 x2) and re-normalizes the result.
-    k = x1 * z1 + x2 * z2 + 2 * z1 * x2 - x3 * z3
-    return Phase(k), PauliAtom.from_bits(x3, z3)
-
+_ATOM_OF_LETTER = {a.letter: a for a in PauliAtom}
+# Per-qubit letters indexed by x | z << 1, and the digit maps that turn a
+# letter string (qubit 1 first) into the binary numeral of its x or z mask.
+_LETTERS = "IXZY"
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 _LITERAL = re.compile(r"([+-]?i?)([IXYZT]+)\Z")
 
 
-@dataclass(frozen=True)
 class PauliString:
-    """A phased tensor of atoms, e.g. -i(X@Z); arity is fixed at creation."""
+    """A phased tensor of Paulis, e.g. -i(X@Z); arity is fixed at creation.
 
-    phase: Phase
-    atoms: tuple[PauliAtom, ...]
+    ``PauliString(phase, atoms)`` builds one from per-qubit atoms;
+    :func:`from_bits` builds one from its masks without any checks.
+    """
 
-    def __post_init__(self) -> None:
-        atoms = tuple(self.atoms)
-        if not atoms:
+    __slots__ = ("arity", "x", "z", "k", "is_top")
+
+    def __init__(self, phase: Phase, atoms) -> None:
+        letters = "".join(a.letter for a in atoms)
+        if not letters:
             raise ArityError("a Pauli string needs at least one qubit")
-        if any(a is PauliAtom.TOP for a in atoms):
-            atoms = (PauliAtom.TOP,) * len(atoms)
-            object.__setattr__(self, "phase", ONE)
-        object.__setattr__(self, "atoms", atoms)
+        self.arity = len(letters)
+        self.is_top = "T" in letters
+        if self.is_top:
+            self.x = self.z = self.k = 0
+            return
+        reverse = letters[::-1]  # the last qubit is the most significant digit
+        self.x = int(reverse.translate(_X_DIGITS), 2)
+        self.z = int(reverse.translate(_Z_DIGITS), 2)
+        self.k = phase.k
 
     @property
-    def arity(self) -> int:
-        return len(self.atoms)
+    def phase(self) -> Phase:
+        return _PHASES[self.k]
 
     @property
-    def is_top(self) -> bool:
-        return self.atoms[0] is PauliAtom.TOP
+    def atoms(self) -> tuple[PauliAtom, ...]:
+        return tuple(_ATOM_OF_LETTER[c] for c in self._letters())
 
     @property
     def is_identity(self) -> bool:
-        return self.phase == ONE and all(a is PauliAtom.I for a in self.atoms)
+        return not (self.x | self.z | self.k | self.is_top)
 
     @property
     def x_bits(self) -> tuple[int, ...]:
-        return tuple(a.x_bit for a in self.atoms)
+        return self._bit_tuple(self.x)
 
     @property
     def z_bits(self) -> tuple[int, ...]:
-        return tuple(a.z_bit for a in self.atoms)
+        return self._bit_tuple(self.z)
+
+    def _bit_tuple(self, mask: int) -> tuple[int, ...]:
+        if self.is_top:
+            raise TopOperandError("Top has no symplectic bits")
+        return tuple(mask >> j & 1 for j in range(self.arity))
+
+    def _letters(self) -> str:
+        if self.is_top:
+            return "T" * self.arity
+        x, z = self.x, self.z
+        return "".join(_LETTERS[(x >> j & 1) | (z >> j & 1) << 1] for j in range(self.arity))
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
-        return cls(ONE, (PauliAtom.I,) * n)
+        return from_bits(n, 0, 0)
 
     @classmethod
     def top(cls, n: int) -> "PauliString":
-        return cls(ONE, (PauliAtom.TOP,) * n)
+        p = from_bits(n, 0, 0)
+        p.is_top = True
+        return p
 
     @classmethod
     def parse(cls, text: str) -> "PauliString":
@@ -200,17 +179,47 @@ class PauliString:
         if m is None:
             raise ValueError(f"not a Pauli literal: {text!r}")
         prefix, letters = m.groups()
-        atoms = tuple(PauliAtom.from_letter(c) for c in letters)
-        return cls(Phase(_PREFIX_TO_K[prefix]), atoms)
+        return cls(_PHASES[_PREFIX_TO_K[prefix]], [_ATOM_OF_LETTER[c] for c in letters])
+
+    def _key(self) -> tuple:
+        return (self.arity, self.x, self.z, self.k, self.is_top)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PauliString):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return string_mul(self, other)
 
     def __neg__(self) -> "PauliString":
-        return PauliString(-self.phase, self.atoms)
+        if self.is_top:
+            return self
+        return from_bits(self.arity, self.x, self.z, self.k + 2)
 
     def __str__(self) -> str:
-        return self.phase.prefix + "".join(a.letter for a in self.atoms)
+        return _PHASES[self.k].prefix + self._letters()
+
+    def __repr__(self) -> str:
+        return f"PauliString.parse({str(self)!r})"
+
+
+def from_bits(arity: int, x: int, z: int, k: int = 0) -> PauliString:
+    """The Top-free string i**k times the atoms packed in ``x`` and ``z``.
+
+    Not validated: ``x`` and ``z`` must be non-negative and fit in
+    ``arity`` bits.
+    """
+    p = object.__new__(PauliString)
+    p.arity = arity
+    p.x = x
+    p.z = z
+    p.k = k & 3
+    p.is_top = False
+    return p
 
 
 def string_mul(p: PauliString, q: PauliString) -> PauliString:
@@ -219,18 +228,27 @@ def string_mul(p: PauliString, q: PauliString) -> PauliString:
         raise ArityError(f"cannot multiply arity {p.arity} by arity {q.arity}")
     if p.is_top or q.is_top:
         return PauliString.top(p.arity)
-    k = p.phase.k + q.phase.k
-    atoms = []
-    for a, b in zip(p.atoms, q.atoms):
-        ph, c = atom_mul(a, b)
-        k += ph.k
-        atoms.append(c)
-    return PauliString(Phase(k), tuple(atoms))
+    x1, z1, x2, z2 = p.x, p.z, q.x, q.z
+    x, z = x1 ^ x2, z1 ^ z2
+    # Per qubit, i^(xz) X^x Z^z times i^(x'z') X^x' Z^z' reorders Z^z past
+    # X^x' at a cost of (-1)^(z x') and renormalises the Y count.
+    k = (
+        p.k
+        + q.k
+        + (x1 & z1).bit_count()
+        + (x2 & z2).bit_count()
+        + 2 * (z1 & x2).bit_count()
+        - (x & z).bit_count()
+    )
+    return from_bits(p.arity, x, z, k)
 
 
 def tensor(p: PauliString, q: PauliString) -> PauliString:
     """Concatenate two strings, multiplying their phases."""
-    return PauliString(p.phase * q.phase, p.atoms + q.atoms)
+    n = p.arity + q.arity
+    if p.is_top or q.is_top:
+        return PauliString.top(n)
+    return from_bits(n, p.x | q.x << p.arity, p.z | q.z << p.arity, p.k + q.k)
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
@@ -243,18 +261,14 @@ def commutes(p: PauliString, q: PauliString) -> bool:
         raise TopOperandError("commutation is undefined for Top strings")
     if p.arity != q.arity:
         raise ArityError(f"cannot compare arity {p.arity} with arity {q.arity}")
-    flips = 0
-    for a, b in zip(p.atoms, q.atoms):
-        x1, z1 = a.bits
-        x2, z2 = b.bits
-        flips ^= (x1 & z2) ^ (z1 & x2)
-    return flips == 0
+    return not ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
 
 
 def embed(atom: PauliAtom, phase: Phase, k: int, n: int) -> PauliString:
     """The string with ``atom`` at qubit k (1-based) of n and I elsewhere."""
     if not 1 <= k <= n:
         raise WireError(f"qubit {k} out of range for {n} qubits")
-    atoms = [PauliAtom.I] * n
-    atoms[k - 1] = atom
-    return PauliString(phase, tuple(atoms))
+    if atom is PauliAtom.TOP:
+        return PauliString.top(n)
+    bits = _LETTERS.index(atom.letter)  # x | z << 1
+    return from_bits(n, (bits & 1) << (k - 1), (bits >> 1) << (k - 1), phase.k)

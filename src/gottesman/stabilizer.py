@@ -1,11 +1,12 @@
 """Binary-symplectic machinery: canonical forms, membership, measurement.
 
 A Top-free Pauli string of arity n is a row of 2n bits [x | z] plus an
-exponent-of-i phase. Multiplying strings is GF(2) addition of rows with an
-exact integer phase correction, so group questions reduce to linear
-algebra: canonical forms are row-reduced echelon forms under the column
-order x_1..x_n, z_1..z_n, group equality is row-by-row comparison of
-canonical forms, and membership is pivot reduction.
+exponent-of-i phase, which is exactly how ``PauliString`` stores it.
+Multiplying strings is GF(2) addition of rows with an exact integer phase
+correction, so group questions reduce to linear algebra: canonical forms
+are row-reduced echelon forms under the column order x_1..x_n, z_1..z_n,
+group equality is row-by-row comparison of canonical forms, and
+membership is pivot reduction.
 
 Functions taking a generating set accept either a ``typesys.StabType`` or
 a plain sequence of ``PauliString``; they never mutate their inputs.
@@ -14,59 +15,11 @@ a plain sequence of ``PauliString``; they never mutate their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import ArityError, IllFormedTypeError, TopOperandError, WireError
-from .pauli import ONE, PauliAtom, PauliString, Phase, embed
-
-
-@dataclass(frozen=True)
-class SymplecticRow:
-    """Bit-level encoding of one Top-free Pauli string."""
-
-    x: tuple[int, ...]
-    z: tuple[int, ...]
-    phase_k: int  # exponent of i, mod 4
-
-    @classmethod
-    def from_string(cls, p: PauliString) -> "SymplecticRow":
-        if p.is_top:
-            raise TopOperandError("Top strings have no symplectic encoding")
-        return cls(p.x_bits, p.z_bits, p.phase.k)
-
-    @classmethod
-    def identity(cls, n: int) -> "SymplecticRow":
-        return cls((0,) * n, (0,) * n, 0)
-
-    def to_string(self) -> PauliString:
-        atoms = tuple(PauliAtom.from_bits(x, z) for x, z in zip(self.x, self.z))
-        return PauliString(Phase(self.phase_k), atoms)
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    def bit(self, col: int) -> int:
-        return self.x[col] if col < self.n else self.z[col - self.n]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.x) and not any(self.z)
-
-
-def row_mul(a: SymplecticRow, b: SymplecticRow) -> SymplecticRow:
-    """Exact product a*b at the bit level; mirrors ``pauli.string_mul``."""
-    if a.n != b.n:
-        raise ArityError(f"cannot multiply rows of width {a.n} and {b.n}")
-    k = a.phase_k + b.phase_k
-    xs = []
-    zs = []
-    for x1, z1, x2, z2 in zip(a.x, a.z, b.x, b.z):
-        x3, z3 = x1 ^ x2, z1 ^ z2
-        k += x1 * z1 + x2 * z2 + 2 * z1 * x2 - x3 * z3
-        xs.append(x3)
-        zs.append(z3)
-    return SymplecticRow(tuple(xs), tuple(zs), k % 4)
+from .pauli import ONE, PauliAtom, PauliString, Phase, embed, from_bits, string_mul
 
 
 @dataclass(frozen=True)
@@ -74,15 +27,24 @@ class CanonicalTableau:
     """Independent generators in row-reduced echelon form."""
 
     arity: int
-    rows: tuple[SymplecticRow, ...]
+    rows: tuple[PauliString, ...]
     pivots: tuple[int, ...]
 
     def generators(self) -> tuple[PauliString, ...]:
-        return tuple(r.to_string() for r in self.rows)
+        return self.rows
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+_X, _Z = attrgetter("x"), attrgetter("z")
+
+
+def _column(col: int, arity: int):
+    """The mask and bit holding column ``col`` of a row: columns 0..n-1
+    are x_1..x_n and columns n..2n-1 are z_1..z_n."""
+    return (_X, 1 << col) if col < arity else (_Z, 1 << (col - arity))
 
 
 def _coerce(source) -> tuple[tuple[PauliString, ...], int]:
@@ -92,12 +54,14 @@ def _coerce(source) -> tuple[tuple[PauliString, ...], int]:
         if not gens:
             raise ArityError("an empty generating set needs an explicit arity")
         arity = gens[0].arity
+    if any(g.is_top for g in gens):
+        raise TopOperandError("Top strings have no symplectic encoding")
     return gens, arity
 
 
 def _echelon(
-    arity: int, rows: list[SymplecticRow]
-) -> tuple[list[SymplecticRow], list[int], int]:
+    arity: int, rows: list[PauliString]
+) -> tuple[list[PauliString], list[int], int]:
     """Full row reduction; returns (rows, pivot columns, row-op count).
 
     Raises IllFormedTypeError when a nontrivial product of the input rows
@@ -105,42 +69,43 @@ def _echelon(
     The error names the combination of 1-based input rows responsible.
     """
     work = list(rows)
-    origin = [frozenset([i + 1]) for i in range(len(work))]
+    origin = [1 << i for i in range(len(work))]  # bit i: input row i + 1
     ops = 0
     pivots: list[int] = []
     r = 0
     for col in range(2 * arity):
-        piv = None
-        for j in range(r, len(work)):
-            if work[j].bit(col):
-                piv = j
-                break
+        if r == len(work):
+            break
+        get, bit = _column(col, arity)
+        piv = next((j for j in range(r, len(work)) if get(work[j]) & bit), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
         origin[r], origin[piv] = origin[piv], origin[r]
-        for j in range(len(work)):
-            if j != r and work[j].bit(col):
-                work[j] = row_mul(work[r], work[j])
-                origin[j] = origin[j] ^ origin[r]
+        for j, row in enumerate(work):
+            if j != r and get(row) & bit:
+                work[j] = string_mul(work[r], row)
+                origin[j] ^= origin[r]
                 ops += 1
         pivots.append(col)
         r += 1
+
+    def which(j: int) -> str:
+        return ", ".join(str(i + 1) for i in range(len(rows)) if origin[j] >> i & 1)
+
     for j in range(r, len(work)):
-        if work[j].phase_k != 0:
-            which = ", ".join(str(i) for i in sorted(origin[j]))
+        if work[j].k != 0:
             raise IllFormedTypeError(
-                f"group contains {Phase(work[j].phase_k)} * identity"
-                f" (product of generators {which})"
+                f"group contains {work[j].phase} * identity"
+                f" (product of generators {which(j)})"
             )
     for j in range(r):
         # An element with phase +-i squares to -I, so the group is bad
         # even though its bits never cancel out.
-        if work[j].phase_k % 2 == 1:
-            which = ", ".join(str(i) for i in sorted(origin[j]))
+        if work[j].k % 2 == 1:
             raise IllFormedTypeError(
                 f"group contains -identity: element built from generators"
-                f" {which} has phase {Phase(work[j].phase_k)} and squares to -I"
+                f" {which(j)} has phase {work[j].phase} and squares to -I"
             )
     return work[:r], pivots, ops
 
@@ -153,8 +118,7 @@ def canonicalize(source) -> CanonicalTableau:
     whose phase disagrees with the group raises IllFormedTypeError.
     """
     gens, arity = _coerce(source)
-    rows = [SymplecticRow.from_string(g) for g in gens]
-    reduced, pivots, _ = _echelon(arity, rows)
+    reduced, pivots, _ = _echelon(arity, list(gens))
     return CanonicalTableau(arity, tuple(reduced), tuple(pivots))
 
 
@@ -168,15 +132,16 @@ def member(tab: CanonicalTableau, p: PauliString) -> Optional[Phase]:
         raise TopOperandError("Top strings are not group elements")
     if p.arity != tab.arity:
         raise ArityError(f"arity {p.arity} does not match tableau arity {tab.arity}")
-    residual = SymplecticRow.from_string(PauliString(ONE, p.atoms))
-    acc = SymplecticRow.identity(tab.arity)
+    residual = from_bits(p.arity, p.x, p.z)
+    acc = PauliString.identity(tab.arity)
     for row, col in zip(tab.rows, tab.pivots):
-        if residual.bit(col):
-            acc = row_mul(acc, row)
-            residual = row_mul(row, residual)
-    if not residual.is_zero:
+        get, bit = _column(col, tab.arity)
+        if get(residual) & bit:
+            acc = string_mul(acc, row)
+            residual = string_mul(row, residual)
+    if residual.x or residual.z:
         return None
-    return Phase(acc.phase_k - p.phase.k)
+    return Phase(acc.k - p.k)
 
 
 def single_qubit_members(
@@ -202,34 +167,28 @@ def _measure_rows(
 ) -> tuple[list[PauliString], int]:
     if not 1 <= k <= arity:
         raise WireError(f"qubit {k} out of range for {arity} qubits")
-    rows = [SymplecticRow.from_string(g) for g in gens]
+    rows = list(gens)
     ops = 0
-    idx = k - 1
+    bit = 1 << (k - 1)
 
     # Step 1: at most one generator may anticommute with Z_k, i.e. carry
     # an x-bit (X or Y) at k; fold the rest into it and drop it.
-    carriers = [i for i, r in enumerate(rows) if r.x[idx]]
+    carriers = [i for i, r in enumerate(rows) if r.x & bit]
+    if not carriers:
+        # Step 2: otherwise at most one generator may have Z at k; fold
+        # the rest into it and drop it.
+        carriers = [i for i, r in enumerate(rows) if r.z & bit]
     if carriers:
         pivot = rows[carriers[0]]
         for i in carriers[1:]:
-            rows[i] = row_mul(pivot, rows[i])
+            rows[i] = string_mul(pivot, rows[i])
             ops += 1
         del rows[carriers[0]]
-    else:
-        # Step 2: otherwise at most one generator may have Z at k; fold
-        # the rest into it and drop it.
-        z_carriers = [i for i, r in enumerate(rows) if r.z[idx]]
-        if z_carriers:
-            pivot = rows[z_carriers[0]]
-            for i in z_carriers[1:]:
-                rows[i] = row_mul(pivot, rows[i])
-                ops += 1
-            del rows[z_carriers[0]]
 
     # Step 3: adjoin Z_k with phase +1 (outcome signs are not modeled).
-    rows.append(SymplecticRow.from_string(embed(PauliAtom.Z, ONE, k, arity)))
+    rows.append(embed(PauliAtom.Z, ONE, k, arity))
     reduced, _, echelon_ops = _echelon(arity, rows)
-    return [r.to_string() for r in reduced], ops + echelon_ops
+    return reduced, ops + echelon_ops
 
 
 def measure(source, k: int):

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import stabilizer
 from .errors import ArityError, IllFormedTypeError, ParseError, TopOperandError
-from .pauli import PauliAtom, PauliString, Phase, commutes, embed, string_mul
+from .pauli import PauliAtom, PauliString, Phase, commutes, embed, from_bits, string_mul
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,9 @@ class StabType:
                 raise ArityError(
                     f"generator {i} has arity {g.arity}, expected {self.arity}"
                 )
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if not commutes(gens[i], gens[j]):
-                    raise IllFormedTypeError(
-                        f"generators {i + 1} and {j + 1} anticommute:"
-                        f" {gens[i]} vs {gens[j]}"
-                    )
+        for (i, a), (j, b) in combinations(enumerate(gens, start=1), 2):
+            if not commutes(a, b):
+                raise IllFormedTypeError(f"generators {i} and {j} anticommute: {a} vs {b}")
         # Rejects -I (and +-iI) in the generated group.
         stabilizer.canonicalize(self)
 
@@ -195,15 +192,19 @@ def flatten(q: QType) -> StabType:
 
 
 def _pad(g: PauliString, support: Sequence[int], n: int) -> PauliString:
-    atoms = [PauliAtom.I] * n
-    for pos, atom in zip(support, g.atoms):
-        atoms[pos - 1] = atom
-    return PauliString(g.phase, tuple(atoms))
+    x = z = 0
+    for j, pos in enumerate(support):
+        x |= (g.x >> j & 1) << (pos - 1)
+        z |= (g.z >> j & 1) << (pos - 1)
+    return from_bits(n, x, z, g.k)
 
 
 def _restrict(g: PauliString, support: Sequence[int]) -> PauliString:
-    atoms = tuple(g.atoms[pos - 1] for pos in support)
-    return PauliString(g.phase, atoms)
+    x = z = 0
+    for j, pos in enumerate(support):
+        x |= (g.x >> (pos - 1) & 1) << j
+        z |= (g.z >> (pos - 1) & 1) << j
+    return from_bits(len(support), x, z, g.k)
 
 
 def factor_separable(s: StabType) -> QType:
@@ -220,19 +221,13 @@ def factor_separable(s: StabType) -> QType:
     witnesses = {k: embed(atom, phase, k, s.arity) for k, phase, atom in singles}
     work = list(tab.generators())
     for k, witness in witnesses.items():
-        work = [
-            string_mul(witness, g) if g.atoms[k - 1] is not PauliAtom.I else g
-            for g in work
-        ]
+        bit = 1 << (k - 1)
+        work = [string_mul(witness, g) if (g.x | g.z) & bit else g for g in work]
     support = tuple(o for o in range(1, s.arity + 1) if o not in witnesses)
     factors = tuple((k, phase, atom) for k, phase, atom in singles)
     if not support:
         return QType(s.arity, factors, None, ())
-    rest = [
-        _restrict(g, support)
-        for g in work
-        if any(a is not PauliAtom.I for a in g.atoms)
-    ]
+    rest = [_restrict(g, support) for g in work if g.x | g.z]
     remainder = normalize(StabType(len(support), tuple(rest)))
     return QType(s.arity, factors, remainder, support)
 
@@ -348,11 +343,7 @@ def _literal_qtype(lit: PauliString) -> QType:
         and lit.atoms[0] in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z)
     ):
         return QType(1, ((1, lit.phase, lit.atoms[0]),), None, ())
-    if lit.is_identity:
-        return QType(lit.arity, (), StabType(lit.arity, ()), tuple(range(1, lit.arity + 1)))
-    return QType(
-        lit.arity, (), StabType(lit.arity, (lit,)), tuple(range(1, lit.arity + 1))
-    )
+    return QType.from_stab(StabType(lit.arity, () if lit.is_identity else (lit,)))
 
 
 def _intersect_units(units: list[QType]) -> QType:
@@ -387,14 +378,12 @@ def _merge(components: list[QType]) -> QType:
     support_sorted = tuple(sorted(support))
     if not support_sorted:
         return QType(total, tuple(factors), None, ())
-    index = {pos: i for i, pos in enumerate(support_sorted)}
-    gens = []
-    for positions, g in placed_gens:
-        atoms = [PauliAtom.I] * len(support_sorted)
-        for pos, atom in zip(positions, g.atoms):
-            atoms[index[pos]] = atom
-        gens.append(PauliString(g.phase, tuple(atoms)))
-    remainder = StabType(len(support_sorted), tuple(gens))
+    index = {pos: i + 1 for i, pos in enumerate(support_sorted)}
+    gens = tuple(
+        _pad(g, [index[pos] for pos in positions], len(support_sorted))
+        for positions, g in placed_gens
+    )
+    remainder = StabType(len(support_sorted), gens)
     return QType(total, tuple(factors), remainder, support_sorted)
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +215,13 @@ class TestRunCheck:
         path = write(tmp_path, "qubits 1\ninput X\nT 1\nMEAS 1\n")
         assert run(["check", path]) == EXIT_TYPE_ERROR
 
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.qc"
+        path.write_bytes("qubits 1\n-- caf\u00e9\nH 1\n".encode("latin-1"))
+        for command in ("check", "tableau", "verify"):
+            assert run([command, str(path)]) == EXIT_PARSE_ERROR
+            assert "not UTF-8" in capsys.readouterr().err
+
 
 class TestRunTableau:
     def test_ghz(self, capsys):
@@ -293,12 +303,17 @@ class TestRunVerify:
         # 6 conjugations + transport + one factored qubit
         assert record["checks"] == 8
 
-    def test_mismatch_exit_code(self, capsys, monkeypatch):
-        from gottesman import cli as cli_module
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_counts_below_one_rejected(self, capsys, count):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["verify", str(CIRCUITS / "ghz.qc"), "--samples", count])
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
-        monkeypatch.setattr(
-            cli_module.oracle, "verify_conjugation", lambda *a, **kw: False
-        )
+    def test_mismatch_exit_code(self, capsys, monkeypatch):
+        from gottesman import oracle
+
+        monkeypatch.setattr(oracle, "verify_conjugation", lambda *a, **kw: False)
         assert run(["verify", str(CIRCUITS / "ghz.qc")]) == EXIT_ORACLE_MISMATCH
         assert "MISMATCH" in capsys.readouterr().out
 
@@ -311,3 +326,30 @@ class TestRunVerify:
         )
         path = write(tmp_path, src)
         assert run(["verify", path, "--samples", "4"]) == EXIT_OK
+
+
+def test_only_verify_imports_numpy():
+    """check and tableau never load the oracle or numpy; verify does."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import contextlib, io, sys\n"
+        "from gottesman import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for command in sys.argv[2:]:\n"
+        "        assert cli.run([command, sys.argv[1]]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    ghz = str(CIRCUITS / "ghz.qc")
+
+    def numpy_loaded(*commands):
+        out = subprocess.run(
+            [sys.executable, "-c", code, ghz, *commands],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        return out.strip() == "True"
+
+    assert not numpy_loaded("check", "tableau")
+    assert numpy_loaded("verify")

@@ -12,7 +12,6 @@ from gottesman.pauli import (
     PauliAtom,
     PauliString,
     Phase,
-    atom_mul,
     commutes,
     embed,
     string_mul,
@@ -26,6 +25,12 @@ I, X, Y, Z, TOP = PauliAtom.I, PauliAtom.X, PauliAtom.Y, PauliAtom.Z, PauliAtom.
 
 def P(text):
     return PauliString.parse(text)
+
+
+def atom_mul(a, b):
+    """One-qubit product a*b through the packed string_mul, as (phase, atom)."""
+    prod = string_mul(PauliString(ONE, (a,)), PauliString(ONE, (b,)))
+    return prod.phase, prod.atoms[0]
 
 
 class TestPhase:
@@ -51,6 +56,8 @@ class TestPhase:
 
 
 class TestAtomMul:
+    """The single-qubit product table, on one-qubit packed strings."""
+
     def test_identity_law(self):
         assert atom_mul(I, X) == (ONE, X)
         assert atom_mul(X, I) == (ONE, X)

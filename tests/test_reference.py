@@ -1,0 +1,106 @@
+"""The packed bitmask algebra agrees with the atom-by-atom reference.
+
+Random circuits mix every standard gate (T, Tdg and TOFFOLI included, so
+Top appears) with one derived ``def`` gate, and registers go past 64
+qubits so the masks outgrow a machine word.
+"""
+
+import random
+
+from gottesman.gates import GateApp, apply_gate, derive_gate, standard_gates
+from gottesman.pauli import PauliString, Phase, commutes, string_mul
+from gottesman.stabilizer import canonicalize, measure_with_cost
+
+from helpers import (
+    ALL_ATOMS,
+    random_stab_type,
+    ref_apply_gate,
+    ref_commutes,
+    ref_echelon,
+    ref_measure,
+    ref_string_mul,
+)
+
+GATES = standard_gates()
+SIZES = (1, 2, 3, 5, 8, 64, 70)
+
+
+def random_string(n, rng, top_share=0.0):
+    if rng.random() < top_share:
+        return PauliString.top(n)
+    atoms = tuple(rng.choice(ALL_ATOMS) for _ in range(n))
+    return PauliString(Phase(rng.randrange(4)), atoms)
+
+
+def random_apps(gates, n, count, rng):
+    apps = []
+    for _ in range(count):
+        spec = rng.choice([g for g in gates if g.arity <= n])
+        apps.append(GateApp(spec, tuple(rng.sample(range(1, n + 1), spec.arity))))
+    return apps
+
+
+def random_circuit_with_def(n, count, rng):
+    """Random applications of every standard gate and one def gate.
+
+    Non-Clifford gates are drawn rarely, so most strings stay trackable
+    for a while before Top absorbs them.
+    """
+    arity = min(n, rng.choice((2, 3)))
+    body = random_apps(list(GATES.values()), arity, 4, rng)
+    cliffords = [g for g in GATES.values() if g.is_clifford]
+    others = [g for g in GATES.values() if not g.is_clifford]
+    gates = cliffords * 8 + others + [derive_gate("G", arity, body)] * 8
+    return random_apps(gates, n, count, rng)
+
+
+def test_apply_gate_matches_reference_on_random_circuits():
+    rng = random.Random(2021)
+    tracked = tops = 0
+    for trial in range(60):
+        n = SIZES[trial % len(SIZES)]
+        for p in [random_string(n, rng, top_share=0.1) for _ in range(3)]:
+            for app in random_circuit_with_def(n, 40, rng):
+                want = ref_apply_gate(app, p)
+                assert apply_gate(app, p) == want, (str(app), str(p))
+                tracked += not want.is_top
+                p = want
+            tops += p.is_top
+    assert tracked > 2000 and tops > 10
+
+
+def test_string_mul_and_commutes_match_reference():
+    rng = random.Random(2103)
+    for trial in range(700):
+        n = SIZES[trial % len(SIZES)]
+        p = random_string(n, rng, top_share=0.05)
+        q = random_string(n, rng, top_share=0.05)
+        assert string_mul(p, q) == ref_string_mul(p, q)
+        if not (p.is_top or q.is_top):
+            assert commutes(p, q) == ref_commutes(p, q)
+
+
+def test_canonicalize_matches_reference():
+    rng = random.Random(406)
+    for trial in range(60):
+        n = rng.randrange(1, 9)
+        s = random_stab_type(n, rng)
+        # Redundant generators make elimination cancel whole rows.
+        extra = string_mul(s.generators[0], s.generators[-1])
+        gens = list(s.generators) + [extra]
+        rows, pivots, _ = ref_echelon(n, gens)
+        tab = canonicalize(gens)
+        assert tab.rows == tuple(rows)
+        assert tab.pivots == tuple(pivots)
+
+
+def test_measure_matches_reference_with_row_ops():
+    rng = random.Random(9807)
+    for trial in range(60):
+        n = rng.randrange(1, 13)
+        s = random_stab_type(n, rng, depth=4 * n)
+        k = rng.randrange(1, n + 1)
+        rows, ref_ops = ref_measure(n, s.generators, k)
+        got, ops = measure_with_cost(s, k)
+        assert got.generators == tuple(rows)
+        assert ops == ref_ops
