@@ -254,10 +254,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err.strerror}") from None
-    except UnicodeDecodeError as err:
-        raise ParseError(
-            f"cannot read {path}: not UTF-8 text (byte {err.start})"
-        ) from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _cmd_check(args) -> int:
@@ -316,20 +314,39 @@ def _cmd_tableau(args) -> int:
 
 
 def _cmd_gates(args) -> int:
-    gates = []
+    records = []
     for spec in standard_gates().values():
-        rows = [
-            {"input": str(embed(atom, ONE, w, spec.arity)), "output": str(images[w - 1])}
-            for atom, images in ((PauliAtom.X, spec.x_images), (PauliAtom.Z, spec.z_images))
-            for w in range(1, spec.arity + 1)
-        ]
-        gates.append({"name": spec.name, "arity": spec.arity, "rows": rows})
+        rows = []
+        for atom in (PauliAtom.X, PauliAtom.Z):
+            images = spec.x_images if atom is PauliAtom.X else spec.z_images
+            for w in range(1, spec.arity + 1):
+                source = embed(atom, ONE, w, spec.arity)
+                rows.append((str(source), str(images[w - 1])))
+        records.append({"name": spec.name, "arity": spec.arity, "rows": rows})
     if args.json:
-        print(json.dumps({"command": "gates", "gates": gates}, indent=2))
+        print(
+            json.dumps(
+                {
+                    "command": "gates",
+                    "gates": [
+                        {
+                            "name": rec["name"],
+                            "arity": rec["arity"],
+                            "rows": [
+                                {"input": src, "output": dst}
+                                for src, dst in rec["rows"]
+                            ],
+                        }
+                        for rec in records
+                    ],
+                },
+                indent=2,
+            )
+        )
     else:
-        for gate in gates:
-            for row in gate["rows"]:
-                print(f"{gate['name']}: {row['input']} -> {row['output']}")
+        for rec in records:
+            for src, dst in rec["rows"]:
+                print(f"{rec['name']}: {src} -> {dst}")
     return EXIT_OK
 
 
@@ -428,10 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check against the dense oracle")
     p_verify.add_argument("file")
-    p_verify.add_argument("--seed", type=int, help="sampling seed")
-    p_verify.add_argument(
-        "--samples", type=positive_int, help="eigenstates sampled per check"
-    )
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--samples", type=positive_int)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -7,10 +7,9 @@ generator factors in a fixed normal order (all X factors before all Z
 factors, ascending wire, with the reordering phase computed exactly), map
 each factor through its image, and splice the product back over the wires.
 
-The image of each of the 4**arity possible restrictions is worked out at
-most once per GateSpec and kept in a table indexed by the restriction's
-bits, so applying a gate reads the bits on its wires, looks up one entry
-and writes the entry's bits back.
+Each GateSpec keeps a table, filled on first use, of the images of its
+4**arity restrictions, so applying a gate reads the bits on its wires,
+looks up one entry and writes the entry's bits back.
 
 Non-Clifford gates carry all-Top images for the generators they cannot
 track; any use of such an image collapses the result to the all-Top
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -45,40 +43,44 @@ class GateSpec:
     x_images: tuple[PauliString, ...]
     z_images: tuple[PauliString, ...]
     decomposition: Optional[tuple["GateApp", ...]] = None
-    # Restriction index -> image bits over the wires and exponent of i
-    # (None when Top), filled on first use; a cache, so it takes no part
-    # in equality or hashing.
-    _images: dict[int, Optional[tuple[int, int, int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # Cache of local_image, so it takes no part in equality or hashing.
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise IllFormedTypeError("gate arity must be at least 1")
         if len(self.x_images) != self.arity or len(self.z_images) != self.arity:
             raise IllFormedTypeError(f"{self.name}: need one X and one Z image per wire")
-        images = self.x_images + self.z_images
-        if any(img.arity != self.arity for img in images):
-            raise IllFormedTypeError(f"{self.name}: image arity mismatch")
-        # The images must keep the generators' relations: X_w and Z_w
-        # anticommute and every other pair commutes. Top images are exempt.
-        names = [f"{p}_{w}" for p in "XZ" for w in range(1, self.arity + 1)]
-        for i, j in combinations(range(2 * self.arity), 2):
-            a, b = images[i], images[j]
-            paired = j == i + self.arity
-            if not (a.is_top or b.is_top) and commutes(a, b) == paired:
-                relation = "anticommute" if paired else "commute"
+        images = list(self.x_images) + list(self.z_images)
+        for img in images:
+            if img.arity != self.arity:
+                raise IllFormedTypeError(f"{self.name}: image arity mismatch")
+        # Commutation preservation, skipping pairs with a Top side.
+        for i in range(self.arity):
+            xi, zi = self.x_images[i], self.z_images[i]
+            if not xi.is_top and not zi.is_top and commutes(xi, zi):
                 raise IllFormedTypeError(
-                    f"{self.name}: images of {names[i]} and {names[j]} must {relation}"
+                    f"{self.name}: images of X_{i + 1} and Z_{i + 1} must anticommute"
                 )
+        for i, a in enumerate(images):
+            for j in range(i + 1, len(images)):
+                b = images[j]
+                if a.is_top or b.is_top:
+                    continue
+                if j == i + self.arity:
+                    continue  # the X_w/Z_w pair on one wire, checked above
+                if not commutes(a, b):
+                    raise IllFormedTypeError(
+                        f"{self.name}: generator images must commute pairwise"
+                    )
 
     @property
     def is_clifford(self) -> bool:
         return not any(img.is_top for img in self.x_images + self.z_images)
 
     def local_image(self, index: int) -> Optional[tuple[int, int, int]]:
-        """The image of the restriction with x bits ``index & (2**arity - 1)``
-        and z bits ``index >> arity`` (bit i for the gate's wire i + 1)."""
+        """Image (x, z, k) of the restriction with x bits ``index & (2**arity - 1)``
+        and z bits ``index >> arity`` (bit i for the gate's wire i + 1); None if Top."""
         if index not in self._images:
             xs, zs = index & ((1 << self.arity) - 1), index >> self.arity
             image = PauliString.identity(self.arity)
@@ -86,12 +88,10 @@ class GateSpec:
                 for w in range(self.arity):
                     if bits >> w & 1:
                         image = string_mul(image, images[w])
-            # Each Y in the restriction contributes one factor of i when
-            # split into X*Z; the normal order itself costs nothing extra
-            # because factors on distinct wires commute.
-            self._images[index] = (
-                None if image.is_top else (image.x, image.z, image.k + (xs & zs).bit_count())
-            )
+            # Splitting each Y of the restriction into X*Z costs a factor of i;
+            # the normal order costs nothing more, as distinct wires commute.
+            k = image.k + (xs & zs).bit_count()
+            self._images[index] = None if image.is_top else (image.x, image.z, k)
         return self._images[index]
 
 
@@ -132,40 +132,19 @@ def apply_gate(app: GateApp, p: PauliString) -> PauliString:
     """
     n = p.arity
     if app._mask >> n:
-        raise WireError(f"wire {max(app.wires)} out of range for {n} qubits")
+        w = next(w for w in app.wires if w > n)
+        raise WireError(f"wire {w} out of range for {n} qubits")
     if p.is_top:
         return p
-    x, z = p.x, p.z
-    keep = ~app._mask
     shifts = app._shifts
-    if len(shifts) == 1:
-        (s,) = shifts
-        image = app.gate.local_image(x >> s & 1 | (z >> s & 1) << 1)
-        if image is None:
-            return PauliString.top(n)
-        ix, iz, k = image
-        return from_bits(n, x & keep | ix << s, z & keep | iz << s, p.k + k)
-    if len(shifts) == 2:
-        s, t = shifts
-        image = app.gate.local_image(
-            (x >> s & 1) | (x >> t & 1) << 1 | (z >> s & 1) << 2 | (z >> t & 1) << 3
-        )
-        if image is None:
-            return PauliString.top(n)
-        ix, iz, k = image
-        x = x & keep | (ix & 1) << s | (ix >> 1) << t
-        z = z & keep | (iz & 1) << s | (iz >> 1) << t
-        return from_bits(n, x, z, p.k + k)
-    arity = len(shifts)
     index = 0
     for i, s in enumerate(shifts):
-        index |= (x >> s & 1) << i | (z >> s & 1) << (arity + i)
+        index |= (p.x >> s & 1) << i | (p.z >> s & 1) << (len(shifts) + i)
     image = app.gate.local_image(index)
     if image is None:
         return PauliString.top(n)
     ix, iz, k = image
-    x &= keep
-    z &= keep
+    x, z = p.x & ~app._mask, p.z & ~app._mask
     for i, s in enumerate(shifts):
         x |= (ix >> i & 1) << s
         z |= (iz >> i & 1) << s

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 from . import stabilizer
@@ -50,9 +49,13 @@ class StabType:
                 raise ArityError(
                     f"generator {i} has arity {g.arity}, expected {self.arity}"
                 )
-        for (i, a), (j, b) in combinations(enumerate(gens, start=1), 2):
-            if not commutes(a, b):
-                raise IllFormedTypeError(f"generators {i} and {j} anticommute: {a} vs {b}")
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                if not commutes(gens[i], gens[j]):
+                    raise IllFormedTypeError(
+                        f"generators {i + 1} and {j + 1} anticommute:"
+                        f" {gens[i]} vs {gens[j]}"
+                    )
         # Rejects -I (and +-iI) in the generated group.
         stabilizer.canonicalize(self)
 
@@ -343,7 +346,11 @@ def _literal_qtype(lit: PauliString) -> QType:
         and lit.atoms[0] in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z)
     ):
         return QType(1, ((1, lit.phase, lit.atoms[0]),), None, ())
-    return QType.from_stab(StabType(lit.arity, () if lit.is_identity else (lit,)))
+    if lit.is_identity:
+        return QType(lit.arity, (), StabType(lit.arity, ()), tuple(range(1, lit.arity + 1)))
+    return QType(
+        lit.arity, (), StabType(lit.arity, (lit,)), tuple(range(1, lit.arity + 1))
+    )
 
 
 def _intersect_units(units: list[QType]) -> QType:
