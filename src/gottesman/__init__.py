@@ -14,6 +14,7 @@ from .errors import (
     IllFormedTypeError,
     MeasurementError,
     OracleError,
+    OracleUnavailableError,
     ParseError,
     TopOperandError,
     WireError,
@@ -70,6 +71,7 @@ __all__ = [
     "MeasurementError",
     "ONE",
     "OracleError",
+    "OracleUnavailableError",
     "PLUS_I",
     "ParseError",
     "PauliAtom",

@@ -14,8 +14,9 @@ Circuit files (``.qc``) look like:
 wires. Wire indices are 1-based. Unicode type operators are accepted on
 input; all output is ASCII.
 
-Exit statuses: 0 success, 1 type error, 2 parse error, 3 oracle mismatch.
-Only ``verify`` imports the oracle, and with it numpy.
+Exit statuses: 0 success, 1 type error, 2 parse error, 3 oracle mismatch,
+4 oracle unavailable (``verify`` on more qubits than the dense oracle's
+cap). Only ``verify`` imports the oracle, and with it numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 import sys
 
 from .checker import Circuit, Measure, annotate, check, infer_tableau
-from .errors import GottesmanError, ParseError
+from .errors import GottesmanError, OracleUnavailableError, ParseError
 from .gates import GateApp, GateSpec, derive_gate, standard_gates
 from .pauli import ONE, PauliAtom, embed
 from .typesys import QType, flatten, fold_unicode, parse_qtype
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
 EXIT_PARSE_ERROR = 2
 EXIT_ORACLE_MISMATCH = 3
+EXIT_ORACLE_UNAVAILABLE = 4
 
 _WORD = re.compile(r"\S+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -358,6 +360,10 @@ def _cmd_verify(args) -> int:
     circuit, input_type = parse(_read(args.file))
     if circuit.has_measurement:
         raise GottesmanError("verify requires a measurement-free circuit")
+    if circuit.n_qubits > oracle.MAX_QUBITS:
+        raise OracleUnavailableError(
+            f"{circuit.n_qubits} qubits exceeds the dense cap of {oracle.MAX_QUBITS}"
+        )
     tab = infer_tableau(circuit)
     checks = 0
     failures: list[str] = []
@@ -387,10 +393,14 @@ def _cmd_verify(args) -> int:
             )
             if residual >= oracle.TOLERANCE:
                 failures.append(f"eigenstate transport residual {residual:.3e}")
+            # One draw of output eigenstates serves every factored qubit.
+            states = None
+            if output.factors:
+                states = oracle.sample_eigenstates(flat_out, args.samples, args.seed)
             for k, _, _ in output.factors:
                 checks += 1
                 if not oracle.verify_separability(
-                    flat_out, k, samples=args.samples, seed=args.seed
+                    flat_out, k, samples=args.samples, seed=args.seed, states=states
                 ):
                     failures.append(f"separability not confirmed at qubit {k}")
     if args.json:
@@ -465,6 +475,9 @@ def run(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except OracleUnavailableError as err:
+        print(f"oracle unavailable: {err}", file=sys.stderr)
+        return EXIT_ORACLE_UNAVAILABLE
     except GottesmanError as err:
         print(f"type error: {err}", file=sys.stderr)
         return EXIT_TYPE_ERROR

@@ -47,5 +47,9 @@ class OracleError(GottesmanError):
     """The dense-matrix layer cannot run or found an inconsistency."""
 
 
+class OracleUnavailableError(OracleError):
+    """The register is too large for the dense oracle to check at all."""
+
+
 class EmptyEigenspaceError(OracleError):
     """Eigenspace sampling found no joint +1 eigenstate."""

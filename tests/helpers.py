@@ -1,6 +1,7 @@
 """Shared test utilities: independent matrix oracles, brute-force group
-enumeration, an atom-by-atom reference for the packed Pauli algebra,
-random circuits, and hypothesis strategies."""
+enumeration, an atom-by-atom reference for the packed Pauli algebra, a
+dense-product reference for the oracle, random circuits, and hypothesis
+strategies."""
 
 import itertools
 import random
@@ -12,6 +13,7 @@ from gottesman.checker import Circuit
 from gottesman.errors import ArityError, TopOperandError, WireError
 from gottesman.gates import GateApp, apply_gate, standard_gates
 from gottesman.pauli import ONE, PauliAtom, PauliString, Phase, embed, string_mul
+from gottesman.stabilizer import canonicalize
 from gottesman.typesys import StabType
 
 # Independent single-qubit matrices; deliberately not imported from the
@@ -174,6 +176,117 @@ def ref_measure(arity, gens, k):
     rows.append(embed(PauliAtom.Z, ONE, k, arity))
     reduced, _, echelon_ops = ref_echelon(arity, rows)
     return reduced, ops + echelon_ops
+
+
+# --- dense-product reference for the oracle -----------------------------------
+# The oracle acts with Paulis as permutation-and-sign and builds unitaries by
+# tensor contraction. These are the dense routines it replaced: unitaries
+# embedded bit by bit and multiplied, U M(p) U+ formed from Kronecker
+# products, and one sample at a time through a dense projector.
+
+REF_TOLERANCE = 1e-9
+
+_REF_BASE_UNITARIES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "S": np.diag([1, 1j]).astype(complex),
+    "T": np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex),
+    # Control is wire 1, the most significant bit of the block.
+    "CNOT": np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    ),
+}
+
+
+def ref_embed_unitary(u, wires, n):
+    """Lift a 2^g unitary acting on ``wires`` (1-based) to 2^n, qubit 1 the
+    most significant bit, one basis column at a time."""
+    g = len(wires)
+    shifts = [n - w for w in wires]
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for col in range(2**n):
+        local_col = 0
+        for s in shifts:
+            local_col = (local_col << 1) | ((col >> s) & 1)
+        base = col
+        for s in shifts:
+            base &= ~(1 << s)
+        for local_row in range(2**g):
+            amp = u[local_row, local_col]
+            if amp == 0:
+                continue
+            row = base
+            for pos, s in enumerate(shifts):
+                if (local_row >> (g - 1 - pos)) & 1:
+                    row |= 1 << s
+            full[row, col] += amp
+    return full
+
+
+def ref_gate_unitary(spec):
+    """Base matrices composed along the decomposition of a derived gate."""
+    if spec.name in _REF_BASE_UNITARIES:
+        return _REF_BASE_UNITARIES[spec.name]
+    u = np.eye(2**spec.arity, dtype=complex)
+    for app in spec.decomposition:
+        u = ref_embed_unitary(ref_gate_unitary(app.gate), app.wires, spec.arity) @ u
+    return u
+
+
+def ref_unitary(circuit):
+    n = circuit.n_qubits
+    u = np.eye(2**n, dtype=complex)
+    for app in circuit.instructions:
+        u = ref_embed_unitary(ref_gate_unitary(app.gate), app.wires, n) @ u
+    return u
+
+
+def ref_verify_conjugation(circuit, p, q):
+    u = ref_unitary(circuit)
+    conjugated = u @ string_matrix(p) @ u.conj().T
+    return bool(np.max(np.abs(conjugated - string_matrix(q))) < REF_TOLERANCE)
+
+
+def ref_projector(s):
+    dim = 2**s.arity
+    proj = np.eye(dim, dtype=complex)
+    for g in canonicalize(s).generators():
+        proj = proj @ (np.eye(dim, dtype=complex) + string_matrix(g)) / 2
+    return proj
+
+
+def ref_sample_eigenstates(s, count, seed):
+    """One sample at a time: a complex Gaussian (real part drawn first)
+    through the dense projector, normalised."""
+    rng = np.random.default_rng(seed)
+    proj = ref_projector(s)
+    dim = proj.shape[0]
+    states = []
+    for _ in range(count):
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        vec = proj @ raw
+        states.append(vec / np.linalg.norm(vec))
+    return states
+
+
+def ref_transport_residual(circuit, input_type, transported, samples, seed):
+    u = ref_unitary(circuit)
+    worst = 0.0
+    for state in ref_sample_eigenstates(input_type, samples, seed):
+        evolved = u @ state
+        for q in transported:
+            if not q.is_top:
+                residual = np.linalg.norm(string_matrix(q) @ evolved - evolved)
+                worst = max(worst, float(residual))
+    return worst
+
+
+def ref_verify_separability(s, k, samples, seed):
+    for state in ref_sample_eigenstates(s, samples, seed):
+        local = np.moveaxis(state.reshape((2,) * s.arity), k - 1, 0).reshape(2, -1)
+        rho = local @ local.conj().T
+        if np.real(np.trace(rho @ rho)) < 1 - REF_TOLERANCE:
+            return False
+    return True
 
 CLIFFORD_1Q = ("H", "S", "Sdg", "X", "Y", "Z")
 CLIFFORD_2Q = ("CNOT", "CZ", "SWAP", "NOTC")

@@ -10,6 +10,7 @@ from gottesman.checker import Measure
 from gottesman.cli import (
     EXIT_OK,
     EXIT_ORACLE_MISMATCH,
+    EXIT_ORACLE_UNAVAILABLE,
     EXIT_PARSE_ERROR,
     EXIT_TYPE_ERROR,
     format_source,
@@ -316,6 +317,32 @@ class TestRunVerify:
         monkeypatch.setattr(oracle, "verify_conjugation", lambda *a, **kw: False)
         assert run(["verify", str(CIRCUITS / "ghz.qc")]) == EXIT_ORACLE_MISMATCH
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_over_the_qubit_cap_is_oracle_unavailable(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from gottesman import cli
+
+        src = "qubits 11\ninput Z x XX & ZZ x IIIIIIII\nH 1; CNOT 2 11\n"
+        path = write(tmp_path, src)
+        assert run(["check", path]) == EXIT_OK
+        capsys.readouterr()
+
+        def no_tableau(circuit):
+            raise AssertionError("the size must be checked before any tableau work")
+
+        monkeypatch.setattr(cli, "infer_tableau", no_tableau)
+        assert run(["verify", path, "--json"]) == EXIT_ORACLE_UNAVAILABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "oracle unavailable: 11 qubits exceeds the dense cap of 10\n"
+        )
+
+    def test_at_the_qubit_cap_verifies(self, capsys, tmp_path):
+        path = write(tmp_path, "qubits 10\nH 1; CNOT 1 10; CNOT 10 5\n")
+        assert run(["verify", path, "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["checks"] == 20
 
     def test_kitchen_sink_clifford_circuit(self, capsys, tmp_path):
         src = (

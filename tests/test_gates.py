@@ -17,7 +17,7 @@ from gottesman.gates import (
 )
 from gottesman.pauli import PauliString, Phase, commutes, string_mul
 
-from helpers import ALL_ATOMS, string_matrix, strings
+from helpers import ALL_ATOMS, ref_gate_unitary, string_matrix, strings
 
 
 def P(text):
@@ -238,51 +238,11 @@ class TestDeriveGate:
             derive_gate("BAD", 1, [GateApp(GATES["CNOT"], (1, 2))])
 
 
-def _gate_unitary_reference(spec):
-    """Independent unitary: compose base matrices along the decomposition."""
-    base = {
-        "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-        "S": np.diag([1, 1j]).astype(complex),
-        "T": np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex),
-        "CNOT": np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        ),
-    }
-    if spec.name in base:
-        return base[spec.name]
-    u = np.eye(2**spec.arity, dtype=complex)
-    for app in spec.decomposition:
-        sub = _gate_unitary_reference(app.gate)
-        u = _embed(sub, app.wires, spec.arity) @ u
-    return u
-
-
-def _embed(u, wires, n):
-    g = len(wires)
-    full = np.zeros((2**n, 2**n), dtype=complex)
-    for col in range(2**n):
-        bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
-        lc = 0
-        for w in wires:
-            lc = (lc << 1) | bits[w - 1]
-        for lr in range(2**g):
-            if u[lr, lc] == 0:
-                continue
-            new_bits = list(bits)
-            for pos, w in enumerate(wires):
-                new_bits[w - 1] = (lr >> (g - 1 - pos)) & 1
-            row = 0
-            for b in new_bits:
-                row = (row << 1) | b
-            full[row, col] += u[lr, lc]
-    return full
-
-
 @pytest.mark.parametrize("name", [n for n, s in GATES.items() if s.is_clifford])
 def test_images_match_matrix_conjugation_exhaustively(name):
     spec = GATES[name]
     n = spec.arity
-    u = _gate_unitary_reference(spec)
+    u = ref_gate_unitary(spec)
     for atoms in itertools.product(ALL_ATOMS, repeat=n):
         for k in range(4):
             p = PauliString(Phase(k), atoms)

@@ -156,8 +156,11 @@ class TestSeparability:
         assert oracle.verify_separability(StabType.of("IXX", "ZII", "IZZ"), 1)
 
     def test_empty_eigenspace_detected(self):
+        # +Z and -Z on one qubit project every sample to zero.
         with pytest.raises(EmptyEigenspaceError):
-            oracle._sample_states(np.zeros((4, 4)), 1, np.random.default_rng(0))
+            oracle._sample_states(
+                2, [P("ZI"), P("-ZI")], 1, np.random.default_rng(0)
+            )
 
     def test_purity_of_known_states(self):
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
