@@ -146,12 +146,13 @@ def test_transport_and_separability_verdicts_match_reference():
             # A swapped atom may land in the same group, so only a flipped
             # sign and a wrong phase must fail; all three must agree.
             j = rng.randrange(len(gens))
-            for m, wrong in enumerate(mutations(gens[j], rng)):
+            flipped, swapped, phased = mutations(gens[j], rng)
+            for wrong in (flipped, swapped, phased):
                 claimed = (circuit, input_type, gens[:j] + (wrong,) + gens[j + 1 :])
                 got = oracle.transport_residual(*claimed, samples=4, seed=trial)
                 want = ref_transport_residual(*claimed, 4, trial)
                 assert (got < oracle.TOLERANCE) == (want < oracle.TOLERANCE)
-                assert m == 1 or got > 1e-3
+                assert wrong is swapped or got > 1e-3
         states = oracle.sample_eigenstates(flat_out, 4, trial)
         for k in range(1, n + 1):
             verdict = oracle.verify_separability(flat_out, k, samples=4, seed=trial)
