@@ -2,7 +2,7 @@
 
 Assigns Pauli/stabilizer types to circuits in the Heisenberg picture,
 decides which qubits are separable, types Z-basis measurement, and can
-cross-check every judgment against a dense-matrix oracle at small qubit
+cross-check every judgment against a dense state-vector oracle at small qubit
 counts.
 """
 

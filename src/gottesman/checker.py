@@ -111,8 +111,11 @@ def _states(circuit: Circuit, input_type: QType):
         if isinstance(ins, Measure):
             if cur is None:
                 raise TopOperandError("cannot measure a Top-typed register")
+            # The generators are a valid type already (an input, its Clifford
+            # transport, or a measure result), so only an empty list needs
+            # wrapping, to carry the arity.
             measured = stabilizer.measure(
-                StabType(circuit.n_qubits, tuple(cur)), ins.qubit
+                cur or StabType(circuit.n_qubits, ()), ins.qubit
             )
             cur = list(measured.generators)
         else:

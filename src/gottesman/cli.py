@@ -365,44 +365,49 @@ def _cmd_verify(args) -> int:
             f"{circuit.n_qubits} qubits exceeds the dense cap of {oracle.MAX_QUBITS}"
         )
     tab = infer_tableau(circuit)
-    checks = 0
-    failures: list[str] = []
+    pairs, claims = [], []
     for prefix, atom, images in (
         ("X", PauliAtom.X, tab.x_images),
         ("Z", PauliAtom.Z, tab.z_images),
     ):
         for k, img in enumerate(images, start=1):
-            if img.is_top:
-                continue
-            checks += 1
-            source = embed(atom, ONE, k, circuit.n_qubits)
-            if not oracle.verify_conjugation(circuit, source, img):
-                failures.append(f"conjugation mismatch: {prefix}{k} -> {img}")
+            if not img.is_top:
+                pairs.append((embed(atom, ONE, k, circuit.n_qubits), img))
+                claims.append(f"{prefix}{k} -> {img}")
+    output = flat_in = flat_out = None
     if input_type is not None and not input_type.top:
         output = check(circuit, input_type)
         if not output.top:
-            flat_in = flatten(input_type)
-            flat_out = flatten(output)
+            flat_in, flat_out = flatten(input_type), flatten(output)
+    # One pass of the circuit serves every conjugation and the transport.
+    verdicts, residual = oracle.verify_claims(
+        circuit,
+        pairs,
+        flat_in,
+        flat_out.generators if flat_out is not None else (),
+        samples=args.samples,
+        seed=args.seed,
+    )
+    checks = len(pairs)
+    failures = [
+        f"conjugation mismatch: {claim}"
+        for claim, holds in zip(claims, verdicts)
+        if not holds
+    ]
+    if flat_out is not None:
+        checks += 1
+        if residual >= oracle.TOLERANCE:
+            failures.append(f"eigenstate transport residual {residual:.3e}")
+        # One draw of output eigenstates serves every factored qubit.
+        states = None
+        if output.factors:
+            states = oracle.sample_eigenstates(flat_out, args.samples, args.seed)
+        for k, _, _ in output.factors:
             checks += 1
-            residual = oracle.transport_residual(
-                circuit,
-                flat_in,
-                flat_out.generators,
-                samples=args.samples,
-                seed=args.seed,
-            )
-            if residual >= oracle.TOLERANCE:
-                failures.append(f"eigenstate transport residual {residual:.3e}")
-            # One draw of output eigenstates serves every factored qubit.
-            states = None
-            if output.factors:
-                states = oracle.sample_eigenstates(flat_out, args.samples, args.seed)
-            for k, _, _ in output.factors:
-                checks += 1
-                if not oracle.verify_separability(
-                    flat_out, k, samples=args.samples, seed=args.seed, states=states
-                ):
-                    failures.append(f"separability not confirmed at qubit {k}")
+            if not oracle.verify_separability(
+                flat_out, k, samples=args.samples, seed=args.seed, states=states
+            ):
+                failures.append(f"separability not confirmed at qubit {k}")
     if args.json:
         print(
             json.dumps(

@@ -45,6 +45,9 @@ class GateSpec:
     decomposition: Optional[tuple["GateApp", ...]] = None
     # Cache of local_image, so it takes no part in equality or hashing.
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The hash of the compared fields, computed once: a derived gate's hash
+    # would otherwise recurse through its images and decomposition each time.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -73,6 +76,11 @@ class GateSpec:
                     raise IllFormedTypeError(
                         f"{self.name}: generator images must commute pairwise"
                     )
+        fields = (self.name, self.arity, self.x_images, self.z_images)
+        object.__setattr__(self, "_hash", hash(fields + (self.decomposition,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_clifford(self) -> bool:

@@ -1,13 +1,11 @@
 """Brute-force dense verification.
 
-Builds the 2^n unitary of a circuit gate by gate on its own tensor axes,
-and checks the symbolic layer's claims against it: conjugation images,
-eigenstate transport, and separability via reduced-state purity. A Pauli
-string acts on amplitudes as an index permutation times a sign (as in
-Stim, Gidney arXiv:2103.02202), read from ``.atoms`` and ``.phase`` only,
-so no two 2^n x 2^n operators are ever multiplied and no code is shared
-with the bit kernels under test. Exactness lives in the symbolic modules;
-a 1e-9 tolerance is fine at the hard cap of 10 qubits.
+Pushes batches of state vectors through a circuit, each gate contracted
+into its wires' axes, and checks the symbolic layer's claims: U P U+ == Q
+as U P phi == Q U phi on seeded Gaussian phi (a wrong Q passes only on a
+measure-zero set), eigenstate transport, and separability via purity.
+Paulis act as index permutation times sign (Stim, arXiv:2103.02202), read
+from ``.atoms`` and ``.phase`` only, sharing no code with the bit kernels.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checker import Circuit
+from .checker import Circuit, Measure
 from .errors import (
     ArityError,
     EmptyEigenspaceError,
@@ -32,11 +30,16 @@ from .stabilizer import canonicalize
 from .typesys import StabType
 
 TOLERANCE = 1e-9
-MAX_QUBITS = 10
+MAX_QUBITS = 14  # state vectors: O(2^n) per gate and vector
+MAX_DENSE_QUBITS = 10  # unitary_of, matrix_of, eigenspace_projector: 4^n
 DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 16
+PROBES = 2
 
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
+_PARITY_SIGN = np.ones(1)  # entry i is (-1)^popcount(i), for i < 2^MAX_QUBITS
+for _ in range(MAX_QUBITS):
+    _PARITY_SIGN = np.concatenate((_PARITY_SIGN, -_PARITY_SIGN))
 
 _BASE_UNITARIES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -48,48 +51,45 @@ _BASE_UNITARIES = {
 _TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
 
 
-def _check_size(n: int) -> None:
-    if n > MAX_QUBITS:
-        raise OracleUnavailableError(
-            f"{n} qubits exceeds the dense cap of {MAX_QUBITS}"
-        )
+def _check_size(n: int, cap: int = MAX_QUBITS) -> None:
+    if n > cap:
+        raise OracleUnavailableError(f"{n} qubits exceeds the dense cap of {cap}")
 
 
-def _pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """``(perm, sign)`` with ``M(p) @ v == sign * v[perm]``, qubit 1 the top bit:
-    X and Y flip their bit, and on row a Z gives (-1)^bit, Y gives -i(-1)^bit."""
+def _act(p: PauliString, vecs: np.ndarray) -> np.ndarray:
+    """M(p) on every column of ``vecs``, qubit 1 the top bit: X and Y flip
+    their bit, and on row a Z gives (-1)^bit, Y gives -i(-1)^bit."""
     if p.is_top:
         raise TopOperandError("Top strings have no matrix")
-    n = p.arity
-    _check_size(n)
-    index = np.arange(2**n)
-    perm = index.copy()
-    k = np.full(2**n, p.phase.k)
-    for j, atom in enumerate(p.atoms):
-        bit = 1 << (n - 1 - j)
-        if atom in (PauliAtom.X, PauliAtom.Y):
-            perm ^= bit
-        if atom in (PauliAtom.Z, PauliAtom.Y):
-            k += np.where(index & bit, 2, 0) + 3 * (atom is PauliAtom.Y)
-    return perm, _POWERS_OF_I[k % 4]
+    flips, signs, k = 0, 0, p.phase.k
+    for atom in p.atoms:
+        flips = flips << 1 | (atom in (PauliAtom.X, PauliAtom.Y))
+        signs = signs << 1 | (atom in (PauliAtom.Z, PauliAtom.Y))
+        k += 3 * (atom is PauliAtom.Y)
+    index = np.arange(2**p.arity)
+    sign = _POWERS_OF_I[k % 4] * _PARITY_SIGN[index & signs]
+    return sign[:, None] * vecs[index ^ flips]
 
 
 def matrix_of(p: PauliString) -> np.ndarray:
     """Phase times the Kronecker product of the standard Pauli matrices."""
-    perm, sign = _pauli_action(p)
-    return sign[:, None] * np.eye(perm.size, dtype=complex)[perm]
+    _check_size(p.arity, MAX_DENSE_QUBITS)
+    return _act(p, np.eye(2**p.arity, dtype=complex))
 
 
-def _compose(apps, n: int) -> np.ndarray:
-    """The 2^n unitary of ``apps``, each gate contracted into its wires' row axes."""
-    dim = 2**n
-    u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
+    """The columns of ``vecs`` (2^n x m) pushed through ``apps``, each gate
+    contracted into its wires' axes; from the identity this is the unitary."""
+    m = vecs.shape[1]
+    t = vecs.reshape((2,) * n + (m,))
     for app in apps:
+        if isinstance(app, Measure):
+            raise MeasurementError("no unitary for a circuit with measurements")
         g, axes = app.gate.arity, [w - 1 for w in app.wires]
         gate = gate_unitary(app.gate).reshape((2,) * 2 * g)
-        u = np.tensordot(gate, u, axes=(range(g, 2 * g), axes))
-        u = np.moveaxis(u, range(g), axes)
-    return u.reshape(dim, dim)
+        t = np.tensordot(gate, t, axes=(range(g, 2 * g), axes))
+        t = np.moveaxis(t, range(g), axes)
+    return t.reshape(2**n, m)
 
 
 @lru_cache(maxsize=None)
@@ -99,83 +99,90 @@ def gate_unitary(spec: GateSpec) -> np.ndarray:
     if spec.name in _BASE_UNITARIES:
         u = _BASE_UNITARIES[spec.name].copy()
     elif spec.decomposition is not None:
-        u = _compose(spec.decomposition, spec.arity)
+        eye = np.eye(2**spec.arity, dtype=complex)
+        u = _evolve(spec.decomposition, spec.arity, eye)
     else:
         raise OracleError(f"no unitary known for gate {spec.name}")
-    if spec.name == "TOFFOLI":
-        if np.max(np.abs(u - _TOFFOLI)) >= TOLERANCE:
-            raise OracleError("TOFFOLI decomposition disagrees with its matrix")
+    if spec.name == "TOFFOLI" and np.max(np.abs(u - _TOFFOLI)) >= TOLERANCE:
+        raise OracleError("TOFFOLI decomposition disagrees with its matrix")
     u.setflags(write=False)
     return u
 
 
-# The latest circuit (matched by identity; hashing one costs more than a
-# hit saves) and its unitary, which verify asks for once per image.
-_latest: tuple = (None, None)
-
-
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """The circuit's unitary, built one gate at a time on its own axes."""
-    global _latest
-    _check_size(circuit.n_qubits)
-    if circuit.has_measurement:
-        raise MeasurementError("no unitary for a circuit with measurements")
-    latest, u = _latest
-    if latest is not circuit:
-        u = _compose(circuit.instructions, circuit.n_qubits)
-        u.setflags(write=False)
-        _latest = (circuit, u)
-    return u
+    """The circuit's unitary: the identity's columns pushed through it."""
+    n = circuit.n_qubits
+    _check_size(n, MAX_DENSE_QUBITS)
+    return _evolve(circuit.instructions, n, np.eye(2**n, dtype=complex))
+
+
+def verify_claims(
+    circuit: Circuit,
+    pairs: Sequence[tuple[PauliString, PauliString]],
+    input_type: StabType | None = None,
+    transported: Sequence[PauliString] = (),
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+) -> tuple[list[bool], float]:
+    """Verdicts U M(p) phi == M(q) U phi for each pair, and the transport residual,
+    from one pass over ``PROBES`` Gaussian phi, each M(p) phi and eigenstates."""
+    n = circuit.n_qubits
+    _check_size(n)
+    if any(s.arity != n for pair in pairs for s in pair):
+        raise ArityError("operands must match the circuit's register size")
+    raw = np.random.default_rng(seed).standard_normal((2, 2**n, PROBES))
+    cols = [raw[0] + 1j * raw[1]]
+    cols += [_act(p, cols[0]) for p, _ in pairs]
+    if input_type is not None:
+        cols.append(sample_eigenstates(input_type, samples, seed).T)
+    out = _evolve(circuit.instructions, n, np.concatenate(cols, axis=1))
+    splits = PROBES * np.arange(1, len(pairs) + 2)
+    u_phi, *u_p_phi, evolved = np.split(out, splits, axis=1)
+    verdicts = [
+        bool(np.max(np.abs(lhs - _act(q, u_phi))) < TOLERANCE)
+        for lhs, (_, q) in zip(u_p_phi, pairs)
+    ]
+    residuals = [
+        np.linalg.norm(_act(q, evolved) - evolved, axis=0).max(initial=0.0)
+        for q in transported
+        if not q.is_top
+    ]
+    return verdicts, float(max(residuals, default=0.0))
 
 
 def verify_conjugation(circuit: Circuit, p: PauliString, q: PauliString) -> bool:
-    """True iff U M(p) U+ equals M(q) within tolerance, compared as
-    U M(p) == M(q) U: two permuted and signed copies of U, no product."""
-    if p.arity != circuit.n_qubits or q.arity != circuit.n_qubits:
-        raise ArityError("operands must match the circuit's register size")
-    u = unitary_of(circuit)
-    p_perm, p_sign = _pauli_action(p)
-    q_perm, q_sign = _pauli_action(q)
-    diff = np.take(u, p_perm, axis=1)
-    diff *= p_sign[p_perm]
-    diff -= q_sign[:, None] * np.take(u, q_perm, axis=0)
-    return bool(np.max(np.abs(diff)) < TOLERANCE)
+    """True iff U M(p) U+ equals M(q): the one-pair case of ``verify_claims``."""
+    return verify_claims(circuit, [(p, q)])[0][0]
 
 
-def _project(actions, vecs: np.ndarray) -> np.ndarray:
-    """Apply ``v <- (v + g v) / 2`` for each generator action to every row."""
-    for perm, sign in actions:
-        vecs = (vecs + sign * vecs[..., perm]) / 2
+def _project(gens: Sequence[PauliString], vecs: np.ndarray) -> np.ndarray:
+    """Apply ``v <- (v + g v) / 2`` for each generator g to every column."""
+    for g in gens:
+        vecs = (vecs + _act(g, vecs)) / 2
     return vecs
 
 
 def eigenspace_projector(s: StabType) -> np.ndarray:
     """Projector P onto the joint +1 eigenspace of the generated group."""
-    _check_size(s.arity)
-    actions = [_pauli_action(g) for g in canonicalize(s).generators()]
-    return _project(actions, np.eye(2**s.arity, dtype=complex)).T  # rows P e_i
+    _check_size(s.arity, MAX_DENSE_QUBITS)
+    return _project(canonicalize(s).generators(), np.eye(2**s.arity, dtype=complex))
 
 
-def _sample_states(
-    n: int, gens: Sequence[PauliString], count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``count`` unit rows in the joint +1 eigenspace of ``gens``, drawn at once
-    from the stream of one ``standard_normal(2**n)`` pair (real, imaginary)
-    per sample. An annihilated sample is redrawn, up to seven times."""
+def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:
+    """``count`` unit rows in the joint +1 eigenspace of ``gens``, one complex
+    Gaussian per sample (real part first), redrawn up to seven times if lost."""
     _check_size(n)
-    actions = [_pauli_action(g) for g in gens]
-    dim = 2**n
-    states = np.empty((count, dim), dtype=complex)
+    states = np.empty((2**n, count), dtype=complex)
     todo = np.arange(count)
     for _ in range(8):
-        raw = rng.standard_normal((todo.size, 2, dim))
-        vecs = _project(actions, raw[:, 0] + 1j * raw[:, 1])
-        norms = np.linalg.norm(vecs, axis=1)
+        raw = rng.standard_normal((todo.size, 2, 2**n))
+        vecs = _project(gens, (raw[:, 0] + 1j * raw[:, 1]).T)
+        norms = np.linalg.norm(vecs, axis=0)
         kept = norms > 1e-12
-        states[todo[kept]] = vecs[kept] / norms[kept, None]
+        states[:, todo[kept]] = vecs[:, kept] / norms[kept]
         todo = todo[~kept]
         if not todo.size:
-            return states
+            return states.T
     raise EmptyEigenspaceError("projection annihilates every sample")
 
 
@@ -222,11 +229,4 @@ def transport_residual(
     """Worst-case eigenstate-transport defect: how far sampled joint +1
     eigenstates of the input type, pushed through the circuit, sit from the
     +1 eigenspace of each transported generator. The type system claims 0."""
-    u = unitary_of(circuit)
-    evolved = sample_eigenstates(input_type, samples, seed) @ u.T
-    actions = [_pauli_action(q) for q in transported if not q.is_top]
-    residuals = [
-        np.linalg.norm(sign * evolved[:, perm] - evolved, axis=1).max(initial=0.0)
-        for perm, sign in actions
-    ]
-    return float(max(residuals, default=0.0))
+    return verify_claims(circuit, (), input_type, transported, samples, seed)[1]

@@ -170,23 +170,27 @@ def _measure_rows(
     rows = list(gens)
     ops = 0
     bit = 1 << (k - 1)
+    z_k = embed(PauliAtom.Z, ONE, k, arity)
 
-    # Step 1: at most one generator may anticommute with Z_k, i.e. carry
-    # an x-bit (X or Y) at k; fold the rest into it and drop it.
+    # Random outcome: the generators that anticommute with Z_k carry an
+    # x-bit (X or Y) at k; fold the rest into the first, drop it and adjoin
+    # Z_k with phase +1 (the +1 branch; outcome signs are not modeled).
     carriers = [i for i, r in enumerate(rows) if r.x & bit]
-    if not carriers:
-        # Step 2: otherwise at most one generator may have Z at k; fold
-        # the rest into it and drop it.
-        carriers = [i for i, r in enumerate(rows) if r.z & bit]
     if carriers:
         pivot = rows[carriers[0]]
         for i in carriers[1:]:
             rows[i] = string_mul(pivot, rows[i])
             ops += 1
         del rows[carriers[0]]
-
-    # Step 3: adjoin Z_k with phase +1 (outcome signs are not modeled).
-    rows.append(embed(PauliAtom.Z, ONE, k, arity))
+    elif any(r.z & bit for r in rows):
+        # Determined outcome if +-Z_k is in the group: the state is left
+        # as it is, sign included. Otherwise adjoin +Z_k as above.
+        reduced, pivots, ops = _echelon(arity, rows)
+        tab = CanonicalTableau(arity, tuple(reduced), tuple(pivots))
+        if member(tab, z_k) is not None:
+            return reduced, ops
+        rows = reduced
+    rows.append(z_k)
     reduced, _, echelon_ops = _echelon(arity, rows)
     return reduced, ops + echelon_ops
 

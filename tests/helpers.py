@@ -162,18 +162,28 @@ def ref_echelon(arity, gens):
 
 
 def ref_measure(arity, gens, k):
-    """Z_k measurement by the fold-drop-adjoin rule, with its row-op count."""
+    """Z_k measurement with its row-op count. Generators with X or Y at k
+    (random outcome): fold the rest into the first, drop it, adjoin +Z_k.
+    Otherwise the outcome is determined when +-Z_k is in the group, which
+    is then kept as it is; when it is not, +Z_k is adjoined."""
     rows = list(gens)
     ops = 0
-    for basis in (0, 1):  # carriers of an x-bit at k first, else of a z-bit
-        carriers = [i for i, g in enumerate(rows) if _REF_BITS[g.atoms[k - 1]][basis]]
-        if carriers:
-            for i in carriers[1:]:
-                rows[i] = ref_string_mul(rows[carriers[0]], rows[i])
-                ops += 1
-            del rows[carriers[0]]
-            break
-    rows.append(embed(PauliAtom.Z, ONE, k, arity))
+    z_k = embed(PauliAtom.Z, ONE, k, arity)
+    carriers = [i for i, g in enumerate(rows) if _REF_BITS[g.atoms[k - 1]][0]]
+    if carriers:
+        for i in carriers[1:]:
+            rows[i] = ref_string_mul(rows[carriers[0]], rows[i])
+            ops += 1
+        del rows[carriers[0]]
+    elif any(_REF_BITS[g.atoms[k - 1]][1] for g in rows):
+        rows, pivots, ops = ref_echelon(arity, rows)
+        residual = z_k
+        for row, col in zip(rows, pivots):
+            if _ref_bit(residual, col):
+                residual = ref_string_mul(row, residual)
+        if all(atom is PauliAtom.I for atom in residual.atoms):
+            return rows, ops
+    rows.append(z_k)
     reduced, _, echelon_ops = ref_echelon(arity, rows)
     return reduced, ops + echelon_ops
 
@@ -240,8 +250,9 @@ def ref_unitary(circuit):
     return u
 
 
-def ref_verify_conjugation(circuit, p, q):
-    u = ref_unitary(circuit)
+def ref_verify_conjugation(circuit, p, q, u=None):
+    """U M(p) U+ == M(q) by dense products; ``u``, if given, is ref_unitary's."""
+    u = ref_unitary(circuit) if u is None else u
     conjugated = u @ string_matrix(p) @ u.conj().T
     return bool(np.max(np.abs(conjugated - string_matrix(q))) < REF_TOLERANCE)
 

@@ -217,36 +217,38 @@ def test_output_eigenspace_is_exact_image_of_input():
 
 
 def test_measurement_rewrite_sound_against_dense_projection():
-    # Every input eigenstate, projected onto the +1 outcome of Z_k, must
-    # land inside the post-measurement type's eigenspace (outcome signs
-    # are not modeled, so deterministic -1 cases project to zero and are
-    # skipped).
+    # The output type holds s Z_k for one sign s. Projecting a sampled
+    # input eigenstate with (I + s Z_k)/2 must leave a nonzero state (so a
+    # determined outcome has the sign the state fixes), and that state must
+    # lie in the +1 eigenspace of every output generator.
     import numpy as np
 
-    from gottesman import oracle
-    from gottesman.pauli import ONE, PauliAtom, embed
-    from gottesman.stabilizer import measure
-    from helpers import random_stab_type
+    from gottesman.pauli import MINUS_ONE, ONE, PauliAtom, embed
+    from gottesman.stabilizer import canonicalize, measure, member
+    from helpers import random_stab_type, ref_sample_eigenstates, string_matrix
 
-    rng = random.Random(3141)
-    checked = 0
-    while checked < 25:
-        n = rng.randrange(2, 5)
+    rng = random.Random(9807)
+    outcomes = {"random": 0, "+1": 0, "-1": 0}
+    for trial in range(60):
+        n = rng.randrange(1, 5)
         s = random_stab_type(n, rng)
         k = rng.randrange(1, n + 1)
+        z_k = embed(PauliAtom.Z, ONE, k, n)
+        before = member(canonicalize(s), z_k)
         measured = measure(s, k)
-        z_k = oracle.matrix_of(embed(PauliAtom.Z, ONE, k, n))
-        proj = (np.eye(2**n) + z_k) / 2
-        for state in oracle.sample_eigenstates(s, count=4, seed=checked):
+        sign = member(canonicalize(measured), z_k)
+        assert sign in (ONE, MINUS_ONE)
+        key = "random" if before is None else str(before)
+        outcomes[key] += 1
+        proj = (np.eye(2**n) + sign.sign * string_matrix(z_k)) / 2
+        for state in ref_sample_eigenstates(s, 3, trial):
             collapsed = proj @ state
             norm = np.linalg.norm(collapsed)
-            if norm < 1e-9:
-                continue
-            collapsed = collapsed / norm
-            checked += 1
+            assert norm > 1e-3
+            collapsed /= norm
             for g in measured.generators:
-                residual = np.linalg.norm(oracle.matrix_of(g) @ collapsed - collapsed)
-                assert residual < 1e-9
+                assert np.linalg.norm(string_matrix(g) @ collapsed - collapsed) < 1e-9
+    assert min(outcomes.values()) > 5, outcomes
 
 
 def test_infer_tableau_cost_linear_in_gates():

@@ -314,16 +314,21 @@ class TestRunVerify:
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         from gottesman import oracle
 
-        monkeypatch.setattr(oracle, "verify_conjugation", lambda *a, **kw: False)
+        def all_wrong(circuit, pairs, *args, **kwargs):
+            return [False] * len(pairs), 0.0
+
+        monkeypatch.setattr(oracle, "verify_claims", all_wrong)
         assert run(["verify", str(CIRCUITS / "ghz.qc")]) == EXIT_ORACLE_MISMATCH
-        assert "MISMATCH" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "MISMATCH" in out
+        assert "FAIL conjugation mismatch: X1 -> ZII" in out
 
     def test_over_the_qubit_cap_is_oracle_unavailable(
         self, capsys, tmp_path, monkeypatch
     ):
         from gottesman import cli
 
-        src = "qubits 11\ninput Z x XX & ZZ x IIIIIIII\nH 1; CNOT 2 11\n"
+        src = "qubits 15\ninput Z x XX & ZZ x IIIIIIIIIIII\nH 1; CNOT 2 15\n"
         path = write(tmp_path, src)
         assert run(["check", path]) == EXIT_OK
         capsys.readouterr()
@@ -336,13 +341,13 @@ class TestRunVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "oracle unavailable: 11 qubits exceeds the dense cap of 10\n"
+            "oracle unavailable: 15 qubits exceeds the dense cap of 14\n"
         )
 
     def test_at_the_qubit_cap_verifies(self, capsys, tmp_path):
-        path = write(tmp_path, "qubits 10\nH 1; CNOT 1 10; CNOT 10 5\n")
+        path = write(tmp_path, "qubits 14\nH 1; CNOT 1 14; CNOT 14 5\n")
         assert run(["verify", path, "--json"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["checks"] == 20
+        assert json.loads(capsys.readouterr().out)["checks"] == 28
 
     def test_kitchen_sink_clifford_circuit(self, capsys, tmp_path):
         src = (

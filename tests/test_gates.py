@@ -237,6 +237,25 @@ class TestDeriveGate:
         with pytest.raises(WireError):
             derive_gate("BAD", 1, [GateApp(GATES["CNOT"], (1, 2))])
 
+    def test_equal_specs_built_separately_hash_equal(self):
+        from gottesman.cli import parse
+
+        src = "qubits 3\ndef G a b := H a; CNOT a b; S b\nG 1 3\nG 3 2\n"
+        (first, _), (second, _) = parse(src), parse(src)
+        g1, g2 = first.instructions[0].gate, second.instructions[0].gate
+        assert g1 is not g2
+        assert g1 == g2 and hash(g1) == hash(g2)
+        assert first == second and hash(first) == hash(second)
+        assert {g1: "unitary"}[g2] == "unitary"
+
+    def test_equality_still_compares_every_field(self):
+        # S;S and S^6 have the same images but different decompositions.
+        s = GateApp(GATES["S"], (1,))
+        z2, z6 = derive_gate("Z", 1, [s] * 2), derive_gate("Z", 1, [s] * 6)
+        assert z2.x_images == z6.x_images and z2.z_images == z6.z_images
+        assert z2 != z6
+        assert z2 == GATES["Z"] and hash(z2) == hash(GATES["Z"])
+
 
 @pytest.mark.parametrize("name", [n for n, s in GATES.items() if s.is_clifford])
 def test_images_match_matrix_conjugation_exhaustively(name):

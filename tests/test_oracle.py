@@ -10,6 +10,7 @@ from gottesman.errors import (
     EmptyEigenspaceError,
     MeasurementError,
     OracleError,
+    OracleUnavailableError,
     TopOperandError,
 )
 from gottesman.gates import GateApp, standard_gates
@@ -113,6 +114,16 @@ class TestUnitaryOf:
         h, s = oracle.gate_unitary(GATES["H"]), oracle.gate_unitary(GATES["S"])
         assert np.allclose(hs, s @ h)
         assert np.allclose(sh, h @ s)
+
+    def test_dense_cap_is_ten_qubits(self):
+        # U has 4^n entries; the state-vector checks reach MAX_QUBITS.
+        circuit = circ(11, "H 1", "CNOT 1 11")
+        with pytest.raises(OracleUnavailableError):
+            oracle.unitary_of(circuit)
+        with pytest.raises(OracleUnavailableError):
+            oracle.eigenspace_projector(StabType.of("Z" + "I" * 10))
+        z1, image = P("Z" + "I" * 10), P("X" + "I" * 9 + "X")
+        assert oracle.verify_conjugation(circuit, z1, image)
 
     def test_rejects_measurement(self):
         from gottesman.checker import Measure

@@ -1,11 +1,12 @@
 """The oracle gives the dense-product reference's verdicts.
 
-The oracle builds unitaries by tensor contraction and applies Paulis as
-permutation-and-sign; ``helpers.ref_*`` multiplies dense matrices. On
-seeded random circuits (a ``def`` gate, T/Tdg/TOFFOLI, reversed and
-non-adjacent wires) both must accept the checker's claims, and both must
-reject the same claims mutated: a flipped sign, a swapped atom, a wrong
-phase.
+The oracle pushes batches of state vectors through a circuit by tensor
+contraction, applies Paulis as permutation-and-sign, and checks a
+conjugation on seeded random vectors; ``helpers.ref_*`` multiplies dense
+matrices. On seeded random circuits (a ``def`` gate, T/Tdg/TOFFOLI,
+``NOTC``, reversed and non-adjacent wires) both must accept the
+checker's claims, and both must reject the same claims mutated: a
+flipped sign, a swapped atom, a wrong phase.
 """
 
 import random
@@ -113,6 +114,46 @@ def test_conjugation_verdicts_match_reference():
             circuit, p, q
         )
     assert accepted > 100 and rejected == 3 * accepted
+
+
+def test_batched_verify_matches_reference_up_to_eight_qubits():
+    """One ``verify_claims`` pass, as ``verify`` makes it, against the exact
+    dense verdicts for every claim and the dense transport residual."""
+    rng = random.Random(1511)
+    accepted = rejected = flawed = 0
+    for trial, n in enumerate((1, 2, 3, 4, 5, 6, 7, 8) * 2):
+        circuit = random_circuit(n, rng.randrange(6, 16), rng)
+        u = ref_unitary(circuit)
+        tab = infer_tableau(circuit)
+        pairs = []
+        for atom, images in ((PauliAtom.X, tab.x_images), (PauliAtom.Z, tab.z_images)):
+            for k, img in enumerate(images, start=1):
+                if not img.is_top:
+                    source = embed(atom, ONE, k, n)
+                    pairs += [(source, q) for q in (img, *mutations(img, rng))]
+        pairs.append((random_string(n, rng), random_string(n, rng)))
+        input_type = random_stab_type(n, rng)
+        out = check(circuit, QType.from_stab(input_type))
+        gens = () if out.top else flatten(out).generators
+        if gens and trial % 2:
+            # A swapped atom gives a residual that depends on the samples
+            # (a flipped sign gives 2 on any of them), so the value pins
+            # down the eigenstate stream too.
+            j = rng.randrange(len(gens))
+            gens = gens[:j] + (mutations(gens[j], rng)[1],) + gens[j + 1 :]
+        verdicts, residual = oracle.verify_claims(
+            circuit, pairs, input_type, gens, samples=3, seed=trial
+        )
+        want = [ref_verify_conjugation(circuit, p, q, u) for p, q in pairs]
+        assert verdicts == want
+        # Every checker image holds and its three mutations fail.
+        assert want[:-1] == [True, False, False, False] * (len(pairs) // 4)
+        accepted += sum(want)
+        rejected += len(want) - sum(want)
+        expected = ref_transport_residual(circuit, input_type, gens, 3, trial)
+        assert abs(residual - expected) < 1e-9
+        flawed += expected > 1e-3
+    assert accepted > 100 and rejected > 300 and flawed > 3
 
 
 def test_batched_samples_are_the_sequential_samples():

@@ -214,14 +214,32 @@ class TestMeasure:
         assert type_equal(got, flatten(parse_qtype("Z x Z x Z")))
 
     def test_output_contains_z_k(self):
+        # +-Z_k: +Z_k unless the input state fixed the outcome at -1.
         rng = random.Random(3)
+        fixed_minus = 0
         for _ in range(40):
             n = rng.randrange(2, 6)
             s = random_stab_type(n, rng)
             k = rng.randrange(1, n + 1)
+            z_k = embed(PauliAtom.Z, ONE, k, n)
+            before = member(canonicalize(s), z_k)
             got = measure(s, k)
-            tab = canonicalize(got)
-            assert member(tab, embed(PauliAtom.Z, ONE, k, n)) == ONE
+            want = MINUS_ONE if before == MINUS_ONE else ONE
+            assert member(canonicalize(got), z_k) == want
+            fixed_minus += want == MINUS_ONE
+        assert fixed_minus > 0
+
+    @pytest.mark.parametrize(
+        "gens, want",
+        [
+            (("-Z",), ("-Z",)),
+            (("-ZI", "IZ"), ("-ZI", "IZ")),
+            (("ZZ",), ("ZI", "IZ")),
+        ],
+    )
+    def test_determined_outcomes_keep_the_state(self, gens, want):
+        got = measure(StabType.of(*gens), 1)
+        assert type_equal(got, StabType.of(*want))
 
     def test_output_well_formed(self):
         rng = random.Random(4)
