@@ -18,7 +18,7 @@ from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
 from .gates import GateApp, apply_gate
 from .pauli import ONE, PauliAtom, PauliString, embed
-from .typesys import QType, StabType, factor_separable, flatten, normalize
+from .typesys import QType, StabType, _from_tableau, factor_separable, flatten
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,9 @@ def check(circuit: Circuit, input_type: QType) -> QType:
         pass
     if cur is None:
         return QType.top_type(circuit.n_qubits)
-    final = normalize(StabType(circuit.n_qubits, tuple(cur)))
-    return factor_separable(final)
+    # Transport and measurement keep the input type well formed.
+    tab = stabilizer.canonicalize(cur or StabType(circuit.n_qubits, ()))
+    return factor_separable(_from_tableau(tab))
 
 
 def annotate(circuit: Circuit, input_type: QType) -> list[QType]:

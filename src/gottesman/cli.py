@@ -111,47 +111,39 @@ class _FileParser:
         name = head_words[1][0]
         if not _NAME.match(name):
             raise ParseError(f"bad gate name {name!r}", line=ln, col=head_words[1][1])
+        if name == "MEAS":
+            msg = "MEAS is reserved for measurement"
+            raise ParseError(msg, line=ln, col=head_words[1][1])
         if name in self.gates:
             raise ParseError(f"gate {name!r} already defined", line=ln)
         formals = [w for w, _ in head_words[2:]]
         if len(set(formals)) != len(formals):
             raise ParseError("formal wires must be distinct", line=ln)
         wire_of = {f: i + 1 for i, f in enumerate(formals)}
-        body_col = code.index(":=") + 3
+        body_start = code.index(":=") + 2  # the columns before the body
         steps = []
         for chunk_text, chunk_col in _split_chunks(body):
+            col = body_start + chunk_col
             words = _words(chunk_text)
-            gname, gcol = words[0]
-            spec = self.gates.get(gname)
-            if spec is None:
-                raise ParseError(
-                    f"unknown gate {gname!r}", line=ln, col=body_col + gcol - 1
-                )
-            args = words[1:]
-            if len(args) != spec.arity:
-                raise ParseError(
-                    f"{gname} needs {spec.arity} wires, got {len(args)}", line=ln
-                )
             wires = []
-            for arg, acol in args:
+            for arg, acol in words[1:]:
                 if arg not in wire_of:
                     raise ParseError(
                         f"unknown formal wire {arg!r} in def body",
                         line=ln,
-                        col=body_col + acol - 1,
+                        col=col + acol - 1,
                     )
                 wires.append(wire_of[arg])
-            steps.append(GateApp(spec, tuple(wires)))
+            steps.append(self._gate_app(ln, col, words[0][0], wires))
         derived = derive_gate(name, len(formals), steps)
         self.gates[name] = derived
         self.defs[name] = derived
 
     def _instruction(self, ln: int, text: str, col: int, n_qubits: int):
         words = _words(text)
-        name, ncol = words[0]
-        args = words[1:]
+        name = words[0][0]
         wires = []
-        for arg, acol in args:
+        for arg, acol in words[1:]:
             if not arg.isdigit():
                 raise ParseError(
                     f"expected a wire number, got {arg!r}", line=ln, col=col + acol - 1
@@ -168,11 +160,14 @@ class _FileParser:
             if len(wires) != 1:
                 raise ParseError("MEAS takes exactly one qubit", line=ln, col=col)
             return Measure(wires[0])
+        return self._gate_app(ln, col, name, wires)
+
+    def _gate_app(self, ln: int, col: int, name: str, wires: list[int]) -> GateApp:
+        """The known gate ``name`` on ``wires``, written at ``col`` of line
+        ``ln``: an instruction or one step of a def body."""
         spec = self.gates.get(name)
         if spec is None:
-            raise ParseError(
-                f"unknown gate {name!r}", line=ln, col=col + ncol - 1
-            )
+            raise ParseError(f"unknown gate {name!r}", line=ln, col=col)
         if len(wires) != spec.arity:
             raise ParseError(
                 f"{name} needs {spec.arity} wires, got {len(wires)}", line=ln, col=col
@@ -318,37 +313,19 @@ def _cmd_tableau(args) -> int:
 def _cmd_gates(args) -> int:
     records = []
     for spec in standard_gates().values():
-        rows = []
-        for atom in (PauliAtom.X, PauliAtom.Z):
-            images = spec.x_images if atom is PauliAtom.X else spec.z_images
-            for w in range(1, spec.arity + 1):
-                source = embed(atom, ONE, w, spec.arity)
-                rows.append((str(source), str(images[w - 1])))
+        sides = ((PauliAtom.X, spec.x_images), (PauliAtom.Z, spec.z_images))
+        rows = [
+            {"input": str(embed(atom, ONE, w, spec.arity)), "output": str(img)}
+            for atom, images in sides
+            for w, img in enumerate(images, start=1)
+        ]
         records.append({"name": spec.name, "arity": spec.arity, "rows": rows})
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "gates",
-                    "gates": [
-                        {
-                            "name": rec["name"],
-                            "arity": rec["arity"],
-                            "rows": [
-                                {"input": src, "output": dst}
-                                for src, dst in rec["rows"]
-                            ],
-                        }
-                        for rec in records
-                    ],
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({"command": "gates", "gates": records}, indent=2))
     else:
         for rec in records:
-            for src, dst in rec["rows"]:
-                print(f"{rec['name']}: {src} -> {dst}")
+            for row in rec["rows"]:
+                print(f"{rec['name']}: {row['input']} -> {row['output']}")
     return EXIT_OK
 
 

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .gates import GateSpec
 from .pauli import PauliAtom, PauliString
-from .stabilizer import canonicalize
 from .typesys import StabType
 
 TOLERANCE = 1e-9
@@ -165,7 +164,7 @@ def _project(gens: Sequence[PauliString], vecs: np.ndarray) -> np.ndarray:
 def eigenspace_projector(s: StabType) -> np.ndarray:
     """Projector P onto the joint +1 eigenspace of the generated group."""
     _check_size(s.arity, MAX_DENSE_QUBITS)
-    return _project(canonicalize(s).generators(), np.eye(2**s.arity, dtype=complex))
+    return _project(s.tableau.rows, np.eye(2**s.arity, dtype=complex))
 
 
 def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:
@@ -191,7 +190,7 @@ def sample_eigenstates(
 ) -> np.ndarray:
     """Pseudorandom unit vectors, one per row, in the joint +1 eigenspace of ``s``."""
     rng = np.random.default_rng(seed)
-    return _sample_states(s.arity, canonicalize(s).generators(), count, rng)
+    return _sample_states(s.arity, s.tableau.rows, count, rng)
 
 
 def reduced_purity(state: np.ndarray, k: int, n: int) -> float | np.ndarray:

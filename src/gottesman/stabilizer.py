@@ -9,7 +9,9 @@ group equality is row-by-row comparison of canonical forms, and
 membership is pivot reduction.
 
 Functions taking a generating set accept either a ``typesys.StabType`` or
-a plain sequence of ``PauliString``; they never mutate their inputs.
+a plain sequence of ``PauliString``; they never mutate their inputs. A
+StabType carries its canonical tableau from construction, so it is never
+row-reduced again.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ class CanonicalTableau:
     arity: int
     rows: tuple[PauliString, ...]
     pivots: tuple[int, ...]
-
-    def generators(self) -> tuple[PauliString, ...]:
-        return self.rows
 
     @property
     def rank(self) -> int:
@@ -59,10 +58,8 @@ def _coerce(source) -> tuple[tuple[PauliString, ...], int]:
     return gens, arity
 
 
-def _echelon(
-    arity: int, rows: list[PauliString]
-) -> tuple[list[PauliString], list[int], int]:
-    """Full row reduction; returns (rows, pivot columns, row-op count).
+def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[CanonicalTableau, int]:
+    """Full row reduction; returns the tableau and the row-op count.
 
     Raises IllFormedTypeError when a nontrivial product of the input rows
     is a phased identity, i.e. the generated group contains -I (or +-iI).
@@ -107,7 +104,7 @@ def _echelon(
                 f"group contains -identity: element built from generators"
                 f" {which(j)} has phase {work[j].phase} and squares to -I"
             )
-    return work[:r], pivots, ops
+    return CanonicalTableau(arity, tuple(work[:r]), tuple(pivots)), ops
 
 
 def canonicalize(source) -> CanonicalTableau:
@@ -116,10 +113,14 @@ def canonicalize(source) -> CanonicalTableau:
     Deterministic pivot order: x-bit columns 1..n, then z-bit columns.
     Dependent and identity generators drop out; a dependent generator
     whose phase disagrees with the group raises IllFormedTypeError.
+    A StabType's own tableau is returned as it is.
     """
+    # A StabType has one from construction, but not while it validates.
+    tab = getattr(source, "tableau", None)
+    if tab is not None:
+        return tab
     gens, arity = _coerce(source)
-    reduced, pivots, _ = _echelon(arity, list(gens))
-    return CanonicalTableau(arity, tuple(reduced), tuple(pivots))
+    return _echelon(arity, gens)[0]
 
 
 def member(tab: CanonicalTableau, p: PauliString) -> Optional[Phase]:
@@ -164,7 +165,7 @@ def single_qubit_members(
 
 def _measure_rows(
     arity: int, gens: Sequence[PauliString], k: int
-) -> tuple[list[PauliString], int]:
+) -> tuple[CanonicalTableau, int]:
     if not 1 <= k <= arity:
         raise WireError(f"qubit {k} out of range for {arity} qubits")
     rows = list(gens)
@@ -185,21 +186,22 @@ def _measure_rows(
     elif any(r.z & bit for r in rows):
         # Determined outcome if +-Z_k is in the group: the state is left
         # as it is, sign included. Otherwise adjoin +Z_k as above.
-        reduced, pivots, ops = _echelon(arity, rows)
-        tab = CanonicalTableau(arity, tuple(reduced), tuple(pivots))
+        tab, ops = _echelon(arity, rows)
         if member(tab, z_k) is not None:
-            return reduced, ops
-        rows = reduced
+            return tab, ops
+        rows = list(tab.rows)
     rows.append(z_k)
-    reduced, _, echelon_ops = _echelon(arity, rows)
-    return reduced, ops + echelon_ops
+    tab, echelon_ops = _echelon(arity, rows)
+    return tab, ops + echelon_ops
 
 
 def measure(source, k: int):
     """Z-basis measurement of qubit k as a type transformation.
 
     Returns the normalized post-measurement StabType; the total work is
-    O(n^2) row operations.
+    O(n^2) row operations. ``source`` must generate a well-formed type (a
+    StabType, or generators transported from one): the result is built
+    from its canonical tableau without being validated again.
     """
     new_type, _ = measure_with_cost(source, k)
     return new_type
@@ -207,8 +209,8 @@ def measure(source, k: int):
 
 def measure_with_cost(source, k: int):
     """Like :func:`measure` but also reports the row-operation count."""
-    from .typesys import StabType
+    from .typesys import _from_tableau
 
     gens, arity = _coerce(source)
-    new_gens, ops = _measure_rows(arity, gens, k)
-    return StabType(arity, tuple(new_gens)), ops
+    tab, ops = _measure_rows(arity, gens, k)
+    return _from_tableau(tab), ops

@@ -14,7 +14,7 @@ Pauli literals such as ``-iXZ``; see :func:`parse_qtype`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import stabilizer
@@ -28,12 +28,14 @@ class StabType:
 
     Construction validates well-formedness and raises IllFormedTypeError
     otherwise; generators are kept as given (use :func:`normalize` for
-    the canonical presentation). An empty generating set is the fully
-    unconstrained type over ``arity`` qubits.
+    the canonical presentation), and ``tableau`` keeps their canonical
+    form, which the -I check computes. An empty generating set is the
+    fully unconstrained type over ``arity`` qubits.
     """
 
     arity: int
     generators: tuple[PauliString, ...] = ()
+    tableau: stabilizer.CanonicalTableau = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         gens = tuple(self.generators)
@@ -57,7 +59,7 @@ class StabType:
                         f" {gens[i]} vs {gens[j]}"
                     )
         # Rejects -I (and +-iI) in the generated group.
-        stabilizer.canonicalize(self)
+        object.__setattr__(self, "tableau", stabilizer.canonicalize(self))
 
     @classmethod
     def of(cls, *literals: str) -> "StabType":
@@ -73,11 +75,23 @@ class StabType:
         return " & ".join(str(g) for g in self.generators)
 
 
+def _from_tableau(tab: stabilizer.CanonicalTableau) -> StabType:
+    """The StabType with generators ``tab.rows``, built without checks.
+
+    Not validated: ``tab`` must be the canonical tableau of a well-formed
+    type, as the results of normalize, measure, factoring and check are.
+    """
+    s = object.__new__(StabType)
+    object.__setattr__(s, "arity", tab.arity)
+    object.__setattr__(s, "generators", tab.rows)
+    object.__setattr__(s, "tableau", tab)
+    return s
+
+
 def normalize(s: StabType) -> StabType:
     """Canonical presentation: echelon-form generators, duplicates and
     identities removed, deterministic order."""
-    tab = stabilizer.canonicalize(s)
-    return StabType(s.arity, tab.generators())
+    return _from_tableau(s.tableau)
 
 
 def intersect(s1: StabType, s2: StabType) -> StabType:
@@ -91,7 +105,7 @@ def type_equal(s1: StabType, s2: StabType) -> bool:
     """True iff both sets generate the same phased group."""
     if s1.arity != s2.arity:
         raise ArityError(f"cannot compare arity {s1.arity} with {s2.arity}")
-    return stabilizer.canonicalize(s1).rows == stabilizer.canonicalize(s2).rows
+    return s1.tableau.rows == s2.tableau.rows
 
 
 @dataclass(frozen=True)
@@ -217,12 +231,11 @@ def factor_separable(s: StabType) -> QType:
     group; the remainder is the group re-expressed on the unpeeled qubits.
     Flattening the result generates the same group as ``s``.
     """
-    tab = stabilizer.canonicalize(s)
-    singles = stabilizer.single_qubit_members(tab)
+    singles = stabilizer.single_qubit_members(s.tableau)
     if not singles:
-        return QType.from_stab(StabType(s.arity, tab.generators()))
+        return QType.from_stab(normalize(s))
     witnesses = {k: embed(atom, phase, k, s.arity) for k, phase, atom in singles}
-    work = list(tab.generators())
+    work = list(s.tableau.rows)
     for k, witness in witnesses.items():
         bit = 1 << (k - 1)
         work = [string_mul(witness, g) if (g.x | g.z) & bit else g for g in work]
@@ -231,8 +244,8 @@ def factor_separable(s: StabType) -> QType:
     if not support:
         return QType(s.arity, factors, None, ())
     rest = [_restrict(g, support) for g in work if g.x | g.z]
-    remainder = normalize(StabType(len(support), tuple(rest)))
-    return QType(s.arity, factors, remainder, support)
+    tab = stabilizer.canonicalize(rest or StabType(len(support), ()))
+    return QType(s.arity, factors, _from_tableau(tab), support)
 
 
 @dataclass(frozen=True)

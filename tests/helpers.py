@@ -260,7 +260,7 @@ def ref_verify_conjugation(circuit, p, q, u=None):
 def ref_projector(s):
     dim = 2**s.arity
     proj = np.eye(dim, dtype=complex)
-    for g in canonicalize(s).generators():
+    for g in canonicalize(s).rows:
         proj = proj @ (np.eye(dim, dtype=complex) + string_matrix(g)) / 2
     return proj
 

@@ -215,7 +215,7 @@ def test_criterion_7_eigenstate_transport_and_separability():
                 failures.append(f"case {cases}: peeled qubit {k} not pure")
         acted = {
             k
-            for g in canonicalize(s).generators()
+            for g in canonicalize(s).rows
             for k in range(1, n + 1)
             if g.atoms[k - 1] is not PauliAtom.I
         }

@@ -6,7 +6,8 @@ import pytest
 from gottesman.checker import Circuit, Measure, annotate, check, infer_tableau
 from gottesman.errors import ArityError, MeasurementError, TopOperandError, WireError
 from gottesman.gates import GateApp, standard_gates
-from gottesman.pauli import PauliString
+from gottesman.pauli import ONE, PauliAtom, PauliString
+from gottesman.stabilizer import canonicalize
 from gottesman.typesys import QType, StabType, flatten, parse_qtype, type_equal
 
 from helpers import random_clifford_circuit
@@ -268,3 +269,79 @@ def test_infer_tableau_cost_linear_in_gates():
     t_small = best_time(small)
     t_big = best_time(big)
     assert t_big / t_small < 20  # far from quadratic (which would give ~100)
+
+
+def _random_source(n, rng):
+    """A ``.qc`` text over n qubits: a Clifford def gate, random Clifford
+    steps with MEAS after every eighth, and a tail that may use T or TOFFOLI,
+    so a Top state is never measured."""
+    one, two = ("H", "S", "Sdg", "X", "Y", "Z"), ("CNOT", "CZ", "SWAP", "NOTC")
+    lines = [f"qubits {n}"]
+    if n >= 2:
+        lines.append("def G a b := H a; CNOT a b; S b; CZ b a")
+        two += ("G",)
+
+    def wires(count):
+        return " ".join(map(str, rng.sample(range(1, n + 1), count)))
+
+    def step():
+        if n >= 2 and rng.random() < 0.5:
+            return f"{rng.choice(two)} {wires(2)}"
+        return f"{rng.choice(one)} {wires(1)}"
+
+    for i in range(1, rng.randrange(10, 60)):
+        lines.append(step())
+        if i % 8 == 0:
+            lines.append(f"MEAS {wires(1)}")
+    for _ in range(rng.randrange(0, 4)):
+        if n >= 3 and rng.random() < 0.3:
+            lines.append(f"TOFFOLI {wires(3)}")
+        else:
+            lines.append(f"{rng.choice(('T', 'Tdg'))} {wires(1)}")
+        lines.append(step())
+    return "\n".join(lines) + "\n"
+
+
+def test_types_built_without_checks_are_well_formed(monkeypatch):
+    # normalize, measure, factor_separable and check build their results
+    # unchecked from a canonical tableau; each one must pass full
+    # validation and carry the canonical tableau of its generators.
+    from gottesman import checker, typesys
+    from gottesman.cli import parse
+    from gottesman.stabilizer import measure
+    from gottesman.typesys import factor_separable, normalize
+    from helpers import random_stab_type
+
+    built = []
+
+    def recording(tab, build=typesys._from_tableau):
+        built.append(build(tab))
+        return built[-1]
+
+    monkeypatch.setattr(typesys, "_from_tableau", recording)
+    monkeypatch.setattr(checker, "_from_tableau", recording)
+    rng = random.Random(1234)
+    measured = 0
+    for _ in range(30):
+        n = rng.randrange(1, 25)
+        circuit, _ = parse(_random_source(n, rng))
+        measured += sum(isinstance(ins, Measure) for ins in circuit.instructions)
+        for input_type in (
+            QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1))),
+            QType.from_stab(random_stab_type(n, rng)),
+        ):
+            out = check(circuit, input_type)
+            if not out.top:
+                built.append(flatten(out))
+            for state in annotate(circuit, input_type):
+                if not state.top:
+                    s = state.remainder
+                    normalize(s)
+                    measure(s, rng.randrange(1, n + 1))
+                    factor_separable(s)
+    assert measured > 100 and len(built) > 5000
+    for s in built:
+        full = StabType(s.arity, s.generators)
+        assert s.tableau == full.tableau
+        if s.generators:
+            assert s.tableau == canonicalize(list(s.generators))

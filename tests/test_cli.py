@@ -207,6 +207,30 @@ class TestRunCheck:
         assert run(["check", path]) == EXIT_PARSE_ERROR
         assert "wire 3 out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            # MEAS always measures, so a gate of that name could never run.
+            (
+                "qubits 1\ndef MEAS a := H a\nMEAS 1\n",
+                "MEAS is reserved for measurement at line 2, col 5",
+            ),
+            # def bodies take the instruction lines' checks and columns.
+            (
+                "qubits 2\ndef F a b := CNOT a a\n",
+                "CNOT: wires must be distinct at line 2, col 14",
+            ),
+            (
+                "qubits 1\ndef F a := H a; FROB a\n",
+                "unknown gate 'FROB' at line 2, col 17",
+            ),
+        ],
+    )
+    def test_def_faults_are_parse_errors(self, capsys, tmp_path, source, message):
+        path = write(tmp_path, source)
+        assert run(["check", path]) == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_type_error_exit(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 1\ninput X & Z\nH 1\n")
         assert run(["check", path]) == EXIT_TYPE_ERROR

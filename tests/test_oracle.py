@@ -196,7 +196,7 @@ class TestSeparability:
             peeled = {k for k, _, _ in q.factors}
             acted = {
                 k
-                for g in canonicalize(s).generators()
+                for g in canonicalize(s).rows
                 for k in range(1, n + 1)
                 if g.atoms[k - 1] is not PauliAtom.I
             }

@@ -83,11 +83,11 @@ class TestRows:
 class TestCanonicalize:
     def test_rewrites_to_pivot_form(self):
         tab = canonicalize(StabType.of("XX", "XI"))
-        assert tab.generators() == (P("XI"), P("IX"))
+        assert tab.rows == (P("XI"), P("IX"))
 
     def test_single_z(self):
         tab = canonicalize(StabType.of("Z"))
-        assert tab.generators() == (P("Z"),)
+        assert tab.rows == (P("Z"),)
         assert tab.pivots == (1,)
 
     def test_ghz_codomain_rank(self):
@@ -106,12 +106,21 @@ class TestCanonicalize:
         with pytest.raises(IllFormedTypeError):
             canonicalize([P("iX"), P("X")])
 
+    def test_stab_type_keeps_its_tableau(self):
+        s = StabType.of("XX", "XI")
+        assert canonicalize(s) is s.tableau
+        assert s.tableau == canonicalize([P("XX"), P("XI")])
+        # The tableau takes no part in equality, hashing or repr.
+        same = StabType(2, (P("XX"), P("XI")))
+        assert s == same and hash(s) == hash(same)
+        assert repr(s) == f"StabType(arity=2, generators={s.generators!r})"
+
     def test_idempotent(self):
         rng = random.Random(5)
         for _ in range(30):
             s = random_stab_type(4, rng)
             tab = canonicalize(s)
-            again = canonicalize(list(tab.generators()))
+            again = canonicalize(list(tab.rows))
             assert tab.rows == again.rows
 
     def test_group_preserving_on_random_probes(self):
@@ -119,7 +128,7 @@ class TestCanonicalize:
         for _ in range(10):
             s = random_stab_type(4, rng)
             before = canonicalize(s)
-            after = canonicalize(list(before.generators()))
+            after = canonicalize(list(before.rows))
             for _ in range(100):
                 atoms = tuple(
                     rng.choice(
@@ -242,11 +251,14 @@ class TestMeasure:
         assert type_equal(got, StabType.of(*want))
 
     def test_output_well_formed(self):
+        # measure builds its result unchecked; validating it again must
+        # succeed and reach the same canonical tableau.
         rng = random.Random(4)
         for _ in range(40):
             n = rng.randrange(2, 6)
             s = random_stab_type(n, rng)
-            measure(s, rng.randrange(1, n + 1))  # StabType validates
+            got = measure(s, rng.randrange(1, n + 1))
+            assert StabType(n, got.generators).tableau == got.tableau
 
     def test_row_operations_quadratic(self):
         rng = random.Random(9)
