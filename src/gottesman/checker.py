@@ -111,11 +111,9 @@ def _states(circuit: Circuit, input_type: QType):
         if isinstance(ins, Measure):
             if cur is None:
                 raise TopOperandError("cannot measure a Top-typed register")
-            # The generators are a valid type already (an input, its Clifford
-            # transport, or a measure result), so only an empty list needs
-            # wrapping, to carry the arity.
+            # An input, its Clifford transport or a measure result: trusted.
             measured = stabilizer.measure(
-                cur or StabType(circuit.n_qubits, ()), ins.qubit
+                stabilizer._Transported(circuit.n_qubits, tuple(cur)), ins.qubit
             )
             cur = list(measured.generators)
         else:
@@ -134,7 +132,7 @@ def check(circuit: Circuit, input_type: QType) -> QType:
     if cur is None:
         return QType.top_type(circuit.n_qubits)
     # Transport and measurement keep the input type well formed.
-    tab = stabilizer.canonicalize(cur or StabType(circuit.n_qubits, ()))
+    tab = stabilizer.canonicalize(stabilizer._Transported(circuit.n_qubits, tuple(cur)))
     return factor_separable(_from_tableau(tab))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ArityError, IllFormedTypeError, TopOperandError, WireError
 from .pauli import ONE, PauliAtom, PauliString, Phase, embed, from_bits, string_mul
@@ -115,7 +115,6 @@ def canonicalize(source) -> CanonicalTableau:
     whose phase disagrees with the group raises IllFormedTypeError.
     A StabType's own tableau is returned as it is.
     """
-    # A StabType has one from construction, but not while it validates.
     tab = getattr(source, "tableau", None)
     if tab is not None:
         return tab
@@ -163,6 +162,13 @@ def single_qubit_members(
     return tuple(found)
 
 
+class _Transported(NamedTuple):
+    """Generators carried from a well-formed type; trusted like a StabType."""
+
+    arity: int
+    generators: tuple[PauliString, ...]
+
+
 def _measure_rows(
     arity: int, gens: Sequence[PauliString], k: int
 ) -> tuple[CanonicalTableau, int]:
@@ -199,9 +205,9 @@ def measure(source, k: int):
     """Z-basis measurement of qubit k as a type transformation.
 
     Returns the normalized post-measurement StabType; the total work is
-    O(n^2) row operations. ``source`` must generate a well-formed type (a
-    StabType, or generators transported from one): the result is built
-    from its canonical tableau without being validated again.
+    O(n^2) row operations. The result of a StabType is built from its
+    canonical tableau without checks; the result of a plain generator
+    list is validated, so an ill-formed list raises IllFormedTypeError.
     """
     new_type, _ = measure_with_cost(source, k)
     return new_type
@@ -209,8 +215,10 @@ def measure(source, k: int):
 
 def measure_with_cost(source, k: int):
     """Like :func:`measure` but also reports the row-operation count."""
-    from .typesys import _from_tableau
+    from .typesys import StabType, _from_tableau
 
     gens, arity = _coerce(source)
     tab, ops = _measure_rows(arity, gens, k)
-    return _from_tableau(tab), ops
+    if isinstance(source, (StabType, _Transported)):
+        return _from_tableau(tab), ops
+    return StabType(arity, tab.rows), ops

@@ -59,7 +59,7 @@ class StabType:
                         f" {gens[i]} vs {gens[j]}"
                     )
         # Rejects -I (and +-iI) in the generated group.
-        object.__setattr__(self, "tableau", stabilizer.canonicalize(self))
+        object.__setattr__(self, "tableau", stabilizer._echelon(self.arity, gens)[0])
 
     @classmethod
     def of(cls, *literals: str) -> "StabType":

@@ -260,6 +260,12 @@ class TestMeasure:
             got = measure(s, rng.randrange(1, n + 1))
             assert StabType(n, got.generators).tableau == got.tableau
 
+    def test_plain_list_result_is_validated(self):
+        # Only a StabType's result is built unchecked; XI and ZI anticommute.
+        with pytest.raises(IllFormedTypeError):
+            measure([P("XI"), P("ZI")], 2)
+        assert measure([P("XI"), P("IX")], 1) == StabType.of("IX", "ZI")
+
     def test_row_operations_quadratic(self):
         rng = random.Random(9)
         bound_c = 4
