@@ -18,7 +18,7 @@ from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
 from .gates import GateApp, apply_gate
 from .pauli import ONE, PauliAtom, PauliString, embed
-from .typesys import QType, StabType, _from_tableau, factor_separable, flatten
+from .typesys import QType, StabType, _flat_generators, _from_tableau, factor_separable
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def _states(circuit: Circuit, input_type: QType):
             f"input arity {input_type.arity} does not match"
             f" {circuit.n_qubits}-qubit circuit"
         )
-    cur = None if input_type.top else list(flatten(input_type).generators)
+    cur = None if input_type.top else list(_flat_generators(input_type))
     yield cur
     for ins in circuit.instructions:
         if isinstance(ins, Measure):
@@ -119,7 +119,8 @@ def _states(circuit: Circuit, input_type: QType):
         else:
             if cur is not None:
                 cur = [apply_gate(ins, g) for g in cur]
-                if any(g.is_top for g in cur):
+                # Only a gate with Top images can make a string Top.
+                if not ins.gate.is_clifford and any(g.is_top for g in cur):
                     cur = None
         yield cur
 

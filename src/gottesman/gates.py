@@ -8,8 +8,10 @@ factors, ascending wire, with the reordering phase computed exactly), map
 each factor through its image, and splice the product back over the wires.
 
 Each GateSpec keeps a table, filled on first use, of the images of its
-4**arity restrictions, so applying a gate reads the bits on its wires,
-looks up one entry and writes the entry's bits back.
+4**arity restrictions. A string that is I on every wire of the gate
+commutes with it and is returned as it is after one mask test; for any
+other, the bits on the wires are read, one entry looked up and its bits
+written back. So a gate costs work only where it acts (Gottesman-Knill).
 
 Non-Clifford gates carry all-Top images for the generators they cannot
 track; any use of such an image collapses the result to the all-Top
@@ -134,15 +136,17 @@ class GateApp:
 def apply_gate(app: GateApp, p: PauliString) -> PauliString:
     """Conjugate the string ``p`` by the gate at ``app.wires``.
 
-    Positions off the gate's wires pass through untouched. If the
-    restriction needs an image the gate cannot provide (a Top image), or
-    ``p`` is already all-Top, the result is the all-Top string.
+    Positions off the gate's wires pass through untouched, and a ``p``
+    that is I on all of them is returned itself. If the restriction needs
+    an image the gate cannot provide (a Top image), or ``p`` is already
+    all-Top, the result is the all-Top string. An out-of-range wire
+    raises WireError before either shortcut.
     """
     n = p.arity
     if app._mask >> n:
         w = next(w for w in app.wires if w > n)
         raise WireError(f"wire {w} out of range for {n} qubits")
-    if p.is_top:
+    if p.is_top or not (p.x | p.z) & app._mask:
         return p
     shifts = app._shifts
     index = 0

@@ -177,8 +177,7 @@ class QType:
         if support and support[-1] - support[0] + 1 != len(support):
             # A remainder with a gap cannot be placed by position alone;
             # the padded intersection form is unambiguous.
-            flat = flatten(self)
-            return str(flat) if flat.generators else "I" * self.arity
+            return " & ".join(map(str, _flat_generators(self))) or "I" * self.arity
         parts: list[tuple[int, str]] = []
         for k, phase, atom in self.factors:
             parts.append((k, phase.prefix + atom.letter))
@@ -201,11 +200,17 @@ def flatten(q: QType) -> StabType:
     """Re-embed factors and remainder into a single StabType."""
     if q.top:
         raise TopOperandError("the Top type has no generating set")
+    return StabType(q.arity, _flat_generators(q))
+
+
+def _flat_generators(q: QType) -> tuple[PauliString, ...]:
+    """The generators ``flatten`` validates, unchecked: disjoint ±1 factors
+    beside a validated remainder are well formed by construction."""
     gens = [embed(atom, phase, k, q.arity) for k, phase, atom in q.factors]
     if q.remainder is not None:
-        for g in q.remainder.generators:
-            gens.append(_pad(g, q.remainder_support, q.arity))
-    return StabType(q.arity, tuple(gens))
+        support = q.remainder_support
+        gens.extend(_pad(g, support, q.arity) for g in q.remainder.generators)
+    return tuple(gens)
 
 
 def _pad(g: PauliString, support: Sequence[int], n: int) -> PauliString:
@@ -374,7 +379,7 @@ def _intersect_units(units: list[QType]) -> QType:
             raise ParseError("Top cannot appear inside an intersection")
         if u.arity != arity:
             raise ParseError("mismatched arities in intersection")
-        gens.extend(flatten(u).generators)
+        gens.extend(_flat_generators(u))
     return QType.from_stab(StabType(arity, tuple(gens)))
 
 

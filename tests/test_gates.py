@@ -165,6 +165,15 @@ class TestApplyGate:
         with pytest.raises(WireError):
             apply_gate(GateApp(GATES["H"], (3,)), P("XX"))
 
+    def test_wire_out_of_range_before_identity_shortcut(self):
+        # I on the in-range wire 1, and wire 3 is past the register.
+        with pytest.raises(WireError, match="wire 3 out of range for 2 qubits"):
+            apply_gate(GateApp(GATES["CNOT"], (1, 3)), P("-IX"))
+
+    def test_wire_out_of_range_before_top_shortcut(self):
+        with pytest.raises(WireError, match="wire 3 out of range for 2 qubits"):
+            apply_gate(GateApp(GATES["CNOT"], (1, 3)), PauliString.top(2))
+
     def test_phase_passes_through(self):
         app = GateApp(GATES["H"], (1,))
         assert apply_gate(app, P("-iX")) == P("-iZ")

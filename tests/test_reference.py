@@ -6,9 +6,10 @@ qubits so the masks outgrow a machine word.
 """
 
 import random
+from collections import Counter
 
 from gottesman.gates import GateApp, apply_gate, derive_gate, standard_gates
-from gottesman.pauli import PauliString, Phase, commutes, string_mul
+from gottesman.pauli import PauliAtom, PauliString, Phase, commutes, string_mul
 from gottesman.stabilizer import canonicalize, measure_with_cost
 
 from helpers import (
@@ -67,6 +68,42 @@ def test_apply_gate_matches_reference_on_random_circuits():
                 p = want
             tops += p.is_top
     assert tracked > 2000 and tops > 10
+
+
+def test_apply_gate_on_strings_idle_or_nearly_idle_on_the_gate():
+    """Strings drawn as I on every wire of the gate, with each phase i^k,
+    pass through unchanged; the same strings made non-I on one wire of the
+    gate (any wire, so not only the first) still go through the table, and
+    a Z there matters as much as an X. Registers reach 70 qubits, so some
+    gates sit above bit 63."""
+    rng = random.Random(406196)
+    idle = non_clifford_idle = high = 0
+    moved = Counter()
+    for trial in range(70):
+        n = SIZES[trial % len(SIZES)]
+        for app in random_circuit_with_def(n, 30, rng):
+            atoms = [rng.choice(ALL_ATOMS) for _ in range(n)]
+            for w in app.wires:
+                atoms[w - 1] = PauliAtom.I
+            for k in range(4):
+                p = PauliString(Phase(k), tuple(atoms))
+                got = apply_gate(app, p)
+                assert got == ref_apply_gate(app, p) == p, (str(app), str(p))
+            idle += 4
+            non_clifford_idle += 4 * (not app.gate.is_clifford)
+            high += 4 * (max(app.wires) > 64)
+            for pos, w in enumerate(app.wires):
+                near = list(atoms)
+                near[w - 1] = rng.choice(ALL_ATOMS[1:])
+                p = PauliString(Phase(rng.randrange(4)), tuple(near))
+                want = ref_apply_gate(app, p)
+                assert apply_gate(app, p) == want, (str(app), str(p))
+                if want != p:
+                    moved["later wire" if pos else "first wire"] += 1
+                    moved["z only" if near[w - 1] is PauliAtom.Z else "x part"] += 1
+                    moved["top"] += want.is_top
+    assert idle > 6000 and non_clifford_idle > 400 and high > 100
+    assert min(moved.values()) > 100, moved
 
 
 def test_string_mul_and_commutes_match_reference():
