@@ -82,7 +82,7 @@ class _FileParser:
         words = _words(code)
         if words[0][0] != "qubits":
             raise ParseError("expected 'qubits N' header", line=ln, col=words[0][1])
-        if len(words) != 2 or not words[1][0].isdigit() or int(words[1][0]) < 1:
+        if len(words) != 2 or not words[1][0].isdecimal() or int(words[1][0]) < 1:
             raise ParseError("expected 'qubits N' with N >= 1", line=ln)
         return int(words[1][0])
 
@@ -144,7 +144,7 @@ class _FileParser:
         name = words[0][0]
         wires = []
         for arg, acol in words[1:]:
-            if not arg.isdigit():
+            if not arg.isdecimal():
                 raise ParseError(
                     f"expected a wire number, got {arg!r}", line=ln, col=col + acol - 1
                 )
@@ -337,10 +337,7 @@ def _cmd_verify(args) -> int:
     circuit, input_type = parse(_read(args.file))
     if circuit.has_measurement:
         raise GottesmanError("verify requires a measurement-free circuit")
-    if circuit.n_qubits > oracle.MAX_QUBITS:
-        raise OracleUnavailableError(
-            f"{circuit.n_qubits} qubits exceeds the dense cap of {oracle.MAX_QUBITS}"
-        )
+    oracle.check_size(circuit.n_qubits)  # refuse before any tableau work
     tab = infer_tableau(circuit)
     pairs, claims = [], []
     for prefix, atom, images in (
@@ -417,6 +414,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gottesman",
@@ -437,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check against the dense oracle")
     p_verify.add_argument("file")
-    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--seed", type=nonnegative_int)
     p_verify.add_argument("--samples", type=positive_int)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)

@@ -30,7 +30,6 @@ from .typesys import StabType
 
 TOLERANCE = 1e-9
 MAX_QUBITS = 14  # state vectors: O(2^n) per gate and vector
-MAX_DENSE_QUBITS = 10  # unitary_of, matrix_of, eigenspace_projector: 4^n
 DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 16
 PROBES = 2
@@ -50,9 +49,10 @@ _BASE_UNITARIES = {
 _TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
 
 
-def _check_size(n: int, cap: int = MAX_QUBITS) -> None:
-    if n > cap:
-        raise OracleUnavailableError(f"{n} qubits exceeds the dense cap of {cap}")
+def check_size(n: int) -> None:
+    """Refuse a register whose state vectors would exceed ``MAX_QUBITS``."""
+    if n > MAX_QUBITS:
+        raise OracleUnavailableError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
 
 
 def _act(p: PauliString, vecs: np.ndarray) -> np.ndarray:
@@ -68,12 +68,6 @@ def _act(p: PauliString, vecs: np.ndarray) -> np.ndarray:
     index = np.arange(2**p.arity)
     sign = _POWERS_OF_I[k % 4] * _PARITY_SIGN[index & signs]
     return sign[:, None] * vecs[index ^ flips]
-
-
-def matrix_of(p: PauliString) -> np.ndarray:
-    """Phase times the Kronecker product of the standard Pauli matrices."""
-    _check_size(p.arity, MAX_DENSE_QUBITS)
-    return _act(p, np.eye(2**p.arity, dtype=complex))
 
 
 def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
@@ -108,13 +102,6 @@ def gate_unitary(spec: GateSpec) -> np.ndarray:
     return u
 
 
-def unitary_of(circuit: Circuit) -> np.ndarray:
-    """The circuit's unitary: the identity's columns pushed through it."""
-    n = circuit.n_qubits
-    _check_size(n, MAX_DENSE_QUBITS)
-    return _evolve(circuit.instructions, n, np.eye(2**n, dtype=complex))
-
-
 def verify_claims(
     circuit: Circuit,
     pairs: Sequence[tuple[PauliString, PauliString]],
@@ -126,7 +113,7 @@ def verify_claims(
     """Verdicts U M(p) phi == M(q) U phi for each pair, and the transport residual,
     from one pass over ``PROBES`` Gaussian phi, each M(p) phi and eigenstates."""
     n = circuit.n_qubits
-    _check_size(n)
+    check_size(n)
     if any(s.arity != n for pair in pairs for s in pair):
         raise ArityError("operands must match the circuit's register size")
     raw = np.random.default_rng(seed).standard_normal((2, 2**n, PROBES))
@@ -154,28 +141,17 @@ def verify_conjugation(circuit: Circuit, p: PauliString, q: PauliString) -> bool
     return verify_claims(circuit, [(p, q)])[0][0]
 
 
-def _project(gens: Sequence[PauliString], vecs: np.ndarray) -> np.ndarray:
-    """Apply ``v <- (v + g v) / 2`` for each generator g to every column."""
-    for g in gens:
-        vecs = (vecs + _act(g, vecs)) / 2
-    return vecs
-
-
-def eigenspace_projector(s: StabType) -> np.ndarray:
-    """Projector P onto the joint +1 eigenspace of the generated group."""
-    _check_size(s.arity, MAX_DENSE_QUBITS)
-    return _project(s.tableau.rows, np.eye(2**s.arity, dtype=complex))
-
-
 def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:
     """``count`` unit rows in the joint +1 eigenspace of ``gens``, one complex
     Gaussian per sample (real part first), redrawn up to seven times if lost."""
-    _check_size(n)
+    check_size(n)
     states = np.empty((2**n, count), dtype=complex)
     todo = np.arange(count)
     for _ in range(8):
         raw = rng.standard_normal((todo.size, 2, 2**n))
-        vecs = _project(gens, (raw[:, 0] + 1j * raw[:, 1]).T)
+        vecs = (raw[:, 0] + 1j * raw[:, 1]).T
+        for g in gens:  # the projector prod (I + g) / 2
+            vecs = (vecs + _act(g, vecs)) / 2
         norms = np.linalg.norm(vecs, axis=0)
         kept = norms > 1e-12
         states[:, todo[kept]] = vecs[:, kept] / norms[kept]

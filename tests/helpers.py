@@ -9,6 +9,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
+from gottesman import oracle
 from gottesman.checker import Circuit
 from gottesman.errors import ArityError, TopOperandError, WireError
 from gottesman.gates import GateApp, apply_gate, standard_gates
@@ -248,6 +249,13 @@ def ref_unitary(circuit):
     for app in circuit.instructions:
         u = ref_embed_unitary(ref_gate_unitary(app.gate), app.wires, n) @ u
     return u
+
+
+def oracle_unitary(circuit):
+    """The oracle's unitary for ``circuit``: the identity's columns pushed
+    through ``oracle._evolve``, for comparison with ``ref_unitary``."""
+    n = circuit.n_qubits
+    return oracle._evolve(circuit.instructions, n, np.eye(2**n, dtype=complex))
 
 
 def ref_verify_conjugation(circuit, p, q, u=None):

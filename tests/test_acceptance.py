@@ -203,9 +203,11 @@ def test_criterion_7_eigenstate_transport_and_separability():
     print(f"  [criterion 7] worst transport residual {worst:.2e}")
 
     # Separability: peeled qubits must be pure, and some entangled
-    # non-peeled qubit must show an impure sample.
-    cases = 0
-    while cases < 25:
+    # non-peeled qubit must show an impure sample. Draws are capped, so a
+    # fault that never yields an entangled case fails instead of hanging.
+    cases = draws = 0
+    while cases < 25 and draws < 1000:
+        draws += 1
         n = rng.randrange(2, 6)
         s = random_stab_type(n, rng)
         q = factor_separable(s)
@@ -230,6 +232,8 @@ def test_criterion_7_eigenstate_transport_and_separability():
         )
         if not witnessed:
             failures.append(f"case {cases}: no entanglement witness found")
+    if cases < 25:
+        failures.append(f"only {cases} of 25 entangled cases in {draws} draws")
     report(7, "eigenstate transport and separability", failures)
 
 

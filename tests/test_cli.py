@@ -103,6 +103,12 @@ class TestParse:
         with pytest.raises(ParseError, match="covers 2 qubits"):
             parse("qubits 3\ninput Z x Z\nH 1\n")
 
+    def test_non_ascii_decimal_digits_accepted(self):
+        # Arabic-Indic digits are decimal digits, so int() reads them.
+        circuit, _ = parse("qubits \u0663\nCNOT \u0661 \u0663\n")
+        assert circuit.n_qubits == 3
+        assert circuit.instructions[0].wires == (1, 3)
+
     def test_unicode_aliases_accepted(self):
         circuit, input_type = parse("qubits 2\ninput Z × Z\nCNOT 1 2\n")
         assert input_type == parse_qtype("Z x Z")
@@ -231,6 +237,24 @@ class TestRunCheck:
         assert run(["check", path]) == EXIT_PARSE_ERROR
         assert capsys.readouterr().err == f"parse error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            # A superscript digit passes str.isdigit() but not int().
+            ("qubits \u00b2\nH 1\n", "expected 'qubits N' with N >= 1 at line 1"),
+            (
+                "qubits 2\nH \u00b2\n",
+                "expected a wire number, got '\u00b2' at line 2, col 3",
+            ),
+        ],
+    )
+    def test_superscript_digits_are_parse_errors(
+        self, capsys, tmp_path, source, message
+    ):
+        path = write(tmp_path, source)
+        assert run(["check", path]) == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_type_error_exit(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 1\ninput X & Z\nH 1\n")
         assert run(["check", path]) == EXIT_TYPE_ERROR
@@ -334,6 +358,12 @@ class TestRunVerify:
             run(["verify", str(CIRCUITS / "ghz.qc"), "--samples", count])
         assert exit_info.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["verify", str(CIRCUITS / "ghz.qc"), "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         from gottesman import oracle

@@ -9,7 +9,6 @@ from gottesman.checker import Circuit
 from gottesman.errors import (
     EmptyEigenspaceError,
     MeasurementError,
-    OracleError,
     OracleUnavailableError,
     TopOperandError,
 )
@@ -17,7 +16,7 @@ from gottesman.gates import GateApp, standard_gates
 from gottesman.pauli import PauliAtom, PauliString, Phase
 from gottesman.typesys import StabType, factor_separable, flatten
 
-from helpers import ALL_ATOMS
+from helpers import ALL_ATOMS, oracle_unitary, ref_unitary, string_matrix
 
 GATES = standard_gates()
 
@@ -34,27 +33,26 @@ def circ(n, *steps):
     return Circuit(n, apps)
 
 
+def act_matrix(p):
+    """M(p) as ``oracle._act`` gives it: p applied to the identity's columns."""
+    return oracle._act(p, np.eye(2**p.arity, dtype=complex))
+
+
 class TestMatrixOf:
     def test_identity(self):
-        assert np.array_equal(oracle.matrix_of(P("I")), np.eye(2))
+        assert np.array_equal(act_matrix(P("I")), np.eye(2))
 
     def test_negated_x(self):
-        assert np.array_equal(
-            oracle.matrix_of(P("-X")), np.array([[0, -1], [-1, 0]])
-        )
+        assert np.array_equal(act_matrix(P("-X")), np.array([[0, -1], [-1, 0]]))
 
     def test_phased_tensor(self):
         x = np.array([[0, 1], [1, 0]])
         z = np.array([[1, 0], [0, -1]])
-        assert np.allclose(oracle.matrix_of(P("iXZ")), 1j * np.kron(x, z))
+        assert np.allclose(act_matrix(P("iXZ")), 1j * np.kron(x, z))
 
     def test_top_rejected(self):
         with pytest.raises(TopOperandError):
-            oracle.matrix_of(PauliString.top(2))
-
-    def test_size_cap(self):
-        with pytest.raises(OracleError):
-            oracle.matrix_of(PauliString.identity(11))
+            act_matrix(PauliString.top(2))
 
     def test_homomorphism_exhaustive_small(self):
         for n in (1, 2):
@@ -63,10 +61,11 @@ class TestMatrixOf:
                 for k in range(4)
                 for atoms in itertools.product(ALL_ATOMS, repeat=n)
             ]
-            mats = {p: oracle.matrix_of(p) for p in universe}
+            mats = {p: act_matrix(p) for p in universe}
             for p in universe:
+                assert np.max(np.abs(mats[p] - string_matrix(p))) < 1e-12
                 for q in universe:
-                    prod = oracle.matrix_of(p * q)
+                    prod = act_matrix(p * q)
                     assert np.max(np.abs(prod - mats[p] @ mats[q])) < 1e-12
 
     def test_homomorphism_exhaustive_three_qubits(self):
@@ -75,7 +74,8 @@ class TestMatrixOf:
             for k in range(4)
             for atoms in itertools.product(ALL_ATOMS, repeat=3)
         ]
-        mats = np.stack([oracle.matrix_of(p) for p in universe])
+        mats = np.stack([act_matrix(p) for p in universe])
+        assert np.max(np.abs(mats - [string_matrix(p) for p in universe])) < 1e-12
         index = {str(p): i for i, p in enumerate(universe)}
         for i, p in enumerate(universe):
             products = mats[i] @ mats  # batch over all q
@@ -85,16 +85,22 @@ class TestMatrixOf:
 
 class TestUnitaryOf:
     def test_hadamard(self):
-        u = oracle.unitary_of(circ(1, "H 1"))
+        circuit = circ(1, "H 1")
+        u = oracle_unitary(circuit)
         assert np.allclose(u, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+        assert np.max(np.abs(u - ref_unitary(circuit))) < 1e-12
 
     def test_s_squared_is_z(self):
-        u = oracle.unitary_of(circ(1, "S 1", "S 1"))
+        circuit = circ(1, "S 1", "S 1")
+        u = oracle_unitary(circuit)
         assert np.allclose(u, np.diag([1, -1]), atol=1e-12)
+        assert np.max(np.abs(u - ref_unitary(circuit))) < 1e-12
 
     def test_t_eighth_power_closes(self):
-        u = oracle.unitary_of(circ(1, *(["T 1"] * 8)))
+        circuit = circ(1, *(["T 1"] * 8))
+        u = oracle_unitary(circuit)
         assert np.max(np.abs(u - np.eye(2))) < 1e-9
+        assert np.max(np.abs(u - ref_unitary(circuit))) < 1e-9
 
     def test_all_standard_gates_unitary(self):
         for spec in GATES.values():
@@ -109,37 +115,47 @@ class TestUnitaryOf:
         assert np.max(np.abs(u - expected)) < 1e-9
 
     def test_gate_order_matters(self):
-        hs = oracle.unitary_of(circ(1, "H 1", "S 1"))
-        sh = oracle.unitary_of(circ(1, "S 1", "H 1"))
+        hs_circuit, sh_circuit = circ(1, "H 1", "S 1"), circ(1, "S 1", "H 1")
+        hs, sh = oracle_unitary(hs_circuit), oracle_unitary(sh_circuit)
         h, s = oracle.gate_unitary(GATES["H"]), oracle.gate_unitary(GATES["S"])
         assert np.allclose(hs, s @ h)
         assert np.allclose(sh, h @ s)
+        assert np.max(np.abs(hs - ref_unitary(hs_circuit))) < 1e-12
+        assert np.max(np.abs(sh - ref_unitary(sh_circuit))) < 1e-12
 
-    def test_dense_cap_is_ten_qubits(self):
-        # U has 4^n entries; the state-vector checks reach MAX_QUBITS.
+    def test_one_cap_past_ten_qubits(self):
+        # No check builds a 4^n operator, so 11 qubits verifies; every entry
+        # point stops at MAX_QUBITS, where a state vector stops fitting.
         circuit = circ(11, "H 1", "CNOT 1 11")
-        with pytest.raises(OracleUnavailableError):
-            oracle.unitary_of(circuit)
-        with pytest.raises(OracleUnavailableError):
-            oracle.eigenspace_projector(StabType.of("Z" + "I" * 10))
         z1, image = P("Z" + "I" * 10), P("X" + "I" * 9 + "X")
         assert oracle.verify_conjugation(circuit, z1, image)
+        over = oracle.MAX_QUBITS + 1
+        oracle.check_size(oracle.MAX_QUBITS)
+        with pytest.raises(OracleUnavailableError):
+            oracle.check_size(over)
+        wide = "Z" + "I" * (over - 1)
+        with pytest.raises(OracleUnavailableError):
+            oracle.verify_conjugation(Circuit(over), P(wide), P(wide))
+        with pytest.raises(OracleUnavailableError):
+            oracle.sample_eigenstates(StabType.of(wide))
 
     def test_rejects_measurement(self):
         from gottesman.checker import Measure
 
         with pytest.raises(MeasurementError):
-            oracle.unitary_of(Circuit(1, (Measure(1),)))
+            oracle.verify_conjugation(Circuit(1, (Measure(1),)), P("Z"), P("Z"))
 
     def test_embedding_nonadjacent_wires(self):
         # CNOT between wires 3 and 1 of a 3-qubit register: |c t| = |q3 q1|
-        u = oracle.unitary_of(circ(3, "CNOT 3 1"))
+        circuit = circ(3, "CNOT 3 1")
+        u = oracle_unitary(circuit)
         for basis in range(8):
             q1, q2, q3 = (basis >> 2) & 1, (basis >> 1) & 1, basis & 1
             target = ((q1 ^ q3) << 2) | (q2 << 1) | q3
             vec = np.zeros(8)
             vec[basis] = 1
             assert np.allclose(u @ vec, np.eye(8)[:, target])
+        assert np.max(np.abs(u - ref_unitary(circuit))) < 1e-12
 
 
 class TestVerifyConjugation:
@@ -188,8 +204,9 @@ class TestSeparability:
         from gottesman.stabilizer import canonicalize
         from helpers import random_stab_type
 
-        cases = 0
-        while cases < 10:
+        cases = draws = 0
+        while cases < 10 and draws < 1000:  # capped: a fault fails, not hangs
+            draws += 1
             n = rng.randrange(2, 5)
             s = random_stab_type(n, rng)
             q = factor_separable(s)
@@ -212,6 +229,7 @@ class TestSeparability:
                     found = True
                     break
             assert found
+        assert cases == 10, f"only {cases} of 10 cases in {draws} draws"
 
 
 class TestTransport:
