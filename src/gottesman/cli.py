@@ -15,8 +15,8 @@ wires. Wire indices are 1-based. Unicode type operators are accepted on
 input; all output is ASCII.
 
 Exit statuses: 0 success, 1 type error, 2 parse error, 3 oracle mismatch,
-4 oracle unavailable (``verify`` on more qubits than the dense oracle's
-cap). Only ``verify`` imports the oracle, and with it numpy.
+4 oracle unavailable (``verify`` past the dense oracle's qubit or sample
+batch cap). Only ``verify`` imports the oracle, and with it numpy.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def _cmd_verify(args) -> int:
     circuit, input_type = parse(_read(args.file))
     if circuit.has_measurement:
         raise GottesmanError("verify requires a measurement-free circuit")
-    oracle.check_size(circuit.n_qubits)  # refuse before any tableau work
+    oracle.check_size(circuit.n_qubits, args.samples)  # before any tableau work
     tab = infer_tableau(circuit)
     pairs, claims = [], []
     for prefix, atom, images in (

@@ -33,6 +33,7 @@ MAX_QUBITS = 14  # state vectors: O(2^n) per gate and vector
 DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 16
 PROBES = 2
+MAX_BATCH_BYTES = 2**27  # one complex batch of state columns
 
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 _PARITY_SIGN = np.ones(1)  # entry i is (-1)^popcount(i), for i < 2^MAX_QUBITS
@@ -49,10 +50,14 @@ _BASE_UNITARIES = {
 _TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
 
 
-def check_size(n: int) -> None:
-    """Refuse a register whose state vectors would exceed ``MAX_QUBITS``."""
+def check_size(n: int, samples: int = 0) -> None:
+    """Refuse a register past ``MAX_QUBITS``, or ``samples`` eigenstates whose
+    batch (probes for 2n conjugations beside them) exceeds ``MAX_BATCH_BYTES``."""
     if n > MAX_QUBITS:
         raise OracleUnavailableError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+    if 16 * 2**n * (PROBES * (2 * n + 1) + samples) > MAX_BATCH_BYTES:
+        cap = f"the batch cap of {MAX_BATCH_BYTES >> 20} MiB"
+        raise OracleUnavailableError(f"{samples} samples on {n} qubits exceed {cap}")
 
 
 def _act(p: PauliString, vecs: np.ndarray) -> np.ndarray:
@@ -113,7 +118,7 @@ def verify_claims(
     """Verdicts U M(p) phi == M(q) U phi for each pair, and the transport residual,
     from one pass over ``PROBES`` Gaussian phi, each M(p) phi and eigenstates."""
     n = circuit.n_qubits
-    check_size(n)
+    check_size(n, samples if input_type is not None else 0)
     if any(s.arity != n for pair in pairs for s in pair):
         raise ArityError("operands must match the circuit's register size")
     raw = np.random.default_rng(seed).standard_normal((2, 2**n, PROBES))
@@ -144,7 +149,7 @@ def verify_conjugation(circuit: Circuit, p: PauliString, q: PauliString) -> bool
 def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:
     """``count`` unit rows in the joint +1 eigenspace of ``gens``, one complex
     Gaussian per sample (real part first), redrawn up to seven times if lost."""
-    check_size(n)
+    check_size(n, count)
     states = np.empty((2**n, count), dtype=complex)
     todo = np.arange(count)
     for _ in range(8):

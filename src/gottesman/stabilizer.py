@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ArityError, IllFormedTypeError, TopOperandError, WireError
-from .pauli import ONE, PauliAtom, PauliString, Phase, embed, from_bits, string_mul
+from .pauli import _LETTERS, PauliAtom, PauliString, Phase, from_bits, string_mul
 
 
 @dataclass(frozen=True)
@@ -147,19 +147,18 @@ def member(tab: CanonicalTableau, p: PauliString) -> Optional[Phase]:
 def single_qubit_members(
     tab: CanonicalTableau,
 ) -> tuple[tuple[int, Phase, PauliAtom], ...]:
-    """All (k, phase, U) with phase*U_k in the group, phases +-1 only.
+    """All (k, phase, U) with phase*U_k in the group, sorted by k.
 
-    At most one basis U can appear per qubit: two different single-qubit
-    members at the same position would anticommute.
+    Each is a lone row of the reduced tableau: a member on qubit k is the
+    sum of the rows pivoting in x_k or z_k, and two such rows would be
+    X_k*w and Z_k*w, which anticommute. Rows have phases +-1 only.
     """
     found = []
-    for k in range(1, tab.arity + 1):
-        for atom in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z):
-            q = member(tab, embed(atom, ONE, k, tab.arity))
-            if q is not None:
-                assert q.is_real, "group elements square to I, so phases are real"
-                found.append((k, q, atom))
-    return tuple(found)
+    for row in tab.rows:
+        if (row.x | row.z).bit_count() == 1:
+            atom = PauliAtom(_LETTERS[bool(row.x) | bool(row.z) << 1])
+            found.append(((row.x | row.z).bit_length(), row.phase, atom))
+    return tuple(sorted(found, key=lambda f: f[0]))
 
 
 class _Transported(NamedTuple):
@@ -177,7 +176,6 @@ def _measure_rows(
     rows = list(gens)
     ops = 0
     bit = 1 << (k - 1)
-    z_k = embed(PauliAtom.Z, ONE, k, arity)
 
     # Random outcome: the generators that anticommute with Z_k carry an
     # x-bit (X or Y) at k; fold the rest into the first, drop it and adjoin
@@ -191,12 +189,13 @@ def _measure_rows(
         del rows[carriers[0]]
     elif any(r.z & bit for r in rows):
         # Determined outcome if +-Z_k is in the group: the state is left
-        # as it is, sign included. Otherwise adjoin +Z_k as above.
+        # as it is, sign included (+-Z_k is then a lone row of the reduced
+        # tableau, see single_qubit_members). Otherwise adjoin +Z_k as above.
         tab, ops = _echelon(arity, rows)
-        if member(tab, z_k) is not None:
+        if any(r.z == bit and not r.x for r in tab.rows):
             return tab, ops
         rows = list(tab.rows)
-    rows.append(z_k)
+    rows.append(from_bits(arity, 0, bit))
     tab, echelon_ops = _echelon(arity, rows)
     return tab, ops + echelon_ops
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import stabilizer
 from .errors import ArityError, IllFormedTypeError, ParseError, TopOperandError
-from .pauli import PauliAtom, PauliString, Phase, commutes, embed, from_bits, string_mul
+from .pauli import PauliAtom, PauliString, Phase, commutes, embed, from_bits
 
 
 @dataclass(frozen=True)
@@ -137,22 +138,17 @@ class QType:
                 raise IllFormedTypeError("the Top type carries no structure")
             return
         seen: set[int] = set()
-        for k, phase, atom in factors:
+        for k in [k for k, _, _ in factors] + list(support):
             if not 1 <= k <= self.arity or k in seen:
                 raise IllFormedTypeError(
                     f"qubit {k} repeated or out of range for {self.arity} qubits"
                 )
             seen.add(k)
+        for _, phase, atom in factors:
             if atom not in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z):
                 raise IllFormedTypeError(f"factor basis must be X, Y or Z, got {atom}")
             if not phase.is_real:
                 raise IllFormedTypeError(f"factor phase must be +-1, got {phase}")
-        for k in support:
-            if not 1 <= k <= self.arity or k in seen:
-                raise IllFormedTypeError(
-                    f"qubit {k} repeated or out of range for {self.arity} qubits"
-                )
-            seen.add(k)
         if seen != set(range(1, self.arity + 1)):
             raise IllFormedTypeError("factors and remainder must cover every qubit")
         if support:
@@ -221,36 +217,40 @@ def _pad(g: PauliString, support: Sequence[int], n: int) -> PauliString:
     return from_bits(n, x, z, g.k)
 
 
-def _restrict(g: PauliString, support: Sequence[int]) -> PauliString:
-    x = z = 0
-    for j, pos in enumerate(support):
-        x |= (g.x >> (pos - 1) & 1) << j
-        z |= (g.z >> (pos - 1) & 1) << j
-    return from_bits(len(support), x, z, g.k)
-
-
 def factor_separable(s: StabType) -> QType:
     """Peel every qubit witnessed separable by a single-qubit member.
 
     A qubit k separates exactly when some +-U_k lies in the generated
-    group; the remainder is the group re-expressed on the unpeeled qubits.
-    Flattening the result generates the same group as ``s``.
+    group; that member is a lone row of the reduced tableau. Every other
+    row is I at k: it is zero in the witness's pivot column and commutes
+    with the witness. So the remainder is those rows on the unpeeled
+    qubits, already reduced, and flattening the result generates the
+    same group as ``s``.
     """
-    singles = stabilizer.single_qubit_members(s.tableau)
-    if not singles:
-        return QType.from_stab(normalize(s))
-    witnesses = {k: embed(atom, phase, k, s.arity) for k, phase, atom in singles}
-    work = list(s.tableau.rows)
-    for k, witness in witnesses.items():
-        bit = 1 << (k - 1)
-        work = [string_mul(witness, g) if (g.x | g.z) & bit else g for g in work]
-    support = tuple(o for o in range(1, s.arity + 1) if o not in witnesses)
-    factors = tuple((k, phase, atom) for k, phase, atom in singles)
+    n, tab = s.arity, s.tableau
+    factors = stabilizer.single_qubit_members(tab)
+    peeled = sum(1 << (k - 1) for k, _, _ in factors)
+    support = tuple(o for o in range(1, n + 1) if not peeled >> (o - 1) & 1)
     if not support:
-        return QType(s.arity, factors, None, ())
-    rest = [_restrict(g, support) for g in work if g.x | g.z]
-    tab = stabilizer.canonicalize(rest or StabType(len(support), ()))
-    return QType(s.arity, factors, _from_tableau(tab), support)
+        return QType(n, factors, None, ())
+    m = len(support)
+    # A mask's binary numeral has qubit n first: keep the support's digits.
+    keep = itemgetter(*(n - o for o in reversed(support)))
+
+    def restrict(mask: int) -> int:
+        return int("".join(keep(format(mask, f"0{n}b"))), 2)
+
+    rest = tuple(
+        from_bits(m, restrict(g.x), restrict(g.z), g.k)
+        for g in tab.rows
+        if not (g.x | g.z) & peeled
+    )
+    pivots = tuple(
+        (g.x & -g.x).bit_length() - 1 if g.x else m + (g.z & -g.z).bit_length() - 1
+        for g in rest
+    )
+    remainder = _from_tableau(stabilizer.CanonicalTableau(m, rest, pivots))
+    return QType(n, factors, remainder, support)
 
 
 @dataclass(frozen=True)
@@ -364,11 +364,7 @@ def _literal_qtype(lit: PauliString) -> QType:
         and lit.atoms[0] in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z)
     ):
         return QType(1, ((1, lit.phase, lit.atoms[0]),), None, ())
-    if lit.is_identity:
-        return QType(lit.arity, (), StabType(lit.arity, ()), tuple(range(1, lit.arity + 1)))
-    return QType(
-        lit.arity, (), StabType(lit.arity, (lit,)), tuple(range(1, lit.arity + 1))
-    )
+    return QType.from_stab(StabType(lit.arity, () if lit.is_identity else (lit,)))
 
 
 def _intersect_units(units: list[QType]) -> QType:

@@ -1,7 +1,7 @@
 """Shared test utilities: independent matrix oracles, brute-force group
 enumeration, an atom-by-atom reference for the packed Pauli algebra, a
-dense-product reference for the oracle, random circuits, and hypothesis
-strategies."""
+member-based reference for separability, a dense-product reference for
+the oracle, random circuits, and hypothesis strategies."""
 
 import itertools
 import random
@@ -13,9 +13,17 @@ from gottesman import oracle
 from gottesman.checker import Circuit
 from gottesman.errors import ArityError, TopOperandError, WireError
 from gottesman.gates import GateApp, apply_gate, standard_gates
-from gottesman.pauli import ONE, PauliAtom, PauliString, Phase, embed, string_mul
-from gottesman.stabilizer import canonicalize
-from gottesman.typesys import StabType
+from gottesman.pauli import (
+    ONE,
+    PauliAtom,
+    PauliString,
+    Phase,
+    embed,
+    from_bits,
+    string_mul,
+)
+from gottesman.stabilizer import canonicalize, member
+from gottesman.typesys import QType, StabType, _from_tableau, normalize
 
 # Independent single-qubit matrices; deliberately not imported from the
 # package so matrix-level assertions do not share code with what they test.
@@ -187,6 +195,50 @@ def ref_measure(arity, gens, k):
     rows.append(z_k)
     reduced, _, echelon_ops = ref_echelon(arity, rows)
     return reduced, ops + echelon_ops
+
+
+# --- member-based separability reference ------------------------------------
+# The package reads single-qubit members off the rows of the reduced
+# tableau. These are the searches it replaced: every +-U_k tried through
+# ``member``, witnesses folded into the rows and the rest row-reduced again.
+
+
+def ref_single_qubit_members(tab):
+    """All (k, phase, U) with phase*U_k in the group, one member call each."""
+    found = []
+    for k in range(1, tab.arity + 1):
+        for atom in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z):
+            q = member(tab, embed(atom, ONE, k, tab.arity))
+            if q is not None:
+                assert q.is_real, "group elements square to I, so phases are real"
+                found.append((k, q, atom))
+    return tuple(found)
+
+
+def _ref_restrict(g, support):
+    x = z = 0
+    for j, pos in enumerate(support):
+        x |= (g.x >> (pos - 1) & 1) << j
+        z |= (g.z >> (pos - 1) & 1) << j
+    return from_bits(len(support), x, z, g.k)
+
+
+def ref_factor_separable(s):
+    """The QType of ``s`` with every witnessed qubit peeled."""
+    singles = ref_single_qubit_members(s.tableau)
+    if not singles:
+        return QType.from_stab(normalize(s))
+    witnesses = {k: embed(atom, phase, k, s.arity) for k, phase, atom in singles}
+    work = list(s.tableau.rows)
+    for k, witness in witnesses.items():
+        bit = 1 << (k - 1)
+        work = [string_mul(witness, g) if (g.x | g.z) & bit else g for g in work]
+    support = tuple(o for o in range(1, s.arity + 1) if o not in witnesses)
+    if not support:
+        return QType(s.arity, singles, None, ())
+    rest = [_ref_restrict(g, support) for g in work if g.x | g.z]
+    tab = canonicalize(rest or StabType(len(support), ()))
+    return QType(s.arity, singles, _from_tableau(tab), support)
 
 
 # --- dense-product reference for the oracle -----------------------------------

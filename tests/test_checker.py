@@ -1,14 +1,23 @@
 import random
+import sys
 import time
 
 import pytest
 
+from gottesman import checker, stabilizer
 from gottesman.checker import Circuit, Measure, annotate, check, infer_tableau
 from gottesman.errors import ArityError, MeasurementError, TopOperandError, WireError
 from gottesman.gates import GateApp, standard_gates
-from gottesman.pauli import ONE, PauliAtom, PauliString
+from gottesman.pauli import ONE, PauliAtom, PauliString, string_mul
 from gottesman.stabilizer import canonicalize
-from gottesman.typesys import QType, StabType, flatten, parse_qtype, type_equal
+from gottesman.typesys import (
+    QType,
+    StabType,
+    factor_separable,
+    flatten,
+    parse_qtype,
+    type_equal,
+)
 
 from helpers import random_clifford_circuit
 
@@ -268,6 +277,56 @@ def test_infer_tableau_cost_linear_in_gates():
     t_small = best_time(small)
     t_big = best_time(big)
     assert t_big / t_small < 20  # far from quadratic (which would give ~100)
+
+
+def _count_calls(monkeypatch, func):
+    """Route ``func`` through a counter in every gottesman module binding it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gottesman" or name.startswith("gottesman."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_check_factors_by_reading_tableau_rows(monkeypatch):
+    # The ROADMAP-table workload (n=512, 2000 gates, from all-Z), whose
+    # output has hundreds of factors beside an entangled remainder, then
+    # again with a random and two determined measurements appended.
+    n = 512
+    all_z = QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1)))
+    circuit = random_clifford_circuit(n, 2000, random.Random(512))
+    counts = {
+        f.__name__: _count_calls(monkeypatch, f)
+        for f in (stabilizer.member, stabilizer.canonicalize, string_mul)
+    }
+    factoring = []
+
+    def counted_factoring(s):
+        before = {name: len(calls) for name, calls in counts.items()}
+        q = factor_separable(s)
+        factoring.append({name: len(calls) - before[name] for name, calls in counts.items()})
+        return q
+
+    monkeypatch.setattr(checker, "factor_separable", counted_factoring)
+    out = check(circuit, all_z)
+    assert len(out.factors) >= 100 and out.remainder.generators
+    entangled = out.remainder_support[0]
+    z_factor = next(k for k, _, atom in out.factors if atom is PauliAtom.Z)
+    measured = Circuit(
+        n,
+        circuit.instructions + (Measure(entangled), Measure(entangled), Measure(z_factor)),
+    )
+    out = check(measured, all_z)
+    assert len(counts["member"]) == 0
+    assert factoring == [dict.fromkeys(counts, 0)] * 2
+    assert (entangled, ONE, PauliAtom.Z) in out.factors
 
 
 def _random_source(n, rng):

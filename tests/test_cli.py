@@ -398,6 +398,26 @@ class TestRunVerify:
             "oracle unavailable: 15 qubits exceeds the dense cap of 14\n"
         )
 
+    def test_over_the_batch_cap_is_oracle_unavailable(self, capsys, monkeypatch):
+        from gottesman import cli, oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the batch must be checked before any work")
+
+        for name in ("verify_claims", "sample_eigenstates", "_sample_states"):
+            monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setattr(cli, "infer_tableau", refuse)
+        ghz = str(CIRCUITS / "ghz.qc")
+        assert run(["verify", ghz, "--samples", "1" + "0" * 15]) == (
+            EXIT_ORACLE_UNAVAILABLE
+        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "oracle unavailable: 1000000000000000 samples on 3 qubits"
+            " exceed the batch cap of 128 MiB\n"
+        )
+
     def test_at_the_qubit_cap_verifies(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 14\nH 1; CNOT 1 14; CNOT 14 5\n")
         assert run(["verify", path, "--json"]) == EXIT_OK

@@ -139,6 +139,20 @@ class TestUnitaryOf:
         with pytest.raises(OracleUnavailableError):
             oracle.sample_eigenstates(StabType.of(wide))
 
+    def test_sample_batch_cap(self):
+        # Arithmetic only: the largest allowed batch is never built here.
+        for n in (1, 3, oracle.MAX_QUBITS):
+            columns = oracle.MAX_BATCH_BYTES // (16 * 2**n)
+            most = columns - oracle.PROBES * (2 * n + 1)
+            oracle.check_size(n, most)
+            with pytest.raises(OracleUnavailableError, match="batch cap of 128 MiB"):
+                oracle.check_size(n, most + 1)
+        wide = StabType.of("ZZ")
+        with pytest.raises(OracleUnavailableError):
+            oracle.sample_eigenstates(wide, count=oracle.MAX_BATCH_BYTES)
+        with pytest.raises(OracleUnavailableError):
+            oracle.transport_residual(circ(2, "H 1"), wide, (), samples=10**15)
+
     def test_rejects_measurement(self):
         from gottesman.checker import Measure
 

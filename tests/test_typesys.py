@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from gottesman.errors import ArityError, IllFormedTypeError, ParseError, TopOperandError
 from gottesman.pauli import MINUS_ONE, ONE, PauliAtom, PauliString, string_mul
+from gottesman.stabilizer import _echelon, single_qubit_members
 from gottesman.typesys import (
     ArrowJudgment,
     QType,
@@ -16,7 +18,12 @@ from gottesman.typesys import (
     type_equal,
 )
 
-from helpers import brute_force_group, random_stab_type
+from helpers import (
+    brute_force_group,
+    random_stab_type,
+    ref_factor_separable,
+    ref_single_qubit_members,
+)
 
 
 def P(text):
@@ -173,6 +180,43 @@ class TestFactorSeparable:
                 if len(hits) == 1:
                     expected.add(hits[0] + 1)
             assert peeled == expected
+
+    def test_matches_member_reference(self):
+        # Signed types from shallow circuits (many factors, often beside an
+        # empty or gapped remainder) and deep ones (few or none), on 1-70
+        # qubits so that masks pass 64 bits.
+        rng = random.Random(8)
+        seen = Counter()
+        for _ in range(400):
+            n = rng.randint(1, 70)
+            s = random_stab_type(n, rng, depth=rng.choice((0, rng.randint(1, n), 4 * n)))
+            tab = s.tableau
+            assert single_qubit_members(tab) == ref_single_qubit_members(tab)
+            got, want = factor_separable(s), ref_factor_separable(s)
+            assert got.factors == want.factors
+            assert got.remainder_support == want.remainder_support
+            for k, phase, atom in got.factors:
+                seen[atom, phase] += 1
+            support = got.remainder_support
+            if want.remainder is None:
+                assert got.remainder is None
+                continue
+            rest, ref_rest = got.remainder.tableau, want.remainder.tableau
+            assert got.remainder.generators == rest.rows == ref_rest.rows
+            assert rest.pivots == ref_rest.pivots
+            assert rest == _echelon(len(support), rest.rows)[0]
+            if support[-1] - support[0] + 1 != len(support):
+                seen["gapped"] += 1
+            if support[-1] > 64:
+                seen["past 64"] += 1
+            if got.factors and rest.rows:
+                seen["factors beside a remainder"] += 1
+        for atom in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z):
+            for phase in (ONE, MINUS_ONE):
+                assert seen[atom, phase] >= 20, (atom, phase, seen)
+        assert seen["gapped"] >= 100, seen
+        assert seen["past 64"] >= 10, seen
+        assert seen["factors beside a remainder"] >= 50, seen
 
 
 class TestQType:
