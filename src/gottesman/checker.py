@@ -3,15 +3,16 @@
 Two views of the same transport: ``infer_tableau`` gives a circuit's
 conjugation action on every X_k/Z_k generator (the gate view), while
 ``check`` threads the generators of a state type through the instruction
-sequence, folds in measurements, and factors the result for separability
-(the state view). Both are pure; transport is defined on generators and
-extends multiplicatively, so the arrow rules for products, phases and
-sequencing hold by construction.
+sequence, applies each measurement as Gottesman's O(n) generator update,
+and factors the result for separability (the state view). Both are pure;
+transport is defined on generators and extends multiplicatively, so the
+arrow rules for products, phases and sequencing hold by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 from . import stabilizer
@@ -98,8 +99,10 @@ def infer_tableau(circuit: Circuit) -> Tableau:
     )
 
 
-def _states(circuit: Circuit, input_type: QType):
-    """Yield the generator set (or None once Top) after each instruction."""
+def _states(circuit: Circuit, input_type: QType, measure):
+    """Yield the generators (or None once Top) before and after each
+    instruction. ``measure(source, k)`` is the measurement rule: it maps a
+    ``stabilizer._Transported`` to an object holding the new generators."""
     if input_type.arity != circuit.n_qubits:
         raise ArityError(
             f"input arity {input_type.arity} does not match"
@@ -112,23 +115,34 @@ def _states(circuit: Circuit, input_type: QType):
             if cur is None:
                 raise TopOperandError("cannot measure a Top-typed register")
             # An input, its Clifford transport or a measure result: trusted.
-            measured = stabilizer.measure(
-                stabilizer._Transported(circuit.n_qubits, tuple(cur)), ins.qubit
-            )
-            cur = list(measured.generators)
-        else:
-            if cur is not None:
-                cur = [apply_gate(ins, g) for g in cur]
-                # Only a gate with Top images can make a string Top.
-                if not ins.gate.is_clifford and any(g.is_top for g in cur):
-                    cur = None
+            source = stabilizer._Transported(circuit.n_qubits, tuple(cur))
+            cur = list(measure(source, ins.qubit).generators)
+        elif cur is not None:
+            cur = [apply_gate(ins, g) for g in cur]
+            # Only a gate with Top images can make a string Top.
+            if not ins.gate.is_clifford and any(g.is_top for g in cur):
+                cur = None
         yield cur
+
+
+def _measure_update(pure: bool, source, k: int):
+    """The measurement rule of ``check``, O(n) string products: a random
+    outcome folds the carriers. On a pure state (rank n, which gates and
+    folds keep) a determined outcome means +-Z_k is in the group, so the
+    generators stay; only a mixed state needs ``stabilizer.measure``."""
+    folded = stabilizer._random_outcome(source.generators, k)
+    if folded is not None:
+        return stabilizer._Transported(source.arity, tuple(folded[0]))
+    return source if pure else stabilizer.measure(source, k)
 
 
 def check(circuit: Circuit, input_type: QType) -> QType:
     """Transport a state type through the circuit, factored for output."""
+    rest = input_type.remainder
+    rank = len(input_type.factors) + (rest.tableau.rank if rest else 0)
+    update = partial(_measure_update, rank == circuit.n_qubits)
     cur = None
-    for cur in _states(circuit, input_type):
+    for cur in _states(circuit, input_type, update):
         pass
     if cur is None:
         return QType.top_type(circuit.n_qubits)
@@ -143,9 +157,10 @@ def annotate(circuit: Circuit, input_type: QType) -> list[QType]:
     Entries are reported unfactored (the transported generators as they
     stand), which is the per-line shape a hand derivation produces;
     ``check`` applies the separability factoring to the final state.
+    A MEAS entry is canonical: it comes from ``stabilizer.measure``.
     """
     out = []
-    for state in _states(circuit, input_type):
+    for state in _states(circuit, input_type, stabilizer.measure):
         if state is None:
             out.append(QType.top_type(circuit.n_qubits))
         else:

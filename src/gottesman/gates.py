@@ -50,6 +50,8 @@ class GateSpec:
     # The hash of the compared fields, computed once: a derived gate's hash
     # would otherwise recurse through its images and decomposition each time.
     _hash: int = field(init=False, repr=False, compare=False)
+    # No Top image; computed once, as ``check`` reads it for every gate.
+    is_clifford: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -80,13 +82,10 @@ class GateSpec:
                     )
         fields = (self.name, self.arity, self.x_images, self.z_images)
         object.__setattr__(self, "_hash", hash(fields + (self.decomposition,)))
+        object.__setattr__(self, "is_clifford", not any(img.is_top for img in images))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def is_clifford(self) -> bool:
-        return not any(img.is_top for img in self.x_images + self.z_images)
 
     def local_image(self, index: int) -> Optional[tuple[int, int, int]]:
         """Image (x, z, k) of the restriction with x bits ``index & (2**arity - 1)``

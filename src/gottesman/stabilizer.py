@@ -168,34 +168,40 @@ class _Transported(NamedTuple):
     generators: tuple[PauliString, ...]
 
 
+def _random_outcome(gens: Sequence[PauliString], k: int) -> Optional[tuple[list, int]]:
+    """Random Z_k outcome: the carriers, with an x-bit (X or Y) at k, anticommute
+    with Z_k. Multiply the first into the others, drop it and adjoin +Z_k (the
+    +1 branch; outcome signs are not modeled). Returns the new generators and
+    the string products made, O(n); None if no generator carries an x-bit at k."""
+    bit = 1 << (k - 1)
+    carriers = [i for i, r in enumerate(gens) if r.x & bit]
+    if not carriers:
+        return None
+    rows = list(gens)
+    pivot = rows.pop(carriers[0])
+    for i in carriers[1:]:
+        rows[i - 1] = string_mul(pivot, rows[i - 1])
+    rows.append(from_bits(pivot.arity, 0, bit))
+    return rows, len(carriers) - 1
+
+
 def _measure_rows(
     arity: int, gens: Sequence[PauliString], k: int
 ) -> tuple[CanonicalTableau, int]:
     if not 1 <= k <= arity:
         raise WireError(f"qubit {k} out of range for {arity} qubits")
-    rows = list(gens)
-    ops = 0
     bit = 1 << (k - 1)
-
-    # Random outcome: the generators that anticommute with Z_k carry an
-    # x-bit (X or Y) at k; fold the rest into the first, drop it and adjoin
-    # Z_k with phase +1 (the +1 branch; outcome signs are not modeled).
-    carriers = [i for i, r in enumerate(rows) if r.x & bit]
-    if carriers:
-        pivot = rows[carriers[0]]
-        for i in carriers[1:]:
-            rows[i] = string_mul(pivot, rows[i])
-            ops += 1
-        del rows[carriers[0]]
-    elif any(r.z & bit for r in rows):
-        # Determined outcome if +-Z_k is in the group: the state is left
-        # as it is, sign included (+-Z_k is then a lone row of the reduced
-        # tableau, see single_qubit_members). Otherwise adjoin +Z_k as above.
-        tab, ops = _echelon(arity, rows)
-        if any(r.z == bit and not r.x for r in tab.rows):
-            return tab, ops
-        rows = list(tab.rows)
-    rows.append(from_bits(arity, 0, bit))
+    rows, ops = _random_outcome(gens, k) or (None, 0)
+    if rows is None:
+        if any(r.z & bit for r in gens):
+            # Determined outcome if +-Z_k is in the group: the state is left
+            # as it is, sign included (+-Z_k is then a lone row of the reduced
+            # tableau, see single_qubit_members). Otherwise adjoin +Z_k.
+            tab, ops = _echelon(arity, gens)
+            if any(r.z == bit and not r.x for r in tab.rows):
+                return tab, ops
+            gens = tab.rows
+        rows = [*gens, from_bits(arity, 0, bit)]
     tab, echelon_ops = _echelon(arity, rows)
     return tab, ops + echelon_ops
 
@@ -203,8 +209,10 @@ def _measure_rows(
 def measure(source, k: int):
     """Z-basis measurement of qubit k as a type transformation.
 
-    Returns the normalized post-measurement StabType; the total work is
-    O(n^2) row operations. The result of a StabType is built from its
+    Returns the normalized post-measurement StabType; the canonical form
+    costs O(n^2) row operations. ``check`` applies the O(n) generator
+    update instead and comes here only for a determined outcome on a
+    mixed state. The result of a StabType is built from its
     canonical tableau without checks; the result of a plain generator
     list is validated, so an ill-formed list raises IllFormedTypeError.
     """

@@ -1,7 +1,8 @@
 """Shared test utilities: independent matrix oracles, brute-force group
 enumeration, an atom-by-atom reference for the packed Pauli algebra, a
-member-based reference for separability, a dense-product reference for
-the oracle, random circuits, and hypothesis strategies."""
+member-based reference for separability, a per-measurement canonical
+reference for ``check``, a dense-product reference for the oracle, random
+circuits, and hypothesis strategies."""
 
 import itertools
 import random
@@ -9,8 +10,8 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from gottesman import oracle
-from gottesman.checker import Circuit
+from gottesman import oracle, stabilizer
+from gottesman.checker import Circuit, Measure
 from gottesman.errors import ArityError, TopOperandError, WireError
 from gottesman.gates import GateApp, apply_gate, standard_gates
 from gottesman.pauli import (
@@ -23,7 +24,14 @@ from gottesman.pauli import (
     string_mul,
 )
 from gottesman.stabilizer import canonicalize, member
-from gottesman.typesys import QType, StabType, _from_tableau, normalize
+from gottesman.typesys import (
+    QType,
+    StabType,
+    _flat_generators,
+    _from_tableau,
+    factor_separable,
+    normalize,
+)
 
 # Independent single-qubit matrices; deliberately not imported from the
 # package so matrix-level assertions do not share code with what they test.
@@ -239,6 +247,52 @@ def ref_factor_separable(s):
     rest = [_ref_restrict(g, support) for g in work if g.x | g.z]
     tab = canonicalize(rest or StabType(len(support), ()))
     return QType(s.arity, singles, _from_tableau(tab), support)
+
+
+# --- per-measurement canonical reference for check ---------------------------
+# ``check`` applies a measurement as the O(n) generator update. This is the
+# state threading it replaced: every MEAS goes through ``stabilizer.measure``
+# and comes back row-reduced. ``annotate`` still measures this way.
+
+
+def ref_states(circuit, input_type):
+    """The generators (or None once Top) before and after each instruction."""
+    if input_type.arity != circuit.n_qubits:
+        raise ArityError("input arity does not match the circuit")
+    cur = None if input_type.top else list(_flat_generators(input_type))
+    yield cur
+    for ins in circuit.instructions:
+        if isinstance(ins, Measure):
+            if cur is None:
+                raise TopOperandError("cannot measure a Top-typed register")
+            measured = stabilizer.measure(
+                stabilizer._Transported(circuit.n_qubits, tuple(cur)), ins.qubit
+            )
+            cur = list(measured.generators)
+        elif cur is not None:
+            cur = [apply_gate(ins, g) for g in cur]
+            if not ins.gate.is_clifford and any(g.is_top for g in cur):
+                cur = None
+        yield cur
+
+
+def ref_check(circuit, input_type):
+    cur = None
+    for cur in ref_states(circuit, input_type):
+        pass
+    if cur is None:
+        return QType.top_type(circuit.n_qubits)
+    tab = canonicalize(stabilizer._Transported(circuit.n_qubits, tuple(cur)))
+    return factor_separable(_from_tableau(tab))
+
+
+def ref_annotate(circuit, input_type):
+    """The trace strings, each state unfactored."""
+    n = circuit.n_qubits
+    return [
+        str(QType.top_type(n) if s is None else QType.from_stab(StabType(n, tuple(s))))
+        for s in ref_states(circuit, input_type)
+    ]
 
 
 # --- dense-product reference for the oracle -----------------------------------

@@ -104,6 +104,13 @@ class TestCheck:
         out = check(GHZ + circ(3, "MEAS 1"), parse_qtype("Z x Z x Z"))
         assert str(out) == "Z x Z x Z"
 
+    def test_determined_outcome_on_mixed_state_adjoins_z(self):
+        # No generator has an x-bit at qubit 1, but the state is mixed and
+        # Z_1 is not in the group of ZZ, so +Z_1 joins the generators.
+        out = check(circ(2, "MEAS 1"), parse_qtype("ZZ"))
+        assert str(out) == "Z x Z"
+        assert str(flatten(out)) == "ZI & IZ"
+
     def test_t_gate_tops_out(self):
         out = check(circ(1, "T 1"), parse_qtype("X"))
         assert out == QType.top_type(1)
@@ -164,6 +171,41 @@ class TestAnnotate:
     def test_trace_through_measurement(self):
         got = annotate(GHZ + circ(3, "MEAS 1"), parse_qtype("Z x Z x Z"))
         assert str(got[-1]) == "ZII & IZI & IIZ"
+
+    # Recorded before check took the O(n) measurement update: a trace
+    # entry after MEAS is still the canonical generating set, also when
+    # gates and a second MEAS follow. The mixed inputs cover a determined
+    # outcome outside the group (ZZI & IZZ, MEAS 2) and inside it
+    # (ZII & IIX, MEAS 1).
+    @pytest.mark.parametrize(
+        "source, trace",
+        [
+            (
+                "Z x Z x Z",
+                ["ZII & IZI & IIZ", "XII & IZI & IIZ", "XXI & ZZI & IIZ",
+                 "XXX & ZZI & IZZ", "ZII & IZI & IIZ", "ZII & IXI & IIZ",
+                 "ZII & IXX & IZZ", "ZII & IXY & IZZ", "ZII & IZI & IIZ",
+                 "XII & IZI & IIZ", "XII & IZI & IIZ"],
+            ),
+            (
+                "ZZI & IZZ",
+                ["ZZI & IZZ", "XZI & IZZ", "-YYI & ZZZ", "-YYX & ZIZ",
+                 "ZII & IIZ", "ZII & IIZ", "ZII & IZZ", "ZII & IZZ",
+                 "ZII & IZI & IIZ", "XII & IZI & IIZ", "XII & IZI & IIZ"],
+            ),
+            (
+                "ZII & IIX",
+                ["ZII & IIX", "XII & IIX", "XXI & IIX", "XXX & IIX",
+                 "IIX & ZII", "IIX & ZII", "IIX & ZII", "IIY & ZII",
+                 "IIY & ZII & IZI", "IIY & XII & IZI", "XII & IZI & IIZ"],
+            ),
+        ],
+    )
+    def test_trace_through_gates_after_measurement(self, source, trace):
+        circuit = GHZ + circ(3, "MEAS 1", "H 2", "CNOT 2 3", "S 3", "MEAS 2", "H 1", "MEAS 3")
+        got = annotate(circuit, parse_qtype(source))
+        assert [str(q) for q in got] == trace
+        assert str(check(circuit, parse_qtype(source))) == "X x Z x Z"
 
     def test_top_trace(self):
         got = annotate(circ(1, "T 1", "H 1"), parse_qtype("X"))
@@ -329,10 +371,10 @@ def test_check_factors_by_reading_tableau_rows(monkeypatch):
     assert (entangled, ONE, PauliAtom.Z) in out.factors
 
 
-def _random_source(n, rng):
+def _random_source(n, rng, meas_every=8):
     """A ``.qc`` text over n qubits: a Clifford def gate, random Clifford
-    steps with MEAS after every eighth, and a tail that may use T or TOFFOLI,
-    so a Top state is never measured."""
+    steps with MEAS after every ``meas_every``-th, and a tail that may use
+    T or TOFFOLI, so a Top state is never measured."""
     one, two = ("H", "S", "Sdg", "X", "Y", "Z"), ("CNOT", "CZ", "SWAP", "NOTC")
     lines = [f"qubits {n}"]
     if n >= 2:
@@ -349,7 +391,7 @@ def _random_source(n, rng):
 
     for i in range(1, rng.randrange(10, 60)):
         lines.append(step())
-        if i % 8 == 0:
+        if i % meas_every == 0:
             lines.append(f"MEAS {wires(1)}")
     for _ in range(rng.randrange(0, 4)):
         if n >= 3 and rng.random() < 0.3:
@@ -403,3 +445,86 @@ def test_types_built_without_checks_are_well_formed(monkeypatch):
         assert s.tableau == full.tableau
         if s.generators:
             assert s.tableau == canonicalize(list(s.generators))
+
+
+def test_check_matches_per_measurement_canonical_reference():
+    # check applies each MEAS as the O(n) generator update; the reference
+    # row-reduces after every one. Outputs must be equal on pure, mixed and
+    # redundant inputs, over registers past one 64-bit word, and so must
+    # traces where validating every trace entry stays cheap (n <= 24).
+    from gottesman.cli import parse
+    from helpers import random_stab_type, ref_annotate, ref_check, ref_states
+
+    rng = random.Random(9807006)
+    kinds = {"random": 0, "pure": 0, "mixed": 0}
+    for _ in range(40):
+        n = rng.randrange(1, 71)
+        circuit, _ = parse(_random_source(n, rng, meas_every=4))
+        pure = random_stab_type(n, rng, rank=n)
+        mixed = random_stab_type(n, rng, rank=rng.randrange(0, n))
+        inputs = [
+            QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1))),
+            QType.from_stab(pure),
+            QType.from_stab(mixed),
+        ]
+        for s in (pure, mixed):
+            if s.generators:
+                a, b = rng.choice(s.generators), rng.choice(s.generators)
+                extra = (string_mul(a, b), a)
+                inputs.append(QType.from_stab(StabType(n, s.generators + extra)))
+        for input_type in inputs:
+            states = list(ref_states(circuit, input_type))
+            for ins, state in zip(circuit.instructions, states):
+                if isinstance(ins, Measure):
+                    bit = 1 << (ins.qubit - 1)
+                    rank = canonicalize(stabilizer._Transported(n, tuple(state))).rank
+                    if any(g.x & bit for g in state):
+                        kinds["random"] += 1
+                    else:
+                        kinds["pure" if rank == n else "mixed"] += 1
+            out, want = check(circuit, input_type), ref_check(circuit, input_type)
+            assert out == want and str(out) == str(want)
+            if n <= 24:
+                got = [str(q) for q in annotate(circuit, input_type)]
+                assert got == ref_annotate(circuit, input_type)
+    assert kinds["random"] >= 100 and kinds["pure"] >= 300 and kinds["mixed"] >= 100, kinds
+
+
+def test_measured_check_row_reduces_once(monkeypatch):
+    # The ROADMAP-table workload (n=512, 2000 gates, from all-Z) with a MEAS
+    # after every 10th gate: the final canonicalize is the only row
+    # reduction, and no MEAS makes more than n - 1 string products.
+    n = 512
+    rng = random.Random(512)
+    gates = random_clifford_circuit(n, 2000, rng).instructions
+    instructions = []
+    for i, app in enumerate(gates, start=1):
+        instructions.append(app)
+        if i % 10 == 0:
+            instructions.append(Measure(rng.randrange(1, n + 1)))
+    circuit = Circuit(n, tuple(instructions))
+    all_z = QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1)))
+    echelons = _count_calls(monkeypatch, stabilizer._echelon)
+    muls = _count_calls(monkeypatch, string_mul)
+    real_states = checker._states
+    products = []  # (string products, outcome random) per MEAS
+
+    def counting_states(circuit, input_type, measure):
+        states = real_states(circuit, input_type, measure)
+        state = next(states)
+        yield state
+        for ins in circuit.instructions:
+            before, prev = len(muls), state
+            state = next(states)
+            if isinstance(ins, Measure):
+                bit = 1 << (ins.qubit - 1)
+                products.append((len(muls) - before, any(g.x & bit for g in prev)))
+            yield state
+
+    monkeypatch.setattr(checker, "_states", counting_states)
+    check(circuit, all_z)
+    assert len(echelons) == 1
+    assert len(products) == 200
+    assert max(count for count, _ in products) <= n - 1
+    # Random outcomes, each of which a row reduction per MEAS would reach.
+    assert sum(random_outcome for _, random_outcome in products) >= 20
