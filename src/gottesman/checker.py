@@ -17,8 +17,8 @@ from typing import Union
 
 from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
-from .gates import GateApp, apply_gate
-from .pauli import ONE, PauliAtom, PauliString, embed
+from .gates import GateApp, _transport, _unit_images
+from .pauli import PauliString
 from .typesys import QType, StabType, _flat_generators, _from_tableau, factor_separable
 
 
@@ -84,19 +84,8 @@ def infer_tableau(circuit: Circuit) -> Tableau:
     """Conjugation images of all 2n generators; measurement-free only."""
     if circuit.has_measurement:
         raise MeasurementError("tableau inference needs a measurement-free circuit")
-
-    def thread(atom: PauliAtom, k: int) -> PauliString:
-        cur = embed(atom, ONE, k, circuit.n_qubits)
-        for ins in circuit.instructions:
-            cur = apply_gate(ins, cur)
-        return cur
-
     n = circuit.n_qubits
-    return Tableau(
-        n,
-        tuple(thread(PauliAtom.X, k) for k in range(1, n + 1)),
-        tuple(thread(PauliAtom.Z, k) for k in range(1, n + 1)),
-    )
+    return Tableau(n, *_unit_images(n, circuit.instructions))
 
 
 def _states(circuit: Circuit, input_type: QType, measure):
@@ -118,7 +107,7 @@ def _states(circuit: Circuit, input_type: QType, measure):
             source = stabilizer._Transported(circuit.n_qubits, tuple(cur))
             cur = list(measure(source, ins.qubit).generators)
         elif cur is not None:
-            cur = [apply_gate(ins, g) for g in cur]
+            cur = _transport((ins,), cur)
             # Only a gate with Top images can make a string Top.
             if not ins.gate.is_clifford and any(g.is_top for g in cur):
                 cur = None

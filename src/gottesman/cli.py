@@ -28,8 +28,8 @@ import sys
 
 from .checker import Circuit, Measure, annotate, check, infer_tableau
 from .errors import GottesmanError, OracleUnavailableError, ParseError
-from .gates import GateApp, GateSpec, derive_gate, standard_gates
-from .pauli import ONE, PauliAtom, embed
+from .gates import GateApp, GateSpec, _units, derive_gate, standard_gates
+from .pauli import ONE, PauliAtom
 from .typesys import QType, flatten, fold_unicode, parse_qtype
 
 EXIT_OK = 0
@@ -289,10 +289,8 @@ def _cmd_check(args) -> int:
 def _cmd_tableau(args) -> int:
     circuit, _ = parse(_read(args.file))
     tab = infer_tableau(circuit)
-    rows = []
-    for prefix, images in (("X", tab.x_images), ("Z", tab.z_images)):
-        for k, img in enumerate(images, start=1):
-            rows.append((f"{prefix}{k}", str(img)))
+    units = _units(circuit.n_qubits)
+    rows = [(label, str(img)) for (label, _), img in zip(units, tab.x_images + tab.z_images)]
     if args.json:
         print(
             json.dumps(
@@ -313,11 +311,10 @@ def _cmd_tableau(args) -> int:
 def _cmd_gates(args) -> int:
     records = []
     for spec in standard_gates().values():
-        sides = ((PauliAtom.X, spec.x_images), (PauliAtom.Z, spec.z_images))
+        images = spec.x_images + spec.z_images
         rows = [
-            {"input": str(embed(atom, ONE, w, spec.arity)), "output": str(img)}
-            for atom, images in sides
-            for w, img in enumerate(images, start=1)
+            {"input": str(unit), "output": str(img)}
+            for (_, unit), img in zip(_units(spec.arity), images)
         ]
         records.append({"name": spec.name, "arity": spec.arity, "rows": rows})
     if args.json:
@@ -340,14 +337,10 @@ def _cmd_verify(args) -> int:
     oracle.check_size(circuit.n_qubits, args.samples)  # before any tableau work
     tab = infer_tableau(circuit)
     pairs, claims = [], []
-    for prefix, atom, images in (
-        ("X", PauliAtom.X, tab.x_images),
-        ("Z", PauliAtom.Z, tab.z_images),
-    ):
-        for k, img in enumerate(images, start=1):
-            if not img.is_top:
-                pairs.append((embed(atom, ONE, k, circuit.n_qubits), img))
-                claims.append(f"{prefix}{k} -> {img}")
+    for (label, unit), img in zip(_units(circuit.n_qubits), tab.x_images + tab.z_images):
+        if not img.is_top:
+            pairs.append((unit, img))
+            claims.append(f"{label} -> {img}")
     output = flat_in = flat_out = None
     if input_type is not None and not input_type.top:
         output = check(circuit, input_type)

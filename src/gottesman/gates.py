@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import IllFormedTypeError, WireError
-from .pauli import ONE, PauliAtom, PauliString, commutes, embed, from_bits, string_mul
+from .pauli import PauliString, commutes, from_bits, string_mul
 
 
 @dataclass(frozen=True)
@@ -162,19 +162,30 @@ def apply_gate(app: GateApp, p: PauliString) -> PauliString:
     return from_bits(n, x, z, p.k + k)
 
 
+def _transport(apps: Sequence[GateApp], strings: Sequence[PauliString]) -> list[PauliString]:
+    """Conjugate each string through ``apps``, one gate at a time, with one
+    ``apply_gate`` call per string per gate: the only loop of gates over strings."""
+    for app in apps:
+        strings = [apply_gate(app, p) for p in strings]
+    return list(strings)
+
+
+def _units(n: int) -> list[tuple[str, PauliString]]:
+    """X_1..X_n, then Z_1..Z_n, over n qubits, each with its label."""
+    xs = [(f"X{k}", from_bits(n, 1 << (k - 1), 0)) for k in range(1, n + 1)]
+    return xs + [(f"Z{k}", from_bits(n, 0, 1 << (k - 1))) for k in range(1, n + 1)]
+
+
+def _unit_images(n: int, apps: Sequence[GateApp]) -> tuple[tuple[PauliString, ...], ...]:
+    """The images of X_1..X_n and of Z_1..Z_n under ``apps``, as two tuples."""
+    images = _transport(apps, [unit for _, unit in _units(n)])
+    return tuple(images[:n]), tuple(images[n:])
+
+
 def derive_gate(name: str, arity: int, steps: Sequence[GateApp]) -> GateSpec:
     """Build a GateSpec from a decomposition over wires 1..arity."""
     steps = tuple(steps)
-
-    def image_of(atom: PauliAtom, w: int) -> PauliString:
-        cur = embed(atom, ONE, w, arity)
-        for step in steps:
-            cur = apply_gate(step, cur)
-        return cur
-
-    x_images = tuple(image_of(PauliAtom.X, w) for w in range(1, arity + 1))
-    z_images = tuple(image_of(PauliAtom.Z, w) for w in range(1, arity + 1))
-    return GateSpec(name, arity, x_images, z_images, decomposition=steps)
+    return GateSpec(name, arity, *_unit_images(arity, steps), decomposition=steps)
 
 
 def _lit(text: str) -> PauliString:
