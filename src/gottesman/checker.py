@@ -1,25 +1,25 @@
 """Whole-circuit type inference.
 
-Two views of the same transport: ``infer_tableau`` gives a circuit's
-conjugation action on every X_k/Z_k generator (the gate view), while
-``check`` threads the generators of a state type through the instruction
-sequence, applies each measurement as Gottesman's O(n) generator update,
-and factors the result for separability (the state view). Both are pure;
-transport is defined on generators and extends multiplicatively, so the
-arrow rules for products, phases and sequencing hold by construction.
+Two views of the same transport, ``gates._transport``: ``infer_tableau``
+gives a circuit's conjugation action on every X_k/Z_k generator (the gate
+view), while ``check`` threads the generators of a state type through the
+instruction sequence, applies each measurement as Gottesman's O(n)
+generator update, and factors the result for separability (the state
+view). Both are pure; transport is defined on generators and extends
+multiplicatively, so the arrow rules for products, phases and sequencing
+hold by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Union
 
 from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
 from .gates import GateApp, _transport, _unit_images
 from .pauli import PauliString
-from .typesys import QType, StabType, _flat_generators, _from_tableau, factor_separable
+from .typesys import QType, _flat_generators, _from_tableau, factor_separable
 
 
 @dataclass(frozen=True)
@@ -114,29 +114,33 @@ def _states(circuit: Circuit, input_type: QType, measure):
         yield cur
 
 
-def _measure_update(pure: bool, source, k: int):
-    """The measurement rule of ``check``, O(n) string products: a random
-    outcome folds the carriers. On a pure state (rank n, which gates and
-    folds keep) a determined outcome means +-Z_k is in the group, so the
-    generators stay; only a mixed state needs ``stabilizer.measure``."""
-    folded = stabilizer._random_outcome(source.generators, k)
-    if folded is not None:
-        return stabilizer._Transported(source.arity, tuple(folded[0]))
-    return source if pure else stabilizer.measure(source, k)
-
-
 def check(circuit: Circuit, input_type: QType) -> QType:
     """Transport a state type through the circuit, factored for output."""
+    n = circuit.n_qubits
     rest = input_type.remainder
-    rank = len(input_type.factors) + (rest.tableau.rank if rest else 0)
-    update = partial(_measure_update, rank == circuit.n_qubits)
+    pure = len(input_type.factors) + (rest.tableau.rank if rest else 0) == n
+
+    def measure(source, k: int):
+        """O(n) string products: a random outcome folds the carriers, keeping
+        the rank. On a pure state (rank n) a determined one keeps the generators,
+        as +-Z_k is in the group; a mixed state takes ``stabilizer.measure``,
+        whose rows are independent and so give the new rank."""
+        nonlocal pure
+        folded = stabilizer._random_outcome(source.generators, k)
+        if folded is not None:
+            return stabilizer._Transported(n, tuple(folded[0]))
+        if not pure:
+            source = stabilizer.measure(source, k)
+            pure = len(source.generators) == n
+        return source
+
     cur = None
-    for cur in _states(circuit, input_type, update):
+    for cur in _states(circuit, input_type, measure):
         pass
     if cur is None:
-        return QType.top_type(circuit.n_qubits)
+        return QType.top_type(n)
     # Transport and measurement keep the input type well formed.
-    tab = stabilizer.canonicalize(stabilizer._Transported(circuit.n_qubits, tuple(cur)))
+    tab = stabilizer.canonicalize(stabilizer._Transported(n, tuple(cur)))
     return factor_separable(_from_tableau(tab))
 
 
@@ -147,11 +151,15 @@ def annotate(circuit: Circuit, input_type: QType) -> list[QType]:
     stand), which is the per-line shape a hand derivation produces;
     ``check`` applies the separability factoring to the final state.
     A MEAS entry is canonical: it comes from ``stabilizer.measure``.
+    Entries are transported from the validated input: built without checks.
     """
+    n = circuit.n_qubits
     out = []
     for state in _states(circuit, input_type, stabilizer.measure):
         if state is None:
-            out.append(QType.top_type(circuit.n_qubits))
+            out.append(QType.top_type(n))
         else:
-            out.append(QType.from_stab(StabType(circuit.n_qubits, tuple(state))))
+            gens = tuple(state)
+            tab = stabilizer.canonicalize(stabilizer._Transported(n, gens))
+            out.append(QType.from_stab(_from_tableau(tab, gens)))
     return out

@@ -40,7 +40,6 @@ EXIT_ORACLE_UNAVAILABLE = 4
 
 _WORD = re.compile(r"\S+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_FORMALS = "abcdefghijklmnop"
 
 
 def _words(text: str) -> list[tuple[str, int]]:
@@ -193,6 +192,11 @@ def parse(source: str) -> tuple[Circuit, QType | None]:
     return _FileParser(source).parse()
 
 
+def _formal(w: int) -> str:
+    """The formal name of a def's wire ``w``: ``a``..``p``, then ``w17``, ``w18``..."""
+    return "abcdefghijklmnop"[w - 1] if w <= 16 else f"w{w}"
+
+
 def format_source(circuit: Circuit, input_type: QType | None = None) -> str:
     """Canonical source text; reparsing yields an identical AST."""
     lines = [f"qubits {circuit.n_qubits}"]
@@ -206,9 +210,9 @@ def format_source(circuit: Circuit, input_type: QType | None = None) -> str:
             return
         for app in spec.decomposition or ():
             emit_defs(app.gate)
-        formals = _FORMALS[: spec.arity]
+        formals = [_formal(w) for w in range(1, spec.arity + 1)]
         body = "; ".join(
-            " ".join([app.gate.name, *(_FORMALS[w - 1] for w in app.wires)])
+            " ".join([app.gate.name, *map(_formal, app.wires)])
             for app in spec.decomposition or ()
         )
         lines.append(f"def {spec.name} {' '.join(formals)} := {body}")

@@ -17,6 +17,10 @@ Non-Clifford gates carry all-Top images for the generators they cannot
 track; any use of such an image collapses the result to the all-Top
 string. The standard gate table is built once at first use and is
 read-only afterwards; ``apply_gate`` is pure.
+
+``_transport`` is the one loop of gates over strings: ``derive_gate``,
+``checker.infer_tableau`` (both on the unit strings of ``_units``) and
+``checker.check`` carry their generators through it.
 """
 
 from __future__ import annotations

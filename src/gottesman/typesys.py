@@ -76,15 +76,17 @@ class StabType:
         return " & ".join(str(g) for g in self.generators)
 
 
-def _from_tableau(tab: stabilizer.CanonicalTableau) -> StabType:
-    """The StabType with generators ``tab.rows``, built without checks.
+def _from_tableau(tab: stabilizer.CanonicalTableau, generators=None) -> StabType:
+    """The StabType with generators ``generators`` (default ``tab.rows``)
+    and canonical tableau ``tab``, built without checks.
 
     Not validated: ``tab`` must be the canonical tableau of a well-formed
-    type, as the results of normalize, measure, factoring and check are.
+    type, as the results of normalize, measure, factoring and check are,
+    and of ``generators`` when given, as of ``annotate``'s entries.
     """
     s = object.__new__(StabType)
     object.__setattr__(s, "arity", tab.arity)
-    object.__setattr__(s, "generators", tab.rows)
+    object.__setattr__(s, "generators", tab.rows if generators is None else generators)
     object.__setattr__(s, "tableau", tab)
     return s
 

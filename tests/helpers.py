@@ -1,8 +1,9 @@
 """Shared test utilities: independent matrix oracles, brute-force group
 enumeration, an atom-by-atom reference for the packed Pauli algebra, a
 member-based reference for separability, a per-measurement canonical
-reference for ``check``, a dense-product reference for the oracle, random
-circuits, and hypothesis strategies."""
+reference for ``check``, per-string references for gate transport, a
+dense-product reference for the oracle, random circuits, and hypothesis
+strategies."""
 
 import itertools
 import random
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from gottesman import oracle, stabilizer
 from gottesman.checker import Circuit, Measure
 from gottesman.errors import ArityError, TopOperandError, WireError
-from gottesman.gates import GateApp, apply_gate, standard_gates
+from gottesman.gates import GateApp, GateSpec, apply_gate, standard_gates
 from gottesman.pauli import (
     ONE,
     PauliAtom,
@@ -293,6 +294,44 @@ def ref_annotate(circuit, input_type):
         str(QType.top_type(n) if s is None else QType.from_stab(StabType(n, tuple(s))))
         for s in ref_states(circuit, input_type)
     ]
+
+
+# --- per-string references for gate transport ---------------------------------
+# The package carries every generator list through ``gates._transport``, one
+# gate at a time. These are the loops it replaced: each X_k/Z_k built with
+# ``embed`` and threaded through the whole gate sequence on its own (the gate
+# step of ``ref_states`` is the third such loop).
+
+
+def ref_infer_tableau(circuit):
+    """The images of X_1..X_n and of Z_1..Z_n, one string at a time."""
+    n = circuit.n_qubits
+
+    def thread(atom, k):
+        cur = embed(atom, ONE, k, n)
+        for ins in circuit.instructions:
+            cur = apply_gate(ins, cur)
+        return cur
+
+    return (
+        tuple(thread(PauliAtom.X, k) for k in range(1, n + 1)),
+        tuple(thread(PauliAtom.Z, k) for k in range(1, n + 1)),
+    )
+
+
+def ref_derive_gate(name, arity, steps):
+    """A GateSpec from a decomposition, one generator image at a time."""
+    steps = tuple(steps)
+
+    def image_of(atom, w):
+        cur = embed(atom, ONE, w, arity)
+        for step in steps:
+            cur = apply_gate(step, cur)
+        return cur
+
+    x_images = tuple(image_of(PauliAtom.X, w) for w in range(1, arity + 1))
+    z_images = tuple(image_of(PauliAtom.Z, w) for w in range(1, arity + 1))
+    return GateSpec(name, arity, x_images, z_images, decomposition=steps)
 
 
 # --- dense-product reference for the oracle -----------------------------------

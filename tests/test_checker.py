@@ -403,8 +403,8 @@ def _random_source(n, rng, meas_every=8):
 
 
 def test_types_built_without_checks_are_well_formed(monkeypatch):
-    # normalize, measure, factor_separable and check build their results
-    # unchecked from a canonical tableau; each one must pass full
+    # normalize, measure, factor_separable, check and annotate build their
+    # results unchecked from a canonical tableau; each one must pass full
     # validation and carry the canonical tableau of its generators.
     from gottesman import checker, typesys
     from gottesman.cli import parse
@@ -414,8 +414,9 @@ def test_types_built_without_checks_are_well_formed(monkeypatch):
 
     built = []
 
-    def recording(tab, build=typesys._from_tableau):
-        built.append(build(tab))
+    # annotate passes its transported generators beside the tableau.
+    def recording(tab, *generators, build=typesys._from_tableau):
+        built.append(build(tab, *generators))
         return built[-1]
 
     monkeypatch.setattr(typesys, "_from_tableau", recording)
@@ -528,3 +529,71 @@ def test_measured_check_row_reduces_once(monkeypatch):
     assert max(count for count, _ in products) <= n - 1
     # Random outcomes, each of which a row reduction per MEAS would reach.
     assert sum(random_outcome for _, random_outcome in products) >= 20
+
+
+def test_measurement_that_makes_the_state_pure_ends_row_reduction(monkeypatch):
+    # ZZ is mixed, so the first MEAS 1 (determined, Z_1 outside the group)
+    # takes stabilizer.measure. Its result has two independent rows, so the
+    # state is pure from then on and every later determined MEAS is free.
+    measures = _count_calls(monkeypatch, stabilizer.measure)
+    circuit = circ(2, "MEAS 1", "MEAS 2", "MEAS 1", "MEAS 2", "MEAS 1")
+    out = check(circuit, parse_qtype("ZZ"))
+    assert str(out) == "Z x Z"
+    assert len(measures) == 1
+
+
+def test_annotate_builds_entries_without_commutation_checks(monkeypatch):
+    # Every trace entry is transported from the validated input, so none is
+    # validated again; the entries still print as before.
+    from gottesman import pauli
+    from gottesman.cli import parse
+
+    n = 64
+    all_z = QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1)))
+    gates_only = random_clifford_circuit(n, 200, random.Random(n))
+    measured, _ = parse(_random_source(n, random.Random(64), meas_every=4))
+    want = [
+        [str(q) for q in annotate(circuit, all_z)] for circuit in (gates_only, measured)
+    ]
+    commutes = _count_calls(monkeypatch, pauli.commutes)
+    got = [[str(q) for q in annotate(circuit, all_z)] for circuit in (gates_only, measured)]
+    assert len(commutes) == 0
+    assert got == want and len(got[0]) == 201
+
+
+def test_transport_matches_per_string_references():
+    # gates._transport is the one loop of gates over strings. The loops it
+    # replaced, kept in helpers, must give the same tableaux, derived gates
+    # and threaded states, on circuits with a def gate and a T/Tdg/TOFFOLI
+    # tail over registers of 1 to 70 qubits, and on the standard table.
+    from gottesman.cli import parse
+    from gottesman.gates import derive_gate
+    from helpers import random_stab_type, ref_derive_gate, ref_infer_tableau, ref_states
+
+    for spec in GATES.values():
+        steps = spec.decomposition or (GateApp(spec, tuple(range(1, spec.arity + 1))),)
+        ref = ref_derive_gate(spec.name, spec.arity, steps)
+        assert (ref.x_images, ref.z_images) == (spec.x_images, spec.z_images), spec.name
+        if spec.decomposition:
+            assert ref == spec == derive_gate(spec.name, spec.arity, steps), spec.name
+
+    rng = random.Random(4711)
+    sizes, defs, tops = [], 0, 0
+    for _ in range(40):
+        n = rng.randrange(1, 71)
+        sizes.append(n)
+        unitary, _ = parse(_random_source(n, rng, meas_every=10**6))
+        tab = infer_tableau(unitary)
+        assert (tab.x_images, tab.z_images) == ref_infer_tableau(unitary)
+        tops += any(g.is_top for g in tab.x_images + tab.z_images)
+        for spec in {app.gate for app in unitary.instructions if app.gate.name == "G"}:
+            defs += 1
+            assert spec == ref_derive_gate("G", 2, spec.decomposition)
+        measured, _ = parse(_random_source(n, rng, meas_every=4))
+        for input_type in (
+            QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1))),
+            QType.from_stab(random_stab_type(n, rng, rank=rng.randrange(0, n + 1))),
+        ):
+            got = checker._states(measured, input_type, stabilizer.measure)
+            assert list(got) == list(ref_states(measured, input_type))
+    assert max(sizes) > 64 and min(sizes) <= 2 and defs >= 30 and tops >= 10

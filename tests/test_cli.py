@@ -154,6 +154,18 @@ class TestFormatRoundTrip:
         out = format_source(*parse(src))
         assert "def BELL a b := H a; CNOT a b" in out
 
+    @pytest.mark.parametrize("arity", [17, 30])
+    def test_def_past_sixteen_formals_roundtrips(self, arity):
+        formals = [f"q{i}" for i in range(1, arity + 1)]
+        body = "; ".join(f"CNOT {a} {b}" for a, b in zip(formals, formals[1:]))
+        wires = " ".join(map(str, range(arity, 0, -1)))
+        src = f"qubits {arity}\ndef WIDE {' '.join(formals)} := H q1; {body}\nWIDE {wires}\n"
+        ast = parse(src)
+        out = format_source(*ast)
+        emitted = out.splitlines()[1].split(":=")[0].split()[2:]
+        assert len(set(emitted)) == arity
+        assert parse(out) == ast
+
 
 class TestRunCheck:
     def test_superdense_judgment(self, capsys):
