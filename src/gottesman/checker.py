@@ -19,7 +19,13 @@ from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
 from .gates import GateApp, _transport, _unit_images
 from .pauli import PauliString
-from .typesys import QType, _flat_generators, _from_tableau, factor_separable
+from .typesys import (
+    QType,
+    _flat_generators,
+    _from_tableau,
+    _unchecked,
+    factor_separable,
+)
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,19 @@ class Circuit:
         if self.n_qubits != other.n_qubits:
             raise ArityError("cannot sequence circuits of different sizes")
         return Circuit(self.n_qubits, self.instructions + other.instructions)
+
+
+def _circuit(n_qubits: int, instructions: tuple[Instruction, ...]) -> Circuit:
+    """``Circuit(n_qubits, instructions)`` built without checks, as the
+    ``.qc`` parser builds what it has checked.
+
+    Not validated: ``n_qubits`` must be at least 1 and every wire and
+    measured qubit at most ``n_qubits``.
+    """
+    c = object.__new__(Circuit)
+    object.__setattr__(c, "n_qubits", n_qubits)
+    object.__setattr__(c, "instructions", instructions)
+    return c
 
 
 @dataclass(frozen=True)
@@ -151,7 +170,8 @@ def annotate(circuit: Circuit, input_type: QType) -> list[QType]:
     stand), which is the per-line shape a hand derivation produces;
     ``check`` applies the separability factoring to the final state.
     A MEAS entry is canonical: it comes from ``stabilizer.measure``.
-    Entries are transported from the validated input: built without checks.
+    Entries are transported from the validated input: built without checks,
+    and row-reduced only if their tableau is asked for.
     """
     n = circuit.n_qubits
     out = []
@@ -159,7 +179,5 @@ def annotate(circuit: Circuit, input_type: QType) -> list[QType]:
         if state is None:
             out.append(QType.top_type(n))
         else:
-            gens = tuple(state)
-            tab = stabilizer.canonicalize(stabilizer._Transported(n, gens))
-            out.append(QType.from_stab(_from_tableau(tab, gens)))
+            out.append(QType.from_stab(_unchecked(n, tuple(state))))
     return out

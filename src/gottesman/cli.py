@@ -14,6 +14,13 @@ Circuit files (``.qc``) look like:
 wires. Wire indices are 1-based. Unicode type operators are accepted on
 input; all output is ASCII.
 
+Parsing checks each instruction, def step and input type once, where it
+is written, and a fault is reported at its line and column as written
+(a ``⊗`` counts, though it folds to nothing). What has been checked is
+built without the constructors' checks: one GateApp per distinct
+instruction text in a file, and the Circuit. Nothing is kept from one
+``parse`` to the next, so a def is derived on every parse.
+
 Exit statuses: 0 success, 1 type error, 2 parse error, 3 oracle mismatch,
 4 oracle unavailable (``verify`` past the dense oracle's qubit or sample
 batch cap). Only ``verify`` imports the oracle, and with it numpy.
@@ -26,11 +33,11 @@ import json
 import re
 import sys
 
-from .checker import Circuit, Measure, annotate, check, infer_tableau
+from .checker import Circuit, Measure, _circuit, annotate, check, infer_tableau
 from .errors import GottesmanError, OracleUnavailableError, ParseError
-from .gates import GateApp, GateSpec, _units, derive_gate, standard_gates
+from .gates import GateApp, GateSpec, _app, _units, derive_gate, standard_gates
 from .pauli import ONE, PauliAtom
-from .typesys import QType, flatten, fold_unicode, parse_qtype
+from .typesys import QType, _unfolded_col, flatten, fold_unicode, parse_qtype
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -46,15 +53,28 @@ def _words(text: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in _WORD.finditer(text)]
 
 
+def _col(part: str, pos: int, i: int = 0) -> int:
+    """The column of word ``i`` of ``part``, which starts after ``pos``
+    characters of its line; computed only when raising."""
+    return pos + _words(part)[i][1]
+
+
 class _FileParser:
+    """Checks each instruction, def and type once, where it is written, and
+    builds what it has checked without checking it again: a GateApp per
+    distinct instruction text, and the Circuit."""
+
     def __init__(self, source: str):
         self.lines: list[tuple[int, str]] = []
+        # A line with unicode aliases, before folding, for its error columns.
+        self.unfolded: dict[int, str] = {}
         for ln, raw in enumerate(source.splitlines(), start=1):
-            code = fold_unicode(raw.split("--", 1)[0])
+            code = raw.split("--", 1)[0]
+            if not code.isascii():
+                self.unfolded[ln], code = code, fold_unicode(code)
             if code.strip():
                 self.lines.append((ln, code))
         self.gates: dict[str, GateSpec] = dict(standard_gates())
-        self.defs: dict[str, GateSpec] = {}
 
     def parse(self) -> tuple[Circuit, QType | None]:
         if not self.lines:
@@ -66,16 +86,23 @@ class _FileParser:
             input_type = self._input_line(*rest[0], n_qubits)
             rest = rest[1:]
         instructions: list = []
+        # One instruction per distinct text: a text means the same thing
+        # wherever it recurs in a file, as a def cannot replace a gate.
+        known: dict = {}
         for ln, code in rest:
             stripped = code.strip()
             if stripped.startswith("def ") or stripped == "def":
                 self._def_line(ln, code)
                 continue
-            for chunk_text, chunk_col in _split_chunks(code):
-                instructions.append(
-                    self._instruction(ln, chunk_text, chunk_col, n_qubits)
-                )
-        return Circuit(n_qubits, tuple(instructions)), input_type
+            pos = 0
+            for part in code.split(";"):
+                ins = known.get(part)
+                if ins is None and part.strip():
+                    ins = known[part] = self._instruction(ln, part, pos, n_qubits)
+                if ins is not None:
+                    instructions.append(ins)
+                pos += len(part) + 1
+        return _circuit(n_qubits, tuple(instructions)), input_type
 
     def _header(self, ln: int, code: str) -> int:
         words = _words(code)
@@ -119,77 +146,71 @@ class _FileParser:
         if len(set(formals)) != len(formals):
             raise ParseError("formal wires must be distinct", line=ln)
         wire_of = {f: i + 1 for i, f in enumerate(formals)}
-        body_start = code.index(":=") + 2  # the columns before the body
         steps = []
-        for chunk_text, chunk_col in _split_chunks(body):
-            col = body_start + chunk_col
-            words = _words(chunk_text)
-            wires = []
-            for arg, acol in words[1:]:
-                if arg not in wire_of:
-                    raise ParseError(
-                        f"unknown formal wire {arg!r} in def body",
-                        line=ln,
-                        col=col + acol - 1,
-                    )
-                wires.append(wire_of[arg])
-            steps.append(self._gate_app(ln, col, words[0][0], wires))
-        derived = derive_gate(name, len(formals), steps)
-        self.gates[name] = derived
-        self.defs[name] = derived
+        pos = len(head) + 2  # the columns before the body
+        for part in body.split(";"):
+            words = part.split()
+            if words:
+                wires = []
+                for i, arg in enumerate(words[1:], start=1):
+                    if arg not in wire_of:
+                        msg = f"unknown formal wire {arg!r} in def body"
+                        raise ParseError(msg, line=ln, col=_col(part, pos, i))
+                    wires.append(wire_of[arg])
+                steps.append(self._gate_app(ln, part, pos, words[0], wires))
+            pos += len(part) + 1
+        self.gates[name] = derive_gate(name, len(formals), steps)
 
-    def _instruction(self, ln: int, text: str, col: int, n_qubits: int):
-        words = _words(text)
-        name = words[0][0]
+    def _instruction(self, ln: int, part: str, pos: int, n_qubits: int):
+        """The instruction ``part``, after ``pos`` characters of line ``ln``."""
+        words = part.split()
         wires = []
-        for arg, acol in words[1:]:
+        for i, arg in enumerate(words[1:], start=1):
             if not arg.isdecimal():
-                raise ParseError(
-                    f"expected a wire number, got {arg!r}", line=ln, col=col + acol - 1
-                )
+                msg = f"expected a wire number, got {arg!r}"
+                raise ParseError(msg, line=ln, col=_col(part, pos, i))
             w = int(arg)
             if not 1 <= w <= n_qubits:
-                raise ParseError(
-                    f"wire {w} out of range for {n_qubits} qubits",
-                    line=ln,
-                    col=col + acol - 1,
-                )
+                msg = f"wire {w} out of range for {n_qubits} qubits"
+                raise ParseError(msg, line=ln, col=_col(part, pos, i))
             wires.append(w)
-        if name == "MEAS":
+        if words[0] == "MEAS":
             if len(wires) != 1:
-                raise ParseError("MEAS takes exactly one qubit", line=ln, col=col)
+                msg = "MEAS takes exactly one qubit"
+                raise ParseError(msg, line=ln, col=_col(part, pos))
             return Measure(wires[0])
-        return self._gate_app(ln, col, name, wires)
+        return self._gate_app(ln, part, pos, words[0], wires)
 
-    def _gate_app(self, ln: int, col: int, name: str, wires: list[int]) -> GateApp:
-        """The known gate ``name`` on ``wires``, written at ``col`` of line
-        ``ln``: an instruction or one step of a def body."""
+    def _gate_app(
+        self, ln: int, part: str, pos: int, name: str, wires: list[int]
+    ) -> GateApp:
+        """The known gate ``name`` on ``wires``, written as ``part`` after ``pos``
+        characters of line ``ln``: an instruction or one step of a def body.
+        Checked here, so built without GateApp's checks."""
         spec = self.gates.get(name)
+        fault = None
         if spec is None:
-            raise ParseError(f"unknown gate {name!r}", line=ln, col=col)
-        if len(wires) != spec.arity:
-            raise ParseError(
-                f"{name} needs {spec.arity} wires, got {len(wires)}", line=ln, col=col
-            )
-        if len(set(wires)) != len(wires):
-            raise ParseError(f"{name}: wires must be distinct", line=ln, col=col)
-        return GateApp(spec, tuple(wires))
-
-
-def _split_chunks(code: str) -> list[tuple[str, int]]:
-    chunks = []
-    start = 0
-    for part in code.split(";"):
-        if part.strip():
-            col = start + (len(part) - len(part.lstrip())) + 1
-            chunks.append((part.strip(), col))
-        start += len(part) + 1
-    return chunks
+            fault = f"unknown gate {name!r}"
+        elif len(wires) != spec.arity:
+            fault = f"{name} needs {spec.arity} wires, got {len(wires)}"
+        elif len(set(wires)) != len(wires):
+            fault = f"{name}: wires must be distinct"
+        if fault is not None:
+            raise ParseError(fault, line=ln, col=_col(part, pos))
+        return _app(spec, tuple(wires))
 
 
 def parse(source: str) -> tuple[Circuit, QType | None]:
     """Parse circuit-file text into a Circuit and its optional input type."""
-    return _FileParser(source).parse()
+    parser = _FileParser(source)
+    try:
+        return parser.parse()
+    except ParseError as err:
+        raw = parser.unfolded.get(err.line)
+        if raw is None or err.col is None:
+            raise
+        col = _unfolded_col(raw, err.col)
+        raise ParseError(err.message, line=err.line, col=col) from None
 
 
 def _formal(w: int) -> str:

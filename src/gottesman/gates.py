@@ -94,7 +94,9 @@ class GateSpec:
     def local_image(self, index: int) -> Optional[tuple[int, int, int]]:
         """Image (x, z, k) of the restriction with x bits ``index & (2**arity - 1)``
         and z bits ``index >> arity`` (bit i for the gate's wire i + 1); None if Top."""
-        if index not in self._images:
+        try:
+            return self._images[index]
+        except KeyError:
             xs, zs = index & ((1 << self.arity) - 1), index >> self.arity
             image = PauliString.identity(self.arity)
             for bits, images in ((xs, self.x_images), (zs, self.z_images)):
@@ -105,7 +107,7 @@ class GateSpec:
             # the normal order costs nothing more, as distinct wires commute.
             k = image.k + (xs & zs).bit_count()
             self._images[index] = None if image.is_top else (image.x, image.z, k)
-        return self._images[index]
+            return self._images[index]
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,22 @@ class GateApp:
         return " ".join([self.gate.name, *map(str, self.wires)])
 
 
+def _app(gate: GateSpec, wires: tuple[int, ...]) -> GateApp:
+    """``GateApp(gate, wires)`` built without checks, as a parser builds what
+    it has checked.
+
+    Not validated: ``wires`` must be a tuple of ``gate.arity`` distinct
+    wires, each at least 1.
+    """
+    app = object.__new__(GateApp)
+    # Set in __init__'s order, so the instance dict stays key-sharing.
+    object.__setattr__(app, "gate", gate)
+    object.__setattr__(app, "wires", wires)
+    object.__setattr__(app, "_shifts", tuple([w - 1 for w in wires]))
+    object.__setattr__(app, "_mask", sum([1 << (w - 1) for w in wires]))
+    return app
+
+
 def apply_gate(app: GateApp, p: PauliString) -> PauliString:
     """Conjugate the string ``p`` by the gate at ``app.wires``.
 
@@ -145,24 +163,42 @@ def apply_gate(app: GateApp, p: PauliString) -> PauliString:
     all-Top, the result is the all-Top string. An out-of-range wire
     raises WireError before either shortcut.
     """
-    n = p.arity
-    if app._mask >> n:
+    n, mask = p.arity, app._mask
+    if mask >> n:
         w = next(w for w in app.wires if w > n)
         raise WireError(f"wire {w} out of range for {n} qubits")
-    if p.is_top or not (p.x | p.z) & app._mask:
+    px, pz = p.x, p.z
+    if p.is_top or not (px | pz) & mask:
         return p
     shifts = app._shifts
-    index = 0
-    for i, s in enumerate(shifts):
-        index |= (p.x >> s & 1) << i | (p.z >> s & 1) << (len(shifts) + i)
+    # The index reads and write-backs of one- and two-wire gates, unrolled.
+    if len(shifts) == 1:
+        (s,) = shifts
+        index = px >> s & 1 | (pz >> s & 1) << 1
+    elif len(shifts) == 2:
+        s, t = shifts
+        index = (
+            px >> s & 1 | (px >> t & 1) << 1 | (pz >> s & 1) << 2 | (pz >> t & 1) << 3
+        )
+    else:
+        index = 0
+        for i, s in enumerate(shifts):
+            index |= (px >> s & 1) << i | (pz >> s & 1) << (len(shifts) + i)
     image = app.gate.local_image(index)
     if image is None:
         return PauliString.top(n)
     ix, iz, k = image
-    x, z = p.x & ~app._mask, p.z & ~app._mask
-    for i, s in enumerate(shifts):
-        x |= (ix >> i & 1) << s
-        z |= (iz >> i & 1) << s
+    x, z = px & ~mask, pz & ~mask
+    if len(shifts) == 1:
+        x |= ix << s
+        z |= iz << s
+    elif len(shifts) == 2:
+        x |= (ix & 1) << s | (ix >> 1) << t
+        z |= (iz & 1) << s | (iz >> 1) << t
+    else:
+        for i, s in enumerate(shifts):
+            x |= (ix >> i & 1) << s
+            z |= (iz >> i & 1) << s
     return from_bits(n, x, z, p.k + k)
 
 

@@ -20,7 +20,16 @@ from typing import Optional, Sequence
 
 from . import stabilizer
 from .errors import ArityError, IllFormedTypeError, ParseError, TopOperandError
-from .pauli import PauliAtom, PauliString, Phase, commutes, embed, from_bits
+from .pauli import (
+    _ATOM_OF_LETTER,
+    _LETTERS,
+    PauliAtom,
+    PauliString,
+    Phase,
+    commutes,
+    embed,
+    from_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,15 @@ class StabType:
         # Rejects -I (and +-iI) in the generated group.
         object.__setattr__(self, "tableau", stabilizer._echelon(self.arity, gens)[0])
 
+    def __getattr__(self, name: str):
+        # Only ``tableau`` can be missing: ``_unchecked`` defers its row
+        # reduction to the first use.
+        if name != "tableau":
+            raise AttributeError(name)
+        tab = stabilizer._echelon(self.arity, self.generators)[0]
+        object.__setattr__(self, "tableau", tab)
+        return tab
+
     @classmethod
     def of(cls, *literals: str) -> "StabType":
         """Build from Pauli literals, e.g. ``StabType.of("XX", "ZZ")``."""
@@ -76,17 +94,28 @@ class StabType:
         return " & ".join(str(g) for g in self.generators)
 
 
+def _unchecked(arity: int, generators: tuple[PauliString, ...]) -> StabType:
+    """The StabType on ``generators``, built without checks; its canonical
+    tableau is row-reduced on first use.
+
+    Not validated: ``generators`` must be well formed, as the generators
+    transported from a validated type in ``annotate`` are.
+    """
+    s = object.__new__(StabType)
+    object.__setattr__(s, "arity", arity)
+    object.__setattr__(s, "generators", generators)
+    return s
+
+
 def _from_tableau(tab: stabilizer.CanonicalTableau, generators=None) -> StabType:
     """The StabType with generators ``generators`` (default ``tab.rows``)
     and canonical tableau ``tab``, built without checks.
 
     Not validated: ``tab`` must be the canonical tableau of a well-formed
     type, as the results of normalize, measure, factoring and check are,
-    and of ``generators`` when given, as of ``annotate``'s entries.
+    and of ``generators`` when given, as of a parsed product's remainder.
     """
-    s = object.__new__(StabType)
-    object.__setattr__(s, "arity", tab.arity)
-    object.__setattr__(s, "generators", tab.rows if generators is None else generators)
+    s = _unchecked(tab.arity, tab.rows if generators is None else generators)
     object.__setattr__(s, "tableau", tab)
     return s
 
@@ -219,6 +248,12 @@ def _pad(g: PauliString, support: Sequence[int], n: int) -> PauliString:
     return from_bits(n, x, z, g.k)
 
 
+def _pivot(g: PauliString, m: int) -> int:
+    """The leading column of ``g`` over m qubits (x_1..x_m, then z_1..z_m):
+    its pivot, when ``g`` is a row of a reduced tableau."""
+    return (g.x & -g.x).bit_length() - 1 if g.x else m + (g.z & -g.z).bit_length() - 1
+
+
 def factor_separable(s: StabType) -> QType:
     """Peel every qubit witnessed separable by a single-qubit member.
 
@@ -247,10 +282,7 @@ def factor_separable(s: StabType) -> QType:
         for g in tab.rows
         if not (g.x | g.z) & peeled
     )
-    pivots = tuple(
-        (g.x & -g.x).bit_length() - 1 if g.x else m + (g.z & -g.z).bit_length() - 1
-        for g in rest
-    )
+    pivots = tuple(_pivot(g, m) for g in rest)
     remainder = _from_tableau(stabilizer.CanonicalTableau(m, rest, pivots))
     return QType(n, factors, remainder, support)
 
@@ -274,7 +306,8 @@ class ArrowJudgment:
 
 _UNICODE_FOLD = {"⊤": "T", "∩": "&", "×": "x", "−": "-", "⊗": ""}
 
-_TOKEN = re.compile(r"(->|&|x|\(|\)|[+-]?i?[IXYZT]+)")
+# A token, or in the second group the character where none starts.
+_TOKEN = re.compile(r"(->|&|x|\(|\)|[+-]?i?[IXYZT]+)|(\S)")
 
 
 def fold_unicode(text: str) -> str:
@@ -284,24 +317,31 @@ def fold_unicode(text: str) -> str:
     return text
 
 
+def _unfolded_col(text: str, col: int) -> int:
+    """The column of ``text`` that holds column ``col`` of ``fold_unicode(text)``:
+    an alias keeps its place, except that ``⊗`` folds to nothing."""
+    for i, ch in enumerate(text, start=1):
+        col -= len(_UNICODE_FOLD.get(ch, ch))
+        if col <= 0:
+            return i
+    return len(text) + col
+
+
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", col=pos + 1)
-        tokens.append((m.group(0), pos + 1))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 2:
+            raise ParseError(f"unexpected character {m.group(2)!r}", col=m.start() + 1)
+        tokens.append((m.group(1), m.start() + 1))
     return tokens
 
 
 class _TypeParser:
+    """Checks each literal and each intersection once, where it is written;
+    literals and products are built without a row reduction (see ``_merge``)."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(fold_unicode(text))
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> Optional[str]:
@@ -357,16 +397,33 @@ class _TypeParser:
         return _literal_qtype(lit)
 
 
+def _qtype(arity: int, factors=(), remainder=None, support=()) -> QType:
+    """``QType(arity, factors, remainder, support)`` built without checks.
+
+    Not validated: ``factors`` must be sorted by qubit and, with the
+    ascending ``support``, partition 1..arity, as the type parser builds them.
+    """
+    q = object.__new__(QType)
+    object.__setattr__(q, "arity", arity)
+    object.__setattr__(q, "factors", factors)
+    object.__setattr__(q, "remainder", remainder)
+    object.__setattr__(q, "remainder_support", support)
+    object.__setattr__(q, "top", False)
+    return q
+
+
 def _literal_qtype(lit: PauliString) -> QType:
     if lit.is_top:
         return QType.top_type(lit.arity)
-    if (
-        lit.arity == 1
-        and lit.phase.is_real
-        and lit.atoms[0] in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z)
-    ):
-        return QType(1, ((1, lit.phase, lit.atoms[0]),), None, ())
-    return QType.from_stab(StabType(lit.arity, () if lit.is_identity else (lit,)))
+    if lit.k & 1 or lit.k and not lit.x | lit.z:
+        StabType(lit.arity, (lit,))  # raises: -I is in the literal's group
+    n, gens = lit.arity, ((lit,) if lit.x | lit.z else ())
+    if n == 1 and gens:
+        atom = _ATOM_OF_LETTER[_LETTERS[lit.x | lit.z << 1]]
+        return _qtype(1, ((1, lit.phase, atom),))
+    # One real-phased row is its own reduced tableau.
+    tab = stabilizer.CanonicalTableau(n, gens, tuple(_pivot(g, n) for g in gens))
+    return _qtype(n, (), _from_tableau(tab), tuple(range(1, n + 1)))
 
 
 def _intersect_units(units: list[QType]) -> QType:
@@ -378,38 +435,55 @@ def _intersect_units(units: list[QType]) -> QType:
         if u.arity != arity:
             raise ParseError("mismatched arities in intersection")
         gens.extend(_flat_generators(u))
-    return QType.from_stab(StabType(arity, tuple(gens)))
+    # The one row reduction of a parsed intersection.
+    remainder = StabType(arity, tuple(gens))
+    return _qtype(arity, (), remainder, tuple(range(1, arity + 1)))
 
 
 def _merge(components: list[QType]) -> QType:
+    """The product of parsed components, on consecutive qubits.
+
+    Groups on disjoint qubits need no check, and the union of their
+    reduced tableaux, shifted onto the merged support and sorted by pivot,
+    is already the reduced tableau of the product: no row reduction.
+    """
+    if len(components) == 1:
+        return components[0]
     total = sum(c.arity for c in components)
     if any(c.top for c in components):
         return QType.top_type(total)
     factors: list[tuple[int, Phase, PauliAtom]] = []
-    placed_gens: list[tuple[tuple[int, ...], PauliString]] = []
     support: list[int] = []
+    placed: list[tuple[StabType, int]] = []  # each remainder, and its shift
     offset = 0
     for comp in components:
-        for k, phase, atom in comp.factors:
-            factors.append((k + offset, phase, atom))
+        factors.extend((k + offset, phase, atom) for k, phase, atom in comp.factors)
         if comp.remainder is not None:
-            positions = tuple(p + offset for p in comp.remainder_support)
-            support.extend(positions)
-            for g in comp.remainder.generators:
-                placed_gens.append((positions, g))
+            placed.append((comp.remainder, len(support)))
+            support.extend(p + offset for p in comp.remainder_support)
         offset += comp.arity
-    support_sorted = tuple(sorted(support))
-    if not support_sorted:
+    if not support:
         return QType(total, tuple(factors), None, ())
-    index = {pos: i + 1 for i, pos in enumerate(support_sorted)}
-    gens = tuple(
-        _pad(g, [index[pos] for pos in positions], len(support_sorted))
-        for positions, g in placed_gens
+    m = len(support)
+
+    def shifted(g: PauliString, shift: int) -> PauliString:
+        return from_bits(m, g.x << shift, g.z << shift, g.k)
+
+    gens = tuple(shifted(g, shift) for rem, shift in placed for g in rem.generators)
+    rows = sorted(
+        (shifted(g, shift) for rem, shift in placed for g in rem.tableau.rows),
+        key=lambda g: _pivot(g, m),
     )
-    remainder = StabType(len(support_sorted), gens)
-    return QType(total, tuple(factors), remainder, support_sorted)
+    tab = stabilizer.CanonicalTableau(m, tuple(rows), tuple(_pivot(g, m) for g in rows))
+    return QType(total, tuple(factors), _from_tableau(tab, gens), tuple(support))
 
 
 def parse_qtype(text: str) -> QType:
     """Parse the type syntax, e.g. ``Z x (XX & ZZ)`` or ``-Y x Z``."""
-    return _TypeParser(text).parse()
+    folded = text if text.isascii() else fold_unicode(text)
+    try:
+        return _TypeParser(folded).parse()
+    except ParseError as err:
+        if err.col is None or folded is text:
+            raise
+        raise ParseError(err.message, col=_unfolded_col(text, err.col)) from None

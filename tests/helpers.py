@@ -2,19 +2,20 @@
 enumeration, an atom-by-atom reference for the packed Pauli algebra, a
 member-based reference for separability, a per-measurement canonical
 reference for ``check``, per-string references for gate transport, a
-dense-product reference for the oracle, random circuits, and hypothesis
-strategies."""
+dense-product reference for the oracle, checking references for the
+``.qc`` and type parsers, random circuits, and hypothesis strategies."""
 
 import itertools
 import random
+import re
 
 import numpy as np
 from hypothesis import strategies as st
 
 from gottesman import oracle, stabilizer
 from gottesman.checker import Circuit, Measure
-from gottesman.errors import ArityError, TopOperandError, WireError
-from gottesman.gates import GateApp, GateSpec, apply_gate, standard_gates
+from gottesman.errors import ArityError, ParseError, TopOperandError, WireError
+from gottesman.gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
 from gottesman.pauli import (
     ONE,
     PauliAtom,
@@ -31,6 +32,7 @@ from gottesman.typesys import (
     _flat_generators,
     _from_tableau,
     factor_separable,
+    fold_unicode,
     normalize,
 )
 
@@ -451,6 +453,325 @@ def ref_verify_separability(s, k, samples, seed):
         if np.real(np.trace(rho @ rho)) < 1 - REF_TOLERANCE:
             return False
     return True
+
+# --- parser references ------------------------------------------------------
+# The ``.qc`` and type parsers as they were before parsing built what it
+# had checked without checking it again: every instruction goes through
+# GateApp's and Circuit's checks, and every literal, intersection and
+# product is row-reduced as a StabType of its own. Their one change is the
+# column fix: an error column counts the characters of the text as
+# written, so a ``⊗`` (which folds to nothing) before it is counted.
+
+_REF_WORD = re.compile(r"\S+")
+_REF_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_REF_TOKEN = re.compile(r"(->|&|x|\(|\)|[+-]?i?[IXYZT]+)")
+
+
+def _ref_words(text):
+    return [(m.group(0), m.start() + 1) for m in _REF_WORD.finditer(text)]
+
+
+def _ref_split_chunks(code):
+    chunks = []
+    start = 0
+    for part in code.split(";"):
+        if part.strip():
+            col = start + (len(part) - len(part.lstrip())) + 1
+            chunks.append((part.strip(), col))
+        start += len(part) + 1
+    return chunks
+
+
+def _ref_unfolded_col(raw, col):
+    """The column of ``raw`` whose folded prefix first reaches ``col`` characters."""
+    for i in range(1, len(raw) + 1):
+        if len(fold_unicode(raw[:i])) >= col:
+            return i
+    return len(raw) + col - len(fold_unicode(raw))
+
+
+class _RefFileParser:
+    def __init__(self, source):
+        self.lines = []
+        self.raw = {}
+        for ln, raw in enumerate(source.splitlines(), start=1):
+            self.raw[ln] = raw.split("--", 1)[0]
+            code = fold_unicode(self.raw[ln])
+            if code.strip():
+                self.lines.append((ln, code))
+        self.gates = dict(standard_gates())
+
+    def parse(self):
+        if not self.lines:
+            raise ParseError("missing 'qubits' header", line=1)
+        n_qubits = self._header(*self.lines[0])
+        rest = self.lines[1:]
+        input_type = None
+        if rest and rest[0][1].split()[0] == "input":
+            input_type = self._input_line(*rest[0], n_qubits)
+            rest = rest[1:]
+        instructions = []
+        for ln, code in rest:
+            stripped = code.strip()
+            if stripped.startswith("def ") or stripped == "def":
+                self._def_line(ln, code)
+                continue
+            for chunk_text, chunk_col in _ref_split_chunks(code):
+                instructions.append(
+                    self._instruction(ln, chunk_text, chunk_col, n_qubits)
+                )
+        return Circuit(n_qubits, tuple(instructions)), input_type
+
+    def _header(self, ln, code):
+        words = _ref_words(code)
+        if words[0][0] != "qubits":
+            raise ParseError("expected 'qubits N' header", line=ln, col=words[0][1])
+        if len(words) != 2 or not words[1][0].isdecimal() or int(words[1][0]) < 1:
+            raise ParseError("expected 'qubits N' with N >= 1", line=ln)
+        return int(words[1][0])
+
+    def _input_line(self, ln, code, n_qubits):
+        text = code.strip()[len("input") :]
+        offset = code.index("input") + len("input")
+        try:
+            q = ref_parse_qtype(text)
+        except ParseError as err:
+            col = offset + err.col if err.col is not None else None
+            raise ParseError(err.message, line=ln, col=col) from None
+        if q.arity != n_qubits:
+            raise ParseError(
+                f"input type covers {q.arity} qubits, circuit has {n_qubits}",
+                line=ln,
+            )
+        return q
+
+    def _def_line(self, ln, code):
+        if ":=" not in code:
+            raise ParseError("a 'def' needs ':=' before its body", line=ln)
+        head, body = code.split(":=", 1)
+        head_words = _ref_words(head)
+        if len(head_words) < 3:
+            raise ParseError("expected 'def NAME wires... := body'", line=ln)
+        name = head_words[1][0]
+        if not _REF_NAME.match(name):
+            raise ParseError(f"bad gate name {name!r}", line=ln, col=head_words[1][1])
+        if name == "MEAS":
+            msg = "MEAS is reserved for measurement"
+            raise ParseError(msg, line=ln, col=head_words[1][1])
+        if name in self.gates:
+            raise ParseError(f"gate {name!r} already defined", line=ln)
+        formals = [w for w, _ in head_words[2:]]
+        if len(set(formals)) != len(formals):
+            raise ParseError("formal wires must be distinct", line=ln)
+        wire_of = {f: i + 1 for i, f in enumerate(formals)}
+        body_start = code.index(":=") + 2
+        steps = []
+        for chunk_text, chunk_col in _ref_split_chunks(body):
+            col = body_start + chunk_col
+            words = _ref_words(chunk_text)
+            wires = []
+            for arg, acol in words[1:]:
+                if arg not in wire_of:
+                    raise ParseError(
+                        f"unknown formal wire {arg!r} in def body",
+                        line=ln,
+                        col=col + acol - 1,
+                    )
+                wires.append(wire_of[arg])
+            steps.append(self._gate_app(ln, col, words[0][0], wires))
+        self.gates[name] = derive_gate(name, len(formals), steps)
+
+    def _instruction(self, ln, text, col, n_qubits):
+        words = _ref_words(text)
+        name = words[0][0]
+        wires = []
+        for arg, acol in words[1:]:
+            if not arg.isdecimal():
+                raise ParseError(
+                    f"expected a wire number, got {arg!r}", line=ln, col=col + acol - 1
+                )
+            w = int(arg)
+            if not 1 <= w <= n_qubits:
+                raise ParseError(
+                    f"wire {w} out of range for {n_qubits} qubits",
+                    line=ln,
+                    col=col + acol - 1,
+                )
+            wires.append(w)
+        if name == "MEAS":
+            if len(wires) != 1:
+                raise ParseError("MEAS takes exactly one qubit", line=ln, col=col)
+            return Measure(wires[0])
+        return self._gate_app(ln, col, name, wires)
+
+    def _gate_app(self, ln, col, name, wires):
+        spec = self.gates.get(name)
+        if spec is None:
+            raise ParseError(f"unknown gate {name!r}", line=ln, col=col)
+        if len(wires) != spec.arity:
+            raise ParseError(
+                f"{name} needs {spec.arity} wires, got {len(wires)}", line=ln, col=col
+            )
+        if len(set(wires)) != len(wires):
+            raise ParseError(f"{name}: wires must be distinct", line=ln, col=col)
+        return GateApp(spec, tuple(wires))
+
+
+def ref_parse(source):
+    """``cli.parse`` by the reference: every object built with its checks."""
+    parser = _RefFileParser(source)
+    try:
+        return parser.parse()
+    except ParseError as err:
+        if err.line is None or err.col is None:
+            raise
+        col = _ref_unfolded_col(parser.raw[err.line], err.col)
+        raise ParseError(err.message, line=err.line, col=col) from None
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REF_TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", col=pos + 1)
+        tokens.append((m.group(0), pos + 1))
+        pos = m.end()
+    return tokens
+
+
+class _RefTypeParser:
+    def __init__(self, text):
+        self.tokens = _ref_tokenize(fold_unicode(text))
+        self.pos = 0
+
+    def peek(self):
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos][0]
+        return None
+
+    def next(self):
+        if self.pos >= len(self.tokens):
+            raise ParseError("unexpected end of type expression")
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, want):
+        tok, col = self.next()
+        if tok != want:
+            raise ParseError(f"expected {want!r}, got {tok!r}", col=col)
+
+    def parse(self):
+        q = self.product()
+        if self.pos < len(self.tokens):
+            tok, col = self.tokens[self.pos]
+            raise ParseError(f"unexpected {tok!r}", col=col)
+        return q
+
+    def product(self):
+        components = [self.component()]
+        while self.peek() == "x":
+            self.next()
+            components.append(self.component())
+        return _ref_merge(components)
+
+    def component(self):
+        units = [self.unit()]
+        while self.peek() == "&":
+            self.next()
+            units.append(self.unit())
+        if len(units) == 1:
+            return units[0]
+        return _ref_intersect_units(units)
+
+    def unit(self):
+        tok, col = self.next()
+        if tok == "(":
+            q = self.product()
+            self.expect(")")
+            return q
+        try:
+            lit = PauliString.parse(tok)
+        except ValueError:
+            raise ParseError(f"expected a Pauli literal, got {tok!r}", col=col) from None
+        return _ref_literal_qtype(lit)
+
+
+def _ref_literal_qtype(lit):
+    if lit.is_top:
+        return QType.top_type(lit.arity)
+    if (
+        lit.arity == 1
+        and lit.phase.is_real
+        and lit.atoms[0] in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z)
+    ):
+        return QType(1, ((1, lit.phase, lit.atoms[0]),), None, ())
+    return QType.from_stab(StabType(lit.arity, () if lit.is_identity else (lit,)))
+
+
+def _ref_intersect_units(units):
+    gens = []
+    arity = units[0].arity
+    for u in units:
+        if u.top:
+            raise ParseError("Top cannot appear inside an intersection")
+        if u.arity != arity:
+            raise ParseError("mismatched arities in intersection")
+        gens.extend(_flat_generators(u))
+    return QType.from_stab(StabType(arity, tuple(gens)))
+
+
+def _ref_merge(components):
+    total = sum(c.arity for c in components)
+    if any(c.top for c in components):
+        return QType.top_type(total)
+    factors = []
+    placed_gens = []
+    support = []
+    offset = 0
+    for comp in components:
+        for k, phase, atom in comp.factors:
+            factors.append((k + offset, phase, atom))
+        if comp.remainder is not None:
+            positions = tuple(p + offset for p in comp.remainder_support)
+            support.extend(positions)
+            for g in comp.remainder.generators:
+                placed_gens.append((positions, g))
+        offset += comp.arity
+    support_sorted = tuple(sorted(support))
+    if not support_sorted:
+        return QType(total, tuple(factors), None, ())
+    index = {pos: i + 1 for i, pos in enumerate(support_sorted)}
+    gens = tuple(
+        _ref_place(g, [index[pos] for pos in positions], len(support_sorted))
+        for positions, g in placed_gens
+    )
+    return QType(total, tuple(factors), StabType(len(support_sorted), gens), support_sorted)
+
+
+def _ref_place(g, positions, m):
+    """``g`` with its qubit j moved to qubit ``positions[j - 1]`` of m."""
+    atoms = [PauliAtom.I] * m
+    for atom, pos in zip(g.atoms, positions):
+        atoms[pos - 1] = atom
+    return PauliString(g.phase, tuple(atoms))
+
+
+def ref_parse_qtype(text):
+    """``parse_qtype`` by the reference: every literal, intersection and
+    product validated as a StabType of its own."""
+    try:
+        return _RefTypeParser(text).parse()
+    except ParseError as err:
+        if err.col is None:
+            raise
+        raise ParseError(err.message, col=_ref_unfolded_col(text, err.col)) from None
+
 
 CLIFFORD_1Q = ("H", "S", "Sdg", "X", "Y", "Z")
 CLIFFORD_2Q = ("CNOT", "CZ", "SWAP", "NOTC")

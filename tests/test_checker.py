@@ -403,9 +403,10 @@ def _random_source(n, rng, meas_every=8):
 
 
 def test_types_built_without_checks_are_well_formed(monkeypatch):
-    # normalize, measure, factor_separable, check and annotate build their
-    # results unchecked from a canonical tableau; each one must pass full
-    # validation and carry the canonical tableau of its generators.
+    # normalize, measure, factor_separable and check build their results
+    # unchecked from a canonical tableau, and annotate builds its entries
+    # unchecked; each one must pass full validation and carry the canonical
+    # tableau of its generators.
     from gottesman import checker, typesys
     from gottesman.cli import parse
     from gottesman.stabilizer import measure
@@ -414,7 +415,7 @@ def test_types_built_without_checks_are_well_formed(monkeypatch):
 
     built = []
 
-    # annotate passes its transported generators beside the tableau.
+    # A parsed product passes its generators beside the tableau.
     def recording(tab, *generators, build=typesys._from_tableau):
         built.append(build(tab, *generators))
         return built[-1]
@@ -437,6 +438,7 @@ def test_types_built_without_checks_are_well_formed(monkeypatch):
             for state in annotate(circuit, input_type):
                 if not state.top:
                     s = state.remainder
+                    built.append(s)  # its tableau is row-reduced on first use
                     normalize(s)
                     measure(s, rng.randrange(1, n + 1))
                     factor_separable(s)
@@ -597,3 +599,38 @@ def test_transport_matches_per_string_references():
             got = checker._states(measured, input_type, stabilizer.measure)
             assert list(got) == list(ref_states(measured, input_type))
     assert max(sizes) > 64 and min(sizes) <= 2 and defs >= 30 and tops >= 10
+
+
+def test_check_of_a_parsed_file_applies_each_gate_once_per_string(monkeypatch):
+    # The count CI's traced runs require: parsing derives the def (its 2 x 2
+    # unit strings through each body step), and check carries each of the n
+    # generators through each gate, once, whether or not the parser reused
+    # one GateApp for a recurring instruction. A second parse of the same
+    # text reuses nothing from the first.
+    from gottesman import gates
+    from gottesman.cli import parse
+    from helpers import ref_check
+
+    rng = random.Random(4401)
+    n, lines = 8, ["qubits 8", "def G a b := H a; CNOT a b; S b; CZ b a"]
+    for i in range(120):
+        a, b = rng.sample(range(1, 4), 2)  # few wires, so texts recur
+        lines.append(rng.choice((f"G {a} {b}", f"CNOT {a} {b}", f"H {a}", f"S {b}")))
+        if i % 10 == 9:
+            lines.append(f"MEAS {a}")
+    text = "\n".join(lines) + "\n"
+    calls = []
+
+    def counting(app, p, apply=gates.apply_gate):
+        calls.append(app)
+        return apply(app, p)
+
+    monkeypatch.setattr(gates, "apply_gate", counting)
+    for _ in range(2):
+        calls.clear()
+        circuit, _ = parse(text)
+        output = check(circuit, parse_qtype(" x ".join(["Z"] * n)))
+        apps = [ins for ins in circuit.instructions if isinstance(ins, GateApp)]
+        assert len(apps) == 120 and len({id(app) for app in apps}) < 40
+        assert len(calls) == n * len(apps) + 4 * 4
+    assert str(output) == str(ref_check(circuit, parse_qtype(" x ".join(["Z"] * n))))

@@ -1,10 +1,14 @@
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gottesman.checker import Measure
 from gottesman.cli import (
@@ -17,9 +21,11 @@ from gottesman.cli import (
     parse,
     run,
 )
-from gottesman.errors import ParseError
+from gottesman.errors import GottesmanError, ParseError
 from gottesman.gates import GateApp
 from gottesman.typesys import parse_qtype
+
+from helpers import random_stab_type, ref_parse, ref_parse_qtype
 
 CIRCUITS = pathlib.Path(__file__).resolve().parent.parent / "circuits"
 
@@ -267,6 +273,22 @@ class TestRunCheck:
         assert run(["check", path]) == EXIT_PARSE_ERROR
         assert capsys.readouterr().err == f"parse error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            # A tensor sign folds to nothing, but it takes a column as written.
+            ("qubits 1\ninput Z ⊗ Q\n", "unexpected character 'Q' at line 2, col 11"),
+            (
+                "qubits 2\nH 1 ⊗ ; H 9\n",
+                "wire 9 out of range for 2 qubits at line 2, col 11",
+            ),
+        ],
+    )
+    def test_columns_count_tensor_signs(self, capsys, tmp_path, source, message):
+        path = write(tmp_path, source)
+        assert run(["check", path]) == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_type_error_exit(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 1\ninput X & Z\nH 1\n")
         assert run(["check", path]) == EXIT_TYPE_ERROR
@@ -471,3 +493,194 @@ def test_only_verify_imports_numpy():
 
     assert not numpy_loaded("check", "tableau")
     assert numpy_loaded("verify")
+
+
+# --- the parser against its checking reference ---------------------------------
+
+_ONE_WIRE = ("H", "S", "Sdg", "X", "Y", "Z", "T", "Tdg")
+_TWO_WIRE = ("CNOT", "NOTC", "CZ", "SWAP")
+# What a single-token mutation puts in: names, keywords, wires in and out
+# of range, digits int() refuses, formals, type tokens and unicode aliases.
+_VOCAB = (
+    "H", "CNOT", "TOFFOLI", "G", "MEAS", "FROB", "def", "input", "qubits",
+    ":=", ";", "--", "0", "1", "2", "3", "9", "12", "²", "a", "b", "c",
+    "Q", "é", "⊗", "×", "∩", "−", "⊤", "&", "x",
+    "(", ")", "->", "iX", "-I", "II", "XX", "ZZ", "TT", "-iZ", "YZ",
+    "X⊗X", "1⊗2", "H⊗",
+)
+
+
+def _random_component(rng, m, top=True):
+    """A well-formed type over m qubits, in the input syntax; Top only if ``top``."""
+    roll = rng.random()
+    if m == 1 and roll < 0.5:
+        return rng.choice(("Z", "-Z", "X", "-X", "Y", "+Y", "I"))
+    if top and roll < 0.08:
+        return "T" * m
+    if m >= 2 and roll < 0.2:
+        return f"({_random_type(rng, m, top)})"
+    if m >= 2 and roll < 0.3:
+        # A parenthesized product inside an intersection.
+        rest = _random_component(rng, m - 1, top=False)
+        return f"(Z x {rest}) & Z{'I' * (m - 1)}"
+    gens = random_stab_type(m, rng, depth=6).generators
+    text = " & ".join(map(str, gens))
+    return f"({text})" if len(gens) > 1 and rng.random() < 0.3 else text
+
+
+def _random_type(rng, n, top=True):
+    parts = []
+    while n:
+        m = rng.randint(1, min(n, 3))
+        parts.append(_random_component(rng, m, top))
+        n -= m
+    return " x ".join(parts)
+
+
+def _unicode(rng, text):
+    """Swap in unicode aliases and split literals with a tensor sign."""
+    out = []
+    for i, ch in enumerate(text):
+        alias = {"&": "∩", "x": "×", "-": "−", "T": "⊤"}.get(ch)
+        out.append(alias if alias and rng.random() < 0.3 else ch)
+        if ch in "IXYZT" and text[i + 1 : i + 2] in ("I", "X", "Y", "Z", "T"):
+            if rng.random() < 0.15:
+                out.append("⊗")
+    return "".join(out)
+
+
+def _random_file(rng):
+    """A valid ``.qc`` text: an input type, a def, Clifford and T gates,
+    MEAS, comments, blank lines and several instructions to a line."""
+    n = rng.randint(1, 5)
+    lines = [f"qubits {n}"]
+    if rng.random() < 0.8:
+        lines.append(f"input {_unicode(rng, _random_type(rng, n))}")
+    two = _TWO_WIRE
+    if n >= 2 and rng.random() < 0.6:
+        steps = ("H a", "S b", "CNOT a b", "CZ b a", "SWAP a b")
+        body = [rng.choice(steps) for _ in range(rng.randint(1, 3))]
+        lines.append(f"def G a b := {'; '.join(body)}")
+        two += ("G",)
+
+    def instruction():
+        roll = rng.random()
+        if roll < 0.1:
+            return f"MEAS {rng.randint(1, n)}"
+        if n >= 3 and roll < 0.15:
+            return "TOFFOLI " + " ".join(map(str, rng.sample(range(1, n + 1), 3)))
+        if n >= 2 and roll < 0.6:
+            a, b = rng.sample(range(1, n + 1), 2)
+            return f"{rng.choice(two)} {a} {b}"
+        return f"{rng.choice(_ONE_WIRE)} {rng.randint(1, n)}"
+
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(rng.choice(("", "   ", "-- café ⊗ note")))
+            continue
+        chunks = [instruction() for _ in range(rng.randint(1, 3))]
+        line = rng.choice((";", "; ", " ;  ", ";;")).join(chunks)
+        if roll < 0.25:
+            line += " -- " + rng.choice(("comment", "H 9", "⊗"))
+        lines.append(rng.choice(("", " ", "\t")) + line)
+    return "\n".join(lines) + "\n"
+
+
+def _mutate(rng, text):
+    """One token of ``text`` replaced, deleted, or preceded or glued by a
+    token from ``_VOCAB``; in the input type for about a third of files."""
+    lines = text.split("\n")
+    if len(lines) > 2 and lines[1].startswith("input") and rng.random() < 0.35:
+        lines[1] = "input " + _mutate_token(rng, lines[1][len("input ") :])
+        return "\n".join(lines)
+    return _mutate_token(rng, text)
+
+
+def _mutate_token(rng, text):
+    pieces = re.split(r"(\s+)", text)
+    words = [i for i, piece in enumerate(pieces) if piece and not piece.isspace()]
+    i = rng.choice(words)
+    token = rng.choice(_VOCAB)
+    op = rng.randrange(4)
+    if op == 0:
+        pieces[i] = token
+    elif op == 1:
+        pieces[i] = ""
+    elif op == 2:
+        pieces[i] = f"{token} {pieces[i]}"
+    else:
+        pieces[i] += token
+    return "".join(pieces)
+
+
+def _outcome(parser, text):
+    try:
+        circuit, input_type = parser(text)
+    except ParseError as err:
+        return ("parse error", err.message, err.line, err.col)
+    except GottesmanError as err:
+        return (type(err).__name__, str(err))
+    tableau = None
+    if input_type is not None and input_type.remainder is not None:
+        tableau = input_type.remainder.tableau
+    return ("parsed", circuit, input_type, str(input_type), tableau)
+
+
+class TestParseMatchesReference:
+    """``parse`` checks each instruction and type once and builds what it
+    checked without checks; the reference builds everything with them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_valid_files_parse_alike(self, rng):
+        text = _random_file(rng)
+        want = _outcome(ref_parse, text)
+        assert want[0] == "parsed", want
+        assert _outcome(parse, text) == want
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_mutated_files_fail_alike(self, rng):
+        text = _mutate(rng, _random_file(rng))
+        assert _outcome(parse, text) == _outcome(ref_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_types_parse_alike(self, rng):
+        text = _unicode(rng, _random_type(rng, rng.randint(1, 6)))
+        if rng.random() < 0.7:
+            text = _mutate_token(rng, text)
+
+        def both(parser):
+            return _outcome(lambda t: (None, parser(t)), text)
+
+        assert both(parse_qtype) == both(ref_parse_qtype)
+
+    def test_mutations_reach_every_kind_of_fault(self):
+        # The mutations must reach the parse errors of instruction lines,
+        # def lines and types, and the type errors of ill-formed input.
+        rng = random.Random(2297)
+        seen = set()
+        for _ in range(3000):
+            text = _mutate(rng, _random_file(rng))
+            got = _outcome(parse, text)
+            assert got == _outcome(ref_parse, text)
+            seen.add(got[1].split("'")[0] if got[0] == "parse error" else got[0])
+        for fault in (
+            "parsed",
+            "IllFormedTypeError",
+            "unknown gate ",
+            "expected a wire number, got ",
+            "unexpected character ",
+            "expected a Pauli literal, got ",
+            "mismatched arities in intersection",
+            "Top cannot appear inside an intersection",
+            "unknown formal wire ",
+            "MEAS takes exactly one qubit",
+            "unexpected end of type expression",
+            "a ",  # a 'def' needs ':=' before its body
+        ):
+            assert fault in seen, (fault, sorted(seen))
+        for prefix in ("wire ", "input type covers "):
+            assert sum(s.startswith(prefix) for s in seen) > 1, prefix

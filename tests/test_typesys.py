@@ -298,6 +298,33 @@ class TestParsePrint:
         assert str(q) == "Z x Z x (ZI & IZ)"
         assert {k for k, _, _ in q.factors} == {1, 2}
 
+    def test_error_columns_count_tensor_signs(self):
+        # A tensor sign folds to nothing, but it takes a column as written.
+        for text, col in (("Z ⊗ Q", 5), ("X⊗X & ⊗ )", 9), ("Z⊗⊗Z x )", 8)):
+            with pytest.raises(ParseError) as err:
+                parse_qtype(text)
+            assert err.value.col == col, text
+
+    def test_one_row_reduction_per_parsed_type(self, monkeypatch):
+        # Literals are checked by their phase and products of checked
+        # components need no check: only the intersection is row-reduced.
+        from gottesman import stabilizer
+
+        wide = random_stab_type(64, random.Random(16), rank=16)
+        calls = []
+
+        def counting(arity, rows, echelon=stabilizer._echelon):
+            calls.append(arity)
+            return echelon(arity, rows)
+
+        monkeypatch.setattr(stabilizer, "_echelon", counting)
+        for text in ("XX & ZZ", "Z x (XX & ZZ)", " & ".join(map(str, wide.generators))):
+            calls.clear()
+            q = parse_qtype(text)
+            assert len(calls) == 1, text
+            rest = q.remainder
+            assert rest.tableau == StabType(rest.arity, rest.generators).tableau
+
 
 class TestArrow:
     def test_str(self):
