@@ -19,7 +19,7 @@ from .errors import (
     TopOperandError,
     WireError,
 )
-from .gates import GateApp, GateSpec, apply_gate, base_gates, derive_gate, standard_gates
+from .gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
 from .pauli import (
     MINUS_I,
     MINUS_ONE,
@@ -29,7 +29,6 @@ from .pauli import (
     PauliString,
     Phase,
     commutes,
-    embed,
     string_mul,
     tensor,
 )
@@ -39,14 +38,11 @@ from .stabilizer import (
     measure,
     measure_with_cost,
     member,
-    single_qubit_members,
 )
 from .typesys import (
-    ArrowJudgment,
     QType,
     StabType,
     factor_separable,
-    flatten,
     intersect,
     normalize,
     parse_qtype,
@@ -57,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityError",
-    "ArrowJudgment",
     "CanonicalTableau",
     "Circuit",
     "EmptyEigenspaceError",
@@ -84,14 +79,11 @@ __all__ = [
     "WireError",
     "annotate",
     "apply_gate",
-    "base_gates",
     "canonicalize",
     "check",
     "commutes",
     "derive_gate",
-    "embed",
     "factor_separable",
-    "flatten",
     "infer_tableau",
     "intersect",
     "measure",
@@ -99,7 +91,6 @@ __all__ = [
     "member",
     "normalize",
     "parse_qtype",
-    "single_qubit_members",
     "standard_gates",
     "string_mul",
     "tensor",

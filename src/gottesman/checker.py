@@ -19,13 +19,7 @@ from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
 from .gates import GateApp, _transport, _unit_images
 from .pauli import PauliString
-from .typesys import (
-    QType,
-    _flat_generators,
-    _from_tableau,
-    _unchecked,
-    factor_separable,
-)
+from .typesys import QType, _from_tableau, _unchecked, factor_separable
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,7 @@ def _states(circuit: Circuit, input_type: QType, measure):
             f"input arity {input_type.arity} does not match"
             f" {circuit.n_qubits}-qubit circuit"
         )
-    cur = None if input_type.top else list(_flat_generators(input_type))
+    cur = None if input_type.top else list(input_type.stab.generators)
     yield cur
     for ins in circuit.instructions:
         if isinstance(ins, Measure):
@@ -136,8 +130,7 @@ def _states(circuit: Circuit, input_type: QType, measure):
 def check(circuit: Circuit, input_type: QType) -> QType:
     """Transport a state type through the circuit, factored for output."""
     n = circuit.n_qubits
-    rest = input_type.remainder
-    pure = len(input_type.factors) + (rest.tableau.rank if rest else 0) == n
+    pure = not input_type.top and input_type.stab.tableau.rank == n
 
     def measure(source, k: int):
         """O(n) string products: a random outcome folds the carriers, keeping
@@ -166,9 +159,9 @@ def check(circuit: Circuit, input_type: QType) -> QType:
 def annotate(circuit: Circuit, input_type: QType) -> list[QType]:
     """The intermediate type before the first and after every instruction.
 
-    Entries are reported unfactored (the transported generators as they
-    stand), which is the per-line shape a hand derivation produces;
-    ``check`` applies the separability factoring to the final state.
+    Entries print unfactored (the transported generators as they stand,
+    formatted only when printed), which is the per-line shape a hand
+    derivation produces; ``check`` prints the final state factored.
     A MEAS entry is canonical: it comes from ``stabilizer.measure``.
     Entries are transported from the validated input: built without checks,
     and row-reduced only if their tableau is asked for.
@@ -179,5 +172,6 @@ def annotate(circuit: Circuit, input_type: QType) -> list[QType]:
         if state is None:
             out.append(QType.top_type(n))
         else:
-            out.append(QType.from_stab(_unchecked(n, tuple(state))))
+            stab = _unchecked(n, tuple(state))
+            out.append(QType(n, stab, stab))
     return out

@@ -11,8 +11,9 @@ Circuit files (``.qc``) look like:
 
 ``--`` starts a comment, instructions separate on ``;`` or newlines, and
 ``def NAME a b := H a; CNOT a b`` registers a derived gate over formal
-wires. Wire indices are 1-based. Unicode type operators are accepted on
-input; all output is ASCII.
+wires. Wire indices are 1-based. Unicode type operators are accepted in
+the input type and nowhere else: another non-ASCII character outside a
+comment is a parse error. All output is ASCII.
 
 Parsing checks each instruction, def step and input type once, where it
 is written, and a fault is reported at its line and column as written
@@ -36,8 +37,8 @@ import sys
 from .checker import Circuit, Measure, _circuit, annotate, check, infer_tableau
 from .errors import GottesmanError, OracleUnavailableError, ParseError
 from .gates import GateApp, GateSpec, _app, _units, derive_gate, standard_gates
-from .pauli import ONE, PauliAtom
-from .typesys import QType, _unfolded_col, flatten, fold_unicode, parse_qtype
+from .pauli import from_bits
+from .typesys import QType, _from_tableau, _reduced, parse_qtype
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -59,6 +60,14 @@ def _col(part: str, pos: int, i: int = 0) -> int:
     return pos + _words(part)[i][1]
 
 
+def _check_ascii(ln: int, code: str) -> None:
+    """Unicode aliases belong to the input type; on any other line a
+    non-ASCII character is a fault at its column."""
+    if not code.isascii():
+        col, ch = next((i, ch) for i, ch in enumerate(code, 1) if not ch.isascii())
+        raise ParseError(f"unexpected character {ch!r}", line=ln, col=col)
+
+
 class _FileParser:
     """Checks each instruction, def and type once, where it is written, and
     builds what it has checked without checking it again: a GateApp per
@@ -66,12 +75,8 @@ class _FileParser:
 
     def __init__(self, source: str):
         self.lines: list[tuple[int, str]] = []
-        # A line with unicode aliases, before folding, for its error columns.
-        self.unfolded: dict[int, str] = {}
         for ln, raw in enumerate(source.splitlines(), start=1):
             code = raw.split("--", 1)[0]
-            if not code.isascii():
-                self.unfolded[ln], code = code, fold_unicode(code)
             if code.strip():
                 self.lines.append((ln, code))
         self.gates: dict[str, GateSpec] = dict(standard_gates())
@@ -90,6 +95,7 @@ class _FileParser:
         # wherever it recurs in a file, as a def cannot replace a gate.
         known: dict = {}
         for ln, code in rest:
+            _check_ascii(ln, code)
             stripped = code.strip()
             if stripped.startswith("def ") or stripped == "def":
                 self._def_line(ln, code)
@@ -105,6 +111,7 @@ class _FileParser:
         return _circuit(n_qubits, tuple(instructions)), input_type
 
     def _header(self, ln: int, code: str) -> int:
+        _check_ascii(ln, code)
         words = _words(code)
         if words[0][0] != "qubits":
             raise ParseError("expected 'qubits N' header", line=ln, col=words[0][1])
@@ -202,15 +209,7 @@ class _FileParser:
 
 def parse(source: str) -> tuple[Circuit, QType | None]:
     """Parse circuit-file text into a Circuit and its optional input type."""
-    parser = _FileParser(source)
-    try:
-        return parser.parse()
-    except ParseError as err:
-        raw = parser.unfolded.get(err.line)
-        if raw is None or err.col is None:
-            raise
-        col = _unfolded_col(raw, err.col)
-        raise ParseError(err.message, line=err.line, col=col) from None
+    return _FileParser(source).parse()
 
 
 def _formal(w: int) -> str:
@@ -248,7 +247,8 @@ def format_source(circuit: Circuit, input_type: QType | None = None) -> str:
 
 
 def _default_input(n: int) -> QType:
-    return QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1)), None, ())
+    """Z x ... x Z: Z_1..Z_n are already a reduced tableau."""
+    return QType(n, _from_tableau(_reduced(n, [from_bits(n, 0, 1 << k) for k in range(n)])))
 
 
 def _qtype_record(q: QType) -> dict:
@@ -258,8 +258,8 @@ def _qtype_record(q: QType) -> dict:
         "top": False,
         "text": str(q),
         "factors": [
-            {"qubit": k, "sign": phase.sign, "basis": atom.letter}
-            for k, phase, atom in q.factors
+            {"qubit": k, "sign": p.phase.sign, "basis": str(p)[-1]}
+            for k, p in q.factors
         ],
         "remainder": {
             "support": list(q.remainder_support),
@@ -370,7 +370,7 @@ def _cmd_verify(args) -> int:
     if input_type is not None and not input_type.top:
         output = check(circuit, input_type)
         if not output.top:
-            flat_in, flat_out = flatten(input_type), flatten(output)
+            flat_in, flat_out = input_type.stab, output.stab
     # One pass of the circuit serves every conjugation and the transport.
     verdicts, residual = oracle.verify_claims(
         circuit,
@@ -394,7 +394,7 @@ def _cmd_verify(args) -> int:
         states = None
         if output.factors:
             states = oracle.sample_eigenstates(flat_out, args.samples, args.seed)
-        for k, _, _ in output.factors:
+        for k, _ in output.factors:
             checks += 1
             if not oracle.verify_separability(
                 flat_out, k, samples=args.samples, seed=args.seed, states=states

@@ -287,9 +287,3 @@ def standard_gates() -> Mapping[str, GateSpec]:
     )
     table = [h, s, sdg, t, tdg, x, y, z, cnot, notc, cz, swap, toffoli]
     return MappingProxyType({g.name: g for g in table})
-
-
-def base_gates() -> dict[str, GateSpec]:
-    """H, S, Sdg (as S;S;S), CNOT, T and Tdg (as seven T's)."""
-    gates = standard_gates()
-    return {name: gates[name] for name in ("H", "S", "Sdg", "CNOT", "T", "Tdg")}

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ArityError, TopOperandError, WireError
+from .errors import ArityError, TopOperandError
 
 
 @dataclass(frozen=True)
@@ -262,13 +262,3 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     if p.arity != q.arity:
         raise ArityError(f"cannot compare arity {p.arity} with arity {q.arity}")
     return not ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
-
-
-def embed(atom: PauliAtom, phase: Phase, k: int, n: int) -> PauliString:
-    """The string with ``atom`` at qubit k (1-based) of n and I elsewhere."""
-    if not 1 <= k <= n:
-        raise WireError(f"qubit {k} out of range for {n} qubits")
-    if atom is PauliAtom.TOP:
-        return PauliString.top(n)
-    bits = _LETTERS.index(atom.letter)  # x | z << 1
-    return from_bits(n, (bits & 1) << (k - 1), (bits >> 1) << (k - 1), phase.k)

@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ArityError, IllFormedTypeError, TopOperandError, WireError
-from .pauli import _LETTERS, PauliAtom, PauliString, Phase, from_bits, string_mul
+from .pauli import PauliString, Phase, from_bits, string_mul
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,8 @@ def member(tab: CanonicalTableau, p: PauliString) -> Optional[Phase]:
     return Phase(acc.k - p.k)
 
 
-def single_qubit_members(
-    tab: CanonicalTableau,
-) -> tuple[tuple[int, Phase, PauliAtom], ...]:
-    """All (k, phase, U) with phase*U_k in the group, sorted by k.
+def _single_qubit_members(tab: CanonicalTableau) -> tuple[tuple[int, PauliString], ...]:
+    """All (k, U) with U a one-qubit string and U_k in the group, by k.
 
     Each is a lone row of the reduced tableau: a member on qubit k is the
     sum of the rows pivoting in x_k or z_k, and two such rows would be
@@ -156,8 +154,8 @@ def single_qubit_members(
     found = []
     for row in tab.rows:
         if (row.x | row.z).bit_count() == 1:
-            atom = PauliAtom(_LETTERS[bool(row.x) | bool(row.z) << 1])
-            found.append(((row.x | row.z).bit_length(), row.phase, atom))
+            k = (row.x | row.z).bit_length()
+            found.append((k, from_bits(1, row.x >> (k - 1), row.z >> (k - 1), row.k)))
     return tuple(sorted(found, key=lambda f: f[0]))
 
 
@@ -196,7 +194,7 @@ def _measure_rows(
         if any(r.z & bit for r in gens):
             # Determined outcome if +-Z_k is in the group: the state is left
             # as it is, sign included (+-Z_k is then a lone row of the reduced
-            # tableau, see single_qubit_members). Otherwise adjoin +Z_k.
+            # tableau, see _single_qubit_members). Otherwise adjoin +Z_k.
             tab, ops = _echelon(arity, gens)
             if any(r.z == bit and not r.x for r in tab.rows):
                 return tab, ops

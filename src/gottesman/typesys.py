@@ -2,8 +2,12 @@
 
 A StabType is a finite generating set of commuting, Top-free Pauli strings
 of one arity whose generated group avoids -I; its meaning is the joint
-eigenspace structure of that group. A QType is a StabType with any
-provably separable qubits peeled off into single-qubit factors. Both are
+eigenspace structure of that group. A QType is the state type of a
+register: one StabType over all its qubits, or the whole-register Top.
+Separability is a fact about that one group, so a QType's factored view
+(its single-qubit factors and the remainder on the other qubits) is read
+off the group's canonical tableau on first use and cached. A parsed QType
+prints as written; every other one prints its factored view. Both are
 immutable and all operations are pure functions.
 
 The textual syntax (shared with the circuit files) uses ``&`` for
@@ -15,21 +19,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 from . import stabilizer
-from .errors import ArityError, IllFormedTypeError, ParseError, TopOperandError
-from .pauli import (
-    _ATOM_OF_LETTER,
-    _LETTERS,
-    PauliAtom,
-    PauliString,
-    Phase,
-    commutes,
-    embed,
-    from_bits,
-)
+from .errors import ArityError, IllFormedTypeError, ParseError
+from .pauli import PauliString, commutes, from_bits
 
 
 @dataclass(frozen=True)
@@ -140,112 +136,92 @@ def type_equal(s1: StabType, s2: StabType) -> bool:
     return s1.tableau.rows == s2.tableau.rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QType:
-    """A StabType with separable qubits factored into single-qubit bases.
+    """A state type: one StabType ``stab`` over all ``arity`` qubits, or the
+    whole-register Top when ``stab`` is None.
 
-    ``factors`` holds (qubit, phase, atom) triples with phase +-1 and atom
-    in {X, Y, Z}; ``remainder`` covers exactly the qubits in
-    ``remainder_support``. Factors and support together partition
-    1..arity. ``top`` marks the whole-register Top type, which carries no
-    other structure.
+    Which qubits separate is a fact about that group, not a second way to
+    store it: ``factors``, ``remainder`` and ``remainder_support`` are a
+    view read off the canonical tableau by :func:`factor_separable` on
+    first use, and cached. ``factors`` holds (qubit, one-qubit +-X/Y/Z
+    string) pairs by qubit; ``remainder`` is the group on the other
+    qubits, ``remainder_support``, or None when every qubit is a factor.
+    Equality is equality of groups. A type prints ``str(shown)`` when
+    ``shown`` is given (a parsed type's text, or the StabType whose
+    generators an ``annotate`` entry shows), and its factored view
+    otherwise.
     """
 
     arity: int
-    factors: tuple[tuple[int, Phase, PauliAtom], ...] = ()
-    remainder: Optional[StabType] = None
-    remainder_support: tuple[int, ...] = ()
-    top: bool = False
+    stab: Optional[StabType]
+    shown: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ArityError("a type needs at least one qubit")
-        factors = tuple(sorted(self.factors, key=lambda f: f[0]))
-        object.__setattr__(self, "factors", factors)
-        support = tuple(self.remainder_support)
-        object.__setattr__(self, "remainder_support", support)
-        if self.top:
-            if factors or support or self.remainder is not None:
-                raise IllFormedTypeError("the Top type carries no structure")
-            return
-        seen: set[int] = set()
-        for k in [k for k, _, _ in factors] + list(support):
-            if not 1 <= k <= self.arity or k in seen:
-                raise IllFormedTypeError(
-                    f"qubit {k} repeated or out of range for {self.arity} qubits"
-                )
-            seen.add(k)
-        for _, phase, atom in factors:
-            if atom not in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z):
-                raise IllFormedTypeError(f"factor basis must be X, Y or Z, got {atom}")
-            if not phase.is_real:
-                raise IllFormedTypeError(f"factor phase must be +-1, got {phase}")
-        if seen != set(range(1, self.arity + 1)):
-            raise IllFormedTypeError("factors and remainder must cover every qubit")
-        if support:
-            if self.remainder is None or self.remainder.arity != len(support):
-                raise ArityError("remainder arity must match its support")
-        elif self.remainder is not None:
-            raise ArityError("a remainder needs a support")
+        if self.stab is not None and self.stab.arity != self.arity:
+            raise ArityError(f"{self.arity}-qubit type of a {self.stab.arity}-qubit group")
 
     @classmethod
     def top_type(cls, n: int) -> "QType":
-        return cls(n, top=True)
+        return cls(n, None)
 
-    @classmethod
-    def from_stab(cls, s: StabType) -> "QType":
-        """Wrap a StabType unfactored (everything in the remainder)."""
-        return cls(s.arity, (), s, tuple(range(1, s.arity + 1)))
+    @property
+    def top(self) -> bool:
+        return self.stab is None
+
+    def _key(self) -> tuple:
+        return self.arity, None if self.stab is None else self.stab.tableau.rows
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QType):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def _view(self) -> tuple:
+        if self.stab is None:
+            return (), None, ()
+        return factor_separable(self.stab)._view
+
+    @property
+    def factors(self) -> tuple[tuple[int, PauliString], ...]:
+        return self._view[0]
+
+    @property
+    def remainder(self) -> Optional[StabType]:
+        return self._view[1]
+
+    @property
+    def remainder_support(self) -> tuple[int, ...]:
+        return self._view[2]
 
     def __str__(self) -> str:
-        if self.top:
+        if self.stab is None:
             return "T" * self.arity
-        support = self.remainder_support
+        if self.shown is not None:
+            return str(self.shown)
+        factors, rest, support = self._view
         if support and support[-1] - support[0] + 1 != len(support):
             # A remainder with a gap cannot be placed by position alone;
-            # the padded intersection form is unambiguous.
-            return " & ".join(map(str, _flat_generators(self))) or "I" * self.arity
-        parts: list[tuple[int, str]] = []
-        for k, phase, atom in self.factors:
-            parts.append((k, phase.prefix + atom.letter))
+            # the intersection of the tableau rows is unambiguous: the lone
+            # factor rows by qubit, then the others, in order.
+            rows = self.stab.tableau.rows
+            lone = [g for g in rows if (g.x | g.z).bit_count() == 1]
+            others = [g for g in rows if (g.x | g.z).bit_count() > 1]
+            lone.sort(key=lambda g: g.x | g.z)
+            return " & ".join(map(str, lone + others))
+        parts = [(k, str(p)) for k, p in factors]
         if support:
-            gens = self.remainder.generators
-            if not gens:
-                text = "I" * len(support)
-            else:
-                text = " & ".join(str(g) for g in gens)
-                if len(gens) > 1 and self.factors:
-                    text = f"({text})"
+            text = " & ".join(map(str, rest.generators)) or "I" * len(support)
+            if len(rest.generators) > 1 and factors:
+                text = f"({text})"
             parts.append((support[0], text))
-        parts.sort()
-        if not parts:
-            return "I" * self.arity
-        return " x ".join(text for _, text in parts)
-
-
-def flatten(q: QType) -> StabType:
-    """Re-embed factors and remainder into a single StabType."""
-    if q.top:
-        raise TopOperandError("the Top type has no generating set")
-    return StabType(q.arity, _flat_generators(q))
-
-
-def _flat_generators(q: QType) -> tuple[PauliString, ...]:
-    """The generators ``flatten`` validates, unchecked: disjoint ±1 factors
-    beside a validated remainder are well formed by construction."""
-    gens = [embed(atom, phase, k, q.arity) for k, phase, atom in q.factors]
-    if q.remainder is not None:
-        support = q.remainder_support
-        gens.extend(_pad(g, support, q.arity) for g in q.remainder.generators)
-    return tuple(gens)
-
-
-def _pad(g: PauliString, support: Sequence[int], n: int) -> PauliString:
-    x = z = 0
-    for j, pos in enumerate(support):
-        x |= (g.x >> j & 1) << (pos - 1)
-        z |= (g.z >> j & 1) << (pos - 1)
-    return from_bits(n, x, z, g.k)
+        return " x ".join(text for _, text in sorted(parts))
 
 
 def _pivot(g: PauliString, m: int) -> int:
@@ -254,52 +230,43 @@ def _pivot(g: PauliString, m: int) -> int:
     return (g.x & -g.x).bit_length() - 1 if g.x else m + (g.z & -g.z).bit_length() - 1
 
 
+def _reduced(m: int, rows) -> stabilizer.CanonicalTableau:
+    """The tableau of ``rows``, which must already be reduced, sorted by pivot."""
+    rows = sorted(rows, key=lambda g: _pivot(g, m))
+    return stabilizer.CanonicalTableau(m, tuple(rows), tuple(_pivot(g, m) for g in rows))
+
+
 def factor_separable(s: StabType) -> QType:
-    """Peel every qubit witnessed separable by a single-qubit member.
+    """The QType of ``s``, its factored view read off the tableau in one pass.
 
     A qubit k separates exactly when some +-U_k lies in the generated
     group; that member is a lone row of the reduced tableau. Every other
     row is I at k: it is zero in the witness's pivot column and commutes
     with the witness. So the remainder is those rows on the unpeeled
-    qubits, already reduced, and flattening the result generates the
-    same group as ``s``.
+    qubits, already reduced.
     """
     n, tab = s.arity, s.tableau
-    factors = stabilizer.single_qubit_members(tab)
-    peeled = sum(1 << (k - 1) for k, _, _ in factors)
+    factors = stabilizer._single_qubit_members(tab)
+    peeled = sum(1 << (k - 1) for k, _ in factors)
     support = tuple(o for o in range(1, n + 1) if not peeled >> (o - 1) & 1)
-    if not support:
-        return QType(n, factors, None, ())
-    m = len(support)
-    # A mask's binary numeral has qubit n first: keep the support's digits.
-    keep = itemgetter(*(n - o for o in reversed(support)))
+    remainder = None
+    if support:
+        m = len(support)
+        # A mask's binary numeral has qubit n first: keep the support's digits.
+        keep = itemgetter(*(n - o for o in reversed(support)))
 
-    def restrict(mask: int) -> int:
-        return int("".join(keep(format(mask, f"0{n}b"))), 2)
+        def restrict(mask: int) -> int:
+            return int("".join(keep(format(mask, f"0{n}b"))), 2)
 
-    rest = tuple(
-        from_bits(m, restrict(g.x), restrict(g.z), g.k)
-        for g in tab.rows
-        if not (g.x | g.z) & peeled
-    )
-    pivots = tuple(_pivot(g, m) for g in rest)
-    remainder = _from_tableau(stabilizer.CanonicalTableau(m, rest, pivots))
-    return QType(n, factors, remainder, support)
-
-
-@dataclass(frozen=True)
-class ArrowJudgment:
-    """A circuit judgment ``input -> output`` over one register size."""
-
-    input: QType
-    output: QType
-
-    def __post_init__(self) -> None:
-        if self.input.arity != self.output.arity:
-            raise ArityError("arrow input and output must have equal arity")
-
-    def __str__(self) -> str:
-        return f"{self.input} -> {self.output}"
+        rest = [
+            from_bits(m, restrict(g.x), restrict(g.z), g.k)
+            for g in tab.rows
+            if not (g.x | g.z) & peeled
+        ]
+        remainder = _from_tableau(_reduced(m, rest))
+    q = QType(n, s)
+    q.__dict__["_view"] = factors, remainder, support
+    return q
 
 
 # --- textual syntax ---------------------------------------------------------
@@ -336,13 +303,25 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+class _Part(NamedTuple):
+    """A parsed unit, component or product: its group (None for Top), its
+    text rebuilt from its tokens, and the column where it starts."""
+
+    arity: int
+    stab: Optional[StabType]
+    text: str
+    col: int
+
+
 class _TypeParser:
     """Checks each literal and each intersection once, where it is written;
     literals and products are built without a row reduction (see ``_merge``)."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
+        self.end = len(text) + 1  # the column just past the text
         self.pos = 0
+        self.literals: dict[str, _Part] = {}  # each checked once per text
 
     def peek(self) -> Optional[str]:
         if self.pos < len(self.tokens):
@@ -351,7 +330,7 @@ class _TypeParser:
 
     def next(self) -> tuple[str, int]:
         if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of type expression")
+            raise ParseError("unexpected end of type expression", col=self.end)
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -362,124 +341,98 @@ class _TypeParser:
             raise ParseError(f"expected {want!r}, got {tok!r}", col=col)
 
     def parse(self) -> QType:
-        q = self.product()
+        part = self.product()
         if self.pos < len(self.tokens):
             tok, col = self.tokens[self.pos]
             raise ParseError(f"unexpected {tok!r}", col=col)
-        return q
+        return QType(part.arity, part.stab, None if part.stab is None else part.text)
 
-    def product(self) -> QType:
+    def product(self) -> _Part:
         components = [self.component()]
         while self.peek() == "x":
             self.next()
             components.append(self.component())
-        return _merge(components)
+        return _merge(components) if len(components) > 1 else components[0]
 
-    def component(self) -> QType:
+    def component(self) -> _Part:
         units = [self.unit()]
         while self.peek() == "&":
             self.next()
             units.append(self.unit())
-        if len(units) == 1:
-            return units[0]
-        return _intersect_units(units)
+        return _intersect_units(units) if len(units) > 1 else units[0]
 
-    def unit(self) -> QType:
+    def unit(self) -> _Part:
         tok, col = self.next()
         if tok == "(":
-            q = self.product()
+            part = self.product()
             self.expect(")")
-            return q
-        try:
-            lit = PauliString.parse(tok)
-        except ValueError:
-            raise ParseError(f"expected a Pauli literal, got {tok!r}", col=col) from None
-        return _literal_qtype(lit)
+            return part._replace(text=f"({part.text})", col=col)
+        part = self.literals.get(tok)
+        if part is None:
+            part = self.literals[tok] = _literal(tok, col)
+        return part._replace(col=col)
 
 
-def _qtype(arity: int, factors=(), remainder=None, support=()) -> QType:
-    """``QType(arity, factors, remainder, support)`` built without checks.
-
-    Not validated: ``factors`` must be sorted by qubit and, with the
-    ascending ``support``, partition 1..arity, as the type parser builds them.
-    """
-    q = object.__new__(QType)
-    object.__setattr__(q, "arity", arity)
-    object.__setattr__(q, "factors", factors)
-    object.__setattr__(q, "remainder", remainder)
-    object.__setattr__(q, "remainder_support", support)
-    object.__setattr__(q, "top", False)
-    return q
-
-
-def _literal_qtype(lit: PauliString) -> QType:
+def _literal(tok: str, col: int) -> _Part:
+    try:
+        lit = PauliString.parse(tok)
+    except ValueError:
+        raise ParseError(f"expected a Pauli literal, got {tok!r}", col=col) from None
+    n = lit.arity
     if lit.is_top:
-        return QType.top_type(lit.arity)
+        return _Part(n, None, str(lit), col)
     if lit.k & 1 or lit.k and not lit.x | lit.z:
-        StabType(lit.arity, (lit,))  # raises: -I is in the literal's group
-    n, gens = lit.arity, ((lit,) if lit.x | lit.z else ())
-    if n == 1 and gens:
-        atom = _ATOM_OF_LETTER[_LETTERS[lit.x | lit.z << 1]]
-        return _qtype(1, ((1, lit.phase, atom),))
+        StabType(n, (lit,))  # raises: -I is in the literal's group
     # One real-phased row is its own reduced tableau.
-    tab = stabilizer.CanonicalTableau(n, gens, tuple(_pivot(g, n) for g in gens))
-    return _qtype(n, (), _from_tableau(tab), tuple(range(1, n + 1)))
+    tab = _reduced(n, (lit,) if lit.x | lit.z else ())
+    return _Part(n, _from_tableau(tab), str(lit), col)
 
 
-def _intersect_units(units: list[QType]) -> QType:
-    gens: list[PauliString] = []
+def _intersect_units(units: list[_Part]) -> _Part:
     arity = units[0].arity
     for u in units:
-        if u.top:
-            raise ParseError("Top cannot appear inside an intersection")
+        if u.stab is None:
+            raise ParseError("Top cannot appear inside an intersection", col=u.col)
         if u.arity != arity:
-            raise ParseError("mismatched arities in intersection")
-        gens.extend(_flat_generators(u))
+            raise ParseError("mismatched arities in intersection", col=u.col)
     # The one row reduction of a parsed intersection.
-    remainder = StabType(arity, tuple(gens))
-    return _qtype(arity, (), remainder, tuple(range(1, arity + 1)))
+    stab = StabType(arity, tuple(g for u in units for g in u.stab.generators))
+    return _Part(arity, stab, " & ".join(u.text for u in units), units[0].col)
 
 
-def _merge(components: list[QType]) -> QType:
+def _merge(components: list[_Part]) -> _Part:
     """The product of parsed components, on consecutive qubits.
 
     Groups on disjoint qubits need no check, and the union of their
-    reduced tableaux, shifted onto the merged support and sorted by pivot,
-    is already the reduced tableau of the product: no row reduction.
+    reduced tableaux, shifted into place and sorted by pivot, is already
+    the reduced tableau of the product: no row reduction.
     """
-    if len(components) == 1:
-        return components[0]
     total = sum(c.arity for c in components)
-    if any(c.top for c in components):
-        return QType.top_type(total)
-    factors: list[tuple[int, Phase, PauliAtom]] = []
-    support: list[int] = []
-    placed: list[tuple[StabType, int]] = []  # each remainder, and its shift
-    offset = 0
-    for comp in components:
-        factors.extend((k + offset, phase, atom) for k, phase, atom in comp.factors)
-        if comp.remainder is not None:
-            placed.append((comp.remainder, len(support)))
-            support.extend(p + offset for p in comp.remainder_support)
-        offset += comp.arity
-    if not support:
-        return QType(total, tuple(factors), None, ())
-    m = len(support)
+    text = " x ".join(c.text for c in components)
+    col = components[0].col
+    if any(c.stab is None for c in components):
+        return _Part(total, None, text, col)
 
-    def shifted(g: PauliString, shift: int) -> PauliString:
-        return from_bits(m, g.x << shift, g.z << shift, g.k)
+    def shifted(strings, offset: int) -> list[PauliString]:
+        return [from_bits(total, g.x << offset, g.z << offset, g.k) for g in strings]
 
-    gens = tuple(shifted(g, shift) for rem, shift in placed for g in rem.generators)
-    rows = sorted(
-        (shifted(g, shift) for rem, shift in placed for g in rem.tableau.rows),
-        key=lambda g: _pivot(g, m),
-    )
-    tab = stabilizer.CanonicalTableau(m, tuple(rows), tuple(_pivot(g, m) for g in rows))
-    return QType(total, tuple(factors), _from_tableau(tab, gens), tuple(support))
+    gens, rows, offset = [], [], 0
+    for c in components:
+        placed = shifted(c.stab.tableau.rows, offset)
+        rows += placed
+        same = c.stab.generators is c.stab.tableau.rows  # as for each literal
+        gens += placed if same else shifted(c.stab.generators, offset)
+        offset += c.arity
+    return _Part(total, _from_tableau(_reduced(total, rows), tuple(gens)), text, col)
 
 
 def parse_qtype(text: str) -> QType:
-    """Parse the type syntax, e.g. ``Z x (XX & ZZ)`` or ``-Y x Z``."""
+    """Parse the type syntax, e.g. ``Z x (XX & ZZ)`` or ``-Y x Z``.
+
+    The type prints as written, rebuilt from its tokens: unicode aliases
+    folded, each literal as ``PauliString`` prints it, one space around
+    ``x`` and ``&`` and none inside parentheses. A Top type prints as Top.
+    """
     folded = text if text.isascii() else fold_unicode(text)
     try:
         return _TypeParser(folded).parse()

@@ -16,25 +16,9 @@ from gottesman import oracle, stabilizer
 from gottesman.checker import Circuit, Measure
 from gottesman.errors import ArityError, ParseError, TopOperandError, WireError
 from gottesman.gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
-from gottesman.pauli import (
-    ONE,
-    PauliAtom,
-    PauliString,
-    Phase,
-    embed,
-    from_bits,
-    string_mul,
-)
+from gottesman.pauli import ONE, PauliAtom, PauliString, Phase, from_bits, string_mul
 from gottesman.stabilizer import canonicalize, member
-from gottesman.typesys import (
-    QType,
-    StabType,
-    _flat_generators,
-    _from_tableau,
-    factor_separable,
-    fold_unicode,
-    normalize,
-)
+from gottesman.typesys import QType, StabType, _from_tableau, factor_separable, fold_unicode
 
 # Independent single-qubit matrices; deliberately not imported from the
 # package so matrix-level assertions do not share code with what they test.
@@ -70,6 +54,16 @@ def brute_force_group(gens) -> dict[tuple, int]:
 
 
 ALL_ATOMS = (PauliAtom.I, PauliAtom.X, PauliAtom.Y, PauliAtom.Z)
+
+
+def embed(atom, phase, k, n):
+    """The string with ``atom`` at qubit k (1-based) of n and I elsewhere,
+    built atom by atom: the references' single-qubit strings."""
+    if not 1 <= k <= n:
+        raise WireError(f"qubit {k} out of range for {n} qubits")
+    atoms = [PauliAtom.I] * n
+    atoms[k - 1] = atom
+    return PauliString(phase, atoms)
 
 
 # --- atom-by-atom reference ---------------------------------------------------
@@ -215,14 +209,15 @@ def ref_measure(arity, gens, k):
 
 
 def ref_single_qubit_members(tab):
-    """All (k, phase, U) with phase*U_k in the group, one member call each."""
+    """All (k, U) with U a one-qubit string and U_k in the group, one member
+    call for each of X, Y and Z on each qubit."""
     found = []
     for k in range(1, tab.arity + 1):
         for atom in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z):
             q = member(tab, embed(atom, ONE, k, tab.arity))
             if q is not None:
                 assert q.is_real, "group elements square to I, so phases are real"
-                found.append((k, q, atom))
+                found.append((k, PauliString(q, (atom,))))
     return tuple(found)
 
 
@@ -235,21 +230,20 @@ def _ref_restrict(g, support):
 
 
 def ref_factor_separable(s):
-    """The QType of ``s`` with every witnessed qubit peeled."""
+    """The factored view of ``s``: (factors, remainder, remainder support)
+    with every witnessed qubit peeled."""
     singles = ref_single_qubit_members(s.tableau)
-    if not singles:
-        return QType.from_stab(normalize(s))
-    witnesses = {k: embed(atom, phase, k, s.arity) for k, phase, atom in singles}
+    witnesses = {k: embed(u.atoms[0], u.phase, k, s.arity) for k, u in singles}
     work = list(s.tableau.rows)
     for k, witness in witnesses.items():
         bit = 1 << (k - 1)
         work = [string_mul(witness, g) if (g.x | g.z) & bit else g for g in work]
     support = tuple(o for o in range(1, s.arity + 1) if o not in witnesses)
     if not support:
-        return QType(s.arity, singles, None, ())
+        return singles, None, ()
     rest = [_ref_restrict(g, support) for g in work if g.x | g.z]
     tab = canonicalize(rest or StabType(len(support), ()))
-    return QType(s.arity, singles, _from_tableau(tab), support)
+    return singles, _from_tableau(tab), support
 
 
 # --- per-measurement canonical reference for check ---------------------------
@@ -262,7 +256,7 @@ def ref_states(circuit, input_type):
     """The generators (or None once Top) before and after each instruction."""
     if input_type.arity != circuit.n_qubits:
         raise ArityError("input arity does not match the circuit")
-    cur = None if input_type.top else list(_flat_generators(input_type))
+    cur = None if input_type.top else list(input_type.stab.generators)
     yield cur
     for ins in circuit.instructions:
         if isinstance(ins, Measure):
@@ -293,7 +287,7 @@ def ref_annotate(circuit, input_type):
     """The trace strings, each state unfactored."""
     n = circuit.n_qubits
     return [
-        str(QType.top_type(n) if s is None else QType.from_stab(StabType(n, tuple(s))))
+        str(QType.top_type(n) if s is None else StabType(n, tuple(s)))
         for s in ref_states(circuit, input_type)
     ]
 
@@ -458,9 +452,13 @@ def ref_verify_separability(s, k, samples, seed):
 # The ``.qc`` and type parsers as they were before parsing built what it
 # had checked without checking it again: every instruction goes through
 # GateApp's and Circuit's checks, and every literal, intersection and
-# product is row-reduced as a StabType of its own. Their one change is the
-# column fix: an error column counts the characters of the text as
-# written, so a ``⊗`` (which folds to nothing) before it is counted.
+# product is row-reduced as a StabType of its own. Their changes since: an
+# error column counts the characters of the text as written, so a ``⊗``
+# (which folds to nothing) before it is counted; only the input type is
+# folded, and a non-ASCII character on another line is a fault at its
+# column; a type fault without a place of its own (the end of the text, an
+# intersection's mismatched or Top unit) is reported at a column; and a
+# parsed type prints its tokens, rejoined.
 
 _REF_WORD = re.compile(r"\S+")
 _REF_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -490,13 +488,17 @@ def _ref_unfolded_col(raw, col):
     return len(raw) + col - len(fold_unicode(raw))
 
 
+def _ref_ascii(ln, code):
+    for col, ch in enumerate(code, start=1):
+        if ord(ch) > 127:
+            raise ParseError(f"unexpected character {ch!r}", line=ln, col=col)
+
+
 class _RefFileParser:
     def __init__(self, source):
         self.lines = []
-        self.raw = {}
         for ln, raw in enumerate(source.splitlines(), start=1):
-            self.raw[ln] = raw.split("--", 1)[0]
-            code = fold_unicode(self.raw[ln])
+            code = raw.split("--", 1)[0]
             if code.strip():
                 self.lines.append((ln, code))
         self.gates = dict(standard_gates())
@@ -504,6 +506,7 @@ class _RefFileParser:
     def parse(self):
         if not self.lines:
             raise ParseError("missing 'qubits' header", line=1)
+        _ref_ascii(*self.lines[0])
         n_qubits = self._header(*self.lines[0])
         rest = self.lines[1:]
         input_type = None
@@ -512,6 +515,7 @@ class _RefFileParser:
             rest = rest[1:]
         instructions = []
         for ln, code in rest:
+            _ref_ascii(ln, code)
             stripped = code.strip()
             if stripped.startswith("def ") or stripped == "def":
                 self._def_line(ln, code)
@@ -619,14 +623,7 @@ class _RefFileParser:
 
 def ref_parse(source):
     """``cli.parse`` by the reference: every object built with its checks."""
-    parser = _RefFileParser(source)
-    try:
-        return parser.parse()
-    except ParseError as err:
-        if err.line is None or err.col is None:
-            raise
-        col = _ref_unfolded_col(parser.raw[err.line], err.col)
-        raise ParseError(err.message, line=err.line, col=col) from None
+    return _RefFileParser(source).parse()
 
 
 def _ref_tokenize(text):
@@ -645,8 +642,12 @@ def _ref_tokenize(text):
 
 
 class _RefTypeParser:
+    """Each parse step returns ``(QType, column)``."""
+
     def __init__(self, text):
-        self.tokens = _ref_tokenize(fold_unicode(text))
+        folded = fold_unicode(text)
+        self.tokens = _ref_tokenize(folded)
+        self.end = len(folded) + 1
         self.pos = 0
 
     def peek(self):
@@ -656,7 +657,7 @@ class _RefTypeParser:
 
     def next(self):
         if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of type expression")
+            raise ParseError("unexpected end of type expression", col=self.end)
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -667,18 +668,27 @@ class _RefTypeParser:
             raise ParseError(f"expected {want!r}, got {tok!r}", col=col)
 
     def parse(self):
-        q = self.product()
+        q, _ = self.product()
         if self.pos < len(self.tokens):
             tok, col = self.tokens[self.pos]
             raise ParseError(f"unexpected {tok!r}", col=col)
-        return q
+        if q.top:
+            return q
+        # The text as written: its tokens, each literal as PauliString
+        # prints it, one space apart except inside parentheses.
+        words = [
+            str(PauliString.parse(tok)) if tok[-1] in "IXYZT" else tok
+            for tok, _ in self.tokens
+        ]
+        text = " ".join(words).replace("( ", "(").replace(" )", ")")
+        return QType(q.arity, q.stab, text)
 
     def product(self):
         components = [self.component()]
         while self.peek() == "x":
             self.next()
             components.append(self.component())
-        return _ref_merge(components)
+        return _ref_merge([q for q, _ in components]), components[0][1]
 
     def component(self):
         units = [self.unit()]
@@ -687,71 +697,46 @@ class _RefTypeParser:
             units.append(self.unit())
         if len(units) == 1:
             return units[0]
-        return _ref_intersect_units(units)
+        return _ref_intersect_units(units), units[0][1]
 
     def unit(self):
         tok, col = self.next()
         if tok == "(":
-            q = self.product()
+            q, _ = self.product()
             self.expect(")")
-            return q
+            return q, col
         try:
             lit = PauliString.parse(tok)
         except ValueError:
             raise ParseError(f"expected a Pauli literal, got {tok!r}", col=col) from None
-        return _ref_literal_qtype(lit)
-
-
-def _ref_literal_qtype(lit):
-    if lit.is_top:
-        return QType.top_type(lit.arity)
-    if (
-        lit.arity == 1
-        and lit.phase.is_real
-        and lit.atoms[0] in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z)
-    ):
-        return QType(1, ((1, lit.phase, lit.atoms[0]),), None, ())
-    return QType.from_stab(StabType(lit.arity, () if lit.is_identity else (lit,)))
+        if lit.is_top:
+            return QType.top_type(lit.arity), col
+        return QType(lit.arity, StabType(lit.arity, () if lit.is_identity else (lit,))), col
 
 
 def _ref_intersect_units(units):
     gens = []
-    arity = units[0].arity
-    for u in units:
+    arity = units[0][0].arity
+    for u, col in units:
         if u.top:
-            raise ParseError("Top cannot appear inside an intersection")
+            raise ParseError("Top cannot appear inside an intersection", col=col)
         if u.arity != arity:
-            raise ParseError("mismatched arities in intersection")
-        gens.extend(_flat_generators(u))
-    return QType.from_stab(StabType(arity, tuple(gens)))
+            raise ParseError("mismatched arities in intersection", col=col)
+        gens.extend(u.stab.generators)
+    return QType(arity, StabType(arity, tuple(gens)))
 
 
 def _ref_merge(components):
     total = sum(c.arity for c in components)
     if any(c.top for c in components):
         return QType.top_type(total)
-    factors = []
-    placed_gens = []
-    support = []
+    gens = []
     offset = 0
     for comp in components:
-        for k, phase, atom in comp.factors:
-            factors.append((k + offset, phase, atom))
-        if comp.remainder is not None:
-            positions = tuple(p + offset for p in comp.remainder_support)
-            support.extend(positions)
-            for g in comp.remainder.generators:
-                placed_gens.append((positions, g))
+        positions = range(offset + 1, offset + comp.arity + 1)
+        gens.extend(_ref_place(g, positions, total) for g in comp.stab.generators)
         offset += comp.arity
-    support_sorted = tuple(sorted(support))
-    if not support_sorted:
-        return QType(total, tuple(factors), None, ())
-    index = {pos: i + 1 for i, pos in enumerate(support_sorted)}
-    gens = tuple(
-        _ref_place(g, [index[pos] for pos in positions], len(support_sorted))
-        for positions, g in placed_gens
-    )
-    return QType(total, tuple(factors), StabType(len(support_sorted), gens), support_sorted)
+    return QType(total, StabType(total, tuple(gens)))
 
 
 def _ref_place(g, positions, m):
@@ -789,6 +774,12 @@ def random_clifford_circuit(n, n_gates, rng: random.Random) -> Circuit:
             name = rng.choice(CLIFFORD_1Q)
             apps.append(GateApp(gates[name], (rng.randrange(1, n + 1),)))
     return Circuit(n, tuple(apps))
+
+
+def all_z(n):
+    """The all-Z input type Z x ... x Z over n qubits."""
+    zs = tuple(embed(PauliAtom.Z, ONE, k, n) for k in range(1, n + 1))
+    return QType(n, StabType(n, zs))
 
 
 def random_stab_type(n, rng: random.Random, rank=None, depth=20) -> StabType:

@@ -10,16 +10,9 @@ from gottesman.errors import ArityError, MeasurementError, TopOperandError, Wire
 from gottesman.gates import GateApp, standard_gates
 from gottesman.pauli import ONE, PauliAtom, PauliString, string_mul
 from gottesman.stabilizer import canonicalize
-from gottesman.typesys import (
-    QType,
-    StabType,
-    factor_separable,
-    flatten,
-    parse_qtype,
-    type_equal,
-)
+from gottesman.typesys import QType, StabType, factor_separable, parse_qtype, type_equal
 
-from helpers import random_clifford_circuit
+from helpers import all_z, random_clifford_circuit
 
 GATES = standard_gates()
 
@@ -86,7 +79,7 @@ class TestCheck:
     def test_ghz_split(self):
         out = check(GHZ + circ(3, "CNOT 2 1"), parse_qtype("Z x Z x Z"))
         assert str(out) == "Z x (XX & ZZ)"
-        assert type_equal(flatten(out), StabType.of("ZII", "IXX", "IZZ"))
+        assert type_equal(out.stab, StabType.of("ZII", "IXX", "IZZ"))
 
     def test_ghz_untangle(self):
         out = check(GHZ + circ(3, "CNOT 2 1", "CNOT 3 2"), parse_qtype("Z x Z x Z"))
@@ -109,7 +102,7 @@ class TestCheck:
         # Z_1 is not in the group of ZZ, so +Z_1 joins the generators.
         out = check(circ(2, "MEAS 1"), parse_qtype("ZZ"))
         assert str(out) == "Z x Z"
-        assert str(flatten(out)) == "ZI & IZ"
+        assert str(out.stab) == "ZI & IZ"
 
     def test_t_gate_tops_out(self):
         out = check(circ(1, "T 1"), parse_qtype("X"))
@@ -214,7 +207,7 @@ class TestAnnotate:
 
 def test_tableau_matches_oracle_on_random_circuits():
     from gottesman import oracle
-    from gottesman.pauli import ONE, PauliAtom, embed
+    from helpers import embed
 
     rng = random.Random(99)
     for _ in range(25):
@@ -240,9 +233,9 @@ def test_transport_preserves_eigenstates():
         from helpers import random_stab_type
 
         s = random_stab_type(n, rng)
-        out = check(c, QType.from_stab(s))
+        out = check(c, QType(n, s))
         residual = oracle.transport_residual(
-            c, s, flatten(out).generators, samples=4, seed=trial
+            c, s, out.stab.generators, samples=4, seed=trial
         )
         assert residual < 1e-9
 
@@ -260,10 +253,10 @@ def test_output_eigenspace_is_exact_image_of_input():
         n = rng.randrange(2, 5)
         circuit = random_clifford_circuit(n, rng.randrange(1, 15), rng)
         input_type = random_stab_type(n, rng, rank=n)
-        out = check(circuit, QType.from_stab(input_type))
+        out = check(circuit, QType(n, input_type))
         u = ref_unitary(circuit)
         p_in = ref_projector(input_type)
-        p_out = ref_projector(flatten(out))
+        p_out = ref_projector(out.stab)
         assert np.max(np.abs(p_out - u @ p_in @ u.conj().T)) < 1e-9
 
 
@@ -274,9 +267,9 @@ def test_measurement_rewrite_sound_against_dense_projection():
     # lie in the +1 eigenspace of every output generator.
     import numpy as np
 
-    from gottesman.pauli import MINUS_ONE, ONE, PauliAtom, embed
+    from gottesman.pauli import MINUS_ONE
     from gottesman.stabilizer import canonicalize, measure, member
-    from helpers import random_stab_type, ref_sample_eigenstates, string_matrix
+    from helpers import embed, random_stab_type, ref_sample_eigenstates, string_matrix
 
     rng = random.Random(9807)
     outcomes = {"random": 0, "+1": 0, "-1": 0}
@@ -342,8 +335,8 @@ def test_check_factors_by_reading_tableau_rows(monkeypatch):
     # output has hundreds of factors beside an entangled remainder, then
     # again with a random and two determined measurements appended.
     n = 512
-    all_z = QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1)))
     circuit = random_clifford_circuit(n, 2000, random.Random(512))
+    input_type = all_z(n)
     counts = {
         f.__name__: _count_calls(monkeypatch, f)
         for f in (stabilizer.member, stabilizer.canonicalize, string_mul)
@@ -357,18 +350,18 @@ def test_check_factors_by_reading_tableau_rows(monkeypatch):
         return q
 
     monkeypatch.setattr(checker, "factor_separable", counted_factoring)
-    out = check(circuit, all_z)
+    out = check(circuit, input_type)
     assert len(out.factors) >= 100 and out.remainder.generators
     entangled = out.remainder_support[0]
-    z_factor = next(k for k, _, atom in out.factors if atom is PauliAtom.Z)
+    z_factor = next(k for k, p in out.factors if p == P("Z"))
     measured = Circuit(
         n,
         circuit.instructions + (Measure(entangled), Measure(entangled), Measure(z_factor)),
     )
-    out = check(measured, all_z)
+    out = check(measured, input_type)
     assert len(counts["member"]) == 0
     assert factoring == [dict.fromkeys(counts, 0)] * 2
-    assert (entangled, ONE, PauliAtom.Z) in out.factors
+    assert (entangled, P("Z")) in out.factors
 
 
 def _random_source(n, rng, meas_every=8):
@@ -403,12 +396,12 @@ def _random_source(n, rng, meas_every=8):
 
 
 def test_types_built_without_checks_are_well_formed(monkeypatch):
-    # normalize, measure, factor_separable and check build their results
-    # unchecked from a canonical tableau, and annotate builds its entries
-    # unchecked; each one must pass full validation and carry the canonical
-    # tableau of its generators.
+    # normalize, measure, factor_separable, check and the CLI's default
+    # input build their results unchecked from a canonical tableau, and
+    # annotate builds its entries unchecked; each one must pass full
+    # validation and carry the canonical tableau of its generators.
     from gottesman import checker, typesys
-    from gottesman.cli import parse
+    from gottesman.cli import _default_input, parse
     from gottesman.stabilizer import measure
     from gottesman.typesys import factor_separable, normalize
     from helpers import random_stab_type
@@ -428,16 +421,15 @@ def test_types_built_without_checks_are_well_formed(monkeypatch):
         n = rng.randrange(1, 25)
         circuit, _ = parse(_random_source(n, rng))
         measured += sum(isinstance(ins, Measure) for ins in circuit.instructions)
-        for input_type in (
-            QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1))),
-            QType.from_stab(random_stab_type(n, rng)),
-        ):
+        default = _default_input(n)  # the all-Z input, built without checks
+        built.append(default.stab)
+        for input_type in (default, QType(n, random_stab_type(n, rng))):
             out = check(circuit, input_type)
             if not out.top:
-                built.append(flatten(out))
+                built.append(out.stab)
             for state in annotate(circuit, input_type):
                 if not state.top:
-                    s = state.remainder
+                    s = state.stab
                     built.append(s)  # its tableau is row-reduced on first use
                     normalize(s)
                     measure(s, rng.randrange(1, n + 1))
@@ -465,16 +457,12 @@ def test_check_matches_per_measurement_canonical_reference():
         circuit, _ = parse(_random_source(n, rng, meas_every=4))
         pure = random_stab_type(n, rng, rank=n)
         mixed = random_stab_type(n, rng, rank=rng.randrange(0, n))
-        inputs = [
-            QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1))),
-            QType.from_stab(pure),
-            QType.from_stab(mixed),
-        ]
+        inputs = [all_z(n), QType(n, pure), QType(n, mixed)]
         for s in (pure, mixed):
             if s.generators:
                 a, b = rng.choice(s.generators), rng.choice(s.generators)
                 extra = (string_mul(a, b), a)
-                inputs.append(QType.from_stab(StabType(n, s.generators + extra)))
+                inputs.append(QType(n, StabType(n, s.generators + extra)))
         for input_type in inputs:
             states = list(ref_states(circuit, input_type))
             for ins, state in zip(circuit.instructions, states):
@@ -506,7 +494,7 @@ def test_measured_check_row_reduces_once(monkeypatch):
         if i % 10 == 0:
             instructions.append(Measure(rng.randrange(1, n + 1)))
     circuit = Circuit(n, tuple(instructions))
-    all_z = QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1)))
+    input_type = all_z(n)
     echelons = _count_calls(monkeypatch, stabilizer._echelon)
     muls = _count_calls(monkeypatch, string_mul)
     real_states = checker._states
@@ -525,7 +513,7 @@ def test_measured_check_row_reduces_once(monkeypatch):
             yield state
 
     monkeypatch.setattr(checker, "_states", counting_states)
-    check(circuit, all_z)
+    check(circuit, input_type)
     assert len(echelons) == 1
     assert len(products) == 200
     assert max(count for count, _ in products) <= n - 1
@@ -551,14 +539,13 @@ def test_annotate_builds_entries_without_commutation_checks(monkeypatch):
     from gottesman.cli import parse
 
     n = 64
-    all_z = QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1)))
     gates_only = random_clifford_circuit(n, 200, random.Random(n))
     measured, _ = parse(_random_source(n, random.Random(64), meas_every=4))
-    want = [
-        [str(q) for q in annotate(circuit, all_z)] for circuit in (gates_only, measured)
-    ]
+    input_type = all_z(n)
+    circuits = (gates_only, measured)
+    want = [[str(q) for q in annotate(circuit, input_type)] for circuit in circuits]
     commutes = _count_calls(monkeypatch, pauli.commutes)
-    got = [[str(q) for q in annotate(circuit, all_z)] for circuit in (gates_only, measured)]
+    got = [[str(q) for q in annotate(circuit, input_type)] for circuit in circuits]
     assert len(commutes) == 0
     assert got == want and len(got[0]) == 201
 
@@ -593,8 +580,8 @@ def test_transport_matches_per_string_references():
             assert spec == ref_derive_gate("G", 2, spec.decomposition)
         measured, _ = parse(_random_source(n, rng, meas_every=4))
         for input_type in (
-            QType(n, tuple((k, ONE, PauliAtom.Z) for k in range(1, n + 1))),
-            QType.from_stab(random_stab_type(n, rng, rank=rng.randrange(0, n + 1))),
+            all_z(n),
+            QType(n, random_stab_type(n, rng, rank=rng.randrange(0, n + 1))),
         ):
             got = checker._states(measured, input_type, stabilizer.measure)
             assert list(got) == list(ref_states(measured, input_type))

@@ -109,11 +109,27 @@ class TestParse:
         with pytest.raises(ParseError, match="covers 2 qubits"):
             parse("qubits 3\ninput Z x Z\nH 1\n")
 
-    def test_non_ascii_decimal_digits_accepted(self):
-        # Arabic-Indic digits are decimal digits, so int() reads them.
-        circuit, _ = parse("qubits \u0663\nCNOT \u0661 \u0663\n")
-        assert circuit.n_qubits == 3
-        assert circuit.instructions[0].wires == (1, 3)
+    def test_non_ascii_decimal_digits_rejected(self):
+        # Arabic-Indic digits are decimal digits that int() would read, but
+        # only the input type may hold a non-ASCII character.
+        for source, line, col in (
+            ("qubits \u0663\nCNOT 1 3\n", 1, 8),
+            ("qubits 3\nCNOT \u0661 3\n", 2, 6),
+        ):
+            with pytest.raises(ParseError, match="unexpected character") as err:
+                parse(source)
+            assert (err.value.line, err.value.col) == (line, col)
+
+    def test_unicode_aliases_only_in_the_input_type(self):
+        # Folding other lines read H 1⊗2 as H 12 and ⊤ 1 as T 1.
+        _, input_type = parse("qubits 3\ninput Z⊗Z × ⊤ -- ⊗ in a comment\nH 1\n")
+        assert input_type == parse_qtype("ZZ x T")
+        cases = (("H 1⊗2", 4), ("H⊗ 1", 2), ("⊤ 1", 1), ("def F a := H a ∩", 16))
+        for code, col in cases:
+            with pytest.raises(ParseError) as err:
+                parse(f"qubits 12\n{code}\n")
+            assert err.value.message == f"unexpected character {code[col - 1]!r}"
+            assert (err.value.line, err.value.col) == (2, col)
 
     def test_unicode_aliases_accepted(self):
         circuit, input_type = parse("qubits 2\ninput Z × Z\nCNOT 1 2\n")
@@ -258,12 +274,10 @@ class TestRunCheck:
     @pytest.mark.parametrize(
         "source, message",
         [
-            # A superscript digit passes str.isdigit() but not int().
-            ("qubits \u00b2\nH 1\n", "expected 'qubits N' with N >= 1 at line 1"),
-            (
-                "qubits 2\nH \u00b2\n",
-                "expected a wire number, got '\u00b2' at line 2, col 3",
-            ),
+            # A superscript digit passes str.isdigit() but not int(); like
+            # any non-ASCII character outside the input type, it is refused.
+            ("qubits \u00b2\nH 1\n", "unexpected character '\u00b2' at line 1, col 8"),
+            ("qubits 2\nH \u00b2\n", "unexpected character '\u00b2' at line 2, col 3"),
         ],
     )
     def test_superscript_digits_are_parse_errors(
@@ -278,13 +292,38 @@ class TestRunCheck:
         [
             # A tensor sign folds to nothing, but it takes a column as written.
             ("qubits 1\ninput Z ⊗ Q\n", "unexpected character 'Q' at line 2, col 11"),
-            (
-                "qubits 2\nH 1 ⊗ ; H 9\n",
-                "wire 9 out of range for 2 qubits at line 2, col 11",
-            ),
+            # Only the input type is folded.
+            ("qubits 2\nH 1 ⊗ ; H 9\n", "unexpected character '⊗' at line 2, col 5"),
         ],
     )
     def test_columns_count_tensor_signs(self, capsys, tmp_path, source, message):
+        path = write(tmp_path, source)
+        assert run(["check", path]) == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            # Past the end of the type text, comment and spaces excluded.
+            ("qubits 2\ninput Z x  -- c\n",
+             "unexpected end of type expression at line 2, col 10"),
+            ("qubits 2\ninput\n",
+             "unexpected end of type expression at line 2, col 6"),
+            # At the unit that does not fit the intersection.
+            ("qubits 2\ninput Z & ZZ\n",
+             "mismatched arities in intersection at line 2, col 11"),
+            # A literal seen before, at its own column.
+            ("qubits 3\ninput Z x (ZZ & Z)\n",
+             "mismatched arities in intersection at line 2, col 17"),
+            ("qubits 2\ninput Z ∩ X⊗X\n",
+             "mismatched arities in intersection at line 2, col 11"),
+            ("qubits 1\ninput Z & T\n",
+             "Top cannot appear inside an intersection at line 2, col 11"),
+            ("qubits 2\ninput (Z x T) & ZZ\n",
+             "Top cannot appear inside an intersection at line 2, col 7"),
+        ],
+    )
+    def test_type_faults_have_columns(self, capsys, tmp_path, source, message):
         path = write(tmp_path, source)
         assert run(["check", path]) == EXIT_PARSE_ERROR
         assert capsys.readouterr().err == f"parse error: {message}\n"
@@ -621,10 +660,10 @@ def _outcome(parser, text):
         return ("parse error", err.message, err.line, err.col)
     except GottesmanError as err:
         return (type(err).__name__, str(err))
-    tableau = None
-    if input_type is not None and input_type.remainder is not None:
-        tableau = input_type.remainder.tableau
-    return ("parsed", circuit, input_type, str(input_type), tableau)
+    rows = None
+    if input_type is not None and not input_type.top:
+        rows = input_type.stab.tableau.rows
+    return ("parsed", circuit, rows, str(input_type), input_type)
 
 
 class TestParseMatchesReference:
@@ -656,6 +695,13 @@ class TestParseMatchesReference:
             return _outcome(lambda t: (None, parser(t)), text)
 
         assert both(parse_qtype) == both(ref_parse_qtype)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_printed_types_parse_back(self, rng):
+        q = parse_qtype(_unicode(rng, _random_type(rng, rng.randint(1, 6))))
+        assert parse_qtype(str(q)) == q
+        assert str(parse_qtype(str(q))) == str(q)
 
     def test_mutations_reach_every_kind_of_fault(self):
         # The mutations must reach the parse errors of instruction lines,

@@ -11,7 +11,6 @@ from gottesman.gates import (
     GateApp,
     GateSpec,
     apply_gate,
-    base_gates,
     derive_gate,
     standard_gates,
 )
@@ -38,7 +37,7 @@ def table_of(name):
 
 class TestBaseGates:
     def test_base_set(self):
-        assert set(base_gates()) == {"H", "S", "Sdg", "CNOT", "T", "Tdg"}
+        assert {"H", "S", "Sdg", "CNOT", "T", "Tdg"} <= set(GATES)
 
     def test_h(self):
         assert table_of("H") == {("X", 1): P("Z"), ("Z", 1): P("X")}

@@ -14,7 +14,7 @@ from gottesman.errors import (
 )
 from gottesman.gates import GateApp, standard_gates
 from gottesman.pauli import PauliAtom, PauliString, Phase
-from gottesman.typesys import StabType, factor_separable, flatten
+from gottesman.typesys import StabType, factor_separable
 
 from helpers import ALL_ATOMS, oracle_unitary, ref_unitary, string_matrix
 
@@ -224,7 +224,7 @@ class TestSeparability:
             n = rng.randrange(2, 5)
             s = random_stab_type(n, rng)
             q = factor_separable(s)
-            peeled = {k for k, _, _ in q.factors}
+            peeled = {k for k, _ in q.factors}
             acted = {
                 k
                 for g in canonicalize(s).rows
@@ -269,4 +269,4 @@ class TestTransport:
 def flatten_type(text):
     from gottesman.typesys import parse_qtype
 
-    return flatten(parse_qtype(text))
+    return parse_qtype(text).stab

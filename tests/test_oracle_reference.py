@@ -16,11 +16,12 @@ import numpy as np
 from gottesman import oracle
 from gottesman.checker import Circuit, check, infer_tableau
 from gottesman.gates import GateApp, derive_gate, standard_gates
-from gottesman.pauli import ONE, PLUS_I, PauliAtom, PauliString, Phase, embed
-from gottesman.typesys import QType, flatten
+from gottesman.pauli import ONE, PLUS_I, PauliAtom, PauliString, Phase
+from gottesman.typesys import QType
 
 from helpers import (
     ALL_ATOMS,
+    embed,
     oracle_unitary,
     random_stab_type,
     ref_sample_eigenstates,
@@ -135,8 +136,8 @@ def test_batched_verify_matches_reference_up_to_eight_qubits():
                     pairs += [(source, q) for q in (img, *mutations(img, rng))]
         pairs.append((random_string(n, rng), random_string(n, rng)))
         input_type = random_stab_type(n, rng)
-        out = check(circuit, QType.from_stab(input_type))
-        gens = () if out.top else flatten(out).generators
+        out = check(circuit, QType(n, input_type))
+        gens = () if out.top else out.stab.generators
         if gens and trial % 2:
             # A swapped atom gives a residual that depends on the samples
             # (a flipped sign gives 2 on any of them), so the value pins
@@ -175,10 +176,10 @@ def test_transport_and_separability_verdicts_match_reference():
         n = SIZES[trial % len(SIZES)]
         circuit = random_circuit(n, rng.randrange(1, 10), rng)
         input_type = random_stab_type(n, rng)
-        out = check(circuit, QType.from_stab(input_type))
+        out = check(circuit, QType(n, input_type))
         if out.top:
             continue
-        flat_out = flatten(out)
+        flat_out = out.stab
         gens = flat_out.generators
         claimed = (circuit, input_type, gens)
         got = oracle.transport_residual(*claimed, samples=4, seed=trial)

@@ -13,12 +13,19 @@ from gottesman.pauli import (
     PauliString,
     Phase,
     commutes,
-    embed,
     string_mul,
     tensor,
 )
 
-from helpers import ALL_ATOMS, MAT, string_matrix, string_pairs, string_triples, strings
+from helpers import (
+    ALL_ATOMS,
+    MAT,
+    embed,
+    string_matrix,
+    string_pairs,
+    string_triples,
+    strings,
+)
 
 I, X, Y, Z, TOP = PauliAtom.I, PauliAtom.X, PauliAtom.Y, PauliAtom.Z, PauliAtom.TOP
 
@@ -220,6 +227,8 @@ class TestCommutes:
 
 
 class TestEmbed:
+    """``helpers.embed``, the references' single-qubit strings."""
+
     def test_examples(self):
         assert embed(Z, ONE, 1, 3) == P("ZII")
         assert embed(X, ONE, 3, 3) == P("IIX")

@@ -3,15 +3,13 @@ from collections import Counter
 
 import pytest
 
-from gottesman.errors import ArityError, IllFormedTypeError, ParseError, TopOperandError
-from gottesman.pauli import MINUS_ONE, ONE, PauliAtom, PauliString, string_mul
-from gottesman.stabilizer import _echelon, single_qubit_members
+from gottesman.errors import ArityError, IllFormedTypeError, ParseError
+from gottesman.pauli import PauliString, string_mul
+from gottesman.stabilizer import _echelon, _single_qubit_members
 from gottesman.typesys import (
-    ArrowJudgment,
     QType,
     StabType,
     factor_separable,
-    flatten,
     intersect,
     normalize,
     parse_qtype,
@@ -28,6 +26,14 @@ from helpers import (
 
 def P(text):
     return PauliString.parse(text)
+
+
+def _pad(g, support, n):
+    """``g`` with its qubit j moved to qubit ``support[j - 1]`` of n."""
+    atoms = ["I"] * n
+    for letter, pos in zip(str(g).lstrip("-"), support):
+        atoms[pos - 1] = letter
+    return P(("-" if str(g).startswith("-") else "") + "".join(atoms))
 
 
 class TestStabType:
@@ -124,7 +130,7 @@ class TestTypeEqual:
 class TestFactorSeparable:
     def test_splits_cat_state_qubit_one(self):
         q = factor_separable(StabType.of("IXX", "ZII", "IZZ"))
-        assert q.factors == ((1, ONE, PauliAtom.Z),)
+        assert q.factors == ((1, P("Z")),)
         assert q.remainder_support == (2, 3)
         assert q.remainder.generators == (P("XX"), P("ZZ"))
         assert str(q) == "Z x (XX & ZZ)"
@@ -136,7 +142,7 @@ class TestFactorSeparable:
 
     def test_trailing_factor(self):
         q = factor_separable(StabType.of("XXI", "ZZI", "ZZZ"))
-        assert q.factors == ((3, ONE, PauliAtom.Z),)
+        assert q.factors == ((3, P("Z")),)
         assert str(q) == "(XX & ZZ) x Z"
 
     def test_unfactorable_returned_as_is(self):
@@ -146,17 +152,20 @@ class TestFactorSeparable:
 
     def test_negative_factor(self):
         q = factor_separable(StabType.of("-YII", "IXX"))
-        assert q.factors == ((1, MINUS_ONE, PauliAtom.Y),)
+        assert q.factors == ((1, P("-Y")),)
         assert str(q) == "-Y x XX"
 
     def test_middle_qubit_peeled_prints_unambiguously(self):
         # Remainder lives on qubits 1 and 3; a positional product would
         # silently relabel them, so the padded form is used instead.
         q = factor_separable(StabType.of("XIX", "ZIZ", "IZI"))
-        assert q.factors == ((2, ONE, PauliAtom.Z),)
+        assert q.factors == ((2, P("Z")),)
         assert q.remainder_support == (1, 3)
         assert str(q) == "IZI & XIX & ZIZ"
-        assert type_equal(flatten(q), StabType.of("XIX", "ZIZ", "IZI"))
+        assert type_equal(q.stab, StabType.of("XIX", "ZIZ", "IZI"))
+        # Lone rows by qubit, though an X row pivots before a Z row.
+        q = factor_separable(StabType.of("IXIX", "IZIZ", "IIXI", "ZIII"))
+        assert str(q) == "ZIII & IIXI & IXIX & IZIZ"
 
     def test_soundness_random(self):
         rng = random.Random(31)
@@ -164,7 +173,12 @@ class TestFactorSeparable:
             n = rng.randrange(2, 6)
             s = random_stab_type(n, rng)
             q = factor_separable(s)
-            assert type_equal(flatten(q), s)
+            assert type_equal(q.stab, s)
+            # The view's factors and remainder generate the group again.
+            gens = [_pad(p, (k,), n) for k, p in q.factors]
+            if q.remainder is not None:
+                gens += [_pad(g, q.remainder_support, n) for g in q.remainder.generators]
+            assert type_equal(StabType(n, tuple(gens)), s)
 
     def test_completeness_against_enumeration(self):
         rng = random.Random(32)
@@ -172,7 +186,7 @@ class TestFactorSeparable:
             n = rng.randrange(2, 5)
             s = random_stab_type(n, rng)
             q = factor_separable(s)
-            peeled = {k for k, _, _ in q.factors}
+            peeled = {k for k, _ in q.factors}
             table = brute_force_group(s.generators)
             expected = set()
             for (xb, zb), _phase in table.items():
@@ -191,17 +205,17 @@ class TestFactorSeparable:
             n = rng.randint(1, 70)
             s = random_stab_type(n, rng, depth=rng.choice((0, rng.randint(1, n), 4 * n)))
             tab = s.tableau
-            assert single_qubit_members(tab) == ref_single_qubit_members(tab)
-            got, want = factor_separable(s), ref_factor_separable(s)
-            assert got.factors == want.factors
-            assert got.remainder_support == want.remainder_support
-            for k, phase, atom in got.factors:
-                seen[atom, phase] += 1
-            support = got.remainder_support
-            if want.remainder is None:
+            assert _single_qubit_members(tab) == ref_single_qubit_members(tab)
+            got = factor_separable(s)
+            factors, remainder, support = ref_factor_separable(s)
+            assert got.factors == factors
+            assert got.remainder_support == support
+            for k, p in got.factors:
+                seen[str(p)] += 1
+            if remainder is None:
                 assert got.remainder is None
                 continue
-            rest, ref_rest = got.remainder.tableau, want.remainder.tableau
+            rest, ref_rest = got.remainder.tableau, remainder.tableau
             assert got.remainder.generators == rest.rows == ref_rest.rows
             assert rest.pivots == ref_rest.pivots
             assert rest == _echelon(len(support), rest.rows)[0]
@@ -211,9 +225,8 @@ class TestFactorSeparable:
                 seen["past 64"] += 1
             if got.factors and rest.rows:
                 seen["factors beside a remainder"] += 1
-        for atom in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z):
-            for phase in (ONE, MINUS_ONE):
-                assert seen[atom, phase] >= 20, (atom, phase, seen)
+        for factor in ("X", "Y", "Z", "-X", "-Y", "-Z"):
+            assert seen[factor] >= 20, (factor, seen)
         assert seen["gapped"] >= 100, seen
         assert seen["past 64"] >= 10, seen
         assert seen["factors beside a remainder"] >= 50, seen
@@ -221,26 +234,58 @@ class TestFactorSeparable:
 
 class TestQType:
     def test_partition_enforced(self):
-        with pytest.raises(IllFormedTypeError):
-            QType(3, ((1, ONE, PauliAtom.Z),), None, ())
+        # The group covers every qubit, and the view's factors and
+        # remainder support partition them.
+        with pytest.raises(ArityError):
+            QType(3, StabType.of("ZZ"))
+        rng = random.Random(33)
+        for _ in range(40):
+            n = rng.randrange(1, 8)
+            q = QType(n, random_stab_type(n, rng))
+            qubits = [k for k, _ in q.factors] + list(q.remainder_support)
+            assert sorted(qubits) == list(range(1, n + 1))
+            assert all(p.arity == 1 for _, p in q.factors)
 
     def test_remainder_arity_enforced(self):
         with pytest.raises(ArityError):
-            QType(3, ((1, ONE, PauliAtom.Z),), StabType.of("X"), (2, 3))
+            QType(0, None)
+        q = QType(4, StabType.of("XIXI", "ZIZI", "IZII"))
+        assert q.remainder.arity == len(q.remainder_support) == 3
+        assert q.remainder.generators == (P("XXI"), P("ZZI"))
 
     def test_top_carries_nothing(self):
         q = QType.top_type(3)
         assert str(q) == "TTT"
-        with pytest.raises(TopOperandError):
-            flatten(q)
+        assert q.top and q.stab is None
+        assert (q.factors, q.remainder, q.remainder_support) == ((), None, ())
 
     def test_flatten_of_split_type(self):
         q = parse_qtype("Z x (XX & ZZ)")
-        flat = flatten(q)
-        assert type_equal(flat, StabType.of("ZII", "IXX", "IZZ"))
+        assert type_equal(q.stab, StabType.of("ZII", "IXX", "IZZ"))
 
     def test_identity_print(self):
-        assert str(QType.from_stab(StabType(2, ()))) == "II"
+        assert str(QType(2, StabType(2, ()))) == "II"
+
+    def test_equality_is_group_equality(self):
+        a = QType(2, StabType.of("XX", "ZZ"))
+        b = QType(2, StabType.of("-YY", "ZZ"))
+        assert a == b and hash(a) == hash(b)
+        assert a != QType(2, StabType.of("XX", "-ZZ"))
+        assert a != QType.top_type(2) and QType.top_type(2) != QType.top_type(3)
+
+    def test_view_is_read_once(self, monkeypatch):
+        from gottesman import typesys
+
+        calls = []
+
+        def counting(s, factor=typesys.factor_separable):
+            calls.append(s)
+            return factor(s)
+
+        monkeypatch.setattr(typesys, "factor_separable", counting)
+        q = QType(3, StabType.of("ZII", "IXX", "IZZ"))
+        assert str(q) == "Z x (XX & ZZ)" and q.factors and q.remainder_support
+        assert len(calls) == 1
 
 
 class TestParsePrint:
@@ -257,6 +302,11 @@ class TestParsePrint:
             "Z x II",
             "TT",
             "ZIZI",
+            # Parsed types print as written, though their factored views
+            # print IIZII & ZZIII & IIIXX, XXII & IIYY and Z x Z x (ZI & IZ).
+            "ZZ x Z x XX",
+            "XX x YY",
+            "Z x (Z x (ZI & IZ))",
         ],
     )
     def test_roundtrip(self, text):
@@ -271,16 +321,15 @@ class TestParsePrint:
     def test_arity_assignment_left_to_right(self):
         q = parse_qtype("Z x XX x Z")
         assert q.arity == 4
-        assert {k for k, _, _ in q.factors} == {1, 4}
+        assert {k for k, _ in q.factors} == {1, 4}
         assert q.remainder_support == (2, 3)
 
     def test_two_blocks_merge(self):
         q = parse_qtype("(XX & ZZ) x (XX & ZZ)")
         assert q.arity == 4
         assert q.remainder_support == (1, 2, 3, 4)
-        assert type_equal(
-            flatten(q), StabType.of("XXII", "ZZII", "IIXX", "IIZZ")
-        )
+        assert type_equal(q.stab, StabType.of("XXII", "ZZII", "IIXX", "IIZZ"))
+        assert q.stab.generators == (P("XXII"), P("ZZII"), P("IIXX"), P("IIZZ"))
 
     def test_ill_formed_inputs_raise_type_errors(self):
         with pytest.raises(IllFormedTypeError):
@@ -295,12 +344,14 @@ class TestParsePrint:
 
     def test_nested_product(self):
         q = parse_qtype("Z x (Z x (ZI & IZ))")
-        assert str(q) == "Z x Z x (ZI & IZ)"
-        assert {k for k, _, _ in q.factors} == {1, 2}
+        assert str(q) == "Z x (Z x (ZI & IZ))"
+        # The view is read off the group: ZI & IZ separates too.
+        assert {k for k, _ in q.factors} == {1, 2, 3, 4}
 
     def test_error_columns_count_tensor_signs(self):
         # A tensor sign folds to nothing, but it takes a column as written.
-        for text, col in (("Z ⊗ Q", 5), ("X⊗X & ⊗ )", 9), ("Z⊗⊗Z x )", 8)):
+        cases = (("Z ⊗ Q", 5), ("X⊗X & ⊗ )", 9), ("Z⊗⊗Z x )", 8), ("Z x ⊗", 6))
+        for text, col in cases:
             with pytest.raises(ParseError) as err:
                 parse_qtype(text)
             assert err.value.col == col, text
@@ -322,18 +373,7 @@ class TestParsePrint:
             calls.clear()
             q = parse_qtype(text)
             assert len(calls) == 1, text
-            rest = q.remainder
-            assert rest.tableau == StabType(rest.arity, rest.generators).tableau
-
-
-class TestArrow:
-    def test_str(self):
-        j = ArrowJudgment(parse_qtype("Z x Z"), parse_qtype("XX & ZZ"))
-        assert str(j) == "Z x Z -> XX & ZZ"
-
-    def test_arity_checked(self):
-        with pytest.raises(ArityError):
-            ArrowJudgment(parse_qtype("Z"), parse_qtype("Z x Z"))
+            assert q.stab.tableau == StabType(q.arity, q.stab.generators).tableau
 
 
 def test_prop2_purity_link_for_peeled_qubits():
@@ -348,5 +388,5 @@ def test_prop2_purity_link_for_peeled_qubits():
         if not q.factors:
             continue
         cases += 1
-        for k, _, _ in q.factors:
-            assert oracle.verify_separability(flatten(q), k, samples=8, seed=cases)
+        for k, _ in q.factors:
+            assert oracle.verify_separability(q.stab, k, samples=8, seed=cases)
