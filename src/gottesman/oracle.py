@@ -1,11 +1,18 @@
 """Brute-force dense verification.
 
-Pushes batches of state vectors through a circuit, each gate contracted
-into its wires' axes, and checks the symbolic layer's claims: U P U+ == Q
-as U P phi == Q U phi on seeded Gaussian phi (a wrong Q passes only on a
+Pushes batches of state vectors, the columns of one 2^n x m array, through
+a circuit and checks the symbolic layer's claims: U P U+ == Q as
+U P phi == Q U phi on seeded Gaussian phi (a wrong Q passes only on a
 measure-zero set), eigenstate transport, and separability via purity.
-Paulis act as index permutation times sign (Stim, arXiv:2103.02202), read
-from ``.atoms`` and ``.phase`` only, sharing no code with the bit kernels.
+
+A gate's form is read from its dense unitary alone. If each row of it
+holds one nonzero entry (every standard gate but H), it acts on amplitudes
+as a Pauli does, as an index permutation times phases (Stim,
+arXiv:2103.02202), and costs one gather of the batch's rows. Any other
+gate, of any arity, gathers the rows into 2^g blocks by their bits on its
+wires, multiplies the blocks by its unitary in one matmul, and gathers the
+rows back. Paulis are read from ``.atoms`` and ``.phase`` only, sharing no
+code with the bit kernels, and a list of strings acts in one gather.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import (
     TopOperandError,
 )
 from .gates import GateSpec
-from .pauli import PauliAtom, PauliString
+from .pauli import PauliString
 from .typesys import StabType
 
 TOLERANCE = 1e-9
@@ -34,11 +41,15 @@ DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 16
 PROBES = 2
 MAX_BATCH_BYTES = 2**27  # one complex batch of state columns
+_DRAW_BLOCK = 2**18  # amplitudes drawn and projected at a time
 
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 _PARITY_SIGN = np.ones(1)  # entry i is (-1)^popcount(i), for i < 2^MAX_QUBITS
 for _ in range(MAX_QUBITS):
     _PARITY_SIGN = np.concatenate((_PARITY_SIGN, -_PARITY_SIGN))
+# A string's letters, qubit 1 first, as the binary numerals of its masks.
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 _BASE_UNITARIES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -60,34 +71,102 @@ def check_size(n: int, samples: int = 0) -> None:
         raise OracleUnavailableError(f"{samples} samples on {n} qubits exceed {cap}")
 
 
-def _act(p: PauliString, vecs: np.ndarray) -> np.ndarray:
-    """M(p) on every column of ``vecs``, qubit 1 the top bit: X and Y flip
-    their bit, and on row a Z gives (-1)^bit, Y gives -i(-1)^bit."""
-    if p.is_top:
-        raise TopOperandError("Top strings have no matrix")
-    flips, signs, k = 0, 0, p.phase.k
-    for atom in p.atoms:
-        flips = flips << 1 | (atom in (PauliAtom.X, PauliAtom.Y))
-        signs = signs << 1 | (atom in (PauliAtom.Z, PauliAtom.Y))
-        k += 3 * (atom is PauliAtom.Y)
-    index = np.arange(2**p.arity)
-    sign = _POWERS_OF_I[k % 4] * _PARITY_SIGN[index & signs]
-    return sign[:, None] * vecs[index ^ flips]
+def _paulis(strings: Sequence[PauliString], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(perm, sign)``, one row per string, with M(p) v = sign * v[perm] on
+    the 2^n basis index, qubit 1 its top bit: X and Y flip their bit, and on
+    a row Z gives (-1)^bit, Y gives -i(-1)^bit. Each string is read once."""
+    flips, signs, powers = [], [], []
+    for p in strings:
+        if p.is_top:
+            raise TopOperandError("Top strings have no matrix")
+        letters = "".join(atom.value for atom in p.atoms)
+        flips.append(int(letters.translate(_X_DIGITS), 2))
+        signs.append(int(letters.translate(_Z_DIGITS), 2))
+        powers.append((p.phase.k + 3 * letters.count("Y")) % 4)
+    index = _basis(n)[0]
+    perm = index ^ np.array(flips, dtype=np.intp)[:, None]
+    parity = _PARITY_SIGN[index & np.array(signs, dtype=np.intp)[:, None]]
+    return perm, _POWERS_OF_I[powers][:, None] * parity
+
+
+def _apply(strings: Sequence[PauliString], vecs: np.ndarray) -> np.ndarray:
+    """M(p) on every column of ``vecs`` (2^n x c) for each string p, in one
+    gather: a 2^n x len(strings) x c array."""
+    perm, sign = _paulis(strings, len(vecs).bit_length() - 1)
+    out = vecs.take(perm.T, axis=0)
+    out *= sign.T[:, :, None]
+    return out
+
+
+@lru_cache(maxsize=MAX_QUBITS + 1)
+def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^n row indices, and each qubit's bit of them (row q-1 for qubit
+    q, qubit 1 the top bit): under 2 MB at MAX_QUBITS."""
+    index = np.arange(2**n)
+    bits = index >> np.arange(n - 1, -1, -1)[:, None] & 1
+    index.setflags(write=False)
+    bits.setflags(write=False)
+    return index, bits
+
+
+def _local_rows(wires: tuple[int, ...], n: int) -> np.ndarray:
+    """Each basis row's row of a gate on ``wires``: its bits on the wires,
+    the gate's first wire the most significant."""
+    bits = _basis(n)[1]
+    local = bits[wires[0] - 1]
+    for w in wires[1:]:
+        local = local << 1 | bits[w - 1]
+    return local
+
+
+@lru_cache(maxsize=1024)
+def _spread(wires: tuple[int, ...], n: int) -> np.ndarray:
+    """For each row of a gate on ``wires``, the basis-index bits it sets."""
+    rows, g = np.arange(2 ** len(wires)), len(wires)
+    table = sum((rows >> (g - 1 - pos) & 1) << (n - w) for pos, w in enumerate(wires))
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _monomial(spec: GateSpec) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """``(moved, phases)`` if each row r of the gate's unitary has exactly one
+    entry above TOLERANCE, at column r ^ moved[r] with value phases[r] (None if
+    every phase is 1): the gate is a permutation times phases. Else None."""
+    u = gate_unitary(spec)
+    rows, cols = np.nonzero(np.abs(u) > TOLERANCE)
+    if len(rows) != len(u):  # no row of a unitary is zero
+        return None
+    moved, phases = rows ^ cols, u[rows, cols]
+    for table in (moved, phases):
+        table.setflags(write=False)
+    return moved, None if np.all(np.abs(phases - 1) < TOLERANCE) else phases
 
 
 def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
-    """The columns of ``vecs`` (2^n x m) pushed through ``apps``, each gate
-    contracted into its wires' axes; from the identity this is the unitary."""
-    m = vecs.shape[1]
-    t = vecs.reshape((2,) * n + (m,))
+    """The columns of ``vecs`` (2^n x m) pushed through ``apps``; from the
+    identity this is the unitary. A monomial gate is one gather of the rows,
+    times its phases unless all are 1. Any other gate groups the rows into
+    2^g blocks by their bits on its wires for one matmul, then ungroups them."""
+    index, m = _basis(n)[0], vecs.shape[1]
     for app in apps:
         if isinstance(app, Measure):
             raise MeasurementError("no unitary for a circuit with measurements")
-        g, axes = app.gate.arity, [w - 1 for w in app.wires]
-        gate = gate_unitary(app.gate).reshape((2,) * 2 * g)
-        t = np.tensordot(gate, t, axes=(range(g, 2 * g), axes))
-        t = np.moveaxis(t, range(g), axes)
-    return t.reshape(2**n, m)
+        local = _local_rows(app.wires, n)
+        form = _monomial(app.gate)
+        if form is not None:
+            moved, phases = form
+            vecs = vecs.take(index ^ _spread(app.wires, n)[moved][local], axis=0)
+            if phases is not None:
+                vecs *= phases[local, None]
+            continue
+        # Block r lists, in order, the rows whose bits on the wires are r.
+        u = gate_unitary(app.gate)
+        order = (_spread(app.wires, n)[:, None] | index[local == 0]).ravel()
+        back = np.empty_like(order)
+        back[order] = index
+        vecs = (u @ vecs[order].reshape(len(u), -1)).reshape(-1, m)[back]
+    return vecs
 
 
 @lru_cache(maxsize=None)
@@ -122,23 +201,29 @@ def verify_claims(
     if any(s.arity != n for pair in pairs for s in pair):
         raise ArityError("operands must match the circuit's register size")
     raw = np.random.default_rng(seed).standard_normal((2, 2**n, PROBES))
-    cols = [raw[0] + 1j * raw[1]]
-    cols += [_act(p, cols[0]) for p, _ in pairs]
+    phi = raw[0] + 1j * raw[1]
+    cols = [phi, _apply([p for p, _ in pairs], phi).reshape(2**n, -1)]
     if input_type is not None:
         cols.append(sample_eigenstates(input_type, samples, seed).T)
-    out = _evolve(circuit.instructions, n, np.concatenate(cols, axis=1))
-    splits = PROBES * np.arange(1, len(pairs) + 2)
-    u_phi, *u_p_phi, evolved = np.split(out, splits, axis=1)
-    verdicts = [
-        bool(np.max(np.abs(lhs - _act(q, u_phi))) < TOLERANCE)
-        for lhs, (_, q) in zip(u_p_phi, pairs)
-    ]
-    residuals = [
-        np.linalg.norm(_act(q, evolved) - evolved, axis=0).max(initial=0.0)
-        for q in transported
-        if not q.is_top
-    ]
-    return verdicts, float(max(residuals, default=0.0))
+    # Popped, so the pieces are freed now and the batch after the first gate.
+    cols = [np.concatenate(cols, axis=1)]
+    out = _evolve(circuit.instructions, n, cols.pop())
+    split = PROBES * (len(pairs) + 1)
+    u_p_phi = out[:, PROBES:split].reshape(2**n, len(pairs), PROBES)
+    defect = _apply([q for _, q in pairs], out[:, :PROBES])
+    defect -= u_p_phi
+    verdicts = (np.abs(defect).max(axis=(0, 2)) < TOLERANCE).tolist()
+    residuals = [_residual(q, out[:, split:]) for q in transported if not q.is_top]
+    return verdicts, max(residuals, default=0.0)
+
+
+def _residual(q: PauliString, evolved: np.ndarray) -> float:
+    """The largest |M(q) v - v| over the columns v of ``evolved``."""
+    diff = _apply([q], evolved)[:, 0]
+    diff -= evolved
+    squares = np.abs(diff)
+    squares *= squares
+    return float(np.sqrt(squares.sum(axis=0).max(initial=0.0)))
 
 
 def verify_conjugation(circuit: Circuit, p: PauliString, q: PauliString) -> bool:
@@ -148,21 +233,29 @@ def verify_conjugation(circuit: Circuit, p: PauliString, q: PauliString) -> bool
 
 def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:
     """``count`` unit rows in the joint +1 eigenspace of ``gens``, one complex
-    Gaussian per sample (real part first), redrawn up to seven times if lost."""
+    Gaussian per sample (real part first), redrawn up to seven times if lost.
+    Rows are drawn and projected in blocks of ``_DRAW_BLOCK`` amplitudes, so
+    the float draw and the projector's temporaries stay small."""
     check_size(n, count)
-    states = np.empty((2**n, count), dtype=complex)
+    perm, sign = _paulis(gens, n)
+    states = np.empty((count, 2**n), dtype=complex)
+    block = max(1, _DRAW_BLOCK >> n)
     todo = np.arange(count)
     for _ in range(8):
-        raw = rng.standard_normal((todo.size, 2, 2**n))
-        vecs = (raw[:, 0] + 1j * raw[:, 1]).T
-        for g in gens:  # the projector prod (I + g) / 2
-            vecs = (vecs + _act(g, vecs)) / 2
-        norms = np.linalg.norm(vecs, axis=0)
-        kept = norms > 1e-12
-        states[:, todo[kept]] = vecs[:, kept] / norms[kept]
+        kept = np.empty(todo.size, dtype=bool)
+        for start in range(0, todo.size, block):
+            rows = todo[start : start + block]
+            raw = rng.standard_normal((rows.size, 2, 2**n))
+            vecs = raw[:, 0] + 1j * raw[:, 1]
+            for p, s in zip(perm, sign):  # the projector prod (I + g) / 2
+                vecs += s * vecs[:, p]
+                vecs /= 2
+            norms = np.linalg.norm(vecs, axis=1)
+            ok = kept[start : start + block] = norms > 1e-12
+            states[rows[ok]] = vecs[ok] / norms[ok, None]
         todo = todo[~kept]
         if not todo.size:
-            return states.T
+            return states
     raise EmptyEigenspaceError("projection annihilates every sample")
 
 

@@ -331,10 +331,11 @@ def ref_derive_gate(name, arity, steps):
 
 
 # --- dense-product reference for the oracle -----------------------------------
-# The oracle acts with Paulis as permutation-and-sign and builds unitaries by
-# tensor contraction. These are the dense routines it replaced: unitaries
-# embedded bit by bit and multiplied, U M(p) U+ formed from Kronecker
-# products, and one sample at a time through a dense projector.
+# The oracle acts with Paulis, and with every gate whose unitary has one entry
+# per row, as permutation-and-sign gathers of a batch's rows. These are the
+# dense routines it replaced: unitaries embedded bit by bit and multiplied,
+# U M(p) U+ formed from Kronecker products, and one sample at a time through a
+# dense projector. ``ref_evolve`` is the tensor contraction that came between.
 
 REF_TOLERANCE = 1e-9
 
@@ -384,12 +385,27 @@ def ref_gate_unitary(spec):
     return u
 
 
-def ref_unitary(circuit):
+def ref_unitary(circuit, vecs=None):
+    """U as the product of the embedded gates; with ``vecs``, U @ vecs
+    multiplied factor by factor, so a wide register needs no 4^n product."""
     n = circuit.n_qubits
-    u = np.eye(2**n, dtype=complex)
+    u = np.eye(2**n, dtype=complex) if vecs is None else vecs
     for app in circuit.instructions:
         u = ref_embed_unitary(ref_gate_unitary(app.gate), app.wires, n) @ u
     return u
+
+
+def ref_evolve(apps, n, vecs):
+    """The columns of ``vecs`` (2^n x m) pushed through ``apps``, each gate's
+    reference matrix contracted into its wires' axes by ``np.tensordot``."""
+    m = vecs.shape[1]
+    t = vecs.reshape((2,) * n + (m,))
+    for app in apps:
+        g, axes = app.gate.arity, [w - 1 for w in app.wires]
+        gate = ref_gate_unitary(app.gate).reshape((2,) * 2 * g)
+        t = np.tensordot(gate, t, axes=(range(g, 2 * g), axes))
+        t = np.moveaxis(t, range(g), axes)
+    return t.reshape(2**n, m)
 
 
 def oracle_unitary(circuit):

@@ -34,8 +34,8 @@ def circ(n, *steps):
 
 
 def act_matrix(p):
-    """M(p) as ``oracle._act`` gives it: p applied to the identity's columns."""
-    return oracle._act(p, np.eye(2**p.arity, dtype=complex))
+    """M(p) as ``oracle._apply`` gives it: p applied to the identity's columns."""
+    return oracle._apply([p], np.eye(2**p.arity, dtype=complex))[:, 0]
 
 
 class TestMatrixOf:

@@ -1,12 +1,15 @@
 """The oracle gives the dense-product reference's verdicts.
 
-The oracle pushes batches of state vectors through a circuit by tensor
-contraction, applies Paulis as permutation-and-sign, and checks a
-conjugation on seeded random vectors; ``helpers.ref_*`` multiplies dense
-matrices. On seeded random circuits (a ``def`` gate, T/Tdg/TOFFOLI,
-``NOTC``, reversed and non-adjacent wires) both must accept the
-checker's claims, and both must reject the same claims mutated: a
-flipped sign, a swapped atom, a wrong phase.
+The oracle pushes batches of state vectors through a circuit, each gate a
+gather of the batch's rows (times phases) when its unitary has one entry
+per row and a block matmul otherwise; it applies Paulis as
+permutation-and-sign, and checks a conjugation on seeded random vectors.
+``helpers.ref_*`` multiplies dense matrices, and ``helpers.ref_evolve``
+contracts each gate into its wires' axes. On seeded random circuits (a
+``def`` gate, T/Tdg/TOFFOLI, ``NOTC``, reversed and non-adjacent wires)
+the kernels must agree, both must accept the checker's claims, and both
+must reject the same claims mutated: a flipped sign, a swapped atom, a
+wrong phase.
 """
 
 import random
@@ -24,6 +27,7 @@ from helpers import (
     embed,
     oracle_unitary,
     random_stab_type,
+    ref_evolve,
     ref_sample_eigenstates,
     ref_transport_residual,
     ref_unitary,
@@ -76,6 +80,77 @@ def test_unitary_matches_dense_product():
         circuit = random_circuit(n, rng.randrange(1, 12), rng)
         got = oracle_unitary(circuit)
         assert np.max(np.abs(got - ref_unitary(circuit))) < 1e-9
+
+
+# Non-monomial defs: a Bell pair's and a three-qubit cat state's encoders.
+H_1, CNOT_12 = GateApp(GATES["H"], (1,)), GateApp(GATES["CNOT"], (1, 2))
+BELL = derive_gate("BELL", 2, [H_1, CNOT_12])
+CAT = derive_gate("CAT", 3, [H_1, CNOT_12, GateApp(GATES["CNOT"], (2, 3))])
+
+
+def random_batch(n, rng):
+    """Three complex Gaussian columns, seeded from ``rng``."""
+    draw = np.random.default_rng(rng.randrange(2**32)).standard_normal((2, 2**n, 3))
+    return draw[0] + 1j * draw[1]
+
+
+def assert_evolve_matches(circuit, batch):
+    """``oracle._evolve`` on ``batch`` against the tensordot contraction and
+    the dense product, leaving the batch as it was."""
+    n, before = circuit.n_qubits, batch.copy()
+    got = oracle._evolve(circuit.instructions, n, batch)
+    assert np.array_equal(batch, before)
+    assert np.max(np.abs(got - ref_evolve(circuit.instructions, n, batch))) < 1e-9
+    assert np.max(np.abs(got - ref_unitary(circuit, batch))) < 1e-9
+
+
+def test_monomial_path_is_every_standard_gate_but_h():
+    # A gate whose unitary has one entry per row is a gather of the rows; a
+    # silent fall-back to the block matmul would only show up as lost speed.
+    for name, spec in GATES.items():
+        assert (oracle._monomial(spec) is None) == (name == "H"), name
+    assert oracle._monomial(BELL) is None and oracle._monomial(CAT) is None
+    # Phases are multiplied in only where one is not 1.
+    unphased = {"X", "CNOT", "NOTC", "SWAP", "TOFFOLI"}
+    for name, spec in GATES.items():
+        if name != "H":
+            assert (oracle._monomial(spec)[1] is None) == (name in unphased), name
+    phases = oracle._monomial(GATES["S"])[1]
+    assert np.max(np.abs(phases - [1, 1j])) < 1e-12
+
+
+def test_every_gate_on_reversed_non_adjacent_wires_matches_references():
+    rng = random.Random(1601)
+    wires = {1: (4,), 2: (5, 2), 3: (5, 3, 1)}
+    for spec in (*GATES.values(), BELL, CAT):
+        circuit = Circuit(5, (GateApp(spec, wires[spec.arity]),))
+        assert_evolve_matches(circuit, np.eye(32, dtype=complex))
+        assert_evolve_matches(circuit, random_batch(5, rng))
+
+
+def test_evolve_matches_references_up_to_ten_qubits():
+    rng = random.Random(1607)
+    pool = (*GATES.values(), BELL, CAT)
+    seen = set()
+    for trial in range(30):
+        n = 1 + trial % 10
+        specs = [rng.choice([g for g in pool if g.arity <= n]) for _ in range(12)]
+        wires = [tuple(rng.sample(range(1, n + 1), g.arity)) for g in specs]
+        apps = tuple(map(GateApp, specs, wires))
+        circuit = Circuit(n, apps)
+        if n <= 6:
+            assert_evolve_matches(circuit, np.eye(2**n, dtype=complex))
+        assert_evolve_matches(circuit, random_batch(n, rng))
+        for app in apps:
+            w = app.wires
+            reversed_ = any(a > b for a, b in zip(w, w[1:]))
+            gapped = any(abs(a - b) > 1 for a, b in zip(w, w[1:]))
+            seen.add((app.gate.name, reversed_, gapped))
+    for spec in pool:
+        if spec.arity == 1:
+            assert (spec.name, False, False) in seen
+        else:
+            assert (spec.name, True, True) in seen, spec.name
 
 
 def test_reversed_wires_and_notc_match_dense_product():
