@@ -24,7 +24,9 @@ instruction text in a file, and the Circuit. Nothing is kept from one
 
 Exit statuses: 0 success, 1 type error, 2 parse error, 3 oracle mismatch,
 4 oracle unavailable (``verify`` past the dense oracle's qubit or sample
-batch cap). Only ``verify`` imports the oracle, and with it numpy.
+batch cap). Only ``verify`` imports the oracle, and with it numpy, once
+its file has parsed to a measurement-free circuit. The argument parser
+is built once per process; each ``run`` parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from .checker import Circuit, Measure, _circuit, annotate, check, infer_tableau
 from .errors import GottesmanError, OracleUnavailableError, ParseError
@@ -352,13 +355,13 @@ def _cmd_gates(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    circuit, input_type = parse(_read(args.file))
+    if circuit.has_measurement:
+        raise GottesmanError("verify requires a measurement-free circuit")
     from . import oracle
 
     args.seed = oracle.DEFAULT_SEED if args.seed is None else args.seed
     args.samples = args.samples or oracle.DEFAULT_SAMPLES  # at least 1 when given
-    circuit, input_type = parse(_read(args.file))
-    if circuit.has_measurement:
-        raise GottesmanError("verify requires a measurement-free circuit")
     oracle.check_size(circuit.n_qubits, args.samples)  # before any tableau work
     tab = infer_tableau(circuit)
     pairs, claims = [], []
@@ -439,6 +442,7 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gottesman",

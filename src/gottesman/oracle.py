@@ -8,11 +8,15 @@ measure-zero set), eigenstate transport, and separability via purity.
 A gate's form is read from its dense unitary alone. If each row of it
 holds one nonzero entry (every standard gate but H), it acts on amplitudes
 as a Pauli does, as an index permutation times phases (Stim,
-arXiv:2103.02202), and costs one gather of the batch's rows. Any other
-gate, of any arity, gathers the rows into 2^g blocks by their bits on its
-wires, multiplies the blocks by its unitary in one matmul, and gathers the
-rows back. Paulis are read from ``.atoms`` and ``.phase`` only, sharing no
-code with the bit kernels, and a list of strings acts in one gather.
+arXiv:2103.02202). A run of such gates is composed on one pending row
+permutation and one pending phase column, 2^n entries each, so the whole
+run costs one gather of the batch's rows and at most one multiply. Any
+other gate, of any arity, gathers the rows through the pending run into
+2^g blocks by their bits on its wires, multiplies the blocks by its
+unitary in one matmul, and leaves their ungrouping pending. A Pauli's
+letters are read from its printed text and its phase from ``.phase``,
+sharing no code with the bit kernels, and a list of strings acts in one
+gather.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ def _paulis(strings: Sequence[PauliString], n: int) -> tuple[np.ndarray, np.ndar
     for p in strings:
         if p.is_top:
             raise TopOperandError("Top strings have no matrix")
-        letters = "".join(atom.value for atom in p.atoms)
+        letters = str(p).lstrip("-i")  # letters hold no '-' or 'i'
         flips.append(int(letters.translate(_X_DIGITS), 2))
         signs.append(int(letters.translate(_Z_DIGITS), 2))
         powers.append((p.phase.k + 3 * letters.count("Y")) % 4)
@@ -128,6 +132,11 @@ def _spread(wires: tuple[int, ...], n: int) -> np.ndarray:
     return table
 
 
+def _unless_ones(phases: np.ndarray) -> np.ndarray | None:
+    """``phases``, or None if every entry is within TOLERANCE of 1."""
+    return None if np.all(np.abs(phases - 1) < TOLERANCE) else phases
+
+
 @lru_cache(maxsize=None)
 def _monomial(spec: GateSpec) -> tuple[np.ndarray, np.ndarray | None] | None:
     """``(moved, phases)`` if each row r of the gate's unitary has exactly one
@@ -140,15 +149,30 @@ def _monomial(spec: GateSpec) -> tuple[np.ndarray, np.ndarray | None] | None:
     moved, phases = rows ^ cols, u[rows, cols]
     for table in (moved, phases):
         table.setflags(write=False)
-    return moved, None if np.all(np.abs(phases - 1) < TOLERANCE) else phases
+    return moved, _unless_ones(phases)
+
+
+def _take(vecs, src, phase, out=None) -> np.ndarray:
+    """Row i of the result, written to ``out`` if given, is
+    ``phase[i] * vecs[src[i]]``: one gather of the batch, and one multiply
+    unless every phase is 1. ``src`` is always in range, so the gather
+    needs no bounds check and writes ``out`` without a buffer."""
+    out = vecs.take(src, axis=0, out=out, mode="clip")
+    if phase is not None and _unless_ones(phase) is not None:
+        out *= phase[:, None]
+    return out
 
 
 def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
     """The columns of ``vecs`` (2^n x m) pushed through ``apps``; from the
-    identity this is the unitary. A monomial gate is one gather of the rows,
-    times its phases unless all are 1. Any other gate groups the rows into
-    2^g blocks by their bits on its wires for one matmul, then ungroups them."""
+    identity this is the unitary. The batch so far is kept as
+    ``phase * vecs[src]``, row by row: a monomial gate composes its row step
+    and phases into ``src`` and ``phase`` (2^n entries each) and leaves the
+    batch alone. Any other gate gathers the pending rows into 2^g blocks by
+    their bits on its wires, in one take, for one matmul, and its ungrouping
+    becomes the next pending ``src``. The batch is gathered once more at the end."""
     index, m = _basis(n)[0], vecs.shape[1]
+    src, phase, blocks = index, None, None
     for app in apps:
         if isinstance(app, Measure):
             raise MeasurementError("no unitary for a circuit with measurements")
@@ -156,17 +180,25 @@ def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
         form = _monomial(app.gate)
         if form is not None:
             moved, phases = form
-            vecs = vecs.take(index ^ _spread(app.wires, n)[moved][local], axis=0)
+            step = index ^ _spread(app.wires, n)[moved][local]
+            src = src[step]
+            if phase is not None:
+                phase = phase[step]
             if phases is not None:
-                vecs *= phases[local, None]
+                phase = phases[local] if phase is None else phase * phases[local]
             continue
         # Block r lists, in order, the rows whose bits on the wires are r.
         u = gate_unitary(app.gate)
         order = (_spread(app.wires, n)[:, None] | index[local == 0]).ravel()
-        back = np.empty_like(order)
-        back[order] = index
-        vecs = (u @ vecs[order].reshape(len(u), -1)).reshape(-1, m)[back]
-    return vecs
+        # From the second such gate on, the batch and the blocks are buffers
+        # of ours that nothing else reads: each is overwritten in turn.
+        out = None if blocks is None else vecs.reshape(len(u), -1)
+        blocks = _take(vecs, src[order], None if phase is None else phase[order], blocks)
+        vecs = None  # the caller's batch is freed before the product is made
+        vecs = np.matmul(u, blocks.reshape(len(u), -1), out=out).reshape(-1, m)
+        src, phase = np.empty_like(order), None
+        src[order] = index
+    return _take(vecs, src, phase, blocks)
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +237,7 @@ def verify_claims(
     cols = [phi, _apply([p for p, _ in pairs], phi).reshape(2**n, -1)]
     if input_type is not None:
         cols.append(sample_eigenstates(input_type, samples, seed).T)
-    # Popped, so the pieces are freed now and the batch after the first gate.
+    # Popped, so the pieces are freed now and the batch once it is gathered.
     cols = [np.concatenate(cols, axis=1)]
     out = _evolve(circuit.instructions, n, cols.pop())
     split = PROBES * (len(pairs) + 1)

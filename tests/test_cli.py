@@ -491,6 +491,23 @@ class TestRunVerify:
             " exceed the batch cap of 128 MiB\n"
         )
 
+    def test_cached_parser_keeps_no_state_between_runs(self, capsys):
+        from gottesman import cli
+
+        ghz = str(CIRCUITS / "ghz.qc")
+        args = ["verify", ghz, "--seed", "3", "--samples", "2", "--json"]
+        assert run(args) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert (record["seed"], record["samples"]) == (3, 2)
+        with pytest.raises(SystemExit) as exit_info:
+            run(["verify", ghz, "--samples", "0"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert run(["verify", ghz, "--json"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert (record["seed"], record["samples"]) == (7, 16)
+        assert cli._build_parser() is cli._build_parser()
+
     def test_at_the_qubit_cap_verifies(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 14\nH 1; CNOT 1 14; CNOT 14 5\n")
         assert run(["verify", path, "--json"]) == EXIT_OK
@@ -507,31 +524,39 @@ class TestRunVerify:
         assert run(["verify", path, "--samples", "4"]) == EXIT_OK
 
 
-def test_only_verify_imports_numpy():
-    """check and tableau never load the oracle or numpy; verify does."""
+def test_only_verify_imports_numpy(tmp_path):
+    """check and tableau never load the oracle or numpy; verify does, once
+    its file has parsed to a measurement-free circuit."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from gottesman import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for command in sys.argv[2:]:\n"
-        "        assert cli.run([command, sys.argv[1]]) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    codes = [cli.run([command, sys.argv[1]]) for command in sys.argv[2:]]\n"
+        "print(json.dumps([codes, err.getvalue(), 'numpy' in sys.modules]))\n"
     )
-    ghz = str(CIRCUITS / "ghz.qc")
 
-    def numpy_loaded(*commands):
+    def fresh_run(path, *commands):
         out = subprocess.run(
-            [sys.executable, "-c", code, ghz, *commands],
+            [sys.executable, "-c", code, path, *commands],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
             text=True,
             check=True,
         ).stdout
-        return out.strip() == "True"
+        return json.loads(out)
 
-    assert not numpy_loaded("check", "tableau")
-    assert numpy_loaded("verify")
+    ghz = str(CIRCUITS / "ghz.qc")
+    assert fresh_run(ghz, "check", "tableau") == [[EXIT_OK, EXIT_OK], "", False]
+    assert fresh_run(ghz, "verify") == [[EXIT_OK], "", True]
+    measured = fresh_run(str(CIRCUITS / "ghz_measure.qc"), "verify")
+    message = "type error: verify requires a measurement-free circuit\n"
+    assert measured == [[EXIT_TYPE_ERROR], message, False]
+    malformed = write(tmp_path, "qubits 2\nFROB 1\n")
+    codes, err, numpy_loaded = fresh_run(malformed, "verify")
+    assert codes == [EXIT_PARSE_ERROR] and err.startswith("parse error:")
+    assert not numpy_loaded
 
 
 # --- the parser against its checking reference ---------------------------------

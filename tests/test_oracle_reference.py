@@ -153,6 +153,62 @@ def test_evolve_matches_references_up_to_ten_qubits():
             assert (spec.name, True, True) in seen, spec.name
 
 
+PHASED = ("S", "Sdg", "Z", "Y", "CZ", "T", "Tdg", "TOFFOLI")
+UNPHASED = ("X", "CNOT", "NOTC", "SWAP")
+
+
+def monomial_runs(n, rng):
+    """Runs of 1-30 monomial gates, mostly phased, on reversed wires; each
+    run but the last is broken by H or by ``BELL``/``CAT``."""
+    pool = [GATES[name] for name in PHASED * 3 + UNPHASED]
+    breaks = [g for g in (GATES["H"], BELL, CAT) if g.arity <= n]
+    specs = []
+    for run in range(rng.randrange(1, 5)):
+        if run:
+            specs.append(rng.choice(breaks))
+        for _ in range(rng.randrange(1, 31)):
+            specs.append(rng.choice([g for g in pool if g.arity <= n]))
+    wires = [sorted(rng.sample(range(1, n + 1), g.arity), reverse=True) for g in specs]
+    return tuple(GateApp(g, tuple(w)) for g, w in zip(specs, wires))
+
+
+def test_fused_monomial_runs_match_references_up_to_ten_qubits():
+    # _evolve keeps a run of monomial gates as one pending row permutation
+    # and phase column, and touches the batch only where the run ends.
+    rng = random.Random(1709)
+    seen = set()
+    for trial in range(40):
+        n = 1 + trial % 10
+        apps = monomial_runs(n, rng)
+        if n <= 6:
+            assert_evolve_matches(Circuit(n, apps), np.eye(2**n, dtype=complex))
+        assert_evolve_matches(Circuit(n, apps), random_batch(n, rng))
+        for app in apps:
+            w = app.wires
+            seen.add((app.gate.name, any(a - b > 1 for a, b in zip(w, w[1:]))))
+    for name in ("CZ", "TOFFOLI", "CNOT", "NOTC", "SWAP", "BELL", "CAT"):
+        assert (name, True) in seen, name
+
+
+def test_runs_whose_phases_compose_to_one_match_references():
+    def app(name, *wires):
+        return GateApp(GATES[name], wires)
+
+    cancel = (app("S", 4), app("Z", 2), app("Sdg", 4), app("Z", 2))
+    cases = (
+        cancel,  # the whole circuit is one run whose phases are all 1
+        (app("H", 3),) + cancel + (app("CNOT", 4, 1),),
+        cancel + (GateApp(CAT, (5, 3, 1)),) + (app("T", 1), app("Tdg", 1)),
+        # Ends mid-run, after a break, on a permutation with phases.
+        (GateApp(BELL, (4, 2)), app("Y", 5), app("TOFFOLI", 5, 3, 2), app("S", 5)),
+    )
+    rng = random.Random(1711)
+    for apps in cases:
+        circuit = Circuit(5, apps)
+        assert_evolve_matches(circuit, np.eye(32, dtype=complex))
+        assert_evolve_matches(circuit, random_batch(5, rng))
+
+
 def test_reversed_wires_and_notc_match_dense_product():
     cases = (
         ("CNOT", (3, 1)),
