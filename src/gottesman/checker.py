@@ -12,21 +12,22 @@ hold by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
 from .gates import GateApp, _transport, _unit_images
-from .pauli import PauliString
+from .pauli import PauliString, _Frozen
 from .typesys import QType, _from_tableau, _unchecked, factor_separable
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(_Frozen):
     """Z-basis measurement of one qubit (1-based)."""
 
-    qubit: int
+    __slots__ = _fields = ("qubit",)
+
+    def __init__(self, qubit: int) -> None:
+        self._set_fields(qubit)
 
     def __str__(self) -> str:
         return f"MEAS {self.qubit}"
@@ -35,17 +36,15 @@ class Measure:
 Instruction = Union[GateApp, Measure]
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Frozen):
     """A register size plus an ordered list of instructions."""
 
-    n_qubits: int
-    instructions: tuple[Instruction, ...] = ()
+    __slots__ = _fields = ("n_qubits", "instructions")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_qubits: int, instructions: tuple[Instruction, ...] = ()) -> None:
+        self._set_fields(n_qubits, tuple(instructions))
         if self.n_qubits < 1:
             raise ArityError("a circuit needs at least one qubit")
-        object.__setattr__(self, "instructions", tuple(self.instructions))
         for pos, ins in enumerate(self.instructions, start=1):
             if isinstance(ins, Measure):
                 if not 1 <= ins.qubit <= self.n_qubits:
@@ -84,13 +83,18 @@ def _circuit(n_qubits: int, instructions: tuple[Instruction, ...]) -> Circuit:
     return c
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Frozen):
     """Images of every X_k and Z_k generator under a circuit."""
 
-    n_qubits: int
-    x_images: tuple[PauliString, ...]
-    z_images: tuple[PauliString, ...]
+    __slots__ = _fields = ("n_qubits", "x_images", "z_images")
+
+    def __init__(
+        self,
+        n_qubits: int,
+        x_images: tuple[PauliString, ...],
+        z_images: tuple[PauliString, ...],
+    ) -> None:
+        self._set_fields(n_qubits, x_images, z_images)
 
 
 def infer_tableau(circuit: Circuit) -> Tableau:

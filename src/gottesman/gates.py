@@ -25,17 +25,15 @@ read-only afterwards; ``apply_gate`` is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import IllFormedTypeError, WireError
-from .pauli import PauliString, commutes, from_bits, string_mul
+from .pauli import PauliString, _Frozen, commutes, from_bits, string_mul
 
 
-@dataclass(frozen=True)
-class GateSpec:
+class GateSpec(_Frozen):
     """A gate's arity plus the image of each X_w and Z_w generator.
 
     Clifford gates (no Top images) must preserve the commutation
@@ -44,20 +42,23 @@ class GateSpec:
     can rebuild their unitaries.
     """
 
-    name: str
-    arity: int
-    x_images: tuple[PauliString, ...]
-    z_images: tuple[PauliString, ...]
-    decomposition: Optional[tuple["GateApp", ...]] = None
-    # Cache of local_image, so it takes no part in equality or hashing.
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # The hash of the compared fields, computed once: a derived gate's hash
-    # would otherwise recurse through its images and decomposition each time.
-    _hash: int = field(init=False, repr=False, compare=False)
-    # No Top image; computed once, as ``check`` reads it for every gate.
-    is_clifford: bool = field(init=False, repr=False, compare=False)
+    _fields = ("name", "arity", "x_images", "z_images", "decomposition")
+    # Not compared or shown: the cache of local_image; the fields' hash, once,
+    # as a derived gate's would recurse through its images and decomposition;
+    # and whether no image is Top, which ``check`` reads for every gate.
+    __slots__ = _fields + ("_images", "_hash", "is_clifford")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        arity: int,
+        x_images: tuple[PauliString, ...],
+        z_images: tuple[PauliString, ...],
+        decomposition: Optional[tuple["GateApp", ...]] = None,
+    ) -> None:
+        fields = (name, arity, x_images, z_images, decomposition)
+        self._set_fields(*fields)
+        object.__setattr__(self, "_images", {})
         if self.arity < 1:
             raise IllFormedTypeError("gate arity must be at least 1")
         if len(self.x_images) != self.arity or len(self.z_images) != self.arity:
@@ -84,8 +85,7 @@ class GateSpec:
                     raise IllFormedTypeError(
                         f"{self.name}: generator images must commute pairwise"
                     )
-        fields = (self.name, self.arity, self.x_images, self.z_images)
-        object.__setattr__(self, "_hash", hash(fields + (self.decomposition,)))
+        object.__setattr__(self, "_hash", hash(fields))
         object.__setattr__(self, "is_clifford", not any(img.is_top for img in images))
 
     def __hash__(self) -> int:
@@ -110,29 +110,22 @@ class GateSpec:
             return self._images[index]
 
 
-@dataclass(frozen=True)
-class GateApp:
+class GateApp(_Frozen):
     """A gate bound to distinct wires of some register (1-based)."""
 
-    gate: GateSpec
-    wires: tuple[int, ...]
-    # Bit offsets (wire - 1) and their union, for apply_gate.
-    _shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _mask: int = field(init=False, repr=False, compare=False)
+    _fields = ("gate", "wires")
+    # Not compared or shown: the bit offsets (wire - 1) and their union.
+    __slots__ = _fields + ("_shifts", "_mask")
 
-    def __post_init__(self) -> None:
-        wires = tuple(self.wires)
-        object.__setattr__(self, "wires", wires)
-        if len(wires) != self.gate.arity:
-            raise WireError(
-                f"{self.gate.name} needs {self.gate.arity} wires, got {len(wires)}"
-            )
+    def __init__(self, gate: GateSpec, wires: tuple[int, ...]) -> None:
+        wires = tuple(wires)
+        if len(wires) != gate.arity:
+            raise WireError(f"{gate.name} needs {gate.arity} wires, got {len(wires)}")
         if len(set(wires)) != len(wires):
-            raise WireError(f"{self.gate.name}: wires must be distinct, got {wires}")
+            raise WireError(f"{gate.name}: wires must be distinct, got {wires}")
         if any(w < 1 for w in wires):
-            raise WireError(f"{self.gate.name}: wires are 1-based, got {wires}")
-        object.__setattr__(self, "_shifts", tuple(w - 1 for w in wires))
-        object.__setattr__(self, "_mask", sum(1 << (w - 1) for w in wires))
+            raise WireError(f"{gate.name}: wires are 1-based, got {wires}")
+        _set_app(self, gate, wires)
 
     def __str__(self) -> str:
         return " ".join([self.gate.name, *map(str, self.wires)])
@@ -146,29 +139,33 @@ def _app(gate: GateSpec, wires: tuple[int, ...]) -> GateApp:
     wires, each at least 1.
     """
     app = object.__new__(GateApp)
-    # Set in __init__'s order, so the instance dict stays key-sharing.
+    _set_app(app, gate, wires)
+    return app
+
+
+def _set_app(app: GateApp, gate: GateSpec, wires: tuple[int, ...]) -> None:
     object.__setattr__(app, "gate", gate)
     object.__setattr__(app, "wires", wires)
     object.__setattr__(app, "_shifts", tuple([w - 1 for w in wires]))
     object.__setattr__(app, "_mask", sum([1 << (w - 1) for w in wires]))
-    return app
 
 
 def apply_gate(app: GateApp, p: PauliString) -> PauliString:
     """Conjugate the string ``p`` by the gate at ``app.wires``.
 
     Positions off the gate's wires pass through untouched, and a ``p``
-    that is I on all of them is returned itself. If the restriction needs
-    an image the gate cannot provide (a Top image), or ``p`` is already
-    all-Top, the result is the all-Top string. An out-of-range wire
-    raises WireError before either shortcut.
+    that is I on all of them is returned itself. That covers an all-Top
+    ``p`` too, as Top strings keep x = z = 0: it is returned itself. If
+    the restriction needs an image the gate cannot provide (a Top image),
+    the result is the all-Top string. An out-of-range wire raises
+    WireError before the shortcut.
     """
     n, mask = p.arity, app._mask
     if mask >> n:
         w = next(w for w in app.wires if w > n)
         raise WireError(f"wire {w} out of range for {n} qubits")
     px, pz = p.x, p.z
-    if p.is_top or not (px | pz) & mask:
+    if not (px | pz) & mask:
         return p
     shifts = app._shifts
     # The index reads and write-backs of one- and two-wire gates, unrolled.
@@ -204,10 +201,11 @@ def apply_gate(app: GateApp, p: PauliString) -> PauliString:
 
 def _transport(apps: Sequence[GateApp], strings: Sequence[PauliString]) -> list[PauliString]:
     """Conjugate each string through ``apps``, one gate at a time, with one
-    ``apply_gate`` call per string per gate: the only loop of gates over strings."""
+    ``apply_gate`` call per string per gate: the only loop of gates over strings.
+    The result is a new list, copied only when ``apps`` is empty."""
     for app in apps:
         strings = [apply_gate(app, p) for p in strings]
-    return list(strings)
+    return strings if apps else list(strings)
 
 
 def _units(n: int) -> list[tuple[str, PauliString]]:

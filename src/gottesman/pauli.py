@@ -16,25 +16,68 @@ phase would overstate what is known. Top strings keep x = z = k = 0.
 ``PauliAtom`` is only the per-qubit view used for parsing, printing and
 ``PauliString.atoms``. Strings are immutable by convention (no operation
 mutates one) and safe to share between threads.
+
+``_Frozen`` is the slotted, immutable base of ``Phase`` and of the other
+value classes of the package, in place of frozen dataclasses: importing
+``dataclasses`` costs more start-up time than the whole package.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ArityError, TopOperandError
 
 
-@dataclass(frozen=True)
-class Phase:
+class _Frozen:
+    """An immutable value: ``_fields`` names its constructor's arguments in
+    order, each kept in a slot. Equality (same class only), the hash and
+    the ``Cls(field=value, ...)`` repr read them, and pickling and copying
+    call the constructor on them. Assignment and deletion raise
+    AttributeError: constructors set the fields with :meth:`_set_fields`,
+    and other slots and unchecked builders use ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Phase(_Frozen):
     """A power of i: ``Phase(k)`` denotes i**k with k kept modulo 4."""
 
-    k: int = 0
+    __slots__ = _fields = ("k",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", self.k % 4)
+    def __init__(self, k: int = 0) -> None:
+        self._set_fields(k % 4)
 
     def __mul__(self, other: "Phase") -> "Phase":
         return Phase(self.k + other.k)

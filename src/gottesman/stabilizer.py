@@ -16,21 +16,22 @@ row-reduced again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ArityError, IllFormedTypeError, TopOperandError, WireError
-from .pauli import PauliString, Phase, from_bits, string_mul
+from .pauli import PauliString, Phase, _Frozen, from_bits, string_mul
 
 
-@dataclass(frozen=True)
-class CanonicalTableau:
+class CanonicalTableau(_Frozen):
     """Independent generators in row-reduced echelon form."""
 
-    arity: int
-    rows: tuple[PauliString, ...]
-    pivots: tuple[int, ...]
+    __slots__ = _fields = ("arity", "rows", "pivots")
+
+    def __init__(
+        self, arity: int, rows: tuple[PauliString, ...], pivots: tuple[int, ...]
+    ) -> None:
+        self._set_fields(arity, rows, pivots)
 
     @property
     def rank(self) -> int:

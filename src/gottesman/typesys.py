@@ -18,18 +18,16 @@ Pauli literals such as ``-iXZ``; see :func:`parse_qtype`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from . import stabilizer
 from .errors import ArityError, IllFormedTypeError, ParseError
-from .pauli import PauliString, commutes, from_bits
+from .pauli import PauliString, _Frozen, commutes, from_bits
 
 
-@dataclass(frozen=True)
-class StabType:
+class StabType(_Frozen):
     """An intersection type: commuting Pauli generators of equal arity.
 
     Construction validates well-formedness and raises IllFormedTypeError
@@ -39,13 +37,13 @@ class StabType:
     fully unconstrained type over ``arity`` qubits.
     """
 
-    arity: int
-    generators: tuple[PauliString, ...] = ()
-    tableau: stabilizer.CanonicalTableau = field(init=False, compare=False, repr=False)
+    _fields = ("arity", "generators")
+    # ``tableau`` is neither compared nor shown.
+    __slots__ = _fields + ("tableau",)
 
-    def __post_init__(self) -> None:
-        gens = tuple(self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, arity: int, generators: tuple[PauliString, ...] = ()) -> None:
+        gens = tuple(generators)
+        self._set_fields(arity, gens)
         if self.arity < 1:
             raise ArityError("a type needs at least one qubit")
         for i, g in enumerate(gens, start=1):
@@ -136,8 +134,7 @@ def type_equal(s1: StabType, s2: StabType) -> bool:
     return s1.tableau.rows == s2.tableau.rows
 
 
-@dataclass(frozen=True, eq=False)
-class QType:
+class QType(_Frozen):
     """A state type: one StabType ``stab`` over all ``arity`` qubits, or the
     whole-register Top when ``stab`` is None.
 
@@ -153,11 +150,13 @@ class QType:
     otherwise.
     """
 
-    arity: int
-    stab: Optional[StabType]
-    shown: object = field(default=None, repr=False)
+    _fields = ("arity", "stab")
+    # ``shown`` is neither compared nor in the repr; the dict caches the view.
+    __slots__ = _fields + ("shown", "__dict__")
 
-    def __post_init__(self) -> None:
+    def __init__(self, arity: int, stab: Optional[StabType], shown: object = None) -> None:
+        self._set_fields(arity, stab)
+        object.__setattr__(self, "shown", shown)
         if self.arity < 1:
             raise ArityError("a type needs at least one qubit")
         if self.stab is not None and self.stab.arity != self.arity:
@@ -172,15 +171,11 @@ class QType:
         return self.stab is None
 
     def _key(self) -> tuple:
+        # Compared and hashed as a group, not by its fields.
         return self.arity, None if self.stab is None else self.stab.tableau.rows
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QType):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def __reduce__(self) -> tuple:
+        return QType, (self.arity, self.stab, self.shown)
 
     @cached_property
     def _view(self) -> tuple:

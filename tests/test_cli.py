@@ -526,7 +526,9 @@ class TestRunVerify:
 
 def test_only_verify_imports_numpy(tmp_path):
     """check and tableau never load the oracle or numpy; verify does, once
-    its file has parsed to a measurement-free circuit."""
+    its file has parsed to a measurement-free circuit. No command loads
+    ``dataclasses`` or, through it, ``inspect``, whose imports would cost
+    more start-up time than the package."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = (
         "import contextlib, io, json, sys\n"
@@ -534,7 +536,8 @@ def test_only_verify_imports_numpy(tmp_path):
         "out, err = io.StringIO(), io.StringIO()\n"
         "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         "    codes = [cli.run([command, sys.argv[1]]) for command in sys.argv[2:]]\n"
-        "print(json.dumps([codes, err.getvalue(), 'numpy' in sys.modules]))\n"
+        "loaded = [m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')]\n"
+    "print(json.dumps([codes, err.getvalue(), *loaded]))\n"
     )
 
     def fresh_run(path, *commands):
@@ -548,15 +551,17 @@ def test_only_verify_imports_numpy(tmp_path):
         return json.loads(out)
 
     ghz = str(CIRCUITS / "ghz.qc")
-    assert fresh_run(ghz, "check", "tableau") == [[EXIT_OK, EXIT_OK], "", False]
-    assert fresh_run(ghz, "verify") == [[EXIT_OK], "", True]
+    assert fresh_run(ghz, "check", "tableau") == [[EXIT_OK, EXIT_OK], "", False, False, False]
+    # numpy itself imports inspect, so only dataclasses is pinned after verify.
+    codes, err, numpy_loaded, dataclasses_loaded, _ = fresh_run(ghz, "verify")
+    assert [codes, err, numpy_loaded, dataclasses_loaded] == [[EXIT_OK], "", True, False]
     measured = fresh_run(str(CIRCUITS / "ghz_measure.qc"), "verify")
     message = "type error: verify requires a measurement-free circuit\n"
-    assert measured == [[EXIT_TYPE_ERROR], message, False]
+    assert measured == [[EXIT_TYPE_ERROR], message, False, False, False]
     malformed = write(tmp_path, "qubits 2\nFROB 1\n")
-    codes, err, numpy_loaded = fresh_run(malformed, "verify")
+    codes, err, *loaded = fresh_run(malformed, "verify")
     assert codes == [EXIT_PARSE_ERROR] and err.startswith("parse error:")
-    assert not numpy_loaded
+    assert loaded == [False, False, False]
 
 
 # --- the parser against its checking reference ---------------------------------
