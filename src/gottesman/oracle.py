@@ -4,6 +4,9 @@ Pushes batches of state vectors, the columns of one 2^n x m array, through
 a circuit and checks the symbolic layer's claims: U P U+ == Q as
 U P phi == Q U phi on seeded Gaussian phi (a wrong Q passes only on a
 measure-zero set), eigenstate transport, and separability via purity.
+Input eigenstates are drawn once, as columns of that batch, and their images
+serve the last two: purity is read from them, as their distribution equals a
+fresh draw of the output type's eigenstates when the transport residual is 0.
 
 A gate's form is read from its dense unitary alone. If each row of it
 holds one nonzero entry (every standard gate but H), it acts on amplitudes
@@ -225,9 +228,13 @@ def verify_claims(
     transported: Sequence[PauliString] = (),
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-) -> tuple[list[bool], float]:
-    """Verdicts U M(p) phi == M(q) U phi for each pair, and the transport residual,
-    from one pass over ``PROBES`` Gaussian phi, each M(p) phi and eigenstates."""
+    qubits: Sequence[int] = (),
+) -> tuple[list[bool], float, list[bool]]:
+    """Verdicts U M(p) phi == M(q) U phi for each pair, the transport residual,
+    and whether each of ``qubits`` is pure in every transported eigenstate, from
+    one pass over ``PROBES`` Gaussian phi, each M(p) phi and ``input_type``'s
+    eigenstates. At a zero residual U maps a projected Gaussian to one projected
+    on the transported type: purity is read as from a fresh draw of it."""
     n = circuit.n_qubits
     check_size(n, samples if input_type is not None else 0)
     if any(s.arity != n for pair in pairs for s in pair):
@@ -245,17 +252,22 @@ def verify_claims(
     defect = _apply([q for _, q in pairs], out[:, :PROBES])
     defect -= u_p_phi
     verdicts = (np.abs(defect).max(axis=(0, 2)) < TOLERANCE).tolist()
-    residuals = [_residual(q, out[:, split:]) for q in transported if not q.is_top]
-    return verdicts, max(residuals, default=0.0)
-
-
-def _residual(q: PauliString, evolved: np.ndarray) -> float:
-    """The largest |M(q) v - v| over the columns v of ``evolved``."""
-    diff = _apply([q], evolved)[:, 0]
-    diff -= evolved
-    squares = np.abs(diff)
-    squares *= squares
-    return float(np.sqrt(squares.sum(axis=0).max(initial=0.0)))
+    # The eigenstate columns in blocks, each M(q) v - v into one buffer.
+    evolved, worst, pure = out[:, split:], 0.0, [True] * len(qubits)
+    perm, sign = _paulis([q for q in transported if not q.is_top], n)
+    block = max(1, _DRAW_BLOCK >> n)
+    buf = np.empty(2**n * min(block, evolved.shape[1]), dtype=complex)
+    for start in range(0, evolved.shape[1], block):
+        vecs = evolved[:, start : start + block]
+        diff = buf[: vecs.size].reshape(vecs.shape)
+        for p, s in zip(perm, sign):
+            vecs.take(p, axis=0, out=diff, mode="clip")
+            diff *= s[:, None]
+            diff -= vecs
+            worst = max(worst, np.linalg.norm(diff, axis=0).max())
+        for i, k in enumerate(qubits):
+            pure[i] &= bool(np.all(reduced_purity(vecs, k, n) >= 1 - TOLERANCE))
+    return verdicts, float(worst), pure
 
 
 def verify_conjugation(circuit: Circuit, p: PauliString, q: PauliString) -> bool:
@@ -264,27 +276,32 @@ def verify_conjugation(circuit: Circuit, p: PauliString, q: PauliString) -> bool
 
 
 def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:
-    """``count`` unit rows in the joint +1 eigenspace of ``gens``, one complex
+    """``count`` unit columns in the joint +1 eigenspace of ``gens``, one complex
     Gaussian per sample (real part first), redrawn up to seven times if lost.
-    Rows are drawn and projected in blocks of ``_DRAW_BLOCK`` amplitudes, so
-    the float draw and the projector's temporaries stay small."""
+    Columns are drawn and projected in blocks of ``_DRAW_BLOCK`` amplitudes,
+    so the float draw and the projector's temporaries stay small."""
     check_size(n, count)
     perm, sign = _paulis(gens, n)
-    states = np.empty((count, 2**n), dtype=complex)
+    states = np.empty((2**n, count), dtype=complex)
     block = max(1, _DRAW_BLOCK >> n)
+    buf = np.empty(2**n * min(block, count), dtype=complex)
     todo = np.arange(count)
     for _ in range(8):
         kept = np.empty(todo.size, dtype=bool)
         for start in range(0, todo.size, block):
-            rows = todo[start : start + block]
-            raw = rng.standard_normal((rows.size, 2, 2**n))
-            vecs = raw[:, 0] + 1j * raw[:, 1]
-            for p, s in zip(perm, sign):  # the projector prod (I + g) / 2
-                vecs += s * vecs[:, p]
-                vecs /= 2
-            norms = np.linalg.norm(vecs, axis=1)
+            cols = todo[start : start + block]
+            raw = rng.standard_normal((cols.size, 2, 2**n))
+            vecs = (raw[:, 0] + 1j * raw[:, 1]).T.copy()
+            step = buf[: vecs.size].reshape(vecs.shape)
+            for p, s in zip(perm, sign):  # the projector prod (I + g), halved below
+                vecs.take(p, axis=0, out=step, mode="clip")
+                step *= s[:, None]
+                vecs += step
+            vecs *= 0.5 ** len(perm)  # exact, so equal to halving at each g
+            # Summed along rows, as a row layout sums them, for equal bits.
+            norms = np.linalg.norm(vecs.T.copy(), axis=1)
             ok = kept[start : start + block] = norms > 1e-12
-            states[rows[ok]] = vecs[ok] / norms[ok, None]
+            states[:, cols[ok]] = vecs[:, ok] / norms[ok]
         todo = todo[~kept]
         if not todo.size:
             return states
@@ -296,31 +313,22 @@ def sample_eigenstates(
 ) -> np.ndarray:
     """Pseudorandom unit vectors, one per row, in the joint +1 eigenspace of ``s``."""
     rng = np.random.default_rng(seed)
-    return _sample_states(s.arity, s.tableau.rows, count, rng)
+    return _sample_states(s.arity, s.tableau.rows, count, rng).T
 
 
 def reduced_purity(state: np.ndarray, k: int, n: int) -> float | np.ndarray:
-    """tr(rho^2) of the reduced single-qubit state at qubit k (1-based),
-    one value per row if ``state`` holds one vector per row."""
-    lead = state.shape[:-1]
-    tensor = state.reshape(lead + (2,) * n)
-    local = np.moveaxis(tensor, len(lead) + k - 1, len(lead)).reshape(lead + (2, -1))
-    rho = local @ np.swapaxes(local.conj(), -1, -2)
-    return np.real(np.einsum("...ij,...ji->...", rho, rho))
+    """tr(rho^2) of the reduced single-qubit state at qubit k (1-based), one
+    value per column if ``state`` is 2^n x m, whose rows are split in place."""
+    local = state.reshape(2 ** (k - 1), 2, 2 ** (n - k), *state.shape[1:])
+    rho = np.einsum("iaj...,ibj...->ab...", local, local.conj())
+    return np.einsum("ab...,ba...->...", rho, rho).real
 
 
 def verify_separability(
-    s: StabType,
-    k: int,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    *,
-    states: np.ndarray | None = None,
+    s: StabType, k: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> bool:
-    """True iff every sampled joint eigenstate is pure at qubit k. ``states``,
-    if given, is ``sample_eigenstates(s, samples, seed)`` drawn by the caller."""
-    if states is None:
-        states = sample_eigenstates(s, samples, seed)
+    """True iff every sampled joint eigenstate is pure at qubit k."""
+    states = sample_eigenstates(s, samples, seed).T
     return bool(np.all(reduced_purity(states, k, s.arity) >= 1 - TOLERANCE))
 
 

@@ -335,7 +335,8 @@ def ref_derive_gate(name, arity, steps):
 # per row, as permutation-and-sign gathers of a batch's rows. These are the
 # dense routines it replaced: unitaries embedded bit by bit and multiplied,
 # U M(p) U+ formed from Kronecker products, and one sample at a time through a
-# dense projector. ``ref_evolve`` is the tensor contraction that came between.
+# dense projector. ``ref_evolve`` is the tensor contraction that came between,
+# and ``ref_row_projected_states`` the projector's row-layout loop.
 
 REF_TOLERANCE = 1e-9
 
@@ -444,11 +445,38 @@ def ref_sample_eigenstates(s, count, seed):
     return states
 
 
-def ref_transport_residual(circuit, input_type, transported, samples, seed):
+def ref_row_projected_states(s, count, seed):
+    """The projector as the oracle ran it in row layout, one sample per row,
+    halving after each generator, with the same stream and redraw rule:
+    what ``oracle.sample_eigenstates`` must equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    perm, sign = oracle._paulis(s.tableau.rows, s.arity)
+    states = np.empty((count, 2**s.arity), dtype=complex)
+    todo = np.arange(count)
+    for _ in range(8):
+        raw = rng.standard_normal((todo.size, 2, 2**s.arity))
+        vecs = raw[:, 0] + 1j * raw[:, 1]
+        for p, g in zip(perm, sign):
+            vecs += g * vecs[:, p]
+            vecs /= 2
+        norms = np.linalg.norm(vecs, axis=1)
+        ok = norms > 1e-12
+        states[todo[ok]] = vecs[ok] / norms[ok, None]
+        todo = todo[~ok]
+        if not todo.size:
+            return states
+    raise AssertionError("projection annihilates every sample")
+
+
+def ref_transported_states(circuit, input_type, samples, seed):
+    """The input type's sampled eigenstates, each through the dense unitary."""
     u = ref_unitary(circuit)
+    return [u @ state for state in ref_sample_eigenstates(input_type, samples, seed)]
+
+
+def ref_transport_residual(circuit, input_type, transported, samples, seed):
     worst = 0.0
-    for state in ref_sample_eigenstates(input_type, samples, seed):
-        evolved = u @ state
+    for evolved in ref_transported_states(circuit, input_type, samples, seed):
         for q in transported:
             if not q.is_top:
                 residual = np.linalg.norm(string_matrix(q) @ evolved - evolved)
@@ -456,13 +484,18 @@ def ref_transport_residual(circuit, input_type, transported, samples, seed):
     return worst
 
 
-def ref_verify_separability(s, k, samples, seed):
-    for state in ref_sample_eigenstates(s, samples, seed):
-        local = np.moveaxis(state.reshape((2,) * s.arity), k - 1, 0).reshape(2, -1)
+def ref_pure_at(states, k, n):
+    """True iff every state's reduced single-qubit state at qubit k is pure."""
+    for state in states:
+        local = np.moveaxis(state.reshape((2,) * n), k - 1, 0).reshape(2, -1)
         rho = local @ local.conj().T
         if np.real(np.trace(rho @ rho)) < 1 - REF_TOLERANCE:
             return False
     return True
+
+
+def ref_verify_separability(s, k, samples, seed):
+    return ref_pure_at(ref_sample_eigenstates(s, samples, seed), k, s.arity)
 
 # --- parser references ------------------------------------------------------
 # The ``.qc`` and type parsers as they were before parsing built what it

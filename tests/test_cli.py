@@ -441,14 +441,35 @@ class TestRunVerify:
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         from gottesman import oracle
 
-        def all_wrong(circuit, pairs, *args, **kwargs):
-            return [False] * len(pairs), 0.0
+        def all_wrong(circuit, pairs, *args, qubits=(), **kwargs):
+            return [False] * len(pairs), 0.0, [True] * len(qubits)
 
         monkeypatch.setattr(oracle, "verify_claims", all_wrong)
         assert run(["verify", str(CIRCUITS / "ghz.qc")]) == EXIT_ORACLE_MISMATCH
         out = capsys.readouterr().out
         assert "MISMATCH" in out
         assert "FAIL conjugation mismatch: X1 -> ZII" in out
+
+    def test_false_separability_claim_fails(self, capsys, monkeypatch):
+        """The right group with a wrong factor: transport holds, and the
+        transported eigenstates refute only the claimed factor."""
+        from types import SimpleNamespace
+
+        from gottesman import cli
+        from gottesman.pauli import PauliString
+
+        def wrong_factor(circuit, input_type):
+            true = check(circuit, input_type)
+            factors = true.factors + ((3, PauliString.parse("Z")),)
+            return SimpleNamespace(top=False, stab=true.stab, factors=factors)
+
+        check = cli.check
+        monkeypatch.setattr(cli, "check", wrong_factor)
+        ghz_split = str(CIRCUITS / "ghz_split.qc")
+        assert run(["verify", ghz_split, "--json"]) == EXIT_ORACLE_MISMATCH
+        record = json.loads(capsys.readouterr().out)
+        assert record["checks"] == 9  # 6 conjugations, transport, two factors
+        assert record["failures"] == ["separability not confirmed at qubit 3"]
 
     def test_over_the_qubit_cap_is_oracle_unavailable(
         self, capsys, tmp_path, monkeypatch

@@ -28,8 +28,11 @@ from helpers import (
     oracle_unitary,
     random_stab_type,
     ref_evolve,
+    ref_pure_at,
+    ref_row_projected_states,
     ref_sample_eigenstates,
     ref_transport_residual,
+    ref_transported_states,
     ref_unitary,
     ref_verify_conjugation,
     ref_verify_separability,
@@ -275,7 +278,7 @@ def test_batched_verify_matches_reference_up_to_eight_qubits():
             # down the eigenstate stream too.
             j = rng.randrange(len(gens))
             gens = gens[:j] + (mutations(gens[j], rng)[1],) + gens[j + 1 :]
-        verdicts, residual = oracle.verify_claims(
+        verdicts, residual, _ = oracle.verify_claims(
             circuit, pairs, input_type, gens, samples=3, seed=trial
         )
         want = [ref_verify_conjugation(circuit, p, q, u) for p, q in pairs]
@@ -298,6 +301,19 @@ def test_batched_samples_are_the_sequential_samples():
         got = oracle.sample_eigenstates(s, count=5, seed=trial)
         expected = ref_sample_eigenstates(s, 5, trial)
         assert np.max(np.abs(got - np.array(expected))) < 1e-12
+
+
+def test_column_projector_equals_the_row_projector_bit_for_bit():
+    """Projecting in column layout and halving once at the end gives the
+    row-layout projector's states exactly, at every rank up to 8 qubits."""
+    rng = random.Random(1601)
+    for n in range(1, 9):
+        for rank in range(n + 1):
+            s = random_stab_type(n, rng, rank=rank)
+            for seed in range(3):
+                count = rng.choice((1, 5, 16))
+                got = oracle.sample_eigenstates(s, count=count, seed=seed)
+                assert np.array_equal(got, ref_row_projected_states(s, count, seed))
 
 
 def test_transport_and_separability_verdicts_match_reference():
@@ -328,11 +344,18 @@ def test_transport_and_separability_verdicts_match_reference():
                 want = ref_transport_residual(*claimed, 4, trial)
                 assert (got < oracle.TOLERANCE) == (want < oracle.TOLERANCE)
                 assert wrong is swapped or got > 1e-3
-        states = oracle.sample_eigenstates(flat_out, 4, trial)
-        for k in range(1, n + 1):
+        # verify reads purity from the transported input eigenstates, which
+        # give a fresh output draw's verdicts when the residual is 0.
+        qubits = range(1, n + 1)
+        *_, pure = oracle.verify_claims(
+            circuit, (), input_type, gens, samples=4, seed=trial, qubits=qubits
+        )
+        states = ref_transported_states(circuit, input_type, 4, trial)
+        assert pure == [ref_pure_at(states, k, n) for k in qubits]
+        for k in qubits:
             verdict = oracle.verify_separability(flat_out, k, samples=4, seed=trial)
             assert verdict == ref_verify_separability(flat_out, k, 4, trial)
-            assert verdict == oracle.verify_separability(flat_out, k, states=states)
+            assert verdict == pure[k - 1]
             separable += verdict
             entangled += not verdict
     assert transported > 15 and separable > 10 and entangled > 5
