@@ -20,54 +20,24 @@ from .errors import (
     WireError,
 )
 from .gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
-from .pauli import (
-    MINUS_I,
-    MINUS_ONE,
-    ONE,
-    PLUS_I,
-    PauliAtom,
-    PauliString,
-    Phase,
-    commutes,
-    string_mul,
-    tensor,
-)
-from .stabilizer import (
-    CanonicalTableau,
-    canonicalize,
-    measure,
-    measure_with_cost,
-    member,
-)
-from .typesys import (
-    QType,
-    StabType,
-    factor_separable,
-    intersect,
-    normalize,
-    parse_qtype,
-    type_equal,
-)
+from .pauli import PauliAtom, PauliString, Phase, commutes, string_mul, tensor
+from .stabilizer import canonicalize, measure, measure_with_cost, member
+from .typesys import QType, StabType, factor_separable, parse_qtype
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArityError",
-    "CanonicalTableau",
     "Circuit",
     "EmptyEigenspaceError",
     "GateApp",
     "GateSpec",
     "GottesmanError",
     "IllFormedTypeError",
-    "MINUS_I",
-    "MINUS_ONE",
     "Measure",
     "MeasurementError",
-    "ONE",
     "OracleError",
     "OracleUnavailableError",
-    "PLUS_I",
     "ParseError",
     "PauliAtom",
     "PauliString",
@@ -85,14 +55,11 @@ __all__ = [
     "derive_gate",
     "factor_separable",
     "infer_tableau",
-    "intersect",
     "measure",
     "measure_with_cost",
     "member",
-    "normalize",
     "parse_qtype",
     "standard_gates",
     "string_mul",
     "tensor",
-    "type_equal",
 ]

@@ -64,11 +64,6 @@ class Circuit(_Frozen):
     def has_measurement(self) -> bool:
         return any(isinstance(ins, Measure) for ins in self.instructions)
 
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if self.n_qubits != other.n_qubits:
-            raise ArityError("cannot sequence circuits of different sizes")
-        return Circuit(self.n_qubits, self.instructions + other.instructions)
-
 
 def _circuit(n_qubits: int, instructions: tuple[Instruction, ...]) -> Circuit:
     """``Circuit(n_qubits, instructions)`` built without checks, as the
@@ -108,7 +103,7 @@ def infer_tableau(circuit: Circuit) -> Tableau:
 def _states(circuit: Circuit, input_type: QType, measure):
     """Yield the generators (or None once Top) before and after each
     instruction. ``measure(source, k)`` is the measurement rule: it maps a
-    ``stabilizer._Transported`` to an object holding the new generators."""
+    StabType built with ``_unchecked`` to a StabType of the new generators."""
     if input_type.arity != circuit.n_qubits:
         raise ArityError(
             f"input arity {input_type.arity} does not match"
@@ -121,7 +116,7 @@ def _states(circuit: Circuit, input_type: QType, measure):
             if cur is None:
                 raise TopOperandError("cannot measure a Top-typed register")
             # An input, its Clifford transport or a measure result: trusted.
-            source = stabilizer._Transported(circuit.n_qubits, tuple(cur))
+            source = _unchecked(circuit.n_qubits, tuple(cur))
             cur = list(measure(source, ins.qubit).generators)
         elif cur is not None:
             cur = _transport((ins,), cur)
@@ -144,7 +139,7 @@ def check(circuit: Circuit, input_type: QType) -> QType:
         nonlocal pure
         folded = stabilizer._random_outcome(source.generators, k)
         if folded is not None:
-            return stabilizer._Transported(n, tuple(folded[0]))
+            return _unchecked(n, tuple(folded[0]))
         if not pure:
             source = stabilizer.measure(source, k)
             pure = len(source.generators) == n
@@ -156,7 +151,7 @@ def check(circuit: Circuit, input_type: QType) -> QType:
     if cur is None:
         return QType.top_type(n)
     # Transport and measurement keep the input type well formed.
-    tab = stabilizer.canonicalize(stabilizer._Transported(n, tuple(cur)))
+    tab = stabilizer.canonicalize(_unchecked(n, tuple(cur)))
     return factor_separable(_from_tableau(tab))
 
 

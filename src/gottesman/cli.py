@@ -1,4 +1,4 @@
-"""Circuit-file parsing, pretty-printing, and the command-line driver.
+"""Circuit-file parsing and the command-line driver.
 
 Circuit files (``.qc``) look like:
 
@@ -212,40 +212,6 @@ class _FileParser:
 def parse(source: str) -> tuple[Circuit, QType | None]:
     """Parse circuit-file text into a Circuit and its optional input type."""
     return _FileParser(source).parse()
-
-
-def _formal(w: int) -> str:
-    """The formal name of a def's wire ``w``: ``a``..``p``, then ``w17``, ``w18``..."""
-    return "abcdefghijklmnop"[w - 1] if w <= 16 else f"w{w}"
-
-
-def format_source(circuit: Circuit, input_type: QType | None = None) -> str:
-    """Canonical source text; reparsing yields an identical AST."""
-    lines = [f"qubits {circuit.n_qubits}"]
-    if input_type is not None:
-        lines.append(f"input {input_type}")
-    std = standard_gates()
-    emitted: dict[str, GateSpec] = {}
-
-    def emit_defs(spec: GateSpec) -> None:
-        if spec.name in std or spec.name in emitted:
-            return
-        for app in spec.decomposition or ():
-            emit_defs(app.gate)
-        formals = [_formal(w) for w in range(1, spec.arity + 1)]
-        body = "; ".join(
-            " ".join([app.gate.name, *map(_formal, app.wires)])
-            for app in spec.decomposition or ()
-        )
-        lines.append(f"def {spec.name} {' '.join(formals)} := {body}")
-        emitted[spec.name] = spec
-
-    for ins in circuit.instructions:
-        if isinstance(ins, GateApp):
-            emit_defs(ins.gate)
-    for ins in circuit.instructions:
-        lines.append(str(ins))
-    return "\n".join(lines) + "\n"
 
 
 def _default_input(n: int) -> QType:

@@ -266,13 +266,9 @@ def verify_claims(
             diff -= vecs
             worst = max(worst, np.linalg.norm(diff, axis=0).max())
         for i, k in enumerate(qubits):
-            pure[i] &= bool(np.all(reduced_purity(vecs, k, n) >= 1 - TOLERANCE))
+            purity = reduced_purity(vecs, k, n)
+            pure[i] &= bool(np.all(np.abs(purity - 1) < TOLERANCE))
     return verdicts, float(worst), pure
-
-
-def verify_conjugation(circuit: Circuit, p: PauliString, q: PauliString) -> bool:
-    """True iff U M(p) U+ equals M(q): the one-pair case of ``verify_claims``."""
-    return verify_claims(circuit, [(p, q)])[0][0]
 
 
 def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:
@@ -322,24 +318,3 @@ def reduced_purity(state: np.ndarray, k: int, n: int) -> float | np.ndarray:
     local = state.reshape(2 ** (k - 1), 2, 2 ** (n - k), *state.shape[1:])
     rho = np.einsum("iaj...,ibj...->ab...", local, local.conj())
     return np.einsum("ab...,ba...->...", rho, rho).real
-
-
-def verify_separability(
-    s: StabType, k: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> bool:
-    """True iff every sampled joint eigenstate is pure at qubit k."""
-    states = sample_eigenstates(s, samples, seed).T
-    return bool(np.all(reduced_purity(states, k, s.arity) >= 1 - TOLERANCE))
-
-
-def transport_residual(
-    circuit: Circuit,
-    input_type: StabType,
-    transported: Sequence[PauliString],
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Worst-case eigenstate-transport defect: how far sampled joint +1
-    eigenstates of the input type, pushed through the circuit, sit from the
-    +1 eigenspace of each transported generator. The type system claims 0."""
-    return verify_claims(circuit, (), input_type, transported, samples, seed)[1]

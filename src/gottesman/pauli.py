@@ -85,12 +85,6 @@ class Phase(_Frozen):
     def __neg__(self) -> "Phase":
         return Phase(self.k + 2)
 
-    def times_i(self) -> "Phase":
-        return Phase(self.k + 1)
-
-    def inverse(self) -> "Phase":
-        return Phase(-self.k)
-
     @property
     def is_real(self) -> bool:
         return self.k % 2 == 0
@@ -101,9 +95,6 @@ class Phase(_Frozen):
         if not self.is_real:
             raise ValueError(f"phase {self} has no real sign")
         return 1 if self.k == 0 else -1
-
-    def to_complex(self) -> complex:
-        return (1 + 0j, 1j, -1 + 0j, -1j)[self.k]
 
     @property
     def prefix(self) -> str:
@@ -177,23 +168,6 @@ class PauliString:
     @property
     def atoms(self) -> tuple[PauliAtom, ...]:
         return tuple(_ATOM_OF_LETTER[c] for c in self._letters())
-
-    @property
-    def is_identity(self) -> bool:
-        return not (self.x | self.z | self.k | self.is_top)
-
-    @property
-    def x_bits(self) -> tuple[int, ...]:
-        return self._bit_tuple(self.x)
-
-    @property
-    def z_bits(self) -> tuple[int, ...]:
-        return self._bit_tuple(self.z)
-
-    def _bit_tuple(self, mask: int) -> tuple[int, ...]:
-        if self.is_top:
-            raise TopOperandError("Top has no symplectic bits")
-        return tuple(mask >> j & 1 for j in range(self.arity))
 
     def _letters(self) -> str:
         if self.is_top:

@@ -17,7 +17,7 @@ row-reduced again.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ArityError, IllFormedTypeError, TopOperandError, WireError
 from .pauli import PauliString, Phase, _Frozen, from_bits, string_mul
@@ -160,13 +160,6 @@ def _single_qubit_members(tab: CanonicalTableau) -> tuple[tuple[int, PauliString
     return tuple(sorted(found, key=lambda f: f[0]))
 
 
-class _Transported(NamedTuple):
-    """Generators carried from a well-formed type; trusted like a StabType."""
-
-    arity: int
-    generators: tuple[PauliString, ...]
-
-
 def _random_outcome(gens: Sequence[PauliString], k: int) -> Optional[tuple[list, int]]:
     """Random Z_k outcome: the carriers, with an x-bit (X or Y) at k, anticommute
     with Z_k. Multiply the first into the others, drop it and adjoin +Z_k (the
@@ -208,10 +201,10 @@ def _measure_rows(
 def measure(source, k: int):
     """Z-basis measurement of qubit k as a type transformation.
 
-    Returns the normalized post-measurement StabType; the canonical form
-    costs O(n^2) row operations. ``check`` applies the O(n) generator
-    update instead and comes here only for a determined outcome on a
-    mixed state. The result of a StabType is built from its
+    Returns the post-measurement StabType, generated by the rows of its
+    canonical tableau, which cost O(n^2) row operations. ``check`` applies
+    the O(n) generator update instead and comes here only for a determined
+    outcome on a mixed state. The result of a StabType is built from its
     canonical tableau without checks; the result of a plain generator
     list is validated, so an ill-formed list raises IllFormedTypeError.
     """
@@ -225,6 +218,6 @@ def measure_with_cost(source, k: int):
 
     gens, arity = _coerce(source)
     tab, ops = _measure_rows(arity, gens, k)
-    if isinstance(source, (StabType, _Transported)):
+    if isinstance(source, StabType):
         return _from_tableau(tab), ops
     return StabType(arity, tab.rows), ops

@@ -31,14 +31,15 @@ class StabType(_Frozen):
     """An intersection type: commuting Pauli generators of equal arity.
 
     Construction validates well-formedness and raises IllFormedTypeError
-    otherwise; generators are kept as given (use :func:`normalize` for
-    the canonical presentation), and ``tableau`` keeps their canonical
-    form, which the -I check computes. An empty generating set is the
+    otherwise; generators are kept as given, and ``tableau`` keeps their
+    canonical form (``tableau.rows`` is the canonical presentation), which
+    the -I check computes. Equality and hashing are of the generated
+    group, so ``XX & ZZ`` equals ``-YY & ZZ``. An empty generating set is the
     fully unconstrained type over ``arity`` qubits.
     """
 
     _fields = ("arity", "generators")
-    # ``tableau`` is neither compared nor shown.
+    # ``tableau`` is not in the repr.
     __slots__ = _fields + ("tableau",)
 
     def __init__(self, arity: int, generators: tuple[PauliString, ...] = ()) -> None:
@@ -74,6 +75,10 @@ class StabType(_Frozen):
         object.__setattr__(self, "tableau", tab)
         return tab
 
+    def _key(self) -> tuple:
+        # Compared and hashed as a group, not by its generators.
+        return self.arity, self.tableau.rows
+
     @classmethod
     def of(cls, *literals: str) -> "StabType":
         """Build from Pauli literals, e.g. ``StabType.of("XX", "ZZ")``."""
@@ -93,7 +98,7 @@ def _unchecked(arity: int, generators: tuple[PauliString, ...]) -> StabType:
     tableau is row-reduced on first use.
 
     Not validated: ``generators`` must be well formed, as the generators
-    transported from a validated type in ``annotate`` are.
+    that ``check`` and ``annotate`` carry from a validated type are.
     """
     s = object.__new__(StabType)
     object.__setattr__(s, "arity", arity)
@@ -106,32 +111,12 @@ def _from_tableau(tab: stabilizer.CanonicalTableau, generators=None) -> StabType
     and canonical tableau ``tab``, built without checks.
 
     Not validated: ``tab`` must be the canonical tableau of a well-formed
-    type, as the results of normalize, measure, factoring and check are,
+    type, as the results of measure, factoring and check are,
     and of ``generators`` when given, as of a parsed product's remainder.
     """
     s = _unchecked(tab.arity, tab.rows if generators is None else generators)
     object.__setattr__(s, "tableau", tab)
     return s
-
-
-def normalize(s: StabType) -> StabType:
-    """Canonical presentation: echelon-form generators, duplicates and
-    identities removed, deterministic order."""
-    return _from_tableau(s.tableau)
-
-
-def intersect(s1: StabType, s2: StabType) -> StabType:
-    """The intersection type: union of generators, normalized."""
-    if s1.arity != s2.arity:
-        raise ArityError(f"cannot intersect arity {s1.arity} with {s2.arity}")
-    return normalize(StabType(s1.arity, s1.generators + s2.generators))
-
-
-def type_equal(s1: StabType, s2: StabType) -> bool:
-    """True iff both sets generate the same phased group."""
-    if s1.arity != s2.arity:
-        raise ArityError(f"cannot compare arity {s1.arity} with {s2.arity}")
-    return s1.tableau.rows == s2.tableau.rows
 
 
 class QType(_Frozen):
@@ -169,10 +154,6 @@ class QType(_Frozen):
     @property
     def top(self) -> bool:
         return self.stab is None
-
-    def _key(self) -> tuple:
-        # Compared and hashed as a group, not by its fields.
-        return self.arity, None if self.stab is None else self.stab.tableau.rows
 
     def __reduce__(self) -> tuple:
         return QType, (self.arity, self.stab, self.shown)

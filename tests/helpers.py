@@ -2,8 +2,9 @@
 enumeration, an atom-by-atom reference for the packed Pauli algebra, a
 member-based reference for separability, a per-measurement canonical
 reference for ``check``, per-string references for gate transport, a
-dense-product reference for the oracle, checking references for the
-``.qc`` and type parsers, random circuits, and hypothesis strategies."""
+dense-product reference for the oracle and its one-claim checks,
+checking references for the ``.qc`` and type parsers, a canonical
+``.qc`` printer, random circuits, and hypothesis strategies."""
 
 import itertools
 import random
@@ -18,7 +19,14 @@ from gottesman.errors import ArityError, ParseError, TopOperandError, WireError
 from gottesman.gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
 from gottesman.pauli import ONE, PauliAtom, PauliString, Phase, from_bits, string_mul
 from gottesman.stabilizer import canonicalize, member
-from gottesman.typesys import QType, StabType, _from_tableau, factor_separable, fold_unicode
+from gottesman.typesys import (
+    QType,
+    StabType,
+    _from_tableau,
+    _unchecked,
+    factor_separable,
+    fold_unicode,
+)
 
 # Independent single-qubit matrices; deliberately not imported from the
 # package so matrix-level assertions do not share code with what they test.
@@ -28,17 +36,19 @@ MAT = {
     PauliAtom.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
     PauliAtom.Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# i**k, indexed by a phase's exponent k.
+PHASE_VALUES = (1, 1j, -1, -1j)
 
 
 def string_matrix(p: PauliString) -> np.ndarray:
-    m = np.array([[p.phase.to_complex()]])
+    m = np.array([[PHASE_VALUES[p.phase.k]]])
     for atom in p.atoms:
         m = np.kron(m, MAT[atom])
     return m
 
 
 def brute_force_group(gens) -> dict[tuple, int]:
-    """Every element of the generated group as bits -> phase exponent."""
+    """Every element of the generated group as (x, z) masks -> phase exponent."""
     gens = list(gens)
     if not gens:
         return {}
@@ -49,7 +59,7 @@ def brute_force_group(gens) -> dict[tuple, int]:
         for take, g in zip(picks, gens):
             if take:
                 acc = string_mul(acc, g)
-        elements[(acc.x_bits, acc.z_bits)] = acc.phase.k
+        elements[(acc.x, acc.z)] = acc.phase.k
     return elements
 
 
@@ -262,9 +272,7 @@ def ref_states(circuit, input_type):
         if isinstance(ins, Measure):
             if cur is None:
                 raise TopOperandError("cannot measure a Top-typed register")
-            measured = stabilizer.measure(
-                stabilizer._Transported(circuit.n_qubits, tuple(cur)), ins.qubit
-            )
+            measured = stabilizer.measure(_unchecked(circuit.n_qubits, tuple(cur)), ins.qubit)
             cur = list(measured.generators)
         elif cur is not None:
             cur = [apply_gate(ins, g) for g in cur]
@@ -279,7 +287,7 @@ def ref_check(circuit, input_type):
         pass
     if cur is None:
         return QType.top_type(circuit.n_qubits)
-    tab = canonicalize(stabilizer._Transported(circuit.n_qubits, tuple(cur)))
+    tab = canonicalize(_unchecked(circuit.n_qubits, tuple(cur)))
     return factor_separable(_from_tableau(tab))
 
 
@@ -414,6 +422,28 @@ def oracle_unitary(circuit):
     through ``oracle._evolve``, for comparison with ``ref_unitary``."""
     n = circuit.n_qubits
     return oracle._evolve(circuit.instructions, n, np.eye(2**n, dtype=complex))
+
+
+# One claim at a time through ``oracle.verify_claims``, which checks them
+# all in one pass for ``verify``.
+
+
+def verify_conjugation(circuit, p, q):
+    """True iff U M(p) U+ equals M(q)."""
+    return oracle.verify_claims(circuit, [(p, q)])[0][0]
+
+
+def transport_residual(
+    circuit, input_type, transported, samples=oracle.DEFAULT_SAMPLES, seed=oracle.DEFAULT_SEED
+):
+    """How far ``input_type``'s sampled eigenstates, pushed through the
+    circuit, sit from the +1 eigenspace of each transported generator."""
+    return oracle.verify_claims(circuit, (), input_type, transported, samples, seed)[1]
+
+
+def verify_separability(s, k, samples=oracle.DEFAULT_SAMPLES, seed=oracle.DEFAULT_SEED):
+    """True iff every sampled joint eigenstate of ``s`` is pure at qubit k."""
+    return oracle.verify_claims(Circuit(s.arity), (), s, (), samples, seed, (k,))[2][0]
 
 
 def ref_verify_conjugation(circuit, p, q, u=None):
@@ -760,7 +790,8 @@ class _RefTypeParser:
             raise ParseError(f"expected a Pauli literal, got {tok!r}", col=col) from None
         if lit.is_top:
             return QType.top_type(lit.arity), col
-        return QType(lit.arity, StabType(lit.arity, () if lit.is_identity else (lit,))), col
+        identity = not (lit.x | lit.z | lit.k)
+        return QType(lit.arity, StabType(lit.arity, () if identity else (lit,))), col
 
 
 def _ref_intersect_units(units):
@@ -805,6 +836,40 @@ def ref_parse_qtype(text):
         if err.col is None:
             raise
         raise ParseError(err.message, col=_ref_unfolded_col(text, err.col)) from None
+
+
+def _formal(w: int) -> str:
+    """The formal name of a def's wire ``w``: ``a``..``p``, then ``w17``, ``w18``..."""
+    return "abcdefghijklmnop"[w - 1] if w <= 16 else f"w{w}"
+
+
+def format_source(circuit: Circuit, input_type: QType | None = None) -> str:
+    """Canonical source text; reparsing yields an identical AST."""
+    lines = [f"qubits {circuit.n_qubits}"]
+    if input_type is not None:
+        lines.append(f"input {input_type}")
+    std = standard_gates()
+    emitted: dict[str, GateSpec] = {}
+
+    def emit_defs(spec: GateSpec) -> None:
+        if spec.name in std or spec.name in emitted:
+            return
+        for app in spec.decomposition or ():
+            emit_defs(app.gate)
+        formals = [_formal(w) for w in range(1, spec.arity + 1)]
+        body = "; ".join(
+            " ".join([app.gate.name, *map(_formal, app.wires)])
+            for app in spec.decomposition or ()
+        )
+        lines.append(f"def {spec.name} {' '.join(formals)} := {body}")
+        emitted[spec.name] = spec
+
+    for ins in circuit.instructions:
+        if isinstance(ins, GateApp):
+            emit_defs(ins.gate)
+    for ins in circuit.instructions:
+        lines.append(str(ins))
+    return "\n".join(lines) + "\n"
 
 
 CLIFFORD_1Q = ("H", "S", "Sdg", "X", "Y", "Z")

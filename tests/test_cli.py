@@ -17,7 +17,6 @@ from gottesman.cli import (
     EXIT_ORACLE_UNAVAILABLE,
     EXIT_PARSE_ERROR,
     EXIT_TYPE_ERROR,
-    format_source,
     parse,
     run,
 )
@@ -25,7 +24,7 @@ from gottesman.errors import GottesmanError, ParseError
 from gottesman.gates import GateApp
 from gottesman.typesys import parse_qtype
 
-from helpers import random_stab_type, ref_parse, ref_parse_qtype
+from helpers import format_source, random_stab_type, ref_parse, ref_parse_qtype
 
 CIRCUITS = pathlib.Path(__file__).resolve().parent.parent / "circuits"
 

@@ -16,7 +16,15 @@ from gottesman.gates import GateApp, standard_gates
 from gottesman.pauli import PauliAtom, PauliString, Phase
 from gottesman.typesys import StabType, factor_separable
 
-from helpers import ALL_ATOMS, oracle_unitary, ref_unitary, string_matrix
+from helpers import (
+    ALL_ATOMS,
+    oracle_unitary,
+    ref_unitary,
+    string_matrix,
+    transport_residual,
+    verify_conjugation,
+    verify_separability,
+)
 
 GATES = standard_gates()
 
@@ -128,14 +136,14 @@ class TestUnitaryOf:
         # point stops at MAX_QUBITS, where a state vector stops fitting.
         circuit = circ(11, "H 1", "CNOT 1 11")
         z1, image = P("Z" + "I" * 10), P("X" + "I" * 9 + "X")
-        assert oracle.verify_conjugation(circuit, z1, image)
+        assert verify_conjugation(circuit, z1, image)
         over = oracle.MAX_QUBITS + 1
         oracle.check_size(oracle.MAX_QUBITS)
         with pytest.raises(OracleUnavailableError):
             oracle.check_size(over)
         wide = "Z" + "I" * (over - 1)
         with pytest.raises(OracleUnavailableError):
-            oracle.verify_conjugation(Circuit(over), P(wide), P(wide))
+            verify_conjugation(Circuit(over), P(wide), P(wide))
         with pytest.raises(OracleUnavailableError):
             oracle.sample_eigenstates(StabType.of(wide))
 
@@ -151,13 +159,13 @@ class TestUnitaryOf:
         with pytest.raises(OracleUnavailableError):
             oracle.sample_eigenstates(wide, count=oracle.MAX_BATCH_BYTES)
         with pytest.raises(OracleUnavailableError):
-            oracle.transport_residual(circ(2, "H 1"), wide, (), samples=10**15)
+            transport_residual(circ(2, "H 1"), wide, (), samples=10**15)
 
     def test_rejects_measurement(self):
         from gottesman.checker import Measure
 
         with pytest.raises(MeasurementError):
-            oracle.verify_conjugation(Circuit(1, (Measure(1),)), P("Z"), P("Z"))
+            verify_conjugation(Circuit(1, (Measure(1),)), P("Z"), P("Z"))
 
     def test_embedding_nonadjacent_wires(self):
         # CNOT between wires 3 and 1 of a 3-qubit register: |c t| = |q3 q1|
@@ -174,27 +182,38 @@ class TestUnitaryOf:
 
 class TestVerifyConjugation:
     def test_h_sends_x_to_z(self):
-        assert oracle.verify_conjugation(circ(1, "H 1"), P("X"), P("Z"))
+        assert verify_conjugation(circ(1, "H 1"), P("X"), P("Z"))
 
     def test_empty_circuit(self):
-        assert oracle.verify_conjugation(Circuit(2), P("XY"), P("XY"))
+        assert verify_conjugation(Circuit(2), P("XY"), P("XY"))
 
     def test_z_gate_flips_x(self):
-        assert oracle.verify_conjugation(circ(1, "S 1", "S 1"), P("X"), P("-X"))
+        assert verify_conjugation(circ(1, "S 1", "S 1"), P("X"), P("-X"))
 
     def test_phase_errors_detected(self):
-        assert not oracle.verify_conjugation(circ(1, "S 1", "S 1"), P("X"), P("X"))
+        assert not verify_conjugation(circ(1, "S 1", "S 1"), P("X"), P("X"))
 
 
 class TestSeparability:
     def test_local_z_is_separable(self):
-        assert oracle.verify_separability(StabType.of("ZI"), 1)
+        assert verify_separability(StabType.of("ZI"), 1)
 
     def test_bell_pair_is_not(self):
-        assert not oracle.verify_separability(StabType.of("XX", "ZZ"), 1)
+        assert not verify_separability(StabType.of("XX", "ZZ"), 1)
 
     def test_split_cat_state(self):
-        assert oracle.verify_separability(StabType.of("IXX", "ZII", "IZZ"), 1)
+        assert verify_separability(StabType.of("IXX", "ZII", "IZZ"), 1)
+
+    @pytest.mark.parametrize("gens", [("XX", "ZZ"), ("ZI", "IZ")])
+    def test_purity_above_one_is_not_pure(self, monkeypatch, gens):
+        # Columns scaled by 2 have purity 16 times a unit column's: at or
+        # above 1 whether or not the qubit separates, but never 1.
+        draw = oracle.sample_eigenstates
+        monkeypatch.setattr(
+            oracle, "sample_eigenstates", lambda *args: 2 * draw(*args)
+        )
+        got = oracle.verify_claims(Circuit(2), (), StabType.of(*gens), (), qubits=(1, 2))
+        assert got[2] == [False, False]
 
     def test_empty_eigenspace_detected(self):
         # +Z and -Z on one qubit project every sample to zero.
@@ -249,7 +268,7 @@ class TestSeparability:
 class TestTransport:
     def test_ghz_eigenstates_transported(self):
         ghz = circ(3, "H 1", "CNOT 1 2", "CNOT 2 3")
-        got = oracle.transport_residual(
+        got = transport_residual(
             ghz,
             flatten_type("Z x Z x Z"),
             StabType.of("XXX", "ZZI", "IZZ").generators,
@@ -258,7 +277,7 @@ class TestTransport:
 
     def test_detects_wrong_claim(self):
         ghz = circ(3, "H 1", "CNOT 1 2", "CNOT 2 3")
-        got = oracle.transport_residual(
+        got = transport_residual(
             ghz,
             flatten_type("Z x Z x Z"),
             StabType.of("ZII").generators,

@@ -36,6 +36,9 @@ from helpers import (
     ref_unitary,
     ref_verify_conjugation,
     ref_verify_separability,
+    transport_residual,
+    verify_conjugation,
+    verify_separability,
 )
 
 GATES = standard_gates()
@@ -238,16 +241,16 @@ def test_conjugation_verdicts_match_reference():
                 if img.is_top:
                     continue
                 source = embed(atom, ONE, k, n)
-                assert oracle.verify_conjugation(circuit, source, img)
+                assert verify_conjugation(circuit, source, img)
                 assert ref_verify_conjugation(circuit, source, img)
                 accepted += 1
                 for wrong in mutations(img, rng):
-                    assert not oracle.verify_conjugation(circuit, source, wrong)
+                    assert not verify_conjugation(circuit, source, wrong)
                     assert not ref_verify_conjugation(circuit, source, wrong)
                     rejected += 1
         # Arbitrary pairs: the two must simply agree.
         p, q = random_string(n, rng), random_string(n, rng)
-        assert oracle.verify_conjugation(circuit, p, q) == ref_verify_conjugation(
+        assert verify_conjugation(circuit, p, q) == ref_verify_conjugation(
             circuit, p, q
         )
     assert accepted > 100 and rejected == 3 * accepted
@@ -329,7 +332,7 @@ def test_transport_and_separability_verdicts_match_reference():
         flat_out = out.stab
         gens = flat_out.generators
         claimed = (circuit, input_type, gens)
-        got = oracle.transport_residual(*claimed, samples=4, seed=trial)
+        got = transport_residual(*claimed, samples=4, seed=trial)
         want = ref_transport_residual(*claimed, 4, trial)
         assert got < oracle.TOLERANCE and want < oracle.TOLERANCE
         transported += 1
@@ -340,7 +343,7 @@ def test_transport_and_separability_verdicts_match_reference():
             flipped, swapped, phased = mutations(gens[j], rng)
             for wrong in (flipped, swapped, phased):
                 claimed = (circuit, input_type, gens[:j] + (wrong,) + gens[j + 1 :])
-                got = oracle.transport_residual(*claimed, samples=4, seed=trial)
+                got = transport_residual(*claimed, samples=4, seed=trial)
                 want = ref_transport_residual(*claimed, 4, trial)
                 assert (got < oracle.TOLERANCE) == (want < oracle.TOLERANCE)
                 assert wrong is swapped or got > 1e-3
@@ -353,7 +356,7 @@ def test_transport_and_separability_verdicts_match_reference():
         states = ref_transported_states(circuit, input_type, 4, trial)
         assert pure == [ref_pure_at(states, k, n) for k in qubits]
         for k in qubits:
-            verdict = oracle.verify_separability(flat_out, k, samples=4, seed=trial)
+            verdict = verify_separability(flat_out, k, samples=4, seed=trial)
             assert verdict == ref_verify_separability(flat_out, k, 4, trial)
             assert verdict == pure[k - 1]
             separable += verdict

@@ -20,7 +20,7 @@ from gottesman.stabilizer import (
     member,
     _single_qubit_members,
 )
-from gottesman.typesys import StabType, parse_qtype, type_equal
+from gottesman.typesys import StabType, parse_qtype
 
 from helpers import brute_force_group, embed, random_stab_type, ref_string_mul, string_pairs
 
@@ -168,7 +168,7 @@ class TestMember:
             for atoms in itertools.product(ALL_ATOMS, repeat=3):
                 probe = PauliString(ONE, atoms)
                 got = member(tab, probe)
-                key = (probe.x_bits, probe.z_bits)
+                key = (probe.x, probe.z)
                 if key in table:
                     assert got == Phase(table[key])
                 else:
@@ -190,9 +190,8 @@ class TestSingleQubitMembers:
         assert _single_qubit_members(tab) == ()
         # brute force agrees: no group element is single-qubit
         table = brute_force_group([P("XXX"), P("ZZI"), P("IZZ")])
-        for (xb, zb) in table:
-            weight = sum(1 for x, z in zip(xb, zb) if x or z)
-            assert weight != 1
+        for (x, z) in table:
+            assert (x | z).bit_count() != 1
 
     def test_negative_phases_reported(self):
         tab = canonicalize(StabType.of("-Y"))
@@ -202,7 +201,7 @@ class TestSingleQubitMembers:
 class TestMeasure:
     def test_cat_state_collapses(self):
         got = measure(StabType.of("XXX", "ZZI", "IZZ"), 1)
-        assert type_equal(got, parse_qtype("Z x Z x Z").stab)
+        assert got == parse_qtype("Z x Z x Z").stab
 
     def test_idempotent_on_z(self):
         got = measure(StabType.of("ZI"), 1)
@@ -215,11 +214,11 @@ class TestMeasure:
     def test_y_generator_is_removed(self):
         # Y at the measured position anticommutes with Z and must go.
         got = measure(StabType.of("YX"), 1)
-        assert type_equal(got, StabType.of("ZI"))
+        assert got == StabType.of("ZI")
 
     def test_measure_other_qubit(self):
         got = measure(StabType.of("XXX", "ZZI", "IZZ"), 3)
-        assert type_equal(got, parse_qtype("Z x Z x Z").stab)
+        assert got == parse_qtype("Z x Z x Z").stab
 
     def test_output_contains_z_k(self):
         # +-Z_k: +Z_k unless the input state fixed the outcome at -1.
@@ -247,7 +246,7 @@ class TestMeasure:
     )
     def test_determined_outcomes_keep_the_state(self, gens, want):
         got = measure(StabType.of(*gens), 1)
-        assert type_equal(got, StabType.of(*want))
+        assert got == StabType.of(*want)
 
     def test_output_well_formed(self):
         # measure builds its result unchecked; validating it again must

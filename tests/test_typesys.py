@@ -6,15 +6,7 @@ import pytest
 from gottesman.errors import ArityError, IllFormedTypeError, ParseError
 from gottesman.pauli import PauliString, string_mul
 from gottesman.stabilizer import _echelon, _single_qubit_members
-from gottesman.typesys import (
-    QType,
-    StabType,
-    factor_separable,
-    intersect,
-    normalize,
-    parse_qtype,
-    type_equal,
-)
+from gottesman.typesys import QType, StabType, factor_separable, parse_qtype
 
 from helpers import (
     brute_force_group,
@@ -62,48 +54,55 @@ class TestStabType:
 
 
 class TestNormalize:
+    """The canonical presentation of a type is its tableau's rows."""
+
     def test_drops_identity_generator(self):
-        got = normalize(StabType.of("II", "ZZ"))
-        assert got.generators == (P("ZZ"),)
+        got = StabType.of("II", "ZZ").tableau.rows
+        assert got == (P("ZZ"),)
 
     def test_drops_dependent_generator(self):
-        got = normalize(StabType.of("XX", "XI", "IX"))
-        assert got.generators == (P("XI"), P("IX"))
-        assert type_equal(got, StabType.of("XX", "XI", "IX"))
+        got = StabType.of("XX", "XI", "IX").tableau.rows
+        assert got == (P("XI"), P("IX"))
+        assert StabType(2, got) == StabType.of("XX", "XI", "IX")
 
     def test_deterministic(self):
-        a = normalize(StabType.of("XX", "ZZ"))
-        b = normalize(StabType.of("ZZ", "XX"))
+        a = StabType.of("XX", "ZZ").tableau.rows
+        b = StabType.of("ZZ", "XX").tableau.rows
         assert a == b
 
 
 class TestIntersect:
+    """Intersection is the parsed ``&``."""
+
     def test_bell_type(self):
-        got = intersect(StabType.of("XX"), StabType.of("ZZ"))
-        assert type_equal(got, StabType.of("XX", "ZZ"))
+        got = parse_qtype("XX & ZZ").stab
+        assert got == StabType.of("XX", "ZZ")
 
     def test_idempotent(self):
         a = StabType.of("XX", "ZZ")
-        assert intersect(a, a) == normalize(a)
+        got = parse_qtype("(XX & ZZ) & (XX & ZZ)").stab
+        assert got == a and got.tableau.rows == a.tableau.rows
 
     def test_contradiction_raises(self):
         with pytest.raises(IllFormedTypeError):
-            intersect(StabType.of("X"), StabType.of("-X"))
+            parse_qtype("X & -X")
 
     def test_arity_mismatch(self):
-        with pytest.raises(ArityError):
-            intersect(StabType.of("X"), StabType.of("XX"))
+        with pytest.raises(ParseError, match="mismatched arities"):
+            parse_qtype("X & XX")
 
 
 class TestTypeEqual:
+    """A StabType's ``==`` and hash are those of the group it generates."""
+
     def test_presentation_independent(self):
-        assert type_equal(StabType.of("XX", "XI"), StabType.of("IX", "XI"))
+        assert StabType.of("XX", "XI") == StabType.of("IX", "XI")
 
     def test_phases_matter(self):
-        assert not type_equal(StabType.of("Z"), StabType.of("-Z"))
+        assert StabType.of("Z") != StabType.of("-Z")
 
     def test_rewritten_generator(self):
-        assert type_equal(StabType.of("XX", "ZZ"), StabType.of("-YY", "ZZ"))
+        assert StabType.of("XX", "ZZ") == StabType.of("-YY", "ZZ")
         # confirmed by full enumeration
         assert brute_force_group([P("XX"), P("ZZ")]) == brute_force_group(
             [P("-YY"), P("ZZ")]
@@ -113,9 +112,9 @@ class TestTypeEqual:
         rng = random.Random(21)
         for _ in range(20):
             s = random_stab_type(4, rng)
-            assert type_equal(s, s)
-            t = normalize(s)
-            assert type_equal(s, t) and type_equal(t, s)
+            assert s == s
+            t = StabType(4, s.tableau.rows)
+            assert s == t and t == s
 
     def test_invariant_under_generator_rewrite(self):
         rng = random.Random(22)
@@ -124,7 +123,31 @@ class TestTypeEqual:
             gens = list(s.generators)
             i, j = rng.sample(range(len(gens)), 2)
             gens[i] = string_mul(gens[i], gens[j])
-            assert type_equal(s, StabType(4, tuple(gens)))
+            assert s == StabType(4, tuple(gens))
+
+    def test_group_equality_and_hash(self):
+        # Rewriting a generator as g_i * g_j and shuffling the generators
+        # keeps the group; flipping one generator's sign changes it.
+        rng = random.Random(23)
+        rewritten = 0
+        for _ in range(300):
+            n = rng.randrange(1, 6)
+            s = random_stab_type(n, rng)
+            gens = list(s.generators)
+            if len(gens) > 1:
+                i, j = rng.sample(range(len(gens)), 2)
+                gens[i] = string_mul(gens[i], gens[j])
+                rewritten += 1
+            rng.shuffle(gens)
+            t = StabType(n, tuple(gens))
+            assert t == s and hash(t) == hash(s)
+            assert len({s, t}) == 1
+            k = rng.randrange(len(gens))
+            gens[k] = -gens[k]
+            flipped = StabType(n, tuple(gens))
+            assert flipped != s and s != flipped
+            assert len({s, flipped}) == 2
+        assert rewritten > 150
 
 
 class TestFactorSeparable:
@@ -162,7 +185,7 @@ class TestFactorSeparable:
         assert q.factors == ((2, P("Z")),)
         assert q.remainder_support == (1, 3)
         assert str(q) == "IZI & XIX & ZIZ"
-        assert type_equal(q.stab, StabType.of("XIX", "ZIZ", "IZI"))
+        assert q.stab == StabType.of("XIX", "ZIZ", "IZI")
         # Lone rows by qubit, though an X row pivots before a Z row.
         q = factor_separable(StabType.of("IXIX", "IZIZ", "IIXI", "ZIII"))
         assert str(q) == "ZIII & IIXI & IXIX & IZIZ"
@@ -173,12 +196,12 @@ class TestFactorSeparable:
             n = rng.randrange(2, 6)
             s = random_stab_type(n, rng)
             q = factor_separable(s)
-            assert type_equal(q.stab, s)
+            assert q.stab == s
             # The view's factors and remainder generate the group again.
             gens = [_pad(p, (k,), n) for k, p in q.factors]
             if q.remainder is not None:
                 gens += [_pad(g, q.remainder_support, n) for g in q.remainder.generators]
-            assert type_equal(StabType(n, tuple(gens)), s)
+            assert StabType(n, tuple(gens)) == s
 
     def test_completeness_against_enumeration(self):
         rng = random.Random(32)
@@ -189,10 +212,9 @@ class TestFactorSeparable:
             peeled = {k for k, _ in q.factors}
             table = brute_force_group(s.generators)
             expected = set()
-            for (xb, zb), _phase in table.items():
-                hits = [i for i in range(n) if xb[i] or zb[i]]
-                if len(hits) == 1:
-                    expected.add(hits[0] + 1)
+            for (x, z), _phase in table.items():
+                if (x | z).bit_count() == 1:
+                    expected.add((x | z).bit_length())
             assert peeled == expected
 
     def test_matches_member_reference(self):
@@ -261,7 +283,7 @@ class TestQType:
 
     def test_flatten_of_split_type(self):
         q = parse_qtype("Z x (XX & ZZ)")
-        assert type_equal(q.stab, StabType.of("ZII", "IXX", "IZZ"))
+        assert q.stab == StabType.of("ZII", "IXX", "IZZ")
 
     def test_identity_print(self):
         assert str(QType(2, StabType(2, ()))) == "II"
@@ -328,7 +350,7 @@ class TestParsePrint:
         q = parse_qtype("(XX & ZZ) x (XX & ZZ)")
         assert q.arity == 4
         assert q.remainder_support == (1, 2, 3, 4)
-        assert type_equal(q.stab, StabType.of("XXII", "ZZII", "IIXX", "IIZZ"))
+        assert q.stab == StabType.of("XXII", "ZZII", "IIXX", "IIZZ")
         assert q.stab.generators == (P("XXII"), P("ZZII"), P("IIXX"), P("IIZZ"))
 
     def test_ill_formed_inputs_raise_type_errors(self):
@@ -377,7 +399,7 @@ class TestParsePrint:
 
 
 def test_prop2_purity_link_for_peeled_qubits():
-    from gottesman import oracle
+    from helpers import verify_separability
 
     rng = random.Random(41)
     cases = 0
@@ -389,4 +411,4 @@ def test_prop2_purity_link_for_peeled_qubits():
             continue
         cases += 1
         for k, _ in q.factors:
-            assert oracle.verify_separability(q.stab, k, samples=8, seed=cases)
+            assert verify_separability(q.stab, k, samples=8, seed=cases)

@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from gottesman import (
-    CanonicalTableau,
     Circuit,
     GateApp,
     Measure,
@@ -21,6 +20,7 @@ from gottesman import (
 )
 from gottesman.checker import _circuit
 from gottesman.pauli import PauliString
+from gottesman.stabilizer import CanonicalTableau
 from gottesman.typesys import _unchecked
 
 GATES = standard_gates()
