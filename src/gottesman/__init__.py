@@ -20,8 +20,8 @@ from .errors import (
     WireError,
 )
 from .gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
-from .pauli import PauliAtom, PauliString, Phase, commutes, string_mul, tensor
-from .stabilizer import canonicalize, measure, measure_with_cost, member
+from .pauli import PauliString, commutes, string_mul, tensor
+from .stabilizer import measure, measure_with_cost, member
 from .typesys import QType, StabType, factor_separable, parse_qtype
 
 __version__ = "0.1.0"
@@ -39,9 +39,7 @@ __all__ = [
     "OracleError",
     "OracleUnavailableError",
     "ParseError",
-    "PauliAtom",
     "PauliString",
-    "Phase",
     "QType",
     "StabType",
     "Tableau",
@@ -49,7 +47,6 @@ __all__ = [
     "WireError",
     "annotate",
     "apply_gate",
-    "canonicalize",
     "check",
     "commutes",
     "derive_gate",

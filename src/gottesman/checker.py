@@ -151,8 +151,7 @@ def check(circuit: Circuit, input_type: QType) -> QType:
     if cur is None:
         return QType.top_type(n)
     # Transport and measurement keep the input type well formed.
-    tab = stabilizer.canonicalize(_unchecked(n, tuple(cur)))
-    return factor_separable(_from_tableau(tab))
+    return factor_separable(_from_tableau(stabilizer._echelon(n, cur)[0]))
 
 
 def annotate(circuit: Circuit, input_type: QType) -> list[QType]:

@@ -226,7 +226,7 @@ def _qtype_record(q: QType) -> dict:
         "top": False,
         "text": str(q),
         "factors": [
-            {"qubit": k, "sign": p.phase.sign, "basis": str(p)[-1]}
+            {"qubit": k, "sign": 1 - p.k, "basis": str(p)[-1]}
             for k, p in q.factors
         ],
         "remainder": {

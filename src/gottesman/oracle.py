@@ -17,7 +17,7 @@ run costs one gather of the batch's rows and at most one multiply. Any
 other gate, of any arity, gathers the rows through the pending run into
 2^g blocks by their bits on its wires, multiplies the blocks by its
 unitary in one matmul, and leaves their ungrouping pending. A Pauli's
-letters are read from its printed text and its phase from ``.phase``,
+letters are read from its printed text and its phase from ``.k``,
 sharing no code with the bit kernels, and a list of strings acts in one
 gather.
 """
@@ -89,7 +89,7 @@ def _paulis(strings: Sequence[PauliString], n: int) -> tuple[np.ndarray, np.ndar
         letters = str(p).lstrip("-i")  # letters hold no '-' or 'i'
         flips.append(int(letters.translate(_X_DIGITS), 2))
         signs.append(int(letters.translate(_Z_DIGITS), 2))
-        powers.append((p.phase.k + 3 * letters.count("Y")) % 4)
+        powers.append((p.k + 3 * letters.count("Y")) % 4)
     index = _basis(n)[0]
     perm = index ^ np.array(flips, dtype=np.intp)[:, None]
     parity = _PARITY_SIGN[index & np.array(signs, dtype=np.intp)[:, None]]

@@ -9,23 +9,23 @@ arXiv:2103.02202): a product is an XOR of the masks with its phase read
 off popcounts, and commutation is the parity of one popcount. Phases
 never pass through floating point.
 
-Any TOP atom collapses the whole string to all-TOP with phase +1: a
-non-Pauli conjugate is not locally a Pauli, so per-qubit claims or a
-phase would overstate what is known. Top strings keep x = z = k = 0.
+A T anywhere in a literal collapses the whole string to all-Top with
+phase +1: a non-Pauli conjugate is not locally a Pauli, so per-qubit
+claims or a phase would overstate what is known. Top strings keep
+x = z = k = 0.
 
-``PauliAtom`` is only the per-qubit view used for parsing, printing and
-``PauliString.atoms``. Strings are immutable by convention (no operation
-mutates one) and safe to share between threads.
+The masks and ``k`` are the one encoding; letters appear only in
+:meth:`PauliString.parse` and in printing. Strings are immutable by convention (no operation mutates one)
+and safe to share between threads.
 
-``_Frozen`` is the slotted, immutable base of ``Phase`` and of the other
-value classes of the package, in place of frozen dataclasses: importing
-``dataclasses`` costs more start-up time than the whole package.
+``_Frozen`` is the slotted, immutable base of the package's value classes,
+in place of frozen dataclasses: importing ``dataclasses`` costs more
+start-up time than the whole package.
 """
 
 from __future__ import annotations
 
 import re
-from enum import Enum
 
 from .errors import ArityError, TopOperandError
 
@@ -71,64 +71,9 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Phase(_Frozen):
-    """A power of i: ``Phase(k)`` denotes i**k with k kept modulo 4."""
-
-    __slots__ = _fields = ("k",)
-
-    def __init__(self, k: int = 0) -> None:
-        self._set_fields(k % 4)
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.k + other.k)
-
-    def __neg__(self) -> "Phase":
-        return Phase(self.k + 2)
-
-    @property
-    def is_real(self) -> bool:
-        return self.k % 2 == 0
-
-    @property
-    def sign(self) -> int:
-        """+1 or -1; only defined for real phases."""
-        if not self.is_real:
-            raise ValueError(f"phase {self} has no real sign")
-        return 1 if self.k == 0 else -1
-
-    @property
-    def prefix(self) -> str:
-        """The literal prefix used when printing phased strings."""
-        return ("", "i", "-", "-i")[self.k]
-
-    def __str__(self) -> str:
-        return ("+1", "i", "-1", "-i")[self.k]
-
-
-ONE = Phase(0)
-PLUS_I = Phase(1)
-MINUS_ONE = Phase(2)
-MINUS_I = Phase(3)
-_PHASES = (ONE, PLUS_I, MINUS_ONE, MINUS_I)
-
+# A literal's phase prefix and its exponent of i; i**k prints as _PREFIXES[k].
 _PREFIX_TO_K = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
-
-
-class PauliAtom(Enum):
-    """One tensor position: a Pauli operator or the TOP annihilator."""
-
-    I = "I"
-    X = "X"
-    Y = "Y"
-    Z = "Z"
-    TOP = "T"
-
-    @property
-    def letter(self) -> str:
-        return self.value
-
-
-_ATOM_OF_LETTER = {a.letter: a for a in PauliAtom}
+_PREFIXES = ("", "i", "-", "-i")
 # Per-qubit letters indexed by x | z << 1, and the digit maps that turn a
 # letter string (qubit 1 first) into the binary numeral of its x or z mask.
 _LETTERS = "IXZY"
@@ -141,33 +86,19 @@ _LITERAL = re.compile(r"([+-]?i?)([IXYZT]+)\Z")
 class PauliString:
     """A phased tensor of Paulis, e.g. -i(X@Z); arity is fixed at creation.
 
-    ``PauliString(phase, atoms)`` builds one from per-qubit atoms;
-    :func:`from_bits` builds one from its masks without any checks.
+    ``PauliString(arity, x, z, k)`` is i**k times the atoms packed in the
+    masks, checked; :func:`from_bits` builds the same without checks and
+    :meth:`parse` reads a literal.
     """
 
     __slots__ = ("arity", "x", "z", "k", "is_top")
 
-    def __init__(self, phase: Phase, atoms) -> None:
-        letters = "".join(a.letter for a in atoms)
-        if not letters:
+    def __init__(self, arity: int, x: int, z: int, k: int = 0) -> None:
+        if arity < 1:
             raise ArityError("a Pauli string needs at least one qubit")
-        self.arity = len(letters)
-        self.is_top = "T" in letters
-        if self.is_top:
-            self.x = self.z = self.k = 0
-            return
-        reverse = letters[::-1]  # the last qubit is the most significant digit
-        self.x = int(reverse.translate(_X_DIGITS), 2)
-        self.z = int(reverse.translate(_Z_DIGITS), 2)
-        self.k = phase.k
-
-    @property
-    def phase(self) -> Phase:
-        return _PHASES[self.k]
-
-    @property
-    def atoms(self) -> tuple[PauliAtom, ...]:
-        return tuple(_ATOM_OF_LETTER[c] for c in self._letters())
+        if (x | z) >> arity:  # nonzero for a negative mask too
+            raise ValueError(f"masks x={x}, z={z} do not fit in {arity} qubits")
+        self.arity, self.x, self.z, self.k, self.is_top = arity, x, z, k & 3, False
 
     def _letters(self) -> str:
         if self.is_top:
@@ -196,7 +127,13 @@ class PauliString:
         if m is None:
             raise ValueError(f"not a Pauli literal: {text!r}")
         prefix, letters = m.groups()
-        return cls(_PHASES[_PREFIX_TO_K[prefix]], [_ATOM_OF_LETTER[c] for c in letters])
+        n = len(letters)
+        if "T" in letters:
+            return cls.top(n)
+        reverse = letters[::-1]  # the last qubit is the most significant digit
+        x = int(reverse.translate(_X_DIGITS), 2)
+        z = int(reverse.translate(_Z_DIGITS), 2)
+        return from_bits(n, x, z, _PREFIX_TO_K[prefix])
 
     def _key(self) -> tuple:
         return (self.arity, self.x, self.z, self.k, self.is_top)
@@ -218,7 +155,7 @@ class PauliString:
         return from_bits(self.arity, self.x, self.z, self.k + 2)
 
     def __str__(self) -> str:
-        return _PHASES[self.k].prefix + self._letters()
+        return _PREFIXES[self.k] + self._letters()
 
     def __repr__(self) -> str:
         return f"PauliString.parse({str(self)!r})"

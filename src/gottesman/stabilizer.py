@@ -8,10 +8,10 @@ are row-reduced echelon forms under the column order x_1..x_n, z_1..z_n,
 group equality is row-by-row comparison of canonical forms, and
 membership is pivot reduction.
 
-Functions taking a generating set accept either a ``typesys.StabType`` or
-a plain sequence of ``PauliString``; they never mutate their inputs. A
-StabType carries its canonical tableau from construction, so it is never
-row-reduced again.
+Every Pauli string is read through its ``x``/``z`` masks and exponent
+``k``. A group comes in as a ``typesys.StabType``, which carries its
+canonical tableau from construction (``s.tableau``), so it is never
+row-reduced again; no function mutates its inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import ArityError, IllFormedTypeError, TopOperandError, WireError
-from .pauli import PauliString, Phase, _Frozen, from_bits, string_mul
+from .pauli import PauliString, _Frozen, from_bits, string_mul
 
 
 class CanonicalTableau(_Frozen):
@@ -39,6 +39,7 @@ class CanonicalTableau(_Frozen):
 
 
 _X, _Z = attrgetter("x"), attrgetter("z")
+_PHASE_TEXT = ("+1", "i", "-1", "-i")  # i**k in the messages of _echelon
 
 
 def _column(col: int, arity: int):
@@ -47,23 +48,13 @@ def _column(col: int, arity: int):
     return (_X, 1 << col) if col < arity else (_Z, 1 << (col - arity))
 
 
-def _coerce(source) -> tuple[tuple[PauliString, ...], int]:
-    gens = tuple(getattr(source, "generators", source))
-    arity = getattr(source, "arity", None)
-    if arity is None:
-        if not gens:
-            raise ArityError("an empty generating set needs an explicit arity")
-        arity = gens[0].arity
-    if any(g.is_top for g in gens):
-        raise TopOperandError("Top strings have no symplectic encoding")
-    return gens, arity
-
-
 def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[CanonicalTableau, int]:
     """Full row reduction; returns the tableau and the row-op count.
 
-    Raises IllFormedTypeError when a nontrivial product of the input rows
-    is a phased identity, i.e. the generated group contains -I (or +-iI).
+    Deterministic pivot order: x-bit columns 1..n, then z-bit columns;
+    dependent and identity rows drop out. Raises IllFormedTypeError when a
+    nontrivial product of the input rows is a phased identity, i.e. the
+    generated group contains -I (or +-iI), or when a row has phase +-i.
     The error names the combination of 1-based input rows responsible.
     """
     work = list(rows)
@@ -94,7 +85,7 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[CanonicalTableau,
     for j in range(r, len(work)):
         if work[j].k != 0:
             raise IllFormedTypeError(
-                f"group contains {work[j].phase} * identity"
+                f"group contains {_PHASE_TEXT[work[j].k]} * identity"
                 f" (product of generators {which(j)})"
             )
     for j in range(r):
@@ -103,31 +94,16 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[CanonicalTableau,
         if work[j].k % 2 == 1:
             raise IllFormedTypeError(
                 f"group contains -identity: element built from generators"
-                f" {which(j)} has phase {work[j].phase} and squares to -I"
+                f" {which(j)} has phase {_PHASE_TEXT[work[j].k]} and squares to -I"
             )
     return CanonicalTableau(arity, tuple(work[:r]), tuple(pivots)), ops
 
 
-def canonicalize(source) -> CanonicalTableau:
-    """Row-reduce a generating set, with exact phase bookkeeping.
-
-    Deterministic pivot order: x-bit columns 1..n, then z-bit columns.
-    Dependent and identity generators drop out; a dependent generator
-    whose phase disagrees with the group raises IllFormedTypeError.
-    A StabType's own tableau is returned as it is.
-    """
-    tab = getattr(source, "tableau", None)
-    if tab is not None:
-        return tab
-    gens, arity = _coerce(source)
-    return _echelon(arity, gens)[0]
-
-
-def member(tab: CanonicalTableau, p: PauliString) -> Optional[Phase]:
+def member(tab: CanonicalTableau, p: PauliString) -> Optional[int]:
     """Membership with phase.
 
-    If p's bit pattern lies in the row space, returns the phase q such
-    that q*p is the exact group element; otherwise None.
+    If p's bit pattern lies in the row space, returns the exponent q
+    (0..3) such that i**q * p is the exact group element; otherwise None.
     """
     if p.is_top:
         raise TopOperandError("Top strings are not group elements")
@@ -142,7 +118,7 @@ def member(tab: CanonicalTableau, p: PauliString) -> Optional[Phase]:
             residual = string_mul(row, residual)
     if residual.x or residual.z:
         return None
-    return Phase(acc.k - p.k)
+    return (acc.k - p.k) % 4
 
 
 def _single_qubit_members(tab: CanonicalTableau) -> tuple[tuple[int, PauliString], ...]:
@@ -204,9 +180,8 @@ def measure(source, k: int):
     Returns the post-measurement StabType, generated by the rows of its
     canonical tableau, which cost O(n^2) row operations. ``check`` applies
     the O(n) generator update instead and comes here only for a determined
-    outcome on a mixed state. The result of a StabType is built from its
-    canonical tableau without checks; the result of a plain generator
-    list is validated, so an ill-formed list raises IllFormedTypeError.
+    outcome on a mixed state. ``source`` is a StabType, so the result is
+    built from its canonical tableau without checks.
     """
     new_type, _ = measure_with_cost(source, k)
     return new_type
@@ -214,10 +189,7 @@ def measure(source, k: int):
 
 def measure_with_cost(source, k: int):
     """Like :func:`measure` but also reports the row-operation count."""
-    from .typesys import StabType, _from_tableau
+    from .typesys import _from_tableau
 
-    gens, arity = _coerce(source)
-    tab, ops = _measure_rows(arity, gens, k)
-    if isinstance(source, StabType):
-        return _from_tableau(tab), ops
-    return StabType(arity, tab.rows), ops
+    tab, ops = _measure_rows(source.arity, source.generators, k)
+    return _from_tableau(tab), ops

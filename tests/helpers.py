@@ -17,8 +17,8 @@ from gottesman import oracle, stabilizer
 from gottesman.checker import Circuit, Measure
 from gottesman.errors import ArityError, ParseError, TopOperandError, WireError
 from gottesman.gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
-from gottesman.pauli import ONE, PauliAtom, PauliString, Phase, from_bits, string_mul
-from gottesman.stabilizer import canonicalize, member
+from gottesman.pauli import PauliString, from_bits, string_mul
+from gottesman.stabilizer import member
 from gottesman.typesys import (
     QType,
     StabType,
@@ -31,18 +31,29 @@ from gottesman.typesys import (
 # Independent single-qubit matrices; deliberately not imported from the
 # package so matrix-level assertions do not share code with what they test.
 MAT = {
-    PauliAtom.I: np.eye(2, dtype=complex),
-    PauliAtom.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    PauliAtom.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    PauliAtom.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-# i**k, indexed by a phase's exponent k.
+# i**k, indexed by a phase's exponent k, and the literal prefix of each.
 PHASE_VALUES = (1, 1j, -1, -1j)
+PREFIXES = ("", "i", "-", "-i")
+
+
+def letters(p: PauliString) -> str:
+    """The per-qubit letters of ``p``, qubit 1 first, read from its text."""
+    return str(p).lstrip("-i")  # letters hold no '-' or 'i'
+
+
+def pauli(k, atoms) -> PauliString:
+    """i**k times the letters ``atoms``, built by parsing their literal."""
+    return PauliString.parse(PREFIXES[k % 4] + "".join(atoms))
 
 
 def string_matrix(p: PauliString) -> np.ndarray:
-    m = np.array([[PHASE_VALUES[p.phase.k]]])
-    for atom in p.atoms:
+    m = np.array([[PHASE_VALUES[p.k]]])
+    for atom in letters(p):
         m = np.kron(m, MAT[atom])
     return m
 
@@ -59,49 +70,46 @@ def brute_force_group(gens) -> dict[tuple, int]:
         for take, g in zip(picks, gens):
             if take:
                 acc = string_mul(acc, g)
-        elements[(acc.x, acc.z)] = acc.phase.k
+        elements[(acc.x, acc.z)] = acc.k
     return elements
 
 
-ALL_ATOMS = (PauliAtom.I, PauliAtom.X, PauliAtom.Y, PauliAtom.Z)
+ALL_ATOMS = "IXYZ"
 
 
 def embed(atom, phase, k, n):
-    """The string with ``atom`` at qubit k (1-based) of n and I elsewhere,
-    built atom by atom: the references' single-qubit strings."""
+    """i**phase times the letter ``atom`` at qubit k (1-based) of n and I
+    elsewhere, built letter by letter: the references' single-qubit strings."""
     if not 1 <= k <= n:
         raise WireError(f"qubit {k} out of range for {n} qubits")
-    atoms = [PauliAtom.I] * n
+    atoms = ["I"] * n
     atoms[k - 1] = atom
-    return PauliString(phase, atoms)
+    return pauli(phase, atoms)
 
 
 # --- atom-by-atom reference ---------------------------------------------------
 # The package packs a string into x/z bitmasks. These are the per-atom
-# algorithms it replaced, working only through ``.phase``, ``.atoms`` and
-# the ``PauliString(phase, atoms)`` constructor, so packed results can be
-# checked against an implementation that shares none of the bit tricks.
+# algorithms it replaced, working only through the printed letters, the
+# exponent ``.k`` and ``PauliString.parse`` (see ``letters`` and ``pauli``),
+# so packed results can be checked against an implementation that shares
+# none of the bit tricks.
 
-_REF_BITS = {
-    PauliAtom.I: (0, 0),
-    PauliAtom.X: (1, 0),
-    PauliAtom.Y: (1, 1),
-    PauliAtom.Z: (0, 1),
-}
+_REF_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _REF_ATOM = {bits: atom for atom, bits in _REF_BITS.items()}
 
 
 def ref_atom_mul(a, b):
-    """Single-qubit product a*b as (phase, atom); Top absorbs everything."""
-    if a is PauliAtom.TOP or b is PauliAtom.TOP:
-        return ONE, PauliAtom.TOP
+    """Single-qubit product a*b as (exponent of i, letter); Top absorbs
+    everything."""
+    if a == "T" or b == "T":
+        return 0, "T"
     x1, z1 = _REF_BITS[a]
     x2, z2 = _REF_BITS[b]
     x3, z3 = x1 ^ x2, z1 ^ z2
     # Writing each atom as i^(xz) X^x Z^z, the product reorders Z^z1 past
     # X^x2 at a cost of (-1)^(z1 x2) and re-normalizes the result.
     k = x1 * z1 + x2 * z2 + 2 * z1 * x2 - x3 * z3
-    return Phase(k), _REF_ATOM[(x3, z3)]
+    return k % 4, _REF_ATOM[(x3, z3)]
 
 
 def ref_string_mul(p, q):
@@ -109,20 +117,20 @@ def ref_string_mul(p, q):
         raise ArityError("arity mismatch")
     if p.is_top or q.is_top:
         return PauliString.top(p.arity)
-    k = p.phase.k + q.phase.k
+    k = p.k + q.k
     atoms = []
-    for a, b in zip(p.atoms, q.atoms):
+    for a, b in zip(letters(p), letters(q)):
         ph, c = ref_atom_mul(a, b)
-        k += ph.k
+        k += ph
         atoms.append(c)
-    return PauliString(Phase(k), tuple(atoms))
+    return pauli(k, atoms)
 
 
 def ref_commutes(p, q):
     if p.is_top or q.is_top:
         raise TopOperandError("commutation is undefined for Top strings")
     flips = 0
-    for a, b in zip(p.atoms, q.atoms):
+    for a, b in zip(letters(p), letters(q)):
         x1, z1 = _REF_BITS[a]
         x2, z2 = _REF_BITS[b]
         flips ^= (x1 & z2) ^ (z1 & x2)
@@ -137,9 +145,10 @@ def ref_apply_gate(app, p):
     if p.is_top:
         return p
     gate = app.gate
-    bits = [_REF_BITS[p.atoms[w - 1]] for w in app.wires]
+    atoms = list(letters(p))
+    bits = [_REF_BITS[atoms[w - 1]] for w in app.wires]
     # Each Y splits into i * X * Z.
-    k = p.phase.k + sum(x & z for x, z in bits)
+    k = p.k + sum(x & z for x, z in bits)
     image = PauliString.identity(gate.arity)
     for w0, (x, _) in enumerate(bits):
         if x:
@@ -149,15 +158,14 @@ def ref_apply_gate(app, p):
             image = ref_string_mul(image, gate.z_images[w0])
     if image.is_top:
         return PauliString.top(n)
-    atoms = list(p.atoms)
-    for w, atom in zip(app.wires, image.atoms):
+    for w, atom in zip(app.wires, letters(image)):
         atoms[w - 1] = atom
-    return PauliString(Phase(k + image.phase.k), tuple(atoms))
+    return pauli(k + image.k, atoms)
 
 
 def _ref_bit(p, col):
     n = p.arity
-    x, z = _REF_BITS[p.atoms[col % n]]
+    x, z = _REF_BITS[letters(p)[col % n]]
     return x if col < n else z
 
 
@@ -192,20 +200,20 @@ def ref_measure(arity, gens, k):
     is then kept as it is; when it is not, +Z_k is adjoined."""
     rows = list(gens)
     ops = 0
-    z_k = embed(PauliAtom.Z, ONE, k, arity)
-    carriers = [i for i, g in enumerate(rows) if _REF_BITS[g.atoms[k - 1]][0]]
+    z_k = embed("Z", 0, k, arity)
+    carriers = [i for i, g in enumerate(rows) if _REF_BITS[letters(g)[k - 1]][0]]
     if carriers:
         for i in carriers[1:]:
             rows[i] = ref_string_mul(rows[carriers[0]], rows[i])
             ops += 1
         del rows[carriers[0]]
-    elif any(_REF_BITS[g.atoms[k - 1]][1] for g in rows):
+    elif any(_REF_BITS[letters(g)[k - 1]][1] for g in rows):
         rows, pivots, ops = ref_echelon(arity, rows)
         residual = z_k
         for row, col in zip(rows, pivots):
             if _ref_bit(residual, col):
                 residual = ref_string_mul(row, residual)
-        if all(atom is PauliAtom.I for atom in residual.atoms):
+        if all(atom == "I" for atom in letters(residual)):
             return rows, ops
     rows.append(z_k)
     reduced, _, echelon_ops = ref_echelon(arity, rows)
@@ -223,11 +231,11 @@ def ref_single_qubit_members(tab):
     call for each of X, Y and Z on each qubit."""
     found = []
     for k in range(1, tab.arity + 1):
-        for atom in (PauliAtom.X, PauliAtom.Y, PauliAtom.Z):
-            q = member(tab, embed(atom, ONE, k, tab.arity))
+        for atom in "XYZ":
+            q = member(tab, embed(atom, 0, k, tab.arity))
             if q is not None:
-                assert q.is_real, "group elements square to I, so phases are real"
-                found.append((k, PauliString(q, (atom,))))
+                assert q % 2 == 0, "group elements square to I, so phases are real"
+                found.append((k, pauli(q, atom)))
     return tuple(found)
 
 
@@ -243,7 +251,7 @@ def ref_factor_separable(s):
     """The factored view of ``s``: (factors, remainder, remainder support)
     with every witnessed qubit peeled."""
     singles = ref_single_qubit_members(s.tableau)
-    witnesses = {k: embed(u.atoms[0], u.phase, k, s.arity) for k, u in singles}
+    witnesses = {k: embed(letters(u), u.k, k, s.arity) for k, u in singles}
     work = list(s.tableau.rows)
     for k, witness in witnesses.items():
         bit = 1 << (k - 1)
@@ -252,8 +260,7 @@ def ref_factor_separable(s):
     if not support:
         return singles, None, ()
     rest = [_ref_restrict(g, support) for g in work if g.x | g.z]
-    tab = canonicalize(rest or StabType(len(support), ()))
-    return singles, _from_tableau(tab), support
+    return singles, _from_tableau(StabType(len(support), tuple(rest)).tableau), support
 
 
 # --- per-measurement canonical reference for check ---------------------------
@@ -287,7 +294,7 @@ def ref_check(circuit, input_type):
         pass
     if cur is None:
         return QType.top_type(circuit.n_qubits)
-    tab = canonicalize(_unchecked(circuit.n_qubits, tuple(cur)))
+    tab = _unchecked(circuit.n_qubits, tuple(cur)).tableau
     return factor_separable(_from_tableau(tab))
 
 
@@ -312,14 +319,14 @@ def ref_infer_tableau(circuit):
     n = circuit.n_qubits
 
     def thread(atom, k):
-        cur = embed(atom, ONE, k, n)
+        cur = embed(atom, 0, k, n)
         for ins in circuit.instructions:
             cur = apply_gate(ins, cur)
         return cur
 
     return (
-        tuple(thread(PauliAtom.X, k) for k in range(1, n + 1)),
-        tuple(thread(PauliAtom.Z, k) for k in range(1, n + 1)),
+        tuple(thread("X", k) for k in range(1, n + 1)),
+        tuple(thread("Z", k) for k in range(1, n + 1)),
     )
 
 
@@ -328,13 +335,13 @@ def ref_derive_gate(name, arity, steps):
     steps = tuple(steps)
 
     def image_of(atom, w):
-        cur = embed(atom, ONE, w, arity)
+        cur = embed(atom, 0, w, arity)
         for step in steps:
             cur = apply_gate(step, cur)
         return cur
 
-    x_images = tuple(image_of(PauliAtom.X, w) for w in range(1, arity + 1))
-    z_images = tuple(image_of(PauliAtom.Z, w) for w in range(1, arity + 1))
+    x_images = tuple(image_of("X", w) for w in range(1, arity + 1))
+    z_images = tuple(image_of("Z", w) for w in range(1, arity + 1))
     return GateSpec(name, arity, x_images, z_images, decomposition=steps)
 
 
@@ -456,7 +463,7 @@ def ref_verify_conjugation(circuit, p, q, u=None):
 def ref_projector(s):
     dim = 2**s.arity
     proj = np.eye(dim, dtype=complex)
-    for g in canonicalize(s).rows:
+    for g in s.tableau.rows:
         proj = proj @ (np.eye(dim, dtype=complex) + string_matrix(g)) / 2
     return proj
 
@@ -821,10 +828,10 @@ def _ref_merge(components):
 
 def _ref_place(g, positions, m):
     """``g`` with its qubit j moved to qubit ``positions[j - 1]`` of m."""
-    atoms = [PauliAtom.I] * m
-    for atom, pos in zip(g.atoms, positions):
+    atoms = ["I"] * m
+    for atom, pos in zip(letters(g), positions):
         atoms[pos - 1] = atom
-    return PauliString(g.phase, tuple(atoms))
+    return pauli(g.k, atoms)
 
 
 def ref_parse_qtype(text):
@@ -892,7 +899,7 @@ def random_clifford_circuit(n, n_gates, rng: random.Random) -> Circuit:
 
 def all_z(n):
     """The all-Z input type Z x ... x Z over n qubits."""
-    zs = tuple(embed(PauliAtom.Z, ONE, k, n) for k in range(1, n + 1))
+    zs = tuple(embed("Z", 0, k, n) for k in range(1, n + 1))
     return QType(n, StabType(n, zs))
 
 
@@ -904,7 +911,7 @@ def random_stab_type(n, rng: random.Random, rank=None, depth=20) -> StabType:
     circuit = random_clifford_circuit(n, depth, rng)
     gens = []
     for k in qubits:
-        cur = embed(PauliAtom.Z, ONE, k, n)
+        cur = embed("Z", 0, k, n)
         for app in circuit.instructions:
             cur = apply_gate(app, cur)
         gens.append(cur)
@@ -914,11 +921,11 @@ def random_stab_type(n, rng: random.Random, rank=None, depth=20) -> StabType:
 # hypothesis strategies
 
 atoms = st.sampled_from(ALL_ATOMS)
-phases = st.builds(Phase, st.integers(0, 3))
+phases = st.integers(0, 3)
 
 
 def strings(n: int):
-    return st.builds(PauliString, phases, st.tuples(*([atoms] * n)))
+    return st.builds(pauli, phases, st.tuples(*([atoms] * n)))
 
 
 string_pairs = st.integers(1, 4).flatmap(

@@ -332,6 +332,29 @@ class TestRunCheck:
         assert run(["check", path]) == EXIT_TYPE_ERROR
         assert "anticommute" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("input X & -X", "group contains -1 * identity (product of generators 1, 2)"),
+            (
+                "input iX",
+                "group contains -identity: element built from generators 1"
+                " has phase i and squares to -I",
+            ),
+        ],
+    )
+    def test_phased_identity_messages(self, capsys, tmp_path, source, message):
+        path = write(tmp_path, f"qubits 1\n{source}\nH 1\n")
+        assert run(["check", path]) == EXIT_TYPE_ERROR
+        assert capsys.readouterr().err == f"type error: {message}\n"
+
+    def test_json_sign_of_a_negative_factor(self, capsys, tmp_path):
+        path = write(tmp_path, "qubits 1\ninput -Z\nH 1; H 1\n")
+        assert run(["check", path, "--json"]) == EXIT_OK
+        output = json.loads(capsys.readouterr().out)["output"]
+        assert output["text"] == "-Z"
+        assert output["factors"] == [{"qubit": 1, "sign": -1, "basis": "Z"}]
+
     def test_measure_after_top_is_type_error(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 1\ninput X\nT 1\nMEAS 1\n")
         assert run(["check", path]) == EXIT_TYPE_ERROR

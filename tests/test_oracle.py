@@ -13,12 +13,14 @@ from gottesman.errors import (
     TopOperandError,
 )
 from gottesman.gates import GateApp, standard_gates
-from gottesman.pauli import PauliAtom, PauliString, Phase
+from gottesman.pauli import PauliString
 from gottesman.typesys import StabType, factor_separable
 
 from helpers import (
     ALL_ATOMS,
+    letters,
     oracle_unitary,
+    pauli,
     ref_unitary,
     string_matrix,
     transport_residual,
@@ -65,7 +67,7 @@ class TestMatrixOf:
     def test_homomorphism_exhaustive_small(self):
         for n in (1, 2):
             universe = [
-                PauliString(Phase(k), atoms)
+                pauli(k, atoms)
                 for k in range(4)
                 for atoms in itertools.product(ALL_ATOMS, repeat=n)
             ]
@@ -78,7 +80,7 @@ class TestMatrixOf:
 
     def test_homomorphism_exhaustive_three_qubits(self):
         universe = [
-            PauliString(Phase(k), atoms)
+            pauli(k, atoms)
             for k in range(4)
             for atoms in itertools.product(ALL_ATOMS, repeat=3)
         ]
@@ -234,7 +236,6 @@ class TestSeparability:
         # eigenspace sample must be visibly entangled. (A qubit no
         # generator touches is unconstrained, not entangled.)
         rng = random.Random(61)
-        from gottesman.stabilizer import canonicalize
         from helpers import random_stab_type
 
         cases = draws = 0
@@ -246,9 +247,9 @@ class TestSeparability:
             peeled = {k for k, _ in q.factors}
             acted = {
                 k
-                for g in canonicalize(s).rows
+                for g in s.tableau.rows
                 for k in range(1, n + 1)
-                if g.atoms[k - 1] is not PauliAtom.I
+                if letters(g)[k - 1] != "I"
             }
             candidates = [k for k in acted if k not in peeled]
             if not candidates:

@@ -4,32 +4,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gottesman.errors import ArityError, TopOperandError, WireError
-from gottesman.pauli import (
-    MINUS_I,
-    MINUS_ONE,
-    ONE,
-    PLUS_I,
-    PauliAtom,
-    PauliString,
-    Phase,
-    commutes,
-    string_mul,
-    tensor,
-)
-from gottesman.stabilizer import canonicalize
+from gottesman.pauli import PauliString, commutes, from_bits, string_mul, tensor
+from gottesman.stabilizer import member
+from gottesman.typesys import StabType
 
 from helpers import (
     ALL_ATOMS,
     MAT,
     PHASE_VALUES,
+    PREFIXES,
     embed,
+    letters,
+    pauli,
     string_matrix,
     string_pairs,
     string_triples,
     strings,
 )
-
-I, X, Y, Z, TOP = PauliAtom.I, PauliAtom.X, PauliAtom.Y, PauliAtom.Z, PauliAtom.TOP
 
 
 def P(text):
@@ -37,74 +28,70 @@ def P(text):
 
 
 def atom_mul(a, b):
-    """One-qubit product a*b through the packed string_mul, as (phase, atom)."""
-    prod = string_mul(PauliString(ONE, (a,)), PauliString(ONE, (b,)))
-    return prod.phase, prod.atoms[0]
+    """One-qubit product a*b through the packed string_mul, as (exponent, letter)."""
+    prod = string_mul(P(a), P(b))
+    return prod.k, letters(prod)
 
 
 class TestPhase:
+    """Exponents of i, carried by phased strings."""
+
     def test_multiplication_mod_4(self):
         for a in range(4):
             for b in range(4):
-                assert (Phase(a) * Phase(b)).k == (a + b) % 4
+                assert string_mul(pauli(a, "X"), pauli(b, "I")).k == (a + b) % 4
 
     def test_negation_and_i(self):
-        assert -ONE == MINUS_ONE
-        assert PLUS_I * ONE == PLUS_I
-        assert PLUS_I * PLUS_I == MINUS_ONE  # i(iA) = -A
-        assert -PLUS_I == MINUS_I
+        assert -P("X") == P("-X")
+        assert string_mul(P("iI"), P("X")) == P("iX")
+        assert string_mul(P("iI"), P("iX")) == P("-X")  # i(iA) = -A
+        assert -P("iX") == P("-iX")
 
     def test_complex_values(self):
         # PHASE_VALUES, which the matrix oracles use, is i**k.
-        assert [PHASE_VALUES[Phase(k).k] for k in range(4)] == [1, 1j, -1, -1j]
+        assert [PHASE_VALUES[P(prefix + "I").k] for prefix in PREFIXES] == [1, 1j, -1, -1j]
         for a in range(4):
             for b in range(4):
-                product = PHASE_VALUES[(Phase(a) * Phase(b)).k]
+                product = PHASE_VALUES[string_mul(pauli(a, "I"), pauli(b, "I")).k]
                 assert product == PHASE_VALUES[a] * PHASE_VALUES[b] == 1j ** (a + b)
-
-    def test_sign_only_for_real(self):
-        assert ONE.sign == 1
-        assert MINUS_ONE.sign == -1
-        with pytest.raises(ValueError):
-            PLUS_I.sign
 
 
 class TestAtomMul:
     """The single-qubit product table, on one-qubit packed strings."""
 
     def test_identity_law(self):
-        assert atom_mul(I, X) == (ONE, X)
-        assert atom_mul(X, I) == (ONE, X)
+        assert atom_mul("I", "X") == (0, "X")
+        assert atom_mul("X", "I") == (0, "X")
 
     def test_xz_is_minus_i_y(self):
-        assert atom_mul(X, Z) == (MINUS_I, Y)
+        assert atom_mul("X", "Z") == (3, "Y")
 
     def test_zx_is_plus_i_y(self):
-        assert atom_mul(Z, X) == (PLUS_I, Y)
+        assert atom_mul("Z", "X") == (1, "Y")
 
     def test_top_annihilates(self):
-        assert atom_mul(TOP, Z) == (ONE, TOP)
-        assert atom_mul(X, TOP) == (ONE, TOP)
-        assert atom_mul(TOP, TOP) == (ONE, TOP)
+        assert atom_mul("T", "Z") == (0, "T")
+        assert atom_mul("X", "T") == (0, "T")
+        assert atom_mul("T", "T") == (0, "T")
 
     def test_full_table_against_matrices(self):
         for a in ALL_ATOMS:
             for b in ALL_ATOMS:
                 phase, c = atom_mul(a, b)
                 expected = MAT[a] @ MAT[b]
-                assert np.allclose(PHASE_VALUES[phase.k] * MAT[c], expected)
+                assert np.allclose(PHASE_VALUES[phase] * MAT[c], expected)
 
     def test_phased_atoms_form_group_of_order_16(self):
-        elements = [(Phase(k), a) for k in range(4) for a in ALL_ATOMS]
+        elements = [(k, a) for k in range(4) for a in ALL_ATOMS]
         seen = set()
         for (p1, a1) in elements:
             inverses = 0
             for (p2, a2) in elements:
                 q, c = atom_mul(a1, a2)
-                prod = (p1 * p2 * q, c)
-                assert prod in [(p, a) for p, a in elements]
-                seen.add(((p1.k, a1), (p2.k, a2)))
-                if prod == (ONE, I):
+                prod = ((p1 + p2 + q) % 4, c)
+                assert prod in elements
+                seen.add(((p1, a1), (p2, a2)))
+                if prod == (0, "I"):
                     inverses += 1
             assert inverses == 1  # unique inverse
         assert len(seen) == 16 * 16
@@ -116,7 +103,7 @@ class TestPauliString:
         assert str(P("-iXZ")) == "-iXZ"
         assert str(P("+X")) == "X"
         assert str(P("iZ")) == "iZ"
-        assert P("-iXZ") == PauliString(MINUS_I, (X, Z))
+        assert P("-iXZ") == PauliString(2, 0b01, 0b10, 3)
 
     @given(st.integers(1, 5).flatmap(strings))
     def test_parse_print_roundtrip(self, p):
@@ -128,22 +115,34 @@ class TestPauliString:
                 PauliString.parse(bad)
 
     def test_top_collapses_whole_string(self):
-        p = PauliString(MINUS_ONE, (X, TOP, Z))
+        p = P("-XTZ")
         assert p.is_top
-        assert p.atoms == (TOP, TOP, TOP)
-        assert p.phase == ONE
+        assert letters(p) == "TTT"
+        assert p.k == 0
         assert str(p) == "TTT"
 
     def test_empty_string_rejected(self):
         with pytest.raises(ArityError):
-            PauliString(ONE, ())
+            PauliString(0, 0, 0)
+
+    @pytest.mark.parametrize("x, z", [(-1, 0), (0, -2), (1 << 3, 0), (0, 1 << 4)])
+    def test_masks_out_of_range_rejected(self, x, z):
+        with pytest.raises(ValueError):
+            PauliString(3, x, z)
+        assert str(PauliString(3, 1 << 2, 1 << 2)) == "IIY"  # bit arity - 1 fits
+
+    @given(st.integers(1, 5).flatmap(strings))
+    def test_constructor_matches_from_bits_and_parse(self, p):
+        got = PauliString(p.arity, p.x, p.z, p.k + 4)
+        assert got == from_bits(p.arity, p.x, p.z, p.k) == PauliString.parse(str(p))
+        assert got.k == p.k
 
     def test_bits_of_top_raise(self):
         # Top keeps zero masks, and the symplectic layer refuses it.
         top = PauliString.top(2)
         assert (top.x, top.z, top.k) == (0, 0, 0)
         with pytest.raises(TopOperandError):
-            canonicalize([top])
+            member(StabType.of("XX").tableau, top)
 
 
 class TestStringMul:
@@ -240,20 +239,20 @@ class TestEmbed:
     """``helpers.embed``, the references' single-qubit strings."""
 
     def test_examples(self):
-        assert embed(Z, ONE, 1, 3) == P("ZII")
-        assert embed(X, ONE, 3, 3) == P("IIX")
-        assert embed(Y, MINUS_ONE, 2, 2) == P("-IY")
+        assert embed("Z", 0, 1, 3) == P("ZII")
+        assert embed("X", 0, 3, 3) == P("IIX")
+        assert embed("Y", 2, 2, 2) == P("-IY")
 
     def test_out_of_range(self):
         with pytest.raises(WireError):
-            embed(Z, ONE, 0, 3)
+            embed("Z", 0, 0, 3)
         with pytest.raises(WireError):
-            embed(Z, ONE, 4, 3)
+            embed("Z", 0, 4, 3)
 
 
 def test_matrix_oracle_exhaustive_two_qubits():
     universe = [
-        PauliString(Phase(k), (a, b))
+        pauli(k, (a, b))
         for k in range(4)
         for a in ALL_ATOMS
         for b in ALL_ATOMS
@@ -271,7 +270,7 @@ def test_matrix_oracle_random_five_qubits():
     for _ in range(200):
         atoms_p = tuple(rng.choice(ALL_ATOMS) for _ in range(5))
         atoms_q = tuple(rng.choice(ALL_ATOMS) for _ in range(5))
-        p = PauliString(Phase(rng.randrange(4)), atoms_p)
-        q = PauliString(Phase(rng.randrange(4)), atoms_q)
+        p = pauli(rng.randrange(4), atoms_p)
+        q = pauli(rng.randrange(4), atoms_q)
         got = string_matrix(string_mul(p, q))
         assert np.allclose(got, string_matrix(p) @ string_matrix(q), atol=1e-12)

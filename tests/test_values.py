@@ -10,10 +10,8 @@ from gottesman import (
     Circuit,
     GateApp,
     Measure,
-    Phase,
     StabType,
     Tableau,
-    canonicalize,
     derive_gate,
     parse_qtype,
     standard_gates,
@@ -35,11 +33,10 @@ def _ghz() -> Circuit:
 # class holding the same field values, or their tuple when no class has
 # that shape).
 CASES = [
-    ("Phase", lambda: Phase(7), "k", lambda v: Measure(v.k)),
-    ("Measure", lambda: Measure(2), "qubit", lambda v: Phase(v.qubit)),
+    ("Measure", lambda: Measure(2), "qubit", lambda v: (v.qubit,)),
     (
         "CanonicalTableau",
-        lambda: canonicalize([P("XX"), P("ZZ")]),
+        lambda: StabType.of("XX", "ZZ").tableau,
         "rows",
         lambda v: Tableau(v.arity, v.rows, v.pivots),
     ),
