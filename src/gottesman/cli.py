@@ -24,9 +24,11 @@ instruction text in a file, and the Circuit. Nothing is kept from one
 
 Exit statuses: 0 success, 1 type error, 2 parse error, 3 oracle mismatch,
 4 oracle unavailable (``verify`` past the dense oracle's qubit or sample
-batch cap). Only ``verify`` imports the oracle, and with it numpy, once
-its file has parsed to a measurement-free circuit. The argument parser
-is built once per process; each ``run`` parses into a fresh namespace.
+batch cap). Only ``verify`` imports an oracle, once its file has parsed
+to a measurement-free circuit: ``pyoracle`` in plain Python while its
+work is within ``pyoracle.WORK_BUDGET``, else ``oracle`` and with it
+numpy. The argument parser is built once per process; each ``run``
+parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -326,11 +328,11 @@ def _cmd_verify(args) -> int:
     circuit, input_type = parse(_read(args.file))
     if circuit.has_measurement:
         raise GottesmanError("verify requires a measurement-free circuit")
-    from . import oracle
+    from . import pyoracle
 
-    args.seed = oracle.DEFAULT_SEED if args.seed is None else args.seed
-    args.samples = args.samples or oracle.DEFAULT_SAMPLES  # at least 1 when given
-    oracle.check_size(circuit.n_qubits, args.samples)  # before any tableau work
+    args.seed = pyoracle.DEFAULT_SEED if args.seed is None else args.seed
+    args.samples = args.samples or pyoracle.DEFAULT_SAMPLES  # at least 1 when given
+    pyoracle.check_size(circuit.n_qubits, args.samples)  # before any tableau work
     tab = infer_tableau(circuit)
     pairs, claims = [], []
     for (label, unit), img in zip(_units(circuit.n_qubits), tab.x_images + tab.z_images):
@@ -345,8 +347,24 @@ def _cmd_verify(args) -> int:
             factored = [k for k, _ in output.factors]
     # One pass of the circuit serves every conjugation, the transport, and
     # purity, read from the transported input eigenstates: at a zero residual
-    # they are distributed as a fresh draw of the output type.
-    verdicts, residual, pure = oracle.verify_claims(
+    # they are distributed as a fresh draw of the output type. Small work
+    # runs in plain Python, as importing numpy would cost more than it. Each
+    # of 2^n x columns amplitudes takes a pass per instruction (2^g for a
+    # def on g wires, whose unitary may be dense) and one for the checks on
+    # the output, which an empty circuit makes too.
+    columns = pyoracle.PROBES * (len(pairs) + 1)
+    if flat_in is not None:
+        columns += args.samples
+    builtin = standard_gates()
+    passes = 1 + sum(
+        1 if builtin.get(app.gate.name) is app.gate else 2**app.gate.arity
+        for app in circuit.instructions
+    )
+    if 2**circuit.n_qubits * columns * passes <= pyoracle.WORK_BUDGET:
+        verify_claims = pyoracle.verify_claims
+    else:
+        from .oracle import verify_claims
+    verdicts, residual, pure = verify_claims(
         circuit, pairs, flat_in, transported, args.samples, args.seed, factored
     )
     checks = len(pairs)
@@ -357,7 +375,7 @@ def _cmd_verify(args) -> int:
     ]
     if flat_in is not None:
         checks += 1 + len(factored)
-        if residual >= oracle.TOLERANCE:
+        if residual >= pyoracle.TOLERANCE:
             failures.append(f"eigenstate transport residual {residual:.3e}")
         failures += [
             f"separability not confirmed at qubit {k}"

@@ -1,4 +1,8 @@
-"""Brute-force dense verification.
+"""Brute-force dense verification on numpy.
+
+The library's oracle, and ``verify``'s for files whose work is above
+``pyoracle.WORK_BUDGET``; smaller files take ``pyoracle``, its plain-Python
+twin, which also holds the caps and constants both share.
 
 Pushes batches of state vectors, the columns of one 2^n x m array, through
 a circuit and checks the symbolic layer's claims: U P U+ == Q as
@@ -35,19 +39,21 @@ from .errors import (
     EmptyEigenspaceError,
     MeasurementError,
     OracleError,
-    OracleUnavailableError,
     TopOperandError,
 )
 from .gates import GateSpec
 from .pauli import PauliString
+from .pyoracle import (  # the caps and constants both dense paths share
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    MAX_BATCH_BYTES,
+    MAX_QUBITS,
+    PROBES,
+    TOLERANCE,
+    check_size,
+)
 from .typesys import StabType
 
-TOLERANCE = 1e-9
-MAX_QUBITS = 14  # state vectors: O(2^n) per gate and vector
-DEFAULT_SEED = 7
-DEFAULT_SAMPLES = 16
-PROBES = 2
-MAX_BATCH_BYTES = 2**27  # one complex batch of state columns
 _DRAW_BLOCK = 2**18  # amplitudes drawn and projected at a time
 
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
@@ -66,16 +72,6 @@ _BASE_UNITARIES = {
     "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
 }
 _TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
-
-
-def check_size(n: int, samples: int = 0) -> None:
-    """Refuse a register past ``MAX_QUBITS``, or ``samples`` eigenstates whose
-    batch (probes for 2n conjugations beside them) exceeds ``MAX_BATCH_BYTES``."""
-    if n > MAX_QUBITS:
-        raise OracleUnavailableError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
-    if 16 * 2**n * (PROBES * (2 * n + 1) + samples) > MAX_BATCH_BYTES:
-        cap = f"the batch cap of {MAX_BATCH_BYTES >> 20} MiB"
-        raise OracleUnavailableError(f"{samples} samples on {n} qubits exceed {cap}")
 
 
 def _paulis(strings: Sequence[PauliString], n: int) -> tuple[np.ndarray, np.ndarray]:

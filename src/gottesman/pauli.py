@@ -108,11 +108,11 @@ class PauliString:
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
-        return from_bits(n, 0, 0)
+        return cls(n, 0, 0)
 
     @classmethod
     def top(cls, n: int) -> "PauliString":
-        p = from_bits(n, 0, 0)
+        p = cls(n, 0, 0)
         p.is_top = True
         return p
 

@@ -1,0 +1,242 @@
+"""Dense verification in plain Python, for files whose work is small.
+
+The same claims as :func:`gottesman.oracle.verify_claims`, checked on the
+same kind of state vectors, without numpy: on the 2-4-qubit files of the
+paper's worked examples, importing numpy costs several times the whole
+check. ``verify`` picks this path when its work, 2^n amplitudes times the
+state columns times their passes, is at most ``WORK_BUDGET``; the caps and
+constants below are the numpy oracle's too, so neither depends on the path.
+
+A batch is a list of 2^n rows, one per basis index (qubit 1 its top bit),
+each holding one amplitude per state column. A gate sends output row i to a
+sum of input rows times entries of its unitary, which is rebuilt from the
+gate's decomposition and kept sparse: a row that a permutation gate only
+moves is shared, never copied or written. A Pauli's letters are read from
+its printed text and its phase from ``.k``, sharing no code with the bit
+kernels or with the numpy oracle. The probes phi and the input eigenstates
+come from two ``random.Random`` generators, both seeded with ``seed``.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+import random
+from functools import lru_cache
+from operator import add, mul, sub
+from typing import Sequence
+
+from .checker import Circuit, Measure
+from .errors import (
+    ArityError,
+    EmptyEigenspaceError,
+    MeasurementError,
+    OracleError,
+    OracleUnavailableError,
+    TopOperandError,
+)
+from .gates import GateSpec
+from .pauli import PauliString
+from .typesys import StabType
+
+TOLERANCE = 1e-9
+MAX_QUBITS = 14  # state vectors: O(2^n) per gate and vector
+DEFAULT_SEED = 7
+DEFAULT_SAMPLES = 16
+PROBES = 2
+MAX_BATCH_BYTES = 2**27  # one complex batch of state columns
+# The most work ``verify`` does here. Measured on a 2-CPU Xeon: the costliest
+# file at it takes about 33 ms, a fifth of a fresh numpy import (160 ms).
+WORK_BUDGET = 2**14
+
+_POWERS_OF_I = (1, 1j, -1, -1j)
+# A string's letters, qubit 1 first, as the binary numerals of its masks.
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
+
+_R = 1 / math.sqrt(2)
+_BASE_UNITARIES = {
+    "H": ((_R, _R), (_R, -_R)),
+    "S": ((1, 0), (0, 1j)),
+    "T": ((1, 0), (0, complex(_R, _R))),
+    # Control is wire 1, the most significant bit of the block.
+    "CNOT": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+}
+_TOFFOLI_ROWS = (0, 1, 2, 3, 4, 5, 7, 6)  # row r holds its 1 in this column
+
+
+def check_size(n: int, samples: int = 0) -> None:
+    """Refuse a register past ``MAX_QUBITS``, or ``samples`` eigenstates whose
+    batch (probes for 2n conjugations beside them) exceeds ``MAX_BATCH_BYTES``."""
+    if n > MAX_QUBITS:
+        raise OracleUnavailableError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+    if 16 * 2**n * (PROBES * (2 * n + 1) + samples) > MAX_BATCH_BYTES:
+        cap = f"the batch cap of {MAX_BATCH_BYTES >> 20} MiB"
+        raise OracleUnavailableError(f"{samples} samples on {n} qubits exceed {cap}")
+
+
+def _pauli(p: PauliString) -> tuple[list[int], list[complex]]:
+    """``(perm, signs)`` with (M(p) v)[i] = signs[i] * v[perm[i]]: X and Y flip
+    their bit of the index, and Z gives (-1)^bit, Y -i(-1)^bit."""
+    if p.is_top:
+        raise TopOperandError("Top strings have no matrix")
+    letters = str(p).lstrip("-i")  # letters hold no '-' or 'i'
+    x, z = int(letters.translate(_X_DIGITS), 2), int(letters.translate(_Z_DIGITS), 2)
+    phase = _POWERS_OF_I[(p.k + 3 * letters.count("Y")) % 4]
+    index = range(2**p.arity)
+    signs = [-phase if (i & z).bit_count() & 1 else phase for i in index]
+    return [i ^ x for i in index], signs
+
+
+def _act(pauli: tuple[list[int], list[complex]], v: Sequence[complex]) -> list:
+    """M(p) v, for ``pauli`` as :func:`_pauli` gives it."""
+    perm, signs = pauli
+    return list(map(mul, signs, map(v.__getitem__, perm)))
+
+
+@lru_cache(maxsize=None)
+def _sparse_unitary(spec: GateSpec) -> tuple[tuple[tuple[int, complex], ...], ...]:
+    """The gate's unitary, rebuilt from its decomposition if derived, as each
+    row's ``(column, entry)`` pairs above TOLERANCE, an entry within TOLERANCE
+    of 1 made exactly 1. A Toffoli decomposition that misses the direct 8x8
+    matrix is an error."""
+    if spec.name in _BASE_UNITARIES:
+        u = _BASE_UNITARIES[spec.name]
+    elif spec.decomposition is not None:
+        size = 2**spec.arity
+        eye = [[complex(i == j) for j in range(size)] for i in range(size)]
+        u = _evolve(spec.decomposition, spec.arity, eye)  # row i, column j: U[i][j]
+    else:
+        raise OracleError(f"no unitary known for gate {spec.name}")
+    if spec.name == "TOFFOLI" and any(
+        abs(e - (c == _TOFFOLI_ROWS[r])) >= TOLERANCE
+        for r, row in enumerate(u)
+        for c, e in enumerate(row)
+    ):
+        raise OracleError("TOFFOLI decomposition disagrees with its matrix")
+    return tuple(
+        tuple(
+            (c, 1 if abs(e - 1) < TOLERANCE else e)
+            for c, e in enumerate(row)
+            if abs(e) > TOLERANCE
+        )
+        for row in u
+    )
+
+
+@lru_cache(maxsize=256)
+def _program(spec: GateSpec, wires: tuple[int, ...], n: int) -> tuple:
+    """For each basis row i, the ``(row, entry)`` terms whose sum is row i of
+    the batch after the gate on ``wires``: row r of the gate's unitary, r
+    being i's bits on the wires (the first wire most significant), read
+    against the rows that differ from i on those bits only."""
+    g = len(wires)
+    spread = [
+        sum((c >> (g - 1 - pos) & 1) << (n - w) for pos, w in enumerate(wires))
+        for c in range(2**g)
+    ]
+    local = {bits: r for r, bits in enumerate(spread)}
+    mask, u = spread[-1], _sparse_unitary(spec)
+    return tuple(
+        tuple((i & ~mask | spread[c], e) for c, e in u[local[i & mask]])
+        for i in range(2**n)
+    )
+
+
+def _evolve(apps, n: int, rows: list) -> list:
+    """The batch ``rows`` (2^n rows of columns) pushed through ``apps``."""
+    for app in apps:
+        if isinstance(app, Measure):
+            raise MeasurementError("no unitary for a circuit with measurements")
+        out = []
+        for (s, e), *rest in _program(app.gate, app.wires, n):
+            acc = rows[s] if e == 1 else [e * a for a in rows[s]]
+            for s, e in rest:
+                acc = [t + e * a for t, a in zip(acc, rows[s])]
+            out.append(acc)
+        rows = out
+    return rows
+
+
+def _gaussian(rng: random.Random, size: int) -> list[complex]:
+    """``size`` complex Gaussians, real and imaginary parts independent
+    N(0, 1), by Box-Muller: radius sqrt(-2 ln(1 - U)) at a uniform angle."""
+    draw = rng.random
+    return [
+        cmath.rect(math.sqrt(-2 * math.log(1 - draw())), math.tau * draw())
+        for _ in range(size)
+    ]
+
+
+def _sample_states(n: int, gens: Sequence[PauliString], count: int, rng) -> list[list]:
+    """``count`` unit vectors in the joint +1 eigenspace of ``gens``: a complex
+    Gaussian u projected by P = prod (I + g)/2, up to eight draws each. P is
+    an orthogonal projector, so |Pu|^2 = <u, Pu> scales Pu to unit length."""
+    check_size(n, count)
+    paulis = [_pauli(g) for g in gens]
+    half = 0.5 ** len(paulis)
+    states = []
+    for _ in range(count):
+        for _ in range(8):
+            u = v = _gaussian(rng, 2**n)
+            for g in paulis:  # prod (I + g) u, halved in ``half``
+                v = list(map(add, v, _act(g, v)))
+            weight = half * sum(map(mul, map(complex.conjugate, u), v)).real
+            if weight > 1e-24:
+                scale = half / math.sqrt(weight)
+                states.append([scale * a for a in v])
+                break
+        else:
+            raise EmptyEigenspaceError("projection annihilates every sample")
+    return states
+
+
+def _purity(v: Sequence[complex], k: int, n: int) -> float:
+    """tr(rho^2) of the reduced state of qubit k (1-based) in the vector ``v``,
+    rho00^2 + rho11^2 + 2|rho01|^2, from its amplitudes with qubit k at 0
+    (``lo``) and at 1 (``hi``)."""
+    bit = 1 << (n - k)
+    lo = [a for j in range(0, 2**n, 2 * bit) for a in v[j : j + bit]]
+    hi = [b for j in range(bit, 2**n, 2 * bit) for b in v[j : j + bit]]
+    rho00, rho11 = math.hypot(*map(abs, lo)) ** 2, math.hypot(*map(abs, hi)) ** 2
+    rho01 = sum(map(mul, lo, map(complex.conjugate, hi)))
+    return rho00 * rho00 + rho11 * rho11 + 2 * abs(rho01) ** 2
+
+
+def verify_claims(
+    circuit: Circuit,
+    pairs: Sequence[tuple[PauliString, PauliString]],
+    input_type: StabType | None = None,
+    transported: Sequence[PauliString] = (),
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+    qubits: Sequence[int] = (),
+) -> tuple[list[bool], float, list[bool]]:
+    """Verdicts U M(p) phi == M(q) U phi for each pair, the transport residual,
+    and whether each of ``qubits`` is pure in every transported eigenstate, as
+    :func:`gottesman.oracle.verify_claims` gives them, from one pass over
+    ``PROBES`` Gaussian phi, each M(p) phi and ``input_type``'s eigenstates."""
+    n = circuit.n_qubits
+    check_size(n, samples if input_type is not None else 0)
+    if any(s.arity != n for pair in pairs for s in pair):
+        raise ArityError("operands must match the circuit's register size")
+    rng = random.Random(seed)
+    phi = [_gaussian(rng, 2**n) for _ in range(PROBES)]
+    cols = phi + [_act(_pauli(p), f) for p, _ in pairs for f in phi]
+    if input_type is not None:
+        cols += _sample_states(n, input_type.tableau.rows, samples, random.Random(seed))
+    out = list(zip(*_evolve(circuit.instructions, n, list(zip(*cols)))))
+    verdicts = []
+    for j, (_, q) in enumerate(pairs):
+        m_q, u_p_phi = _pauli(q), out[PROBES * (j + 1) : PROBES * (j + 2)]
+        defects = (map(sub, _act(m_q, u), want) for u, want in zip(out[:PROBES], u_p_phi))
+        verdicts.append(max(max(map(abs, d)) for d in defects) < TOLERANCE)
+    evolved = out[PROBES * (len(pairs) + 1) :]
+    worst = 0.0
+    for q in transported:
+        if not q.is_top:
+            m_q = _pauli(q)
+            for v in evolved:
+                worst = max(worst, math.hypot(*map(abs, map(sub, _act(m_q, v), v))))
+    pure = [all(abs(_purity(v, k, n) - 1) < TOLERANCE for v in evolved) for k in qubits]
+    return verdicts, worst, pure

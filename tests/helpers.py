@@ -897,6 +897,34 @@ def random_clifford_circuit(n, n_gates, rng: random.Random) -> Circuit:
     return Circuit(n, tuple(apps))
 
 
+def random_circuit(n, count, rng):
+    """Random gates with a ``def`` gate, rare non-Clifford gates, and, on
+    three or more qubits, a reversed non-adjacent ``CNOT n 1``."""
+    gates, arity = standard_gates(), min(n, 2)
+    body = []
+    for _ in range(3):
+        spec = rng.choice([g for g in gates.values() if g.arity <= arity])
+        body.append(GateApp(spec, tuple(rng.sample(range(1, arity + 1), spec.arity))))
+    cliffords = [g for g in gates.values() if g.is_clifford]
+    others = [g for g in gates.values() if not g.is_clifford]
+    pool = cliffords * 6 + others + [derive_gate("G", arity, body)] * 4
+    apps = []
+    for _ in range(count):
+        spec = rng.choice([g for g in pool if g.arity <= n])
+        apps.append(GateApp(spec, tuple(rng.sample(range(1, n + 1), spec.arity))))
+    if n >= 3:
+        apps.insert(rng.randrange(len(apps) + 1), GateApp(gates["CNOT"], (n, 1)))
+    return Circuit(n, tuple(apps))
+
+
+def mutations(q, rng):
+    """A flipped sign, one atom swapped for another, and a phase off by i."""
+    atoms = list(letters(q))
+    j = rng.randrange(len(atoms))
+    atoms[j] = rng.choice([a for a in ALL_ATOMS if a != atoms[j]])
+    return -q, pauli(q.k, atoms), pauli(q.k + 1, letters(q))
+
+
 def all_z(n):
     """The all-Z input type Z x ... x Z over n qubits."""
     zs = tuple(embed("Z", 0, k, n) for k in range(1, n + 1))

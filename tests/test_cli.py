@@ -24,7 +24,14 @@ from gottesman.errors import GottesmanError, ParseError
 from gottesman.gates import GateApp
 from gottesman.typesys import parse_qtype
 
-from helpers import format_source, random_stab_type, ref_parse, ref_parse_qtype
+from helpers import (
+    all_z,
+    format_source,
+    random_clifford_circuit,
+    random_stab_type,
+    ref_parse,
+    ref_parse_qtype,
+)
 
 CIRCUITS = pathlib.Path(__file__).resolve().parent.parent / "circuits"
 
@@ -33,6 +40,24 @@ def write(tmp_path, text, name="test.qc"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def above_budget(tmp_path):
+    """A seeded 6-qubit, 40-gate Clifford file with an input type: 2^6 x 42
+    columns x 41 passes, far above ``pyoracle.WORK_BUDGET``, so ``verify``
+    takes the numpy oracle."""
+    circuit = random_clifford_circuit(6, 40, random.Random(6))
+    return write(tmp_path, format_source(circuit, all_z(6)), "above_budget.qc")
+
+
+def verify_file(size, tmp_path):
+    """The file for ``size`` and the oracle module ``verify`` selects for it,
+    then the other one."""
+    from gottesman import oracle, pyoracle
+
+    if size == "small":
+        return str(CIRCUITS / "ghz.qc"), pyoracle, oracle
+    return above_budget(tmp_path), oracle, pyoracle
 
 
 class TestParse:
@@ -460,17 +485,21 @@ class TestRunVerify:
         assert exit_info.value.code == 2
         assert "must be at least 0" in capsys.readouterr().err
 
-    def test_mismatch_exit_code(self, capsys, monkeypatch):
-        from gottesman import oracle
-
+    def test_mismatch_exit_code(self, capsys, monkeypatch, tmp_path):
         def all_wrong(circuit, pairs, *args, qubits=(), **kwargs):
             return [False] * len(pairs), 0.0, [True] * len(qubits)
 
-        monkeypatch.setattr(oracle, "verify_claims", all_wrong)
-        assert run(["verify", str(CIRCUITS / "ghz.qc")]) == EXIT_ORACLE_MISMATCH
-        out = capsys.readouterr().out
-        assert "MISMATCH" in out
-        assert "FAIL conjugation mismatch: X1 -> ZII" in out
+        def unselected(*args, **kwargs):
+            raise AssertionError("verify called the oracle it did not select")
+
+        for size, image in (("small", "ZII"), ("above budget", "ZIZZIZ")):
+            path, selected, other = verify_file(size, tmp_path)
+            monkeypatch.setattr(selected, "verify_claims", all_wrong)
+            monkeypatch.setattr(other, "verify_claims", unselected)
+            assert run(["verify", path]) == EXIT_ORACLE_MISMATCH
+            out = capsys.readouterr().out
+            assert "MISMATCH" in out
+            assert f"FAIL conjugation mismatch: X1 -> {image}\n" in out
 
     def test_false_separability_claim_fails(self, capsys, monkeypatch):
         """The right group with a wrong factor: transport holds, and the
@@ -514,25 +543,28 @@ class TestRunVerify:
             "oracle unavailable: 15 qubits exceeds the dense cap of 14\n"
         )
 
-    def test_over_the_batch_cap_is_oracle_unavailable(self, capsys, monkeypatch):
-        from gottesman import cli, oracle
+    def test_over_the_batch_cap_is_oracle_unavailable(self, capsys, monkeypatch, tmp_path):
+        from gottesman import cli, oracle, pyoracle
 
         def refuse(*args, **kwargs):
             raise AssertionError("the batch must be checked before any work")
 
-        for name in ("verify_claims", "sample_eigenstates", "_sample_states"):
-            monkeypatch.setattr(oracle, name, refuse)
+        for module in (oracle, pyoracle):
+            for name in ("verify_claims", "_sample_states"):
+                monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(oracle, "sample_eigenstates", refuse)
         monkeypatch.setattr(cli, "infer_tableau", refuse)
-        ghz = str(CIRCUITS / "ghz.qc")
-        assert run(["verify", ghz, "--samples", "1" + "0" * 15]) == (
-            EXIT_ORACLE_UNAVAILABLE
-        )
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "oracle unavailable: 1000000000000000 samples on 3 qubits"
-            " exceed the batch cap of 128 MiB\n"
-        )
+        for size, n in (("small", 3), ("above budget", 6)):
+            path = verify_file(size, tmp_path)[0]
+            assert run(["verify", path, "--samples", "1" + "0" * 15]) == (
+                EXIT_ORACLE_UNAVAILABLE
+            )
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"oracle unavailable: 1000000000000000 samples on {n} qubits"
+                " exceed the batch cap of 128 MiB\n"
+            )
 
     def test_cached_parser_keeps_no_state_between_runs(self, capsys):
         from gottesman import cli
@@ -567,12 +599,24 @@ class TestRunVerify:
         assert run(["verify", path, "--samples", "4"]) == EXIT_OK
 
 
+def fresh_run(code, *argv):
+    """What ``code`` prints as JSON, run in a fresh interpreter on ./src."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return json.loads(out)
+
+
 def test_only_verify_imports_numpy(tmp_path):
     """check and tableau never load the oracle or numpy; verify does, once
-    its file has parsed to a measurement-free circuit. No command loads
-    ``dataclasses`` or, through it, ``inspect``, whose imports would cost
-    more start-up time than the package."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    its file has parsed to a measurement-free circuit whose work is above
+    the plain-Python budget. No command loads ``dataclasses`` or, through it,
+    ``inspect``, whose imports would cost more start-up time than the package."""
     code = (
         "import contextlib, io, json, sys\n"
         "from gottesman import cli\n"
@@ -580,31 +624,49 @@ def test_only_verify_imports_numpy(tmp_path):
         "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         "    codes = [cli.run([command, sys.argv[1]]) for command in sys.argv[2:]]\n"
         "loaded = [m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')]\n"
-    "print(json.dumps([codes, err.getvalue(), *loaded]))\n"
+        "print(json.dumps([codes, err.getvalue(), *loaded]))\n"
     )
-
-    def fresh_run(path, *commands):
-        out = subprocess.run(
-            [sys.executable, "-c", code, path, *commands],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        return json.loads(out)
-
     ghz = str(CIRCUITS / "ghz.qc")
-    assert fresh_run(ghz, "check", "tableau") == [[EXIT_OK, EXIT_OK], "", False, False, False]
+    checked = fresh_run(code, ghz, "check", "tableau")
+    assert checked == [[EXIT_OK, EXIT_OK], "", False, False, False]
+    assert fresh_run(code, ghz, "verify") == [[EXIT_OK], "", False, False, False]
     # numpy itself imports inspect, so only dataclasses is pinned after verify.
-    codes, err, numpy_loaded, dataclasses_loaded, _ = fresh_run(ghz, "verify")
+    codes, err, numpy_loaded, dataclasses_loaded, _ = fresh_run(
+        code, above_budget(tmp_path), "verify"
+    )
     assert [codes, err, numpy_loaded, dataclasses_loaded] == [[EXIT_OK], "", True, False]
-    measured = fresh_run(str(CIRCUITS / "ghz_measure.qc"), "verify")
+    measured = fresh_run(code, str(CIRCUITS / "ghz_measure.qc"), "verify")
     message = "type error: verify requires a measurement-free circuit\n"
     assert measured == [[EXIT_TYPE_ERROR], message, False, False, False]
     malformed = write(tmp_path, "qubits 2\nFROB 1\n")
-    codes, err, *loaded = fresh_run(malformed, "verify")
+    codes, err, *loaded = fresh_run(code, malformed, "verify")
     assert codes == [EXIT_PARSE_ERROR] and err.startswith("parse error:")
     assert loaded == [False, False, False]
+
+
+def test_verify_takes_numpy_only_above_the_budget(tmp_path):
+    """Every measurement-free worked example verifies in plain Python, and a
+    6-qubit, 40-gate file on the numpy oracle; both pass."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from gottesman import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    codes = [cli.run(['verify', f, '--json']) for f in sys.argv[1:]]\n"
+        "print(json.dumps([codes, out.getvalue(), 'numpy' in sys.modules]))\n"
+    )
+    files = [
+        str(path)
+        for path in sorted(CIRCUITS.glob("*.qc"))
+        if "MEAS" not in path.read_text()
+    ]
+    assert len(files) == 8
+    codes, out, numpy_loaded = fresh_run(code, *files)
+    assert codes == [EXIT_OK] * len(files) and not numpy_loaded
+    assert out.count('"failures": []') == len(files)
+    codes, out, numpy_loaded = fresh_run(code, above_budget(tmp_path))
+    assert codes == [EXIT_OK] and numpy_loaded
+    assert json.loads(out)["failures"] == []
 
 
 # --- the parser against its checking reference ---------------------------------

@@ -24,9 +24,10 @@ from gottesman.typesys import QType
 from helpers import (
     ALL_ATOMS,
     embed,
-    letters,
+    mutations,
     oracle_unitary,
     pauli,
+    random_circuit,
     random_stab_type,
     ref_evolve,
     ref_pure_at,
@@ -46,37 +47,9 @@ GATES = standard_gates()
 SIZES = (1, 2, 3, 4, 5, 6)
 
 
-def random_circuit(n, count, rng):
-    """Random gates with a ``def`` gate, rare non-Clifford gates, and, on
-    three or more qubits, a reversed non-adjacent ``CNOT n 1``."""
-    arity = min(n, 2)
-    body = []
-    for _ in range(3):
-        spec = rng.choice([g for g in GATES.values() if g.arity <= arity])
-        body.append(GateApp(spec, tuple(rng.sample(range(1, arity + 1), spec.arity))))
-    cliffords = [g for g in GATES.values() if g.is_clifford]
-    others = [g for g in GATES.values() if not g.is_clifford]
-    pool = cliffords * 6 + others + [derive_gate("G", arity, body)] * 4
-    apps = []
-    for _ in range(count):
-        spec = rng.choice([g for g in pool if g.arity <= n])
-        apps.append(GateApp(spec, tuple(rng.sample(range(1, n + 1), spec.arity))))
-    if n >= 3:
-        apps.insert(rng.randrange(len(apps) + 1), GateApp(GATES["CNOT"], (n, 1)))
-    return Circuit(n, tuple(apps))
-
-
 def random_string(n, rng):
     atoms = tuple(rng.choice(ALL_ATOMS) for _ in range(n))
     return pauli(rng.randrange(4), atoms)
-
-
-def mutations(q, rng):
-    """A flipped sign, one atom swapped for another, and a phase off by i."""
-    atoms = list(letters(q))
-    j = rng.randrange(len(atoms))
-    atoms[j] = rng.choice([a for a in ALL_ATOMS if a != atoms[j]])
-    return -q, pauli(q.k, atoms), pauli(q.k + 1, letters(q))
 
 
 def test_unitary_matches_dense_product():

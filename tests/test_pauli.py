@@ -125,6 +125,12 @@ class TestPauliString:
         with pytest.raises(ArityError):
             PauliString(0, 0, 0)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    @pytest.mark.parametrize("build", [PauliString.identity, PauliString.top])
+    def test_builders_reject_arity_below_one(self, build, n):
+        with pytest.raises(ArityError):
+            build(n)
+
     @pytest.mark.parametrize("x, z", [(-1, 0), (0, -2), (1 << 3, 0), (0, 1 << 4)])
     def test_masks_out_of_range_rejected(self, x, z):
         with pytest.raises(ValueError):

@@ -1,0 +1,139 @@
+"""The plain-Python oracle gives the numpy oracle's verdicts.
+
+``verify`` runs ``pyoracle.verify_claims`` on files whose work is small, so
+importing numpy does not dominate them. On seeded random circuits up to four
+qubits (a ``def`` gate, T/Tdg/TOFFOLI, a reversed ``CNOT n 1``) with random
+input types, both paths must return the same conjugation and purity
+verdicts, and residuals on the same side of TOLERANCE: for the checker's
+own claims, and with one claim negated, one transported generator negated,
+and a qubit claimed as a factor that the checker did not factor.
+"""
+
+import random
+
+import pytest
+
+from gottesman import oracle, pyoracle
+from gottesman.checker import Circuit, Measure, check, infer_tableau
+from gottesman.errors import (
+    ArityError,
+    EmptyEigenspaceError,
+    MeasurementError,
+    OracleError,
+    OracleUnavailableError,
+    TopOperandError,
+)
+from gottesman.gates import GateApp, GateSpec, derive_gate, standard_gates
+from gottesman.pauli import PauliString
+from gottesman.typesys import QType, StabType
+
+from helpers import embed, mutations, random_circuit, random_stab_type
+
+GATES = standard_gates()
+TOLERANCE = pyoracle.TOLERANCE
+
+
+def P(text):
+    return PauliString.parse(text)
+
+
+def claims(circuit):
+    n, tab = circuit.n_qubits, infer_tableau(circuit)
+    return [
+        (embed(atom, 0, k, n), img)
+        for atom, images in (("X", tab.x_images), ("Z", tab.z_images))
+        for k, img in enumerate(images, start=1)
+        if not img.is_top
+    ]
+
+
+def test_verdicts_match_the_numpy_oracle():
+    rng = random.Random(1919)
+    seen = dict.fromkeys(
+        ("negated", "wrong transport", "refuted factor", "pure factor", "top output"), 0
+    )
+    for trial in range(320):
+        n = 1 + trial % 4
+        circuit = random_circuit(n, rng.randrange(1, 12), rng)
+        pairs = claims(circuit)
+        input_type = random_stab_type(n, rng)
+        out = check(circuit, QType(n, input_type))
+        gens = () if out.top else out.stab.generators
+        factored = [] if out.top else [k for k, _ in out.factors]
+        seen["top output"] += out.top
+        cases = [(pairs, gens, factored)]
+        if pairs:
+            j = rng.randrange(len(pairs))
+            negated = pairs[:j] + [(pairs[j][0], -pairs[j][1])] + pairs[j + 1 :]
+            cases.append((negated, gens, factored))
+        if gens:
+            j = rng.randrange(len(gens))
+            wrong = gens[:j] + (mutations(gens[j], rng)[0],) + gens[j + 1 :]
+            cases.append((pairs, wrong, factored))
+        free = [k for k in range(1, n + 1) if k not in factored]
+        if not out.top and free:
+            cases.append((pairs, gens, factored + [rng.choice(free)]))
+        for case, (claimed, transported, qubits) in enumerate(cases):
+            args = (circuit, claimed, input_type, transported, 4, trial, qubits)
+            want = oracle.verify_claims(*args)
+            got = pyoracle.verify_claims(*args)
+            assert got[0] == want[0], (trial, case)
+            assert (got[1] < TOLERANCE) == (want[1] < TOLERANCE), (trial, case)
+            assert got[2] == want[2], (trial, case)
+            if case == 0:
+                assert all(got[0]) and got[1] < TOLERANCE and all(got[2])
+                seen["pure factor"] += len(qubits)
+            elif claimed is not pairs:
+                seen["negated"] += got[0].count(False) == 1
+            elif transported is not gens:
+                seen["wrong transport"] += got[1] > 1e-3
+            else:
+                seen["refuted factor"] += not got[2][-1]
+    assert min(seen.values()) > 20, seen
+
+
+def test_toffoli_decomposition_is_checked():
+    h, t, cnot = GATES["H"], GATES["T"], GATES["CNOT"]
+    steps = [GateApp(h, (3,)), GateApp(cnot, (1, 3)), GateApp(t, (3,))]
+    wrong = derive_gate("TOFFOLI", 3, steps)
+    with pytest.raises(OracleError, match="TOFFOLI decomposition"):
+        pyoracle._sparse_unitary(wrong)
+    assert pyoracle._sparse_unitary(GATES["TOFFOLI"])[6] == ((7, 1),)
+
+
+def test_gate_without_unitary_rejected():
+    opaque = GateSpec("OPAQUE", 1, (P("Z"),), (P("X"),))
+    with pytest.raises(OracleError, match="no unitary known"):
+        pyoracle.verify_claims(Circuit(1, (GateApp(opaque, (1,)),)), [(P("Z"), P("X"))])
+
+
+def test_faults_raise_as_in_the_numpy_oracle():
+    with pytest.raises(MeasurementError):
+        pyoracle.verify_claims(Circuit(1, (Measure(1),)), [(P("Z"), P("Z"))])
+    with pytest.raises(TopOperandError):
+        pyoracle.verify_claims(Circuit(1), [(P("Z"), PauliString.top(1))])
+    with pytest.raises(ArityError):
+        pyoracle.verify_claims(Circuit(2), [(P("Z"), P("Z"))])
+    # +Z and -Z on one qubit project every draw to zero.
+    with pytest.raises(EmptyEigenspaceError):
+        pyoracle._sample_states(2, [P("ZI"), P("-ZI")], 1, random.Random(0))
+
+
+def test_samples_are_unit_eigenvectors():
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4):
+        s = random_stab_type(n, rng)
+        for v in pyoracle._sample_states(n, s.tableau.rows, 3, random.Random(n)):
+            assert abs(sum(abs(a) ** 2 for a in v) - 1) < 1e-12
+            for g in s.tableau.rows:
+                g_v = pyoracle._act(pyoracle._pauli(g), v)
+                assert max(abs(a - b) for a, b in zip(g_v, v)) < 1e-12
+
+
+def test_oracle_shares_the_caps():
+    shared = ("TOLERANCE", "MAX_QUBITS", "DEFAULT_SEED", "DEFAULT_SAMPLES", "PROBES")
+    for name in shared + ("MAX_BATCH_BYTES", "check_size"):
+        assert getattr(oracle, name) is getattr(pyoracle, name)
+    over = StabType.of("Z" * (pyoracle.MAX_QUBITS + 1))
+    with pytest.raises(OracleUnavailableError, match="dense cap"):
+        pyoracle.verify_claims(Circuit(over.arity), (), over)
