@@ -24,11 +24,11 @@ instruction text in a file, and the Circuit. Nothing is kept from one
 
 Exit statuses: 0 success, 1 type error, 2 parse error, 3 oracle mismatch,
 4 oracle unavailable (``verify`` past the dense oracle's qubit or sample
-batch cap). Only ``verify`` imports an oracle, once its file has parsed
-to a measurement-free circuit: ``pyoracle`` in plain Python while its
-work is within ``pyoracle.WORK_BUDGET``, else ``oracle`` and with it
-numpy. The argument parser is built once per process; each ``run``
-parses into a fresh namespace.
+batch cap). Only ``verify`` imports the dense check, once its file has
+parsed to a measurement-free circuit, and calls its one entry point,
+``pyoracle.verify_claims``, which chooses between plain Python and numpy.
+The argument parser is built once per process; each ``run`` parses into a
+fresh namespace.
 """
 
 from __future__ import annotations
@@ -332,7 +332,8 @@ def _cmd_verify(args) -> int:
 
     args.seed = pyoracle.DEFAULT_SEED if args.seed is None else args.seed
     args.samples = args.samples or pyoracle.DEFAULT_SAMPLES  # at least 1 when given
-    pyoracle.check_size(circuit.n_qubits, args.samples)  # before any tableau work
+    drawn = args.samples if input_type is not None and not input_type.top else 0
+    pyoracle.check_size(circuit.n_qubits, drawn)  # before any tableau work
     tab = infer_tableau(circuit)
     pairs, claims = [], []
     for (label, unit), img in zip(_units(circuit.n_qubits), tab.x_images + tab.z_images):
@@ -345,26 +346,7 @@ def _cmd_verify(args) -> int:
         if not output.top:
             flat_in, transported = input_type.stab, output.stab.generators
             factored = [k for k, _ in output.factors]
-    # One pass of the circuit serves every conjugation, the transport, and
-    # purity, read from the transported input eigenstates: at a zero residual
-    # they are distributed as a fresh draw of the output type. Small work
-    # runs in plain Python, as importing numpy would cost more than it. Each
-    # of 2^n x columns amplitudes takes a pass per instruction (2^g for a
-    # def on g wires, whose unitary may be dense) and one for the checks on
-    # the output, which an empty circuit makes too.
-    columns = pyoracle.PROBES * (len(pairs) + 1)
-    if flat_in is not None:
-        columns += args.samples
-    builtin = standard_gates()
-    passes = 1 + sum(
-        1 if builtin.get(app.gate.name) is app.gate else 2**app.gate.arity
-        for app in circuit.instructions
-    )
-    if 2**circuit.n_qubits * columns * passes <= pyoracle.WORK_BUDGET:
-        verify_claims = pyoracle.verify_claims
-    else:
-        from .oracle import verify_claims
-    verdicts, residual, pure = verify_claims(
+    verdicts, residual, pure = pyoracle.verify_claims(
         circuit, pairs, flat_in, transported, args.samples, args.seed, factored
     )
     checks = len(pairs)

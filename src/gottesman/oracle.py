@@ -1,8 +1,10 @@
-"""Brute-force dense verification on numpy.
+"""Brute-force dense verification on numpy: the kernel for large work.
 
-The library's oracle, and ``verify``'s for files whose work is above
-``pyoracle.WORK_BUDGET``; smaller files take ``pyoracle``, its plain-Python
-twin, which also holds the caps and constants both share.
+:func:`gottesman.pyoracle.verify_claims` is the one entry point to the dense
+check. It validates its arguments, and when their work is above
+``pyoracle.WORK_BUDGET`` it imports this module and runs :func:`_verify`,
+the numpy twin of its plain-Python kernel. The caps and constants both
+share live in ``pyoracle``.
 
 Pushes batches of state vectors, the columns of one 2^n x m array, through
 a circuit and checks the symbolic layer's claims: U P U+ == Q as
@@ -20,10 +22,9 @@ permutation and one pending phase column, 2^n entries each, so the whole
 run costs one gather of the batch's rows and at most one multiply. Any
 other gate, of any arity, gathers the rows through the pending run into
 2^g blocks by their bits on its wires, multiplies the blocks by its
-unitary in one matmul, and leaves their ungrouping pending. A Pauli's
-letters are read from its printed text and its phase from ``.k``,
-sharing no code with the bit kernels, and a list of strings acts in one
-gather.
+unitary in one matmul, and leaves their ungrouping pending. A Pauli is
+read through ``pyoracle._decode``, sharing no code with the bit kernels,
+and a list of strings acts in one gather.
 """
 
 from __future__ import annotations
@@ -33,23 +34,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .checker import Circuit, Measure
-from .errors import (
-    ArityError,
-    EmptyEigenspaceError,
-    MeasurementError,
-    OracleError,
-    TopOperandError,
-)
+from .errors import EmptyEigenspaceError, OracleError
 from .gates import GateSpec
 from .pauli import PauliString
-from .pyoracle import (  # the caps and constants both dense paths share
+from .pyoracle import (  # the caps and constants both dense kernels share
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     MAX_BATCH_BYTES,
     MAX_QUBITS,
     PROBES,
     TOLERANCE,
+    _decode,
     check_size,
 )
 from .typesys import StabType
@@ -60,9 +55,6 @@ _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 _PARITY_SIGN = np.ones(1)  # entry i is (-1)^popcount(i), for i < 2^MAX_QUBITS
 for _ in range(MAX_QUBITS):
     _PARITY_SIGN = np.concatenate((_PARITY_SIGN, -_PARITY_SIGN))
-# A string's letters, qubit 1 first, as the binary numerals of its masks.
-_X_DIGITS = str.maketrans("IXYZ", "0110")
-_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 _BASE_UNITARIES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -78,18 +70,11 @@ def _paulis(strings: Sequence[PauliString], n: int) -> tuple[np.ndarray, np.ndar
     """``(perm, sign)``, one row per string, with M(p) v = sign * v[perm] on
     the 2^n basis index, qubit 1 its top bit: X and Y flip their bit, and on
     a row Z gives (-1)^bit, Y gives -i(-1)^bit. Each string is read once."""
-    flips, signs, powers = [], [], []
-    for p in strings:
-        if p.is_top:
-            raise TopOperandError("Top strings have no matrix")
-        letters = str(p).lstrip("-i")  # letters hold no '-' or 'i'
-        flips.append(int(letters.translate(_X_DIGITS), 2))
-        signs.append(int(letters.translate(_Z_DIGITS), 2))
-        powers.append((p.k + 3 * letters.count("Y")) % 4)
+    codes = np.array([_decode(p) for p in strings], dtype=np.intp).reshape(-1, 3)
     index = _basis(n)[0]
-    perm = index ^ np.array(flips, dtype=np.intp)[:, None]
-    parity = _PARITY_SIGN[index & np.array(signs, dtype=np.intp)[:, None]]
-    return perm, _POWERS_OF_I[powers][:, None] * parity
+    perm = index ^ codes[:, :1]
+    parity = _PARITY_SIGN[index & codes[:, 1:2]]
+    return perm, _POWERS_OF_I[codes[:, 2]][:, None] * parity
 
 
 def _apply(strings: Sequence[PauliString], vecs: np.ndarray) -> np.ndarray:
@@ -173,8 +158,6 @@ def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
     index, m = _basis(n)[0], vecs.shape[1]
     src, phase, blocks = index, None, None
     for app in apps:
-        if isinstance(app, Measure):
-            raise MeasurementError("no unitary for a circuit with measurements")
         local = _local_rows(app.wires, n)
         form = _monomial(app.gate)
         if form is not None:
@@ -217,24 +200,11 @@ def gate_unitary(spec: GateSpec) -> np.ndarray:
     return u
 
 
-def verify_claims(
-    circuit: Circuit,
-    pairs: Sequence[tuple[PauliString, PauliString]],
-    input_type: StabType | None = None,
-    transported: Sequence[PauliString] = (),
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    qubits: Sequence[int] = (),
-) -> tuple[list[bool], float, list[bool]]:
-    """Verdicts U M(p) phi == M(q) U phi for each pair, the transport residual,
-    and whether each of ``qubits`` is pure in every transported eigenstate, from
-    one pass over ``PROBES`` Gaussian phi, each M(p) phi and ``input_type``'s
-    eigenstates. At a zero residual U maps a projected Gaussian to one projected
-    on the transported type: purity is read as from a fresh draw of it."""
+def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):
+    """``pyoracle.verify_claims``' result, on numpy, on arguments it has
+    checked: one pass over ``PROBES`` Gaussian phi, each M(p) phi and
+    ``input_type``'s eigenstates."""
     n = circuit.n_qubits
-    check_size(n, samples if input_type is not None else 0)
-    if any(s.arity != n for pair in pairs for s in pair):
-        raise ArityError("operands must match the circuit's register size")
     raw = np.random.default_rng(seed).standard_normal((2, 2**n, PROBES))
     phi = raw[0] + 1j * raw[1]
     cols = [phi, _apply([p for p, _ in pairs], phi).reshape(2**n, -1)]
@@ -272,7 +242,6 @@ def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:
     Gaussian per sample (real part first), redrawn up to seven times if lost.
     Columns are drawn and projected in blocks of ``_DRAW_BLOCK`` amplitudes,
     so the float draw and the projector's temporaries stay small."""
-    check_size(n, count)
     perm, sign = _paulis(gens, n)
     states = np.empty((2**n, count), dtype=complex)
     block = max(1, _DRAW_BLOCK >> n)
@@ -304,6 +273,7 @@ def sample_eigenstates(
     s: StabType, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> np.ndarray:
     """Pseudorandom unit vectors, one per row, in the joint +1 eigenspace of ``s``."""
+    check_size(s.arity, count)
     rng = np.random.default_rng(seed)
     return _sample_states(s.arity, s.tableau.rows, count, rng).T
 

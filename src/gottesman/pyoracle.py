@@ -1,20 +1,23 @@
-"""Dense verification in plain Python, for files whose work is small.
+"""The entry point to the dense check, and its kernel in plain Python.
 
-The same claims as :func:`gottesman.oracle.verify_claims`, checked on the
-same kind of state vectors, without numpy: on the 2-4-qubit files of the
-paper's worked examples, importing numpy costs several times the whole
-check. ``verify`` picks this path when its work, 2^n amplitudes times the
-state columns times their passes, is at most ``WORK_BUDGET``; the caps and
-constants below are the numpy oracle's too, so neither depends on the path.
+:func:`verify_claims` checks the symbolic layer's claims on state vectors
+and is the one way in for ``verify`` and for library callers alike. It
+validates the qubit and batch caps, the operand arities and that the
+circuit has no measurement, then runs one of two kernels with one
+contract, chosen by the work W: 2^n amplitudes times the state columns
+times their passes. Up to ``WORK_BUDGET`` it runs :func:`_verify` here,
+without numpy: on the 2-4-qubit files of the paper's worked examples,
+importing numpy costs several times the whole check. Above it, it imports
+:func:`gottesman.oracle._verify`. The caps and constants below serve both.
 
 A batch is a list of 2^n rows, one per basis index (qubit 1 its top bit),
 each holding one amplitude per state column. A gate sends output row i to a
 sum of input rows times entries of its unitary, which is rebuilt from the
 gate's decomposition and kept sparse: a row that a permutation gate only
-moves is shared, never copied or written. A Pauli's letters are read from
-its printed text and its phase from ``.k``, sharing no code with the bit
-kernels or with the numpy oracle. The probes phi and the input eigenstates
-come from two ``random.Random`` generators, both seeded with ``seed``.
+moves is shared, never copied or written. Both kernels read a Pauli string
+through :func:`_decode`, from its printed letters and ``.k``, sharing no
+code with the bit kernels. The probes phi and the input eigenstates come
+from two ``random.Random`` generators, both seeded with ``seed``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 from operator import add, mul, sub
 from typing import Sequence
 
-from .checker import Circuit, Measure
+from .checker import Circuit
 from .errors import (
     ArityError,
     EmptyEigenspaceError,
@@ -35,7 +38,7 @@ from .errors import (
     OracleUnavailableError,
     TopOperandError,
 )
-from .gates import GateSpec
+from .gates import GateSpec, standard_gates
 from .pauli import PauliString
 from .typesys import StabType
 
@@ -45,7 +48,7 @@ DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 16
 PROBES = 2
 MAX_BATCH_BYTES = 2**27  # one complex batch of state columns
-# The most work ``verify`` does here. Measured on a 2-CPU Xeon: the costliest
+# The most work run in plain Python. Measured on a 2-CPU Xeon: the costliest
 # file at it takes about 33 ms, a fifth of a fresh numpy import (160 ms).
 WORK_BUDGET = 2**14
 
@@ -75,14 +78,21 @@ def check_size(n: int, samples: int = 0) -> None:
         raise OracleUnavailableError(f"{samples} samples on {n} qubits exceed {cap}")
 
 
-def _pauli(p: PauliString) -> tuple[list[int], list[complex]]:
-    """``(perm, signs)`` with (M(p) v)[i] = signs[i] * v[perm[i]]: X and Y flip
-    their bit of the index, and Z gives (-1)^bit, Y -i(-1)^bit."""
+def _decode(p: PauliString) -> tuple[int, int, int]:
+    """``(x, z, power)`` with M(p) = i^power Z^z X^x, qubit 1 the top bit of
+    each mask: read from the string's printed letters and ``.k``, as Y = -iZX."""
     if p.is_top:
         raise TopOperandError("Top strings have no matrix")
     letters = str(p).lstrip("-i")  # letters hold no '-' or 'i'
     x, z = int(letters.translate(_X_DIGITS), 2), int(letters.translate(_Z_DIGITS), 2)
-    phase = _POWERS_OF_I[(p.k + 3 * letters.count("Y")) % 4]
+    return x, z, (p.k + 3 * letters.count("Y")) % 4
+
+
+def _pauli(p: PauliString) -> tuple[list[int], list[complex]]:
+    """``(perm, signs)`` with (M(p) v)[i] = signs[i] * v[perm[i]]: X and Y flip
+    their bit of the index, and Z gives (-1)^bit, Y -i(-1)^bit."""
+    x, z, power = _decode(p)
+    phase = _POWERS_OF_I[power]
     index = range(2**p.arity)
     signs = [-phase if (i & z).bit_count() & 1 else phase for i in index]
     return [i ^ x for i in index], signs
@@ -146,8 +156,6 @@ def _program(spec: GateSpec, wires: tuple[int, ...], n: int) -> tuple:
 def _evolve(apps, n: int, rows: list) -> list:
     """The batch ``rows`` (2^n rows of columns) pushed through ``apps``."""
     for app in apps:
-        if isinstance(app, Measure):
-            raise MeasurementError("no unitary for a circuit with measurements")
         out = []
         for (s, e), *rest in _program(app.gate, app.wires, n):
             acc = rows[s] if e == 1 else [e * a for a in rows[s]]
@@ -172,7 +180,6 @@ def _sample_states(n: int, gens: Sequence[PauliString], count: int, rng) -> list
     """``count`` unit vectors in the joint +1 eigenspace of ``gens``: a complex
     Gaussian u projected by P = prod (I + g)/2, up to eight draws each. P is
     an orthogonal projector, so |Pu|^2 = <u, Pu> scales Pu to unit length."""
-    check_size(n, count)
     paulis = [_pauli(g) for g in gens]
     half = 0.5 ** len(paulis)
     states = []
@@ -213,13 +220,36 @@ def verify_claims(
     qubits: Sequence[int] = (),
 ) -> tuple[list[bool], float, list[bool]]:
     """Verdicts U M(p) phi == M(q) U phi for each pair, the transport residual,
-    and whether each of ``qubits`` is pure in every transported eigenstate, as
-    :func:`gottesman.oracle.verify_claims` gives them, from one pass over
-    ``PROBES`` Gaussian phi, each M(p) phi and ``input_type``'s eigenstates."""
-    n = circuit.n_qubits
-    check_size(n, samples if input_type is not None else 0)
+    and whether each of ``qubits`` is pure in every transported eigenstate,
+    from one pass over ``PROBES`` Gaussian phi, each M(p) phi and, if
+    ``input_type`` is given, ``samples`` of its eigenstates. At a zero
+    residual U maps a projected Gaussian to one projected on the transported
+    type: purity is read as from a fresh draw of it. Each of the 2^n x columns
+    amplitudes takes a pass per instruction (2^g for a def on g wires, whose
+    unitary may be dense) and one for the checks on the output; work within
+    ``WORK_BUDGET`` runs here, the rest on numpy."""
+    n, drawn = circuit.n_qubits, samples if input_type is not None else 0
+    check_size(n, drawn)
     if any(s.arity != n for pair in pairs for s in pair):
         raise ArityError("operands must match the circuit's register size")
+    if circuit.has_measurement:
+        raise MeasurementError("no unitary for a circuit with measurements")
+    builtin = standard_gates()
+    passes = 1 + sum(
+        1 if builtin.get(app.gate.name) is app.gate else 2**app.gate.arity
+        for app in circuit.instructions
+    )
+    if 2**n * (PROBES * (len(pairs) + 1) + drawn) * passes <= WORK_BUDGET:
+        kernel = _verify
+    else:
+        from .oracle import _verify as kernel
+    return kernel(circuit, pairs, input_type, transported, samples, seed, qubits)
+
+
+def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):
+    """:func:`verify_claims`' result, in plain Python, on arguments it has
+    checked."""
+    n = circuit.n_qubits
     rng = random.Random(seed)
     phi = [_gaussian(rng, 2**n) for _ in range(PROBES)]
     cols = phi + [_act(_pauli(p), f) for p, _ in pairs for f in phi]

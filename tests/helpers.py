@@ -4,11 +4,17 @@ member-based reference for separability, a per-measurement canonical
 reference for ``check``, per-string references for gate transport, a
 dense-product reference for the oracle and its one-claim checks,
 checking references for the ``.qc`` and type parsers, a canonical
-``.qc`` printer, random circuits, and hypothesis strategies."""
+``.qc`` printer, random circuits, hypothesis strategies, and a runner for
+code in a fresh interpreter."""
 
 import itertools
+import json
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
@@ -431,13 +437,15 @@ def oracle_unitary(circuit):
     return oracle._evolve(circuit.instructions, n, np.eye(2**n, dtype=complex))
 
 
-# One claim at a time through ``oracle.verify_claims``, which checks them
-# all in one pass for ``verify``.
+# One claim at a time through the numpy kernel ``oracle._verify``, which
+# checks them all in one pass for ``verify``.
 
 
 def verify_conjugation(circuit, p, q):
     """True iff U M(p) U+ equals M(q)."""
-    return oracle.verify_claims(circuit, [(p, q)])[0][0]
+    return oracle._verify(
+        circuit, [(p, q)], None, (), oracle.DEFAULT_SAMPLES, oracle.DEFAULT_SEED, ()
+    )[0][0]
 
 
 def transport_residual(
@@ -445,12 +453,12 @@ def transport_residual(
 ):
     """How far ``input_type``'s sampled eigenstates, pushed through the
     circuit, sit from the +1 eigenspace of each transported generator."""
-    return oracle.verify_claims(circuit, (), input_type, transported, samples, seed)[1]
+    return oracle._verify(circuit, (), input_type, transported, samples, seed, ())[1]
 
 
 def verify_separability(s, k, samples=oracle.DEFAULT_SAMPLES, seed=oracle.DEFAULT_SEED):
     """True iff every sampled joint eigenstate of ``s`` is pure at qubit k."""
-    return oracle.verify_claims(Circuit(s.arity), (), s, (), samples, seed, (k,))[2][0]
+    return oracle._verify(Circuit(s.arity), (), s, (), samples, seed, (k,))[2][0]
 
 
 def ref_verify_conjugation(circuit, p, q, u=None):
@@ -962,3 +970,16 @@ string_pairs = st.integers(1, 4).flatmap(
 string_triples = st.integers(1, 4).flatmap(
     lambda n: st.tuples(strings(n), strings(n), strings(n))
 )
+
+
+def fresh_run(code, *argv):
+    """What ``code`` prints as JSON, run in a fresh interpreter on ./src."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return json.loads(out)

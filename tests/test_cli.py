@@ -1,10 +1,7 @@
 import json
-import os
 import pathlib
 import random
 import re
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +24,7 @@ from gottesman.typesys import parse_qtype
 from helpers import (
     all_z,
     format_source,
+    fresh_run,
     random_clifford_circuit,
     random_stab_type,
     ref_parse,
@@ -51,8 +49,8 @@ def above_budget(tmp_path):
 
 
 def verify_file(size, tmp_path):
-    """The file for ``size`` and the oracle module ``verify`` selects for it,
-    then the other one."""
+    """The file for ``size`` and the module whose ``_verify`` kernel the
+    entry point runs for it, then the other one."""
     from gottesman import oracle, pyoracle
 
     if size == "small":
@@ -486,16 +484,16 @@ class TestRunVerify:
         assert "must be at least 0" in capsys.readouterr().err
 
     def test_mismatch_exit_code(self, capsys, monkeypatch, tmp_path):
-        def all_wrong(circuit, pairs, *args, qubits=(), **kwargs):
+        def all_wrong(circuit, pairs, input_type, transported, samples, seed, qubits):
             return [False] * len(pairs), 0.0, [True] * len(qubits)
 
         def unselected(*args, **kwargs):
-            raise AssertionError("verify called the oracle it did not select")
+            raise AssertionError("verify ran the kernel it did not select")
 
         for size, image in (("small", "ZII"), ("above budget", "ZIZZIZ")):
             path, selected, other = verify_file(size, tmp_path)
-            monkeypatch.setattr(selected, "verify_claims", all_wrong)
-            monkeypatch.setattr(other, "verify_claims", unselected)
+            monkeypatch.setattr(selected, "_verify", all_wrong)
+            monkeypatch.setattr(other, "_verify", unselected)
             assert run(["verify", path]) == EXIT_ORACLE_MISMATCH
             out = capsys.readouterr().out
             assert "MISMATCH" in out
@@ -550,7 +548,7 @@ class TestRunVerify:
             raise AssertionError("the batch must be checked before any work")
 
         for module in (oracle, pyoracle):
-            for name in ("verify_claims", "_sample_states"):
+            for name in ("_verify", "_sample_states"):
                 monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(oracle, "sample_eigenstates", refuse)
         monkeypatch.setattr(cli, "infer_tableau", refuse)
@@ -565,6 +563,25 @@ class TestRunVerify:
                 f"oracle unavailable: 1000000000000000 samples on {n} qubits"
                 " exceed the batch cap of 128 MiB\n"
             )
+
+    @pytest.mark.parametrize("input_line", ["", "input T\n"])
+    def test_samples_not_drawn_are_not_counted(self, capsys, tmp_path, input_line):
+        """Without an input type, or with Top, no eigenstate is drawn, so
+        ``--samples`` cannot pass the batch cap."""
+        path = write(tmp_path, f"qubits 1\n{input_line}H 1\n")
+        assert run(["verify", path, "--samples", "1" + "0" * 12, "--json"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert (record["samples"], record["checks"]) == (10**12, 2)
+
+    def test_samples_drawn_are_counted(self, capsys, tmp_path):
+        path = write(tmp_path, "qubits 1\ninput Z\nH 1\n")
+        assert run(["verify", path, "--samples", "1" + "0" * 12]) == (
+            EXIT_ORACLE_UNAVAILABLE
+        )
+        assert capsys.readouterr().err == (
+            "oracle unavailable: 1000000000000 samples on 1 qubits"
+            " exceed the batch cap of 128 MiB\n"
+        )
 
     def test_cached_parser_keeps_no_state_between_runs(self, capsys):
         from gottesman import cli
@@ -597,19 +614,6 @@ class TestRunVerify:
         )
         path = write(tmp_path, src)
         assert run(["verify", path, "--samples", "4"]) == EXIT_OK
-
-
-def fresh_run(code, *argv):
-    """What ``code`` prints as JSON, run in a fresh interpreter on ./src."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    return json.loads(out)
 
 
 def test_only_verify_imports_numpy(tmp_path):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from gottesman import oracle
+from gottesman import oracle, pyoracle
 from gottesman.checker import Circuit
 from gottesman.errors import (
     EmptyEigenspaceError,
@@ -145,7 +145,7 @@ class TestUnitaryOf:
             oracle.check_size(over)
         wide = "Z" + "I" * (over - 1)
         with pytest.raises(OracleUnavailableError):
-            verify_conjugation(Circuit(over), P(wide), P(wide))
+            pyoracle.verify_claims(Circuit(over), [(P(wide), P(wide))])
         with pytest.raises(OracleUnavailableError):
             oracle.sample_eigenstates(StabType.of(wide))
 
@@ -161,13 +161,13 @@ class TestUnitaryOf:
         with pytest.raises(OracleUnavailableError):
             oracle.sample_eigenstates(wide, count=oracle.MAX_BATCH_BYTES)
         with pytest.raises(OracleUnavailableError):
-            transport_residual(circ(2, "H 1"), wide, (), samples=10**15)
+            pyoracle.verify_claims(circ(2, "H 1"), (), wide, (), samples=10**15)
 
     def test_rejects_measurement(self):
         from gottesman.checker import Measure
 
         with pytest.raises(MeasurementError):
-            verify_conjugation(Circuit(1, (Measure(1),)), P("Z"), P("Z"))
+            pyoracle.verify_claims(Circuit(1, (Measure(1),)), [(P("Z"), P("Z"))])
 
     def test_embedding_nonadjacent_wires(self):
         # CNOT between wires 3 and 1 of a 3-qubit register: |c t| = |q3 q1|
@@ -214,7 +214,8 @@ class TestSeparability:
         monkeypatch.setattr(
             oracle, "sample_eigenstates", lambda *args: 2 * draw(*args)
         )
-        got = oracle.verify_claims(Circuit(2), (), StabType.of(*gens), (), qubits=(1, 2))
+        s, seed = StabType.of(*gens), oracle.DEFAULT_SEED
+        got = oracle._verify(Circuit(2), (), s, (), oracle.DEFAULT_SAMPLES, seed, (1, 2))
         assert got[2] == [False, False]
 
     def test_empty_eigenspace_detected(self):

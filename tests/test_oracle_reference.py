@@ -230,7 +230,7 @@ def test_conjugation_verdicts_match_reference():
 
 
 def test_batched_verify_matches_reference_up_to_eight_qubits():
-    """One ``verify_claims`` pass, as ``verify`` makes it, against the exact
+    """One ``oracle._verify`` pass, as ``verify`` makes it, against the exact
     dense verdicts for every claim and the dense transport residual."""
     rng = random.Random(1511)
     accepted = rejected = flawed = 0
@@ -254,8 +254,8 @@ def test_batched_verify_matches_reference_up_to_eight_qubits():
             # down the eigenstate stream too.
             j = rng.randrange(len(gens))
             gens = gens[:j] + (mutations(gens[j], rng)[1],) + gens[j + 1 :]
-        verdicts, residual, _ = oracle.verify_claims(
-            circuit, pairs, input_type, gens, samples=3, seed=trial
+        verdicts, residual, _ = oracle._verify(
+            circuit, pairs, input_type, gens, samples=3, seed=trial, qubits=()
         )
         want = [ref_verify_conjugation(circuit, p, q, u) for p, q in pairs]
         assert verdicts == want
@@ -323,7 +323,7 @@ def test_transport_and_separability_verdicts_match_reference():
         # verify reads purity from the transported input eigenstates, which
         # give a fresh output draw's verdicts when the residual is 0.
         qubits = range(1, n + 1)
-        *_, pure = oracle.verify_claims(
+        *_, pure = oracle._verify(
             circuit, (), input_type, gens, samples=4, seed=trial, qubits=qubits
         )
         states = ref_transported_states(circuit, input_type, 4, trial)

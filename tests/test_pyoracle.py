@@ -1,12 +1,14 @@
-"""The plain-Python oracle gives the numpy oracle's verdicts.
+"""The dense check's one entry point, and its two kernels.
 
-``verify`` runs ``pyoracle.verify_claims`` on files whose work is small, so
-importing numpy does not dominate them. On seeded random circuits up to four
-qubits (a ``def`` gate, T/Tdg/TOFFOLI, a reversed ``CNOT n 1``) with random
-input types, both paths must return the same conjugation and purity
-verdicts, and residuals on the same side of TOLERANCE: for the checker's
-own claims, and with one claim negated, one transported generator negated,
-and a qubit claimed as a factor that the checker did not factor.
+``pyoracle.verify_claims`` validates its arguments once and runs the
+plain-Python kernel ``pyoracle._verify`` while the work is within
+``WORK_BUDGET``, else the numpy kernel ``oracle._verify``. On seeded random
+circuits up to four qubits (a ``def`` gate, T/Tdg/TOFFOLI, a reversed
+``CNOT n 1``) with random input types, both kernels must return the same
+conjugation and purity verdicts, and residuals on the same side of
+TOLERANCE: for the checker's own claims, and with one claim negated, one
+transported generator negated, and a qubit claimed as a factor that the
+checker did not factor.
 """
 
 import random
@@ -27,7 +29,7 @@ from gottesman.gates import GateApp, GateSpec, derive_gate, standard_gates
 from gottesman.pauli import PauliString
 from gottesman.typesys import QType, StabType
 
-from helpers import embed, mutations, random_circuit, random_stab_type
+from helpers import embed, fresh_run, mutations, random_circuit, random_stab_type
 
 GATES = standard_gates()
 TOLERANCE = pyoracle.TOLERANCE
@@ -75,8 +77,8 @@ def test_verdicts_match_the_numpy_oracle():
             cases.append((pairs, gens, factored + [rng.choice(free)]))
         for case, (claimed, transported, qubits) in enumerate(cases):
             args = (circuit, claimed, input_type, transported, 4, trial, qubits)
-            want = oracle.verify_claims(*args)
-            got = pyoracle.verify_claims(*args)
+            want = oracle._verify(*args)
+            got = pyoracle._verify(*args)
             assert got[0] == want[0], (trial, case)
             assert (got[1] < TOLERANCE) == (want[1] < TOLERANCE), (trial, case)
             assert got[2] == want[2], (trial, case)
@@ -104,7 +106,8 @@ def test_toffoli_decomposition_is_checked():
 def test_gate_without_unitary_rejected():
     opaque = GateSpec("OPAQUE", 1, (P("Z"),), (P("X"),))
     with pytest.raises(OracleError, match="no unitary known"):
-        pyoracle.verify_claims(Circuit(1, (GateApp(opaque, (1,)),)), [(P("Z"), P("X"))])
+        circuit = Circuit(1, (GateApp(opaque, (1,)),))
+        pyoracle._verify(circuit, [(P("Z"), P("X"))], None, (), 1, 0, ())
 
 
 def test_faults_raise_as_in_the_numpy_oracle():
@@ -137,3 +140,60 @@ def test_oracle_shares_the_caps():
     over = StabType.of("Z" * (pyoracle.MAX_QUBITS + 1))
     with pytest.raises(OracleUnavailableError, match="dense cap"):
         pyoracle.verify_claims(Circuit(over.arity), (), over)
+
+
+def test_numpy_oracle_has_no_entry_of_its_own():
+    assert not hasattr(oracle, "verify_claims")
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """The kernels ``verify_claims`` ran, in order; each returns no verdicts."""
+    calls = []
+
+    def recorder(name):
+        def kernel(circuit, pairs, input_type, transported, samples, seed, qubits):
+            calls.append(name)
+            return [], 0.0, []
+
+        return kernel
+
+    monkeypatch.setattr(pyoracle, "_verify", recorder("plain"))
+    monkeypatch.setattr(oracle, "_verify", recorder("numpy"))
+    return calls
+
+
+def test_work_budget_chooses_the_kernel(ran):
+    # One qubit, no gates: W = 2 amplitudes x (2 probes + samples) x 1 pass.
+    z = StabType.of("Z")
+    pyoracle.verify_claims(Circuit(1), (), z, (), samples=8190)  # W = 2^14
+    assert ran == ["plain"]
+    pyoracle.verify_claims(Circuit(1), (), z, (), samples=8191)
+    assert ran == ["plain", "numpy"]
+    # Without an input type no sample is drawn, so none is counted.
+    pyoracle.verify_claims(Circuit(1), (), None, (), samples=8191)
+    assert ran == ["plain", "numpy", "plain"]
+
+
+def test_measured_circuit_refused_before_either_kernel(ran):
+    measured = Circuit(2, (GateApp(GATES["H"], (1,)), Measure(1)))
+    with pytest.raises(MeasurementError):
+        pyoracle.verify_claims(measured, [(P("ZI"), P("XI"))], StabType.of("ZI", "IZ"))
+    assert ran == []
+
+
+def test_small_work_leaves_numpy_unloaded():
+    code = (
+        "import json, sys\n"
+        "from gottesman import Circuit, GateApp, PauliString, StabType, standard_gates\n"
+        "from gottesman.pyoracle import verify_claims\n"
+        "g = standard_gates()\n"
+        "bell = Circuit(2, (GateApp(g['H'], (1,)), GateApp(g['CNOT'], (1, 2))))\n"
+        "pairs = [(PauliString.parse('ZI'), PauliString.parse('XX'))]\n"
+        "out = StabType.of('XX', 'ZZ').generators\n"
+        "got = verify_claims(bell, pairs, StabType.of('ZI', 'IZ'), out, 4, 1)\n"
+        "print(json.dumps([got, 'numpy' in sys.modules]))\n"
+    )
+    (verdicts, residual, pure), numpy_loaded = fresh_run(code)
+    assert verdicts == [True] and residual < TOLERANCE and pure == []
+    assert not numpy_loaded
