@@ -21,7 +21,7 @@ from .errors import (
 )
 from .gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
 from .pauli import PauliString, commutes, string_mul, tensor
-from .stabilizer import measure, measure_with_cost, member
+from .stabilizer import measure, member
 from .typesys import QType, StabType, factor_separable, parse_qtype
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "factor_separable",
     "infer_tableau",
     "measure",
-    "measure_with_cost",
     "member",
     "parse_qtype",
     "standard_gates",

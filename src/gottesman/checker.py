@@ -139,7 +139,7 @@ def check(circuit: Circuit, input_type: QType) -> QType:
         nonlocal pure
         folded = stabilizer._random_outcome(source.generators, k)
         if folded is not None:
-            return _unchecked(n, tuple(folded[0]))
+            return _unchecked(n, tuple(folded))
         if not pure:
             source = stabilizer.measure(source, k)
             pure = len(source.generators) == n
@@ -151,7 +151,7 @@ def check(circuit: Circuit, input_type: QType) -> QType:
     if cur is None:
         return QType.top_type(n)
     # Transport and measurement keep the input type well formed.
-    return factor_separable(_from_tableau(stabilizer._echelon(n, cur)[0]))
+    return factor_separable(_from_tableau(stabilizer._echelon(n, cur)))
 
 
 def annotate(circuit: Circuit, input_type: QType) -> list[QType]:

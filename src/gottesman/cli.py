@@ -23,9 +23,10 @@ instruction text in a file, and the Circuit. Nothing is kept from one
 ``parse`` to the next, so a def is derived on every parse.
 
 Exit statuses: 0 success, 1 type error, 2 parse error, 3 oracle mismatch,
-4 oracle unavailable (``verify`` past the dense oracle's qubit or sample
-batch cap). Only ``verify`` imports the dense check, once its file has
-parsed to a measurement-free circuit, and calls its one entry point,
+4 oracle unavailable (``verify`` past the dense oracle's qubit cap, its
+sample batch cap, or a def whose dense unitary passes that cap). Only
+``verify`` imports the dense check, once its file has parsed to a
+measurement-free circuit, and calls its one entry point,
 ``pyoracle.verify_claims``, which chooses between plain Python and numpy.
 The argument parser is built once per process; each ``run`` parses into a
 fresh namespace.
@@ -42,7 +43,8 @@ from .checker import Circuit, Measure, _circuit, annotate, check, infer_tableau
 from .errors import GottesmanError, OracleUnavailableError, ParseError
 from .gates import GateApp, GateSpec, _app, _units, derive_gate, standard_gates
 from .pauli import from_bits
-from .typesys import QType, _from_tableau, _reduced, parse_qtype
+from .stabilizer import _reduced
+from .typesys import QType, _from_tableau, parse_qtype
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -332,20 +334,22 @@ def _cmd_verify(args) -> int:
 
     args.seed = pyoracle.DEFAULT_SEED if args.seed is None else args.seed
     args.samples = args.samples or pyoracle.DEFAULT_SAMPLES  # at least 1 when given
-    drawn = args.samples if input_type is not None and not input_type.top else 0
-    pyoracle.check_size(circuit.n_qubits, drawn)  # before any tableau work
-    tab = infer_tableau(circuit)
-    pairs, claims = [], []
-    for (label, unit), img in zip(_units(circuit.n_qubits), tab.x_images + tab.z_images):
-        if not img.is_top:
-            pairs.append((unit, img))
-            claims.append(f"{label} -> {img}")
+    n = circuit.n_qubits
+    pyoracle.check_size(n)  # the qubit cap, before any type work
     flat_in, transported, factored = None, (), []
     if input_type is not None and not input_type.top:
         output = check(circuit, input_type)
         if not output.top:
             flat_in, transported = input_type.stab, output.stab.generators
             factored = [k for k, _ in output.factors]
+    # Eigenstates are drawn only for an output that has them.
+    pyoracle.check_size(n, args.samples if flat_in is not None else 0)
+    tab = infer_tableau(circuit)
+    pairs, claims = [], []
+    for (label, unit), img in zip(_units(n), tab.x_images + tab.z_images):
+        if not img.is_top:
+            pairs.append((unit, img))
+            claims.append(f"{label} -> {img}")
     verdicts, residual, pure = pyoracle.verify_claims(
         circuit, pairs, flat_in, transported, args.samples, args.seed, factored
     )
@@ -368,7 +372,7 @@ def _cmd_verify(args) -> int:
         _print_json(
             {
                 "command": "verify",
-                "qubits": circuit.n_qubits,
+                "qubits": n,
                 "checks": checks,
                 "seed": args.seed,
                 "samples": args.samples,

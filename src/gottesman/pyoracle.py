@@ -2,12 +2,13 @@
 
 :func:`verify_claims` checks the symbolic layer's claims on state vectors
 and is the one way in for ``verify`` and for library callers alike. It
-validates the qubit and batch caps, the operand arities and that the
-circuit has no measurement, then runs one of two kernels with one
-contract, chosen by the work W: 2^n amplitudes times the state columns
-times their passes. Up to ``WORK_BUDGET`` it runs :func:`_verify` here,
-without numpy: on the 2-4-qubit files of the paper's worked examples,
-importing numpy costs several times the whole check. Above it, it imports
+validates the qubit and batch caps, the operand arities, that the circuit
+has no measurement and that no gate's dense unitary passes the batch cap,
+then runs one of two kernels with one contract, chosen by the work W: 2^n
+amplitudes times the state columns times their passes. Up to
+``WORK_BUDGET`` it runs :func:`_verify` here, without numpy: on the
+2-4-qubit files of the paper's worked examples, importing numpy costs
+several times the whole check. Above it, it imports
 :func:`gottesman.oracle._verify`. The caps and constants below serve both.
 
 A batch is a list of 2^n rows, one per basis index (qubit 1 its top bit),
@@ -47,7 +48,8 @@ MAX_QUBITS = 14  # state vectors: O(2^n) per gate and vector
 DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 16
 PROBES = 2
-MAX_BATCH_BYTES = 2**27  # one complex batch of state columns
+MAX_BATCH_BYTES = 2**27  # one complex batch of state columns, or one gate's unitary
+_CAP = f"the batch cap of {MAX_BATCH_BYTES >> 20} MiB"
 # The most work run in plain Python. Measured on a 2-CPU Xeon: the costliest
 # file at it takes about 33 ms, a fifth of a fresh numpy import (160 ms).
 WORK_BUDGET = 2**14
@@ -74,8 +76,7 @@ def check_size(n: int, samples: int = 0) -> None:
     if n > MAX_QUBITS:
         raise OracleUnavailableError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
     if 16 * 2**n * (PROBES * (2 * n + 1) + samples) > MAX_BATCH_BYTES:
-        cap = f"the batch cap of {MAX_BATCH_BYTES >> 20} MiB"
-        raise OracleUnavailableError(f"{samples} samples on {n} qubits exceed {cap}")
+        raise OracleUnavailableError(f"{samples} samples on {n} qubits exceed {_CAP}")
 
 
 def _decode(p: PauliString) -> tuple[int, int, int]:
@@ -234,6 +235,12 @@ def verify_claims(
         raise ArityError("operands must match the circuit's register size")
     if circuit.has_measurement:
         raise MeasurementError("no unitary for a circuit with measurements")
+    for app in circuit.instructions:
+        g = app.gate.arity  # a def's unitary is built dense: 4^g entries
+        if 16 * 4**g > MAX_BATCH_BYTES:
+            raise OracleUnavailableError(
+                f"gate {app.gate.name} on {g} wires: its {2**g}x{2**g} unitary exceeds {_CAP}"
+            )
     builtin = standard_gates()
     passes = 1 + sum(
         1 if builtin.get(app.gate.name) is app.gate else 2**app.gate.arity

@@ -4,14 +4,15 @@ A Top-free Pauli string of arity n is a row of 2n bits [x | z] plus an
 exponent-of-i phase, which is exactly how ``PauliString`` stores it.
 Multiplying strings is GF(2) addition of rows with an exact integer phase
 correction, so group questions reduce to linear algebra: canonical forms
-are row-reduced echelon forms under the column order x_1..x_n, z_1..z_n,
-group equality is row-by-row comparison of canonical forms, and
-membership is pivot reduction.
+are row-reduced echelon forms under the column order x_1..x_n, z_1..z_n
+(``_pivot``), group equality is row-by-row comparison of canonical forms,
+and membership is pivot reduction.
 
 Every Pauli string is read through its ``x``/``z`` masks and exponent
 ``k``. A group comes in as a ``typesys.StabType``, which carries its
 canonical tableau from construction (``s.tableau``), so it is never
-row-reduced again; no function mutates its inputs.
+row-reduced again; no function mutates its inputs or counts its own work:
+a row operation is one ``string_mul`` call, counted by wrapping that name.
 """
 
 from __future__ import annotations
@@ -48,8 +49,20 @@ def _column(col: int, arity: int):
     return (_X, 1 << col) if col < arity else (_Z, 1 << (col - arity))
 
 
-def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[CanonicalTableau, int]:
-    """Full row reduction; returns the tableau and the row-op count.
+def _pivot(g: PauliString) -> int:
+    """The leading column of ``g`` (x_1..x_n, then z_1..z_n): its pivot,
+    when ``g`` is a row of a reduced tableau."""
+    return (g.x & -g.x).bit_length() - 1 if g.x else g.arity + (g.z & -g.z).bit_length() - 1
+
+
+def _reduced(arity: int, rows) -> CanonicalTableau:
+    """The tableau of ``rows``, which must already be reduced, sorted by pivot."""
+    rows = sorted(rows, key=_pivot)
+    return CanonicalTableau(arity, tuple(rows), tuple(map(_pivot, rows)))
+
+
+def _echelon(arity: int, rows: Sequence[PauliString]) -> CanonicalTableau:
+    """Full row reduction into the canonical tableau.
 
     Deterministic pivot order: x-bit columns 1..n, then z-bit columns;
     dependent and identity rows drop out. Raises IllFormedTypeError when a
@@ -59,7 +72,6 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[CanonicalTableau,
     """
     work = list(rows)
     origin = [1 << i for i in range(len(work))]  # bit i: input row i + 1
-    ops = 0
     pivots: list[int] = []
     r = 0
     for col in range(2 * arity):
@@ -75,7 +87,6 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[CanonicalTableau,
             if j != r and get(row) & bit:
                 work[j] = string_mul(work[r], row)
                 origin[j] ^= origin[r]
-                ops += 1
         pivots.append(col)
         r += 1
 
@@ -96,7 +107,7 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[CanonicalTableau,
                 f"group contains -identity: element built from generators"
                 f" {which(j)} has phase {_PHASE_TEXT[work[j].k]} and squares to -I"
             )
-    return CanonicalTableau(arity, tuple(work[:r]), tuple(pivots)), ops
+    return CanonicalTableau(arity, tuple(work[:r]), tuple(pivots))
 
 
 def member(tab: CanonicalTableau, p: PauliString) -> Optional[int]:
@@ -136,11 +147,11 @@ def _single_qubit_members(tab: CanonicalTableau) -> tuple[tuple[int, PauliString
     return tuple(sorted(found, key=lambda f: f[0]))
 
 
-def _random_outcome(gens: Sequence[PauliString], k: int) -> Optional[tuple[list, int]]:
+def _random_outcome(gens: Sequence[PauliString], k: int) -> Optional[list]:
     """Random Z_k outcome: the carriers, with an x-bit (X or Y) at k, anticommute
     with Z_k. Multiply the first into the others, drop it and adjoin +Z_k (the
-    +1 branch; outcome signs are not modeled). Returns the new generators and
-    the string products made, O(n); None if no generator carries an x-bit at k."""
+    +1 branch; outcome signs are not modeled). Returns the new generators, made
+    with O(n) string products; None if no generator carries an x-bit at k."""
     bit = 1 << (k - 1)
     carriers = [i for i, r in enumerate(gens) if r.x & bit]
     if not carriers:
@@ -150,28 +161,7 @@ def _random_outcome(gens: Sequence[PauliString], k: int) -> Optional[tuple[list,
     for i in carriers[1:]:
         rows[i - 1] = string_mul(pivot, rows[i - 1])
     rows.append(from_bits(pivot.arity, 0, bit))
-    return rows, len(carriers) - 1
-
-
-def _measure_rows(
-    arity: int, gens: Sequence[PauliString], k: int
-) -> tuple[CanonicalTableau, int]:
-    if not 1 <= k <= arity:
-        raise WireError(f"qubit {k} out of range for {arity} qubits")
-    bit = 1 << (k - 1)
-    rows, ops = _random_outcome(gens, k) or (None, 0)
-    if rows is None:
-        if any(r.z & bit for r in gens):
-            # Determined outcome if +-Z_k is in the group: the state is left
-            # as it is, sign included (+-Z_k is then a lone row of the reduced
-            # tableau, see _single_qubit_members). Otherwise adjoin +Z_k.
-            tab, ops = _echelon(arity, gens)
-            if any(r.z == bit and not r.x for r in tab.rows):
-                return tab, ops
-            gens = tab.rows
-        rows = [*gens, from_bits(arity, 0, bit)]
-    tab, echelon_ops = _echelon(arity, rows)
-    return tab, ops + echelon_ops
+    return rows
 
 
 def measure(source, k: int):
@@ -183,13 +173,21 @@ def measure(source, k: int):
     outcome on a mixed state. ``source`` is a StabType, so the result is
     built from its canonical tableau without checks.
     """
-    new_type, _ = measure_with_cost(source, k)
-    return new_type
-
-
-def measure_with_cost(source, k: int):
-    """Like :func:`measure` but also reports the row-operation count."""
     from .typesys import _from_tableau
 
-    tab, ops = _measure_rows(source.arity, source.generators, k)
-    return _from_tableau(tab), ops
+    arity, gens = source.arity, source.generators
+    if not 1 <= k <= arity:
+        raise WireError(f"qubit {k} out of range for {arity} qubits")
+    bit = 1 << (k - 1)
+    rows = _random_outcome(gens, k)
+    if rows is None:
+        if any(r.z & bit for r in gens):
+            # Determined outcome if +-Z_k is in the group: the state is left
+            # as it is, sign included (+-Z_k is then a lone row of the reduced
+            # tableau, see _single_qubit_members). Otherwise adjoin +Z_k.
+            tab = _echelon(arity, gens)
+            if any(r.z == bit and not r.x for r in tab.rows):
+                return _from_tableau(tab)
+            gens = tab.rows
+        rows = [*gens, from_bits(arity, 0, bit)]
+    return _from_tableau(_echelon(arity, rows))

@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional
 from . import stabilizer
 from .errors import ArityError, IllFormedTypeError, ParseError
 from .pauli import PauliString, _Frozen, commutes, from_bits
+from .stabilizer import _reduced
 
 
 class StabType(_Frozen):
@@ -64,14 +65,14 @@ class StabType(_Frozen):
                         f" {gens[i]} vs {gens[j]}"
                     )
         # Rejects -I (and +-iI) in the generated group.
-        object.__setattr__(self, "tableau", stabilizer._echelon(self.arity, gens)[0])
+        object.__setattr__(self, "tableau", stabilizer._echelon(self.arity, gens))
 
     def __getattr__(self, name: str):
         # Only ``tableau`` can be missing: ``_unchecked`` defers its row
         # reduction to the first use.
         if name != "tableau":
             raise AttributeError(name)
-        tab = stabilizer._echelon(self.arity, self.generators)[0]
+        tab = stabilizer._echelon(self.arity, self.generators)
         object.__setattr__(self, "tableau", tab)
         return tab
 
@@ -198,18 +199,6 @@ class QType(_Frozen):
                 text = f"({text})"
             parts.append((support[0], text))
         return " x ".join(text for _, text in sorted(parts))
-
-
-def _pivot(g: PauliString, m: int) -> int:
-    """The leading column of ``g`` over m qubits (x_1..x_m, then z_1..z_m):
-    its pivot, when ``g`` is a row of a reduced tableau."""
-    return (g.x & -g.x).bit_length() - 1 if g.x else m + (g.z & -g.z).bit_length() - 1
-
-
-def _reduced(m: int, rows) -> stabilizer.CanonicalTableau:
-    """The tableau of ``rows``, which must already be reduced, sorted by pivot."""
-    rows = sorted(rows, key=lambda g: _pivot(g, m))
-    return stabilizer.CanonicalTableau(m, tuple(rows), tuple(_pivot(g, m) for g in rows))
 
 
 def factor_separable(s: StabType) -> QType:

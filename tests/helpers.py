@@ -1,6 +1,7 @@
 """Shared test utilities: independent matrix oracles, brute-force group
 enumeration, an atom-by-atom reference for the packed Pauli algebra, a
-member-based reference for separability, a per-measurement canonical
+member-based reference for separability, a measurement reference and a
+row-operation counter for ``measure``, a per-measurement canonical
 reference for ``check``, per-string references for gate transport, a
 dense-product reference for the oracle and its one-claim checks,
 checking references for the ``.qc`` and type parsers, a canonical
@@ -224,6 +225,23 @@ def ref_measure(arity, gens, k):
     rows.append(z_k)
     reduced, _, echelon_ops = ref_echelon(arity, rows)
     return reduced, ops + echelon_ops
+
+
+def measure_row_ops(s, k):
+    """``stabilizer.measure(s, k)`` and its row operations, counted from
+    outside: the ``string_mul`` calls that ``stabilizer`` makes meanwhile."""
+    calls = 0
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return string_mul(p, q)
+
+    stabilizer.string_mul = counted
+    try:
+        return stabilizer.measure(s, k), calls
+    finally:
+        stabilizer.string_mul = string_mul
 
 
 # --- member-based separability reference ------------------------------------

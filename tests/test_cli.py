@@ -48,6 +48,15 @@ def above_budget(tmp_path):
     return write(tmp_path, format_source(circuit, all_z(6)), "above_budget.qc")
 
 
+def wide_def(tmp_path, g):
+    """A g-qubit file whose one instruction is a def on all g wires: a GHZ
+    preparation, H q1 then a CNOT ladder."""
+    formals = " ".join(f"q{i}" for i in range(1, g + 1))
+    body = "; ".join(["H q1"] + [f"CNOT q{i} q{i + 1}" for i in range(1, g)])
+    wires = " ".join(map(str, range(1, g + 1)))
+    return write(tmp_path, f"qubits {g}\ndef W {formals} := {body}\nW {wires}\n")
+
+
 def verify_file(size, tmp_path):
     """The file for ``size`` and the module whose ``_verify`` kernel the
     entry point runs for it, then the other one."""
@@ -573,6 +582,13 @@ class TestRunVerify:
         record = json.loads(capsys.readouterr().out)
         assert (record["samples"], record["checks"]) == (10**12, 2)
 
+    def test_samples_not_counted_when_the_output_is_top(self, capsys, tmp_path):
+        """A typed input whose output is Top draws no eigenstate either."""
+        path = write(tmp_path, "qubits 1\ninput X\nT 1\n")
+        assert run(["verify", path, "--samples", "1" + "0" * 12, "--json"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert (record["samples"], record["checks"]) == (10**12, 1)  # Z1 -> Z
+
     def test_samples_drawn_are_counted(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 1\ninput Z\nH 1\n")
         assert run(["verify", path, "--samples", "1" + "0" * 12]) == (
@@ -599,6 +615,31 @@ class TestRunVerify:
         record = json.loads(capsys.readouterr().out)
         assert (record["seed"], record["samples"]) == (7, 16)
         assert cli._build_parser() is cli._build_parser()
+
+    def test_def_past_the_unitary_cap_is_oracle_unavailable(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A def on 12 wires has a 4096x4096 unitary, 256 MiB of complex
+        entries: refused before either kernel builds it."""
+        from gottesman import oracle, pyoracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gate must be checked before any work")
+
+        for module in (oracle, pyoracle):
+            monkeypatch.setattr(module, "_verify", refuse)
+        monkeypatch.setattr(oracle, "gate_unitary", refuse)
+        assert run(["verify", wide_def(tmp_path, 12)]) == EXIT_ORACLE_UNAVAILABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "oracle unavailable: gate W on 12 wires: its 4096x4096 unitary"
+            " exceeds the batch cap of 128 MiB\n"
+        )
+
+    def test_def_within_the_unitary_cap_verifies(self, capsys, tmp_path):
+        assert run(["verify", wide_def(tmp_path, 11), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["checks"] == 22
 
     def test_at_the_qubit_cap_verifies(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 14\nH 1; CNOT 1 14; CNOT 14 5\n")
