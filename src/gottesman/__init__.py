@@ -22,7 +22,7 @@ from .errors import (
 from .gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
 from .pauli import PauliString, commutes, string_mul, tensor
 from .stabilizer import measure, member
-from .typesys import QType, StabType, factor_separable, parse_qtype
+from .typesys import QType, StabType, parse_qtype
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "check",
     "commutes",
     "derive_gate",
-    "factor_separable",
     "infer_tableau",
     "measure",
     "member",

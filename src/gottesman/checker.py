@@ -4,10 +4,10 @@ Two views of the same transport, ``gates._transport``: ``infer_tableau``
 gives a circuit's conjugation action on every X_k/Z_k generator (the gate
 view), while ``check`` threads the generators of a state type through the
 instruction sequence, applies each measurement as Gottesman's O(n)
-generator update, and factors the result for separability (the state
-view). Both are pure; transport is defined on generators and extends
-multiplicatively, so the arrow rules for products, phases and sequencing
-hold by construction.
+generator update, and returns the final group as a ``QType``, whose
+factored view gives separability (the state view). Both are pure;
+transport is defined on generators and extends multiplicatively, so the
+arrow rules for products, phases and sequencing hold by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
 from .gates import GateApp, _transport, _unit_images
 from .pauli import PauliString, _Frozen
-from .typesys import QType, _from_tableau, _unchecked, factor_separable
+from .typesys import QType, _unchecked
 
 
 class Measure(_Frozen):
@@ -129,7 +129,7 @@ def _states(circuit: Circuit, input_type: QType, measure):
 def check(circuit: Circuit, input_type: QType) -> QType:
     """Transport a state type through the circuit, factored for output."""
     n = circuit.n_qubits
-    pure = not input_type.top and input_type.stab.tableau.rank == n
+    pure = not input_type.top and len(input_type.stab.tableau) == n
 
     def measure(source, k: int):
         """O(n) string products: a random outcome folds the carriers, keeping
@@ -151,7 +151,8 @@ def check(circuit: Circuit, input_type: QType) -> QType:
     if cur is None:
         return QType.top_type(n)
     # Transport and measurement keep the input type well formed.
-    return factor_separable(_from_tableau(stabilizer._echelon(n, cur)))
+    tab = stabilizer._echelon(n, cur)
+    return QType(n, _unchecked(n, tab, tab))
 
 
 def annotate(circuit: Circuit, input_type: QType) -> list[QType]:

@@ -43,8 +43,7 @@ from .checker import Circuit, Measure, _circuit, annotate, check, infer_tableau
 from .errors import GottesmanError, OracleUnavailableError, ParseError
 from .gates import GateApp, GateSpec, _app, _units, derive_gate, standard_gates
 from .pauli import from_bits
-from .stabilizer import _reduced
-from .typesys import QType, _from_tableau, parse_qtype
+from .typesys import QType, _unchecked, parse_qtype
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -220,7 +219,8 @@ def parse(source: str) -> tuple[Circuit, QType | None]:
 
 def _default_input(n: int) -> QType:
     """Z x ... x Z: Z_1..Z_n are already a reduced tableau."""
-    return QType(n, _from_tableau(_reduced(n, [from_bits(n, 0, 1 << k) for k in range(n)])))
+    rows = tuple(from_bits(n, 0, 1 << k) for k in range(n))
+    return QType(n, _unchecked(n, rows, rows))
 
 
 def _qtype_record(q: QType) -> dict:

@@ -275,7 +275,7 @@ def sample_eigenstates(
     """Pseudorandom unit vectors, one per row, in the joint +1 eigenspace of ``s``."""
     check_size(s.arity, count)
     rng = np.random.default_rng(seed)
-    return _sample_states(s.arity, s.tableau.rows, count, rng).T
+    return _sample_states(s.arity, s.tableau, count, rng).T
 
 
 def reduced_purity(state: np.ndarray, k: int, n: int) -> float | np.ndarray:

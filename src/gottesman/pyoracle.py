@@ -261,7 +261,7 @@ def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):
     phi = [_gaussian(rng, 2**n) for _ in range(PROBES)]
     cols = phi + [_act(_pauli(p), f) for p, _ in pairs for f in phi]
     if input_type is not None:
-        cols += _sample_states(n, input_type.tableau.rows, samples, random.Random(seed))
+        cols += _sample_states(n, input_type.tableau, samples, random.Random(seed))
     out = list(zip(*_evolve(circuit.instructions, n, list(zip(*cols)))))
     verdicts = []
     for j, (_, q) in enumerate(pairs):

@@ -10,9 +10,11 @@ and membership is pivot reduction.
 
 Every Pauli string is read through its ``x``/``z`` masks and exponent
 ``k``. A group comes in as a ``typesys.StabType``, which carries its
-canonical tableau from construction (``s.tableau``), so it is never
-row-reduced again; no function mutates its inputs or counts its own work:
-a row operation is one ``string_mul`` call, counted by wrapping that name.
+canonical tableau from construction: ``s.tableau`` is the tuple of its
+reduced rows sorted by pivot, each row's pivot read by ``_pivot``, so it
+is never row-reduced again. No function mutates its inputs or counts its
+own work: a row operation is one ``string_mul`` call, counted by wrapping
+that name.
 """
 
 from __future__ import annotations
@@ -21,22 +23,7 @@ from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import ArityError, IllFormedTypeError, TopOperandError, WireError
-from .pauli import PauliString, _Frozen, from_bits, string_mul
-
-
-class CanonicalTableau(_Frozen):
-    """Independent generators in row-reduced echelon form."""
-
-    __slots__ = _fields = ("arity", "rows", "pivots")
-
-    def __init__(
-        self, arity: int, rows: tuple[PauliString, ...], pivots: tuple[int, ...]
-    ) -> None:
-        self._set_fields(arity, rows, pivots)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+from .pauli import PauliString, from_bits, string_mul
 
 
 _X, _Z = attrgetter("x"), attrgetter("z")
@@ -55,14 +42,13 @@ def _pivot(g: PauliString) -> int:
     return (g.x & -g.x).bit_length() - 1 if g.x else g.arity + (g.z & -g.z).bit_length() - 1
 
 
-def _reduced(arity: int, rows) -> CanonicalTableau:
-    """The tableau of ``rows``, which must already be reduced, sorted by pivot."""
-    rows = sorted(rows, key=_pivot)
-    return CanonicalTableau(arity, tuple(rows), tuple(map(_pivot, rows)))
+def _reduced(rows) -> tuple[PauliString, ...]:
+    """The tableau of ``rows``, which must already be reduced: sorted by pivot."""
+    return tuple(sorted(rows, key=_pivot))
 
 
-def _echelon(arity: int, rows: Sequence[PauliString]) -> CanonicalTableau:
-    """Full row reduction into the canonical tableau.
+def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[PauliString, ...]:
+    """Full row reduction into the canonical tableau: its rows by pivot.
 
     Deterministic pivot order: x-bit columns 1..n, then z-bit columns;
     dependent and identity rows drop out. Raises IllFormedTypeError when a
@@ -72,7 +58,6 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> CanonicalTableau:
     """
     work = list(rows)
     origin = [1 << i for i in range(len(work))]  # bit i: input row i + 1
-    pivots: list[int] = []
     r = 0
     for col in range(2 * arity):
         if r == len(work):
@@ -87,7 +72,6 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> CanonicalTableau:
             if j != r and get(row) & bit:
                 work[j] = string_mul(work[r], row)
                 origin[j] ^= origin[r]
-        pivots.append(col)
         r += 1
 
     def which(j: int) -> str:
@@ -107,23 +91,23 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> CanonicalTableau:
                 f"group contains -identity: element built from generators"
                 f" {which(j)} has phase {_PHASE_TEXT[work[j].k]} and squares to -I"
             )
-    return CanonicalTableau(arity, tuple(work[:r]), tuple(pivots))
+    return tuple(work[:r])
 
 
-def member(tab: CanonicalTableau, p: PauliString) -> Optional[int]:
-    """Membership with phase.
+def member(s, p: PauliString) -> Optional[int]:
+    """Membership with phase in the group of the StabType ``s``.
 
     If p's bit pattern lies in the row space, returns the exponent q
     (0..3) such that i**q * p is the exact group element; otherwise None.
     """
     if p.is_top:
         raise TopOperandError("Top strings are not group elements")
-    if p.arity != tab.arity:
-        raise ArityError(f"arity {p.arity} does not match tableau arity {tab.arity}")
+    if p.arity != s.arity:
+        raise ArityError(f"arity {p.arity} does not match tableau arity {s.arity}")
     residual = from_bits(p.arity, p.x, p.z)
-    acc = PauliString.identity(tab.arity)
-    for row, col in zip(tab.rows, tab.pivots):
-        get, bit = _column(col, tab.arity)
+    acc = PauliString.identity(s.arity)
+    for row in s.tableau:
+        get, bit = _column(_pivot(row), s.arity)
         if get(residual) & bit:
             acc = string_mul(acc, row)
             residual = string_mul(row, residual)
@@ -132,7 +116,7 @@ def member(tab: CanonicalTableau, p: PauliString) -> Optional[int]:
     return (acc.k - p.k) % 4
 
 
-def _single_qubit_members(tab: CanonicalTableau) -> tuple[tuple[int, PauliString], ...]:
+def _single_qubit_members(rows) -> tuple[tuple[int, PauliString], ...]:
     """All (k, U) with U a one-qubit string and U_k in the group, by k.
 
     Each is a lone row of the reduced tableau: a member on qubit k is the
@@ -140,7 +124,7 @@ def _single_qubit_members(tab: CanonicalTableau) -> tuple[tuple[int, PauliString
     X_k*w and Z_k*w, which anticommute. Rows have phases +-1 only.
     """
     found = []
-    for row in tab.rows:
+    for row in rows:
         if (row.x | row.z).bit_count() == 1:
             k = (row.x | row.z).bit_length()
             found.append((k, from_bits(1, row.x >> (k - 1), row.z >> (k - 1), row.k)))
@@ -171,9 +155,10 @@ def measure(source, k: int):
     canonical tableau, which cost O(n^2) row operations. ``check`` applies
     the O(n) generator update instead and comes here only for a determined
     outcome on a mixed state. ``source`` is a StabType, so the result is
-    built from its canonical tableau without checks.
+    built from its canonical tableau without checks, and a determined
+    outcome reads the tableau ``source`` holds rather than reducing again.
     """
-    from .typesys import _from_tableau
+    from .typesys import _unchecked
 
     arity, gens = source.arity, source.generators
     if not 1 <= k <= arity:
@@ -185,9 +170,9 @@ def measure(source, k: int):
             # Determined outcome if +-Z_k is in the group: the state is left
             # as it is, sign included (+-Z_k is then a lone row of the reduced
             # tableau, see _single_qubit_members). Otherwise adjoin +Z_k.
-            tab = _echelon(arity, gens)
-            if any(r.z == bit and not r.x for r in tab.rows):
-                return _from_tableau(tab)
-            gens = tab.rows
+            gens = source.tableau
+            if any(r.z == bit and not r.x for r in gens):
+                return _unchecked(arity, gens, gens)
         rows = [*gens, from_bits(arity, 0, bit)]
-    return _from_tableau(_echelon(arity, rows))
+    tab = _echelon(arity, rows)
+    return _unchecked(arity, tab, tab)

@@ -4,11 +4,12 @@ A StabType is a finite generating set of commuting, Top-free Pauli strings
 of one arity whose generated group avoids -I; its meaning is the joint
 eigenspace structure of that group. A QType is the state type of a
 register: one StabType over all its qubits, or the whole-register Top.
-Separability is a fact about that one group, so a QType's factored view
-(its single-qubit factors and the remainder on the other qubits) is read
-off the group's canonical tableau on first use and cached. A parsed QType
-prints as written; every other one prints its factored view. Both are
-immutable and all operations are pure functions.
+A group is its canonical tableau, the tuple of its reduced rows
+(``s.tableau``). Separability is a fact about that one group, so
+``QType(n, s)`` is its factored view: the single-qubit factors and the
+remainder on the other qubits, read off the rows on first use and cached.
+A parsed QType prints as written; every other one prints its factored
+view. Both are immutable and all operations are pure functions.
 
 The textual syntax (shared with the circuit files) uses ``&`` for
 intersection, ``x`` for the separability product, ``->`` for arrows, and
@@ -33,10 +34,11 @@ class StabType(_Frozen):
 
     Construction validates well-formedness and raises IllFormedTypeError
     otherwise; generators are kept as given, and ``tableau`` keeps their
-    canonical form (``tableau.rows`` is the canonical presentation), which
-    the -I check computes. Equality and hashing are of the generated
-    group, so ``XX & ZZ`` equals ``-YY & ZZ``. An empty generating set is the
-    fully unconstrained type over ``arity`` qubits.
+    canonical form, the tuple of reduced rows sorted by pivot (the
+    canonical presentation), which the -I check computes. Equality and
+    hashing are of the generated group, so ``XX & ZZ`` equals ``-YY & ZZ``.
+    An empty generating set is the fully unconstrained type over ``arity``
+    qubits.
     """
 
     _fields = ("arity", "generators")
@@ -78,7 +80,7 @@ class StabType(_Frozen):
 
     def _key(self) -> tuple:
         # Compared and hashed as a group, not by its generators.
-        return self.arity, self.tableau.rows
+        return self.arity, self.tableau
 
     @classmethod
     def of(cls, *literals: str) -> "StabType":
@@ -94,29 +96,20 @@ class StabType(_Frozen):
         return " & ".join(str(g) for g in self.generators)
 
 
-def _unchecked(arity: int, generators: tuple[PauliString, ...]) -> StabType:
+def _unchecked(arity: int, generators: tuple[PauliString, ...], tableau=None) -> StabType:
     """The StabType on ``generators``, built without checks; its canonical
-    tableau is row-reduced on first use.
+    tableau is ``tableau`` when given, else row-reduced on first use.
 
     Not validated: ``generators`` must be well formed, as the generators
-    that ``check`` and ``annotate`` carry from a validated type are.
+    that ``check`` and ``annotate`` carry from a validated type are, and
+    ``tableau``, when given, their canonical rows, as the results of
+    measure, factoring and check are.
     """
     s = object.__new__(StabType)
     object.__setattr__(s, "arity", arity)
     object.__setattr__(s, "generators", generators)
-    return s
-
-
-def _from_tableau(tab: stabilizer.CanonicalTableau, generators=None) -> StabType:
-    """The StabType with generators ``generators`` (default ``tab.rows``)
-    and canonical tableau ``tab``, built without checks.
-
-    Not validated: ``tab`` must be the canonical tableau of a well-formed
-    type, as the results of measure, factoring and check are,
-    and of ``generators`` when given, as of a parsed product's remainder.
-    """
-    s = _unchecked(tab.arity, tab.rows if generators is None else generators)
-    object.__setattr__(s, "tableau", tab)
+    if tableau is not None:
+        object.__setattr__(s, "tableau", tableau)
     return s
 
 
@@ -126,14 +119,14 @@ class QType(_Frozen):
 
     Which qubits separate is a fact about that group, not a second way to
     store it: ``factors``, ``remainder`` and ``remainder_support`` are a
-    view read off the canonical tableau by :func:`factor_separable` on
-    first use, and cached. ``factors`` holds (qubit, one-qubit +-X/Y/Z
-    string) pairs by qubit; ``remainder`` is the group on the other
-    qubits, ``remainder_support``, or None when every qubit is a factor.
-    Equality is equality of groups. A type prints ``str(shown)`` when
-    ``shown`` is given (a parsed type's text, or the StabType whose
-    generators an ``annotate`` entry shows), and its factored view
-    otherwise.
+    view read off the canonical tableau on first use, and cached, so
+    ``QType(n, s)`` is the factored view of ``s``. ``factors`` holds
+    (qubit, one-qubit +-X/Y/Z string) pairs by qubit; ``remainder`` is the
+    group on the other qubits, ``remainder_support``, or None when every
+    qubit is a factor. Equality is equality of groups. A type prints
+    ``str(shown)`` when ``shown`` is given (a parsed type's text, or the
+    StabType whose generators an ``annotate`` entry shows), and its
+    factored view otherwise.
     """
 
     _fields = ("arity", "stab")
@@ -161,9 +154,35 @@ class QType(_Frozen):
 
     @cached_property
     def _view(self) -> tuple:
+        """The factored view, read off the tableau in one pass.
+
+        A qubit k separates exactly when some +-U_k lies in the generated
+        group; that member is a lone row of the reduced tableau. Every other
+        row is I at k: it is zero in the witness's pivot column and commutes
+        with the witness. So the remainder is those rows on the unpeeled
+        qubits, already reduced.
+        """
         if self.stab is None:
             return (), None, ()
-        return factor_separable(self.stab)._view
+        n, rows = self.arity, self.stab.tableau
+        factors = stabilizer._single_qubit_members(rows)
+        peeled = sum(1 << (k - 1) for k, _ in factors)
+        support = tuple(o for o in range(1, n + 1) if not peeled >> (o - 1) & 1)
+        if not support:
+            return factors, None, support
+        m = len(support)
+        # A mask's binary numeral has qubit n first: keep the support's digits.
+        keep = itemgetter(*(n - o for o in reversed(support)))
+
+        def restrict(mask: int) -> int:
+            return int("".join(keep(format(mask, f"0{n}b"))), 2)
+
+        rest = _reduced(
+            from_bits(m, restrict(g.x), restrict(g.z), g.k)
+            for g in rows
+            if not (g.x | g.z) & peeled
+        )
+        return factors, _unchecked(m, rest, rest), support
 
     @property
     def factors(self) -> tuple[tuple[int, PauliString], ...]:
@@ -187,7 +206,7 @@ class QType(_Frozen):
             # A remainder with a gap cannot be placed by position alone;
             # the intersection of the tableau rows is unambiguous: the lone
             # factor rows by qubit, then the others, in order.
-            rows = self.stab.tableau.rows
+            rows = self.stab.tableau
             lone = [g for g in rows if (g.x | g.z).bit_count() == 1]
             others = [g for g in rows if (g.x | g.z).bit_count() > 1]
             lone.sort(key=lambda g: g.x | g.z)
@@ -199,39 +218,6 @@ class QType(_Frozen):
                 text = f"({text})"
             parts.append((support[0], text))
         return " x ".join(text for _, text in sorted(parts))
-
-
-def factor_separable(s: StabType) -> QType:
-    """The QType of ``s``, its factored view read off the tableau in one pass.
-
-    A qubit k separates exactly when some +-U_k lies in the generated
-    group; that member is a lone row of the reduced tableau. Every other
-    row is I at k: it is zero in the witness's pivot column and commutes
-    with the witness. So the remainder is those rows on the unpeeled
-    qubits, already reduced.
-    """
-    n, tab = s.arity, s.tableau
-    factors = stabilizer._single_qubit_members(tab)
-    peeled = sum(1 << (k - 1) for k, _ in factors)
-    support = tuple(o for o in range(1, n + 1) if not peeled >> (o - 1) & 1)
-    remainder = None
-    if support:
-        m = len(support)
-        # A mask's binary numeral has qubit n first: keep the support's digits.
-        keep = itemgetter(*(n - o for o in reversed(support)))
-
-        def restrict(mask: int) -> int:
-            return int("".join(keep(format(mask, f"0{n}b"))), 2)
-
-        rest = [
-            from_bits(m, restrict(g.x), restrict(g.z), g.k)
-            for g in tab.rows
-            if not (g.x | g.z) & peeled
-        ]
-        remainder = _from_tableau(_reduced(m, rest))
-    q = QType(n, s)
-    q.__dict__["_view"] = factors, remainder, support
-    return q
 
 
 # --- textual syntax ---------------------------------------------------------
@@ -349,8 +335,8 @@ def _literal(tok: str, col: int) -> _Part:
     if lit.k & 1 or lit.k and not lit.x | lit.z:
         StabType(n, (lit,))  # raises: -I is in the literal's group
     # One real-phased row is its own reduced tableau.
-    tab = _reduced(n, (lit,) if lit.x | lit.z else ())
-    return _Part(n, _from_tableau(tab), str(lit), col)
+    tab = (lit,) if lit.x | lit.z else ()
+    return _Part(n, _unchecked(n, tab, tab), str(lit), col)
 
 
 def _intersect_units(units: list[_Part]) -> _Part:
@@ -383,12 +369,12 @@ def _merge(components: list[_Part]) -> _Part:
 
     gens, rows, offset = [], [], 0
     for c in components:
-        placed = shifted(c.stab.tableau.rows, offset)
+        placed = shifted(c.stab.tableau, offset)
         rows += placed
-        same = c.stab.generators is c.stab.tableau.rows  # as for each literal
+        same = c.stab.generators is c.stab.tableau  # as for each literal
         gens += placed if same else shifted(c.stab.generators, offset)
         offset += c.arity
-    return _Part(total, _from_tableau(_reduced(total, rows), tuple(gens)), text, col)
+    return _Part(total, _unchecked(total, tuple(gens), _reduced(rows)), text, col)
 
 
 def parse_qtype(text: str) -> QType:

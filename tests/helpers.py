@@ -26,14 +26,7 @@ from gottesman.errors import ArityError, ParseError, TopOperandError, WireError
 from gottesman.gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
 from gottesman.pauli import PauliString, from_bits, string_mul
 from gottesman.stabilizer import member
-from gottesman.typesys import (
-    QType,
-    StabType,
-    _from_tableau,
-    _unchecked,
-    factor_separable,
-    fold_unicode,
-)
+from gottesman.typesys import QType, StabType, _unchecked, fold_unicode
 
 # Independent single-qubit matrices; deliberately not imported from the
 # package so matrix-level assertions do not share code with what they test.
@@ -204,7 +197,9 @@ def ref_measure(arity, gens, k):
     """Z_k measurement with its row-op count. Generators with X or Y at k
     (random outcome): fold the rest into the first, drop it, adjoin +Z_k.
     Otherwise the outcome is determined when +-Z_k is in the group, which
-    is then kept as it is; when it is not, +Z_k is adjoined."""
+    is then kept as it is; when it is not, +Z_k is adjoined. ``gens`` are
+    those of a validated type, which already holds their reduced rows, so
+    that reduction counts no row operations."""
     rows = list(gens)
     ops = 0
     z_k = embed("Z", 0, k, arity)
@@ -215,7 +210,7 @@ def ref_measure(arity, gens, k):
             ops += 1
         del rows[carriers[0]]
     elif any(_REF_BITS[letters(g)[k - 1]][1] for g in rows):
-        rows, pivots, ops = ref_echelon(arity, rows)
+        rows, pivots, _ = ref_echelon(arity, rows)
         residual = z_k
         for row, col in zip(rows, pivots):
             if _ref_bit(residual, col):
@@ -250,13 +245,13 @@ def measure_row_ops(s, k):
 # ``member``, witnesses folded into the rows and the rest row-reduced again.
 
 
-def ref_single_qubit_members(tab):
-    """All (k, U) with U a one-qubit string and U_k in the group, one member
-    call for each of X, Y and Z on each qubit."""
+def ref_single_qubit_members(s):
+    """All (k, U) with U a one-qubit string and U_k in the group of ``s``,
+    one member call for each of X, Y and Z on each qubit."""
     found = []
-    for k in range(1, tab.arity + 1):
+    for k in range(1, s.arity + 1):
         for atom in "XYZ":
-            q = member(tab, embed(atom, 0, k, tab.arity))
+            q = member(s, embed(atom, 0, k, s.arity))
             if q is not None:
                 assert q % 2 == 0, "group elements square to I, so phases are real"
                 found.append((k, pauli(q, atom)))
@@ -274,9 +269,9 @@ def _ref_restrict(g, support):
 def ref_factor_separable(s):
     """The factored view of ``s``: (factors, remainder, remainder support)
     with every witnessed qubit peeled."""
-    singles = ref_single_qubit_members(s.tableau)
+    singles = ref_single_qubit_members(s)
     witnesses = {k: embed(letters(u), u.k, k, s.arity) for k, u in singles}
-    work = list(s.tableau.rows)
+    work = list(s.tableau)
     for k, witness in witnesses.items():
         bit = 1 << (k - 1)
         work = [string_mul(witness, g) if (g.x | g.z) & bit else g for g in work]
@@ -284,7 +279,8 @@ def ref_factor_separable(s):
     if not support:
         return singles, None, ()
     rest = [_ref_restrict(g, support) for g in work if g.x | g.z]
-    return singles, _from_tableau(StabType(len(support), tuple(rest)).tableau), support
+    tab = StabType(len(support), tuple(rest)).tableau
+    return singles, _unchecked(len(support), tab, tab), support
 
 
 # --- per-measurement canonical reference for check ---------------------------
@@ -318,8 +314,9 @@ def ref_check(circuit, input_type):
         pass
     if cur is None:
         return QType.top_type(circuit.n_qubits)
-    tab = _unchecked(circuit.n_qubits, tuple(cur)).tableau
-    return factor_separable(_from_tableau(tab))
+    n = circuit.n_qubits
+    tab = _unchecked(n, tuple(cur)).tableau
+    return QType(n, _unchecked(n, tab, tab))
 
 
 def ref_annotate(circuit, input_type):
@@ -489,7 +486,7 @@ def ref_verify_conjugation(circuit, p, q, u=None):
 def ref_projector(s):
     dim = 2**s.arity
     proj = np.eye(dim, dtype=complex)
-    for g in s.tableau.rows:
+    for g in s.tableau:
         proj = proj @ (np.eye(dim, dtype=complex) + string_matrix(g)) / 2
     return proj
 
@@ -513,7 +510,7 @@ def ref_row_projected_states(s, count, seed):
     halving after each generator, with the same stream and redraw rule:
     what ``oracle.sample_eigenstates`` must equal bit for bit."""
     rng = np.random.default_rng(seed)
-    perm, sign = oracle._paulis(s.tableau.rows, s.arity)
+    perm, sign = oracle._paulis(s.tableau, s.arity)
     states = np.empty((count, 2**s.arity), dtype=complex)
     todo = np.arange(count)
     for _ in range(8):

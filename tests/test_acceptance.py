@@ -17,7 +17,7 @@ from gottesman.checker import Circuit, annotate, check, infer_tableau
 from gottesman.gates import GateApp, apply_gate, standard_gates
 from gottesman.pauli import PauliString
 from gottesman.stabilizer import measure
-from gottesman.typesys import QType, StabType, factor_separable, parse_qtype
+from gottesman.typesys import QType, StabType, parse_qtype
 
 from helpers import (
     embed,
@@ -219,14 +219,14 @@ def test_criterion_7_eigenstate_transport_and_separability():
         draws += 1
         n = rng.randrange(2, 6)
         s = random_stab_type(n, rng)
-        q = factor_separable(s)
+        q = QType(s.arity, s)
         peeled = {k for k, _ in q.factors}
         for k in peeled:
             if not verify_separability(s, k, samples=16, seed=cases):
                 failures.append(f"case {cases}: peeled qubit {k} not pure")
         acted = {
             k
-            for g in s.tableau.rows
+            for g in s.tableau
             for k in range(1, n + 1)
             if letters(g)[k - 1] != "I"
         }

@@ -9,7 +9,7 @@ from gottesman.checker import Circuit, Measure, annotate, check, infer_tableau
 from gottesman.errors import ArityError, MeasurementError, TopOperandError, WireError
 from gottesman.gates import GateApp, standard_gates
 from gottesman.pauli import PauliString, string_mul
-from gottesman.typesys import QType, StabType, _unchecked, factor_separable, parse_qtype
+from gottesman.typesys import QType, StabType, _unchecked, parse_qtype
 
 from helpers import all_z, random_clifford_circuit
 
@@ -281,9 +281,9 @@ def test_measurement_rewrite_sound_against_dense_projection():
         s = random_stab_type(n, rng)
         k = rng.randrange(1, n + 1)
         z_k = embed("Z", 0, k, n)
-        before = member(s.tableau, z_k)
+        before = member(s, z_k)
         measured = measure(s, k)
-        sign = member(measured.tableau, z_k)
+        sign = member(measured, z_k)
         assert sign in (0, 2)
         key = "random" if before is None else ("+1", "i", "-1", "-i")[before]
         outcomes[key] += 1
@@ -346,14 +346,14 @@ def test_check_factors_by_reading_tableau_rows(monkeypatch):
     }
     factoring = []
 
-    def counted_factoring(s):
+    def counted_factoring(q):
+        # The factored view is read off the tableau on first use: here.
         before = {name: len(calls) for name, calls in counts.items()}
-        q = factor_separable(s)
+        q.factors
         factoring.append({name: len(calls) - before[name] for name, calls in counts.items()})
         return q
 
-    monkeypatch.setattr(checker, "factor_separable", counted_factoring)
-    out = check(circuit, input_type)
+    out = counted_factoring(check(circuit, input_type))
     assert len(out.factors) >= 100 and out.remainder.generators
     entangled = out.remainder_support[0]
     z_factor = next(k for k, p in out.factors if p == P("Z"))
@@ -361,7 +361,7 @@ def test_check_factors_by_reading_tableau_rows(monkeypatch):
         n,
         circuit.instructions + (Measure(entangled), Measure(entangled), Measure(z_factor)),
     )
-    out = check(measured, input_type)
+    out = counted_factoring(check(measured, input_type))
     assert len(counts["member"]) == 0
     assert factoring == [dict.fromkeys(counts, 0)] * 2
     assert (entangled, P("Z")) in out.factors
@@ -399,26 +399,27 @@ def _random_source(n, rng, meas_every=8):
 
 
 def test_types_built_without_checks_are_well_formed(monkeypatch):
-    # measure, factor_separable, check and the CLI's default input build
-    # their results unchecked from a canonical tableau, as does the
+    # measure, the factored view, check and the CLI's default input build
+    # their results unchecked beside a canonical tableau, as does the
     # canonical presentation of a type, and annotate builds its entries
     # unchecked; each one must pass full validation and carry the
     # canonical tableau of its generators.
     from gottesman import checker, typesys
     from gottesman.cli import _default_input, parse
     from gottesman.stabilizer import measure
-    from gottesman.typesys import factor_separable
     from helpers import random_stab_type
 
     built = []
 
-    # A parsed product passes its generators beside the tableau.
-    def recording(tab, *generators, build=typesys._from_tableau):
-        built.append(build(tab, *generators))
-        return built[-1]
+    # Record every build that is given its tableau.
+    def recording(arity, generators, tableau=None, build=typesys._unchecked):
+        s = build(arity, generators, tableau)
+        if tableau is not None:
+            built.append(s)
+        return s
 
-    monkeypatch.setattr(typesys, "_from_tableau", recording)
-    monkeypatch.setattr(checker, "_from_tableau", recording)
+    monkeypatch.setattr(typesys, "_unchecked", recording)
+    monkeypatch.setattr(checker, "_unchecked", recording)
     rng = random.Random(1234)
     measured = 0
     for _ in range(30):
@@ -435,9 +436,9 @@ def test_types_built_without_checks_are_well_formed(monkeypatch):
                 if not state.top:
                     s = state.stab
                     built.append(s)  # its tableau is row-reduced on first use
-                    typesys._from_tableau(s.tableau)  # the canonical presentation
+                    typesys._unchecked(n, s.tableau, s.tableau)  # the canonical presentation
                     measure(s, rng.randrange(1, n + 1))
-                    factor_separable(s)
+                    QType(s.arity, s).factors
     assert measured > 100 and len(built) > 5000
     for s in built:
         full = StabType(s.arity, s.generators)
@@ -472,7 +473,7 @@ def test_check_matches_per_measurement_canonical_reference():
             for ins, state in zip(circuit.instructions, states):
                 if isinstance(ins, Measure):
                     bit = 1 << (ins.qubit - 1)
-                    rank = _unchecked(n, tuple(state)).tableau.rank
+                    rank = len(_unchecked(n, tuple(state)).tableau)
                     if any(g.x & bit for g in state):
                         kinds["random"] += 1
                     else:

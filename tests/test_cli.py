@@ -842,7 +842,7 @@ def _outcome(parser, text):
         return (type(err).__name__, str(err))
     rows = None
     if input_type is not None and not input_type.top:
-        rows = input_type.stab.tableau.rows
+        rows = input_type.stab.tableau
     return ("parsed", circuit, rows, str(input_type), input_type)
 
 

@@ -14,7 +14,7 @@ from gottesman.errors import (
 )
 from gottesman.gates import GateApp, standard_gates
 from gottesman.pauli import PauliString
-from gottesman.typesys import StabType, factor_separable
+from gottesman.typesys import QType, StabType
 
 from helpers import (
     ALL_ATOMS,
@@ -244,11 +244,11 @@ class TestSeparability:
             draws += 1
             n = rng.randrange(2, 5)
             s = random_stab_type(n, rng)
-            q = factor_separable(s)
+            q = QType(s.arity, s)
             peeled = {k for k, _ in q.factors}
             acted = {
                 k
-                for g in s.tableau.rows
+                for g in s.tableau
                 for k in range(1, n + 1)
                 if letters(g)[k - 1] != "I"
             }

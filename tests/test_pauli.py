@@ -148,7 +148,7 @@ class TestPauliString:
         top = PauliString.top(2)
         assert (top.x, top.z, top.k) == (0, 0, 0)
         with pytest.raises(TopOperandError):
-            member(StabType.of("XX").tableau, top)
+            member(StabType.of("XX"), top)
 
 
 class TestStringMul:

@@ -32,7 +32,6 @@ PUBLIC = [
     "check",
     "commutes",
     "derive_gate",
-    "factor_separable",
     "infer_tableau",
     "measure",
     "member",
@@ -45,7 +44,7 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(gottesman.__all__) == PUBLIC
-    assert len(gottesman.__all__) == 31
+    assert len(gottesman.__all__) == 30
     for name in PUBLIC:
         assert getattr(gottesman, name) is not None
 
@@ -55,7 +54,7 @@ LIBRARY_RESULTS = {
     'check(ghz, parse_qtype("Z x Z x Z"))': "XXX & ZIZ & IZZ",
     "infer_tableau(ghz).z_images": "(XXX, ZZI, IZZ)",
     'measure(StabType.of("XXX", "ZZI", "IZZ"), 1)': "ZII & IZI & IIZ",
-    'factor_separable(StabType.of("IXX", "ZII", "IZZ"))': "Z x (XX & ZZ)",
+    'QType(3, StabType.of("IXX", "ZII", "IZZ"))': "Z x (XX & ZZ)",
 }
 
 

@@ -126,9 +126,9 @@ def test_samples_are_unit_eigenvectors():
     rng = random.Random(7)
     for n in (1, 2, 3, 4):
         s = random_stab_type(n, rng)
-        for v in pyoracle._sample_states(n, s.tableau.rows, 3, random.Random(n)):
+        for v in pyoracle._sample_states(n, s.tableau, 3, random.Random(n)):
             assert abs(sum(abs(a) ** 2 for a in v) - 1) < 1e-12
-            for g in s.tableau.rows:
+            for g in s.tableau:
                 g_v = pyoracle._act(pyoracle._pauli(g), v)
                 assert max(abs(a - b) for a, b in zip(g_v, v)) < 1e-12
 
