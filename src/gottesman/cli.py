@@ -22,11 +22,11 @@ built without the constructors' checks: one GateApp per distinct
 instruction text in a file, and the Circuit. Nothing is kept from one
 ``parse`` to the next, so a def is derived on every parse.
 
-Exit statuses: 0 success, 1 type error, 2 parse error, 3 oracle mismatch,
-4 oracle unavailable (``verify`` past the dense oracle's qubit cap, its
-sample batch cap, or a def whose dense unitary passes that cap). Only
-``verify`` imports the dense check, once its file has parsed to a
-measurement-free circuit, and calls its one entry point,
+Exit statuses: 0 success, 1 type error or out of memory, 2 parse error, 3
+oracle mismatch, 4 oracle unavailable (``verify`` past the dense oracle's
+qubit cap, its sample batch cap, or a def whose dense unitary passes that
+cap). Only ``verify`` imports the dense check, once its file has parsed to
+a measurement-free circuit, and calls its one entry point,
 ``pyoracle.verify_claims``, which chooses between plain Python and numpy.
 The argument parser is built once per process; each ``run`` parses into a
 fresh namespace.
@@ -450,6 +450,9 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_ORACLE_UNAVAILABLE
     except GottesmanError as err:
         print(f"type error: {err}", file=sys.stderr)
+        return EXIT_TYPE_ERROR
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
         return EXIT_TYPE_ERROR
 
 

@@ -3,8 +3,9 @@
 :func:`gottesman.pyoracle.verify_claims` is the one entry point to the dense
 check. It validates its arguments, and when their work is above
 ``pyoracle.WORK_BUDGET`` it imports this module and runs :func:`_verify`,
-the numpy twin of its plain-Python kernel. The caps and constants both
-share live in ``pyoracle``.
+the numpy twin of its plain-Python kernel. The caps, constants and gate
+table both share live in ``pyoracle``; this module builds only a derived
+gate's unitary, through ``pyoracle._unitary`` with its own :func:`_evolve`.
 
 Pushes batches of state vectors, the columns of one 2^n x m array, through
 a circuit and checks the symbolic layer's claims: U P U+ == Q as
@@ -34,36 +35,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyEigenspaceError, OracleError
+from .errors import EmptyEigenspaceError
 from .gates import GateSpec
 from .pauli import PauliString
-from .pyoracle import (  # the caps and constants both dense kernels share
+from .pyoracle import (  # the caps, constants and gate table both kernels share
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     MAX_BATCH_BYTES,
     MAX_QUBITS,
     PROBES,
     TOLERANCE,
+    _POWERS_OF_I,
     _decode,
+    _unitary,
     check_size,
 )
 from .typesys import StabType
 
 _DRAW_BLOCK = 2**18  # amplitudes drawn and projected at a time
 
-_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+_POWERS_OF_I = np.array(_POWERS_OF_I)
 _PARITY_SIGN = np.ones(1)  # entry i is (-1)^popcount(i), for i < 2^MAX_QUBITS
 for _ in range(MAX_QUBITS):
     _PARITY_SIGN = np.concatenate((_PARITY_SIGN, -_PARITY_SIGN))
-
-_BASE_UNITARIES = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "S": np.diag([1, 1j]).astype(complex),
-    "T": np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex),
-    # Control is wire 1, the most significant bit of the block.
-    "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
-}
-_TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
 
 
 def _paulis(strings: Sequence[PauliString], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,17 +179,10 @@ def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def gate_unitary(spec: GateSpec) -> np.ndarray:
-    """The gate's dense unitary, rebuilt from its decomposition if derived.
-    A Toffoli decomposition that misses the direct 8x8 matrix is an error."""
-    if spec.name in _BASE_UNITARIES:
-        u = _BASE_UNITARIES[spec.name].copy()
-    elif spec.decomposition is not None:
-        eye = np.eye(2**spec.arity, dtype=complex)
-        u = _evolve(spec.decomposition, spec.arity, eye)
-    else:
-        raise OracleError(f"no unitary known for gate {spec.name}")
-    if spec.name == "TOFFOLI" and np.max(np.abs(u - _TOFFOLI)) >= TOLERANCE:
-        raise OracleError("TOFFOLI decomposition disagrees with its matrix")
+    """The gate's dense unitary from ``pyoracle._unitary``, a derived gate's
+    evolved here, not copied once built."""
+    eye = np.eye(2**spec.arity, dtype=complex)
+    u = np.asarray(_unitary(spec, _evolve, eye), dtype=complex)
     u.setflags(write=False)
     return u
 

@@ -9,16 +9,19 @@ amplitudes times the state columns times their passes. Up to
 ``WORK_BUDGET`` it runs :func:`_verify` here, without numpy: on the
 2-4-qubit files of the paper's worked examples, importing numpy costs
 several times the whole check. Above it, it imports
-:func:`gottesman.oracle._verify`. The caps and constants below serve both.
+:func:`gottesman.oracle._verify`. The caps and constants below serve both,
+and so does the gate table: :func:`_unitary` gives each kernel a primitive's
+matrix, or a derived gate's built by that kernel's ``_evolve``, and checks
+TOFFOLI against its reference, so both refuse a faulty gate alike.
 
 A batch is a list of 2^n rows, one per basis index (qubit 1 its top bit),
 each holding one amplitude per state column. A gate sends output row i to a
-sum of input rows times entries of its unitary, which is rebuilt from the
-gate's decomposition and kept sparse: a row that a permutation gate only
-moves is shared, never copied or written. Both kernels read a Pauli string
-through :func:`_decode`, from its printed letters and ``.k``, sharing no
-code with the bit kernels. The probes phi and the input eigenstates come
-from two ``random.Random`` generators, both seeded with ``seed``.
+sum of input rows times entries of its unitary, kept sparse: a row that a
+permutation gate only moves is shared, never copied or written. Both
+kernels read a Pauli string through :func:`_decode`, from its printed
+letters and ``.k``, sharing no code with the bit kernels. The probes phi
+and the input eigenstates come from two ``random.Random`` generators, both
+seeded with ``seed``.
 """
 
 from __future__ import annotations
@@ -105,33 +108,41 @@ def _act(pauli: tuple[list[int], list[complex]], v: Sequence[complex]) -> list:
     return list(map(mul, signs, map(v.__getitem__, perm)))
 
 
-@lru_cache(maxsize=None)
-def _sparse_unitary(spec: GateSpec) -> tuple[tuple[tuple[int, complex], ...], ...]:
-    """The gate's unitary, rebuilt from its decomposition if derived, as each
-    row's ``(column, entry)`` pairs above TOLERANCE, an entry within TOLERANCE
-    of 1 made exactly 1. A Toffoli decomposition that misses the direct 8x8
-    matrix is an error."""
+def _unitary(spec: GateSpec, evolve, eye):
+    """The gate's unitary as rows, for both kernels: a primitive's from the
+    table above, a derived gate's as ``evolve(decomposition, arity, eye)`` in
+    the caller's arithmetic. A TOFFOLI that misses the 8x8 matrix is an error."""
     if spec.name in _BASE_UNITARIES:
         u = _BASE_UNITARIES[spec.name]
     elif spec.decomposition is not None:
-        size = 2**spec.arity
-        eye = [[complex(i == j) for j in range(size)] for i in range(size)]
-        u = _evolve(spec.decomposition, spec.arity, eye)  # row i, column j: U[i][j]
+        u = evolve(spec.decomposition, spec.arity, eye)
     else:
         raise OracleError(f"no unitary known for gate {spec.name}")
-    if spec.name == "TOFFOLI" and any(
-        abs(e - (c == _TOFFOLI_ROWS[r])) >= TOLERANCE
-        for r, row in enumerate(u)
-        for c, e in enumerate(row)
+    if spec.name == "TOFFOLI" and (
+        len(u) != 8
+        or any(
+            abs(e - (c == _TOFFOLI_ROWS[r])) >= TOLERANCE
+            for r, row in enumerate(u)
+            for c, e in enumerate(row)
+        )
     ):
         raise OracleError("TOFFOLI decomposition disagrees with its matrix")
+    return u
+
+
+@lru_cache(maxsize=None)
+def _sparse_unitary(spec: GateSpec) -> tuple[tuple[tuple[int, complex], ...], ...]:
+    """The gate's :func:`_unitary` as each row's ``(column, entry)`` pairs above
+    TOLERANCE, an entry within TOLERANCE of 1 made exactly 1."""
+    size = 2**spec.arity
+    eye = [[complex(i == j) for j in range(size)] for i in range(size)]
     return tuple(
         tuple(
             (c, 1 if abs(e - 1) < TOLERANCE else e)
             for c, e in enumerate(row)
             if abs(e) > TOLERANCE
         )
-        for row in u
+        for row in _unitary(spec, _evolve, eye)
     )
 
 

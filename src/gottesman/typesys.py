@@ -42,8 +42,8 @@ class StabType(_Frozen):
     """
 
     _fields = ("arity", "generators")
-    # ``tableau`` is not in the repr.
-    __slots__ = _fields + ("tableau",)
+    # ``tableau`` is not in the repr; the dict caches it.
+    __slots__ = _fields + ("__dict__",)
 
     def __init__(self, arity: int, generators: tuple[PauliString, ...] = ()) -> None:
         gens = tuple(generators)
@@ -69,14 +69,10 @@ class StabType(_Frozen):
         # Rejects -I (and +-iI) in the generated group.
         object.__setattr__(self, "tableau", stabilizer._echelon(self.arity, gens))
 
-    def __getattr__(self, name: str):
-        # Only ``tableau`` can be missing: ``_unchecked`` defers its row
-        # reduction to the first use.
-        if name != "tableau":
-            raise AttributeError(name)
-        tab = stabilizer._echelon(self.arity, self.generators)
-        object.__setattr__(self, "tableau", tab)
-        return tab
+    @cached_property
+    def tableau(self) -> tuple[PauliString, ...]:
+        # Set by ``__init__``; ``_unchecked`` may defer it to the first use.
+        return stabilizer._echelon(self.arity, self.generators)
 
     def _key(self) -> tuple:
         # Compared and hashed as a group, not by its generators.

@@ -387,6 +387,23 @@ class TestRunCheck:
         assert output["text"] == "-Z"
         assert output["factors"] == [{"qubit": 1, "sign": -1, "basis": "Z"}]
 
+    def test_json_top_output(self, capsys, tmp_path):
+        path = write(tmp_path, "qubits 1\ninput T\nH 1\n")
+        assert run(["check", path, "--json"]) == EXIT_OK
+        output = json.loads(capsys.readouterr().out)["output"]
+        assert output == {"top": True, "text": "T"}
+
+    def test_out_of_memory_is_reported(self, capsys, monkeypatch):
+        from gottesman import cli
+
+        def exhausted(circuit, input_type):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "check", exhausted)
+        assert run(["check", str(CIRCUITS / "ghz.qc")]) == EXIT_TYPE_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "out of memory\n")
+
     def test_measure_after_top_is_type_error(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 1\ninput X\nT 1\nMEAS 1\n")
         assert run(["check", path]) == EXIT_TYPE_ERROR
@@ -528,6 +545,31 @@ class TestRunVerify:
         record = json.loads(capsys.readouterr().out)
         assert record["checks"] == 9  # 6 conjugations, transport, two factors
         assert record["failures"] == ["separability not confirmed at qubit 3"]
+
+    @pytest.mark.parametrize("size", ["small", "above budget"])
+    def test_wrong_output_type_is_refuted(self, capsys, monkeypatch, tmp_path, size):
+        """Z x ... x Z claimed for the output: the transported eigenstates
+        refute it, and refute the claimed factor at each qubit that the true
+        output does not factor, on either kernel."""
+        from gottesman import cli
+
+        def unselected(*args, **kwargs):
+            raise AssertionError("verify ran the kernel it did not select")
+
+        path, _, other = verify_file(size, tmp_path)
+        circuit, input_type = parse(pathlib.Path(path).read_text())
+        n, true = circuit.n_qubits, cli.check(circuit, input_type)
+        entangled = sorted(set(range(1, n + 1)) - {k for k, _ in true.factors})
+        monkeypatch.setattr(other, "_verify", unselected)
+        monkeypatch.setattr(cli, "check", lambda *_: parse_qtype(" x ".join("Z" * n)))
+        assert run(["verify", path, "--json"]) == EXIT_ORACLE_MISMATCH
+        record = json.loads(capsys.readouterr().out)
+        assert record["checks"] == 2 * n + 1 + n  # conjugations, transport, factors
+        residual, *refuted = record["failures"]
+        assert residual.startswith("eigenstate transport residual ")
+        assert refuted == [f"separability not confirmed at qubit {k}" for k in entangled]
+        if size == "small":
+            assert (record["checks"], entangled) == (10, [1, 2, 3])
 
     def test_over_the_qubit_cap_is_oracle_unavailable(
         self, capsys, tmp_path, monkeypatch

@@ -94,17 +94,33 @@ def test_verdicts_match_the_numpy_oracle():
     assert min(seen.values()) > 20, seen
 
 
+# A gate's unitary as each kernel builds it.
+KERNEL_UNITARIES = (pyoracle._sparse_unitary, oracle.gate_unitary)
+
+
 def test_toffoli_decomposition_is_checked():
+    """A wrong 3-wire TOFFOLI, and a 2-wire one whose matrix cannot be the
+    8x8 reference, are refused alike by both kernels."""
     h, t, cnot = GATES["H"], GATES["T"], GATES["CNOT"]
     steps = [GateApp(h, (3,)), GateApp(cnot, (1, 3)), GateApp(t, (3,))]
-    wrong = derive_gate("TOFFOLI", 3, steps)
-    with pytest.raises(OracleError, match="TOFFOLI decomposition"):
-        pyoracle._sparse_unitary(wrong)
+    for wrong in (
+        derive_gate("TOFFOLI", 3, steps),
+        derive_gate("TOFFOLI", 2, [GateApp(cnot, (1, 2))]),
+    ):
+        for unitary in KERNEL_UNITARIES:
+            with pytest.raises(OracleError) as info:
+                unitary(wrong)
+            assert str(info.value) == "TOFFOLI decomposition disagrees with its matrix"
     assert pyoracle._sparse_unitary(GATES["TOFFOLI"])[6] == ((7, 1),)
+    assert abs(oracle.gate_unitary(GATES["TOFFOLI"])[6, 7] - 1) < TOLERANCE
 
 
 def test_gate_without_unitary_rejected():
     opaque = GateSpec("OPAQUE", 1, (P("Z"),), (P("X"),))
+    for unitary in KERNEL_UNITARIES:
+        with pytest.raises(OracleError) as info:
+            unitary(opaque)
+        assert str(info.value) == "no unitary known for gate OPAQUE"
     with pytest.raises(OracleError, match="no unitary known"):
         circuit = Circuit(1, (GateApp(opaque, (1,)),))
         pyoracle._verify(circuit, [(P("Z"), P("X"))], None, (), 1, 0, ())
