@@ -19,21 +19,13 @@ that name.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import ArityError, IllFormedTypeError, TopOperandError, WireError
 from .pauli import PauliString, from_bits, string_mul
 
 
-_X, _Z = attrgetter("x"), attrgetter("z")
 _PHASE_TEXT = ("+1", "i", "-1", "-i")  # i**k in the messages of _echelon
-
-
-def _column(col: int, arity: int):
-    """The mask and bit holding column ``col`` of a row: columns 0..n-1
-    are x_1..x_n and columns n..2n-1 are z_1..z_n."""
-    return (_X, 1 << col) if col < arity else (_Z, 1 << (col - arity))
 
 
 def _pivot(g: PauliString) -> int:
@@ -50,48 +42,54 @@ def _reduced(rows) -> tuple[PauliString, ...]:
 def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[PauliString, ...]:
     """Full row reduction into the canonical tableau: its rows by pivot.
 
-    Deterministic pivot order: x-bit columns 1..n, then z-bit columns;
-    dependent and identity rows drop out. Raises IllFormedTypeError when a
-    nontrivial product of the input rows is a phased identity, i.e. the
-    generated group contains -I (or +-iI), or when a row has phase +-i.
-    The error names the combination of 1-based input rows responsible.
+    Pivot order is ``_pivot``'s: x-bit columns 1..n, then z-bit columns.
+    Each input row in turn is reduced at its leading column against the
+    row kept there until it has a new pivot or vanishes; then each kept
+    row, last pivot first, clears the other pivot bits it holds. Dependent
+    and identity rows drop out. Raises IllFormedTypeError when a product
+    of input rows is a phased identity (the group contains -I or +-iI),
+    naming the first input row to vanish with a phase and the kept rows
+    it met, or when a reduced row has phase +-i, naming its input rows.
     """
-    work = list(rows)
-    origin = [1 << i for i in range(len(work))]  # bit i: input row i + 1
-    r = 0
-    for col in range(2 * arity):
-        if r == len(work):
-            break
-        get, bit = _column(col, arity)
-        piv = next((j for j in range(r, len(work)) if get(work[j]) & bit), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        origin[r], origin[piv] = origin[piv], origin[r]
-        for j, row in enumerate(work):
-            if j != r and get(row) & bit:
-                work[j] = string_mul(work[r], row)
-                origin[j] ^= origin[r]
-        r += 1
+    kept = {}  # pivot column -> (row, origin); origin bit i: input row i + 1
 
-    def which(j: int) -> str:
-        return ", ".join(str(i + 1) for i in range(len(rows)) if origin[j] >> i & 1)
+    def which(origin: int) -> str:
+        return ", ".join(str(i + 1) for i in range(origin.bit_length()) if origin >> i & 1)
 
-    for j in range(r, len(work)):
-        if work[j].k != 0:
-            raise IllFormedTypeError(
-                f"group contains {_PHASE_TEXT[work[j].k]} * identity"
-                f" (product of generators {which(j)})"
-            )
-    for j in range(r):
+    for i, row in enumerate(rows):
+        origin = 1 << i
+        while row.x or row.z:
+            col = _pivot(row)
+            if col not in kept:
+                kept[col] = row, origin
+                break
+            base, o = kept[col]
+            row, origin = string_mul(base, row), origin ^ o
+        else:
+            if row.k != 0:
+                raise IllFormedTypeError(
+                    f"group contains {_PHASE_TEXT[row.k]} * identity"
+                    f" (product of generators {which(origin)})"
+                )
+    pivots = sum(1 << col for col in kept)
+    for col in sorted(kept, reverse=True):
+        row, origin = kept[col]
+        held = (row.x | row.z << arity) & pivots & ~(1 << col)
+        while held:
+            base, o = kept[(held & -held).bit_length() - 1]
+            row, origin = string_mul(base, row), origin ^ o
+            held &= held - 1
+        kept[col] = row, origin
+    tab = [kept[col] for col in sorted(kept)]
+    for row, origin in tab:
         # An element with phase +-i squares to -I, so the group is bad
         # even though its bits never cancel out.
-        if work[j].k % 2 == 1:
+        if row.k % 2 == 1:
             raise IllFormedTypeError(
                 f"group contains -identity: element built from generators"
-                f" {which(j)} has phase {_PHASE_TEXT[work[j].k]} and squares to -I"
+                f" {which(origin)} has phase {_PHASE_TEXT[row.k]} and squares to -I"
             )
-    return tuple(work[:r])
+    return tuple(row for row, _ in tab)
 
 
 def member(s, p: PauliString) -> Optional[int]:
@@ -107,8 +105,7 @@ def member(s, p: PauliString) -> Optional[int]:
     residual = from_bits(p.arity, p.x, p.z)
     acc = PauliString.identity(s.arity)
     for row in s.tableau:
-        get, bit = _column(_pivot(row), s.arity)
-        if get(residual) & bit:
+        if (residual.x | residual.z << s.arity) >> _pivot(row) & 1:
             acc = string_mul(acc, row)
             residual = string_mul(row, residual)
     if residual.x or residual.z:

@@ -163,34 +163,59 @@ def ref_apply_gate(app, p):
     return pauli(k + image.k, atoms)
 
 
-def _ref_bit(p, col):
-    n = p.arity
-    x, z = _REF_BITS[letters(p)[col % n]]
+def _ref_bit(text, col):
+    """Column ``col`` (x_1..x_n, then z_1..z_n) of the row with letters ``text``."""
+    n = len(text)
+    x, z = _REF_BITS[text[col % n]]
     return x if col < n else z
 
 
 def ref_echelon(arity, gens):
     """Full row reduction in column order x_1..x_n, z_1..z_n.
 
-    Returns (independent rows, pivot columns, row-operation count); the
-    dependent rows are dropped without checking their phases.
+    Returns (independent rows, pivot columns); the dependent rows are
+    dropped without checking their phases. A row's letters are read again
+    only when the row changes, so wide sparse registers stay cheap.
     """
     work = list(gens)
-    ops = 0
+    text = [letters(g) for g in work]
     pivots = []
     r = 0
     for col in range(2 * arity):
-        piv = next((j for j in range(r, len(work)) if _ref_bit(work[j], col)), None)
+        piv = next((j for j in range(r, len(work)) if _ref_bit(text[j], col)), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
+        text[r], text[piv] = text[piv], text[r]
         for j in range(len(work)):
-            if j != r and _ref_bit(work[j], col):
+            if j != r and _ref_bit(text[j], col):
                 work[j] = ref_string_mul(work[r], work[j])
-                ops += 1
+                text[j] = letters(work[j])
         pivots.append(col)
         r += 1
-    return work[:r], pivots, ops
+    return work[:r], pivots
+
+
+def ref_pivot_lookup_ops(arity, gens):
+    """The row operations of a reduction keyed on pivots. Each row in turn
+    is multiplied by the row kept at its leading column until it has a new
+    pivot or vanishes: one product per collision. Then each kept row clears
+    the other pivot columns it holds: one product per held pivot."""
+    kept = {}  # pivot column -> (row, its letters)
+    ops = 0
+    for g in gens:
+        while True:
+            text = letters(g)
+            col = next((c for c in range(2 * arity) if _ref_bit(text, c)), None)
+            if col is None or col not in kept:
+                break
+            g = ref_string_mul(kept[col][0], g)
+            ops += 1
+        if col is not None:
+            kept[col] = g, text
+    for col, (_, text) in kept.items():
+        ops += sum(_ref_bit(text, c) for c in kept if c != col)
+    return ops
 
 
 def ref_measure(arity, gens, k):
@@ -199,7 +224,8 @@ def ref_measure(arity, gens, k):
     Otherwise the outcome is determined when +-Z_k is in the group, which
     is then kept as it is; when it is not, +Z_k is adjoined. ``gens`` are
     those of a validated type, which already holds their reduced rows, so
-    that reduction counts no row operations."""
+    that reduction counts no row operations. The final reduction's rows
+    come from ``ref_echelon`` and its count from ``ref_pivot_lookup_ops``."""
     rows = list(gens)
     ops = 0
     z_k = embed("Z", 0, k, arity)
@@ -210,16 +236,16 @@ def ref_measure(arity, gens, k):
             ops += 1
         del rows[carriers[0]]
     elif any(_REF_BITS[letters(g)[k - 1]][1] for g in rows):
-        rows, pivots, _ = ref_echelon(arity, rows)
+        rows, pivots = ref_echelon(arity, rows)
         residual = z_k
         for row, col in zip(rows, pivots):
-            if _ref_bit(residual, col):
+            if _ref_bit(letters(residual), col):
                 residual = ref_string_mul(row, residual)
         if all(atom == "I" for atom in letters(residual)):
             return rows, ops
     rows.append(z_k)
-    reduced, _, echelon_ops = ref_echelon(arity, rows)
-    return reduced, ops + echelon_ops
+    reduced, _ = ref_echelon(arity, rows)
+    return reduced, ops + ref_pivot_lookup_ops(arity, rows)
 
 
 def measure_row_ops(s, k):

@@ -380,6 +380,13 @@ class TestRunCheck:
         assert run(["check", path]) == EXIT_TYPE_ERROR
         assert capsys.readouterr().err == f"type error: {message}\n"
 
+    def test_minus_identity_names_the_first_row_to_vanish(self, capsys, tmp_path):
+        path = write(tmp_path, "qubits 2\ninput ZI & ZI & -ZI & IX\nH 1\n")
+        assert run(["check", path]) == EXIT_TYPE_ERROR
+        assert capsys.readouterr().err == (
+            "type error: group contains -1 * identity (product of generators 1, 3)\n"
+        )
+
     def test_json_sign_of_a_negative_factor(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 1\ninput -Z\nH 1; H 1\n")
         assert run(["check", path, "--json"]) == EXIT_OK

@@ -117,8 +117,10 @@ class TestGateSpecValidation:
             GateSpec("BAD", 1, (P("X"),), (P("X"),))
 
     def test_rejects_anticommuting_cross_pair(self):
-        with pytest.raises(IllFormedTypeError, match="commute"):
-            GateSpec("BAD", 2, (P("XI"), P("ZI")), (P("ZI"), P("IZ")))
+        # Each wire's own pair is sound; the images of X_1 and X_2 anticommute.
+        with pytest.raises(IllFormedTypeError) as caught:
+            GateSpec("BAD", 2, (P("XI"), P("ZX")), (P("ZI"), P("IZ")))
+        assert str(caught.value) == "BAD: generator images must commute pairwise"
 
     def test_all_standard_cliffords_are_valid_tableaus(self):
         for spec in GATES.values():

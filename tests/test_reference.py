@@ -15,6 +15,7 @@ from gottesman.typesys import StabType
 
 from helpers import (
     ALL_ATOMS,
+    letters,
     pauli,
     random_stab_type,
     ref_apply_gate,
@@ -128,8 +129,35 @@ def test_canonicalize_matches_reference():
         # Redundant generators make elimination cancel whole rows.
         extra = string_mul(s.generators[0], s.generators[-1])
         gens = list(s.generators) + [extra]
-        rows, pivots, _ = ref_echelon(n, gens)
+        rows, pivots = ref_echelon(n, gens)
         tab = StabType(n, tuple(gens)).tableau
+        assert tab == tuple(rows)
+        assert tuple(map(_pivot, tab)) == tuple(pivots)
+
+
+def test_canonicalize_matches_reference_on_wide_sparse_registers():
+    # Four small random groups on scattered qubits of a wide register, so
+    # pivot columns lie far apart and out of qubit order, with products of
+    # generators from different groups mixed in as dependent rows.
+    rng = random.Random(16)
+    for _ in range(6):
+        n = rng.randrange(1000, 1300)
+        qubits = rng.sample(range(n), 24)
+        gens = []
+        for _ in range(4):
+            m = rng.randrange(2, 7)
+            where, qubits = qubits[:m], qubits[m:]
+            for g in random_stab_type(m, rng, depth=4 * m).generators:
+                atoms = ["I"] * n
+                for q, atom in zip(where, letters(g)):
+                    atoms[q] = atom
+                gens.append(pauli(g.k, atoms))
+        for _ in range(4):
+            a, b = rng.sample(gens, 2)
+            gens.insert(rng.randrange(len(gens) + 1), string_mul(a, b))
+        rows, pivots = ref_echelon(n, gens)
+        tab = StabType(n, tuple(gens)).tableau
+        assert len(tab) == len(gens) - 4
         assert tab == tuple(rows)
         assert tuple(map(_pivot, tab)) == tuple(pivots)
 

@@ -102,6 +102,24 @@ class TestCanonicalize:
         with pytest.raises(IllFormedTypeError):
             StabType(1, (P("iX"), P("X")))
 
+    def test_odd_phase_names_the_rows_of_the_reduced_element(self):
+        # XX holds the pivot of iIX, so its reduced row iXI is built from both.
+        with pytest.raises(IllFormedTypeError) as caught:
+            StabType.of("XX", "iIX")
+        assert str(caught.value) == (
+            "group contains -identity: element built from generators 1, 2"
+            " has phase i and squares to -I"
+        )
+
+    def test_minus_identity_names_the_first_row_to_vanish(self):
+        # Rows 2 and 3 both depend on row 1. The error names the first input
+        # row that reduces to a phased identity, with the kept rows it met.
+        with pytest.raises(IllFormedTypeError) as caught:
+            StabType.of("ZI", "ZI", "-ZI", "IX")
+        assert str(caught.value) == (
+            "group contains -1 * identity (product of generators 1, 3)"
+        )
+
     def test_stab_type_keeps_its_tableau(self):
         s = StabType.of("XX", "XI")
         assert s.tableau == _echelon(2, [P("XX"), P("XI")])
