@@ -15,8 +15,15 @@ claims or a phase would overstate what is known. Top strings keep
 x = z = k = 0.
 
 The masks and ``k`` are the one encoding; letters appear only in
-:meth:`PauliString.parse` and in printing. Strings are immutable by convention (no operation mutates one)
-and safe to share between threads.
+:meth:`PauliString.parse` and in printing, which read the masks as
+numerals in time linear in n. Parsing translates the letters to the
+binary digits of each mask. Printing formats each mask in binary and
+reads those digits as hex, so x + 2z adds digit by digit without
+carries; the sum's hex digits 0-3, last qubit first, are reversed and
+translated to IXZY. Power-of-two bases are exempt from Python's
+``int_max_str_digits``, so this holds at any width. Strings are
+immutable by convention (no operation mutates one) and safe to share
+between threads.
 
 ``_Frozen`` is the slotted, immutable base of the package's value classes,
 in place of frozen dataclasses: importing ``dataclasses`` costs more
@@ -74,9 +81,9 @@ class _Frozen:
 # A literal's phase prefix and its exponent of i; i**k prints as _PREFIXES[k].
 _PREFIX_TO_K = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _PREFIXES = ("", "i", "-", "-i")
-# Per-qubit letters indexed by x | z << 1, and the digit maps that turn a
-# letter string (qubit 1 first) into the binary numeral of its x or z mask.
-_LETTERS = "IXZY"
+# The digit maps that turn a letter string (qubit 1 first) into the binary
+# numeral of its x or z mask, and a hex digit x + 2z back into its letter.
+_LETTERS = str.maketrans("0123", "IXZY")
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
 
@@ -103,8 +110,9 @@ class PauliString:
     def _letters(self) -> str:
         if self.is_top:
             return "T" * self.arity
-        x, z = self.x, self.z
-        return "".join(_LETTERS[(x >> j & 1) | (z >> j & 1) << 1] for j in range(self.arity))
+        # Binary numerals read as hex add digit by digit: x + 2z, no carries.
+        digits = int(format(self.x, "b"), 16) + 2 * int(format(self.z, "b"), 16)
+        return format(digits, f"0{self.arity}x")[::-1].translate(_LETTERS)
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":

@@ -46,25 +46,31 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[PauliString, ...]
     Each input row in turn is reduced at its leading column against the
     row kept there until it has a new pivot or vanishes; then each kept
     row, last pivot first, clears the other pivot bits it holds. Dependent
-    and identity rows drop out. Raises IllFormedTypeError when a product
-    of input rows is a phased identity (the group contains -I or +-iI),
-    naming the first input row to vanish with a phase and the kept rows
-    it met, or when a reduced row has phase +-i, naming its input rows.
+    and identity rows drop out. Raises IllFormedTypeError, before any
+    reduction, naming the first input row of phase +-i (it squares to -I),
+    and otherwise when a product of input rows is -I, naming the first
+    input row to vanish with a phase and the kept rows it met. Products of
+    commuting real-phase rows stay real, so no reduced row has phase +-i.
     """
-    kept = {}  # pivot column -> (row, origin); origin bit i: input row i + 1
+    kept, origins = {}, {}  # pivot column -> row; its input rows, bit i for row i + 1
 
     def which(origin: int) -> str:
         return ", ".join(str(i + 1) for i in range(origin.bit_length()) if origin >> i & 1)
 
+    for i, row in enumerate(rows, start=1):
+        if row.k % 2 == 1:
+            raise IllFormedTypeError(
+                f"group contains -identity: element built from generators"
+                f" {i} has phase {_PHASE_TEXT[row.k]} and squares to -I"
+            )
     for i, row in enumerate(rows):
         origin = 1 << i
         while row.x or row.z:
             col = _pivot(row)
             if col not in kept:
-                kept[col] = row, origin
+                kept[col], origins[col] = row, origin
                 break
-            base, o = kept[col]
-            row, origin = string_mul(base, row), origin ^ o
+            row, origin = string_mul(kept[col], row), origin ^ origins[col]
         else:
             if row.k != 0:
                 raise IllFormedTypeError(
@@ -73,23 +79,13 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[PauliString, ...]
                 )
     pivots = sum(1 << col for col in kept)
     for col in sorted(kept, reverse=True):
-        row, origin = kept[col]
+        row = kept[col]
         held = (row.x | row.z << arity) & pivots & ~(1 << col)
         while held:
-            base, o = kept[(held & -held).bit_length() - 1]
-            row, origin = string_mul(base, row), origin ^ o
+            row = string_mul(kept[(held & -held).bit_length() - 1], row)
             held &= held - 1
-        kept[col] = row, origin
-    tab = [kept[col] for col in sorted(kept)]
-    for row, origin in tab:
-        # An element with phase +-i squares to -I, so the group is bad
-        # even though its bits never cancel out.
-        if row.k % 2 == 1:
-            raise IllFormedTypeError(
-                f"group contains -identity: element built from generators"
-                f" {which(origin)} has phase {_PHASE_TEXT[row.k]} and squares to -I"
-            )
-    return tuple(row for row, _ in tab)
+        kept[col] = row
+    return tuple(kept[col] for col in sorted(kept))
 
 
 def member(s, p: PauliString) -> Optional[int]:

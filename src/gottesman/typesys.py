@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from . import stabilizer
@@ -156,7 +155,8 @@ class QType(_Frozen):
         group; that member is a lone row of the reduced tableau. Every other
         row is I at k: it is zero in the witness's pivot column and commutes
         with the witness. So the remainder is those rows on the unpeeled
-        qubits, already reduced.
+        qubits, already reduced. Their masks are moved onto the support by
+        a bit gather planned once per view: log2(n) masked shifts, no text.
         """
         if self.stab is None:
             return (), None, ()
@@ -166,12 +166,27 @@ class QType(_Frozen):
         support = tuple(o for o in range(1, n + 1) if not peeled >> (o - 1) & 1)
         if not support:
             return factors, None, support
-        m = len(support)
-        # A mask's binary numeral has qubit n first: keep the support's digits.
-        keep = itemgetter(*(n - o for o in reversed(support)))
+        m, full = len(support), (1 << n) - 1
+        # Hacker's Delight 7-4 "compress", planned once: at step j a kept bit
+        # moves right by 2**j when bit j of the count of peeled qubits below
+        # it is set. Each step's movers are a prefix parity; idle steps drop.
+        keep, below, plan, shift = full ^ peeled, peeled << 1 & full, [], 1
+        while shift < n:
+            parity, s = below, 1
+            while s < n:
+                parity, s = parity ^ parity << s, s << 1
+            parity &= full
+            moving = parity & keep
+            keep, below = keep ^ moving | moving >> shift, below & ~parity
+            if moving:
+                plan.append((moving, shift))
+            shift <<= 1
 
         def restrict(mask: int) -> int:
-            return int("".join(keep(format(mask, f"0{n}b"))), 2)
+            for moving, s in plan:
+                t = mask & moving
+                mask = mask ^ t | t >> s
+            return mask
 
         rest = _reduced(
             from_bits(m, restrict(g.x), restrict(g.z), g.k)

@@ -46,6 +46,15 @@ def letters(p: PauliString) -> str:
     return str(p).lstrip("-i")  # letters hold no '-' or 'i'
 
 
+def ref_text(p: PauliString) -> str:
+    """How ``p`` prints, read qubit by qubit from its masks: the phase
+    prefix, then the letter of each qubit's (x, z) bits, qubit 1 first."""
+    if p.is_top:
+        return "T" * p.arity
+    atoms = (_REF_ATOM[p.x >> j & 1, p.z >> j & 1] for j in range(p.arity))
+    return PREFIXES[p.k] + "".join(atoms)
+
+
 def pauli(k, atoms) -> PauliString:
     """i**k times the letters ``atoms``, built by parsing their literal."""
     return PauliString.parse(PREFIXES[k % 4] + "".join(atoms))

@@ -373,6 +373,11 @@ class TestRunCheck:
                 "group contains -identity: element built from generators 1"
                 " has phase i and squares to -I",
             ),
+            (
+                "input -iI",
+                "group contains -identity: element built from generators 1"
+                " has phase -i and squares to -I",
+            ),
         ],
     )
     def test_phased_identity_messages(self, capsys, tmp_path, source, message):

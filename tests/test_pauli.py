@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from helpers import (
     embed,
     letters,
     pauli,
+    ref_text,
     string_matrix,
     string_pairs,
     string_triples,
@@ -108,6 +111,21 @@ class TestPauliString:
     @given(st.integers(1, 5).flatmap(strings))
     def test_parse_print_roundtrip(self, p):
         assert PauliString.parse(str(p)) == p
+
+    @pytest.mark.parametrize(
+        "widths", [range(1, 201), range(4095, 4098)], ids=["narrow", "wide"]
+    )
+    def test_print_matches_mask_reference(self, widths):
+        # Random masks in every phase, the all-I string, Top, and X on the
+        # first qubit beside Z on the last, at each width.
+        rng = random.Random(2025)
+        for n in widths:
+            cases = [PauliString.identity(n), PauliString.top(n), from_bits(n, 1, 1 << n - 1)]
+            cases += [from_bits(n, rng.getrandbits(n), rng.getrandbits(n), k) for k in range(4)]
+            for p in cases:
+                text = str(p)
+                assert text == ref_text(p)
+                assert PauliString.parse(text) == p
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "i", "xz", "X Z", "--X", "X2"):

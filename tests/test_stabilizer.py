@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -99,17 +101,85 @@ class TestCanonicalize:
             StabType(1, (P("X"), P("-X")))
 
     def test_detects_i_phased_identity(self):
-        with pytest.raises(IllFormedTypeError):
-            StabType(1, (P("iX"), P("X")))
+        # An input row of phase +-i squares to -I; it is named alone.
+        for literals, row, phase in (
+            (("iX", "X"), 1, "i"),
+            (("iI",), 1, "i"),
+            (("X", "-iX"), 2, "-i"),
+        ):
+            with pytest.raises(IllFormedTypeError) as caught:
+                StabType.of(*literals)
+            assert str(caught.value) == (
+                f"group contains -identity: element built from generators {row}"
+                f" has phase {phase} and squares to -I"
+            )
 
     def test_odd_phase_names_the_rows_of_the_reduced_element(self):
-        # XX holds the pivot of iIX, so its reduced row iXI is built from both.
+        # An input row of phase +-i squares to -I on its own, so it is named
+        # alone, before any reduction mixes XX into it.
         with pytest.raises(IllFormedTypeError) as caught:
             StabType.of("XX", "iIX")
         assert str(caught.value) == (
-            "group contains -identity: element built from generators 1, 2"
+            "group contains -identity: element built from generators 2"
             " has phase i and squares to -I"
         )
+
+    def test_odd_phase_row_is_not_mistaken_for_a_cancelled_pair(self):
+        # (-iZZ)**2 = -I; ZI * ZI = +I, and must not be named as the -I.
+        with pytest.raises(IllFormedTypeError) as caught:
+            StabType.of("-iZZ", "ZI", "ZI", "ZI", "IZ")
+        assert str(caught.value) == (
+            "group contains -identity: element built from generators 1"
+            " has phase -i and squares to -I"
+        )
+
+    def test_errors_name_generators_with_the_stated_phase(self):
+        # Commuting generators and products of them, one row re-phased: each
+        # error's named generators, multiplied out, give the phase it states.
+        rng = random.Random(2505)
+        identity_message = re.compile(
+            r"group contains (\S+) \* identity \(product of generators ([\d, ]+)\)\Z"
+        )
+        odd_message = re.compile(
+            r"group contains -identity: element built from generators (\d+)"
+            r" has phase (\S+) and squares to -I\Z"
+        )
+        phase_text = {"+1": 0, "i": 1, "-1": 2, "-i": 3}
+        seen = Counter()
+        for _ in range(5000):
+            n = rng.randint(1, 6)
+            gens = list(random_stab_type(n, rng, depth=rng.randint(0, 12)).generators)
+            for _ in range(rng.randint(0, 3)):
+                product = PauliString.identity(n)
+                for g in rng.sample(gens, rng.randint(1, len(gens))):
+                    product = string_mul(product, g)
+                gens.append(product)
+            rng.shuffle(gens)
+            i = rng.randrange(len(gens))
+            g = gens[i]
+            gens[i] = from_bits(n, g.x, g.z, g.k + rng.randint(1, 3))
+            try:
+                StabType(n, tuple(gens))
+            except IllFormedTypeError as err:
+                text = str(err)
+            else:
+                seen["well formed"] += 1
+                continue
+            if m := identity_message.match(text):
+                product = PauliString.identity(n)
+                for j in m.group(2).split(", "):
+                    product = string_mul(product, gens[int(j) - 1])
+                assert (product.x, product.z) == (0, 0), text
+                assert product.k == phase_text[m.group(1)] == 2, text
+                seen["-I"] += 1
+            else:
+                m = odd_message.match(text)
+                assert m, text
+                g = gens[int(m.group(1)) - 1]
+                assert g.k == phase_text[m.group(2)] in (1, 3), text
+                assert string_mul(g, g) == from_bits(n, 0, 0, 2), text
+                seen["+-i"] += 1
+        assert min(seen["well formed"], seen["-I"], seen["+-i"]) >= 300, seen
 
     def test_minus_identity_names_the_first_row_to_vanish(self):
         # Rows 2 and 3 both depend on row 1. The error names the first input

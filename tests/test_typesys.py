@@ -10,6 +10,7 @@ from gottesman.typesys import QType, StabType, parse_qtype
 
 from helpers import (
     brute_force_group,
+    embed,
     random_stab_type,
     ref_factor_separable,
     ref_single_qubit_members,
@@ -251,6 +252,33 @@ class TestFactorSeparable:
         assert seen["gapped"] >= 100, seen
         assert seen["past 64"] >= 10, seen
         assert seen["factors beside a remainder"] >= 50, seen
+
+    @pytest.mark.parametrize("n", [65, 129, 300])
+    @pytest.mark.parametrize("peel", ["even", "odd", "none"])
+    def test_gather_on_alternating_gaps(self, n, peel):
+        # A signed factor on every other qubit (or none), the remainder on the
+        # rest: a GHZ group, then a random full-rank one. Its bits move right
+        # by up to n / 2 places, across 64-bit words.
+        rng = random.Random(n)
+        start = {"even": 2, "odd": 1, "none": n + 1}[peel]
+        peeled = set(range(start, n + 1, 2))
+        support = tuple(o for o in range(1, n + 1) if o not in peeled)
+        m = len(support)
+        ghz = ["X" * m] + ["I" * j + "ZZ" + "I" * (m - j - 2) for j in range(m - 1)]
+        signed = [P(rng.choice(("", "-")) + g) for g in ghz]
+        deep = random_stab_type(m, rng, rank=m, depth=4 * m).generators
+        for rest in (signed, deep):
+            gens = [_pad(g, support, n) for g in rest]
+            gens += [embed(rng.choice("XYZ"), rng.choice((0, 2)), k, n) for k in peeled]
+            s = StabType(n, tuple(gens))
+            got = QType(n, s)
+            factors, remainder, ref_support = ref_factor_separable(s)
+            assert got.factors == factors
+            assert got.remainder_support == ref_support
+            assert got.remainder.generators == remainder.tableau
+            if rest is signed:
+                assert [k for k, _ in factors] == sorted(peeled)
+                assert ref_support == support
 
 
 class TestQType:
