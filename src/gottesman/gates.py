@@ -7,20 +7,23 @@ generator factors in a fixed normal order (all X factors before all Z
 factors, ascending wire, with the reordering phase computed exactly), map
 each factor through its image, and splice the product back over the wires.
 
-Each GateSpec keeps a table, filled on first use, of the images of its
-4**arity restrictions. A string that is I on every wire of the gate
-commutes with it and is returned as it is after one mask test; for any
-other, the bits on the wires are read, one entry looked up and its bits
-written back. So a gate costs work only where it acts (Gottesman-Knill).
+Each GateSpec keeps a table, ``_images``, of the images of its
+4**arity restrictions, each filled on first use. ``apply_gate`` on a
+string that is I on every wire of the gate (idle, most calls) costs a
+range check and two mask tests and returns the string itself; on any
+other (touched), ``_conjugate`` reads the bits on the wires, looks up
+one entry and writes its bits back. So a gate costs work only where it
+acts (Gottesman-Knill).
 
 Non-Clifford gates carry all-Top images for the generators they cannot
 track; any use of such an image collapses the result to the all-Top
-string. The standard gate table is built once at first use and is
-read-only afterwards; ``apply_gate`` is pure.
+string. The standard gate table is built once at first use; only its
+``_images`` fill afterwards, unseen by callers, so ``apply_gate`` is pure.
 
 ``_transport`` is the one loop of gates over strings: ``derive_gate``,
 ``checker.infer_tableau`` (both on the unit strings of ``_units``) and
-``checker.check`` carry their generators through it.
+``checker.check`` carry their generators through it, one ``apply_gate``
+call per string per gate, the unit that the benchmark's traced runs count.
 """
 
 from __future__ import annotations
@@ -93,21 +96,19 @@ class GateSpec(_Frozen):
 
     def local_image(self, index: int) -> Optional[tuple[int, int, int]]:
         """Image (x, z, k) of the restriction with x bits ``index & (2**arity - 1)``
-        and z bits ``index >> arity`` (bit i for the gate's wire i + 1); None if Top."""
-        try:
-            return self._images[index]
-        except KeyError:
-            xs, zs = index & ((1 << self.arity) - 1), index >> self.arity
-            image = PauliString.identity(self.arity)
-            for bits, images in ((xs, self.x_images), (zs, self.z_images)):
-                for w in range(self.arity):
-                    if bits >> w & 1:
-                        image = string_mul(image, images[w])
-            # Splitting each Y of the restriction into X*Z costs a factor of i;
-            # the normal order costs nothing more, as distinct wires commute.
-            k = image.k + (xs & zs).bit_count()
-            self._images[index] = None if image.is_top else (image.x, image.z, k)
-            return self._images[index]
+        and z bits ``index >> arity`` (bit i for the gate's wire i + 1); None if Top.
+        Computed and kept as ``_images[index]``, which ``_conjugate`` reads first."""
+        xs, zs = index & ((1 << self.arity) - 1), index >> self.arity
+        image = PauliString.identity(self.arity)
+        for bits, images in ((xs, self.x_images), (zs, self.z_images)):
+            for w in range(self.arity):
+                if bits >> w & 1:
+                    image = string_mul(image, images[w])
+        # Splitting each Y of the restriction into X*Z costs a factor of i;
+        # the normal order costs nothing more, as distinct wires commute.
+        k = image.k + (xs & zs).bit_count()
+        self._images[index] = None if image.is_top else (image.x, image.z, k)
+        return self._images[index]
 
 
 class GateApp(_Frozen):
@@ -143,11 +144,21 @@ def _app(gate: GateSpec, wires: tuple[int, ...]) -> GateApp:
     return app
 
 
+# The slots' own setters, which pass by the AttributeError of _Frozen.__setattr__.
+_set_gate, _set_wires, _set_shifts, _set_mask = [
+    GateApp.__dict__[name].__set__ for name in ("gate", "wires", "_shifts", "_mask")
+]
+
+
 def _set_app(app: GateApp, gate: GateSpec, wires: tuple[int, ...]) -> None:
-    object.__setattr__(app, "gate", gate)
-    object.__setattr__(app, "wires", wires)
-    object.__setattr__(app, "_shifts", tuple([w - 1 for w in wires]))
-    object.__setattr__(app, "_mask", sum([1 << (w - 1) for w in wires]))
+    shifts, mask = [], 0
+    for w in wires:
+        shifts.append(w - 1)
+        mask |= 1 << w - 1
+    _set_gate(app, gate)
+    _set_wires(app, wires)
+    _set_shifts(app, tuple(shifts))
+    _set_mask(app, mask)
 
 
 def apply_gate(app: GateApp, p: PauliString) -> PauliString:
@@ -160,14 +171,19 @@ def apply_gate(app: GateApp, p: PauliString) -> PauliString:
     the result is the all-Top string. An out-of-range wire raises
     WireError before the shortcut.
     """
-    n, mask = p.arity, app._mask
-    if mask >> n:
-        w = next(w for w in app.wires if w > n)
-        raise WireError(f"wire {w} out of range for {n} qubits")
-    px, pz = p.x, p.z
-    if not (px | pz) & mask:
-        return p
-    shifts = app._shifts
+    # Most calls are idle, so this frame holds only what the shortcut needs.
+    mask = app._mask
+    if mask >> p.arity:
+        w = next(w for w in app.wires if w > p.arity)
+        raise WireError(f"wire {w} out of range for {p.arity} qubits")
+    if p.x & mask or p.z & mask:
+        return _conjugate(app, p)
+    return p
+
+
+def _conjugate(app: GateApp, p: PauliString) -> PauliString:
+    """``apply_gate`` on a string that is not I on every wire of the gate."""
+    px, pz, shifts = p.x, p.z, app._shifts
     # The index reads and write-backs of one- and two-wire gates, unrolled.
     if len(shifts) == 1:
         (s,) = shifts
@@ -181,11 +197,15 @@ def apply_gate(app: GateApp, p: PauliString) -> PauliString:
         index = 0
         for i, s in enumerate(shifts):
             index |= (px >> s & 1) << i | (pz >> s & 1) << (len(shifts) + i)
-    image = app.gate.local_image(index)
+    try:
+        image = app.gate._images[index]
+    except KeyError:
+        image = app.gate.local_image(index)
     if image is None:
-        return PauliString.top(n)
+        return PauliString.top(p.arity)
     ix, iz, k = image
-    x, z = px & ~mask, pz & ~mask
+    mask = app._mask
+    x, z = px ^ (px & mask), pz ^ (pz & mask)
     if len(shifts) == 1:
         x |= ix << s
         z |= iz << s
@@ -196,7 +216,7 @@ def apply_gate(app: GateApp, p: PauliString) -> PauliString:
         for i, s in enumerate(shifts):
             x |= (ix >> i & 1) << s
             z |= (iz >> i & 1) << s
-    return from_bits(n, x, z, p.k + k)
+    return from_bits(p.arity, x, z, p.k + k)
 
 
 def _transport(apps: Sequence[GateApp], strings: Sequence[PauliString]) -> list[PauliString]:

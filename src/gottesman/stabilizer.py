@@ -39,7 +39,9 @@ def _reduced(rows) -> tuple[PauliString, ...]:
     return tuple(sorted(rows, key=_pivot))
 
 
-def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[PauliString, ...]:
+def _echelon(
+    arity: int, rows: Sequence[PauliString], first: int = 1
+) -> tuple[PauliString, ...]:
     """Full row reduction into the canonical tableau: its rows by pivot.
 
     Pivot order is ``_pivot``'s: x-bit columns 1..n, then z-bit columns.
@@ -51,13 +53,15 @@ def _echelon(arity: int, rows: Sequence[PauliString]) -> tuple[PauliString, ...]
     and otherwise when a product of input rows is -I, naming the first
     input row to vanish with a phase and the kept rows it met. Products of
     commuting real-phase rows stay real, so no reduced row has phase +-i.
+    Messages number the input rows from ``first``.
     """
     kept, origins = {}, {}  # pivot column -> row; its input rows, bit i for row i + 1
 
     def which(origin: int) -> str:
-        return ", ".join(str(i + 1) for i in range(origin.bit_length()) if origin >> i & 1)
+        bits = range(origin.bit_length())
+        return ", ".join(str(i + first) for i in bits if origin >> i & 1)
 
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(rows, start=first):
         if row.k % 2 == 1:
             raise IllFormedTypeError(
                 f"group contains -identity: element built from generators"

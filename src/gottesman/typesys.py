@@ -284,6 +284,7 @@ class _TypeParser:
         self.end = len(text) + 1  # the column just past the text
         self.pos = 0
         self.literals: dict[str, _Part] = {}  # each checked once per text
+        self.written = 0  # the literals read so far, each one generator
 
     def peek(self) -> Optional[str]:
         if self.pos < len(self.tokens):
@@ -328,14 +329,16 @@ class _TypeParser:
         if tok == "(":
             part = self.product()
             self.expect(")")
-            return part._replace(text=f"({part.text})", col=col)
+            return _Part(part.arity, part.stab, f"({part.text})", col)
+        self.written += 1
         part = self.literals.get(tok)
         if part is None:
-            part = self.literals[tok] = _literal(tok, col)
-        return part._replace(col=col)
+            part = self.literals[tok] = _literal(tok, col, self.written)
+        return _Part(part.arity, part.stab, part.text, col)
 
 
-def _literal(tok: str, col: int) -> _Part:
+def _literal(tok: str, col: int, index: int) -> _Part:
+    """The literal ``tok``, generator ``index`` of the type as written."""
     try:
         lit = PauliString.parse(tok)
     except ValueError:
@@ -344,7 +347,7 @@ def _literal(tok: str, col: int) -> _Part:
     if lit.is_top:
         return _Part(n, None, str(lit), col)
     if lit.k & 1 or lit.k and not lit.x | lit.z:
-        StabType(n, (lit,))  # raises: -I is in the literal's group
+        stabilizer._echelon(n, (lit,), first=index)  # raises: -I is in its group
     # One real-phased row is its own reduced tableau.
     tab = (lit,) if lit.x | lit.z else ()
     return _Part(n, _unchecked(n, tab, tab), str(lit), col)

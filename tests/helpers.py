@@ -793,6 +793,7 @@ class _RefTypeParser:
         self.tokens = _ref_tokenize(folded)
         self.end = len(folded) + 1
         self.pos = 0
+        self.written = 0  # the literals read so far
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -849,12 +850,16 @@ class _RefTypeParser:
             q, _ = self.product()
             self.expect(")")
             return q, col
+        self.written += 1
         try:
             lit = PauliString.parse(tok)
         except ValueError:
             raise ParseError(f"expected a Pauli literal, got {tok!r}", col=col) from None
         if lit.is_top:
             return QType.top_type(lit.arity), col
+        # Checked as generator ``written`` of the type as written: the
+        # identity rows before it only give it that number.
+        StabType(lit.arity, (PauliString.identity(lit.arity),) * (self.written - 1) + (lit,))
         identity = not (lit.x | lit.z | lit.k)
         return QType(lit.arity, StabType(lit.arity, () if identity else (lit,))), col
 
@@ -894,7 +899,8 @@ def _ref_place(g, positions, m):
 
 def ref_parse_qtype(text):
     """``parse_qtype`` by the reference: every literal, intersection and
-    product validated as a StabType of its own."""
+    product validated as a StabType of its own, a literal numbered by its
+    place in the text."""
     try:
         return _RefTypeParser(text).parse()
     except ParseError as err:

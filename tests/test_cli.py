@@ -378,10 +378,26 @@ class TestRunCheck:
                 "group contains -identity: element built from generators 1"
                 " has phase -i and squares to -I",
             ),
+            # Inside a type, a literal is named by its place among the
+            # generators as written.
+            (
+                "input XX & iZZ",
+                "group contains -identity: element built from generators 2"
+                " has phase i and squares to -I",
+            ),
+            ("input XX & -II", "group contains -1 * identity (product of generators 2)"),
+            (
+                "input Z x iZ",
+                "group contains -identity: element built from generators 2"
+                " has phase i and squares to -I",
+            ),
         ],
     )
     def test_phased_identity_messages(self, capsys, tmp_path, source, message):
-        path = write(tmp_path, f"qubits 1\n{source}\nH 1\n")
+        # The width of the type: that of the first literal of each factor.
+        factors = source.removeprefix("input ").split(" x ")
+        n = sum(len(f.split()[0].lstrip("+-i")) for f in factors)
+        path = write(tmp_path, f"qubits {n}\n{source}\nH 1\n")
         assert run(["check", path]) == EXIT_TYPE_ERROR
         assert capsys.readouterr().err == f"type error: {message}\n"
 

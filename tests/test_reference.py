@@ -2,7 +2,8 @@
 
 Random circuits mix every standard gate (T, Tdg and TOFFOLI included, so
 Top appears) with one derived ``def`` gate, and registers go past 64
-qubits so the masks outgrow a machine word.
+qubits so the masks outgrow a machine word, and past 2**12 qubits so a
+gate can sit on a mask of over a hundred 30-bit digits.
 """
 
 import random
@@ -27,7 +28,7 @@ from helpers import (
 )
 
 GATES = standard_gates()
-SIZES = (1, 2, 3, 5, 8, 64, 70)
+SIZES = (1, 2, 3, 5, 8, 64, 70, 4099)
 
 
 def random_string(n, rng, top_share=0.0):
@@ -78,8 +79,8 @@ def test_apply_gate_on_strings_idle_or_nearly_idle_on_the_gate():
     """Strings drawn as I on every wire of the gate, with each phase i^k,
     pass through unchanged; the same strings made non-I on one wire of the
     gate (any wire, so not only the first) still go through the table, and
-    a Z there matters as much as an X. Registers reach 70 qubits, so some
-    gates sit above bit 63."""
+    a Z there matters as much as an X. Registers reach 4099 qubits, so some
+    gates sit above bit 63, and some thousands of bits up."""
     rng = random.Random(406196)
     idle = non_clifford_idle = high = 0
     moved = Counter()
