@@ -21,8 +21,8 @@ from .errors import (
 )
 from .gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
 from .pauli import PauliString, commutes, string_mul, tensor
-from .stabilizer import measure, member
-from .typesys import QType, StabType, parse_qtype
+from .stabilizer import member
+from .typesys import QType, StabType, measure, parse_qtype
 
 __version__ = "0.1.0"
 

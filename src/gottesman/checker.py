@@ -2,12 +2,13 @@
 
 Two views of the same transport, ``gates._transport``: ``infer_tableau``
 gives a circuit's conjugation action on every X_k/Z_k generator (the gate
-view), while ``check`` threads the generators of a state type through the
-instruction sequence, applies each measurement as Gottesman's O(n)
-generator update, and returns the final group as a ``QType``, whose
-factored view gives separability (the state view). Both are pure;
-transport is defined on generators and extends multiplicatively, so the
-arrow rules for products, phases and sequencing hold by construction.
+view), while ``check`` threads the rows of a state type through the
+instruction sequence, measures by the one rule, ``stabilizer._measured``,
+and returns the final group as a ``QType``, whose factored view gives
+separability (the state view); ``annotate`` measures through ``measure``.
+None has side effects; transport is defined on generators and extends
+multiplicatively, so the arrow rules for products, phases and sequencing
+hold by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
 from .gates import GateApp, _transport, _unit_images
 from .pauli import PauliString, _Frozen
-from .typesys import QType, _unchecked
+from .typesys import QType, _unchecked, measure
 
 
 class Measure(_Frozen):
@@ -100,58 +101,41 @@ def infer_tableau(circuit: Circuit) -> Tableau:
     return Tableau(n, *_unit_images(n, circuit.instructions))
 
 
-def _states(circuit: Circuit, input_type: QType, measure):
-    """Yield the generators (or None once Top) before and after each
-    instruction. ``measure(source, k)`` is the measurement rule: it maps a
-    StabType built with ``_unchecked`` to a StabType of the new generators."""
+def _states(circuit: Circuit, input_type: QType, rows, measure):
+    """Yield ``rows``, those of ``input_type`` to carry (None for Top), then
+    the rows after each instruction: gates transport them, and
+    ``measure(arity, rows, k)``, as ``stabilizer._measured``, measures them."""
     if input_type.arity != circuit.n_qubits:
         raise ArityError(
             f"input arity {input_type.arity} does not match"
             f" {circuit.n_qubits}-qubit circuit"
         )
-    cur = None if input_type.top else list(input_type.stab.generators)
-    yield cur
+    yield rows
     for ins in circuit.instructions:
         if isinstance(ins, Measure):
-            if cur is None:
+            if rows is None:
                 raise TopOperandError("cannot measure a Top-typed register")
-            # An input, its Clifford transport or a measure result: trusted.
-            source = _unchecked(circuit.n_qubits, tuple(cur))
-            cur = list(measure(source, ins.qubit).generators)
-        elif cur is not None:
-            cur = _transport((ins,), cur)
+            rows = measure(circuit.n_qubits, rows, ins.qubit)
+        elif rows is not None:
+            rows = _transport((ins,), rows)
             # Only a gate with Top images can make a string Top.
-            if not ins.gate.is_clifford and any(g.is_top for g in cur):
-                cur = None
-        yield cur
+            if not ins.gate.is_clifford and any(g.is_top for g in rows):
+                rows = None
+        yield rows
 
 
 def check(circuit: Circuit, input_type: QType) -> QType:
-    """Transport a state type through the circuit, factored for output."""
+    """Transport a state type through the circuit, factored for output.
+    It carries the input's canonical rows, which ``stabilizer._measured``
+    keeps independent, so a state's rank is its row count."""
     n = circuit.n_qubits
-    pure = not input_type.top and len(input_type.stab.tableau) == n
-
-    def measure(source, k: int):
-        """O(n) string products: a random outcome folds the carriers, keeping
-        the rank. On a pure state (rank n) a determined one keeps the generators,
-        as +-Z_k is in the group; a mixed state takes ``stabilizer.measure``,
-        whose rows are independent and so give the new rank."""
-        nonlocal pure
-        folded = stabilizer._random_outcome(source.generators, k)
-        if folded is not None:
-            return _unchecked(n, tuple(folded))
-        if not pure:
-            source = stabilizer.measure(source, k)
-            pure = len(source.generators) == n
-        return source
-
-    cur = None
-    for cur in _states(circuit, input_type, measure):
+    rows = None if input_type.top else input_type.stab.tableau
+    for rows in _states(circuit, input_type, rows, stabilizer._measured):
         pass
-    if cur is None:
+    if rows is None:
         return QType.top_type(n)
     # Transport and measurement keep the input type well formed.
-    tab = stabilizer._echelon(n, cur)
+    tab = stabilizer._echelon(n, rows)
     return QType(n, _unchecked(n, tab, tab))
 
 
@@ -161,13 +145,18 @@ def annotate(circuit: Circuit, input_type: QType) -> list[QType]:
     Entries print unfactored (the transported generators as they stand,
     formatted only when printed), which is the per-line shape a hand
     derivation produces; ``check`` prints the final state factored.
-    A MEAS entry is canonical: it comes from ``stabilizer.measure``.
+    A MEAS entry is canonical: it comes from ``measure``.
     Entries are transported from the validated input: built without checks,
     and row-reduced only if their tableau is asked for.
     """
     n = circuit.n_qubits
+    rows = None if input_type.top else input_type.stab.generators
+
+    def canonical(arity: int, rows, k: int):
+        return measure(_unchecked(arity, tuple(rows)), k).generators
+
     out = []
-    for state in _states(circuit, input_type, stabilizer.measure):
+    for state in _states(circuit, input_type, rows, canonical):
         if state is None:
             out.append(QType.top_type(n))
         else:

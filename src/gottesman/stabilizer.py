@@ -1,4 +1,4 @@
-"""Binary-symplectic machinery: canonical forms, membership, measurement.
+"""Binary-symplectic row algebra: canonical forms, membership, measurement.
 
 A Top-free Pauli string of arity n is a row of 2n bits [x | z] plus an
 exponent-of-i phase, which is exactly how ``PauliString`` stores it.
@@ -9,19 +9,21 @@ are row-reduced echelon forms under the column order x_1..x_n, z_1..z_n
 and membership is pivot reduction.
 
 Every Pauli string is read through its ``x``/``z`` masks and exponent
-``k``. A group comes in as a ``typesys.StabType``, which carries its
-canonical tableau from construction: ``s.tableau`` is the tuple of its
-reduced rows sorted by pivot, each row's pivot read by ``_pivot``, so it
-is never row-reduced again. No function mutates its inputs or counts its
-own work: a row operation is one ``string_mul`` call, counted by wrapping
-that name.
+``k``, and every function here works on rows, with no knowledge of types.
+The measurement rule ``_measured`` maps independent rows to independent
+rows, so a state's rank is its row count. ``member`` reads a group's
+canonical tableau, ``s.tableau``: the tuple of its reduced rows sorted by
+pivot, each row's pivot read by ``_pivot``, which a ``StabType`` keeps
+from construction, so it is never row-reduced again. No function
+mutates its inputs or counts its own work: a row operation is one
+``string_mul`` call, counted by wrapping that name.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import ArityError, IllFormedTypeError, TopOperandError, WireError
+from .errors import ArityError, IllFormedTypeError, TopOperandError
 from .pauli import PauliString, from_bits, string_mul
 
 
@@ -128,16 +130,16 @@ def _single_qubit_members(rows) -> tuple[tuple[int, PauliString], ...]:
     return tuple(sorted(found, key=lambda f: f[0]))
 
 
-def _random_outcome(gens: Sequence[PauliString], k: int) -> Optional[list]:
+def _random_outcome(rows: Sequence[PauliString], k: int) -> Optional[list]:
     """Random Z_k outcome: the carriers, with an x-bit (X or Y) at k, anticommute
     with Z_k. Multiply the first into the others, drop it and adjoin +Z_k (the
-    +1 branch; outcome signs are not modeled). Returns the new generators, made
-    with O(n) string products; None if no generator carries an x-bit at k."""
+    +1 branch; outcome signs are not modeled). Returns the new rows, made with
+    O(n) string products; None if no row carries an x-bit at k."""
     bit = 1 << (k - 1)
-    carriers = [i for i, r in enumerate(gens) if r.x & bit]
+    carriers = [i for i, r in enumerate(rows) if r.x & bit]
     if not carriers:
         return None
-    rows = list(gens)
+    rows = list(rows)
     pivot = rows.pop(carriers[0])
     for i in carriers[1:]:
         rows[i - 1] = string_mul(pivot, rows[i - 1])
@@ -145,31 +147,24 @@ def _random_outcome(gens: Sequence[PauliString], k: int) -> Optional[list]:
     return rows
 
 
-def measure(source, k: int):
-    """Z-basis measurement of qubit k as a type transformation.
+def _measured(arity: int, rows: Sequence[PauliString], k: int) -> Sequence[PauliString]:
+    """The +1 branch of a Z_k measurement, from independent rows to
+    independent rows: the one measurement rule.
 
-    Returns the post-measurement StabType, generated by the rows of its
-    canonical tableau, which cost O(n^2) row operations. ``check`` applies
-    the O(n) generator update instead and comes here only for a determined
-    outcome on a mixed state. ``source`` is a StabType, so the result is
-    built from its canonical tableau without checks, and a determined
-    outcome reads the tableau ``source`` holds rather than reducing again.
+    A random outcome folds the carriers (``_random_outcome``), keeping the
+    rank. Otherwise the outcome is determined when +-Z_k is in the group,
+    and the state is left as it is, sign included. On a pure state, which
+    has ``arity`` independent rows, it always is, so the rows come back as
+    given. Otherwise the canonical rows come back, with +Z_k adjoined unless
+    +-Z_k is already a lone row of them (see ``_single_qubit_members``).
     """
-    from .typesys import _unchecked
-
-    arity, gens = source.arity, source.generators
-    if not 1 <= k <= arity:
-        raise WireError(f"qubit {k} out of range for {arity} qubits")
+    folded = _random_outcome(rows, k)
+    if folded is not None:
+        return folded
+    if len(rows) == arity:
+        return rows
     bit = 1 << (k - 1)
-    rows = _random_outcome(gens, k)
-    if rows is None:
-        if any(r.z & bit for r in gens):
-            # Determined outcome if +-Z_k is in the group: the state is left
-            # as it is, sign included (+-Z_k is then a lone row of the reduced
-            # tableau, see _single_qubit_members). Otherwise adjoin +Z_k.
-            gens = source.tableau
-            if any(r.z == bit and not r.x for r in gens):
-                return _unchecked(arity, gens, gens)
-        rows = [*gens, from_bits(arity, 0, bit)]
     tab = _echelon(arity, rows)
-    return _unchecked(arity, tab, tab)
+    if any(r.z == bit and not r.x for r in tab):
+        return tab
+    return _echelon(arity, (*tab, from_bits(arity, 0, bit)))

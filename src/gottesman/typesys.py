@@ -8,6 +8,8 @@ A group is its canonical tableau, the tuple of its reduced rows
 (``s.tableau``). Separability is a fact about that one group, so
 ``QType(n, s)`` is its factored view: the single-qubit factors and the
 remainder on the other qubits, read off the rows on first use and cached.
+``measure`` is the group-level face of the one measurement rule,
+``stabilizer._measured``: it gives the measured group on canonical rows.
 A parsed QType prints as written; every other one prints its factored
 view. Both are immutable and all operations are pure functions.
 
@@ -23,7 +25,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from . import stabilizer
-from .errors import ArityError, IllFormedTypeError, ParseError
+from .errors import ArityError, IllFormedTypeError, ParseError, WireError
 from .pauli import PauliString, _Frozen, commutes, from_bits
 from .stabilizer import _reduced
 
@@ -95,8 +97,8 @@ def _unchecked(arity: int, generators: tuple[PauliString, ...], tableau=None) ->
     """The StabType on ``generators``, built without checks; its canonical
     tableau is ``tableau`` when given, else row-reduced on first use.
 
-    Not validated: ``generators`` must be well formed, as the generators
-    that ``check`` and ``annotate`` carry from a validated type are, and
+    Not validated: ``generators`` must be well formed, as the rows that
+    ``check`` and ``annotate`` carry from a validated type are, and
     ``tableau``, when given, their canonical rows, as the results of
     measure, factoring and check are.
     """
@@ -106,6 +108,19 @@ def _unchecked(arity: int, generators: tuple[PauliString, ...], tableau=None) ->
     if tableau is not None:
         object.__setattr__(s, "tableau", tableau)
     return s
+
+
+def measure(source: StabType, k: int) -> StabType:
+    """Z-basis measurement of qubit k: ``stabilizer._measured`` on the
+    tableau of ``source``, built on the result's canonical rows, which are
+    that tableau when the state is left as it is, without checks."""
+    arity, tab = source.arity, source.tableau
+    if not 1 <= k <= arity:
+        raise WireError(f"qubit {k} out of range for {arity} qubits")
+    rows = stabilizer._measured(arity, tab, k)
+    if rows != tab:
+        tab = stabilizer._echelon(arity, rows)
+    return _unchecked(arity, tab, tab)
 
 
 class QType(_Frozen):

@@ -26,7 +26,7 @@ from gottesman.errors import ArityError, ParseError, TopOperandError, WireError
 from gottesman.gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
 from gottesman.pauli import PauliString, from_bits, string_mul
 from gottesman.stabilizer import member
-from gottesman.typesys import QType, StabType, _unchecked, fold_unicode
+from gottesman.typesys import QType, StabType, _unchecked, fold_unicode, measure
 
 # Independent single-qubit matrices; deliberately not imported from the
 # package so matrix-level assertions do not share code with what they test.
@@ -228,14 +228,15 @@ def ref_pivot_lookup_ops(arity, gens):
 
 
 def ref_measure(arity, gens, k):
-    """Z_k measurement with its row-op count. Generators with X or Y at k
-    (random outcome): fold the rest into the first, drop it, adjoin +Z_k.
+    """Z_k measurement with its row-op count, on the reduced rows of
+    ``gens``: those of a validated type, which already holds its reduced
+    rows, so that reduction counts no row operations. Rows with X or Y at
+    k (random outcome): fold the rest into the first, drop it, adjoin +Z_k.
     Otherwise the outcome is determined when +-Z_k is in the group, which
-    is then kept as it is; when it is not, +Z_k is adjoined. ``gens`` are
-    those of a validated type, which already holds their reduced rows, so
-    that reduction counts no row operations. The final reduction's rows
-    come from ``ref_echelon`` and its count from ``ref_pivot_lookup_ops``."""
-    rows = list(gens)
+    is then kept as it is; when it is not, +Z_k is adjoined. The final
+    reduction's rows come from ``ref_echelon`` and its count from
+    ``ref_pivot_lookup_ops``."""
+    rows, pivots = ref_echelon(arity, gens)
     ops = 0
     z_k = embed("Z", 0, k, arity)
     carriers = [i for i, g in enumerate(rows) if _REF_BITS[letters(g)[k - 1]][0]]
@@ -245,7 +246,6 @@ def ref_measure(arity, gens, k):
             ops += 1
         del rows[carriers[0]]
     elif any(_REF_BITS[letters(g)[k - 1]][1] for g in rows):
-        rows, pivots = ref_echelon(arity, rows)
         residual = z_k
         for row, col in zip(rows, pivots):
             if _ref_bit(letters(residual), col):
@@ -258,8 +258,8 @@ def ref_measure(arity, gens, k):
 
 
 def measure_row_ops(s, k):
-    """``stabilizer.measure(s, k)`` and its row operations, counted from
-    outside: the ``string_mul`` calls that ``stabilizer`` makes meanwhile."""
+    """``measure(s, k)`` and its row operations, counted from outside: the
+    ``string_mul`` calls that ``stabilizer`` makes meanwhile."""
     calls = 0
 
     def counted(p, q):
@@ -269,7 +269,7 @@ def measure_row_ops(s, k):
 
     stabilizer.string_mul = counted
     try:
-        return stabilizer.measure(s, k), calls
+        return measure(s, k), calls
     finally:
         stabilizer.string_mul = string_mul
 
@@ -319,9 +319,10 @@ def ref_factor_separable(s):
 
 
 # --- per-measurement canonical reference for check ---------------------------
-# ``check`` applies a measurement as the O(n) generator update. This is the
-# state threading it replaced: every MEAS goes through ``stabilizer.measure``
-# and comes back row-reduced. ``annotate`` still measures this way.
+# ``check`` applies a measurement as the O(n) row update of
+# ``stabilizer._measured``. This is the state threading it replaced: every
+# MEAS goes through ``measure`` and comes back row-reduced. ``annotate``
+# still measures this way.
 
 
 def ref_states(circuit, input_type):
@@ -334,7 +335,7 @@ def ref_states(circuit, input_type):
         if isinstance(ins, Measure):
             if cur is None:
                 raise TopOperandError("cannot measure a Top-typed register")
-            measured = stabilizer.measure(_unchecked(circuit.n_qubits, tuple(cur)), ins.qubit)
+            measured = measure(_unchecked(circuit.n_qubits, tuple(cur)), ins.qubit)
             cur = list(measured.generators)
         elif cur is not None:
             cur = [apply_gate(ins, g) for g in cur]

@@ -16,8 +16,7 @@ from gottesman import cli, gates, oracle
 from gottesman.checker import Circuit, annotate, check, infer_tableau
 from gottesman.gates import GateApp, apply_gate, standard_gates
 from gottesman.pauli import PauliString
-from gottesman.stabilizer import measure
-from gottesman.typesys import QType, StabType, parse_qtype
+from gottesman.typesys import QType, StabType, measure, parse_qtype
 
 from helpers import (
     embed,

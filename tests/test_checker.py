@@ -271,7 +271,8 @@ def test_measurement_rewrite_sound_against_dense_projection():
     # lie in the +1 eigenspace of every output generator.
     import numpy as np
 
-    from gottesman.stabilizer import measure, member
+    from gottesman.stabilizer import member
+    from gottesman.typesys import measure
     from helpers import embed, random_stab_type, ref_sample_eigenstates, string_matrix
 
     rng = random.Random(9807)
@@ -406,7 +407,6 @@ def test_types_built_without_checks_are_well_formed(monkeypatch):
     # canonical tableau of its generators.
     from gottesman import checker, typesys
     from gottesman.cli import _default_input, parse
-    from gottesman.stabilizer import measure
     from helpers import random_stab_type
 
     built = []
@@ -437,7 +437,7 @@ def test_types_built_without_checks_are_well_formed(monkeypatch):
                     s = state.stab
                     built.append(s)  # its tableau is row-reduced on first use
                     typesys._unchecked(n, s.tableau, s.tableau)  # the canonical presentation
-                    measure(s, rng.randrange(1, n + 1))
+                    typesys.measure(s, rng.randrange(1, n + 1))
                     QType(s.arity, s).factors
     assert measured > 100 and len(built) > 5000
     for s in built:
@@ -505,8 +505,8 @@ def test_measured_check_row_reduces_once(monkeypatch):
     real_states = checker._states
     products = []  # (string products, outcome random) per MEAS
 
-    def counting_states(circuit, input_type, measure):
-        states = real_states(circuit, input_type, measure)
+    def counting_states(circuit, input_type, rows, measure):
+        states = real_states(circuit, input_type, rows, measure)
         state = next(states)
         yield state
         for ins in circuit.instructions:
@@ -528,13 +528,15 @@ def test_measured_check_row_reduces_once(monkeypatch):
 
 def test_measurement_that_makes_the_state_pure_ends_row_reduction(monkeypatch):
     # ZZ is mixed, so the first MEAS 1 (determined, Z_1 outside the group)
-    # takes stabilizer.measure. Its result has two independent rows, so the
-    # state is pure from then on and every later determined MEAS is free.
-    measures = _count_calls(monkeypatch, stabilizer.measure)
+    # row-reduces twice: the rows, then the rows with Z_1 adjoined. Its
+    # result has two independent rows, so the state is pure from then on,
+    # every later determined MEAS is free, and the final reduction is the
+    # only other one.
+    echelons = _count_calls(monkeypatch, stabilizer._echelon)
     circuit = circ(2, "MEAS 1", "MEAS 2", "MEAS 1", "MEAS 2", "MEAS 1")
     out = check(circuit, parse_qtype("ZZ"))
     assert str(out) == "Z x Z"
-    assert len(measures) == 1
+    assert len(echelons) == 3
 
 
 def test_annotate_builds_entries_without_commutation_checks(monkeypatch):
@@ -562,7 +564,11 @@ def test_transport_matches_per_string_references():
     # tail over registers of 1 to 70 qubits, and on the standard table.
     from gottesman.cli import parse
     from gottesman.gates import derive_gate
+    from gottesman.typesys import measure
     from helpers import random_stab_type, ref_derive_gate, ref_infer_tableau, ref_states
+
+    def canonical(arity, rows, k):
+        return measure(_unchecked(arity, tuple(rows)), k).generators
 
     for spec in GATES.values():
         steps = spec.decomposition or (GateApp(spec, tuple(range(1, spec.arity + 1))),)
@@ -588,8 +594,10 @@ def test_transport_matches_per_string_references():
             all_z(n),
             QType(n, random_stab_type(n, rng, rank=rng.randrange(0, n + 1))),
         ):
-            got = checker._states(measured, input_type, stabilizer.measure)
-            assert list(got) == list(ref_states(measured, input_type))
+            rows = input_type.stab.generators
+            got = checker._states(measured, input_type, rows, canonical)
+            got = [None if state is None else list(state) for state in got]
+            assert got == list(ref_states(measured, input_type))
     assert max(sizes) > 64 and min(sizes) <= 2 and defs >= 30 and tops >= 10
 
 

@@ -241,6 +241,23 @@ class TestRunCheck:
         assert run(["check", str(CIRCUITS / "ghz_measure.qc")]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "Z x Z x Z -> Z x Z x Z"
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("qubits 2\ninput ZZ & ZZ\nMEAS 1\n", "ZZ & ZZ -> Z x Z"),
+            (
+                "qubits 3\ninput ZZI & ZZI & IIZ\nMEAS 1\nH 1\nCNOT 1 2\n",
+                "ZZI & ZZI & IIZ -> (XX & ZZ) x Z",
+            ),
+        ],
+        ids=["two-qubits", "gates-after-meas"],
+    )
+    def test_purity_is_the_rank_not_the_written_generators(self, capsys, tmp_path, text, want):
+        # As many generators as qubits, one of them repeated: the state is
+        # mixed, so the determined MEAS 1 adjoins Z_1.
+        assert run(["check", write(tmp_path, text)]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == want
+
     def test_top_output(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 1\ninput X\nT 1\n")
         assert run(["check", path]) == EXIT_OK

@@ -11,7 +11,7 @@ from collections import Counter
 
 from gottesman.gates import GateApp, apply_gate, derive_gate, standard_gates
 from gottesman.pauli import PauliString, commutes, string_mul
-from gottesman.stabilizer import _pivot
+from gottesman.stabilizer import _measured, _pivot
 from gottesman.typesys import StabType
 
 from helpers import (
@@ -173,3 +173,34 @@ def test_measure_matches_reference_with_row_ops():
         got, ops = measure_row_ops(s, k)
         assert got.generators == tuple(rows)
         assert ops == ref_ops
+
+
+def test_measured_keeps_independent_rows_independent():
+    # _measured on random independent rows, pure and mixed, in a random
+    # basis with random signs, some measured at k first so that +-Z_k is
+    # in the group: the result stays independent and generates
+    # ref_measure's group, for each kind of outcome, past one 64-bit word.
+    rng = random.Random(406196)
+    kinds, widest = Counter(), 0
+    for trial in range(240):
+        n = rng.randrange(1, 71) if trial % 8 == 0 else rng.randrange(1, 13)
+        k, widest = rng.randrange(1, n + 1), max(widest, n)
+        rank = n if rng.random() < 0.5 else rng.randrange(0, n)
+        rows = list(random_stab_type(n, rng, rank=rank, depth=6 * n).generators)
+        if rng.random() < 0.4:
+            rows, _ = ref_measure(n, rows, k)
+        rows = [pauli(g.k + 2 * rng.randrange(2), letters(g)) for g in rows]
+        for _ in range(len(rows) if len(rows) > 1 else 0):
+            i, j = rng.sample(range(len(rows)), 2)
+            rows[i] = ref_string_mul(rows[j], rows[i])
+        want, _ = ref_measure(n, rows, k)
+        if any(letters(g)[k - 1] in "XY" for g in rows):
+            kinds["random"] += 1
+        elif len(rows) == n:
+            kinds["pure"] += 1
+        else:
+            kinds["kept" if len(want) == len(rows) else "adjoined"] += 1
+        got = _measured(n, tuple(rows), k)
+        assert len(got) == len(want)
+        assert ref_echelon(n, got)[0] == want
+    assert len(kinds) == 4 and min(kinds.values()) >= 30 and widest > 64, kinds

@@ -11,11 +11,10 @@ from gottesman.pauli import PauliString, from_bits, string_mul
 from gottesman.stabilizer import (
     _echelon,
     _pivot,
-    measure,
     member,
     _single_qubit_members,
 )
-from gottesman.typesys import StabType, parse_qtype
+from gottesman.typesys import StabType, measure, parse_qtype
 
 from helpers import (
     brute_force_group,
