@@ -17,7 +17,7 @@ comment is a parse error. All output is ASCII.
 
 Parsing checks each instruction, def step and input type once, where it
 is written, and a fault is reported at its line and column as written
-(a ``⊗`` counts, though it folds to nothing). What has been checked is
+(a ``⊗`` counts, though it reads as nothing). What has been checked is
 built without the constructors' checks: one GateApp per distinct
 instruction text in a file, and the Circuit. Nothing is kept from one
 ``parse`` to the next, so a def is derived on every parse.
@@ -262,12 +262,14 @@ def _cmd_check(args) -> int:
     circuit, input_type = parse(_read(args.file))
     if input_type is None:
         input_type = _default_input(circuit.n_qubits)
-    output = check(circuit, input_type)
-    trace = None
     if args.trace:
+        # One transport: the last entry's group is the one ``check`` gives.
         states = annotate(circuit, input_type)
+        output = QType(circuit.n_qubits, states[-1].stab)
         labels = ["init"] + [str(ins) for ins in circuit.instructions]
         trace = list(zip(labels, (str(s) for s in states)))
+    else:
+        output = check(circuit, input_type)
     if args.json:
         record = {
             "command": "check",
@@ -275,13 +277,13 @@ def _cmd_check(args) -> int:
             "input": str(input_type),
             "output": _qtype_record(output),
         }
-        if trace is not None:
+        if args.trace:
             record["trace"] = [
                 {"instruction": label, "type": text} for label, text in trace
             ]
         _print_json(record)
     else:
-        if trace is not None:
+        if args.trace:
             width = max(len(label) for label, _ in trace) + 2
             for label, text in trace:
                 print(f"{label:<{width}}{text}")

@@ -248,45 +248,33 @@ class QType(_Frozen):
 
 # --- textual syntax ---------------------------------------------------------
 
-_UNICODE_FOLD = {"⊤": "T", "∩": "&", "×": "x", "−": "-", "⊗": ""}
-
-# A token, or in the second group the character where none starts.
-_TOKEN = re.compile(r"(->|&|x|\(|\)|[+-]?i?[IXYZT]+)|(\S)")
-
-
-def fold_unicode(text: str) -> str:
-    """Map the accepted unicode aliases onto the ASCII surface syntax."""
-    for src, dst in _UNICODE_FOLD.items():
-        text = text.replace(src, dst)
-    return text
-
-
-def _unfolded_col(text: str, col: int) -> int:
-    """The column of ``text`` that holds column ``col`` of ``fold_unicode(text)``:
-    an alias keeps its place, except that ``⊗`` folds to nothing."""
-    for i, ch in enumerate(text, start=1):
-        col -= len(_UNICODE_FOLD.get(ch, ch))
-        if col <= 0:
-            return i
-    return len(text) + col
+# A token, or in the second group the character where none starts. The
+# aliases ``∩ × − ⊤`` match where they are written; a ``⊗`` may sit inside
+# a literal (one class after its first letter, as a nested group is slower),
+# its sign prefix or ``->``, and is skipped anywhere else.
+_TOKEN = re.compile(r"([-−]⊗*>|[&∩x×()]|(?:[+\-−]⊗*)?(?:i⊗*)?[IXYZT⊤][IXYZT⊤⊗]*)|([^\s⊗])")
+_ASCII = str.maketrans({"⊤": "T", "∩": "&", "×": "x", "−": "-", "⊗": None})
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
+    """The tokens of ``text`` in ASCII, each with the column where it starts."""
     tokens = []
     for m in _TOKEN.finditer(text):
-        if m.lastindex == 2:
-            raise ParseError(f"unexpected character {m.group(2)!r}", col=m.start() + 1)
-        tokens.append((m.group(1), m.start() + 1))
+        tok = m.group(1)
+        if tok is None:
+            ch = m.group(2).translate(_ASCII)
+            raise ParseError(f"unexpected character {ch!r}", col=m.start() + 1)
+        if not tok.isascii():
+            tok = tok.translate(_ASCII)
+        tokens.append((tok, m.start() + 1))
     return tokens
 
 
 class _Part(NamedTuple):
-    """A parsed unit, component or product: its group (None for Top), its
-    text rebuilt from its tokens, and the column where it starts."""
+    """A parsed unit, component or product: its arity, group (None for Top) and column."""
 
     arity: int
     stab: Optional[StabType]
-    text: str
     col: int
 
 
@@ -323,7 +311,12 @@ class _TypeParser:
         if self.pos < len(self.tokens):
             tok, col = self.tokens[self.pos]
             raise ParseError(f"unexpected {tok!r}", col=col)
-        return QType(part.arity, part.stab, None if part.stab is None else part.text)
+        if part.stab is None:
+            return QType(part.arity, None)
+        # As written: each literal as printed, one space apart, none inside parentheses.
+        printed = {tok: str(lit.stab) for tok, lit in self.literals.items()}
+        text = " ".join(printed.get(tok, tok) for tok, _ in self.tokens)
+        return QType(part.arity, part.stab, text.replace("( ", "(").replace(" )", ")"))
 
     def product(self) -> _Part:
         components = [self.component()]
@@ -344,12 +337,12 @@ class _TypeParser:
         if tok == "(":
             part = self.product()
             self.expect(")")
-            return _Part(part.arity, part.stab, f"({part.text})", col)
+            return _Part(part.arity, part.stab, col)
         self.written += 1
         part = self.literals.get(tok)
         if part is None:
             part = self.literals[tok] = _literal(tok, col, self.written)
-        return _Part(part.arity, part.stab, part.text, col)
+        return _Part(part.arity, part.stab, col)
 
 
 def _literal(tok: str, col: int, index: int) -> _Part:
@@ -360,12 +353,12 @@ def _literal(tok: str, col: int, index: int) -> _Part:
         raise ParseError(f"expected a Pauli literal, got {tok!r}", col=col) from None
     n = lit.arity
     if lit.is_top:
-        return _Part(n, None, str(lit), col)
+        return _Part(n, None, col)
     if lit.k & 1 or lit.k and not lit.x | lit.z:
         stabilizer._echelon(n, (lit,), first=index)  # raises: -I is in its group
     # One real-phased row is its own reduced tableau.
     tab = (lit,) if lit.x | lit.z else ()
-    return _Part(n, _unchecked(n, tab, tab), str(lit), col)
+    return _Part(n, _unchecked(n, tab, tab), col)
 
 
 def _intersect_units(units: list[_Part]) -> _Part:
@@ -377,7 +370,7 @@ def _intersect_units(units: list[_Part]) -> _Part:
             raise ParseError("mismatched arities in intersection", col=u.col)
     # The one row reduction of a parsed intersection.
     stab = StabType(arity, tuple(g for u in units for g in u.stab.generators))
-    return _Part(arity, stab, " & ".join(u.text for u in units), units[0].col)
+    return _Part(arity, stab, units[0].col)
 
 
 def _merge(components: list[_Part]) -> _Part:
@@ -388,10 +381,9 @@ def _merge(components: list[_Part]) -> _Part:
     the reduced tableau of the product: no row reduction.
     """
     total = sum(c.arity for c in components)
-    text = " x ".join(c.text for c in components)
     col = components[0].col
     if any(c.stab is None for c in components):
-        return _Part(total, None, text, col)
+        return _Part(total, None, col)
 
     def shifted(strings, offset: int) -> list[PauliString]:
         return [from_bits(total, g.x << offset, g.z << offset, g.k) for g in strings]
@@ -403,20 +395,16 @@ def _merge(components: list[_Part]) -> _Part:
         same = c.stab.generators is c.stab.tableau  # as for each literal
         gens += placed if same else shifted(c.stab.generators, offset)
         offset += c.arity
-    return _Part(total, _unchecked(total, tuple(gens), _reduced(rows)), text, col)
+    return _Part(total, _unchecked(total, tuple(gens), _reduced(rows)), col)
 
 
 def parse_qtype(text: str) -> QType:
     """Parse the type syntax, e.g. ``Z x (XX & ZZ)`` or ``-Y x Z``.
 
-    The type prints as written, rebuilt from its tokens: unicode aliases
-    folded, each literal as ``PauliString`` prints it, one space around
-    ``x`` and ``&`` and none inside parentheses. A Top type prints as Top.
+    The aliases ``∩ × − ⊤`` read as ``& x - T`` and ``⊗`` as nothing; an
+    error's column counts the characters as written. The type prints as
+    written, rebuilt from its tokens: each literal as ``PauliString`` prints
+    it, one space around ``x`` and ``&`` and none inside parentheses. A Top
+    type prints as Top.
     """
-    folded = text if text.isascii() else fold_unicode(text)
-    try:
-        return _TypeParser(folded).parse()
-    except ParseError as err:
-        if err.col is None or folded is text:
-            raise
-        raise ParseError(err.message, col=_unfolded_col(text, err.col)) from None
+    return _TypeParser(text).parse()

@@ -26,7 +26,7 @@ from gottesman.errors import ArityError, ParseError, TopOperandError, WireError
 from gottesman.gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
 from gottesman.pauli import PauliString, from_bits, string_mul
 from gottesman.stabilizer import member
-from gottesman.typesys import QType, StabType, _unchecked, fold_unicode, measure
+from gottesman.typesys import QType, StabType, _unchecked, measure
 
 # Independent single-qubit matrices; deliberately not imported from the
 # package so matrix-level assertions do not share code with what they test.
@@ -625,12 +625,20 @@ def _ref_split_chunks(code):
     return chunks
 
 
+def _ref_fold(text):
+    """The type text with its unicode aliases replaced by their ASCII forms
+    and every ``⊗`` removed."""
+    for alias, ascii_form in (("⊤", "T"), ("∩", "&"), ("×", "x"), ("−", "-"), ("⊗", "")):
+        text = text.replace(alias, ascii_form)
+    return text
+
+
 def _ref_unfolded_col(raw, col):
     """The column of ``raw`` whose folded prefix first reaches ``col`` characters."""
     for i in range(1, len(raw) + 1):
-        if len(fold_unicode(raw[:i])) >= col:
+        if len(_ref_fold(raw[:i])) >= col:
             return i
-    return len(raw) + col - len(fold_unicode(raw))
+    return len(raw) + col - len(_ref_fold(raw))
 
 
 def _ref_ascii(ln, code):
@@ -790,7 +798,7 @@ class _RefTypeParser:
     """Each parse step returns ``(QType, column)``."""
 
     def __init__(self, text):
-        folded = fold_unicode(text)
+        folded = _ref_fold(text)
         self.tokens = _ref_tokenize(folded)
         self.end = len(folded) + 1
         self.pos = 0

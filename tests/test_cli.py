@@ -290,6 +290,25 @@ class TestRunCheck:
             "CNOT 2 3",
         ]
 
+    def test_trace_transports_once(self, capsys, monkeypatch):
+        # With --trace the output is read off the last entry, not typed again.
+        from gottesman import checker
+
+        calls = []
+
+        def counting(*args, states=checker._states):
+            calls.append(args)
+            return states(*args)
+
+        monkeypatch.setattr(checker, "_states", counting)
+        path = str(CIRCUITS / "ghz_measure.qc")
+        assert run(["check", path]) == EXIT_OK
+        plain = capsys.readouterr().out
+        calls.clear()
+        assert run(["check", path, "--trace"]) == EXIT_OK
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == plain.strip()
+
     def test_parse_error_exit(self, capsys, tmp_path):
         path = write(tmp_path, "qubits 2\nCNOT 1 3\n")
         assert run(["check", path]) == EXIT_PARSE_ERROR
@@ -844,13 +863,18 @@ def _random_type(rng, n, top=True):
 
 
 def _unicode(rng, text):
-    """Swap in unicode aliases and split literals with a tensor sign."""
+    """Swap in unicode aliases and put in tensor signs, which fold to
+    nothing: often between two letters of a literal, and rarely between any
+    two characters (inside ``-i`` or ``->``, next to an operator, a
+    parenthesis or a space)."""
     out = []
     for i, ch in enumerate(text):
         alias = {"&": "∩", "x": "×", "-": "−", "T": "⊤"}.get(ch)
         out.append(alias if alias and rng.random() < 0.3 else ch)
-        if ch in "IXYZT" and text[i + 1 : i + 2] in ("I", "X", "Y", "Z", "T"):
-            if rng.random() < 0.15:
+        after = text[i + 1 : i + 2]
+        if after:
+            inside = ch in "IXYZT" and after in "IXYZT"
+            if rng.random() < (0.15 if inside else 0.03):
                 out.append("⊗")
     return "".join(out)
 
@@ -954,9 +978,12 @@ class TestParseMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_types_parse_alike(self, rng):
-        text = _unicode(rng, _random_type(rng, rng.randint(1, 6)))
+        # Aliases and tensor signs go in after the mutation, so they reach
+        # the tokens it adds, such as ``-iZ`` and ``->``.
+        text = _random_type(rng, rng.randint(1, 6))
         if rng.random() < 0.7:
             text = _mutate_token(rng, text)
+        text = _unicode(rng, text)
 
         def both(parser):
             return _outcome(lambda t: (None, parser(t)), text)

@@ -398,12 +398,22 @@ class TestParsePrint:
         assert {k for k, _ in q.factors} == {1, 2, 3, 4}
 
     def test_error_columns_count_tensor_signs(self):
-        # A tensor sign folds to nothing, but it takes a column as written.
-        cases = (("Z ⊗ Q", 5), ("X⊗X & ⊗ )", 9), ("Z⊗⊗Z x )", 8), ("Z x ⊗", 6))
-        for text, col in cases:
+        # A tensor sign folds to nothing, but it takes a column as written;
+        # it may sit inside a sign prefix or an arrow, and a message quotes
+        # a character in its ASCII form.
+        cases = (
+            ("Z ⊗ Q", 5, "unexpected character 'Q'"),
+            ("X⊗X & ⊗ )", 9, "expected a Pauli literal, got ')'"),
+            ("Z⊗⊗Z x )", 8, "expected a Pauli literal, got ')'"),
+            ("Z x ⊗", 6, "unexpected end of type expression"),
+            ("−⊗ Z", 1, "unexpected character '-'"),
+            ("-⊗i⊗Z x ⊗ Q", 11, "unexpected character 'Q'"),
+            ("Z ⊗-⊗> Z", 4, "unexpected '->'"),
+        )
+        for text, col, message in cases:
             with pytest.raises(ParseError) as err:
                 parse_qtype(text)
-            assert err.value.col == col, text
+            assert (err.value.message, err.value.col) == (message, col), text
 
     def test_one_row_reduction_per_parsed_type(self, monkeypatch):
         # Literals are checked by their phase and products of checked
