@@ -7,13 +7,17 @@ generator factors in a fixed normal order (all X factors before all Z
 factors, ascending wire, with the reordering phase computed exactly), map
 each factor through its image, and splice the product back over the wires.
 
-Each GateSpec keeps a table, ``_images``, of the images of its
-4**arity restrictions, each filled on first use. ``apply_gate`` on a
-string that is I on every wire of the gate (idle, most calls) costs a
-range check and two mask tests and returns the string itself; on any
+Each GateSpec records which of its generators X_w and Z_w it moves (an
+image other than the unit itself, phase included, or Top) and keeps a
+table, ``_images``, of the bits each of its 4**arity restrictions flips
+and the phase it gains, each filled on first use. A string whose
+restriction uses no moved generator (I on every wire of the gate, most
+calls, or fixed, such as Z on a CNOT's control and X on its target) is
+its own image, as conjugation is a group automorphism: ``apply_gate``
+costs a range check and two mask tests and returns it itself. On any
 other (touched), ``_conjugate`` reads the bits on the wires, looks up
-one entry and writes its bits back. So a gate costs work only where it
-acts (Gottesman-Knill).
+one entry and XORs its flips in. So a gate costs work only where it
+moves something (Gottesman-Knill).
 
 Non-Clifford gates carry all-Top images for the generators they cannot
 track; any use of such an image collapses the result to the all-Top
@@ -48,8 +52,9 @@ class GateSpec(_Frozen):
     _fields = ("name", "arity", "x_images", "z_images", "decomposition")
     # Not compared or shown: the cache of local_image; the fields' hash, once,
     # as a derived gate's would recurse through its images and decomposition;
-    # and whether no image is Top, which ``check`` reads for every gate.
-    __slots__ = _fields + ("_images", "_hash", "is_clifford")
+    # whether no image is Top, which ``check`` reads for every gate; and per
+    # wire, whether the gate moves X_w and Z_w, which ``_set_app`` spreads.
+    __slots__ = _fields + ("_images", "_hash", "is_clifford", "_moved")
 
     def __init__(
         self,
@@ -90,14 +95,19 @@ class GateSpec(_Frozen):
                     )
         object.__setattr__(self, "_hash", hash(fields))
         object.__setattr__(self, "is_clifford", not any(img.is_top for img in images))
+        moved = [img != unit for img, (_, unit) in zip(images, _units(self.arity))]
+        moved_pairs = zip(moved[: self.arity], moved[self.arity :])
+        object.__setattr__(self, "_moved", tuple(moved_pairs))
 
     def __hash__(self) -> int:
         return self._hash
 
     def local_image(self, index: int) -> Optional[tuple[int, int, int]]:
-        """Image (x, z, k) of the restriction with x bits ``index & (2**arity - 1)``
-        and z bits ``index >> arity`` (bit i for the gate's wire i + 1); None if Top.
-        Computed and kept as ``_images[index]``, which ``_conjugate`` reads first."""
+        """The x and z bits that the image of the restriction with x bits
+        ``index & (2**arity - 1)`` and z bits ``index >> arity`` (bit i for the
+        gate's wire i + 1) flips, and its exponent k of i, as (dx, dz, k); None
+        if Top. Computed and kept as ``_images[index]``, which ``_conjugate``
+        reads first."""
         xs, zs = index & ((1 << self.arity) - 1), index >> self.arity
         image = PauliString.identity(self.arity)
         for bits, images in ((xs, self.x_images), (zs, self.z_images)):
@@ -107,7 +117,7 @@ class GateSpec(_Frozen):
         # Splitting each Y of the restriction into X*Z costs a factor of i;
         # the normal order costs nothing more, as distinct wires commute.
         k = image.k + (xs & zs).bit_count()
-        self._images[index] = None if image.is_top else (image.x, image.z, k)
+        self._images[index] = None if image.is_top else (image.x ^ xs, image.z ^ zs, k)
         return self._images[index]
 
 
@@ -115,8 +125,9 @@ class GateApp(_Frozen):
     """A gate bound to distinct wires of some register (1-based)."""
 
     _fields = ("gate", "wires")
-    # Not compared or shown: the bit offsets (wire - 1) and their union.
-    __slots__ = _fields + ("_shifts", "_mask")
+    # Not compared or shown: the bit offsets (wire - 1); the x and z bits, on
+    # the wires, of the generators the gate moves; and the largest wire.
+    __slots__ = _fields + ("_shifts", "_xmask", "_zmask", "_last")
 
     def __init__(self, gate: GateSpec, wires: tuple[int, ...]) -> None:
         wires = tuple(wires)
@@ -145,46 +156,51 @@ def _app(gate: GateSpec, wires: tuple[int, ...]) -> GateApp:
 
 
 # The slots' own setters, which pass by the AttributeError of _Frozen.__setattr__.
-_set_gate, _set_wires, _set_shifts, _set_mask = [
-    GateApp.__dict__[name].__set__ for name in ("gate", "wires", "_shifts", "_mask")
+_set_gate, _set_wires, _set_shifts, _set_xmask, _set_zmask, _set_last = [
+    GateApp.__dict__[name].__set__
+    for name in ("gate", "wires", "_shifts", "_xmask", "_zmask", "_last")
 ]
 
 
 def _set_app(app: GateApp, gate: GateSpec, wires: tuple[int, ...]) -> None:
-    shifts, mask = [], 0
-    for w in wires:
+    shifts, xmask, zmask, last = [], 0, 0, 0
+    for w, (moves_x, moves_z) in zip(wires, gate._moved):
         shifts.append(w - 1)
-        mask |= 1 << w - 1
+        xmask |= moves_x << w - 1
+        zmask |= moves_z << w - 1
+        last = w if w > last else last
     _set_gate(app, gate)
     _set_wires(app, wires)
     _set_shifts(app, tuple(shifts))
-    _set_mask(app, mask)
+    _set_xmask(app, xmask)
+    _set_zmask(app, zmask)
+    _set_last(app, last)
 
 
 def apply_gate(app: GateApp, p: PauliString) -> PauliString:
     """Conjugate the string ``p`` by the gate at ``app.wires``.
 
     Positions off the gate's wires pass through untouched, and a ``p``
-    that is I on all of them is returned itself. That covers an all-Top
-    ``p`` too, as Top strings keep x = z = 0: it is returned itself. If
-    the restriction needs an image the gate cannot provide (a Top image),
-    the result is the all-Top string. An out-of-range wire raises
-    WireError before the shortcut.
+    whose restriction uses no generator the gate moves (I on every wire,
+    or fixed, such as Z on a CNOT's control and X on its target) is
+    returned itself. That covers an all-Top ``p`` too, as Top strings
+    keep x = z = 0: it is returned itself. If the restriction needs an
+    image the gate cannot provide (a Top image), the result is the all-Top
+    string. An out-of-range wire raises WireError before the shortcut.
     """
-    # Most calls are idle, so this frame holds only what the shortcut needs.
-    mask = app._mask
-    if mask >> p.arity:
+    # Most calls move nothing, so this frame holds only what the shortcut needs.
+    if app._last > p.arity:
         w = next(w for w in app.wires if w > p.arity)
         raise WireError(f"wire {w} out of range for {p.arity} qubits")
-    if p.x & mask or p.z & mask:
+    if p.x & app._xmask or p.z & app._zmask:
         return _conjugate(app, p)
     return p
 
 
 def _conjugate(app: GateApp, p: PauliString) -> PauliString:
-    """``apply_gate`` on a string that is not I on every wire of the gate."""
+    """``apply_gate`` on a string whose restriction uses a generator the gate moves."""
     px, pz, shifts = p.x, p.z, app._shifts
-    # The index reads and write-backs of one- and two-wire gates, unrolled.
+    # The index reads and flips of one- and two-wire gates, unrolled.
     if len(shifts) == 1:
         (s,) = shifts
         index = px >> s & 1 | (pz >> s & 1) << 1
@@ -203,20 +219,17 @@ def _conjugate(app: GateApp, p: PauliString) -> PauliString:
         image = app.gate.local_image(index)
     if image is None:
         return PauliString.top(p.arity)
-    ix, iz, k = image
-    mask = app._mask
-    x, z = px ^ (px & mask), pz ^ (pz & mask)
+    dx, dz, k = image
     if len(shifts) == 1:
-        x |= ix << s
-        z |= iz << s
+        dx, dz = dx << s, dz << s
     elif len(shifts) == 2:
-        x |= (ix & 1) << s | (ix >> 1) << t
-        z |= (iz & 1) << s | (iz >> 1) << t
+        dx = (dx & 1) << s | (dx >> 1) << t
+        dz = (dz & 1) << s | (dz >> 1) << t
     else:
-        for i, s in enumerate(shifts):
-            x |= (ix >> i & 1) << s
-            z |= (iz >> i & 1) << s
-    return from_bits(p.arity, x, z, p.k + k)
+        dx, dz = (
+            sum((d >> i & 1) << s for i, s in enumerate(shifts)) for d in (dx, dz)
+        )
+    return from_bits(p.arity, px ^ dx, pz ^ dz, p.k + k)
 
 
 def _transport(apps: Sequence[GateApp], strings: Sequence[PauliString]) -> list[PauliString]:

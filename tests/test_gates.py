@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gottesman.errors import IllFormedTypeError, WireError
@@ -16,7 +16,16 @@ from gottesman.gates import (
 )
 from gottesman.pauli import PauliString, commutes, string_mul
 
-from helpers import ALL_ATOMS, letters, pauli, ref_gate_unitary, string_matrix, strings
+from helpers import (
+    ALL_ATOMS,
+    letters,
+    pauli,
+    ref_apply_gate,
+    ref_embed_unitary,
+    ref_gate_unitary,
+    string_matrix,
+    strings,
+)
 
 
 def P(text):
@@ -143,8 +152,17 @@ class TestApplyGate:
         assert got == P("IIZI")
 
     def test_cnot_on_zx(self):
-        got = apply_gate(GateApp(GATES["CNOT"], (1, 2)), P("ZX"))
-        assert got == P("ZX")
+        # Z on the control and X on the target are both fixed, so the string
+        # is its own image and comes back itself.
+        p = P("ZX")
+        assert apply_gate(GateApp(GATES["CNOT"], (1, 2)), p) is p
+
+    def test_fixed_strings_the_masks_miss_come_back_equal(self):
+        # Y moves both X and Z, and SWAP moves all four generators, so these
+        # fixed strings take the touched path and are rebuilt equal.
+        for name, wires, text in (("Y", (2,), "-XYZ"), ("SWAP", (1, 3), "iXZX")):
+            p = P(text)
+            assert apply_gate(GateApp(GATES[name], wires), p) == p
 
     def test_swap_exchanges_bases(self):
         got = apply_gate(GateApp(GATES["SWAP"], (1, 2)), P("XY"))
@@ -277,3 +295,103 @@ def test_images_match_matrix_conjugation_exhaustively(name):
             got = apply_gate(GateApp(spec, tuple(range(1, n + 1))), p)
             expected = u @ string_matrix(p) @ u.conj().T
             assert np.max(np.abs(string_matrix(got) - expected)) < 1e-9
+
+
+# --- the skip rule, against dense matrices -------------------------------------
+# apply_gate returns a string itself when its restriction uses only generators
+# the gate fixes. Which generators those are is derived here from dense
+# matrices alone, not from the package's tables.
+
+
+def _is_pauli(m):
+    """Whether the 2**g matrix ``m`` is a Pauli string up to phase: one trace
+    tr(Q+ m) / 2**g of modulus 1 over the 4**g strings Q."""
+    g = m.shape[0].bit_length() - 1
+    for atoms in itertools.product(ALL_ATOMS, repeat=g):
+        c = np.trace(string_matrix(pauli(0, atoms)).conj().T @ m) / 2**g
+        if abs(abs(c) - 1) < 1e-9:
+            return True
+    return False
+
+
+def ref_moved(spec):
+    """Per wire of ``spec``, whether the gate moves X_w and whether it moves Z_w.
+
+    Each unit is conjugated by the dense unitary of each step of the
+    decomposition in turn (the gate itself for a base gate). A step that
+    leaves no Pauli string makes the image Top, as the step-by-step tables
+    do, and Top counts as moved; otherwise the unit is fixed iff the last
+    matrix equals its own, phase included."""
+    g = spec.arity
+    steps = [
+        ref_embed_unitary(ref_gate_unitary(app.gate), app.wires, g)
+        for app in spec.decomposition or ()
+    ] or [ref_gate_unitary(spec)]
+
+    def moves(atom, w):
+        unit = string_matrix(pauli(0, ["I"] * (w - 1) + [atom] + ["I"] * (g - w)))
+        m = unit
+        for u in steps:
+            m = u @ m @ u.conj().T
+            if not _is_pauli(m):
+                return True
+        return not np.allclose(m, unit, atol=1e-9)
+
+    return [(moves("X", w), moves("Z", w)) for w in range(1, g + 1)]
+
+
+def _check_skip_rule(spec):
+    """On each order of the wires 2, 4, .. in a wider register: the masks hold
+    the moved generators, a string comes back itself iff its restriction uses
+    none of them, and then it equals ``ref_apply_gate``'s image."""
+    moved = ref_moved(spec)
+    n = 2 * spec.arity + 1
+    for wires in itertools.permutations(range(2, n, 2)):
+        app = GateApp(spec, wires)
+        want_x = sum(mx << w - 1 for (mx, _), w in zip(moved, wires))
+        want_z = sum(mz << w - 1 for (_, mz), w in zip(moved, wires))
+        assert (app._xmask, app._zmask) == (want_x, want_z), (spec.name, wires)
+        for atoms in itertools.product(ALL_ATOMS, repeat=spec.arity):
+            text = ["Y"] * n
+            for w, atom in zip(wires, atoms):
+                text[w - 1] = atom
+            p = pauli(3, text)
+            got = apply_gate(app, p)
+            uses_moved = any(
+                atom in "XY" and mx or atom in "YZ" and mz
+                for atom, (mx, mz) in zip(atoms, moved)
+            )
+            assert (got is p) != uses_moved, (spec.name, wires, str(p))
+            if got is p:
+                assert p == ref_apply_gate(app, p), (spec.name, wires, str(p))
+
+
+@pytest.mark.parametrize("name", list(GATES))
+def test_standard_gates_skip_exactly_the_strings_they_fix(name):
+    _check_skip_rule(GATES[name])
+
+
+_BASE_STEPS = ("H", "S", "CNOT", "T", "Tdg")
+
+
+@st.composite
+def base_defs(draw):
+    """A def of 1-3 wires over H, S, CNOT, T and Tdg, so Top images occur."""
+    arity = draw(st.integers(1, 3))
+    names = [name for name in _BASE_STEPS if GATES[name].arity <= arity]
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        gate = GATES[draw(st.sampled_from(names))]
+        wires = draw(st.permutations(range(1, arity + 1)))[: gate.arity]
+        steps.append(GateApp(gate, tuple(wires)))
+    return derive_gate("G", arity, steps)
+
+
+# S twice sends X to -X: a sign change counts as moved. T then Tdg is the
+# identity, yet its table is Top on X: Top counts as moved.
+@example(derive_gate("G", 1, [GateApp(GATES["S"], (1,))] * 2))
+@example(derive_gate("G", 1, [GateApp(GATES["T"], (1,)), GateApp(GATES["Tdg"], (1,))]))
+@settings(max_examples=60, deadline=None)
+@given(base_defs())
+def test_defs_skip_exactly_the_strings_they_fix(spec):
+    _check_skip_rule(spec)
