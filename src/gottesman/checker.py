@@ -5,7 +5,11 @@ gives a circuit's conjugation action on every X_k/Z_k generator (the gate
 view), while ``check`` threads the rows of a state type through the
 instruction sequence, measures by the one rule, ``stabilizer._measured``,
 and returns the final group as a ``QType``, whose factored view gives
-separability (the state view); ``annotate`` measures through ``measure``.
+separability (the state view). ``check`` hands ``_transport`` each run
+of Clifford gates between measurements at once (a run also ends after a
+non-Clifford gate, where the rows may turn Top): the unit that a
+column-major body would transpose once. ``annotate`` steps through one
+instruction at a time and canonicalises each measured state.
 None has side effects; transport is defined on generators and extends
 multiplicatively, so the arrow rules for products, phases and sequencing
 hold by construction.
@@ -103,34 +107,61 @@ def infer_tableau(circuit: Circuit) -> Tableau:
 
 def _states(circuit: Circuit, input_type: QType, rows, measure):
     """Yield ``rows``, those of ``input_type`` to carry (None for Top), then
-    the rows after each instruction: gates transport them, and
-    ``measure(arity, rows, k)``, as ``stabilizer._measured``, measures them."""
+    the rows after each step of ``circuit.instructions``: a MEAS, which
+    ``measure(arity, rows, k)``, as ``stabilizer._measured``, measures; a
+    gate; or a run of gates, a tuple, which ``_transport`` carries the rows
+    through at once."""
     if input_type.arity != circuit.n_qubits:
         raise ArityError(
             f"input arity {input_type.arity} does not match"
             f" {circuit.n_qubits}-qubit circuit"
         )
     yield rows
-    for ins in circuit.instructions:
-        if isinstance(ins, Measure):
+    for step in circuit.instructions:
+        if step.__class__ is Measure:
             if rows is None:
                 raise TopOperandError("cannot measure a Top-typed register")
-            rows = measure(circuit.n_qubits, rows, ins.qubit)
+            rows = measure(circuit.n_qubits, rows, step.qubit)
         elif rows is not None:
-            rows = _transport((ins,), rows)
-            # Only a gate with Top images can make a string Top.
-            if not ins.gate.is_clifford and any(g.is_top for g in rows):
+            if step.__class__ is GateApp:
+                step = (step,)
+            rows = _transport(step, rows)
+            # Only a gate with Top images can make a string Top, and one ends a run.
+            if not step[-1].gate.is_clifford and any(g.is_top for g in rows):
                 rows = None
         yield rows
+
+
+def _runs(instructions) -> list:
+    """The steps ``check`` takes: each MEAS, and the maximal runs of gates
+    between them, each cut after a non-Clifford gate, where the rows may
+    turn Top. A run is a tuple of gates."""
+    steps, run = [], []
+    for ins in instructions:
+        if ins.__class__ is Measure:
+            if run:
+                steps.append(tuple(run))
+                run = []
+            steps.append(ins)
+        else:
+            run.append(ins)
+            if not ins.gate.is_clifford:
+                steps.append(tuple(run))
+                run = []
+    if run:
+        steps.append(tuple(run))
+    return steps
 
 
 def check(circuit: Circuit, input_type: QType) -> QType:
     """Transport a state type through the circuit, factored for output.
     It carries the input's canonical rows, which ``stabilizer._measured``
-    keeps independent, so a state's rank is its row count."""
+    keeps independent, so a state's rank is its row count. Each run of
+    Clifford gates between measurements goes through ``_transport`` at once."""
     n = circuit.n_qubits
     rows = None if input_type.top else input_type.stab.tableau
-    for rows in _states(circuit, input_type, rows, stabilizer._measured):
+    steps = _circuit(n, tuple(_runs(circuit.instructions)))
+    for rows in _states(steps, input_type, rows, stabilizer._measured):
         pass
     if rows is None:
         return QType.top_type(n)
@@ -145,14 +176,21 @@ def annotate(circuit: Circuit, input_type: QType) -> list[QType]:
     Entries print unfactored (the transported generators as they stand,
     formatted only when printed), which is the per-line shape a hand
     derivation produces; ``check`` prints the final state factored.
-    A MEAS entry is canonical: it comes from ``measure``.
+    A MEAS entry is canonical: the measured rows, row-reduced once.
     Entries are transported from the validated input: built without checks,
     and row-reduced only if their tableau is asked for.
     """
     n = circuit.n_qubits
     rows = None if input_type.top else input_type.stab.generators
+    # ``stabilizer._measured`` needs independent rows: the written generators
+    # are when the tableau has as many rows, and every measured state is.
+    independent = rows is not None and len(rows) == len(input_type.stab.tableau)
 
     def canonical(arity: int, rows, k: int):
+        nonlocal independent
+        if independent:
+            return stabilizer._echelon(arity, stabilizer._measured(arity, rows, k))
+        independent = True
         return measure(_unchecked(arity, tuple(rows)), k).generators
 
     out = []

@@ -22,6 +22,12 @@ built without the constructors' checks: one GateApp per distinct
 instruction text in a file, and the Circuit. Nothing is kept from one
 ``parse`` to the next, so a def is derived on every parse.
 
+What a line costs: a split on ``;`` and, per instruction, one lookup of
+its text among those already read. A new text costs one ``split``, one
+gate-table lookup and its wire checks, unrolled for one and two wires,
+and then the GateApp (or Measure) is built directly. A fault's message
+and column are worked out only when it is raised.
+
 Exit statuses: 0 success, 1 type error or out of memory, 2 parse error, 3
 oracle mismatch, 4 oracle unavailable (``verify`` past the dense oracle's
 qubit cap, its sample batch cap, or a def whose dense unitary passes that
@@ -41,7 +47,7 @@ from functools import lru_cache
 
 from .checker import Circuit, Measure, _circuit, annotate, check, infer_tableau
 from .errors import GottesmanError, OracleUnavailableError, ParseError
-from .gates import GateApp, GateSpec, _app, _units, derive_gate, standard_gates
+from .gates import GateSpec, _app, _units, derive_gate, standard_gates
 from .pauli import from_bits
 from .typesys import QType, _unchecked, parse_qtype
 
@@ -85,6 +91,7 @@ class _FileParser:
             if code.strip():
                 self.lines.append((ln, code))
         self.gates: dict[str, GateSpec] = dict(standard_gates())
+        self.ascii = source.isascii()  # then no line has a character to refuse
 
     def parse(self) -> tuple[Circuit, QType | None]:
         if not self.lines:
@@ -100,19 +107,19 @@ class _FileParser:
         # wherever it recurs in a file, as a def cannot replace a gate.
         known: dict = {}
         for ln, code in rest:
-            _check_ascii(ln, code)
-            stripped = code.strip()
-            if stripped.startswith("def ") or stripped == "def":
-                self._def_line(ln, code)
-                continue
-            pos = 0
+            if not self.ascii:
+                _check_ascii(ln, code)
+            if "def" in code:
+                stripped = code.strip()
+                if stripped.startswith("def ") or stripped == "def":
+                    self._def_line(ln, code)
+                    continue
             for part in code.split(";"):
                 ins = known.get(part)
-                if ins is None and part.strip():
-                    ins = known[part] = self._instruction(ln, part, pos, n_qubits)
+                if ins is None:
+                    ins = known[part] = self._instruction(ln, code, part, n_qubits)
                 if ins is not None:
                     instructions.append(ins)
-                pos += len(part) + 1
         return _circuit(n_qubits, tuple(instructions)), input_type
 
     def _header(self, ln: int, code: str) -> int:
@@ -169,47 +176,82 @@ class _FileParser:
                         msg = f"unknown formal wire {arg!r} in def body"
                         raise ParseError(msg, line=ln, col=_col(part, pos, i))
                     wires.append(wire_of[arg])
-                steps.append(self._gate_app(ln, part, pos, words[0], wires))
+                fault = self._gate_fault(ln, part, pos, words[0], wires)
+                if fault is not None:
+                    raise fault
+                steps.append(_app(self.gates[words[0]], tuple(wires)))
             pos += len(part) + 1
         self.gates[name] = derive_gate(name, len(formals), steps)
 
-    def _instruction(self, ln: int, part: str, pos: int, n_qubits: int):
-        """The instruction ``part``, after ``pos`` characters of line ``ln``."""
+    def _instruction(self, ln: int, code: str, part: str, n_qubits: int):
+        """The instruction ``part`` of line ``ln``, ``code``, or None if blank.
+
+        One split, one gate-table lookup and the wire checks, unrolled for
+        one and two wires as in ``gates._conjugate``; what passes is built
+        without further checks. Anything else raises what ``_fault`` finds.
+        """
         words = part.split()
-        wires = []
+        if not words:
+            return None
+        spec = self.gates.get(words[0])
+        if len(words) == 2:
+            if words[1].isdecimal():
+                w = int(words[1])
+                if 0 < w <= n_qubits:
+                    if spec is not None and spec.arity == 1:
+                        return _app(spec, (w,))
+                    if words[0] == "MEAS":  # never a gate's name
+                        return Measure(w)
+        elif len(words) == 3:
+            if spec is not None and spec.arity == 2:
+                if words[1].isdecimal() and words[2].isdecimal():
+                    v, w = int(words[1]), int(words[2])
+                    if v != w and 0 < v <= n_qubits and 0 < w <= n_qubits:
+                        return _app(spec, (v, w))
+        elif spec is not None and len(words) == spec.arity + 1:
+            if all(arg.isdecimal() for arg in words[1:]):
+                wires = tuple(map(int, words[1:]))
+                if len(set(wires)) == spec.arity and 0 < min(wires) and max(wires) <= n_qubits:
+                    return _app(spec, wires)
+        raise self._fault(ln, code, part, n_qubits)
+
+    def _fault(self, ln: int, code: str, part: str, n_qubits: int) -> ParseError:
+        """Why ``_instruction`` refused ``part`` of line ``ln``: its first
+        fault, at its column in ``code``. Worked out only when raising."""
+        parts = code.split(";")
+        # The first part with this text is the one refused: an equal text
+        # before it would have been refused first.
+        pos = sum(len(p) + 1 for p in parts[: parts.index(part)])
+        words = part.split()
         for i, arg in enumerate(words[1:], start=1):
             if not arg.isdecimal():
                 msg = f"expected a wire number, got {arg!r}"
-                raise ParseError(msg, line=ln, col=_col(part, pos, i))
-            w = int(arg)
-            if not 1 <= w <= n_qubits:
-                msg = f"wire {w} out of range for {n_qubits} qubits"
-                raise ParseError(msg, line=ln, col=_col(part, pos, i))
-            wires.append(w)
+            elif not 1 <= int(arg) <= n_qubits:
+                msg = f"wire {int(arg)} out of range for {n_qubits} qubits"
+            else:
+                continue
+            return ParseError(msg, line=ln, col=_col(part, pos, i))
         if words[0] == "MEAS":
-            if len(wires) != 1:
-                msg = "MEAS takes exactly one qubit"
-                raise ParseError(msg, line=ln, col=_col(part, pos))
-            return Measure(wires[0])
-        return self._gate_app(ln, part, pos, words[0], wires)
+            return ParseError("MEAS takes exactly one qubit", line=ln, col=_col(part, pos))
+        wires = [int(arg) for arg in words[1:]]
+        return self._gate_fault(ln, part, pos, words[0], wires)
 
-    def _gate_app(
+    def _gate_fault(
         self, ln: int, part: str, pos: int, name: str, wires: list[int]
-    ) -> GateApp:
-        """The known gate ``name`` on ``wires``, written as ``part`` after ``pos``
-        characters of line ``ln``: an instruction or one step of a def body.
-        Checked here, so built without GateApp's checks."""
+    ) -> ParseError | None:
+        """What is wrong with the gate ``name`` on ``wires``, written as
+        ``part`` after ``pos`` characters of line ``ln`` (an instruction or
+        one step of a def body), or None."""
         spec = self.gates.get(name)
-        fault = None
         if spec is None:
             fault = f"unknown gate {name!r}"
         elif len(wires) != spec.arity:
             fault = f"{name} needs {spec.arity} wires, got {len(wires)}"
         elif len(set(wires)) != len(wires):
             fault = f"{name}: wires must be distinct"
-        if fault is not None:
-            raise ParseError(fault, line=ln, col=_col(part, pos))
-        return _app(spec, tuple(wires))
+        else:
+            return None
+        return ParseError(fault, line=ln, col=_col(part, pos))
 
 
 def parse(source: str) -> tuple[Circuit, QType | None]:

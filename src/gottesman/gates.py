@@ -26,8 +26,9 @@ string. The standard gate table is built once at first use; only its
 
 ``_transport`` is the one loop of gates over strings: ``derive_gate``,
 ``checker.infer_tableau`` (both on the unit strings of ``_units``) and
-``checker.check`` carry their generators through it, one ``apply_gate``
-call per string per gate, the unit that the benchmark's traced runs count.
+``checker.check`` (a run of gates between measurements at a time) carry
+their generators through it, one ``apply_gate`` call per string per gate,
+the unit that the benchmark's traced runs count.
 """
 
 from __future__ import annotations
@@ -163,15 +164,25 @@ _set_gate, _set_wires, _set_shifts, _set_xmask, _set_zmask, _set_last = [
 
 
 def _set_app(app: GateApp, gate: GateSpec, wires: tuple[int, ...]) -> None:
-    shifts, xmask, zmask, last = [], 0, 0, 0
-    for w, (moves_x, moves_z) in zip(wires, gate._moved):
-        shifts.append(w - 1)
-        xmask |= moves_x << w - 1
-        zmask |= moves_z << w - 1
-        last = w if w > last else last
+    # The masks of one- and two-wire gates, unrolled as in ``_conjugate``.
+    if len(wires) == 1:
+        ((w,), ((moves_x, moves_z),)) = wires, gate._moved
+        s = w - 1
+        shifts, xmask, zmask, last = (s,), moves_x << s, moves_z << s, w
+    elif len(wires) == 2:
+        (v, w), ((vx, vz), (wx, wz)) = wires, gate._moved
+        s, t = v - 1, w - 1
+        shifts, xmask, zmask = (s, t), vx << s | wx << t, vz << s | wz << t
+        last = v if v > w else w
+    else:
+        shifts, xmask, zmask = tuple(w - 1 for w in wires), 0, 0
+        for s, (moves_x, moves_z) in zip(shifts, gate._moved):
+            xmask |= moves_x << s
+            zmask |= moves_z << s
+        last = max(wires)
     _set_gate(app, gate)
     _set_wires(app, wires)
-    _set_shifts(app, tuple(shifts))
+    _set_shifts(app, shifts)
     _set_xmask(app, xmask)
     _set_zmask(app, zmask)
     _set_last(app, last)

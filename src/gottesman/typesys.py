@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import stabilizer
 from .errors import ArityError, IllFormedTypeError, ParseError, WireError
@@ -250,9 +250,15 @@ class QType(_Frozen):
 
 # A token, or in the second group the character where none starts. The
 # aliases ``∩ × − ⊤`` match where they are written; a ``⊗`` may sit inside
-# a literal (one class after its first letter, as a nested group is slower),
-# its sign prefix or ``->``, and is skipped anywhere else.
-_TOKEN = re.compile(r"([-−]⊗*>|[&∩x×()]|(?:[+\-−]⊗*)?(?:i⊗*)?[IXYZT⊤][IXYZT⊤⊗]*)|([^\s⊗])")
+# a literal, its sign prefix or ``->``, and is skipped anywhere else. The
+# aliases past Latin-1 stand in alternations, not in character classes: a
+# class holding one compiles to a 64K-entry bitmap, at every import. (An
+# alternation of single characters is merged back into a class, so each
+# branch here is longer or, like ``[-−]``, merges into at most two runs.)
+_TOKEN = re.compile(
+    r"((?:-|−)⊗*>|[&x×()]|∩|(?:[+-]⊗*|−⊗*)?(?:i⊗*)?(?:[IXYZT]+|⊤)(?:[IXYZT]+|⊤|⊗)*)"
+    r"|([^\s⊗])"
+)
 _ASCII = str.maketrans({"⊤": "T", "∩": "&", "×": "x", "−": "-", "⊗": None})
 
 
@@ -270,12 +276,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _Part(NamedTuple):
+class _Part:
     """A parsed unit, component or product: its arity, group (None for Top) and column."""
 
-    arity: int
-    stab: Optional[StabType]
-    col: int
+    __slots__ = ("arity", "stab", "col")
+
+    def __init__(self, arity: int, stab: Optional[StabType], col: int) -> None:
+        self.arity, self.stab, self.col = arity, stab, col
 
 
 class _TypeParser:

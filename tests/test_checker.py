@@ -503,22 +503,27 @@ def test_measured_check_row_reduces_once(monkeypatch):
     echelons = _count_calls(monkeypatch, stabilizer._echelon)
     muls = _count_calls(monkeypatch, string_mul)
     real_states = checker._states
+    steps = []  # what check passes to _states as its instructions
     products = []  # (string products, outcome random) per MEAS
 
     def counting_states(circuit, input_type, rows, measure):
+        steps.extend(circuit.instructions)
         states = real_states(circuit, input_type, rows, measure)
         state = next(states)
         yield state
-        for ins in circuit.instructions:
+        for step in circuit.instructions:
             before, prev = len(muls), state
             state = next(states)
-            if isinstance(ins, Measure):
-                bit = 1 << (ins.qubit - 1)
+            if isinstance(step, Measure):
+                bit = 1 << (step.qubit - 1)
                 products.append((len(muls) - before, any(g.x & bit for g in prev)))
             yield state
 
     monkeypatch.setattr(checker, "_states", counting_states)
     check(circuit, input_type)
+    # The steps: each run of ten gates, one tuple, transported at once, then its MEAS.
+    assert [type(step) for step in steps] == [tuple, Measure] * 200
+    assert [app for step in steps[::2] for app in step] == list(gates)
     assert len(echelons) == 1
     assert len(products) == 200
     assert max(count for count, _ in products) <= n - 1
@@ -537,6 +542,36 @@ def test_measurement_that_makes_the_state_pure_ends_row_reduction(monkeypatch):
     out = check(circuit, parse_qtype("ZZ"))
     assert str(out) == "Z x Z"
     assert len(echelons) == 3
+
+
+def test_trace_row_reduces_once_per_measurement(monkeypatch):
+    # annotate measures independent rows by stabilizer._measured and
+    # row-reduces the result once, so on a pure state every MEAS, random
+    # outcomes included, costs one reduction. The rows are independent from
+    # the start when the input has as many written generators as tableau
+    # rows, and after the first MEAS otherwise: with a redundant generator,
+    # that MEAS goes through typesys.measure, which reduces twice.
+    from helpers import random_stab_type, ref_annotate, ref_states
+
+    steps = []
+    for k in (1, 2, 3, 4, 1, 3):
+        steps += [f"H {k}", f"CNOT {k} {k % 4 + 1}", f"MEAS {k}"]
+    circuit = circ(4, *steps)
+    scrambled = QType(4, random_stab_type(4, random.Random(4), rank=4))
+    redundant = QType(4, StabType.of("XXII", "ZZII", "-YYII", "IIZI", "IIIZ"))
+    for input_type, extra in ((all_z(4), 0), (scrambled, 0), (redundant, 1)):
+        states = list(ref_states(circuit, input_type))
+        random_outcomes = [
+            any(g.x >> ins.qubit - 1 & 1 for g in state)
+            for ins, state in zip(circuit.instructions, states)
+            if isinstance(ins, Measure)
+        ]
+        with monkeypatch.context() as patch:
+            echelons = _count_calls(patch, stabilizer._echelon)
+            entries = [str(q) for q in annotate(circuit, input_type)]
+        assert entries == ref_annotate(circuit, input_type)
+        assert len(echelons) == len(random_outcomes) + extra
+        assert sum(random_outcomes) >= 4 and random_outcomes[0], random_outcomes
 
 
 def test_annotate_builds_entries_without_commutation_checks(monkeypatch):
@@ -606,19 +641,30 @@ def test_check_of_a_parsed_file_applies_each_gate_once_per_string(monkeypatch):
     # unit strings through each body step), and check carries each of the n
     # generators through each gate, once, whether or not the parser reused
     # one GateApp for a recurring instruction. A second parse of the same
-    # text reuses nothing from the first.
+    # text reuses nothing from the first. check takes the gates in runs,
+    # and a run ends at each non-Clifford gate: where a T makes the
+    # register Top, transport stops, as it would one gate at a time.
     from gottesman import gates
     from gottesman.cli import parse
     from helpers import ref_check
 
     rng = random.Random(4401)
     n, lines = 8, ["qubits 8", "def G a b := H a; CNOT a b; S b; CZ b a"]
-    for i in range(120):
-        a, b = rng.sample(range(1, 4), 2)  # few wires, so texts recur
-        lines.append(rng.choice((f"G {a} {b}", f"CNOT {a} {b}", f"H {a}", f"S {b}")))
-        if i % 10 == 9:
-            lines.append(f"MEAS {a}")
-    text = "\n".join(lines) + "\n"
+
+    def random_gates(count, meas_every=None):
+        for i in range(count):
+            a, b = rng.sample(range(1, 4), 2)  # few wires, so texts recur
+            lines.append(rng.choice((f"G {a} {b}", f"CNOT {a} {b}", f"H {a}", f"S {b}")))
+            if meas_every and i % meas_every == meas_every - 1:
+                lines.append(f"MEAS {a}")
+
+    random_gates(120, meas_every=10)
+    plain = "\n".join(lines) + "\n"
+    # T fixes Z_8, so the first T 8 leaves the register typed; after H 8 it
+    # makes a generator Top, and no later gate is applied.
+    lines += ["T 8", "H 8", "T 8"]
+    random_gates(30)
+    topped = "\n".join(lines) + "\n"
     calls = []
 
     def counting(app, p, apply=gates.apply_gate):
@@ -626,11 +672,14 @@ def test_check_of_a_parsed_file_applies_each_gate_once_per_string(monkeypatch):
         return apply(app, p)
 
     monkeypatch.setattr(gates, "apply_gate", counting)
-    for _ in range(2):
-        calls.clear()
-        circuit, _ = parse(text)
-        output = check(circuit, parse_qtype(" x ".join(["Z"] * n)))
-        apps = [ins for ins in circuit.instructions if isinstance(ins, GateApp)]
-        assert len(apps) == 120 and len({id(app) for app in apps}) < 40
-        assert len(calls) == n * len(apps) + 4 * 4
-    assert str(output) == str(ref_check(circuit, parse_qtype(" x ".join(["Z"] * n))))
+    input_type = parse_qtype(" x ".join(["Z"] * n))
+    for text, applied, gate_count in ((plain, 120, 120), (topped, 123, 153)):
+        for _ in range(2):
+            calls.clear()
+            circuit, _ = parse(text)
+            output = check(circuit, input_type)
+            apps = [ins for ins in circuit.instructions if isinstance(ins, GateApp)]
+            assert len(apps) == gate_count and len({id(app) for app in apps}) < 40
+            assert len(calls) == n * applied + 4 * 4
+        assert str(output) == str(ref_check(circuit, input_type))
+    assert output.top

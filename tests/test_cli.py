@@ -828,7 +828,7 @@ _TWO_WIRE = ("CNOT", "NOTC", "CZ", "SWAP")
 # of range, digits int() refuses, formals, type tokens and unicode aliases.
 _VOCAB = (
     "H", "CNOT", "TOFFOLI", "G", "MEAS", "FROB", "def", "input", "qubits",
-    ":=", ";", "--", "0", "1", "2", "3", "9", "12", "²", "a", "b", "c",
+    ":=", ";", "--", "0", "1", "2", "3", "9", "12", "01", "²", "a", "b", "c",
     "Q", "é", "⊗", "×", "∩", "−", "⊤", "&", "x",
     "(", ")", "->", "iX", "-I", "II", "XX", "ZZ", "TT", "-iZ", "YZ",
     "X⊗X", "1⊗2", "H⊗",
@@ -881,7 +881,8 @@ def _unicode(rng, text):
 
 def _random_file(rng):
     """A valid ``.qc`` text: an input type, a def, Clifford and T gates,
-    MEAS, comments, blank lines and several instructions to a line."""
+    MEAS, comments, blank lines and several instructions to a line, some
+    with a leading-zero wire, a tab between words or spaces around them."""
     n = rng.randint(1, 5)
     lines = [f"qubits {n}"]
     if rng.random() < 0.8:
@@ -896,13 +897,19 @@ def _random_file(rng):
     def instruction():
         roll = rng.random()
         if roll < 0.1:
-            return f"MEAS {rng.randint(1, n)}"
-        if n >= 3 and roll < 0.15:
-            return "TOFFOLI " + " ".join(map(str, rng.sample(range(1, n + 1), 3)))
-        if n >= 2 and roll < 0.6:
-            a, b = rng.sample(range(1, n + 1), 2)
-            return f"{rng.choice(two)} {a} {b}"
-        return f"{rng.choice(_ONE_WIRE)} {rng.randint(1, n)}"
+            words = ["MEAS", rng.randint(1, n)]
+        elif n >= 3 and roll < 0.15:
+            words = ["TOFFOLI", *rng.sample(range(1, n + 1), 3)]
+        elif n >= 2 and roll < 0.6:
+            words = [rng.choice(two), *rng.sample(range(1, n + 1), 2)]
+        else:
+            words = [rng.choice(_ONE_WIRE), rng.randint(1, n)]
+        text = words[0]
+        for w in words[1:]:
+            # Now and then a tab between words, or a leading zero (``H 01``).
+            text += rng.choice((" ", " ", " ", "\t")) + "0" * (rng.random() < 0.1) + str(w)
+        pad = rng.choice(("", "", " ", "  "))  # spaces around the part
+        return pad + text + pad
 
     for _ in range(rng.randint(0, 12)):
         roll = rng.random()
@@ -1020,7 +1027,12 @@ class TestParseMatchesReference:
             "MEAS takes exactly one qubit",
             "unexpected end of type expression",
             "a ",  # a 'def' needs ':=' before its body
+            "bad gate name ",
+            "formal wires must be distinct",
         ):
             assert fault in seen, (fault, sorted(seen))
+        # Gate faults name their gate: "H needs 1 wires, got 2", "CNOT: wires must be distinct".
+        for fault in (" wires, got ", ": wires must be distinct"):
+            assert any(fault in s for s in seen), (fault, sorted(seen))
         for prefix in ("wire ", "input type covers "):
             assert sum(s.startswith(prefix) for s in seen) > 1, prefix
