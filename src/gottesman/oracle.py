@@ -47,6 +47,7 @@ from .pyoracle import (  # the caps, constants and gate table both kernels share
     TOLERANCE,
     _POWERS_OF_I,
     _decode,
+    _leaves_first,
     _unitary,
     check_size,
 )
@@ -115,7 +116,7 @@ def _unless_ones(phases: np.ndarray) -> np.ndarray | None:
     return None if np.all(np.abs(phases - 1) < TOLERANCE) else phases
 
 
-@lru_cache(maxsize=None)
+@_leaves_first
 def _monomial(spec: GateSpec) -> tuple[np.ndarray, np.ndarray | None] | None:
     """``(moved, phases)`` if each row r of the gate's unitary has exactly one
     entry above TOLERANCE, at column r ^ moved[r] with value phases[r] (None if
@@ -177,10 +178,10 @@ def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
     return _take(vecs, src, phase, blocks)
 
 
-@lru_cache(maxsize=None)
+@_leaves_first
 def gate_unitary(spec: GateSpec) -> np.ndarray:
     """The gate's dense unitary from ``pyoracle._unitary``, a derived gate's
-    evolved here, not copied once built."""
+    evolved here, not copied once built; kept by ``pyoracle._leaves_first``."""
     eye = np.eye(2**spec.arity, dtype=complex)
     u = np.asarray(_unitary(spec, _evolve, eye), dtype=complex)
     u.setflags(write=False)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -130,7 +130,29 @@ def _unitary(spec: GateSpec, evolve, eye):
     return u
 
 
-@lru_cache(maxsize=None)
+def _leaves_first(build):
+    """``build``, cached by ``id(spec)`` beside the spec, so the id stays its
+    own. A derived gate is built from the values of its decomposition's
+    gates, so they are built first, leaves first, in one loop over a stack:
+    a deep chain of defs takes no recursion and compares no GateSpec."""
+    cache = {}  # id(spec) -> (spec, build(spec))
+
+    @wraps(build)
+    def built(spec: GateSpec):
+        stack = [spec]  # each gate below the gates it is built from
+        while id(spec) not in cache:
+            s = stack.pop()
+            todo = [app.gate for app in s.decomposition or () if id(app.gate) not in cache]
+            if todo:
+                stack += [s, *todo]
+            elif id(s) not in cache:
+                cache[id(s)] = s, build(s)
+        return cache[id(spec)][1]
+
+    return built
+
+
+@_leaves_first
 def _sparse_unitary(spec: GateSpec) -> tuple[tuple[tuple[int, complex], ...], ...]:
     """The gate's :func:`_unitary` as each row's ``(column, entry)`` pairs above
     TOLERANCE, an entry within TOLERANCE of 1 made exactly 1."""
@@ -147,18 +169,18 @@ def _sparse_unitary(spec: GateSpec) -> tuple[tuple[tuple[int, complex], ...], ..
 
 
 @lru_cache(maxsize=256)
-def _program(spec: GateSpec, wires: tuple[int, ...], n: int) -> tuple:
+def _program(u: tuple, wires: tuple[int, ...], n: int) -> tuple:
     """For each basis row i, the ``(row, entry)`` terms whose sum is row i of
-    the batch after the gate on ``wires``: row r of the gate's unitary, r
-    being i's bits on the wires (the first wire most significant), read
-    against the rows that differ from i on those bits only."""
+    the batch after a gate on ``wires`` of sparse unitary ``u``: row r of
+    ``u``, r being i's bits on the wires (the first wire most significant),
+    read against the rows that differ from i on those bits only."""
     g = len(wires)
     spread = [
         sum((c >> (g - 1 - pos) & 1) << (n - w) for pos, w in enumerate(wires))
         for c in range(2**g)
     ]
     local = {bits: r for r, bits in enumerate(spread)}
-    mask, u = spread[-1], _sparse_unitary(spec)
+    mask = spread[-1]
     return tuple(
         tuple((i & ~mask | spread[c], e) for c, e in u[local[i & mask]])
         for i in range(2**n)
@@ -169,7 +191,7 @@ def _evolve(apps, n: int, rows: list) -> list:
     """The batch ``rows`` (2^n rows of columns) pushed through ``apps``."""
     for app in apps:
         out = []
-        for (s, e), *rest in _program(app.gate, app.wires, n):
+        for (s, e), *rest in _program(_sparse_unitary(app.gate), app.wires, n):
             acc = rows[s] if e == 1 else [e * a for a in rows[s]]
             for s, e in rest:
                 acc = [t + e * a for t, a in zip(acc, rows[s])]

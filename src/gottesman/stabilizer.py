@@ -155,8 +155,9 @@ def _measured(arity: int, rows: Sequence[PauliString], k: int) -> Sequence[Pauli
     rank. Otherwise the outcome is determined when +-Z_k is in the group,
     and the state is left as it is, sign included. On a pure state, which
     has ``arity`` independent rows, it always is, so the rows come back as
-    given. Otherwise the canonical rows come back, with +Z_k adjoined unless
-    +-Z_k is already a lone row of them (see ``_single_qubit_members``).
+    given. Otherwise the canonical rows come back if +-Z_k is a lone row of
+    them (see ``_single_qubit_members``), and else those rows with +Z_k
+    adjoined, independent but not reduced again: the caller reduces them.
     """
     folded = _random_outcome(rows, k)
     if folded is not None:
@@ -167,4 +168,4 @@ def _measured(arity: int, rows: Sequence[PauliString], k: int) -> Sequence[Pauli
     tab = _echelon(arity, rows)
     if any(r.z == bit and not r.x for r in tab):
         return tab
-    return _echelon(arity, (*tab, from_bits(arity, 0, bit)))
+    return (*tab, from_bits(arity, 0, bit))

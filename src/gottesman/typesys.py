@@ -15,7 +15,8 @@ view. Both are immutable and all operations are pure functions.
 
 The textual syntax (shared with the circuit files) uses ``&`` for
 intersection, ``x`` for the separability product, ``->`` for arrows, and
-Pauli literals such as ``-iXZ``; see :func:`parse_qtype`.
+Pauli literals such as ``-iXZ``; see :func:`parse_qtype`, which reads the
+tokens in one pass with a stack of open parentheses, so any depth parses.
 """
 
 from __future__ import annotations
@@ -276,133 +277,62 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _Part:
-    """A parsed unit, component or product: its arity, group (None for Top) and column."""
-
-    __slots__ = ("arity", "stab", "col")
-
-    def __init__(self, arity: int, stab: Optional[StabType], col: int) -> None:
-        self.arity, self.stab, self.col = arity, stab, col
-
-
-class _TypeParser:
-    """Checks each literal and each intersection once, where it is written;
-    literals and products are built without a row reduction (see ``_merge``)."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.end = len(text) + 1  # the column just past the text
-        self.pos = 0
-        self.literals: dict[str, _Part] = {}  # each checked once per text
-        self.written = 0  # the literals read so far, each one generator
-
-    def peek(self) -> Optional[str]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def next(self) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of type expression", col=self.end)
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, want: str) -> None:
-        tok, col = self.next()
-        if tok != want:
-            raise ParseError(f"expected {want!r}, got {tok!r}", col=col)
-
-    def parse(self) -> QType:
-        part = self.product()
-        if self.pos < len(self.tokens):
-            tok, col = self.tokens[self.pos]
-            raise ParseError(f"unexpected {tok!r}", col=col)
-        if part.stab is None:
-            return QType(part.arity, None)
-        # As written: each literal as printed, one space apart, none inside parentheses.
-        printed = {tok: str(lit.stab) for tok, lit in self.literals.items()}
-        text = " ".join(printed.get(tok, tok) for tok, _ in self.tokens)
-        return QType(part.arity, part.stab, text.replace("( ", "(").replace(" )", ")"))
-
-    def product(self) -> _Part:
-        components = [self.component()]
-        while self.peek() == "x":
-            self.next()
-            components.append(self.component())
-        return _merge(components) if len(components) > 1 else components[0]
-
-    def component(self) -> _Part:
-        units = [self.unit()]
-        while self.peek() == "&":
-            self.next()
-            units.append(self.unit())
-        return _intersect_units(units) if len(units) > 1 else units[0]
-
-    def unit(self) -> _Part:
-        tok, col = self.next()
-        if tok == "(":
-            part = self.product()
-            self.expect(")")
-            return _Part(part.arity, part.stab, col)
-        self.written += 1
-        part = self.literals.get(tok)
-        if part is None:
-            part = self.literals[tok] = _literal(tok, col, self.written)
-        return _Part(part.arity, part.stab, col)
-
-
-def _literal(tok: str, col: int, index: int) -> _Part:
-    """The literal ``tok``, generator ``index`` of the type as written."""
+def _literal(tok: str, col: int, index: int) -> tuple[int, Optional[StabType]]:
+    """The arity and group (None for Top) of the literal ``tok``, checked
+    as generator ``index`` of the type as written."""
     try:
         lit = PauliString.parse(tok)
     except ValueError:
         raise ParseError(f"expected a Pauli literal, got {tok!r}", col=col) from None
     n = lit.arity
     if lit.is_top:
-        return _Part(n, None, col)
+        return n, None
     if lit.k & 1 or lit.k and not lit.x | lit.z:
         stabilizer._echelon(n, (lit,), first=index)  # raises: -I is in its group
     # One real-phased row is its own reduced tableau.
     tab = (lit,) if lit.x | lit.z else ()
-    return _Part(n, _unchecked(n, tab, tab), col)
+    return n, _unchecked(n, tab, tab)
 
 
-def _intersect_units(units: list[_Part]) -> _Part:
-    arity = units[0].arity
-    for u in units:
-        if u.stab is None:
-            raise ParseError("Top cannot appear inside an intersection", col=u.col)
-        if u.arity != arity:
-            raise ParseError("mismatched arities in intersection", col=u.col)
-    # The one row reduction of a parsed intersection.
-    stab = StabType(arity, tuple(g for u in units for g in u.stab.generators))
-    return _Part(arity, stab, units[0].col)
+def _intersect(units: list) -> tuple[int, Optional[StabType]]:
+    """A component's arity and group, from its units ``(arity, group,
+    column)``: a lone unit's, or the one row reduction of their intersection."""
+    if len(units) == 1:
+        return units[0][:2]
+    arity = units[0][0]
+    for n, stab, col in units:
+        if stab is None:
+            raise ParseError("Top cannot appear inside an intersection", col=col)
+        if n != arity:
+            raise ParseError("mismatched arities in intersection", col=col)
+    return arity, StabType(arity, tuple(g for _, s, _ in units for g in s.generators))
 
 
-def _merge(components: list[_Part]) -> _Part:
-    """The product of parsed components, on consecutive qubits.
+def _merge(components: list) -> tuple[int, Optional[StabType]]:
+    """The arity and group of the product of parsed components, each
+    ``(arity, group)``, on consecutive qubits.
 
     Groups on disjoint qubits need no check, and the union of their
     reduced tableaux, shifted into place and sorted by pivot, is already
     the reduced tableau of the product: no row reduction.
     """
-    total = sum(c.arity for c in components)
-    col = components[0].col
-    if any(c.stab is None for c in components):
-        return _Part(total, None, col)
+    if len(components) == 1:
+        return components[0]
+    total = sum(n for n, _ in components)
+    if any(stab is None for _, stab in components):
+        return total, None
 
     def shifted(strings, offset: int) -> list[PauliString]:
         return [from_bits(total, g.x << offset, g.z << offset, g.k) for g in strings]
 
     gens, rows, offset = [], [], 0
-    for c in components:
-        placed = shifted(c.stab.tableau, offset)
+    for n, stab in components:
+        placed = shifted(stab.tableau, offset)
         rows += placed
-        same = c.stab.generators is c.stab.tableau  # as for each literal
-        gens += placed if same else shifted(c.stab.generators, offset)
-        offset += c.arity
-    return _Part(total, _unchecked(total, tuple(gens), _reduced(rows)), col)
+        same = stab.generators is stab.tableau  # as for each literal
+        gens += placed if same else shifted(stab.generators, offset)
+        offset += n
+    return total, _unchecked(total, tuple(gens), _reduced(rows))
 
 
 def parse_qtype(text: str) -> QType:
@@ -413,5 +343,50 @@ def parse_qtype(text: str) -> QType:
     written, rebuilt from its tokens: each literal as ``PauliString`` prints
     it, one space around ``x`` and ``&`` and none inside parentheses. A Top
     type prints as Top.
+
+    One pass over the tokens, with a stack of the open parentheses, so any
+    depth parses. Each literal is checked once per text and each
+    intersection once, when it ends; faults come in text order, after the
+    tokenizer's. Literals and products take no row reduction (see ``_merge``).
     """
-    return _TypeParser(text).parse()
+    tokens = _tokenize(text)
+    literals: dict[str, tuple] = {}  # token -> (arity, group), checked once
+    opened = []  # per open parenthesis: its column, the enclosing components and units
+    components, units, want_unit, written = [], [], True, 0
+    for tok, col in (*tokens, ("", len(text) + 1)):  # the end, just past the text
+        if want_unit:
+            if tok == "(":
+                opened.append((col, components, units))
+                components, units = [], []
+                continue
+            if not tok:
+                raise ParseError("unexpected end of type expression", col=col)
+            written += 1  # each literal written is one generator
+            part = literals.get(tok)
+            if part is None:
+                part = literals[tok] = _literal(tok, col, written)
+            units.append((*part, col))
+            want_unit = False
+        elif tok == "&":
+            want_unit = True
+        else:
+            components.append(_intersect(units))
+            units = []
+            if tok == "x":
+                want_unit = True
+            elif tok == ")" and opened:
+                part = _merge(components)
+                col, components, units = opened.pop()
+                units.append((*part, col))
+            elif opened:
+                what = f"expected ')', got {tok!r}" if tok else "unexpected end of type expression"
+                raise ParseError(what, col=col)
+            elif tok:
+                raise ParseError(f"unexpected {tok!r}", col=col)
+    arity, stab = _merge(components)
+    if stab is None:
+        return QType(arity, None)
+    # As written: each literal as printed, one space apart, none inside parentheses.
+    printed = {tok: str(part[1]) for tok, part in literals.items()}
+    text = " ".join(printed.get(tok, tok) for tok, _ in tokens)
+    return QType(arity, stab, text.replace("( ", "(").replace(" )", ")"))

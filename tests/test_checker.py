@@ -533,7 +533,7 @@ def test_measured_check_row_reduces_once(monkeypatch):
 
 def test_measurement_that_makes_the_state_pure_ends_row_reduction(monkeypatch):
     # ZZ is mixed, so the first MEAS 1 (determined, Z_1 outside the group)
-    # row-reduces twice: the rows, then the rows with Z_1 adjoined. Its
+    # row-reduces the rows once and adjoins Z_1 without reducing again. Its
     # result has two independent rows, so the state is pure from then on,
     # every later determined MEAS is free, and the final reduction is the
     # only other one.
@@ -541,7 +541,7 @@ def test_measurement_that_makes_the_state_pure_ends_row_reduction(monkeypatch):
     circuit = circ(2, "MEAS 1", "MEAS 2", "MEAS 1", "MEAS 2", "MEAS 1")
     out = check(circuit, parse_qtype("ZZ"))
     assert str(out) == "Z x Z"
-    assert len(echelons) == 3
+    assert len(echelons) == 2
 
 
 def test_trace_row_reduces_once_per_measurement(monkeypatch):

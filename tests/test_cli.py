@@ -18,7 +18,7 @@ from gottesman.cli import (
     run,
 )
 from gottesman.errors import GottesmanError, ParseError
-from gottesman.gates import GateApp
+from gottesman.gates import GateApp, standard_gates
 from gottesman.typesys import parse_qtype
 
 from helpers import (
@@ -92,6 +92,18 @@ class TestParse:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse("H 1\n")
+
+    @pytest.mark.parametrize(
+        "source, message, line",
+        [
+            ("", "missing 'qubits' header", 1),
+            ("-- only a comment\n\n   \n", "missing 'qubits' header", 1),
+            ("qubits 1\ndef G := H a\n", "expected 'def NAME wires... := body'", 2),
+        ],
+    )
+    def test_header_and_def_head_faults_match_the_reference(self, source, message, line):
+        assert _outcome(parse, source) == ("parse error", message, line, None)
+        assert _outcome(parse, source) == _outcome(ref_parse, source)
 
     def test_unknown_gate_with_location(self):
         with pytest.raises(ParseError) as err:
@@ -472,6 +484,20 @@ class TestRunCheck:
         path = write(tmp_path, "qubits 1\ninput X\nT 1\nMEAS 1\n")
         assert run(["check", path]) == EXIT_TYPE_ERROR
 
+    def test_missing_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "absent.qc"
+        assert run(["check", str(path)]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: cannot read {path}: No such file or directory\n"
+
+    def test_input_nested_past_the_recursion_limit(self, capsys, tmp_path):
+        """The type parser keeps a stack of open parentheses, not frames."""
+        depth = 100_000
+        text = "(" * depth + "X" + ")" * depth
+        assert run(["check", write(tmp_path, f"qubits 1\ninput {text}\n")]) == EXIT_OK
+        assert capsys.readouterr().out == f"{text} -> X\n"
+
     def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.qc"
         path.write_bytes("qubits 1\n-- caf\u00e9\nH 1\n".encode("latin-1"))
@@ -721,6 +747,24 @@ class TestRunVerify:
         record = json.loads(capsys.readouterr().out)
         assert (record["seed"], record["samples"]) == (7, 16)
         assert cli._build_parser() is cli._build_parser()
+
+    def test_deep_def_chain_verifies(self, capsys, tmp_path):
+        """Each kernel builds a derived unitary from its parts, leaves first,
+        without recursing through 1000 nested decompositions, and looks gates
+        up without comparing them: the second run's gates equal the first's."""
+        from gottesman import oracle
+
+        depth = 1000
+        defs = [f"def G{i} a := G{i - 1} a" for i in range(1, depth)]
+        source = "\n".join(["qubits 1", "def G0 a := H a", *defs, f"G{depth - 1} 1"])
+        path = write(tmp_path, source + "\n")
+        for _ in range(2):
+            assert run(["verify", path, "--json"]) == EXIT_OK
+            record = json.loads(capsys.readouterr().out)
+            assert record["checks"] == 2 and record["failures"] == []
+        circuit, _ = parse(source)
+        u = oracle.gate_unitary(circuit.instructions[0].gate)
+        assert abs(u - oracle.gate_unitary(standard_gates()["H"])).max() < 1e-12
 
     def test_def_past_the_unitary_cap_is_oracle_unavailable(
         self, capsys, monkeypatch, tmp_path

@@ -139,6 +139,15 @@ class TestPauliString:
         assert p.k == 0
         assert str(p) == "TTT"
 
+    def test_negated_top_is_itself(self):
+        top = PauliString.top(2)
+        assert -top is top
+
+    def test_equality_with_other_objects(self):
+        p = P("XZ")
+        assert p.__eq__("XZ") is NotImplemented
+        assert p != "XZ" and p != (p.arity, p.x, p.z, p.k)
+
     def test_empty_string_rejected(self):
         with pytest.raises(ArityError):
             PauliString(0, 0, 0)

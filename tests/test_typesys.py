@@ -415,6 +415,31 @@ class TestParsePrint:
                 parse_qtype(text)
             assert (err.value.message, err.value.col) == (message, col), text
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("Z & XX", "mismatched arities in intersection"),
+            ("T & Z", "Top cannot appear inside an intersection"),
+            ("X & Z", "generators 1 and 2 anticommute: X vs Z"),
+            ("Z Z", "expected ')', got 'Z'"),
+            ("Z x", "expected a Pauli literal, got ')'"),
+            ("Z & Q", "unexpected character 'Q'"),
+            ("(Z", "unexpected end of type expression"),
+        ],
+    )
+    def test_faults_inside_deep_nesting(self, body, message):
+        # A fault 5000 parentheses deep reads as it does one deep: at the
+        # same place in the body, or, at the end of the text, just past it.
+        def fault(depth):
+            text = "(" * depth + body + ")" * depth
+            with pytest.raises((ParseError, IllFormedTypeError)) as err:
+                parse_qtype(text)
+            col = getattr(err.value, "col", None)
+            return str(err.value), "end" if col == len(text) + 1 else col and col - depth
+
+        assert fault(5000) == fault(1)
+        assert fault(1)[0] == message
+
     def test_one_row_reduction_per_parsed_type(self, monkeypatch):
         # Literals are checked by their phase and products of checked
         # components need no check: only the intersection is row-reduced.
