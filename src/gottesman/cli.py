@@ -25,7 +25,8 @@ instruction text in a file, and the Circuit. Nothing is kept from one
 What a line costs: a split on ``;`` and, per instruction, one lookup of
 its text among those already read. A new text costs one ``split``, one
 gate-table lookup and its wire checks, unrolled for one and two wires,
-and then the GateApp (or Measure) is built directly. A fault's message
+and then the GateApp (or Measure) is built directly. Any other text goes
+to the general checker, whose tail is the fault path: a fault's message
 and column are worked out only when it is raised.
 
 Exit statuses: 0 success, 1 type error or out of memory, 2 parse error, 3
@@ -79,184 +80,173 @@ def _check_ascii(ln: int, code: str) -> None:
         raise ParseError(f"unexpected character {ch!r}", line=ln, col=col)
 
 
-class _FileParser:
-    """Checks each instruction, def and type once, where it is written, and
-    builds what it has checked without checking it again: a GateApp per
-    distinct instruction text, and the Circuit."""
-
-    def __init__(self, source: str):
-        self.lines: list[tuple[int, str]] = []
-        for ln, raw in enumerate(source.splitlines(), start=1):
-            code = raw.split("--", 1)[0]
-            if code.strip():
-                self.lines.append((ln, code))
-        self.gates: dict[str, GateSpec] = dict(standard_gates())
-        self.ascii = source.isascii()  # then no line has a character to refuse
-
-    def parse(self) -> tuple[Circuit, QType | None]:
-        if not self.lines:
-            raise ParseError("missing 'qubits' header", line=1)
-        n_qubits = self._header(*self.lines[0])
-        rest = self.lines[1:]
-        input_type = None
-        if rest and rest[0][1].split()[0] == "input":
-            input_type = self._input_line(*rest[0], n_qubits)
-            rest = rest[1:]
-        instructions: list = []
-        # One instruction per distinct text: a text means the same thing
-        # wherever it recurs in a file, as a def cannot replace a gate.
-        known: dict = {}
-        for ln, code in rest:
-            if not self.ascii:
-                _check_ascii(ln, code)
-            if "def" in code:
-                stripped = code.strip()
-                if stripped.startswith("def ") or stripped == "def":
-                    self._def_line(ln, code)
-                    continue
-            for part in code.split(";"):
-                ins = known.get(part)
-                if ins is None:
-                    ins = known[part] = self._instruction(ln, code, part, n_qubits)
-                if ins is not None:
-                    instructions.append(ins)
-        return _circuit(n_qubits, tuple(instructions)), input_type
-
-    def _header(self, ln: int, code: str) -> int:
-        _check_ascii(ln, code)
-        words = _words(code)
-        if words[0][0] != "qubits":
-            raise ParseError("expected 'qubits N' header", line=ln, col=words[0][1])
-        if len(words) != 2 or not words[1][0].isdecimal() or int(words[1][0]) < 1:
-            raise ParseError("expected 'qubits N' with N >= 1", line=ln)
-        return int(words[1][0])
-
-    def _input_line(self, ln: int, code: str, n_qubits: int) -> QType:
-        text = code.strip()[len("input") :]
-        offset = code.index("input") + len("input")
-        try:
-            q = parse_qtype(text)
-        except ParseError as err:
-            col = offset + err.col if err.col is not None else None
-            raise ParseError(err.message, line=ln, col=col) from None
-        if q.arity != n_qubits:
-            raise ParseError(
-                f"input type covers {q.arity} qubits, circuit has {n_qubits}",
-                line=ln,
-            )
-        return q
-
-    def _def_line(self, ln: int, code: str) -> None:
-        if ":=" not in code:
-            raise ParseError("a 'def' needs ':=' before its body", line=ln)
-        head, body = code.split(":=", 1)
-        head_words = _words(head)
-        if len(head_words) < 3:
-            raise ParseError("expected 'def NAME wires... := body'", line=ln)
-        name = head_words[1][0]
-        if not _NAME.match(name):
-            raise ParseError(f"bad gate name {name!r}", line=ln, col=head_words[1][1])
-        if name == "MEAS":
-            msg = "MEAS is reserved for measurement"
-            raise ParseError(msg, line=ln, col=head_words[1][1])
-        if name in self.gates:
-            raise ParseError(f"gate {name!r} already defined", line=ln)
-        formals = [w for w, _ in head_words[2:]]
-        if len(set(formals)) != len(formals):
-            raise ParseError("formal wires must be distinct", line=ln)
-        wire_of = {f: i + 1 for i, f in enumerate(formals)}
-        steps = []
-        pos = len(head) + 2  # the columns before the body
-        for part in body.split(";"):
-            words = part.split()
-            if words:
-                wires = []
-                for i, arg in enumerate(words[1:], start=1):
-                    if arg not in wire_of:
-                        msg = f"unknown formal wire {arg!r} in def body"
-                        raise ParseError(msg, line=ln, col=_col(part, pos, i))
-                    wires.append(wire_of[arg])
-                fault = self._gate_fault(ln, part, pos, words[0], wires)
-                if fault is not None:
-                    raise fault
-                steps.append(_app(self.gates[words[0]], tuple(wires)))
-            pos += len(part) + 1
-        self.gates[name] = derive_gate(name, len(formals), steps)
-
-    def _instruction(self, ln: int, code: str, part: str, n_qubits: int):
-        """The instruction ``part`` of line ``ln``, ``code``, or None if blank.
-
-        One split, one gate-table lookup and the wire checks, unrolled for
-        one and two wires as in ``gates._conjugate``; what passes is built
-        without further checks. Anything else raises what ``_fault`` finds.
-        """
-        words = part.split()
-        if not words:
-            return None
-        spec = self.gates.get(words[0])
-        if len(words) == 2:
-            if words[1].isdecimal():
-                w = int(words[1])
-                if 0 < w <= n_qubits:
-                    if spec is not None and spec.arity == 1:
-                        return _app(spec, (w,))
-                    if words[0] == "MEAS":  # never a gate's name
-                        return Measure(w)
-        elif len(words) == 3:
-            if spec is not None and spec.arity == 2:
-                if words[1].isdecimal() and words[2].isdecimal():
-                    v, w = int(words[1]), int(words[2])
-                    if v != w and 0 < v <= n_qubits and 0 < w <= n_qubits:
-                        return _app(spec, (v, w))
-        elif spec is not None and len(words) == spec.arity + 1:
-            if all(arg.isdecimal() for arg in words[1:]):
-                wires = tuple(map(int, words[1:]))
-                if len(set(wires)) == spec.arity and 0 < min(wires) and max(wires) <= n_qubits:
-                    return _app(spec, wires)
-        raise self._fault(ln, code, part, n_qubits)
-
-    def _fault(self, ln: int, code: str, part: str, n_qubits: int) -> ParseError:
-        """Why ``_instruction`` refused ``part`` of line ``ln``: its first
-        fault, at its column in ``code``. Worked out only when raising."""
-        parts = code.split(";")
-        # The first part with this text is the one refused: an equal text
-        # before it would have been refused first.
-        pos = sum(len(p) + 1 for p in parts[: parts.index(part)])
-        words = part.split()
-        for i, arg in enumerate(words[1:], start=1):
-            if not arg.isdecimal():
-                msg = f"expected a wire number, got {arg!r}"
-            elif not 1 <= int(arg) <= n_qubits:
-                msg = f"wire {int(arg)} out of range for {n_qubits} qubits"
-            else:
-                continue
-            return ParseError(msg, line=ln, col=_col(part, pos, i))
-        if words[0] == "MEAS":
-            return ParseError("MEAS takes exactly one qubit", line=ln, col=_col(part, pos))
-        wires = [int(arg) for arg in words[1:]]
-        return self._gate_fault(ln, part, pos, words[0], wires)
-
-    def _gate_fault(
-        self, ln: int, part: str, pos: int, name: str, wires: list[int]
-    ) -> ParseError | None:
-        """What is wrong with the gate ``name`` on ``wires``, written as
-        ``part`` after ``pos`` characters of line ``ln`` (an instruction or
-        one step of a def body), or None."""
-        spec = self.gates.get(name)
-        if spec is None:
-            fault = f"unknown gate {name!r}"
-        elif len(wires) != spec.arity:
-            fault = f"{name} needs {spec.arity} wires, got {len(wires)}"
-        elif len(set(wires)) != len(wires):
-            fault = f"{name}: wires must be distinct"
-        else:
-            return None
-        return ParseError(fault, line=ln, col=_col(part, pos))
-
-
 def parse(source: str) -> tuple[Circuit, QType | None]:
     """Parse circuit-file text into a Circuit and its optional input type."""
-    return _FileParser(source).parse()
+    lines = []
+    for ln, raw in enumerate(source.splitlines(), start=1):
+        code = raw.split("--", 1)[0]
+        if code.strip():
+            lines.append((ln, code))
+    if not lines:
+        raise ParseError("missing 'qubits' header", line=1)
+    n_qubits = _header(*lines[0])
+    rest = lines[1:]
+    input_type = None
+    if rest and rest[0][1].split()[0] == "input":
+        input_type = _input_line(*rest[0], n_qubits)
+        rest = rest[1:]
+    gates = dict(standard_gates())
+    all_ascii = source.isascii()  # then no line has a character to refuse
+    instructions: list = []
+    # One instruction per distinct text: a text means the same thing
+    # wherever it recurs in a file, as a def cannot replace a gate.
+    known: dict = {}
+    for ln, code in rest:
+        if not all_ascii:
+            _check_ascii(ln, code)
+        if "def" in code:
+            stripped = code.strip()
+            if stripped.startswith("def ") or stripped == "def":
+                _def_line(gates, ln, code)
+                continue
+        for part in code.split(";"):
+            ins = known.get(part)
+            if ins is None:
+                ins = known[part] = _instruction(gates, ln, code, part, n_qubits)
+            if ins is not None:
+                instructions.append(ins)
+    return _circuit(n_qubits, tuple(instructions)), input_type
+
+
+def _header(ln: int, code: str) -> int:
+    _check_ascii(ln, code)
+    words = _words(code)
+    if words[0][0] != "qubits":
+        raise ParseError("expected 'qubits N' header", line=ln, col=words[0][1])
+    if len(words) != 2 or not words[1][0].isdecimal() or int(words[1][0]) < 1:
+        raise ParseError("expected 'qubits N' with N >= 1", line=ln)
+    return int(words[1][0])
+
+
+def _input_line(ln: int, code: str, n_qubits: int) -> QType:
+    text = code.strip()[len("input") :]
+    offset = code.index("input") + len("input")
+    try:
+        q = parse_qtype(text)
+    except ParseError as err:
+        col = offset + err.col if err.col is not None else None
+        raise ParseError(err.message, line=ln, col=col) from None
+    if q.arity != n_qubits:
+        raise ParseError(
+            f"input type covers {q.arity} qubits, circuit has {n_qubits}",
+            line=ln,
+        )
+    return q
+
+
+def _def_line(gates: dict, ln: int, code: str) -> None:
+    if ":=" not in code:
+        raise ParseError("a 'def' needs ':=' before its body", line=ln)
+    head, body = code.split(":=", 1)
+    head_words = _words(head)
+    if len(head_words) < 3:
+        raise ParseError("expected 'def NAME wires... := body'", line=ln)
+    name = head_words[1][0]
+    if not _NAME.match(name):
+        raise ParseError(f"bad gate name {name!r}", line=ln, col=head_words[1][1])
+    if name == "MEAS":
+        msg = "MEAS is reserved for measurement"
+        raise ParseError(msg, line=ln, col=head_words[1][1])
+    if name in gates:
+        raise ParseError(f"gate {name!r} already defined", line=ln)
+    formals = [w for w, _ in head_words[2:]]
+    if len(set(formals)) != len(formals):
+        raise ParseError("formal wires must be distinct", line=ln)
+    wire_of = {f: i + 1 for i, f in enumerate(formals)}
+    steps = []
+    pos = len(head) + 2  # the columns before the body
+    for part in body.split(";"):
+        words = part.split()
+        if words:
+            wires = []
+            for i, arg in enumerate(words[1:], start=1):
+                if arg not in wire_of:
+                    msg = f"unknown formal wire {arg!r} in def body"
+                    raise ParseError(msg, line=ln, col=_col(part, pos, i))
+                wires.append(wire_of[arg])
+            steps.append(_gate(gates, ln, part, pos, words[0], wires))
+        pos += len(part) + 1
+    gates[name] = derive_gate(name, len(formals), steps)
+
+
+def _instruction(gates: dict, ln: int, code: str, part: str, n_qubits: int):
+    """The instruction ``part`` of line ``ln``, ``code``, or None if blank.
+
+    One split, one gate-table lookup and the wire checks, unrolled for
+    one and two wires as in ``gates._conjugate``; what passes is built
+    without further checks. Anything else is left to ``_general``.
+    """
+    words = part.split()
+    if not words:
+        return None
+    spec = gates.get(words[0])
+    if len(words) == 2:
+        if words[1].isdecimal():
+            w = int(words[1])
+            if 0 < w <= n_qubits:
+                if spec is not None and spec.arity == 1:
+                    return _app(spec, (w,))
+                if words[0] == "MEAS":  # never a gate's name
+                    return Measure(w)
+    elif len(words) == 3:
+        if spec is not None and spec.arity == 2:
+            if words[1].isdecimal() and words[2].isdecimal():
+                v, w = int(words[1]), int(words[2])
+                if v != w and 0 < v <= n_qubits and 0 < w <= n_qubits:
+                    return _app(spec, (v, w))
+    return _general(gates, ln, code, part, n_qubits)
+
+
+def _general(gates: dict, ln: int, code: str, part: str, n_qubits: int):
+    """The instruction ``part`` of line ``ln``, ``code``, on any number of
+    wires, or its first fault at its column: each wire (a number, then in
+    range), then a ``MEAS``'s arity, then ``_gate``."""
+    parts = code.split(";")
+    # The first part with this text is the one read: an equal text before
+    # it would have been read first.
+    pos = sum(len(p) + 1 for p in parts[: parts.index(part)])
+    words = part.split()
+    wires = []
+    for i, arg in enumerate(words[1:], start=1):
+        if not arg.isdecimal():
+            msg = f"expected a wire number, got {arg!r}"
+        elif not 1 <= int(arg) <= n_qubits:
+            msg = f"wire {int(arg)} out of range for {n_qubits} qubits"
+        else:
+            wires.append(int(arg))
+            continue
+        raise ParseError(msg, line=ln, col=_col(part, pos, i))
+    if words[0] == "MEAS":
+        if len(wires) != 1:
+            raise ParseError("MEAS takes exactly one qubit", line=ln, col=_col(part, pos))
+        return Measure(wires[0])
+    return _gate(gates, ln, part, pos, words[0], wires)
+
+
+def _gate(gates: dict, ln: int, part: str, pos: int, name: str, wires: list[int]):
+    """The gate ``name`` on ``wires``, written as ``part`` after ``pos``
+    characters of line ``ln`` (an instruction or one step of a def body),
+    once its name, arity and distinct wires are checked."""
+    spec = gates.get(name)
+    if spec is None:
+        fault = f"unknown gate {name!r}"
+    elif len(wires) != spec.arity:
+        fault = f"{name} needs {spec.arity} wires, got {len(wires)}"
+    elif len(set(wires)) != len(wires):
+        fault = f"{name}: wires must be distinct"
+    else:
+        return _app(spec, tuple(wires))
+    raise ParseError(fault, line=ln, col=_col(part, pos))
 
 
 def _default_input(n: int) -> QType:

@@ -47,15 +47,17 @@ class GateSpec(_Frozen):
     Clifford gates (no Top images) must preserve the commutation
     relations of the generators, which is checked at construction.
     Derived gates remember their decomposition so the dense-matrix layer
-    can rebuild their unitaries.
+    can rebuild their unitaries. A chain of defs nests decompositions a
+    thousand deep, so equality, repr and pickling walk them with a stack.
     """
 
     _fields = ("name", "arity", "x_images", "z_images", "decomposition")
     # Not compared or shown: the cache of local_image; the fields' hash, once,
     # as a derived gate's would recurse through its images and decomposition;
-    # whether no image is Top, which ``check`` reads for every gate; and per
-    # wire, whether the gate moves X_w and Z_w, which ``_set_app`` spreads.
-    __slots__ = _fields + ("_images", "_hash", "is_clifford", "_moved")
+    # whether no image is Top, which ``check`` reads for every gate; per
+    # wire, whether the gate moves X_w and Z_w, which ``_set_app`` spreads;
+    # and the dense oracle's forms of the gate, kept as long as it lives.
+    __slots__ = _fields + ("_images", "_hash", "is_clifford", "_moved", "_dense")
 
     def __init__(
         self,
@@ -68,6 +70,7 @@ class GateSpec(_Frozen):
         fields = (name, arity, x_images, z_images, decomposition)
         self._set_fields(*fields)
         object.__setattr__(self, "_images", {})
+        object.__setattr__(self, "_dense", {})
         if self.arity < 1:
             raise IllFormedTypeError("gate arity must be at least 1")
         if len(self.x_images) != self.arity or len(self.z_images) != self.arity:
@@ -102,6 +105,36 @@ class GateSpec(_Frozen):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and _table(self) == _table(other)
+
+    def __repr__(self) -> str:
+        out, pieces = [], [self]  # text, and gates to write out, last first
+        while pieces:
+            item = pieces.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            out.append(
+                f"{type(item).__qualname__}(name={item.name!r}, arity={item.arity!r},"
+                f" x_images={item.x_images!r}, z_images={item.z_images!r}, decomposition="
+            )
+            steps = item.decomposition
+            if steps is None:
+                out.append("None)")
+                continue
+            written = ["("]
+            for i, app in enumerate(steps):
+                written += [", " * (i > 0) + "GateApp(gate=", app.gate, f", wires={app.wires!r})"]
+            written.append(",))" if len(steps) == 1 else "))")
+            pieces += reversed(written)
+        return "".join(out)
+
+    def __reduce__(self) -> tuple:
+        return _from_table, (_table(self),)
 
     def local_image(self, index: int) -> Optional[tuple[int, int, int]]:
         """The x and z bits that the image of the restriction with x bits
@@ -142,6 +175,48 @@ class GateApp(_Frozen):
 
     def __str__(self) -> str:
         return " ".join([self.gate.name, *map(str, self.wires)])
+
+
+def _build_order(spec: GateSpec) -> list[GateSpec]:
+    """``spec`` and every gate in its decomposition, at any depth, once
+    each and after the gates it is built from: walked with a stack."""
+    order, placed, stack = [], set(), [spec]
+    while stack:
+        s = stack[-1]
+        todo = [app.gate for app in s.decomposition or () if id(app.gate) not in placed]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if id(s) not in placed:
+            placed.add(id(s))
+            order.append(s)
+    return order
+
+
+def _table(spec: GateSpec) -> list[tuple]:
+    """``spec`` as a flat table, leaves first: a row per distinct gate value
+    in its decomposition, at any depth, ``spec`` last, each row its fields
+    with each step as ``(row of its gate, wires)``. Equal gates give equal
+    tables, however their parts are shared, so equality compares these."""
+    rows, row_of, index = [], {}, {}  # row -> its number; id(gate) -> its row's number
+    for g in _build_order(spec):
+        steps = g.decomposition and tuple((index[id(a.gate)], a.wires) for a in g.decomposition)
+        row = (g.name, g.arity, g.x_images, g.z_images, steps)
+        index[id(g)] = row_of.setdefault(row, len(rows))
+        if index[id(g)] == len(rows):
+            rows.append(row)
+    return rows
+
+
+def _from_table(table: list) -> GateSpec:
+    """The last gate of a ``_table``, each built in turn: unpickling."""
+    built = []
+    for name, arity, x_images, z_images, steps in table:
+        if steps is not None:
+            steps = tuple(GateApp(built[i], wires) for i, wires in steps)
+        built.append(GateSpec(name, arity, x_images, z_images, steps))
+    return built[-1]
 
 
 def _app(gate: GateSpec, wires: tuple[int, ...]) -> GateApp:

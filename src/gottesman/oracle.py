@@ -181,7 +181,8 @@ def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
 @_leaves_first
 def gate_unitary(spec: GateSpec) -> np.ndarray:
     """The gate's dense unitary from ``pyoracle._unitary``, a derived gate's
-    evolved here, not copied once built; kept by ``pyoracle._leaves_first``."""
+    evolved here, not copied once built; kept on the spec by
+    ``pyoracle._leaves_first``."""
     eye = np.eye(2**spec.arity, dtype=complex)
     u = np.asarray(_unitary(spec, _evolve, eye), dtype=complex)
     u.setflags(write=False)

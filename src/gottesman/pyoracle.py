@@ -42,7 +42,7 @@ from .errors import (
     OracleUnavailableError,
     TopOperandError,
 )
-from .gates import GateSpec, standard_gates
+from .gates import GateSpec, _build_order, standard_gates
 from .pauli import PauliString
 from .typesys import StabType
 
@@ -131,23 +131,21 @@ def _unitary(spec: GateSpec, evolve, eye):
 
 
 def _leaves_first(build):
-    """``build``, cached by ``id(spec)`` beside the spec, so the id stays its
-    own. A derived gate is built from the values of its decomposition's
-    gates, so they are built first, leaves first, in one loop over a stack:
-    a deep chain of defs takes no recursion and compares no GateSpec."""
-    cache = {}  # id(spec) -> (spec, build(spec))
+    """``build``, its value kept on the spec (keyed by ``build`` in its
+    ``_dense`` slot) for as long as the spec lives: a standard gate's once
+    per process, a def's until its parse is freed. A derived gate is built
+    from the values of its decomposition's gates, so they are built first,
+    in ``gates._build_order``: a deep chain of defs takes no recursion."""
 
     @wraps(build)
     def built(spec: GateSpec):
-        stack = [spec]  # each gate below the gates it is built from
-        while id(spec) not in cache:
-            s = stack.pop()
-            todo = [app.gate for app in s.decomposition or () if id(app.gate) not in cache]
-            if todo:
-                stack += [s, *todo]
-            elif id(s) not in cache:
-                cache[id(s)] = s, build(s)
-        return cache[id(spec)][1]
+        try:
+            return spec._dense[build]
+        except KeyError:
+            for gate in _build_order(spec):
+                if build not in gate._dense:
+                    gate._dense[build] = build(gate)
+            return spec._dense[build]
 
     return built
 

@@ -36,11 +36,6 @@ def _pivot(g: PauliString) -> int:
     return (g.x & -g.x).bit_length() - 1 if g.x else g.arity + (g.z & -g.z).bit_length() - 1
 
 
-def _reduced(rows) -> tuple[PauliString, ...]:
-    """The tableau of ``rows``, which must already be reduced: sorted by pivot."""
-    return tuple(sorted(rows, key=_pivot))
-
-
 def _echelon(
     arity: int, rows: Sequence[PauliString], first: int = 1
 ) -> tuple[PauliString, ...]:

@@ -28,7 +28,6 @@ from typing import Optional
 from . import stabilizer
 from .errors import ArityError, IllFormedTypeError, ParseError, WireError
 from .pauli import PauliString, _Frozen, commutes, from_bits
-from .stabilizer import _reduced
 
 
 class StabType(_Frozen):
@@ -130,8 +129,9 @@ class QType(_Frozen):
 
     Which qubits separate is a fact about that group, not a second way to
     store it: ``factors``, ``remainder`` and ``remainder_support`` are a
-    view read off the canonical tableau on first use, and cached, so
-    ``QType(n, s)`` is the factored view of ``s``. ``factors`` holds
+    view read off the canonical tableau on first use, and cached (the
+    remainder only when it is read), so ``QType(n, s)`` is the factored
+    view of ``s``. ``factors`` holds
     (qubit, one-qubit +-X/Y/Z string) pairs by qubit; ``remainder`` is the
     group on the other qubits, ``remainder_support``, or None when every
     qubit is a factor. Equality is equality of groups. A type prints
@@ -165,28 +165,47 @@ class QType(_Frozen):
 
     @cached_property
     def _view(self) -> tuple:
-        """The factored view, read off the tableau in one pass.
+        """The factors, the remainder's support, the tableau's lone rows and
+        its other rows, read off the tableau in one pass.
 
         A qubit k separates exactly when some +-U_k lies in the generated
         group; that member is a lone row of the reduced tableau. Every other
         row is I at k: it is zero in the witness's pivot column and commutes
-        with the witness. So the remainder is those rows on the unpeeled
-        qubits, already reduced. Their masks are moved onto the support by
-        a bit gather planned once per view: log2(n) masked shifts, no text.
+        with the witness. So a row is lone exactly when it meets a peeled
+        qubit, and the other rows, on the unpeeled qubits, give the remainder.
         """
         if self.stab is None:
-            return (), None, ()
+            return (), (), [], []
         n, rows = self.arity, self.stab.tableau
         factors = stabilizer._single_qubit_members(rows)
         peeled = sum(1 << (k - 1) for k, _ in factors)
         support = tuple(o for o in range(1, n + 1) if not peeled >> (o - 1) & 1)
+        lone, others = [], []
+        for g in rows:
+            (lone if (g.x | g.z) & peeled else others).append(g)
+        return factors, support, lone, others
+
+    @property
+    def factors(self) -> tuple[tuple[int, PauliString], ...]:
+        return self._view[0]
+
+    @property
+    def remainder_support(self) -> tuple[int, ...]:
+        return self._view[1]
+
+    @cached_property
+    def remainder(self) -> Optional[StabType]:
+        """The view's other rows on the support, built on first use: already
+        reduced, as they keep their pivot order. Their masks are moved onto
+        the support by a bit gather planned once: log2(n) masked shifts."""
+        n, (_, support, _, others) = self.arity, self._view
         if not support:
-            return factors, None, support
-        m, full = len(support), (1 << n) - 1
+            return None
+        m, full, keep = len(support), (1 << n) - 1, sum(1 << (o - 1) for o in support)
         # Hacker's Delight 7-4 "compress", planned once: at step j a kept bit
         # moves right by 2**j when bit j of the count of peeled qubits below
         # it is set. Each step's movers are a prefix parity; idle steps drop.
-        keep, below, plan, shift = full ^ peeled, peeled << 1 & full, [], 1
+        below, plan, shift = (full ^ keep) << 1 & full, [], 1
         while shift < n:
             parity, s = below, 1
             while s < n:
@@ -204,42 +223,24 @@ class QType(_Frozen):
                 mask = mask ^ t | t >> s
             return mask
 
-        rest = _reduced(
-            from_bits(m, restrict(g.x), restrict(g.z), g.k)
-            for g in rows
-            if not (g.x | g.z) & peeled
-        )
-        return factors, _unchecked(m, rest, rest), support
-
-    @property
-    def factors(self) -> tuple[tuple[int, PauliString], ...]:
-        return self._view[0]
-
-    @property
-    def remainder(self) -> Optional[StabType]:
-        return self._view[1]
-
-    @property
-    def remainder_support(self) -> tuple[int, ...]:
-        return self._view[2]
+        rest = tuple(from_bits(m, restrict(g.x), restrict(g.z), g.k) for g in others)
+        return _unchecked(m, rest, rest)
 
     def __str__(self) -> str:
         if self.stab is None:
             return "T" * self.arity
         if self.shown is not None:
             return str(self.shown)
-        factors, rest, support = self._view
+        factors, support, lone, others = self._view
         if support and support[-1] - support[0] + 1 != len(support):
             # A remainder with a gap cannot be placed by position alone;
             # the intersection of the tableau rows is unambiguous: the lone
             # factor rows by qubit, then the others, in order.
-            rows = self.stab.tableau
-            lone = [g for g in rows if (g.x | g.z).bit_count() == 1]
-            others = [g for g in rows if (g.x | g.z).bit_count() > 1]
-            lone.sort(key=lambda g: g.x | g.z)
+            lone = sorted(lone, key=lambda g: g.x | g.z)
             return " & ".join(map(str, lone + others))
         parts = [(k, str(p)) for k, p in factors]
         if support:
+            rest = self.remainder
             text = " & ".join(map(str, rest.generators)) or "I" * len(support)
             if len(rest.generators) > 1 and factors:
                 text = f"({text})"
@@ -313,8 +314,9 @@ def _merge(components: list) -> tuple[int, Optional[StabType]]:
     ``(arity, group)``, on consecutive qubits.
 
     Groups on disjoint qubits need no check, and the union of their
-    reduced tableaux, shifted into place and sorted by pivot, is already
-    the reduced tableau of the product: no row reduction.
+    reduced tableaux, shifted into place, is already the reduced tableau of
+    the product, with no row reduction: in pivot order, their rows with an
+    x-bit pivot, then the others, each group after the one before it.
     """
     if len(components) == 1:
         return components[0]
@@ -325,14 +327,15 @@ def _merge(components: list) -> tuple[int, Optional[StabType]]:
     def shifted(strings, offset: int) -> list[PauliString]:
         return [from_bits(total, g.x << offset, g.z << offset, g.k) for g in strings]
 
-    gens, rows, offset = [], [], 0
+    gens, x_rows, z_rows, offset = [], [], [], 0
     for n, stab in components:
         placed = shifted(stab.tableau, offset)
-        rows += placed
+        x_rows += [g for g in placed if g.x]
+        z_rows += [g for g in placed if not g.x]
         same = stab.generators is stab.tableau  # as for each literal
         gens += placed if same else shifted(stab.generators, offset)
         offset += n
-    return total, _unchecked(total, tuple(gens), _reduced(rows))
+    return total, _unchecked(total, tuple(gens), tuple(x_rows + z_rows))
 
 
 def parse_qtype(text: str) -> QType:

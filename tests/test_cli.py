@@ -766,6 +766,28 @@ class TestRunVerify:
         u = oracle.gate_unitary(circuit.instructions[0].gate)
         assert abs(u - oracle.gate_unitary(standard_gates()["H"])).max() < 1e-12
 
+    def test_repeated_verify_keeps_no_gate_of_past_runs(self, capsys, tmp_path):
+        """Both kernels keep a def's dense forms on its spec, so they go
+        with its parse: repeated in-process runs leave no gate behind."""
+        import gc
+
+        from gottesman.gates import GateSpec
+
+        def live_gates():
+            gc.collect()
+            return sum(type(o) is GateSpec for o in gc.get_objects())
+
+        # A def on 3 wires is within the plain-Python budget; one on 7 is not.
+        (tmp_path / "wide").mkdir()
+        paths = [wide_def(tmp_path, 3), wide_def(tmp_path / "wide", 7)]
+        counts = []
+        for _ in range(3):
+            for path in paths * 4:
+                assert run(["verify", path, "--json"]) == EXIT_OK
+                assert json.loads(capsys.readouterr().out)["failures"] == []
+            counts.append(live_gates())
+        assert counts[0] == counts[1] == counts[2]
+
     def test_def_past_the_unitary_cap_is_oracle_unavailable(
         self, capsys, monkeypatch, tmp_path
     ):
@@ -1047,6 +1069,34 @@ class TestParseMatchesReference:
         q = parse_qtype(_unicode(rng, _random_type(rng, rng.randint(1, 6))))
         assert parse_qtype(str(q)) == q
         assert str(parse_qtype(str(q))) == str(q)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_general_checker_reads_parts_as_the_fast_path_does(self, rng):
+        # ``_instruction`` reads one- and two-wire parts on an unrolled path
+        # and leaves every other part to ``_general``, which must read any
+        # one-, two- or three-wire part alone to the same instruction or fault.
+        from gottesman import cli
+        from gottesman.gates import derive_gate
+
+        n = rng.randint(1, 4)
+        gates = dict(standard_gates())
+        gates["G"] = derive_gate("G", 3, gates["TOFFOLI"].decomposition)
+        name = rng.choice([*gates, "MEAS", "MEAS", "FROB"])
+        args = [
+            rng.choice((str(rng.randint(1, n)), str(rng.randint(1, n)), "0", str(n + 1), "01", "a"))
+            for _ in range(rng.randint(1, 3))
+        ]
+        part = rng.choice(("", " ", "\t")) + " ".join([name, *args]) + rng.choice(("", " "))
+        code = rng.choice(("", "H 1;", " S 1 ;")) + part
+
+        def read(reader):
+            try:
+                return reader(gates, 4, code, part, n)
+            except ParseError as err:
+                return err.message, err.line, err.col
+
+        assert read(cli._general) == read(cli._instruction)
 
     def test_mutations_reach_every_kind_of_fault(self):
         # The mutations must reach the parse errors of instruction lines,

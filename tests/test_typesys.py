@@ -6,7 +6,7 @@ import pytest
 from gottesman.errors import ArityError, IllFormedTypeError, ParseError
 from gottesman.pauli import PauliString, string_mul
 from gottesman.stabilizer import _echelon, _pivot, _single_qubit_members
-from gottesman.typesys import QType, StabType, parse_qtype
+from gottesman.typesys import QType, StabType, _merge, parse_qtype
 
 from helpers import (
     brute_force_group,
@@ -281,6 +281,34 @@ class TestFactorSeparable:
                 assert ref_support == support
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_products_and_remainders_come_in_pivot_order(n):
+    # ``_merge`` joins its components' rows unsorted (x-bit pivots, then the
+    # others, each component after the last) and the view's remainder keeps
+    # its rows' order; at every rank, each is its own canonical tableau.
+    rng = random.Random(n)
+    for rank in range(n + 1):
+        for _ in range(6):
+            q = QType(n, random_stab_type(n, rng, rank=rank, depth=rng.choice((0, 2, 20))))
+            if q.remainder is not None:
+                rows = q.remainder.tableau
+                assert rows == _echelon(q.remainder.arity, rows)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+            ranks = [0] * len(sizes)
+            for _ in range(rank):
+                ranks[rng.choice([i for i, m in enumerate(sizes) if ranks[i] < m])] += 1
+            parts = [(m, random_stab_type(m, rng, rank=r)) for m, r in zip(sizes, ranks)]
+            total, stab = _merge(parts)
+            assert total == n and stab.tableau == _echelon(n, stab.tableau)
+            assert len(stab.tableau) == rank
+            placed, offset = [], 0
+            for m, part in parts:
+                placed += [_pad(g, range(offset + 1, offset + m + 1), n) for g in part.generators]
+                offset += m
+            assert stab == StabType(n, tuple(placed))
+
+
 class TestQType:
     def test_partition_enforced(self):
         # The group covers every qubit, and the view's factors and
@@ -321,6 +349,16 @@ class TestQType:
         assert a == b and hash(a) == hash(b)
         assert a != QType(2, StabType.of("XX", "-ZZ"))
         assert a != QType.top_type(2) and QType.top_type(2) != QType.top_type(3)
+
+    def test_remainder_is_built_only_when_read(self):
+        # A gapped text prints the tableau's rows, and ``factors`` is all
+        # that ``verify`` reads: neither gathers the remainder.
+        q = QType(3, StabType.of("XIX", "ZIZ", "IZI"))
+        assert str(q) == "IZI & XIX & ZIZ" and q.factors == ((2, P("Z")),)
+        assert "remainder" not in q.__dict__
+        assert q.remainder.generators == (P("XX"), P("ZZ"))
+        q = QType(3, StabType.of("ZII", "IXX", "IZZ"))
+        assert str(q) == "Z x (XX & ZZ)" and "remainder" in q.__dict__
 
     def test_view_is_read_once(self, monkeypatch):
         from gottesman import stabilizer

@@ -3,6 +3,7 @@ hashing, refused assignment, pickling and deep copies."""
 
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -91,3 +92,83 @@ def test_value_semantics(name, make, field, sibling):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value) and str(twin) == str(value)
+
+
+def _chain(depth: int, first: str = "H") -> str:
+    """A chain of ``depth`` defs, each calling the one before it."""
+    defs = [f"def G{i} a := G{i - 1} a" for i in range(1, depth)]
+    return "\n".join(["qubits 1", f"def G0 a := {first} a", *defs, f"G{depth - 1} 1"])
+
+
+def test_deep_def_chain_compares_prints_and_pickles():
+    # A derived gate's equality, repr and pickling walk its decomposition
+    # with a stack: 1000 nested defs are past Python's recursion limit.
+    from gottesman.cli import parse
+
+    (a, _), (b, _) = parse(_chain(1000)), parse(_chain(1000))
+    assert a.instructions[0].gate is not b.instructions[0].gate
+    assert a == b and hash(a) == hash(b)
+    assert a != parse(_chain(1000, first="S"))[0]
+    text = repr(a)
+    assert text == repr(b) and text.count("GateSpec(name='G") == 1000
+    twin = pickle.loads(pickle.dumps(a))
+    assert twin == b and repr(twin) == text
+
+
+@pytest.mark.parametrize(
+    "spec", [*GATES.values(), derive_gate("E", 1, ())], ids=[*GATES, "empty"]
+)
+def test_gate_repr_reads_as_the_field_repr(spec):
+    # The stack-walking repr writes what the generic field repr writes, one
+    # level at a time, so the text of a shallow gate is as it was.
+    from gottesman.pauli import _Frozen
+
+    assert repr(spec) == _Frozen.__repr__(spec)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_shared_decompositions_compare_and_pickle_each_gate_once():
+    # Each def calls the one before twice: 2**40 paths down, 41 gates.
+    from gottesman.cli import parse
+
+    lines = ["qubits 1", "def G0 a := H a"]
+    lines += [f"def G{i} a := G{i - 1} a; G{i - 1} a" for i in range(1, 41)]
+    source = "\n".join([*lines, "G40 1"])
+    (a, _), (b, _) = parse(source), parse(source)
+    assert a == b
+    data = pickle.dumps(a)
+    assert data.count(b"G0") == 1 and pickle.loads(data) == b
+
+
+def _built(recipe, shared):
+    """The gate of ``recipe``: a standard gate's name, or ``(name, parts)``
+    for a one-wire def of ``parts`` in turn; each part built once and reused
+    when ``shared`` is a dict, else built afresh at each use."""
+    if isinstance(recipe, str):
+        return GATES[recipe]
+    if shared is not None and recipe in shared:
+        return shared[recipe]
+    name, parts = recipe
+    gate = derive_gate(name, 1, [GateApp(_built(p, shared), (1,)) for p in parts])
+    if shared is not None:
+        shared[recipe] = gate
+    return gate
+
+
+def test_gate_equality_is_of_values_however_parts_are_shared():
+    # Distinct recipes give distinct gates (their names or parts differ);
+    # equal ones give equal gates, whether each part is one object reused
+    # or a fresh copy at every use.
+    rng = random.Random(5)
+    pool = ["H", "S", "X", "T"]
+    for _ in range(30):
+        pool.append((rng.choice("DE"), tuple(rng.choice(pool) for _ in range(rng.randint(0, 3)))))
+    shared = {}
+    for _ in range(400):
+        a, b = rng.choice(pool), rng.choice(pool)
+        ga, gb = _built(a, shared), _built(b, None)
+        assert (ga == gb) == (gb == ga) == (a == b)
+        assert (repr(ga) == repr(gb)) == (a == b)
+        if a == b:
+            assert hash(ga) == hash(gb)
+        assert pickle.loads(pickle.dumps(ga)) == ga
