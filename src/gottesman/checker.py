@@ -21,7 +21,7 @@ from typing import Union
 
 from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
-from .gates import GateApp, _transport, _unit_images
+from .gates import GateApp, _built_table, _table, _transport, _unit_images
 from .pauli import PauliString, _Frozen
 from .typesys import QType, _unchecked, measure
 
@@ -68,6 +68,31 @@ class Circuit(_Frozen):
     @property
     def has_measurement(self) -> bool:
         return any(isinstance(ins, Measure) for ins in self.instructions)
+
+    def __reduce__(self) -> tuple:
+        # One leaves-first table of every distinct gate, each gate step as
+        # ``(row of its gate, wires)``: a gate shared by many defs and steps
+        # is written once, and a deep chain of defs takes no recursion.
+        gates = {id(ins.gate): ins.gate for ins in self.instructions if ins.__class__ is GateApp}
+        table, index = _table(*gates.values())
+        steps = tuple(
+            (index[id(ins.gate)], ins.wires) if ins.__class__ is GateApp else ins
+            for ins in self.instructions
+        )
+        return _circuit_from_table, (self.n_qubits, table, steps)
+
+    def __copy__(self) -> Circuit:
+        # A shallow copy shares the instructions, as the fields' copy did.
+        return _circuit(self.n_qubits, self.instructions)
+
+
+def _circuit_from_table(n_qubits: int, table: list, steps: tuple) -> Circuit:
+    """The circuit that ``Circuit.__reduce__`` wrote: unpickling."""
+    built = _built_table(table)
+    return Circuit(
+        n_qubits,
+        tuple(GateApp(built[ins[0]], ins[1]) if ins.__class__ is tuple else ins for ins in steps),
+    )
 
 
 def _circuit(n_qubits: int, instructions: tuple[Instruction, ...]) -> Circuit:

@@ -109,7 +109,7 @@ class GateSpec(_Frozen):
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._hash == other._hash and _table(self) == _table(other)
+        return self._hash == other._hash and _table(self)[0] == _table(other)[0]
 
     def __repr__(self) -> str:
         out, pieces = [], [self]  # text, and gates to write out, last first
@@ -134,7 +134,7 @@ class GateSpec(_Frozen):
         return "".join(out)
 
     def __reduce__(self) -> tuple:
-        return _from_table, (_table(self),)
+        return _from_table, (_table(self)[0],)
 
     def local_image(self, index: int) -> Optional[tuple[int, int, int]]:
         """The x and z bits that the image of the restriction with x bits
@@ -177,10 +177,11 @@ class GateApp(_Frozen):
         return " ".join([self.gate.name, *map(str, self.wires)])
 
 
-def _build_order(spec: GateSpec) -> list[GateSpec]:
-    """``spec`` and every gate in its decomposition, at any depth, once
-    each and after the gates it is built from: walked with a stack."""
-    order, placed, stack = [], set(), [spec]
+def _build_order(*specs: GateSpec) -> list[GateSpec]:
+    """``specs`` and every gate in their decompositions, at any depth, once
+    each and after the gates it is built from: walked with a stack, the last
+    of ``specs`` first."""
+    order, placed, stack = [], set(), list(specs)
     while stack:
         s = stack[-1]
         todo = [app.gate for app in s.decomposition or () if id(app.gate) not in placed]
@@ -194,29 +195,36 @@ def _build_order(spec: GateSpec) -> list[GateSpec]:
     return order
 
 
-def _table(spec: GateSpec) -> list[tuple]:
-    """``spec`` as a flat table, leaves first: a row per distinct gate value
-    in its decomposition, at any depth, ``spec`` last, each row its fields
-    with each step as ``(row of its gate, wires)``. Equal gates give equal
-    tables, however their parts are shared, so equality compares these."""
+def _table(*specs: GateSpec) -> tuple[list[tuple], dict[int, int]]:
+    """``specs`` as one flat table, leaves first: a row per distinct gate
+    value in them and their decompositions, at any depth, each row its
+    fields with each step as ``(row of its gate, wires)``; and the row of
+    each of those gates, by ``id``. Equal gates give equal tables, however
+    their parts are shared, so equality compares these; a lone gate's row
+    is the last."""
     rows, row_of, index = [], {}, {}  # row -> its number; id(gate) -> its row's number
-    for g in _build_order(spec):
+    for g in _build_order(*specs):
         steps = g.decomposition and tuple((index[id(a.gate)], a.wires) for a in g.decomposition)
         row = (g.name, g.arity, g.x_images, g.z_images, steps)
         index[id(g)] = row_of.setdefault(row, len(rows))
         if index[id(g)] == len(rows):
             rows.append(row)
-    return rows
+    return rows, index
 
 
-def _from_table(table: list) -> GateSpec:
-    """The last gate of a ``_table``, each built in turn: unpickling."""
+def _built_table(table: list) -> list[GateSpec]:
+    """The gates of a ``_table``'s rows, each built in turn: unpickling."""
     built = []
     for name, arity, x_images, z_images, steps in table:
         if steps is not None:
             steps = tuple(GateApp(built[i], wires) for i, wires in steps)
         built.append(GateSpec(name, arity, x_images, z_images, steps))
-    return built[-1]
+    return built
+
+
+def _from_table(table: list) -> GateSpec:
+    """The last gate of a lone gate's ``_table``: unpickling a ``GateSpec``."""
+    return _built_table(table)[-1]
 
 
 def _app(gate: GateSpec, wires: tuple[int, ...]) -> GateApp:

@@ -5,7 +5,9 @@ and is the one way in for ``verify`` and for library callers alike. It
 validates the qubit and batch caps, the operand arities, that the circuit
 has no measurement and that no gate's dense unitary passes the batch cap,
 then runs one of two kernels with one contract, chosen by the work W: 2^n
-amplitudes times the state columns times their passes. Up to
+amplitudes times the state columns times their passes. A pure input type
+(rows of GF(2) rank n) is one state up to phase, so one eigenstate of it
+is drawn, not ``samples``; W counts the columns drawn. Up to
 ``WORK_BUDGET`` it runs :func:`_verify` here, without numpy: on the
 2-4-qubit files of the paper's worked examples, importing numpy costs
 several times the whole check. Above it, it imports
@@ -242,6 +244,20 @@ def _purity(v: Sequence[complex], k: int, n: int) -> float:
     return rho00 * rho00 + rho11 * rho11 + 2 * abs(rho01) ** 2
 
 
+def _rank(strings: Sequence[PauliString]) -> int:
+    """The GF(2) rank of the strings' x|z bits, read through :func:`_decode`:
+    each is reduced by the kept rows with its top bit, and kept if nonzero."""
+    kept = {}  # top bit -> a kept row with it
+    for p in strings:
+        x, z, _ = _decode(p)
+        row = x << p.arity | z
+        while row and row.bit_length() in kept:
+            row ^= kept[row.bit_length()]
+        if row:
+            kept[row.bit_length()] = row
+    return len(kept)
+
+
 def verify_claims(
     circuit: Circuit,
     pairs: Sequence[tuple[PauliString, PauliString]],
@@ -256,10 +272,15 @@ def verify_claims(
     from one pass over ``PROBES`` Gaussian phi, each M(p) phi and, if
     ``input_type`` is given, ``samples`` of its eigenstates. At a zero
     residual U maps a projected Gaussian to one projected on the transported
-    type: purity is read as from a fresh draw of it. Each of the 2^n x columns
-    amplitudes takes a pass per instruction (2^g for a def on g wires, whose
-    unitary may be dense) and one for the checks on the output; work within
-    ``WORK_BUDGET`` runs here, the rest on numpy."""
+    type: purity is read as from a fresh draw of it. A pure input type (its
+    rows' bits of GF(2) rank n, by :func:`_rank`) has one eigenstate up to
+    phase, and neither the residual nor a purity depends on the phase, so
+    one is drawn, the first of the kernel's seeded stream; a mixed type
+    keeps all ``samples``, as purity is not linear in the state. The caps
+    count ``samples`` as asked. Each of the 2^n x columns amplitudes (the
+    columns drawn) takes a pass per instruction (2^g for a def on g wires,
+    whose unitary may be dense) and one for the checks on the output; work
+    within ``WORK_BUDGET`` runs here, the rest on numpy."""
     n, drawn = circuit.n_qubits, samples if input_type is not None else 0
     check_size(n, drawn)
     if any(s.arity != n for pair in pairs for s in pair):
@@ -272,6 +293,8 @@ def verify_claims(
             raise OracleUnavailableError(
                 f"gate {app.gate.name} on {g} wires: its {2**g}x{2**g} unitary exceeds {_CAP}"
             )
+    if drawn and _rank(input_type.tableau) == n:
+        drawn = 1  # a pure type's eigenspace is one state: every draw is it times a phase
     builtin = standard_gates()
     passes = 1 + sum(
         1 if builtin.get(app.gate.name) is app.gate else 2**app.gate.arity
@@ -281,7 +304,7 @@ def verify_claims(
         kernel = _verify
     else:
         from .oracle import _verify as kernel
-    return kernel(circuit, pairs, input_type, transported, samples, seed, qubits)
+    return kernel(circuit, pairs, input_type, transported, drawn, seed, qubits)
 
 
 def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):

@@ -27,9 +27,16 @@ from gottesman.errors import (
 )
 from gottesman.gates import GateApp, GateSpec, derive_gate, standard_gates
 from gottesman.pauli import PauliString
-from gottesman.typesys import QType, StabType
+from gottesman.typesys import QType, StabType, _unchecked, parse_qtype
 
-from helpers import embed, fresh_run, mutations, random_circuit, random_stab_type
+from helpers import (
+    embed,
+    fresh_run,
+    mutations,
+    random_circuit,
+    random_clifford_circuit,
+    random_stab_type,
+)
 
 GATES = standard_gates()
 TOLERANCE = pyoracle.TOLERANCE
@@ -180,15 +187,79 @@ def ran(monkeypatch):
 
 
 def test_work_budget_chooses_the_kernel(ran):
-    # One qubit, no gates: W = 2 amplitudes x (2 probes + samples) x 1 pass.
-    z = StabType.of("Z")
-    pyoracle.verify_claims(Circuit(1), (), z, (), samples=8190)  # W = 2^14
+    # One qubit, no gates: W = 2 amplitudes x (2 probes + samples) x 1 pass,
+    # on the mixed one-qubit type, whose samples are all drawn.
+    mixed = StabType(1)
+    pyoracle.verify_claims(Circuit(1), (), mixed, (), samples=8190)  # W = 2^14
     assert ran == ["plain"]
-    pyoracle.verify_claims(Circuit(1), (), z, (), samples=8191)
+    pyoracle.verify_claims(Circuit(1), (), mixed, (), samples=8191)
     assert ran == ["plain", "numpy"]
     # Without an input type no sample is drawn, so none is counted.
     pyoracle.verify_claims(Circuit(1), (), None, (), samples=8191)
     assert ran == ["plain", "numpy", "plain"]
+    # The pure Z is drawn once, whatever is asked: W = 2 x 3 x 1.
+    pyoracle.verify_claims(Circuit(1), (), StabType.of("Z"), (), samples=8191)
+    assert ran == ["plain", "numpy", "plain", "plain"]
+
+
+# Work budgets under which ``verify_claims`` runs each kernel.
+KERNEL_BUDGETS = {"plain": 2**62, "numpy": -1}
+
+
+@pytest.mark.parametrize("kernel", KERNEL_BUDGETS)
+def test_a_pure_input_type_is_drawn_once(kernel, monkeypatch):
+    """Each kernel draws one eigenstate of a type whose rows' bits have rank
+    n, and every sample asked for of any other, a type that lies about its
+    rank included: the rank is read from the rows, not their number."""
+    monkeypatch.setattr(pyoracle, "WORK_BUDGET", KERNEL_BUDGETS[kernel])
+    module = pyoracle if kernel == "plain" else oracle
+    drawn, sample = [], module._sample_states
+
+    def spy(n, gens, count, rng):
+        drawn.append(count)
+        return sample(n, gens, count, rng)
+
+    monkeypatch.setattr(module, "_sample_states", spy)
+    rng = random.Random(33)
+    lying = (P("ZZI"), P("IZZ"), P("ZIZ"))  # three rows, rank 2
+    cases = [(random_stab_type(n, rng, rank=n), 1) for n in range(1, 9)]
+    cases += [
+        (parse_qtype("Z x Z x Z").stab, 1),
+        (random_stab_type(4, rng, rank=3), 5),
+        (StabType(3), 5),
+        (StabType.of("IIZI"), 5),
+        (_unchecked(3, lying, tableau=lying), 5),
+    ]
+    for input_type, want in cases:
+        drawn.clear()
+        pyoracle.verify_claims(Circuit(input_type.arity), (), input_type, (), samples=5)
+        assert drawn == [want], input_type
+
+
+@pytest.mark.parametrize("kernel", KERNEL_BUDGETS)
+def test_one_draw_of_a_pure_type_reads_as_every_sample(kernel, monkeypatch):
+    """On random pure inputs through random Clifford circuits, half of them
+    with one transported generator negated or an atom of it swapped, the one
+    draw gives the verdicts, residual and purities of all 16 samples."""
+    monkeypatch.setattr(pyoracle, "WORK_BUDGET", KERNEL_BUDGETS[kernel])
+    run = pyoracle._verify if kernel == "plain" else oracle._verify
+    rng = random.Random(4242)
+    wrong = 0
+    for trial in range(200):
+        n = 1 + trial % 5
+        circuit = random_clifford_circuit(n, rng.randrange(1, 12), rng)
+        input_type = random_stab_type(n, rng, rank=n)
+        gens = check(circuit, QType(n, input_type)).stab.generators
+        if trial % 2:
+            j = rng.randrange(len(gens))
+            bad = mutations(gens[j], rng)[rng.randrange(2)]
+            gens = gens[:j] + (bad,) + gens[j + 1 :]
+        args = (circuit, claims(circuit), input_type, gens, 16, trial, range(1, n + 1))
+        got, want = pyoracle.verify_claims(*args), run(*args)
+        assert got[0] == want[0] and got[2] == want[2], trial
+        assert abs(got[1] - want[1]) < 1e-9, trial
+        wrong += got[1] > 1e-3
+    assert wrong > 50
 
 
 def test_measured_circuit_refused_before_either_kernel(ran):

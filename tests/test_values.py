@@ -115,6 +115,30 @@ def test_deep_def_chain_compares_prints_and_pickles():
     assert twin == b and repr(twin) == text
 
 
+def test_circuit_pickles_each_gate_once_without_recursion():
+    # A circuit is pickled as one leaves-first table of its distinct gates,
+    # so calling every def of a 300-deep chain writes each def once.
+    import sys
+
+    from gottesman.cli import parse
+
+    chain = _chain(300).rsplit("\n", 1)[0]
+    last, _ = parse(f"{chain}\nG299 1")
+    every, _ = parse(chain + "".join(f"\nG{i} 1" for i in range(300)) + "\nMEAS 1")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        data = pickle.dumps(every)
+        twin = pickle.loads(data)
+        assert twin == every
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [str(ins) for ins in twin.instructions] == [str(ins) for ins in every.instructions]
+    assert len(data) <= 3 * len(pickle.dumps(last))
+    # A shallow copy shares the instructions rather than rebuilding the gates.
+    assert copy.copy(every).instructions is every.instructions
+
+
 @pytest.mark.parametrize(
     "spec", [*GATES.values(), derive_gate("E", 1, ())], ids=[*GATES, "empty"]
 )
