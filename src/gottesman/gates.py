@@ -213,12 +213,15 @@ def _table(*specs: GateSpec) -> tuple[list[tuple], dict[int, int]]:
 
 
 def _built_table(table: list) -> list[GateSpec]:
-    """The gates of a ``_table``'s rows, each built in turn: unpickling."""
-    built = []
+    """The gates of a ``_table``'s rows, each built in turn: unpickling. A
+    row equal to a standard gate gives that gate itself, so an unpickled
+    circuit's gates are standard gates as its parse's were."""
+    built, standard = [], standard_gates()
     for name, arity, x_images, z_images, steps in table:
         if steps is not None:
             steps = tuple(GateApp(built[i], wires) for i, wires in steps)
-        built.append(GateSpec(name, arity, x_images, z_images, steps))
+        spec = GateSpec(name, arity, x_images, z_images, steps)
+        built.append(standard[name] if spec == standard.get(name) else spec)
     return built
 
 

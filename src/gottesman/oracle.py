@@ -20,12 +20,15 @@ holds one nonzero entry (every standard gate but H), it acts on amplitudes
 as a Pauli does, as an index permutation times phases (Stim,
 arXiv:2103.02202). A run of such gates is composed on one pending row
 permutation and one pending phase column, 2^n entries each, so the whole
-run costs one gather of the batch's rows and at most one multiply. Any
-other gate, of any arity, gathers the rows through the pending run into
-2^g blocks by their bits on its wires, multiplies the blocks by its
-unitary in one matmul, and leaves their ungrouping pending. A Pauli is
-read through ``pyoracle._decode``, sharing no code with the bit kernels,
-and a list of strings acts in one gather.
+run costs one gather of the batch's rows and at most one multiply; a
+diagonal gate (S, Sdg, Z, CZ, T) leaves the permutation alone. Any other
+gate, of any arity, gathers the rows through the pending run into 2^g
+blocks by their bits on its wires, multiplies the blocks by its unitary in
+one matmul (on floats if the unitary is real, as H's), and leaves their
+ungrouping pending. A Pauli is read through ``pyoracle._decode``, sharing
+no code with the bit kernels, and a list of strings acts in one gather:
+per block of eigenstate columns, one gather checks every transported
+generator, and one reads both halves of every factored qubit's rows.
 """
 
 from __future__ import annotations
@@ -111,16 +114,13 @@ def _spread(wires: tuple[int, ...], n: int) -> np.ndarray:
     return table
 
 
-def _unless_ones(phases: np.ndarray) -> np.ndarray | None:
-    """``phases``, or None if every entry is within TOLERANCE of 1."""
-    return None if np.all(np.abs(phases - 1) < TOLERANCE) else phases
-
-
 @_leaves_first
 def _monomial(spec: GateSpec) -> tuple[np.ndarray, np.ndarray | None] | None:
     """``(moved, phases)`` if each row r of the gate's unitary has exactly one
-    entry above TOLERANCE, at column r ^ moved[r] with value phases[r] (None if
-    every phase is 1): the gate is a permutation times phases. Else None."""
+    entry above TOLERANCE, at column r ^ moved[r] with value phases[r]: the
+    gate is a permutation times phases. ``moved`` is None if every entry is 0
+    (the gate is diagonal), ``phases`` if each is within TOLERANCE of 1.
+    Else None."""
     u = gate_unitary(spec)
     rows, cols = np.nonzero(np.abs(u) > TOLERANCE)
     if len(rows) != len(u):  # no row of a unitary is zero
@@ -128,16 +128,17 @@ def _monomial(spec: GateSpec) -> tuple[np.ndarray, np.ndarray | None] | None:
     moved, phases = rows ^ cols, u[rows, cols]
     for table in (moved, phases):
         table.setflags(write=False)
-    return moved, _unless_ones(phases)
+    unphased = np.all(np.abs(phases - 1) < TOLERANCE)
+    return moved if moved.any() else None, None if unphased else phases
 
 
 def _take(vecs, src, phase, out=None) -> np.ndarray:
     """Row i of the result, written to ``out`` if given, is
     ``phase[i] * vecs[src[i]]``: one gather of the batch, and one multiply
-    unless every phase is 1. ``src`` is always in range, so the gather
+    unless ``phase`` is None. ``src`` is always in range, so the gather
     needs no bounds check and writes ``out`` without a buffer."""
     out = vecs.take(src, axis=0, out=out, mode="clip")
-    if phase is not None and _unless_ones(phase) is not None:
+    if phase is not None:
         out *= phase[:, None]
     return out
 
@@ -146,10 +147,11 @@ def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
     """The columns of ``vecs`` (2^n x m) pushed through ``apps``; from the
     identity this is the unitary. The batch so far is kept as
     ``phase * vecs[src]``, row by row: a monomial gate composes its row step
-    and phases into ``src`` and ``phase`` (2^n entries each) and leaves the
-    batch alone. Any other gate gathers the pending rows into 2^g blocks by
-    their bits on its wires, in one take, for one matmul, and its ungrouping
-    becomes the next pending ``src``. The batch is gathered once more at the end."""
+    (none if it is diagonal) and phases into ``src`` and ``phase`` (2^n
+    entries each) and leaves the batch alone. Any other gate gathers the
+    pending rows into 2^g blocks by their bits on its wires, in one take, for
+    one matmul, and its ungrouping becomes the next pending ``src``. The
+    batch is gathered once more at the end."""
     index, m = _basis(n)[0], vecs.shape[1]
     src, phase, blocks = index, None, None
     for app in apps:
@@ -157,22 +159,28 @@ def _evolve(apps, n: int, vecs: np.ndarray) -> np.ndarray:
         form = _monomial(app.gate)
         if form is not None:
             moved, phases = form
-            step = index ^ _spread(app.wires, n)[moved][local]
-            src = src[step]
-            if phase is not None:
-                phase = phase[step]
+            if moved is not None:  # a diagonal gate leaves the pending rows alone
+                step = index ^ _spread(app.wires, n)[moved][local]
+                src = src[step]
+                if phase is not None:
+                    phase = phase[step]
             if phases is not None:
                 phase = phases[local] if phase is None else phase * phases[local]
             continue
         # Block r lists, in order, the rows whose bits on the wires are r.
-        u = gate_unitary(app.gate)
+        u, real = gate_unitary(app.gate), _real(app.gate)
         order = (_spread(app.wires, n)[:, None] | index[local == 0]).ravel()
         # From the second such gate on, the batch and the blocks are buffers
         # of ours that nothing else reads: each is overwritten in turn.
         out = None if blocks is None else vecs.reshape(len(u), -1)
         blocks = _take(vecs, src[order], None if phase is None else phase[order], blocks)
         vecs = None  # the caller's batch is freed before the product is made
-        vecs = np.matmul(u, blocks.reshape(len(u), -1), out=out).reshape(-1, m)
+        if real is None:
+            vecs = np.matmul(u, blocks.reshape(len(u), -1), out=out)
+        else:  # on the real and the imaginary part of each amplitude alike
+            out = None if out is None else out.view(float)
+            vecs = np.matmul(real, blocks.view(float).reshape(len(u), -1), out=out).view(complex)
+        vecs = vecs.reshape(-1, m)
         src, phase = np.empty_like(order), None
         src[order] = index
     return _take(vecs, src, phase, blocks)
@@ -187,6 +195,13 @@ def gate_unitary(spec: GateSpec) -> np.ndarray:
     u = np.asarray(_unitary(spec, _evolve, eye), dtype=complex)
     u.setflags(write=False)
     return u
+
+
+@_leaves_first
+def _real(spec: GateSpec) -> np.ndarray | None:
+    """The gate's unitary as floats if no entry has an imaginary part, else None."""
+    u = gate_unitary(spec)
+    return None if u.imag.any() else np.ascontiguousarray(u.real)
 
 
 def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):
@@ -206,24 +221,29 @@ def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):
     u_p_phi = out[:, PROBES:split].reshape(2**n, len(pairs), PROBES)
     defect = _apply([q for _, q in pairs], out[:, :PROBES])
     defect -= u_p_phi
-    verdicts = (np.abs(defect).max(axis=(0, 2)) < TOLERANCE).tolist()
-    # The eigenstate columns in blocks, each M(q) v - v into one buffer.
-    evolved, worst, pure = out[:, split:], 0.0, [True] * len(qubits)
+    # Axis 0 first: numpy reduces over (0, 2) at once many times slower.
+    verdicts = (np.abs(defect).max(axis=0).max(axis=1) < TOLERANCE).tolist()
+    del defect  # freed first: at n = 14 the gathers below are as large
+    # The eigenstate columns in blocks, each gather within _DRAW_BLOCK: one
+    # makes M(q) v - v for every q, one every qubit's halves for its purity.
+    evolved, worst, pure = out[:, split:], 0.0, np.ones(len(qubits), dtype=bool)
     perm, sign = _paulis([q for q in transported if not q.is_top], n)
-    block = max(1, _DRAW_BLOCK >> n)
-    buf = np.empty(2**n * min(block, evolved.shape[1]), dtype=complex)
+    # A stable sort of each qubit's bits lists its rows with the bit 0, then
+    # with it 1, each in order: q x 2 x 2^(n-1), the pairs of its purity.
+    bits = _basis(n)[1][np.array(qubits, dtype=np.intp) - 1]
+    halves = bits.argsort(axis=1, kind="stable").reshape(len(qubits), 2, 2 ** (n - 1))
+    block = max(1, (_DRAW_BLOCK >> n) // max(len(perm), len(qubits), 1))
     for start in range(0, evolved.shape[1], block):
         vecs = evolved[:, start : start + block]
-        diff = buf[: vecs.size].reshape(vecs.shape)
-        for p, s in zip(perm, sign):
-            vecs.take(p, axis=0, out=diff, mode="clip")
-            diff *= s[:, None]
-            diff -= vecs
-            worst = max(worst, np.linalg.norm(diff, axis=0).max())
-        for i, k in enumerate(qubits):
-            purity = reduced_purity(vecs, k, n)
-            pure[i] &= bool(np.all(np.abs(purity - 1) < TOLERANCE))
-    return verdicts, float(worst), pure
+        diff = vecs.take(perm.T, axis=0)  # 2^n x t x c
+        diff *= sign.T[:, :, None]
+        diff -= vecs[:, None]
+        worst = np.linalg.norm(diff, axis=0).max(initial=worst)
+        local = vecs.T.take(halves, axis=1)  # c x q x 2 x 2^(n-1)
+        rho = np.einsum("cqaj,cqbj->cqab", local, local.conj())
+        purity = np.einsum("cqab,cqba->cq", rho, rho).real
+        pure &= np.all(np.abs(purity - 1) < TOLERANCE, axis=0)
+    return verdicts, float(worst), pure.tolist()
 
 
 def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:

@@ -8,14 +8,19 @@ circuits up to four qubits (a ``def`` gate, T/Tdg/TOFFOLI, a reversed
 conjugation and purity verdicts, and residuals on the same side of
 TOLERANCE: for the checker's own claims, and with one claim negated, one
 transported generator negated, and a qubit claimed as a factor that the
-checker did not factor.
+checker did not factor. The same holds on 5-8 qubits for circuits of
+diagonal gates only and for real and complex non-monomial defs, with the
+eigenstates checked over several blocks.
 """
 
+import copy
+import pathlib
+import pickle
 import random
 
 import pytest
 
-from gottesman import oracle, pyoracle
+from gottesman import cli, oracle, pyoracle
 from gottesman.checker import Circuit, Measure, check, infer_tableau
 from gottesman.errors import (
     ArityError,
@@ -40,6 +45,7 @@ from helpers import (
 
 GATES = standard_gates()
 TOLERANCE = pyoracle.TOLERANCE
+CIRCUITS = pathlib.Path(__file__).resolve().parent.parent / "circuits"
 
 
 def P(text):
@@ -56,49 +62,88 @@ def claims(circuit):
     ]
 
 
+def assert_kernels_agree(circuit, input_type, samples, seed, rng, seen):
+    """Both kernels on the checker's claims for ``circuit`` from ``input_type``,
+    then with one claim negated, one transported generator swapped for a
+    mutation, and one unfactored qubit claimed as a factor: the same
+    verdicts and purities, and residuals on the same side of TOLERANCE.
+    Tallies each case in ``seen``."""
+    n = circuit.n_qubits
+    pairs = claims(circuit)
+    out = check(circuit, QType(n, input_type))
+    gens = () if out.top else out.stab.generators
+    factored = [] if out.top else [k for k, _ in out.factors]
+    seen["top output"] += out.top
+    cases = [(pairs, gens, factored)]
+    if pairs:
+        j = rng.randrange(len(pairs))
+        negated = pairs[:j] + [(pairs[j][0], -pairs[j][1])] + pairs[j + 1 :]
+        cases.append((negated, gens, factored))
+    if gens:
+        j = rng.randrange(len(gens))
+        wrong = gens[:j] + (mutations(gens[j], rng)[0],) + gens[j + 1 :]
+        cases.append((pairs, wrong, factored))
+    free = [k for k in range(1, n + 1) if k not in factored]
+    if not out.top and free:
+        cases.append((pairs, gens, factored + [rng.choice(free)]))
+    for case, (claimed, transported, qubits) in enumerate(cases):
+        args = (circuit, claimed, input_type, transported, samples, seed, qubits)
+        want = oracle._verify(*args)
+        got = pyoracle._verify(*args)
+        assert got[0] == want[0], (seed, case)
+        assert (got[1] < TOLERANCE) == (want[1] < TOLERANCE), (seed, case)
+        assert got[2] == want[2], (seed, case)
+        if case == 0:
+            assert all(got[0]) and got[1] < TOLERANCE and all(got[2])
+            seen["pure factor"] += len(qubits)
+        elif claimed is not pairs:
+            seen["negated"] += got[0].count(False) == 1
+        elif transported is not gens:
+            seen["wrong transport"] += got[1] > 1e-3
+        else:
+            seen["refuted factor"] += not got[2][-1]
+
+
+CASES = ("negated", "wrong transport", "refuted factor", "pure factor", "top output")
+
+
 def test_verdicts_match_the_numpy_oracle():
     rng = random.Random(1919)
-    seen = dict.fromkeys(
-        ("negated", "wrong transport", "refuted factor", "pure factor", "top output"), 0
-    )
+    seen = dict.fromkeys(CASES, 0)
     for trial in range(320):
         n = 1 + trial % 4
         circuit = random_circuit(n, rng.randrange(1, 12), rng)
-        pairs = claims(circuit)
-        input_type = random_stab_type(n, rng)
-        out = check(circuit, QType(n, input_type))
-        gens = () if out.top else out.stab.generators
-        factored = [] if out.top else [k for k, _ in out.factors]
-        seen["top output"] += out.top
-        cases = [(pairs, gens, factored)]
-        if pairs:
-            j = rng.randrange(len(pairs))
-            negated = pairs[:j] + [(pairs[j][0], -pairs[j][1])] + pairs[j + 1 :]
-            cases.append((negated, gens, factored))
-        if gens:
-            j = rng.randrange(len(gens))
-            wrong = gens[:j] + (mutations(gens[j], rng)[0],) + gens[j + 1 :]
-            cases.append((pairs, wrong, factored))
-        free = [k for k in range(1, n + 1) if k not in factored]
-        if not out.top and free:
-            cases.append((pairs, gens, factored + [rng.choice(free)]))
-        for case, (claimed, transported, qubits) in enumerate(cases):
-            args = (circuit, claimed, input_type, transported, 4, trial, qubits)
-            want = oracle._verify(*args)
-            got = pyoracle._verify(*args)
-            assert got[0] == want[0], (trial, case)
-            assert (got[1] < TOLERANCE) == (want[1] < TOLERANCE), (trial, case)
-            assert got[2] == want[2], (trial, case)
-            if case == 0:
-                assert all(got[0]) and got[1] < TOLERANCE and all(got[2])
-                seen["pure factor"] += len(qubits)
-            elif claimed is not pairs:
-                seen["negated"] += got[0].count(False) == 1
-            elif transported is not gens:
-                seen["wrong transport"] += got[1] > 1e-3
-            else:
-                seen["refuted factor"] += not got[2][-1]
+        assert_kernels_agree(circuit, random_stab_type(n, rng), 4, trial, rng, seen)
     assert min(seen.values()) > 20, seen
+
+
+def test_verdicts_match_the_numpy_oracle_on_five_to_eight_qubits(monkeypatch):
+    """On 5-8 qubits, in turn: circuits of diagonal gates only, whose rows
+    the numpy kernel never moves; and random circuits with a real and with
+    a complex non-monomial def, the first multiplied in float arithmetic.
+    Inputs are mixed, 9 samples each, checked in blocks of two or more
+    columns (``_DRAW_BLOCK`` made small), so the residual and the purities
+    are read over several blocks, the last one partial."""
+    gates = standard_gates()
+    h, s = GateApp(gates["H"], (1,)), GateApp(gates["S"], (1,))
+    cnot = GateApp(gates["CNOT"], (1, 2))
+    defs = (derive_gate("RE", 2, [h, cnot]), derive_gate("CX", 2, [h, s, cnot]))
+    assert not oracle.gate_unitary(defs[0]).imag.any()
+    assert oracle._monomial(defs[1]) is None and oracle.gate_unitary(defs[1]).imag.any()
+    diagonal = [gates[name] for name in ("S", "Sdg", "Z", "CZ", "T", "Tdg")]
+    rng = random.Random(2029)
+    seen = dict.fromkeys(CASES, 0)
+    for trial in range(48):
+        n, kind = 5 + trial % 4, trial % 3
+        pool = diagonal if kind == 0 else [*gates.values(), defs[kind - 1]]
+        specs = [rng.choice(pool) for _ in range(rng.randrange(4, 10))]
+        if kind:
+            specs.insert(rng.randrange(len(specs) + 1), defs[kind - 1])
+        apps = tuple(GateApp(g, tuple(rng.sample(range(1, n + 1), g.arity))) for g in specs)
+        monkeypatch.setattr(oracle, "_DRAW_BLOCK", 2 * n * 2**n)
+        input_type = random_stab_type(n, rng, rank=rng.randrange(1, n))
+        assert_kernels_agree(Circuit(n, apps), input_type, 9, trial, rng, seen)
+    assert min(seen[case] for case in CASES[:-1]) > 10, seen
 
 
 # A gate's unitary as each kernel builds it.
@@ -200,6 +245,19 @@ def test_work_budget_chooses_the_kernel(ran):
     # The pure Z is drawn once, whatever is asked: W = 2 x 3 x 1.
     pyoracle.verify_claims(Circuit(1), (), StabType.of("Z"), (), samples=8191)
     assert ran == ["plain", "numpy", "plain", "plain"]
+
+
+def test_round_trips_keep_standard_gates_at_one_pass(ran, monkeypatch):
+    """A standard gate counts one pass and a def 2^arity, so superdense.qc's
+    six instructions of standard gates make 7 passes (W = 2^4 x 2 probes x
+    7), 21 if they were counted as defs: after pickle and deepcopy too."""
+    circuit, _ = cli.parse((CIRCUITS / "superdense.qc").read_text())
+    monkeypatch.setattr(pyoracle, "WORK_BUDGET", 16 * 2 * 7)
+    for twin in (circuit, pickle.loads(pickle.dumps(circuit)), copy.deepcopy(circuit)):
+        pyoracle.verify_claims(twin, ())
+    monkeypatch.setattr(pyoracle, "WORK_BUDGET", 16 * 2 * 7 - 1)
+    pyoracle.verify_claims(circuit, ())
+    assert ran == ["plain"] * 3 + ["numpy"]
 
 
 # Work budgets under which ``verify_claims`` runs each kernel.
