@@ -9,7 +9,8 @@ Circuit files (``.qc``) look like:
     CNOT 2 3
     MEAS 1
 
-``--`` starts a comment, instructions separate on ``;`` or newlines, and
+``--`` starts a comment, instructions separate on ``;`` or line breaks
+(LF, CRLF or CR only: not U+2028, U+0085 or a form feed), and
 ``def NAME a b := H a; CNOT a b`` registers a derived gate over formal
 wires. Wire indices are 1-based. Unicode type operators are accepted in
 the input type and nowhere else: another non-ASCII character outside a
@@ -82,8 +83,10 @@ def _check_ascii(ln: int, code: str) -> None:
 
 def parse(source: str) -> tuple[Circuit, QType | None]:
     """Parse circuit-file text into a Circuit and its optional input type."""
+    if "\r" in source:  # a line ends at \n, \r\n or \r, and at nothing else
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
     lines = []
-    for ln, raw in enumerate(source.splitlines(), start=1):
+    for ln, raw in enumerate(source.split("\n"), start=1):
         code = raw.split("--", 1)[0]
         if code.strip():
             lines.append((ln, code))
@@ -104,11 +107,9 @@ def parse(source: str) -> tuple[Circuit, QType | None]:
     for ln, code in rest:
         if not all_ascii:
             _check_ascii(ln, code)
-        if "def" in code:
-            stripped = code.strip()
-            if stripped.startswith("def ") or stripped == "def":
-                _def_line(gates, ln, code)
-                continue
+        if "def" in code and code.split(None, 1)[0] == "def":
+            _def_line(gates, ln, code)
+            continue
         for part in code.split(";"):
             ins = known.get(part)
             if ins is None:

@@ -1,19 +1,20 @@
 """Brute-force dense verification on numpy: the kernel for large work.
 
 :func:`gottesman.pyoracle.verify_claims` is the one entry point to the dense
-check. It validates its arguments, and when their work is above
-``pyoracle.WORK_BUDGET`` it imports this module and runs :func:`_verify`,
-the numpy twin of its plain-Python kernel. The caps, constants and gate
-table both share live in ``pyoracle``; this module builds only a derived
-gate's unitary, through ``pyoracle._unitary`` with its own :func:`_evolve`.
+check: it checks every operand and, when their work is above
+``pyoracle.WORK_BUDGET``, runs :func:`_verify` here, the numpy twin of its
+plain-Python kernel. The caps, constants and gate table both share live in
+``pyoracle``; this module's one public function, :func:`gate_unitary`, builds
+a derived gate's unitary through ``pyoracle._unitary`` and :func:`_evolve`.
 
 Pushes batches of state vectors, the columns of one 2^n x m array, through
 a circuit and checks the symbolic layer's claims: U P U+ == Q as
 U P phi == Q U phi on seeded Gaussian phi (a wrong Q passes only on a
 measure-zero set), eigenstate transport, and separability via purity.
-Input eigenstates are drawn once, as columns of that batch, and their images
-serve the last two: purity is read from them, as their distribution equals a
-fresh draw of the output type's eigenstates when the transport residual is 0.
+Input eigenstates are drawn once, as columns of that batch, from a stream
+of their own seeded with ``seed``, as in the plain kernel, and their images
+serve the last two: purity is read from them, as their distribution equals
+a fresh draw of the output type's eigenstates when the transport residual is 0.
 
 A gate's form is read from its dense unitary alone. If each row of it
 holds one nonzero entry (every standard gate but H), it acts on amplitudes
@@ -42,9 +43,6 @@ from .errors import EmptyEigenspaceError
 from .gates import GateSpec
 from .pauli import PauliString
 from .pyoracle import (  # the caps, constants and gate table both kernels share
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    MAX_BATCH_BYTES,
     MAX_QUBITS,
     PROBES,
     TOLERANCE,
@@ -52,9 +50,7 @@ from .pyoracle import (  # the caps, constants and gate table both kernels share
     _decode,
     _leaves_first,
     _unitary,
-    check_size,
 )
-from .typesys import StabType
 
 _DRAW_BLOCK = 2**18  # amplitudes drawn and projected at a time
 
@@ -212,8 +208,8 @@ def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):
     raw = np.random.default_rng(seed).standard_normal((2, 2**n, PROBES))
     phi = raw[0] + 1j * raw[1]
     cols = [phi, _apply([p for p, _ in pairs], phi).reshape(2**n, -1)]
-    if input_type is not None:
-        cols.append(sample_eigenstates(input_type, samples, seed).T)
+    if input_type is not None:  # the eigenstates from a stream of their own
+        cols.append(_sample_states(n, input_type.tableau, samples, np.random.default_rng(seed)))
     # Popped, so the pieces are freed now and the batch once it is gathered.
     cols = [np.concatenate(cols, axis=1)]
     out = _evolve(circuit.instructions, n, cols.pop())
@@ -277,19 +273,3 @@ def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:
             return states
     raise EmptyEigenspaceError("projection annihilates every sample")
 
-
-def sample_eigenstates(
-    s: StabType, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> np.ndarray:
-    """Pseudorandom unit vectors, one per row, in the joint +1 eigenspace of ``s``."""
-    check_size(s.arity, count)
-    rng = np.random.default_rng(seed)
-    return _sample_states(s.arity, s.tableau, count, rng).T
-
-
-def reduced_purity(state: np.ndarray, k: int, n: int) -> float | np.ndarray:
-    """tr(rho^2) of the reduced single-qubit state at qubit k (1-based), one
-    value per column if ``state`` is 2^n x m, whose rows are split in place."""
-    local = state.reshape(2 ** (k - 1), 2, 2 ** (n - k), *state.shape[1:])
-    rho = np.einsum("iaj...,ibj...->ab...", local, local.conj())
-    return np.einsum("ab...,ba...->...", rho, rho).real

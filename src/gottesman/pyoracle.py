@@ -1,10 +1,13 @@
 """The entry point to the dense check, and its kernel in plain Python.
 
 :func:`verify_claims` checks the symbolic layer's claims on state vectors
-and is the one way in for ``verify`` and for library callers alike. It
-validates the qubit and batch caps, the operand arities, that the circuit
-has no measurement and that no gate's dense unitary passes the batch cap,
-then runs one of two kernels with one contract, chosen by the work W: 2^n
+and is the one way in for ``verify`` and for library callers alike: the
+numpy kernel has no public entry. It checks every operand before any
+kernel or draw: the qubit and batch caps, that every string and the input
+type span the register, that each qubit lies in it, that strings to
+transport or qubits to read come with an input type, that the circuit has
+no measurement and that no gate's dense unitary passes the batch cap, then
+runs one of two kernels with one contract, chosen by the work W: 2^n
 amplitudes times the state columns times their passes. A pure input type
 (rows of GF(2) rank n) is one state up to phase, so one eigenstate of it
 is drawn, not ``samples``; W counts the columns drawn. Up to
@@ -21,9 +24,10 @@ each holding one amplitude per state column. A gate sends output row i to a
 sum of input rows times entries of its unitary, kept sparse: a row that a
 permutation gate only moves is shared, never copied or written. Both
 kernels read a Pauli string through :func:`_decode`, from its printed
-letters and ``.k``, sharing no code with the bit kernels. The probes phi
-and the input eigenstates come from two ``random.Random`` generators, both
-seeded with ``seed``.
+letters and ``.k``, sharing no code with the bit kernels. Each kernel
+draws the probes phi and, from a generator of its own, the input
+eigenstates, both seeded with ``seed``: ``random.Random`` here,
+``numpy.random.default_rng`` in the numpy kernel.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .errors import (
     OracleError,
     OracleUnavailableError,
     TopOperandError,
+    WireError,
 )
 from .gates import GateSpec, _build_order, standard_gates
 from .pauli import PauliString
@@ -283,8 +288,15 @@ def verify_claims(
     within ``WORK_BUDGET`` runs here, the rest on numpy."""
     n, drawn = circuit.n_qubits, samples if input_type is not None else 0
     check_size(n, drawn)
-    if any(s.arity != n for pair in pairs for s in pair):
+    if input_type is None and (transported or qubits):
+        raise OracleError("transported strings and qubits need an input type")
+    operands = [s for pair in pairs for s in pair] + list(transported)
+    if input_type is not None:
+        operands.append(input_type)
+    if any(s.arity != n for s in operands):
         raise ArityError("operands must match the circuit's register size")
+    if not all(0 < k <= n for k in qubits):
+        raise WireError(f"qubits must lie in 1..{n}")
     if circuit.has_measurement:
         raise MeasurementError("no unitary for a circuit with measurements")
     for app in circuit.instructions:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
-from gottesman import oracle, stabilizer
+from gottesman import oracle, pyoracle, stabilizer
 from gottesman.checker import Circuit, Measure
 from gottesman.errors import ArityError, ParseError, TopOperandError, WireError
 from gottesman.gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
@@ -322,7 +322,8 @@ def ref_factor_separable(s):
 # ``check`` applies a measurement as the O(n) row update of
 # ``stabilizer._measured``. This is the state threading it replaced: every
 # MEAS goes through ``measure`` and comes back row-reduced. ``annotate``
-# still measures this way.
+# measures through ``stabilizer._measured`` too; it calls ``measure`` only
+# at the first MEAS, and only when the written generators are dependent.
 
 
 def ref_states(circuit, input_type):
@@ -495,19 +496,23 @@ def oracle_unitary(circuit):
 def verify_conjugation(circuit, p, q):
     """True iff U M(p) U+ equals M(q)."""
     return oracle._verify(
-        circuit, [(p, q)], None, (), oracle.DEFAULT_SAMPLES, oracle.DEFAULT_SEED, ()
+        circuit, [(p, q)], None, (), pyoracle.DEFAULT_SAMPLES, pyoracle.DEFAULT_SEED, ()
     )[0][0]
 
 
 def transport_residual(
-    circuit, input_type, transported, samples=oracle.DEFAULT_SAMPLES, seed=oracle.DEFAULT_SEED
+    circuit,
+    input_type,
+    transported,
+    samples=pyoracle.DEFAULT_SAMPLES,
+    seed=pyoracle.DEFAULT_SEED,
 ):
     """How far ``input_type``'s sampled eigenstates, pushed through the
     circuit, sit from the +1 eigenspace of each transported generator."""
     return oracle._verify(circuit, (), input_type, transported, samples, seed, ())[1]
 
 
-def verify_separability(s, k, samples=oracle.DEFAULT_SAMPLES, seed=oracle.DEFAULT_SEED):
+def verify_separability(s, k, samples=pyoracle.DEFAULT_SAMPLES, seed=pyoracle.DEFAULT_SEED):
     """True iff every sampled joint eigenstate of ``s`` is pure at qubit k."""
     return oracle._verify(Circuit(s.arity), (), s, (), samples, seed, (k,))[2][0]
 
@@ -544,7 +549,7 @@ def ref_sample_eigenstates(s, count, seed):
 def ref_row_projected_states(s, count, seed):
     """The projector as the oracle ran it in row layout, one sample per row,
     halving after each generator, with the same stream and redraw rule:
-    what ``oracle.sample_eigenstates`` must equal bit for bit."""
+    what ``oracle._sample_states``, transposed, must equal bit for bit."""
     rng = np.random.default_rng(seed)
     perm, sign = oracle._paulis(s.tableau, s.arity)
     states = np.empty((count, 2**s.arity), dtype=complex)
@@ -602,8 +607,9 @@ def ref_verify_separability(s, k, samples, seed):
 # (which folds to nothing) before it is counted; only the input type is
 # folded, and a non-ASCII character on another line is a fault at its
 # column; a type fault without a place of its own (the end of the text, an
-# intersection's mismatched or Top unit) is reported at a column; and a
-# parsed type prints its tokens, rejoined.
+# intersection's mismatched or Top unit) is reported at a column; a
+# parsed type prints its tokens, rejoined; and a line breaks at LF, CRLF or
+# CR only, and a def line is one whose first word is ``def``.
 
 _REF_WORD = re.compile(r"\S+")
 _REF_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -650,7 +656,7 @@ def _ref_ascii(ln, code):
 class _RefFileParser:
     def __init__(self, source):
         self.lines = []
-        for ln, raw in enumerate(source.splitlines(), start=1):
+        for ln, raw in enumerate(re.split(r"\r\n|\r|\n", source), start=1):
             code = raw.split("--", 1)[0]
             if code.strip():
                 self.lines.append((ln, code))
@@ -669,8 +675,7 @@ class _RefFileParser:
         instructions = []
         for ln, code in rest:
             _ref_ascii(ln, code)
-            stripped = code.strip()
-            if stripped.startswith("def ") or stripped == "def":
+            if code.split()[0] == "def":
                 self._def_line(ln, code)
                 continue
             for chunk_text, chunk_col in _ref_split_chunks(code):

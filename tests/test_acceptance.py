@@ -12,7 +12,9 @@ import random
 import statistics
 import time
 
-from gottesman import cli, gates, oracle
+import numpy as np
+
+from gottesman import cli, gates, oracle, pyoracle
 from gottesman.checker import Circuit, annotate, check, infer_tableau
 from gottesman.gates import GateApp, apply_gate, standard_gates
 from gottesman.pauli import PauliString
@@ -233,9 +235,9 @@ def test_criterion_7_eigenstate_transport_and_separability():
         if not entangled_candidates:
             continue
         cases += 1
-        states = oracle.sample_eigenstates(s, count=16, seed=1000 + cases)
+        states = oracle._sample_states(n, s.tableau, 16, np.random.default_rng(1000 + cases)).T
         witnessed = any(
-            min(oracle.reduced_purity(v, k, n) for v in states) < 1 - 1e-3
+            min(pyoracle._purity(v, k, n) for v in states) < 1 - 1e-3
             for k in entangled_candidates
         )
         if not witnessed:

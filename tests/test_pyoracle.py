@@ -29,6 +29,7 @@ from gottesman.errors import (
     OracleError,
     OracleUnavailableError,
     TopOperandError,
+    WireError,
 )
 from gottesman.gates import GateApp, GateSpec, derive_gate, standard_gates
 from gottesman.pauli import PauliString
@@ -202,9 +203,13 @@ def test_samples_are_unit_eigenvectors():
 
 
 def test_oracle_shares_the_caps():
-    shared = ("TOLERANCE", "MAX_QUBITS", "DEFAULT_SEED", "DEFAULT_SAMPLES", "PROBES")
-    for name in shared + ("MAX_BATCH_BYTES", "check_size"):
+    caps = ("TOLERANCE", "MAX_QUBITS", "DEFAULT_SEED", "DEFAULT_SAMPLES", "PROBES")
+    caps += ("MAX_BATCH_BYTES",)
+    imported = [name for name in caps if hasattr(oracle, name)]
+    assert imported == ["TOLERANCE", "MAX_QUBITS", "PROBES"]
+    for name in imported:
         assert getattr(oracle, name) is getattr(pyoracle, name)
+    assert not hasattr(oracle, "check_size")  # the caps are checked in verify_claims
     over = StabType.of("Z" * (pyoracle.MAX_QUBITS + 1))
     with pytest.raises(OracleUnavailableError, match="dense cap"):
         pyoracle.verify_claims(Circuit(over.arity), (), over)
@@ -212,6 +217,14 @@ def test_oracle_shares_the_caps():
 
 def test_numpy_oracle_has_no_entry_of_its_own():
     assert not hasattr(oracle, "verify_claims")
+    public = {
+        name
+        for name, value in vars(oracle).items()
+        if callable(value)
+        and getattr(value, "__module__", None) == oracle.__name__
+        and not name.startswith("_")
+    }
+    assert public == {"gate_unitary"}
 
 
 @pytest.fixture
@@ -318,6 +331,44 @@ def test_one_draw_of_a_pure_type_reads_as_every_sample(kernel, monkeypatch):
         assert abs(got[1] - want[1]) < 1e-9, trial
         wrong += got[1] > 1e-3
     assert wrong > 50
+
+
+@pytest.fixture
+def refused(monkeypatch):
+    """Both kernels and both eigenstate draws, each raising if reached."""
+
+    def refuse(*args):
+        raise AssertionError("operands must be checked before any kernel or draw")
+
+    for module in (pyoracle, oracle):
+        for name in ("_verify", "_sample_states"):
+            monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("samples", [1, 4000])  # the plain and the numpy kernel's work
+def test_every_operand_is_checked_before_either_kernel(refused, samples):
+    h1 = Circuit(2, (GateApp(GATES["H"], (1,)),))
+    bell = Circuit(2, h1.instructions + (GateApp(GATES["CNOT"], (1, 2)),))
+    mixed = StabType.of("ZI")  # 4000 samples of it: W = 4 x 4002 x 2, past the budget
+    cases = [
+        (ArityError, h1, StabType.of("ZZZ"), (), ()),
+        (ArityError, h1, mixed, (P("ZZZ"),), ()),
+        (ArityError, h1, mixed, (P("X"),), ()),
+        (WireError, h1, mixed, (), (5,)),
+        (WireError, h1, mixed, (), (0,)),
+        (OracleError, bell, None, (), (1, 2)),
+        (OracleError, bell, None, (P("ZI"),), ()),
+    ]
+    for error, circuit, input_type, transported, qubits in cases:
+        with pytest.raises(error):
+            pyoracle.verify_claims(circuit, (), input_type, transported, samples, 7, qubits)
+
+
+def test_valid_operands_reach_the_kernel_the_size_chooses(ran):
+    h1 = Circuit(2, (GateApp(GATES["H"], (1,)),))
+    for samples in (1, 4000):
+        pyoracle.verify_claims(h1, (), StabType.of("ZI"), (P("XI"),), samples, 7, (2,))
+    assert ran == ["plain", "numpy"]
 
 
 def test_measured_circuit_refused_before_either_kernel(ran):
