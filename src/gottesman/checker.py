@@ -7,12 +7,13 @@ instruction sequence, measures by the one rule, ``stabilizer._measured``,
 and returns the final group as a ``QType``, whose factored view gives
 separability (the state view). ``check`` hands ``_transport`` each run
 of Clifford gates between measurements at once (a run also ends after a
-non-Clifford gate, where the rows may turn Top): the unit that a
-column-major body would transpose once. ``annotate`` steps through one
-instruction at a time and canonicalises each measured state.
-None has side effects; transport is defined on generators and extends
-multiplicatively, so the arrow rules for products, phases and sequencing
-hold by construction.
+non-Clifford gate, where the rows may turn Top). The run is the
+transposition unit: ``_transport`` carries each row through the whole
+run before the next, and a column-major body would transpose it in and
+out once. ``annotate`` steps through one instruction at a time and
+canonicalises each measured state. None has side effects; transport is
+defined on generators and extends multiplicatively, so the arrow rules
+for products, phases and sequencing hold by construction.
 """
 
 from __future__ import annotations

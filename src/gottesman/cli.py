@@ -23,8 +23,9 @@ built without the constructors' checks: one GateApp per distinct
 instruction text in a file, and the Circuit. Nothing is kept from one
 ``parse`` to the next, so a def is derived on every parse.
 
-What a line costs: a split on ``;`` and, per instruction, one lookup of
-its text among those already read. A new text costs one ``split``, one
+What a line costs: a membership test each for ``--`` and ``;``, a split
+only where one is found, and, per instruction, one lookup of its text
+among those already read. A new text costs one ``split``, one
 gate-table lookup and its wire checks, unrolled for one and two wires,
 and then the GateApp (or Measure) is built directly. Any other text goes
 to the general checker, whose tail is the fault path: a fault's message
@@ -86,9 +87,10 @@ def parse(source: str) -> tuple[Circuit, QType | None]:
     if "\r" in source:  # a line ends at \n, \r\n or \r, and at nothing else
         source = source.replace("\r\n", "\n").replace("\r", "\n")
     lines = []
-    for ln, raw in enumerate(source.split("\n"), start=1):
-        code = raw.split("--", 1)[0]
-        if code.strip():
+    for ln, code in enumerate(source.split("\n"), start=1):
+        if "--" in code:
+            code = code.split("--", 1)[0]
+        if code and not code.isspace():
             lines.append((ln, code))
     if not lines:
         raise ParseError("missing 'qubits' header", line=1)
@@ -110,7 +112,7 @@ def parse(source: str) -> tuple[Circuit, QType | None]:
         if "def" in code and code.split(None, 1)[0] == "def":
             _def_line(gates, ln, code)
             continue
-        for part in code.split(";"):
+        for part in code.split(";") if ";" in code else (code,):
             ins = known.get(part)
             if ins is None:
                 ins = known[part] = _instruction(gates, ln, code, part, n_qubits)
@@ -250,6 +252,12 @@ def _gate(gates: dict, ln: int, part: str, pos: int, name: str, wires: list[int]
     raise ParseError(fault, line=ln, col=_col(part, pos))
 
 
+def _unit_labels(n: int) -> list[str]:
+    """X1..Xn, then Z1..Zn: the names ``tableau`` and ``verify`` print for
+    the unit strings of ``gates._units(n)``."""
+    return [f"{letter}{k}" for letter in "XZ" for k in range(1, n + 1)]
+
+
 def _default_input(n: int) -> QType:
     """Z x ... x Z: Z_1..Z_n are already a reduced tableau."""
     rows = tuple(from_bits(n, 0, 1 << k) for k in range(n))
@@ -327,8 +335,8 @@ def _cmd_check(args) -> int:
 def _cmd_tableau(args) -> int:
     circuit, _ = parse(_read(args.file))
     tab = infer_tableau(circuit)
-    units = _units(circuit.n_qubits)
-    rows = [(label, str(img)) for (label, _), img in zip(units, tab.x_images + tab.z_images)]
+    labels = _unit_labels(circuit.n_qubits)
+    rows = [(label, str(img)) for label, img in zip(labels, tab.x_images + tab.z_images)]
     if args.json:
         _print_json(
             {
@@ -349,7 +357,7 @@ def _cmd_gates(args) -> int:
         images = spec.x_images + spec.z_images
         rows = [
             {"input": str(unit), "output": str(img)}
-            for (_, unit), img in zip(_units(spec.arity), images)
+            for unit, img in zip(_units(spec.arity), images)
         ]
         records.append({"name": spec.name, "arity": spec.arity, "rows": rows})
     if args.json:
@@ -381,7 +389,7 @@ def _cmd_verify(args) -> int:
     pyoracle.check_size(n, args.samples if flat_in is not None else 0)
     tab = infer_tableau(circuit)
     labels, pairs = [], []
-    for (label, unit), img in zip(_units(n), tab.x_images + tab.z_images):
+    for label, unit, img in zip(_unit_labels(n), _units(n), tab.x_images + tab.z_images):
         if not img.is_top:
             labels.append(label)
             pairs.append((unit, img))

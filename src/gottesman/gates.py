@@ -28,7 +28,8 @@ string. The standard gate table is built once at first use; only its
 ``checker.infer_tableau`` (both on the unit strings of ``_units``) and
 ``checker.check`` (a run of gates between measurements at a time) carry
 their generators through it, one ``apply_gate`` call per string per gate,
-the unit that the benchmark's traced runs count.
+the unit that the benchmark's traced runs count. It is string-major (each
+string through the whole run, then the next) and returns a new list.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class GateSpec(_Frozen):
                     )
         object.__setattr__(self, "_hash", hash(fields))
         object.__setattr__(self, "is_clifford", not any(img.is_top for img in images))
-        moved = [img != unit for img, (_, unit) in zip(images, _units(self.arity))]
+        moved = [img != unit for img, unit in zip(images, _units(self.arity))]
         moved_pairs = zip(moved[: self.arity], moved[self.arity :])
         object.__setattr__(self, "_moved", tuple(moved_pairs))
 
@@ -330,23 +331,28 @@ def _conjugate(app: GateApp, p: PauliString) -> PauliString:
 
 
 def _transport(apps: Sequence[GateApp], strings: Sequence[PauliString]) -> list[PauliString]:
-    """Conjugate each string through ``apps``, one gate at a time, with one
-    ``apply_gate`` call per string per gate: the only loop of gates over strings.
-    The result is a new list, copied only when ``apps`` is empty."""
-    for app in apps:
-        strings = [apply_gate(app, p) for p in strings]
-    return strings if apps else list(strings)
+    """Conjugate each string through ``apps``, with one ``apply_gate`` call per
+    string per gate: the only loop of gates over strings. String-major: each
+    string goes through every gate in order, and only its final image joins
+    the result, which is always a new list. The first gate with a wire out
+    of range raises its WireError on the first string."""
+    out = []
+    for p in strings:
+        for app in apps:
+            p = apply_gate(app, p)
+        out.append(p)
+    return out
 
 
-def _units(n: int) -> list[tuple[str, PauliString]]:
-    """X_1..X_n, then Z_1..Z_n, over n qubits, each with its label."""
-    xs = [(f"X{k}", from_bits(n, 1 << (k - 1), 0)) for k in range(1, n + 1)]
-    return xs + [(f"Z{k}", from_bits(n, 0, 1 << (k - 1))) for k in range(1, n + 1)]
+def _units(n: int) -> list[PauliString]:
+    """X_1..X_n, then Z_1..Z_n, over n qubits."""
+    xs = [from_bits(n, 1 << k, 0) for k in range(n)]
+    return xs + [from_bits(n, 0, 1 << k) for k in range(n)]
 
 
 def _unit_images(n: int, apps: Sequence[GateApp]) -> tuple[tuple[PauliString, ...], ...]:
     """The images of X_1..X_n and of Z_1..Z_n under ``apps``, as two tuples."""
-    images = _transport(apps, [unit for _, unit in _units(n)])
+    images = _transport(apps, _units(n))
     return tuple(images[:n]), tuple(images[n:])
 
 

@@ -1020,8 +1020,14 @@ def _random_file(rng):
 
 def _mutate(rng, text):
     """One token of ``text`` replaced, deleted, or preceded or glued by a
-    token from ``_VOCAB``; in the input type for about a third of files."""
+    token from ``_VOCAB``; in the input type for about a third of files.
+    Now and then a def's formals instead get a repeat, ``def G a b a``, as
+    a random token seldom writes one."""
     lines = text.split("\n")
+    defs = [i for i, line in enumerate(lines) if line.startswith("def")]
+    if defs and rng.random() < 0.05:
+        lines[defs[0]] = lines[defs[0]].replace(" a b :=", " a b a :=", 1)
+        return "\n".join(lines)
     if len(lines) > 2 and lines[1].startswith("input") and rng.random() < 0.35:
         lines[1] = "input " + _mutate_token(rng, lines[1][len("input ") :])
         return "\n".join(lines)

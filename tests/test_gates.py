@@ -10,6 +10,7 @@ from gottesman.errors import IllFormedTypeError, WireError
 from gottesman.gates import (
     GateApp,
     GateSpec,
+    _transport,
     apply_gate,
     derive_gate,
     standard_gates,
@@ -282,6 +283,33 @@ class TestDeriveGate:
         assert z2.x_images == z6.x_images and z2.z_images == z6.z_images
         assert z2 != z6
         assert z2 == GATES["Z"] and hash(z2) == hash(GATES["Z"])
+
+
+class TestTransport:
+    """``_transport``'s contract, whatever its loop order: a new list of the
+    final images, and the first out-of-range gate's WireError."""
+
+    def test_empty_run_returns_a_new_list_equal_to_its_input(self):
+        for strings in ([], [P("X")], [P("-XZ"), PauliString.top(2), P("iYY")]):
+            for given_as in (list, tuple):
+                given = given_as(strings)
+                got = _transport((), given)
+                assert got == strings and got is not given and type(got) is list
+
+    def test_later_out_of_range_gate_raises_as_apply_gate_does(self):
+        strings = [P("XI"), P("-IZ"), PauliString.top(2)]
+        bad = GateApp(GATES["CNOT"], (1, 3))
+        apps = [
+            GateApp(GATES["H"], (1,)),
+            GateApp(GATES["CNOT"], (1, 2)),
+            bad,
+            GateApp(GATES["S"], (4,)),
+        ]
+        with pytest.raises(WireError) as want:
+            apply_gate(bad, strings[0])
+        with pytest.raises(WireError) as got:
+            _transport(apps, strings)
+        assert str(got.value) == str(want.value) == "wire 3 out of range for 2 qubits"
 
 
 @pytest.mark.parametrize("name", [n for n, s in GATES.items() if s.is_clifford])
