@@ -24,7 +24,7 @@ from . import stabilizer
 from .errors import ArityError, MeasurementError, TopOperandError, WireError
 from .gates import GateApp, _built_table, _table, _transport, _unit_images
 from .pauli import PauliString, _Frozen
-from .typesys import QType, _unchecked, measure
+from .typesys import QType, _unchecked
 
 
 class Measure(_Frozen):
@@ -208,16 +208,17 @@ def annotate(circuit: Circuit, input_type: QType) -> list[QType]:
     """
     n = circuit.n_qubits
     rows = None if input_type.top else input_type.stab.generators
-    # ``stabilizer._measured`` needs independent rows: the written generators
-    # are when the tableau has as many rows, and every measured state is.
-    independent = rows is not None and len(rows) == len(input_type.stab.tableau)
+    # ``stabilizer._measured`` needs independent rows. A measured state's
+    # are, and so are the written generators unless they outnumber the
+    # tableau's rows: then the first MEAS, which finds as many rows as were
+    # written, row-reduces them once. (A later state with as many rows is
+    # independent, and reducing it changes nothing.)
+    written = 0 if rows is None or len(rows) == len(input_type.stab.tableau) else len(rows)
 
     def canonical(arity: int, rows, k: int):
-        nonlocal independent
-        if independent:
-            return stabilizer._echelon(arity, stabilizer._measured(arity, rows, k))
-        independent = True
-        return measure(_unchecked(arity, tuple(rows)), k).generators
+        if len(rows) == written:
+            rows = stabilizer._echelon(arity, rows)
+        return stabilizer._echelon(arity, stabilizer._measured(arity, rows, k))
 
     out = []
     for state in _states(circuit, input_type, rows, canonical):

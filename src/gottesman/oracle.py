@@ -10,11 +10,10 @@ a derived gate's unitary through ``pyoracle._unitary`` and :func:`_evolve`.
 Pushes batches of state vectors, the columns of one 2^n x m array, through
 a circuit and checks the symbolic layer's claims: U P U+ == Q as
 U P phi == Q U phi on seeded Gaussian phi (a wrong Q passes only on a
-measure-zero set), eigenstate transport, and separability via purity.
-Input eigenstates are drawn once, as columns of that batch, from a stream
-of their own seeded with ``seed``, as in the plain kernel, and their images
-serve the last two: purity is read from them, as their distribution equals
-a fresh draw of the output type's eigenstates when the transport residual is 0.
+measure-zero set), and each string claimed of the output, a generator or
+a separability factor, as M(q) U v == U v on the input type's eigenstates
+v. Those are drawn once, as columns of that batch, from a stream of their
+own seeded with ``seed``, as in the plain kernel.
 
 A gate's form is read from its dense unitary alone. If each row of it
 holds one nonzero entry (every standard gate but H), it acts on amplitudes
@@ -28,8 +27,7 @@ blocks by their bits on its wires, multiplies the blocks by its unitary in
 one matmul (on floats if the unitary is real, as H's), and leaves their
 ungrouping pending. A Pauli is read through ``pyoracle._decode``, sharing
 no code with the bit kernels, and a list of strings acts in one gather:
-per block of eigenstate columns, one gather checks every transported
-generator, and one reads both halves of every factored qubit's rows.
+per block of eigenstate columns, one gather checks every claimed string.
 """
 
 from __future__ import annotations
@@ -200,7 +198,7 @@ def _real(spec: GateSpec) -> np.ndarray | None:
     return None if u.imag.any() else np.ascontiguousarray(u.real)
 
 
-def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):
+def _verify(circuit, pairs, input_type, transported, samples, seed):
     """``pyoracle.verify_claims``' result, on numpy, on arguments it has
     checked: one pass over ``PROBES`` Gaussian phi, each M(p) phi and
     ``input_type``'s eigenstates."""
@@ -221,25 +219,20 @@ def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):
     verdicts = (np.abs(defect).max(axis=0).max(axis=1) < TOLERANCE).tolist()
     del defect  # freed first: at n = 14 the gathers below are as large
     # The eigenstate columns in blocks, each gather within _DRAW_BLOCK: one
-    # makes M(q) v - v for every q, one every qubit's halves for its purity.
-    evolved, worst, pure = out[:, split:], 0.0, np.ones(len(qubits), dtype=bool)
-    perm, sign = _paulis([q for q in transported if not q.is_top], n)
-    # A stable sort of each qubit's bits lists its rows with the bit 0, then
-    # with it 1, each in order: q x 2 x 2^(n-1), the pairs of its purity.
-    bits = _basis(n)[1][np.array(qubits, dtype=np.intp) - 1]
-    halves = bits.argsort(axis=1, kind="stable").reshape(len(qubits), 2, 2 ** (n - 1))
-    block = max(1, (_DRAW_BLOCK >> n) // max(len(perm), len(qubits), 1))
+    # makes M(q) v - v for every string q that is not Top.
+    evolved, residuals = out[:, split:], np.zeros(len(transported))
+    live = [j for j, q in enumerate(transported) if not q.is_top]
+    perm, sign = _paulis([transported[j] for j in live], n)
+    worst = np.zeros(len(live))
+    block = max(1, (_DRAW_BLOCK >> n) // max(len(live), 1))
     for start in range(0, evolved.shape[1], block):
         vecs = evolved[:, start : start + block]
         diff = vecs.take(perm.T, axis=0)  # 2^n x t x c
         diff *= sign.T[:, :, None]
         diff -= vecs[:, None]
-        worst = np.linalg.norm(diff, axis=0).max(initial=worst)
-        local = vecs.T.take(halves, axis=1)  # c x q x 2 x 2^(n-1)
-        rho = np.einsum("cqaj,cqbj->cqab", local, local.conj())
-        purity = np.einsum("cqab,cqba->cq", rho, rho).real
-        pure &= np.all(np.abs(purity - 1) < TOLERANCE, axis=0)
-    return verdicts, float(worst), pure.tolist()
+        np.maximum(worst, np.linalg.norm(diff, axis=0).max(axis=1), out=worst)
+    residuals[live] = worst
+    return verdicts, residuals.tolist()
 
 
 def _sample_states(n: int, gens, count: int, rng) -> np.ndarray:

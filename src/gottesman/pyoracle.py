@@ -4,27 +4,32 @@
 and is the one way in for ``verify`` and for library callers alike: the
 numpy kernel has no public entry. It checks every operand before any
 kernel or draw: the qubit and batch caps, that every string and the input
-type span the register, that each qubit lies in it, that strings to
-transport or qubits to read come with an input type, that the circuit has
-no measurement and that no gate's dense unitary passes the batch cap, then
-runs one of two kernels with one contract, chosen by the work W: 2^n
-amplitudes times the state columns times their passes. A pure input type
-(rows of GF(2) rank n) is one state up to phase, so one eigenstate of it
-is drawn, not ``samples``; W counts the columns drawn. Up to
-``WORK_BUDGET`` it runs :func:`_verify` here, without numpy: on the
-2-4-qubit files of the paper's worked examples, importing numpy costs
-several times the whole check. Above it, it imports
+type span the register, that strings to transport come with an input
+type, that the circuit has no measurement and that no gate's dense unitary
+passes the batch cap, then runs one of two kernels with one contract,
+chosen by the work W: 2^n amplitudes times the state columns times their
+passes. A pure input type (rows of GF(2) rank n) is one state up to phase,
+so one eigenstate of it is drawn, not ``samples``; W counts the columns
+drawn. Up to ``WORK_BUDGET`` it runs :func:`_verify` here, without numpy:
+on the 2-4-qubit files of the paper's worked examples, importing numpy
+costs several times the whole check. Above it, it imports
 :func:`gottesman.oracle._verify`. The caps and constants below serve both,
-and so does the gate table: :func:`_unitary` gives each kernel a primitive's
-matrix, or a derived gate's built by that kernel's ``_evolve``, and checks
-TOFFOLI against its reference, so both refuse a faulty gate alike.
+and so does the gate table: :func:`_unitary` gives each kernel a
+primitive's matrix, or a derived gate's built by that kernel's
+``_evolve``, and checks TOFFOLI against its reference, so both refuse a
+faulty gate alike.
+
+Every claim is linear in the state: a conjugation U M(p) U+ = M(q), read
+on probes, and a string q claimed to fix the evolved eigenstates,
+M(q) U v = U v. An output generator and a separability factor +-U on
+qubit k, lifted to the register as +-U_k, are both such strings.
 
 A batch is a list of 2^n rows, one per basis index (qubit 1 its top bit),
 each holding one amplitude per state column. A gate sends output row i to a
 sum of input rows times entries of its unitary, kept sparse: a row that a
 permutation gate only moves is shared, never copied or written. Both
-kernels read a Pauli string through :func:`_decode`, from its printed
-letters and ``.k``, sharing no code with the bit kernels. Each kernel
+kernels read a Pauli string through :func:`_decode`, from its masks
+reversed and ``.k``, sharing no code with the bit kernels. Each kernel
 draws the probes phi and, from a generator of its own, the input
 eigenstates, both seeded with ``seed``: ``random.Random`` here,
 ``numpy.random.default_rng`` in the numpy kernel.
@@ -47,7 +52,6 @@ from .errors import (
     OracleError,
     OracleUnavailableError,
     TopOperandError,
-    WireError,
 )
 from .gates import GateSpec, _build_order, standard_gates
 from .pauli import PauliString
@@ -65,9 +69,6 @@ _CAP = f"the batch cap of {MAX_BATCH_BYTES >> 20} MiB"
 WORK_BUDGET = 2**14
 
 _POWERS_OF_I = (1, 1j, -1, -1j)
-# A string's letters, qubit 1 first, as the binary numerals of its masks.
-_X_DIGITS = str.maketrans("IXYZ", "0110")
-_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 _R = 1 / math.sqrt(2)
 _BASE_UNITARIES = {
@@ -91,12 +92,13 @@ def check_size(n: int, samples: int = 0) -> None:
 
 def _decode(p: PauliString) -> tuple[int, int, int]:
     """``(x, z, power)`` with M(p) = i^power Z^z X^x, qubit 1 the top bit of
-    each mask: read from the string's printed letters and ``.k``, as Y = -iZX."""
+    each mask: the string's masks (qubit 1 their low bit) reversed, and its
+    ``.k`` plus 3 for each Y, as Y = -iZX."""
     if p.is_top:
         raise TopOperandError("Top strings have no matrix")
-    letters = str(p).lstrip("-i")  # letters hold no '-' or 'i'
-    x, z = int(letters.translate(_X_DIGITS), 2), int(letters.translate(_Z_DIGITS), 2)
-    return x, z, (p.k + 3 * letters.count("Y")) % 4
+    width = f"0{p.arity}b"
+    x, z = int(format(p.x, width)[::-1], 2), int(format(p.z, width)[::-1], 2)
+    return x, z, (p.k + 3 * (p.x & p.z).bit_count()) % 4
 
 
 def _pauli(p: PauliString) -> tuple[list[int], list[complex]]:
@@ -237,18 +239,6 @@ def _sample_states(n: int, gens: Sequence[PauliString], count: int, rng) -> list
     return states
 
 
-def _purity(v: Sequence[complex], k: int, n: int) -> float:
-    """tr(rho^2) of the reduced state of qubit k (1-based) in the vector ``v``,
-    rho00^2 + rho11^2 + 2|rho01|^2, from its amplitudes with qubit k at 0
-    (``lo``) and at 1 (``hi``)."""
-    bit = 1 << (n - k)
-    lo = [a for j in range(0, 2**n, 2 * bit) for a in v[j : j + bit]]
-    hi = [b for j in range(bit, 2**n, 2 * bit) for b in v[j : j + bit]]
-    rho00, rho11 = math.hypot(*map(abs, lo)) ** 2, math.hypot(*map(abs, hi)) ** 2
-    rho01 = sum(map(mul, lo, map(complex.conjugate, hi)))
-    return rho00 * rho00 + rho11 * rho11 + 2 * abs(rho01) ** 2
-
-
 def _rank(strings: Sequence[PauliString]) -> int:
     """The GF(2) rank of the strings' x|z bits, read through :func:`_decode`:
     each is reduced by the kept rows with its top bit, and kept if nonzero."""
@@ -270,33 +260,28 @@ def verify_claims(
     transported: Sequence[PauliString] = (),
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    qubits: Sequence[int] = (),
-) -> tuple[list[bool], float, list[bool]]:
-    """Verdicts U M(p) phi == M(q) U phi for each pair, the transport residual,
-    and whether each of ``qubits`` is pure in every transported eigenstate,
-    from one pass over ``PROBES`` Gaussian phi, each M(p) phi and, if
-    ``input_type`` is given, ``samples`` of its eigenstates. At a zero
-    residual U maps a projected Gaussian to one projected on the transported
-    type: purity is read as from a fresh draw of it. A pure input type (its
-    rows' bits of GF(2) rank n, by :func:`_rank`) has one eigenstate up to
-    phase, and neither the residual nor a purity depends on the phase, so
-    one is drawn, the first of the kernel's seeded stream; a mixed type
-    keeps all ``samples``, as purity is not linear in the state. The caps
+) -> tuple[list[bool], list[float]]:
+    """Verdicts U M(p) phi == M(q) U phi for each pair, and for each string q
+    of ``transported`` (the output type's generators and lifted factors)
+    the worst residual |M(q) U v - U v| over ``samples`` eigenstates v of
+    ``input_type``, 0 for a Top q, from one pass over ``PROBES`` Gaussian
+    phi, each M(p) phi and the v. A pure input type (its rows' bits of
+    GF(2) rank n, by :func:`_rank`) has one eigenstate up to phase, and no
+    residual depends on the phase, so one is drawn, the first of the
+    kernel's seeded stream; a mixed type keeps all ``samples``. The caps
     count ``samples`` as asked. Each of the 2^n x columns amplitudes (the
     columns drawn) takes a pass per instruction (2^g for a def on g wires,
     whose unitary may be dense) and one for the checks on the output; work
     within ``WORK_BUDGET`` runs here, the rest on numpy."""
     n, drawn = circuit.n_qubits, samples if input_type is not None else 0
     check_size(n, drawn)
-    if input_type is None and (transported or qubits):
-        raise OracleError("transported strings and qubits need an input type")
+    if input_type is None and transported:
+        raise OracleError("transported strings need an input type")
     operands = [s for pair in pairs for s in pair] + list(transported)
     if input_type is not None:
         operands.append(input_type)
     if any(s.arity != n for s in operands):
         raise ArityError("operands must match the circuit's register size")
-    if not all(0 < k <= n for k in qubits):
-        raise WireError(f"qubits must lie in 1..{n}")
     if circuit.has_measurement:
         raise MeasurementError("no unitary for a circuit with measurements")
     for app in circuit.instructions:
@@ -316,10 +301,10 @@ def verify_claims(
         kernel = _verify
     else:
         from .oracle import _verify as kernel
-    return kernel(circuit, pairs, input_type, transported, drawn, seed, qubits)
+    return kernel(circuit, pairs, input_type, transported, drawn, seed)
 
 
-def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):
+def _verify(circuit, pairs, input_type, transported, samples, seed):
     """:func:`verify_claims`' result, in plain Python, on arguments it has
     checked."""
     n = circuit.n_qubits
@@ -335,11 +320,12 @@ def _verify(circuit, pairs, input_type, transported, samples, seed, qubits):
         defects = (map(sub, _act(m_q, u), want) for u, want in zip(out[:PROBES], u_p_phi))
         verdicts.append(max(max(map(abs, d)) for d in defects) < TOLERANCE)
     evolved = out[PROBES * (len(pairs) + 1) :]
-    worst = 0.0
+    residuals = []
     for q in transported:
+        worst = 0.0
         if not q.is_top:
             m_q = _pauli(q)
             for v in evolved:
                 worst = max(worst, math.hypot(*map(abs, map(sub, _act(m_q, v), v))))
-    pure = [all(abs(_purity(v, k, n) - 1) < TOLERANCE for v in evolved) for k in qubits]
-    return verdicts, worst, pure
+        residuals.append(worst)
+    return verdicts, residuals

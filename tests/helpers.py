@@ -496,7 +496,7 @@ def oracle_unitary(circuit):
 def verify_conjugation(circuit, p, q):
     """True iff U M(p) U+ equals M(q)."""
     return oracle._verify(
-        circuit, [(p, q)], None, (), pyoracle.DEFAULT_SAMPLES, pyoracle.DEFAULT_SEED, ()
+        circuit, [(p, q)], None, (), pyoracle.DEFAULT_SAMPLES, pyoracle.DEFAULT_SEED
     )[0][0]
 
 
@@ -508,13 +508,27 @@ def transport_residual(
     seed=pyoracle.DEFAULT_SEED,
 ):
     """How far ``input_type``'s sampled eigenstates, pushed through the
-    circuit, sit from the +1 eigenspace of each transported generator."""
-    return oracle._verify(circuit, (), input_type, transported, samples, seed, ())[1]
+    circuit, sit from the +1 eigenspace of each transported generator: the
+    worst of the strings' residuals."""
+    residuals = oracle._verify(circuit, (), input_type, transported, samples, seed)[1]
+    return max(residuals, default=0.0)
 
 
-def verify_separability(s, k, samples=pyoracle.DEFAULT_SAMPLES, seed=pyoracle.DEFAULT_SEED):
-    """True iff every sampled joint eigenstate of ``s`` is pure at qubit k."""
-    return oracle._verify(Circuit(s.arity), (), s, (), samples, seed, (k,))[2][0]
+def lift(k, factor, n):
+    """The one-qubit string ``factor`` claimed at qubit k of n, lifted to
+    the register letter by letter."""
+    return embed(letters(factor), factor.k, k, n)
+
+
+def verify_separability(
+    s, k, factor, samples=pyoracle.DEFAULT_SAMPLES, seed=pyoracle.DEFAULT_SEED
+):
+    """True iff the one-qubit string ``factor``, claimed at qubit k and
+    lifted to the register, fixes every sampled joint eigenstate of ``s``:
+    the check ``verify`` makes of a separability claim."""
+    lifted = lift(k, factor, s.arity)
+    residual = oracle._verify(Circuit(s.arity), (), s, (lifted,), samples, seed)[1][0]
+    return residual < pyoracle.TOLERANCE
 
 
 def ref_verify_conjugation(circuit, p, q, u=None):
@@ -585,18 +599,29 @@ def ref_transport_residual(circuit, input_type, transported, samples, seed):
     return worst
 
 
-def ref_pure_at(states, k, n):
-    """True iff every state's reduced single-qubit state at qubit k is pure."""
+def ref_pure_at(states, k, n, tolerance=REF_TOLERANCE):
+    """True iff no state's reduced single-qubit state at qubit k has purity
+    tr(rho^2) below 1 - ``tolerance``."""
     for state in states:
         local = np.moveaxis(state.reshape((2,) * n), k - 1, 0).reshape(2, -1)
         rho = local @ local.conj().T
-        if np.real(np.trace(rho @ rho)) < 1 - REF_TOLERANCE:
+        if np.real(np.trace(rho @ rho)) < 1 - tolerance:
             return False
     return True
 
 
 def ref_verify_separability(s, k, samples, seed):
     return ref_pure_at(ref_sample_eigenstates(s, samples, seed), k, s.arity)
+
+
+def ref_decode(p):
+    """``(x, z, power)`` with M(p) = i^power Z^z X^x, qubit 1 the top bit of
+    each mask, read from the letters and ``.k`` as Y = -iZX: what
+    ``pyoracle._decode`` must give, sharing none of its bit reads."""
+    atoms = letters(p)
+    x = int("".join("1" if a in "XY" else "0" for a in atoms), 2)
+    z = int("".join("1" if a in "YZ" else "0" for a in atoms), 2)
+    return x, z, (p.k + 3 * atoms.count("Y")) % 4
 
 # --- parser references ------------------------------------------------------
 # The ``.qc`` and type parsers as they were before parsing built what it

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from gottesman import cli, gates, oracle, pyoracle
+from gottesman import cli, gates, oracle
 from gottesman.checker import Circuit, annotate, check, infer_tableau
 from gottesman.gates import GateApp, apply_gate, standard_gates
 from gottesman.pauli import PauliString
@@ -26,6 +26,7 @@ from helpers import (
     measure_row_ops,
     random_clifford_circuit,
     random_stab_type,
+    ref_pure_at,
     transport_residual,
     verify_conjugation,
     verify_separability,
@@ -212,9 +213,10 @@ def test_criterion_7_eigenstate_transport_and_separability():
             failures.append(f"trial {trial}: transport residual {residual:.2e}")
     print(f"  [criterion 7] worst transport residual {worst:.2e}")
 
-    # Separability: peeled qubits must be pure, and some entangled
-    # non-peeled qubit must show an impure sample. Draws are capped, so a
-    # fault that never yields an entangled case fails instead of hanging.
+    # Separability: each peeled factor must fix every sampled eigenstate,
+    # and some entangled non-peeled qubit must show an impure sample. Draws
+    # are capped, so a fault that never yields an entangled case fails
+    # instead of hanging.
     cases = draws = 0
     while cases < 25 and draws < 1000:
         draws += 1
@@ -222,9 +224,9 @@ def test_criterion_7_eigenstate_transport_and_separability():
         s = random_stab_type(n, rng)
         q = QType(s.arity, s)
         peeled = {k for k, _ in q.factors}
-        for k in peeled:
-            if not verify_separability(s, k, samples=16, seed=cases):
-                failures.append(f"case {cases}: peeled qubit {k} not pure")
+        for k, u in q.factors:
+            if not verify_separability(s, k, u, samples=16, seed=cases):
+                failures.append(f"case {cases}: peeled factor {u} at qubit {k} refuted")
         acted = {
             k
             for g in s.tableau
@@ -237,8 +239,7 @@ def test_criterion_7_eigenstate_transport_and_separability():
         cases += 1
         states = oracle._sample_states(n, s.tableau, 16, np.random.default_rng(1000 + cases)).T
         witnessed = any(
-            min(pyoracle._purity(v, k, n) for v in states) < 1 - 1e-3
-            for k in entangled_candidates
+            not ref_pure_at(states, k, n, tolerance=1e-3) for k in entangled_candidates
         )
         if not witnessed:
             failures.append(f"case {cases}: no entanglement witness found")

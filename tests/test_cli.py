@@ -1,3 +1,4 @@
+import collections
 import json
 import pathlib
 import random
@@ -625,8 +626,8 @@ class TestRunVerify:
         assert "must be at least 0" in capsys.readouterr().err
 
     def test_mismatch_exit_code(self, capsys, monkeypatch, tmp_path):
-        def all_wrong(circuit, pairs, input_type, transported, samples, seed, qubits):
-            return [False] * len(pairs), 0.0, [True] * len(qubits)
+        def all_wrong(circuit, pairs, input_type, transported, samples, seed):
+            return [False] * len(pairs), [0.0] * len(transported)
 
         def unselected(*args, **kwargs):
             raise AssertionError("verify ran the kernel it did not select")
@@ -661,12 +662,52 @@ class TestRunVerify:
         assert record["checks"] == 9  # 6 conjugations, transport, two factors
         assert record["failures"] == ["separability not confirmed at qubit 3"]
 
+    @pytest.mark.parametrize("claim", ["-Z", "X"])
+    @pytest.mark.parametrize("size", ["small", "above budget"])
+    def test_wrong_factor_is_refuted(self, capsys, monkeypatch, tmp_path, size, claim):
+        """+Z holds at qubit k. The right group with -Z claimed there (the
+        wrong sign) or X (the wrong basis) is refuted at k alone, on either
+        kernel, though qubit k is unentangled either way."""
+        from types import SimpleNamespace
+
+        from gottesman import cli, oracle, pyoracle
+        from gottesman.checker import Circuit
+        from gottesman.pauli import PauliString
+
+        def unselected(*args, **kwargs):
+            raise AssertionError("verify ran the kernel it did not select")
+
+        if size == "small":  # Z x (XX & ZZ)
+            path, k, other = str(CIRCUITS / "ghz_split.qc"), 1, oracle
+        else:  # the above-budget circuit, and a seventh qubit it leaves alone
+            circuit = random_clifford_circuit(6, 40, random.Random(6))
+            source = format_source(Circuit(7, circuit.instructions), all_z(7))
+            path, k, other = write(tmp_path, source), 7, pyoracle
+        z, wrong = PauliString.parse("Z"), PauliString.parse(claim)
+        check = cli.check
+
+        def wrong_factor(circuit, input_type):
+            true = check(circuit, input_type)
+            assert (k, z) in true.factors
+            factors = tuple((j, wrong if j == k else u) for j, u in true.factors)
+            return SimpleNamespace(top=False, stab=true.stab, factors=factors)
+
+        monkeypatch.setattr(cli, "check", wrong_factor)
+        monkeypatch.setattr(other, "_verify", unselected)
+        assert run(["verify", path, "--json"]) == EXIT_ORACLE_MISMATCH
+        record = json.loads(capsys.readouterr().out)
+        assert record["failures"] == [f"separability not confirmed at qubit {k}"]
+
     @pytest.mark.parametrize("size", ["small", "above budget"])
     def test_wrong_output_type_is_refuted(self, capsys, monkeypatch, tmp_path, size):
         """Z x ... x Z claimed for the output: the transported eigenstates
-        refute it, and refute the claimed factor at each qubit that the true
-        output does not factor, on either kernel."""
+        refute it, and refute the claimed +Z at each qubit k where +Z_k is
+        not in the true output group (by ``stabilizer.member``), on either
+        kernel: every entangled qubit, and every factored one whose true
+        factor is not +Z."""
         from gottesman import cli
+        from gottesman.pauli import from_bits
+        from gottesman.stabilizer import member
 
         def unselected(*args, **kwargs):
             raise AssertionError("verify ran the kernel it did not select")
@@ -674,7 +715,8 @@ class TestRunVerify:
         path, _, other = verify_file(size, tmp_path)
         circuit, input_type = parse(pathlib.Path(path).read_text())
         n, true = circuit.n_qubits, cli.check(circuit, input_type)
-        entangled = sorted(set(range(1, n + 1)) - {k for k, _ in true.factors})
+        z = [from_bits(n, 0, 1 << k - 1) for k in range(1, n + 1)]
+        unfixed = [k for k in range(1, n + 1) if member(true.stab, z[k - 1]) != 0]
         monkeypatch.setattr(other, "_verify", unselected)
         monkeypatch.setattr(cli, "check", lambda *_: parse_qtype(" x ".join("Z" * n)))
         assert run(["verify", path, "--json"]) == EXIT_ORACLE_MISMATCH
@@ -682,9 +724,11 @@ class TestRunVerify:
         assert record["checks"] == 2 * n + 1 + n  # conjugations, transport, factors
         residual, *refuted = record["failures"]
         assert residual.startswith("eigenstate transport residual ")
-        assert refuted == [f"separability not confirmed at qubit {k}" for k in entangled]
+        assert refuted == [f"separability not confirmed at qubit {k}" for k in unfixed]
         if size == "small":
-            assert (record["checks"], entangled) == (10, [1, 2, 3])
+            assert (record["checks"], unfixed) == (10, [1, 2, 3])
+        else:  # factors Y1, -Z3, -Z5 and -X6, none of them +Z
+            assert (record["checks"], unfixed) == (19, [1, 2, 3, 4, 5, 6])
 
     def test_over_the_qubit_cap_is_oracle_unavailable(
         self, capsys, tmp_path, monkeypatch
@@ -1018,16 +1062,27 @@ def _random_file(rng):
     return "\n".join(lines) + "\n"
 
 
+# A two-wire instruction, its wires in decimal on one line, for the rewrite
+# that gives it its first wire twice.
+_TWO_WIRE_PART = re.compile(r"\b((?:CNOT|NOTC|CZ|SWAP|G)[ \t]+(\d+)[ \t]+)\d+")
+
+
 def _mutate(rng, text):
     """One token of ``text`` replaced, deleted, or preceded or glued by a
     token from ``_VOCAB``; in the input type for about a third of files.
-    Now and then a def's formals instead get a repeat, ``def G a b a``, as
-    a random token seldom writes one."""
+    Now and then a targeted rewrite instead, for faults a random token
+    seldom writes: a def's formals get a repeat (``def G a b a``), its name
+    a leading digit (``def 9G``), or a two-wire instruction its first wire
+    twice (``CNOT 2 2``)."""
     lines = text.split("\n")
     defs = [i for i, line in enumerate(lines) if line.startswith("def")]
-    if defs and rng.random() < 0.05:
-        lines[defs[0]] = lines[defs[0]].replace(" a b :=", " a b a :=", 1)
+    roll = rng.random()
+    if defs and roll < 0.1:
+        old, new = ("G a b :=", "G a b a :=") if roll < 0.05 else ("G a b", "9G a b")
+        lines[defs[0]] = lines[defs[0]].replace(old, new, 1)
         return "\n".join(lines)
+    if roll > 0.95 and _TWO_WIRE_PART.search(text):
+        return _TWO_WIRE_PART.sub(r"\1\2", text, count=1)
     if len(lines) > 2 and lines[1].startswith("input") and rng.random() < 0.35:
         lines[1] = "input " + _mutate_token(rng, lines[1][len("input ") :])
         return "\n".join(lines)
@@ -1136,12 +1191,12 @@ class TestParseMatchesReference:
         # The mutations must reach the parse errors of instruction lines,
         # def lines and types, and the type errors of ill-formed input.
         rng = random.Random(2297)
-        seen = set()
+        seen = collections.Counter()
         for _ in range(3000):
             text = _mutate(rng, _random_file(rng))
             got = _outcome(parse, text)
             assert got == _outcome(ref_parse, text)
-            seen.add(got[1].split("'")[0] if got[0] == "parse error" else got[0])
+            seen[got[1].split("'")[0] if got[0] == "parse error" else got[0]] += 1
         for fault in (
             "parsed",
             "IllFormedTypeError",
@@ -1162,5 +1217,9 @@ class TestParseMatchesReference:
         # Gate faults name their gate: "H needs 1 wires, got 2", "CNOT: wires must be distinct".
         for fault in (" wires, got ", ": wires must be distinct"):
             assert any(fault in s for s in seen), (fault, sorted(seen))
+        # The targeted rewrites reach their faults on purpose, not by chance.
+        assert seen["bad gate name "] > 20, seen["bad gate name "]
+        distinct = sum(n for s, n in seen.items() if s.endswith(": wires must be distinct"))
+        assert distinct > 20, distinct
         for prefix in ("wire ", "input type covers "):
             assert sum(s.startswith(prefix) for s in seen) > 1, prefix

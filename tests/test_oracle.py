@@ -19,8 +19,10 @@ from gottesman.typesys import QType, StabType
 from helpers import (
     ALL_ATOMS,
     letters,
+    lift,
     oracle_unitary,
     pauli,
+    ref_pure_at,
     ref_unitary,
     string_matrix,
     transport_residual,
@@ -192,25 +194,39 @@ class TestVerifyConjugation:
         assert not verify_conjugation(circ(1, "S 1", "S 1"), P("X"), P("X"))
 
 
+# The six one-qubit strings a separability factor may claim.
+FACTORS = tuple(P(sign + atom) for atom in "XYZ" for sign in ("", "-"))
+
+
 class TestSeparability:
+    """A factor +-U claimed at qubit k is one more string, U_k, claimed to
+    fix every sampled eigenstate."""
+
     def test_local_z_is_separable(self):
-        assert verify_separability(StabType.of("ZI"), 1)
+        assert verify_separability(StabType.of("ZI"), 1, P("Z"))
 
     def test_bell_pair_is_not(self):
-        assert not verify_separability(StabType.of("XX", "ZZ"), 1)
+        bell = StabType.of("XX", "ZZ")
+        assert not any(verify_separability(bell, 1, u) for u in FACTORS)
 
     def test_split_cat_state(self):
-        assert verify_separability(StabType.of("IXX", "ZII", "IZZ"), 1)
+        assert verify_separability(StabType.of("IXX", "ZII", "IZZ"), 1, P("Z"))
 
     @pytest.mark.parametrize("gens", [("XX", "ZZ"), ("ZI", "IZ")])
-    def test_purity_above_one_is_not_pure(self, monkeypatch, gens):
-        # Columns scaled by 2 have purity 16 times a unit column's: at or
-        # above 1 whether or not the qubit separates, but never 1.
+    def test_scaled_columns_keep_each_factor_verdict(self, monkeypatch, gens):
+        # Columns scaled by 2 double every residual: the check is linear in
+        # the state, so a factor that holds still reads 0 and one that fails
+        # reads further from it, whatever the columns' norms.
         draw = oracle._sample_states
         monkeypatch.setattr(oracle, "_sample_states", lambda *args: 2 * draw(*args))
         s, seed = StabType.of(*gens), pyoracle.DEFAULT_SEED
-        got = oracle._verify(Circuit(2), (), s, (), pyoracle.DEFAULT_SAMPLES, seed, (1, 2))
-        assert got[2] == [False, False]
+        lifted = (P("ZI"), P("IZ"), P("XI"))
+        _, got = oracle._verify(Circuit(2), (), s, lifted, pyoracle.DEFAULT_SAMPLES, seed)
+        monkeypatch.setattr(oracle, "_sample_states", draw)
+        _, unit = oracle._verify(Circuit(2), (), s, lifted, pyoracle.DEFAULT_SAMPLES, seed)
+        assert got == [2 * r for r in unit]
+        holds = [r < pyoracle.TOLERANCE for r in got]
+        assert holds == ([False] * 3 if gens == ("XX", "ZZ") else [True, True, False])
 
     def test_empty_eigenspace_detected(self):
         # +Z and -Z on one qubit project every sample to zero.
@@ -219,17 +235,24 @@ class TestSeparability:
                 2, [P("ZI"), P("-ZI")], 1, np.random.default_rng(0)
             )
 
-    def test_purity_of_known_states(self):
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        assert abs(pyoracle._purity(bell, 1, 2) - 0.5) < 1e-12
-        product = np.kron(np.array([1, 1]) / np.sqrt(2), np.array([1, 0], dtype=complex))
-        assert abs(pyoracle._purity(product, 1, 2) - 1.0) < 1e-12
-        assert abs(pyoracle._purity(product, 2, 2) - 1.0) < 1e-12
+    @pytest.mark.parametrize("kernel", [pyoracle._verify, oracle._verify], ids=["plain", "numpy"])
+    def test_factors_of_known_states(self, kernel):
+        # Of the six claims at each qubit, only the state's own factor holds:
+        # +X at qubit 1 and +Z at qubit 2 of |+>|0>, none of a Bell pair's.
+        for gens, want in (
+            (("XI", "IZ"), {(1, "X"), (2, "Z")}),
+            (("XX", "ZZ"), set()),
+        ):
+            claims = [(k, u) for k in (1, 2) for u in FACTORS]
+            lifted = [lift(k, u, 2) for k, u in claims]
+            _, residuals = kernel(Circuit(2), (), StabType.of(*gens), lifted, 4, 7)
+            held = {(k, str(u)) for (k, u), r in zip(claims, residuals) if r < 1e-9}
+            assert held == want, gens
 
     def test_completeness_spot_check(self):
-        # For a non-peeled qubit that generators actually act on, some
-        # eigenspace sample must be visibly entangled. (A qubit no
-        # generator touches is unconstrained, not entangled.)
+        # For a non-peeled qubit that generators actually act on, no claimed
+        # factor holds, and some eigenspace sample is visibly entangled. (A
+        # qubit no generator touches is unconstrained, not entangled.)
         rng = random.Random(61)
         from helpers import random_stab_type
 
@@ -250,14 +273,10 @@ class TestSeparability:
             if not candidates:
                 continue
             cases += 1
-            states = oracle._sample_states(n, s.tableau, 16, np.random.default_rng(cases)).T
-            found = False
             for k in candidates:
-                purities = [pyoracle._purity(v, k, n) for v in states]
-                if min(purities) < 1 - 1e-3:
-                    found = True
-                    break
-            assert found
+                assert not any(verify_separability(s, k, u, 16, cases) for u in FACTORS)
+            states = oracle._sample_states(n, s.tableau, 16, np.random.default_rng(cases)).T
+            assert any(not ref_pure_at(states, k, n, tolerance=1e-3) for k in candidates)
         assert cases == 10, f"only {cases} of 10 cases in {draws} draws"
 
 

@@ -19,11 +19,13 @@ import numpy as np
 from gottesman import oracle
 from gottesman.checker import Circuit, check, infer_tableau
 from gottesman.gates import GateApp, derive_gate, standard_gates
+from gottesman.pauli import PauliString
 from gottesman.typesys import QType
 
 from helpers import (
     ALL_ATOMS,
     embed,
+    lift,
     mutations,
     oracle_unitary,
     pauli,
@@ -45,6 +47,8 @@ from helpers import (
 
 GATES = standard_gates()
 SIZES = (1, 2, 3, 4, 5, 6)
+ONE_QUBIT = tuple(PauliString.parse(sign + atom) for atom in "XYZ" for sign in ("", "-"))
+
 
 
 def random_string(n, rng):
@@ -231,9 +235,10 @@ def test_conjugation_verdicts_match_reference():
 
 def test_batched_verify_matches_reference_up_to_eight_qubits():
     """One ``oracle._verify`` pass, as ``verify`` makes it, against the exact
-    dense verdicts for every claim and the dense transport residual."""
+    dense verdicts for every claim and the dense residual of every string
+    claimed of the output, its generators and lifted factors."""
     rng = random.Random(1511)
-    accepted = rejected = flawed = 0
+    accepted = rejected = flawed = factors = 0
     for trial, n in enumerate((1, 2, 3, 4, 5, 6, 7, 8) * 2):
         circuit = random_circuit(n, rng.randrange(6, 16), rng)
         u = ref_unitary(circuit)
@@ -254,8 +259,11 @@ def test_batched_verify_matches_reference_up_to_eight_qubits():
             # down the eigenstate stream too.
             j = rng.randrange(len(gens))
             gens = gens[:j] + (mutations(gens[j], rng)[1],) + gens[j + 1 :]
-        verdicts, residual, _ = oracle._verify(
-            circuit, pairs, input_type, gens, samples=3, seed=trial, qubits=()
+        # The output's factors, each lifted to the register, follow the
+        # generators as ``verify`` claims them.
+        claimed = gens + tuple(lift(k, u, n) for k, u in (() if out.top else out.factors))
+        verdicts, residuals = oracle._verify(
+            circuit, pairs, input_type, claimed, samples=3, seed=trial
         )
         want = [ref_verify_conjugation(circuit, p, q, u) for p, q in pairs]
         assert verdicts == want
@@ -263,10 +271,12 @@ def test_batched_verify_matches_reference_up_to_eight_qubits():
         assert want[:-1] == [True, False, False, False] * (len(pairs) // 4)
         accepted += sum(want)
         rejected += len(want) - sum(want)
-        expected = ref_transport_residual(circuit, input_type, gens, 3, trial)
-        assert abs(residual - expected) < 1e-9
-        flawed += expected > 1e-3
-    assert accepted > 100 and rejected > 300 and flawed > 3
+        for q, got in zip(claimed, residuals, strict=True):
+            expected = ref_transport_residual(circuit, input_type, (q,), 3, trial)
+            assert abs(got - expected) < 1e-9
+        flawed += max(residuals, default=0.0) > 1e-3
+        factors += len(claimed) - len(gens)
+    assert accepted > 100 and rejected > 300 and flawed > 3 and factors > 5
 
 
 def test_batched_samples_are_the_sequential_samples():
@@ -320,18 +330,26 @@ def test_transport_and_separability_verdicts_match_reference():
                 want = ref_transport_residual(*claimed, 4, trial)
                 assert (got < oracle.TOLERANCE) == (want < oracle.TOLERANCE)
                 assert wrong is swapped or got > 1e-3
-        # verify reads purity from the transported input eigenstates, which
-        # give a fresh output draw's verdicts when the residual is 0.
-        qubits = range(1, n + 1)
-        *_, pure = oracle._verify(
-            circuit, (), input_type, gens, samples=4, seed=trial, qubits=qubits
-        )
+        # Each of the six one-qubit strings at each qubit, claimed as one more
+        # string on the transported input eigenstates, has the dense
+        # reference's residual. Only the output's own factor holds, and where
+        # it does the qubit is pure in every transported state and in fresh
+        # draws of the output type.
+        factors = dict(out.factors)
+        claims = [(k, u) for k in range(1, n + 1) for u in ONE_QUBIT]
+        lifted = [lift(k, u, n) for k, u in claims]
+        _, residuals = oracle._verify(circuit, (), input_type, lifted, samples=4, seed=trial)
         states = ref_transported_states(circuit, input_type, 4, trial)
-        assert pure == [ref_pure_at(states, k, n) for k in qubits]
-        for k in qubits:
-            verdict = verify_separability(flat_out, k, samples=4, seed=trial)
-            assert verdict == ref_verify_separability(flat_out, k, 4, trial)
-            assert verdict == pure[k - 1]
-            separable += verdict
-            entangled += not verdict
+        for q, got in zip(lifted, residuals):
+            want = ref_transport_residual(circuit, input_type, (q,), 4, trial)
+            assert abs(got - want) < 1e-9
+        for k in range(1, n + 1):
+            held = [u for (j, u), r in zip(claims, residuals) if j == k and r < oracle.TOLERANCE]
+            assert held == ([factors[k]] if k in factors else [])
+            if held:
+                assert ref_pure_at(states, k, n)
+                assert verify_separability(flat_out, k, held[0], samples=4, seed=trial)
+                assert ref_verify_separability(flat_out, k, 4, trial)
+            separable += bool(held)
+            entangled += not held
     assert transported > 15 and separable > 10 and entangled > 5

@@ -5,12 +5,14 @@ plain-Python kernel ``pyoracle._verify`` while the work is within
 ``WORK_BUDGET``, else the numpy kernel ``oracle._verify``. On seeded random
 circuits up to four qubits (a ``def`` gate, T/Tdg/TOFFOLI, a reversed
 ``CNOT n 1``) with random input types, both kernels must return the same
-conjugation and purity verdicts, and residuals on the same side of
-TOLERANCE: for the checker's own claims, and with one claim negated, one
-transported generator negated, and a qubit claimed as a factor that the
-checker did not factor. The same holds on 5-8 qubits for circuits of
-diagonal gates only and for real and complex non-monomial defs, with the
-eigenstates checked over several blocks.
+conjugation verdicts, and residuals on the same side of TOLERANCE: for
+the checker's own claims, and with one claim negated, one transported
+generator negated, and a one-qubit string claimed as a factor at a qubit
+that the checker did not factor. The same holds on 5-8 qubits for
+circuits of diagonal gates only and for real and complex non-monomial
+defs, with the eigenstates checked over several blocks. Both kernels read
+a string through ``pyoracle._decode``, which is pinned to a letter-level
+reading of it.
 """
 
 import copy
@@ -29,7 +31,6 @@ from gottesman.errors import (
     OracleError,
     OracleUnavailableError,
     TopOperandError,
-    WireError,
 )
 from gottesman.gates import GateApp, GateSpec, derive_gate, standard_gates
 from gottesman.pauli import PauliString
@@ -38,10 +39,13 @@ from gottesman.typesys import QType, StabType, _unchecked, parse_qtype
 from helpers import (
     embed,
     fresh_run,
+    lift,
     mutations,
+    pauli,
     random_circuit,
     random_clifford_circuit,
     random_stab_type,
+    ref_decode,
 )
 
 GATES = standard_gates()
@@ -63,49 +67,52 @@ def claims(circuit):
     ]
 
 
+
 def assert_kernels_agree(circuit, input_type, samples, seed, rng, seen):
-    """Both kernels on the checker's claims for ``circuit`` from ``input_type``,
-    then with one claim negated, one transported generator swapped for a
-    mutation, and one unfactored qubit claimed as a factor: the same
-    verdicts and purities, and residuals on the same side of TOLERANCE.
-    Tallies each case in ``seen``."""
+    """Both kernels on the checker's claims for ``circuit`` from ``input_type``
+    (its output generators, then its factors lifted to the register), then
+    with one claim negated, one transported generator swapped for a
+    mutation, and a one-qubit string claimed at an unfactored qubit: the
+    same verdicts, and each string's residual on the same side of
+    TOLERANCE. Tallies each case in ``seen``."""
     n = circuit.n_qubits
     pairs = claims(circuit)
     out = check(circuit, QType(n, input_type))
     gens = () if out.top else out.stab.generators
-    factored = [] if out.top else [k for k, _ in out.factors]
+    factors = () if out.top else tuple(lift(k, u, n) for k, u in out.factors)
     seen["top output"] += out.top
-    cases = [(pairs, gens, factored)]
+    cases = [(pairs, gens, factors)]
     if pairs:
         j = rng.randrange(len(pairs))
         negated = pairs[:j] + [(pairs[j][0], -pairs[j][1])] + pairs[j + 1 :]
-        cases.append((negated, gens, factored))
+        cases.append((negated, gens, factors))
     if gens:
         j = rng.randrange(len(gens))
         wrong = gens[:j] + (mutations(gens[j], rng)[0],) + gens[j + 1 :]
-        cases.append((pairs, wrong, factored))
-    free = [k for k in range(1, n + 1) if k not in factored]
+        cases.append((pairs, wrong, factors))
+    free = [k for k in range(1, n + 1) if k not in dict(out.factors)]
     if not out.top and free:
-        cases.append((pairs, gens, factored + [rng.choice(free)]))
-    for case, (claimed, transported, qubits) in enumerate(cases):
-        args = (circuit, claimed, input_type, transported, samples, seed, qubits)
+        u = PauliString.parse(rng.choice(("", "-")) + rng.choice("XYZ"))
+        cases.append((pairs, gens, factors + (lift(rng.choice(free), u, n),)))
+    for case, (claimed, transported, lifted) in enumerate(cases):
+        args = (circuit, claimed, input_type, transported + lifted, samples, seed)
         want = oracle._verify(*args)
         got = pyoracle._verify(*args)
         assert got[0] == want[0], (seed, case)
-        assert (got[1] < TOLERANCE) == (want[1] < TOLERANCE), (seed, case)
-        assert got[2] == want[2], (seed, case)
+        holds = [[r < TOLERANCE for r in kernel[1]] for kernel in (got, want)]
+        assert holds[0] == holds[1], (seed, case)
         if case == 0:
-            assert all(got[0]) and got[1] < TOLERANCE and all(got[2])
-            seen["pure factor"] += len(qubits)
+            assert all(got[0]) and all(holds[0])
+            seen["held factor"] += len(lifted)
         elif claimed is not pairs:
             seen["negated"] += got[0].count(False) == 1
         elif transported is not gens:
-            seen["wrong transport"] += got[1] > 1e-3
+            seen["wrong transport"] += max(got[1]) > 1e-3
         else:
-            seen["refuted factor"] += not got[2][-1]
+            seen["refuted factor"] += not holds[0][-1]
 
 
-CASES = ("negated", "wrong transport", "refuted factor", "pure factor", "top output")
+CASES = ("negated", "wrong transport", "refuted factor", "held factor", "top output")
 
 
 def test_verdicts_match_the_numpy_oracle():
@@ -123,8 +130,8 @@ def test_verdicts_match_the_numpy_oracle_on_five_to_eight_qubits(monkeypatch):
     the numpy kernel never moves; and random circuits with a real and with
     a complex non-monomial def, the first multiplied in float arithmetic.
     Inputs are mixed, 9 samples each, checked in blocks of two or more
-    columns (``_DRAW_BLOCK`` made small), so the residual and the purities
-    are read over several blocks, the last one partial."""
+    columns (``_DRAW_BLOCK`` made small), so the residuals are read over
+    several blocks, the last one partial."""
     gates = standard_gates()
     h, s = GateApp(gates["H"], (1,)), GateApp(gates["S"], (1,))
     cnot = GateApp(gates["CNOT"], (1, 2))
@@ -145,6 +152,19 @@ def test_verdicts_match_the_numpy_oracle_on_five_to_eight_qubits(monkeypatch):
         input_type = random_stab_type(n, rng, rank=rng.randrange(1, n))
         assert_kernels_agree(Circuit(n, apps), input_type, 9, trial, rng, seen)
     assert min(seen[case] for case in CASES[:-1]) > 10, seen
+
+
+def test_decode_reads_the_letters():
+    """``_decode`` reads the masks and ``.k``; it must give what the
+    letters say, qubit 1 the top bit and each Y worth i^3, on strings of
+    every phase and many Ys, 1 to 14 qubits."""
+    rng = random.Random(3407)
+    for trial in range(3000):
+        n = 1 + trial % 14
+        weights = (1, 1, 4, 1) if trial % 2 else (1, 1, 1, 1)
+        atoms = rng.choices("IXYZ", weights, k=n)
+        p = pauli(rng.randrange(4), atoms)
+        assert pyoracle._decode(p) == ref_decode(p), p
 
 
 # A gate's unitary as each kernel builds it.
@@ -176,7 +196,7 @@ def test_gate_without_unitary_rejected():
         assert str(info.value) == "no unitary known for gate OPAQUE"
     with pytest.raises(OracleError, match="no unitary known"):
         circuit = Circuit(1, (GateApp(opaque, (1,)),))
-        pyoracle._verify(circuit, [(P("Z"), P("X"))], None, (), 1, 0, ())
+        pyoracle._verify(circuit, [(P("Z"), P("X"))], None, (), 1, 0)
 
 
 def test_faults_raise_as_in_the_numpy_oracle():
@@ -233,9 +253,9 @@ def ran(monkeypatch):
     calls = []
 
     def recorder(name):
-        def kernel(circuit, pairs, input_type, transported, samples, seed, qubits):
+        def kernel(circuit, pairs, input_type, transported, samples, seed):
             calls.append(name)
-            return [], 0.0, []
+            return [], [0.0] * len(transported)
 
         return kernel
 
@@ -311,11 +331,12 @@ def test_a_pure_input_type_is_drawn_once(kernel, monkeypatch):
 def test_one_draw_of_a_pure_type_reads_as_every_sample(kernel, monkeypatch):
     """On random pure inputs through random Clifford circuits, half of them
     with one transported generator negated or an atom of it swapped, the one
-    draw gives the verdicts, residual and purities of all 16 samples."""
+    draw gives the verdicts and residuals of all 16 samples: for the
+    generators, and for +Z claimed as a factor at every qubit."""
     monkeypatch.setattr(pyoracle, "WORK_BUDGET", KERNEL_BUDGETS[kernel])
     run = pyoracle._verify if kernel == "plain" else oracle._verify
     rng = random.Random(4242)
-    wrong = 0
+    wrong = refuted = 0
     for trial in range(200):
         n = 1 + trial % 5
         circuit = random_clifford_circuit(n, rng.randrange(1, 12), rng)
@@ -325,12 +346,15 @@ def test_one_draw_of_a_pure_type_reads_as_every_sample(kernel, monkeypatch):
             j = rng.randrange(len(gens))
             bad = mutations(gens[j], rng)[rng.randrange(2)]
             gens = gens[:j] + (bad,) + gens[j + 1 :]
-        args = (circuit, claims(circuit), input_type, gens, 16, trial, range(1, n + 1))
+        zs = tuple(lift(k, P("Z"), n) for k in range(1, n + 1))
+        args = (circuit, claims(circuit), input_type, gens + zs, 16, trial)
         got, want = pyoracle.verify_claims(*args), run(*args)
-        assert got[0] == want[0] and got[2] == want[2], trial
-        assert abs(got[1] - want[1]) < 1e-9, trial
-        wrong += got[1] > 1e-3
-    assert wrong > 50
+        assert got[0] == want[0], trial
+        assert len(got[1]) == len(want[1]) == len(gens) + n, trial
+        assert all(abs(g - w) < 1e-9 for g, w in zip(got[1], want[1])), trial
+        wrong += max(got[1][: len(gens)]) > 1e-3
+        refuted += sum(r > 1e-3 for r in got[1][len(gens) :])
+    assert wrong > 50 and refuted > 100
 
 
 @pytest.fixture
@@ -351,23 +375,20 @@ def test_every_operand_is_checked_before_either_kernel(refused, samples):
     bell = Circuit(2, h1.instructions + (GateApp(GATES["CNOT"], (1, 2)),))
     mixed = StabType.of("ZI")  # 4000 samples of it: W = 4 x 4002 x 2, past the budget
     cases = [
-        (ArityError, h1, StabType.of("ZZZ"), (), ()),
-        (ArityError, h1, mixed, (P("ZZZ"),), ()),
-        (ArityError, h1, mixed, (P("X"),), ()),
-        (WireError, h1, mixed, (), (5,)),
-        (WireError, h1, mixed, (), (0,)),
-        (OracleError, bell, None, (), (1, 2)),
-        (OracleError, bell, None, (P("ZI"),), ()),
+        (ArityError, h1, StabType.of("ZZZ"), ()),
+        (ArityError, h1, mixed, (P("ZZZ"),)),
+        (ArityError, h1, mixed, (P("X"),)),
+        (OracleError, bell, None, (P("ZI"),)),
     ]
-    for error, circuit, input_type, transported, qubits in cases:
+    for error, circuit, input_type, transported in cases:
         with pytest.raises(error):
-            pyoracle.verify_claims(circuit, (), input_type, transported, samples, 7, qubits)
+            pyoracle.verify_claims(circuit, (), input_type, transported, samples, 7)
 
 
 def test_valid_operands_reach_the_kernel_the_size_chooses(ran):
     h1 = Circuit(2, (GateApp(GATES["H"], (1,)),))
     for samples in (1, 4000):
-        pyoracle.verify_claims(h1, (), StabType.of("ZI"), (P("XI"),), samples, 7, (2,))
+        pyoracle.verify_claims(h1, (), StabType.of("ZI"), (P("XI"), P("IZ")), samples, 7)
     assert ran == ["plain", "numpy"]
 
 
@@ -390,6 +411,6 @@ def test_small_work_leaves_numpy_unloaded():
         "got = verify_claims(bell, pairs, StabType.of('ZI', 'IZ'), out, 4, 1)\n"
         "print(json.dumps([got, 'numpy' in sys.modules]))\n"
     )
-    (verdicts, residual, pure), numpy_loaded = fresh_run(code)
-    assert verdicts == [True] and residual < TOLERANCE and pure == []
+    (verdicts, residuals), numpy_loaded = fresh_run(code)
+    assert verdicts == [True] and len(residuals) == 2 and max(residuals) < TOLERANCE
     assert not numpy_loaded

@@ -499,7 +499,9 @@ class TestParsePrint:
 
 
 def test_prop2_purity_link_for_peeled_qubits():
-    from helpers import verify_separability
+    # A peeled factor +-U at qubit k fixes every eigenstate of the type, so
+    # each is |u> x (the rest) with |u> U's +1 eigenvector: qubit k is pure.
+    from helpers import ref_verify_separability, verify_separability
 
     rng = random.Random(41)
     cases = 0
@@ -510,5 +512,6 @@ def test_prop2_purity_link_for_peeled_qubits():
         if not q.factors:
             continue
         cases += 1
-        for k, _ in q.factors:
-            assert verify_separability(q.stab, k, samples=8, seed=cases)
+        for k, u in q.factors:
+            assert verify_separability(q.stab, k, u, samples=8, seed=cases)
+            assert ref_verify_separability(q.stab, k, 8, cases)
