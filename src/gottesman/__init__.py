@@ -2,8 +2,8 @@
 
 Assigns Pauli/stabilizer types to circuits in the Heisenberg picture,
 decides which qubits are separable, types Z-basis measurement, and can
-cross-check every judgment against a dense state-vector oracle at small qubit
-counts.
+cross-check every judgment against an oracle that shares none of its code:
+state vectors for small work, exact Pauli propagation above it.
 """
 
 from .checker import Circuit, Measure, Tableau, annotate, check, infer_tableau

@@ -32,11 +32,12 @@ to the general checker, whose tail is the fault path: a fault's message
 and column are worked out only when it is raised.
 
 Exit statuses: 0 success, 1 type error or out of memory, 2 parse error, 3
-oracle mismatch, 4 oracle unavailable (``verify`` past the dense oracle's
-qubit cap, its sample batch cap, or a def whose dense unitary passes that
-cap). Only ``verify`` imports the dense check, once its file has parsed to
-a measurement-free circuit, and calls its one entry point,
-``pyoracle.verify_claims``, which chooses between plain Python and numpy.
+oracle mismatch, 4 oracle unavailable (``verify`` of a claim whose image
+under some gate is not one Pauli term, such as X through T). Only
+``verify`` imports the dense check, once its file has parsed to a
+measurement-free circuit, and calls its one entry point,
+``pyoracle.verify_claims``, which chooses between state vectors and exact
+Pauli propagation.
 The argument parser is built once per process; each ``run`` parses into a
 fresh namespace.
 """
@@ -378,7 +379,6 @@ def _cmd_verify(args) -> int:
     args.seed = pyoracle.DEFAULT_SEED if args.seed is None else args.seed
     args.samples = args.samples or pyoracle.DEFAULT_SAMPLES  # at least 1 when given
     n = circuit.n_qubits
-    pyoracle.check_size(n)  # the qubit cap, before any type work
     flat_in, claimed, factors = None, (), ()
     if input_type is not None and not input_type.top:
         output = check(circuit, input_type)
@@ -388,8 +388,6 @@ def _cmd_verify(args) -> int:
             flat_in, factors = input_type.stab, output.factors
             lifted = [from_bits(n, p.x << (k - 1), p.z << (k - 1), p.k) for k, p in factors]
             claimed = [*output.stab.generators, *lifted]
-    # Eigenstates are drawn only for an output that has them.
-    pyoracle.check_size(n, args.samples if flat_in is not None else 0)
     tab = infer_tableau(circuit)
     labels, pairs = [], []
     for label, unit, img in zip(_unit_labels(n), _units(n), tab.x_images + tab.z_images):

@@ -48,7 +48,8 @@ class OracleError(GottesmanError):
 
 
 class OracleUnavailableError(OracleError):
-    """The register is too large for the dense oracle to check at all."""
+    """A claim's image under some gate is not one Pauli term, so exact
+    propagation cannot decide it; this is not a refutation."""
 
 
 class EmptyEigenspaceError(OracleError):

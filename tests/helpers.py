@@ -20,7 +20,7 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
-from gottesman import oracle, pyoracle, stabilizer
+from gottesman import pyoracle, stabilizer
 from gottesman.checker import Circuit, Measure
 from gottesman.errors import ArityError, ParseError, TopOperandError, WireError
 from gottesman.gates import GateApp, GateSpec, apply_gate, derive_gate, standard_gates
@@ -404,12 +404,11 @@ def ref_derive_gate(name, arity, steps):
 
 
 # --- dense-product reference for the oracle -----------------------------------
-# The oracle acts with Paulis, and with every gate whose unitary has one entry
-# per row, as permutation-and-sign gathers of a batch's rows. These are the
-# dense routines it replaced: unitaries embedded bit by bit and multiplied,
-# U M(p) U+ formed from Kronecker products, and one sample at a time through a
-# dense projector. ``ref_evolve`` is the tensor contraction that came between,
-# and ``ref_row_projected_states`` the projector's row-layout loop.
+# The oracle pushes state vectors through sparse gate rows, and propagates
+# single Pauli strings exactly. These are dense routines to check both
+# against: unitaries embedded bit by bit and multiplied, U M(p) U+ formed
+# from Kronecker products, one sample at a time through a dense projector,
+# and ``ref_evolve``, each gate contracted into its wires' axes.
 
 REF_TOLERANCE = 1e-9
 
@@ -483,19 +482,21 @@ def ref_evolve(apps, n, vecs):
 
 
 def oracle_unitary(circuit):
-    """The oracle's unitary for ``circuit``: the identity's columns pushed
-    through ``oracle._evolve``, for comparison with ``ref_unitary``."""
+    """The state-vector kernel's unitary for ``circuit``: the identity's
+    columns pushed through ``pyoracle._evolve``, for comparison with
+    ``ref_unitary``."""
     n = circuit.n_qubits
-    return oracle._evolve(circuit.instructions, n, np.eye(2**n, dtype=complex))
+    eye = [[complex(i == j) for j in range(2**n)] for i in range(2**n)]
+    return np.array(pyoracle._evolve(circuit.instructions, n, eye))
 
 
-# One claim at a time through the numpy kernel ``oracle._verify``, which
-# checks them all in one pass for ``verify``.
+# One claim at a time through the exact kernel ``pyoracle._exact``, which
+# checks them all in one pass for ``verify`` above the work budget.
 
 
 def verify_conjugation(circuit, p, q):
     """True iff U M(p) U+ equals M(q)."""
-    return oracle._verify(
+    return pyoracle._exact(
         circuit, [(p, q)], None, (), pyoracle.DEFAULT_SAMPLES, pyoracle.DEFAULT_SEED
     )[0][0]
 
@@ -507,10 +508,10 @@ def transport_residual(
     samples=pyoracle.DEFAULT_SAMPLES,
     seed=pyoracle.DEFAULT_SEED,
 ):
-    """How far ``input_type``'s sampled eigenstates, pushed through the
-    circuit, sit from the +1 eigenspace of each transported generator: the
-    worst of the strings' residuals."""
-    residuals = oracle._verify(circuit, (), input_type, transported, samples, seed)[1]
+    """How far ``input_type``'s eigenstates, pushed through the circuit, sit
+    from the +1 eigenspace of each transported generator: the worst of the
+    strings' residuals."""
+    residuals = pyoracle._exact(circuit, (), input_type, transported, samples, seed)[1]
     return max(residuals, default=0.0)
 
 
@@ -524,10 +525,10 @@ def verify_separability(
     s, k, factor, samples=pyoracle.DEFAULT_SAMPLES, seed=pyoracle.DEFAULT_SEED
 ):
     """True iff the one-qubit string ``factor``, claimed at qubit k and
-    lifted to the register, fixes every sampled joint eigenstate of ``s``:
-    the check ``verify`` makes of a separability claim."""
+    lifted to the register, fixes every joint eigenstate of ``s``: the check
+    ``verify`` makes of a separability claim."""
     lifted = lift(k, factor, s.arity)
-    residual = oracle._verify(Circuit(s.arity), (), s, (lifted,), samples, seed)[1][0]
+    residual = pyoracle._exact(Circuit(s.arity), (), s, (lifted,), samples, seed)[1][0]
     return residual < pyoracle.TOLERANCE
 
 
@@ -560,27 +561,30 @@ def ref_sample_eigenstates(s, count, seed):
     return states
 
 
-def ref_row_projected_states(s, count, seed):
-    """The projector as the oracle ran it in row layout, one sample per row,
-    halving after each generator, with the same stream and redraw rule:
-    what ``oracle._sample_states``, transposed, must equal bit for bit."""
-    rng = np.random.default_rng(seed)
-    perm, sign = oracle._paulis(s.tableau, s.arity)
-    states = np.empty((count, 2**s.arity), dtype=complex)
-    todo = np.arange(count)
-    for _ in range(8):
-        raw = rng.standard_normal((todo.size, 2, 2**s.arity))
-        vecs = raw[:, 0] + 1j * raw[:, 1]
-        for p, g in zip(perm, sign):
-            vecs += g * vecs[:, p]
-            vecs /= 2
-        norms = np.linalg.norm(vecs, axis=1)
-        ok = norms > 1e-12
-        states[todo[ok]] = vecs[ok] / norms[ok, None]
-        todo = todo[~ok]
-        if not todo.size:
-            return states
-    raise AssertionError("projection annihilates every sample")
+def ref_projected_states(s, count, seed):
+    """One sample at a time through the dense projector: the complex
+    Gaussians that ``pyoracle._sample_states`` draws from
+    ``random.Random(seed)``, each projected and normalised, redrawn if lost."""
+    rng = random.Random(seed)
+    proj = ref_projector(s)
+    states = []
+    while len(states) < count:
+        vec = proj @ np.array(pyoracle._gaussian(rng, proj.shape[0]))
+        norm = np.linalg.norm(vec)
+        if norm > 1e-12:
+            states.append(vec / norm)
+    return np.array(states)
+
+
+def ref_supremum_residual(circuit, input_type, q):
+    """sup |M(q) U v - U v| over unit eigenvectors v of ``input_type``:
+    sqrt of the top eigenvalue of P (M - I)+ (M - I) P, where P is the
+    input's projector pushed through U."""
+    u = ref_unitary(circuit)
+    proj = u @ ref_projector(input_type) @ u.conj().T
+    defect = string_matrix(q) - np.eye(len(u))
+    gram = proj @ defect.conj().T @ defect @ proj
+    return float(np.sqrt(max(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1], 0.0)))
 
 
 def ref_transported_states(circuit, input_type, samples, seed):

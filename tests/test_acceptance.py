@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from gottesman import cli, gates, oracle
+from gottesman import cli, gates, pyoracle
 from gottesman.checker import Circuit, annotate, check, infer_tableau
 from gottesman.gates import GateApp, apply_gate, standard_gates
 from gottesman.pauli import PauliString
@@ -237,7 +237,7 @@ def test_criterion_7_eigenstate_transport_and_separability():
         if not entangled_candidates:
             continue
         cases += 1
-        states = oracle._sample_states(n, s.tableau, 16, np.random.default_rng(1000 + cases)).T
+        states = np.array(pyoracle._sample_states(n, s.tableau, 16, random.Random(1000 + cases)))
         witnessed = any(
             not ref_pure_at(states, k, n, tolerance=1e-3) for k in entangled_candidates
         )

@@ -44,7 +44,7 @@ def write(tmp_path, text, name="test.qc"):
 def above_budget(tmp_path):
     """A seeded 6-qubit, 40-gate Clifford file with an input type: 2^6 x 27
     columns (its pure input type is drawn once) x 41 passes, far above
-    ``pyoracle.WORK_BUDGET``, so ``verify`` takes the numpy oracle."""
+    ``pyoracle.WORK_BUDGET``, so ``verify`` takes the exact kernel."""
     circuit = random_clifford_circuit(6, 40, random.Random(6))
     return write(tmp_path, format_source(circuit, all_z(6)), "above_budget.qc")
 
@@ -59,13 +59,11 @@ def wide_def(tmp_path, g):
 
 
 def verify_file(size, tmp_path):
-    """The file for ``size`` and the module whose ``_verify`` kernel the
-    entry point runs for it, then the other one."""
-    from gottesman import oracle, pyoracle
-
+    """The file for ``size``, the name in ``pyoracle`` of the kernel that the
+    entry point runs for it, then that of the other one."""
     if size == "small":
-        return str(CIRCUITS / "ghz.qc"), pyoracle, oracle
-    return above_budget(tmp_path), oracle, pyoracle
+        return str(CIRCUITS / "ghz.qc"), "_verify", "_exact"
+    return above_budget(tmp_path), "_exact", "_verify"
 
 
 class TestParse:
@@ -632,10 +630,12 @@ class TestRunVerify:
         def unselected(*args, **kwargs):
             raise AssertionError("verify ran the kernel it did not select")
 
+        from gottesman import pyoracle
+
         for size, image in (("small", "ZII"), ("above budget", "ZIZZIZ")):
             path, selected, other = verify_file(size, tmp_path)
-            monkeypatch.setattr(selected, "_verify", all_wrong)
-            monkeypatch.setattr(other, "_verify", unselected)
+            monkeypatch.setattr(pyoracle, selected, all_wrong)
+            monkeypatch.setattr(pyoracle, other, unselected)
             assert run(["verify", path]) == EXIT_ORACLE_MISMATCH
             out = capsys.readouterr().out
             assert "MISMATCH" in out
@@ -670,7 +670,7 @@ class TestRunVerify:
         kernel, though qubit k is unentangled either way."""
         from types import SimpleNamespace
 
-        from gottesman import cli, oracle, pyoracle
+        from gottesman import cli, pyoracle
         from gottesman.checker import Circuit
         from gottesman.pauli import PauliString
 
@@ -678,11 +678,11 @@ class TestRunVerify:
             raise AssertionError("verify ran the kernel it did not select")
 
         if size == "small":  # Z x (XX & ZZ)
-            path, k, other = str(CIRCUITS / "ghz_split.qc"), 1, oracle
+            path, k, other = str(CIRCUITS / "ghz_split.qc"), 1, "_exact"
         else:  # the above-budget circuit, and a seventh qubit it leaves alone
             circuit = random_clifford_circuit(6, 40, random.Random(6))
             source = format_source(Circuit(7, circuit.instructions), all_z(7))
-            path, k, other = write(tmp_path, source), 7, pyoracle
+            path, k, other = write(tmp_path, source), 7, "_verify"
         z, wrong = PauliString.parse("Z"), PauliString.parse(claim)
         check = cli.check
 
@@ -693,7 +693,7 @@ class TestRunVerify:
             return SimpleNamespace(top=False, stab=true.stab, factors=factors)
 
         monkeypatch.setattr(cli, "check", wrong_factor)
-        monkeypatch.setattr(other, "_verify", unselected)
+        monkeypatch.setattr(pyoracle, other, unselected)
         assert run(["verify", path, "--json"]) == EXIT_ORACLE_MISMATCH
         record = json.loads(capsys.readouterr().out)
         assert record["failures"] == [f"separability not confirmed at qubit {k}"]
@@ -705,7 +705,7 @@ class TestRunVerify:
         not in the true output group (by ``stabilizer.member``), on either
         kernel: every entangled qubit, and every factored one whose true
         factor is not +Z."""
-        from gottesman import cli
+        from gottesman import cli, pyoracle
         from gottesman.pauli import from_bits
         from gottesman.stabilizer import member
 
@@ -717,7 +717,7 @@ class TestRunVerify:
         n, true = circuit.n_qubits, cli.check(circuit, input_type)
         z = [from_bits(n, 0, 1 << k - 1) for k in range(1, n + 1)]
         unfixed = [k for k in range(1, n + 1) if member(true.stab, z[k - 1]) != 0]
-        monkeypatch.setattr(other, "_verify", unselected)
+        monkeypatch.setattr(pyoracle, other, unselected)
         monkeypatch.setattr(cli, "check", lambda *_: parse_qtype(" x ".join("Z" * n)))
         assert run(["verify", path, "--json"]) == EXIT_ORACLE_MISMATCH
         record = json.loads(capsys.readouterr().out)
@@ -730,53 +730,43 @@ class TestRunVerify:
         else:  # factors Y1, -Z3, -Z5 and -X6, none of them +Z
             assert (record["checks"], unfixed) == (19, [1, 2, 3, 4, 5, 6])
 
-    def test_over_the_qubit_cap_is_oracle_unavailable(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        from gottesman import cli
-
+    def test_past_fourteen_qubits_verifies(self, capsys, tmp_path):
+        """15 qubits, past the state vectors' old cap of 14: the work is above
+        the budget, so the claims are decided by propagation."""
         src = "qubits 15\ninput Z x XX & ZZ x IIIIIIIIIIII\nH 1; CNOT 2 15\n"
         path = write(tmp_path, src)
-        assert run(["check", path]) == EXIT_OK
-        capsys.readouterr()
+        assert run(["verify", path, "--json"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        # 30 conjugations, transport, and the factor X at qubit 1
+        assert (record["checks"], record["failures"]) == (32, [])
 
-        def no_tableau(circuit):
-            raise AssertionError("the size must be checked before any tableau work")
+    def test_samples_past_the_old_batch_cap_verify(self, capsys, monkeypatch, tmp_path):
+        """10^15 samples were once refused as past a 128 MiB batch. Both
+        files' input types are pure, so state vectors would draw one
+        eigenstate: ghz.qc's work is within the budget and draws it, and the
+        above-budget file's claims are decided by propagation, which draws
+        none."""
+        from gottesman import pyoracle
 
-        monkeypatch.setattr(cli, "infer_tableau", no_tableau)
-        assert run(["verify", path, "--json"]) == EXIT_ORACLE_UNAVAILABLE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "oracle unavailable: 15 qubits exceeds the dense cap of 14\n"
-        )
+        drawn, sample = [], pyoracle._sample_states
 
-    def test_over_the_batch_cap_is_oracle_unavailable(self, capsys, monkeypatch, tmp_path):
-        from gottesman import cli, oracle, pyoracle
+        def spy(n, gens, count, rng):
+            drawn.append(count)
+            return sample(n, gens, count, rng)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the batch must be checked before any work")
-
-        for module in (oracle, pyoracle):
-            for name in ("_verify", "_sample_states"):
-                monkeypatch.setattr(module, name, refuse)
-        monkeypatch.setattr(cli, "infer_tableau", refuse)
-        for size, n in (("small", 3), ("above budget", 6)):
+        monkeypatch.setattr(pyoracle, "_sample_states", spy)
+        for size, checks, draws in (("small", 7, [1]), ("above budget", 17, [])):
+            drawn.clear()
             path = verify_file(size, tmp_path)[0]
-            assert run(["verify", path, "--samples", "1" + "0" * 15]) == (
-                EXIT_ORACLE_UNAVAILABLE
-            )
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (
-                f"oracle unavailable: 1000000000000000 samples on {n} qubits"
-                " exceed the batch cap of 128 MiB\n"
-            )
+            assert run(["verify", path, "--samples", "1" + "0" * 15, "--json"]) == EXIT_OK
+            record = json.loads(capsys.readouterr().out)
+            assert (record["samples"], record["checks"]) == (10**15, checks)
+            assert record["failures"] == [] and drawn == draws
 
     @pytest.mark.parametrize("input_line", ["", "input T\n"])
     def test_samples_not_drawn_are_not_counted(self, capsys, tmp_path, input_line):
         """Without an input type, or with Top, no eigenstate is drawn, so
-        ``--samples`` cannot pass the batch cap."""
+        ``--samples`` does not count in the work: state vectors check it."""
         path = write(tmp_path, f"qubits 1\n{input_line}H 1\n")
         assert run(["verify", path, "--samples", "1" + "0" * 12, "--json"]) == EXIT_OK
         record = json.loads(capsys.readouterr().out)
@@ -789,15 +779,31 @@ class TestRunVerify:
         record = json.loads(capsys.readouterr().out)
         assert (record["samples"], record["checks"]) == (10**12, 1)  # Z1 -> Z
 
-    def test_samples_drawn_are_counted(self, capsys, tmp_path):
-        path = write(tmp_path, "qubits 1\ninput Z\nH 1\n")
-        assert run(["verify", path, "--samples", "1" + "0" * 12]) == (
-            EXIT_ORACLE_UNAVAILABLE
-        )
-        assert capsys.readouterr().err == (
-            "oracle unavailable: 1000000000000 samples on 1 qubits"
-            " exceed the batch cap of 128 MiB\n"
-        )
+    def test_samples_drawn_are_counted(self, capsys, monkeypatch, tmp_path):
+        """Eigenstates are drawn here, so the work counts them: one of the pure
+        Z, on state vectors, and the 10^12 asked of the mixed Z x I, which
+        sends the claims to propagation. Both verify."""
+        from gottesman import pyoracle
+
+        ran = []
+
+        def recorded(name):
+            kernel = getattr(pyoracle, name)
+
+            def run_kernel(*args):
+                ran.append(name)
+                return kernel(*args)
+
+            return run_kernel
+
+        for name in ("_verify", "_exact"):
+            monkeypatch.setattr(pyoracle, name, recorded(name))
+        for text, checks in (("qubits 1\ninput Z\nH 1\n", 4), ("qubits 2\ninput Z x I\nH 1\n", 6)):
+            assert run(["verify", write(tmp_path, text), "--samples", "1" + "0" * 12]) == EXIT_OK
+            assert capsys.readouterr().out == (
+                f"ok: {checks}/{checks} oracle checks passed (seed=7, samples=1000000000000)\n"
+            )
+        assert ran == ["_verify", "_exact"]
 
     def test_cached_parser_keeps_no_state_between_runs(self, capsys):
         from gottesman import cli
@@ -816,27 +822,32 @@ class TestRunVerify:
         assert (record["seed"], record["samples"]) == (7, 16)
         assert cli._build_parser() is cli._build_parser()
 
-    def test_deep_def_chain_verifies(self, capsys, tmp_path):
-        """Each kernel builds a derived unitary from its parts, leaves first,
-        without recursing through 1000 nested decompositions, and looks gates
-        up without comparing them: the second run's gates equal the first's."""
-        from gottesman import oracle
+    def test_deep_def_chain_verifies(self, capsys, monkeypatch, tmp_path):
+        """Each kernel builds a derived gate's form from its parts, leaves
+        first, without recursing through 1000 nested decompositions, and
+        looks gates up without comparing them: the second run's gates equal
+        the first's."""
+        from gottesman import pyoracle
 
         depth = 1000
         defs = [f"def G{i} a := G{i - 1} a" for i in range(1, depth)]
         source = "\n".join(["qubits 1", "def G0 a := H a", *defs, f"G{depth - 1} 1"])
         path = write(tmp_path, source + "\n")
-        for _ in range(2):
-            assert run(["verify", path, "--json"]) == EXIT_OK
-            record = json.loads(capsys.readouterr().out)
-            assert record["checks"] == 2 and record["failures"] == []
-        circuit, _ = parse(source)
-        u = oracle.gate_unitary(circuit.instructions[0].gate)
-        assert abs(u - oracle.gate_unitary(standard_gates()["H"])).max() < 1e-12
+        for budget in (2**62, -1):  # the state-vector kernel, then the exact one
+            monkeypatch.setattr(pyoracle, "WORK_BUDGET", budget)
+            for _ in range(2):
+                assert run(["verify", path, "--json"]) == EXIT_OK
+                record = json.loads(capsys.readouterr().out)
+                assert record["checks"] == 2 and record["failures"] == []
+        chain, h = parse(source)[0].instructions[0].gate, standard_gates()["H"]
+        assert pyoracle._conjugation(chain)[:2] == pyoracle._conjugation(h)[:2]
+        got, want = pyoracle._sparse_unitary(chain), pyoracle._sparse_unitary(h)
+        assert [[c for c, _ in row] for row in got] == [[c for c, _ in row] for row in want]
+        assert max(abs(e - f) for r, t in zip(got, want) for (_, e), (_, f) in zip(r, t)) < 1e-12
 
     def test_repeated_verify_keeps_no_gate_of_past_runs(self, capsys, tmp_path):
-        """Both kernels keep a def's dense forms on its spec, so they go
-        with its parse: repeated in-process runs leave no gate behind."""
+        """Both kernels keep a def's forms on its spec, so they go with its
+        parse: repeated in-process runs leave no gate behind."""
         import gc
 
         from gottesman.gates import GateSpec
@@ -845,7 +856,7 @@ class TestRunVerify:
             gc.collect()
             return sum(type(o) is GateSpec for o in gc.get_objects())
 
-        # A def on 3 wires is within the plain-Python budget; one on 7 is not.
+        # A def on 3 wires is within the state vectors' budget; one on 7 is not.
         (tmp_path / "wide").mkdir()
         paths = [wide_def(tmp_path, 3), wide_def(tmp_path / "wide", 7)]
         counts = []
@@ -856,26 +867,20 @@ class TestRunVerify:
             counts.append(live_gates())
         assert counts[0] == counts[1] == counts[2]
 
-    def test_def_past_the_unitary_cap_is_oracle_unavailable(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        """A def on 12 wires has a 4096x4096 unitary, 256 MiB of complex
-        entries: refused before either kernel builds it."""
-        from gottesman import oracle, pyoracle
+    def test_def_on_twelve_wires_verifies(self, capsys, monkeypatch, tmp_path):
+        """A def on 12 wires has a 4096x4096 unitary, once refused as past a
+        128 MiB cap. Its work is above the budget, so its 24 unit images are
+        pushed through its decomposition and no unitary is built."""
+        from gottesman import pyoracle
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the gate must be checked before any work")
+            raise AssertionError("no state vector or dense unitary is built")
 
-        for module in (oracle, pyoracle):
-            monkeypatch.setattr(module, "_verify", refuse)
-        monkeypatch.setattr(oracle, "gate_unitary", refuse)
-        assert run(["verify", wide_def(tmp_path, 12)]) == EXIT_ORACLE_UNAVAILABLE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "oracle unavailable: gate W on 12 wires: its 4096x4096 unitary"
-            " exceeds the batch cap of 128 MiB\n"
-        )
+        for name in ("_verify", "_sparse_unitary"):
+            monkeypatch.setattr(pyoracle, name, refuse)
+        assert run(["verify", wide_def(tmp_path, 12), "--json"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert (record["checks"], record["failures"]) == (24, [])
 
     def test_def_within_the_unitary_cap_verifies(self, capsys, tmp_path):
         assert run(["verify", wide_def(tmp_path, 11), "--json"]) == EXIT_OK
@@ -897,11 +902,10 @@ class TestRunVerify:
         assert run(["verify", path, "--samples", "4"]) == EXIT_OK
 
 
-def test_only_verify_imports_numpy(tmp_path):
-    """check and tableau never load the oracle or numpy; verify does, once
-    its file has parsed to a measurement-free circuit whose work is above
-    the plain-Python budget. No command loads ``dataclasses`` or, through it,
-    ``inspect``, whose imports would cost more start-up time than the package."""
+def test_no_command_imports_numpy_or_dataclasses(tmp_path):
+    """No command loads numpy, on either kernel of ``verify``, and none loads
+    ``dataclasses`` or, through it, ``inspect``, whose imports would cost
+    more start-up time than the package."""
     code = (
         "import contextlib, io, json, sys\n"
         "from gottesman import cli\n"
@@ -915,11 +919,8 @@ def test_only_verify_imports_numpy(tmp_path):
     checked = fresh_run(code, ghz, "check", "tableau")
     assert checked == [[EXIT_OK, EXIT_OK], "", False, False, False]
     assert fresh_run(code, ghz, "verify") == [[EXIT_OK], "", False, False, False]
-    # numpy itself imports inspect, so only dataclasses is pinned after verify.
-    codes, err, numpy_loaded, dataclasses_loaded, _ = fresh_run(
-        code, above_budget(tmp_path), "verify"
-    )
-    assert [codes, err, numpy_loaded, dataclasses_loaded] == [[EXIT_OK], "", True, False]
+    verified = fresh_run(code, above_budget(tmp_path), "verify")
+    assert verified == [[EXIT_OK], "", False, False, False]
     measured = fresh_run(code, str(CIRCUITS / "ghz_measure.qc"), "verify")
     message = "type error: verify requires a measurement-free circuit\n"
     assert measured == [[EXIT_TYPE_ERROR], message, False, False, False]
@@ -929,9 +930,10 @@ def test_only_verify_imports_numpy(tmp_path):
     assert loaded == [False, False, False]
 
 
-def test_verify_takes_numpy_only_above_the_budget(tmp_path):
-    """Every measurement-free worked example verifies in plain Python, and a
-    6-qubit, 40-gate file on the numpy oracle; both pass."""
+def test_verify_never_imports_numpy(tmp_path):
+    """Every measurement-free worked example verifies on state vectors; a
+    6-qubit, 40-gate file and H 1; CNOT 1 2 on 15 qubits verify by
+    propagation. All pass, and numpy is never imported."""
     code = (
         "import contextlib, io, json, sys\n"
         "from gottesman import cli\n"
@@ -950,8 +952,12 @@ def test_verify_takes_numpy_only_above_the_budget(tmp_path):
     assert codes == [EXIT_OK] * len(files) and not numpy_loaded
     assert out.count('"failures": []') == len(files)
     codes, out, numpy_loaded = fresh_run(code, above_budget(tmp_path))
-    assert codes == [EXIT_OK] and numpy_loaded
+    assert codes == [EXIT_OK] and not numpy_loaded
     assert json.loads(out)["failures"] == []
+    wide = write(tmp_path, "qubits 15\nH 1; CNOT 1 2\n", "wide.qc")
+    codes, out, numpy_loaded = fresh_run(code, wide)
+    assert codes == [EXIT_OK] and not numpy_loaded
+    assert json.loads(out)["checks"] == 30 and json.loads(out)["failures"] == []
 
 
 # --- the parser against its checking reference ---------------------------------

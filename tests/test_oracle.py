@@ -4,17 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from gottesman import oracle, pyoracle
+from gottesman import pyoracle
 from gottesman.checker import Circuit
 from gottesman.errors import (
     EmptyEigenspaceError,
     MeasurementError,
-    OracleUnavailableError,
     TopOperandError,
 )
 from gottesman.gates import GateApp, standard_gates
 from gottesman.pauli import PauliString
-from gottesman.typesys import QType, StabType
+from gottesman.typesys import QType, StabType, _unchecked
 
 from helpers import (
     ALL_ATOMS,
@@ -22,6 +21,7 @@ from helpers import (
     lift,
     oracle_unitary,
     pauli,
+    ref_gate_unitary,
     ref_pure_at,
     ref_unitary,
     string_matrix,
@@ -46,8 +46,10 @@ def circ(n, *steps):
 
 
 def act_matrix(p):
-    """M(p) as ``oracle._apply`` gives it: p applied to the identity's columns."""
-    return oracle._apply([p], np.eye(2**p.arity, dtype=complex))[:, 0]
+    """M(p) as ``pyoracle._act`` gives it: p applied to the identity's columns."""
+    pauli_p = pyoracle._pauli(p)
+    eye = np.eye(2**p.arity, dtype=complex)
+    return np.array([pyoracle._act(pauli_p, column) for column in eye]).T
 
 
 class TestMatrixOf:
@@ -116,50 +118,45 @@ class TestUnitaryOf:
 
     def test_all_standard_gates_unitary(self):
         for spec in GATES.values():
-            u = oracle.gate_unitary(spec)
-            dim = 2**spec.arity
-            assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-9
+            dim, alone = 2**spec.arity, GateApp(spec, tuple(range(1, spec.arity + 1)))
+            for u in (ref_gate_unitary(spec), oracle_unitary(Circuit(spec.arity, (alone,)))):
+                assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-9
 
     def test_toffoli_decomposition_matches_direct(self):
-        u = oracle.gate_unitary(GATES["TOFFOLI"])
         expected = np.eye(8)
         expected[[6, 7]] = expected[[7, 6]]
-        assert np.max(np.abs(u - expected)) < 1e-9
+        assert np.max(np.abs(ref_gate_unitary(GATES["TOFFOLI"]) - expected)) < 1e-9
+        assert np.max(np.abs(oracle_unitary(circ(3, "TOFFOLI 1 2 3")) - expected)) < 1e-9
 
     def test_gate_order_matters(self):
         hs_circuit, sh_circuit = circ(1, "H 1", "S 1"), circ(1, "S 1", "H 1")
         hs, sh = oracle_unitary(hs_circuit), oracle_unitary(sh_circuit)
-        h, s = oracle.gate_unitary(GATES["H"]), oracle.gate_unitary(GATES["S"])
+        h, s = ref_gate_unitary(GATES["H"]), ref_gate_unitary(GATES["S"])
         assert np.allclose(hs, s @ h)
         assert np.allclose(sh, h @ s)
         assert np.max(np.abs(hs - ref_unitary(hs_circuit))) < 1e-12
         assert np.max(np.abs(sh - ref_unitary(sh_circuit))) < 1e-12
 
-    def test_one_cap_past_ten_qubits(self):
-        # No check builds a 4^n operator, so 11 qubits verifies; every entry
-        # point stops at MAX_QUBITS, where a state vector stops fitting.
+    def test_verifies_past_ten_qubits(self):
+        # No check builds a 4^n operator, and none has a qubit cap: 11
+        # qubits verifies on one string, and 15 through the entry point.
         circuit = circ(11, "H 1", "CNOT 1 11")
         z1, image = P("Z" + "I" * 10), P("X" + "I" * 9 + "X")
         assert verify_conjugation(circuit, z1, image)
-        over = pyoracle.MAX_QUBITS + 1
-        pyoracle.check_size(pyoracle.MAX_QUBITS)
-        with pytest.raises(OracleUnavailableError):
-            pyoracle.check_size(over)
-        wide = "Z" + "I" * (over - 1)
-        with pytest.raises(OracleUnavailableError):
-            pyoracle.verify_claims(Circuit(over), [(P(wide), P(wide))])
+        assert not verify_conjugation(circuit, z1, -image)
+        wide = circ(15, "H 1", "CNOT 1 15")
+        z1, image = P("Z" + "I" * 14), P("X" + "I" * 13 + "X")
+        assert pyoracle.verify_claims(wide, [(z1, image), (z1, -image)])[0] == [True, False]
 
     def test_sample_batch_cap(self):
-        # Arithmetic only: the largest allowed batch is never built here.
-        for n in (1, 3, pyoracle.MAX_QUBITS):
-            columns = pyoracle.MAX_BATCH_BYTES // (16 * 2**n)
-            most = columns - pyoracle.PROBES * (2 * n + 1)
-            pyoracle.check_size(n, most)
-            with pytest.raises(OracleUnavailableError, match="batch cap of 128 MiB"):
-                pyoracle.check_size(n, most + 1)
-        wide = StabType.of("ZZ")
-        with pytest.raises(OracleUnavailableError):
-            pyoracle.verify_claims(circ(2, "H 1"), (), wide, (), samples=10**15)
+        # There is none: 10^15 samples of a mixed type are far past the 128
+        # MiB that state vectors once capped them at, and past the work
+        # budget, so they are checked by propagation, which draws none.
+        wide = StabType.of("ZI")
+        verdicts, residuals = pyoracle.verify_claims(
+            circ(2, "H 1"), (), wide, (P("XI"), P("IZ"), P("-XI")), samples=10**15
+        )
+        assert (verdicts, residuals) == ([], [0.0, 2.0, 2.0])
 
     def test_rejects_measurement(self):
         from gottesman.checker import Measure
@@ -217,13 +214,17 @@ class TestSeparability:
         # Columns scaled by 2 double every residual: the check is linear in
         # the state, so a factor that holds still reads 0 and one that fails
         # reads further from it, whatever the columns' norms.
-        draw = oracle._sample_states
-        monkeypatch.setattr(oracle, "_sample_states", lambda *args: 2 * draw(*args))
+        draw = pyoracle._sample_states
+
+        def doubled(*args):
+            return [[2 * a for a in v] for v in draw(*args)]
+
+        monkeypatch.setattr(pyoracle, "_sample_states", doubled)
         s, seed = StabType.of(*gens), pyoracle.DEFAULT_SEED
         lifted = (P("ZI"), P("IZ"), P("XI"))
-        _, got = oracle._verify(Circuit(2), (), s, lifted, pyoracle.DEFAULT_SAMPLES, seed)
-        monkeypatch.setattr(oracle, "_sample_states", draw)
-        _, unit = oracle._verify(Circuit(2), (), s, lifted, pyoracle.DEFAULT_SAMPLES, seed)
+        _, got = pyoracle._verify(Circuit(2), (), s, lifted, pyoracle.DEFAULT_SAMPLES, seed)
+        monkeypatch.setattr(pyoracle, "_sample_states", draw)
+        _, unit = pyoracle._verify(Circuit(2), (), s, lifted, pyoracle.DEFAULT_SAMPLES, seed)
         assert got == [2 * r for r in unit]
         holds = [r < pyoracle.TOLERANCE for r in got]
         assert holds == ([False] * 3 if gens == ("XX", "ZZ") else [True, True, False])
@@ -231,11 +232,15 @@ class TestSeparability:
     def test_empty_eigenspace_detected(self):
         # +Z and -Z on one qubit project every sample to zero.
         with pytest.raises(EmptyEigenspaceError):
-            oracle._sample_states(
-                2, [P("ZI"), P("-ZI")], 1, np.random.default_rng(0)
-            )
+            pyoracle._sample_states(2, [P("ZI"), P("-ZI")], 1, random.Random(0))
+        # Rows that generate -I, as no validated type has them, have no
+        # eigenstate to propagate either.
+        rows = (P("ZI"), P("-ZI"))
+        conflicting = _unchecked(2, rows, tableau=rows)
+        with pytest.raises(EmptyEigenspaceError):
+            pyoracle._exact(Circuit(2), (), conflicting, (P("XI"),), 1, 0)
 
-    @pytest.mark.parametrize("kernel", [pyoracle._verify, oracle._verify], ids=["plain", "numpy"])
+    @pytest.mark.parametrize("kernel", [pyoracle._verify, pyoracle._exact], ids=["plain", "exact"])
     def test_factors_of_known_states(self, kernel):
         # Of the six claims at each qubit, only the state's own factor holds:
         # +X at qubit 1 and +Z at qubit 2 of |+>|0>, none of a Bell pair's.
@@ -275,7 +280,7 @@ class TestSeparability:
             cases += 1
             for k in candidates:
                 assert not any(verify_separability(s, k, u, 16, cases) for u in FACTORS)
-            states = oracle._sample_states(n, s.tableau, 16, np.random.default_rng(cases)).T
+            states = np.array(pyoracle._sample_states(n, s.tableau, 16, random.Random(cases)))
             assert any(not ref_pure_at(states, k, n, tolerance=1e-3) for k in candidates)
         assert cases == 10, f"only {cases} of 10 cases in {draws} draws"
 

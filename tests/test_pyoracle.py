@@ -1,28 +1,29 @@
 """The dense check's one entry point, and its two kernels.
 
 ``pyoracle.verify_claims`` validates its arguments once and runs the
-plain-Python kernel ``pyoracle._verify`` while the work is within
-``WORK_BUDGET``, else the numpy kernel ``oracle._verify``. On seeded random
-circuits up to four qubits (a ``def`` gate, T/Tdg/TOFFOLI, a reversed
-``CNOT n 1``) with random input types, both kernels must return the same
-conjugation verdicts, and residuals on the same side of TOLERANCE: for
-the checker's own claims, and with one claim negated, one transported
-generator negated, and a one-qubit string claimed as a factor at a qubit
-that the checker did not factor. The same holds on 5-8 qubits for
-circuits of diagonal gates only and for real and complex non-monomial
-defs, with the eigenstates checked over several blocks. Both kernels read
-a string through ``pyoracle._decode``, which is pinned to a letter-level
-reading of it.
+state-vector kernel ``pyoracle._verify`` while the work is within
+``WORK_BUDGET``, else the exact propagation kernel ``pyoracle._exact``. On
+seeded random circuits up to four qubits (a ``def`` gate, T/Tdg/TOFFOLI, a
+reversed ``CNOT n 1``) with random input types, both kernels must return
+the same conjugation verdicts, and residuals on the same side of
+TOLERANCE: for the checker's own claims, and with one claim negated, one
+transported generator negated, and a one-qubit string claimed as a factor
+at a qubit that the checker did not factor. The same holds on 5-8 qubits
+for circuits of diagonal gates only and for real and complex
+non-monomial defs. The exact residual is the supremum over eigenstates
+that a dense eigenvalue gives. Both kernels read a string through
+``pyoracle._decode``, which is pinned to a letter-level reading of it.
 """
 
 import copy
+import importlib.util
 import pathlib
 import pickle
 import random
 
 import pytest
 
-from gottesman import cli, oracle, pyoracle
+from gottesman import cli, pyoracle
 from gottesman.checker import Circuit, Measure, check, infer_tableau
 from gottesman.errors import (
     ArityError,
@@ -40,17 +41,23 @@ from helpers import (
     embed,
     fresh_run,
     lift,
+    letters,
     mutations,
     pauli,
     random_circuit,
     random_clifford_circuit,
     random_stab_type,
     ref_decode,
+    ref_supremum_residual,
 )
 
 GATES = standard_gates()
 TOLERANCE = pyoracle.TOLERANCE
 CIRCUITS = pathlib.Path(__file__).resolve().parent.parent / "circuits"
+
+
+# Work budgets under which ``verify_claims`` runs each kernel.
+KERNEL_BUDGETS = {"plain": 2**62, "exact": -1}
 
 
 def P(text):
@@ -96,7 +103,7 @@ def assert_kernels_agree(circuit, input_type, samples, seed, rng, seen):
         cases.append((pairs, gens, factors + (lift(rng.choice(free), u, n),)))
     for case, (claimed, transported, lifted) in enumerate(cases):
         args = (circuit, claimed, input_type, transported + lifted, samples, seed)
-        want = oracle._verify(*args)
+        want = pyoracle._exact(*args)
         got = pyoracle._verify(*args)
         assert got[0] == want[0], (seed, case)
         holds = [[r < TOLERANCE for r in kernel[1]] for kernel in (got, want)]
@@ -115,7 +122,7 @@ def assert_kernels_agree(circuit, input_type, samples, seed, rng, seen):
 CASES = ("negated", "wrong transport", "refuted factor", "held factor", "top output")
 
 
-def test_verdicts_match_the_numpy_oracle():
+def test_verdicts_match_the_exact_kernel():
     rng = random.Random(1919)
     seen = dict.fromkeys(CASES, 0)
     for trial in range(320):
@@ -125,19 +132,19 @@ def test_verdicts_match_the_numpy_oracle():
     assert min(seen.values()) > 20, seen
 
 
-def test_verdicts_match_the_numpy_oracle_on_five_to_eight_qubits(monkeypatch):
+def test_verdicts_match_the_exact_kernel_on_five_to_eight_qubits():
     """On 5-8 qubits, in turn: circuits of diagonal gates only, whose rows
-    the numpy kernel never moves; and random circuits with a real and with
-    a complex non-monomial def, the first multiplied in float arithmetic.
-    Inputs are mixed, 9 samples each, checked in blocks of two or more
-    columns (``_DRAW_BLOCK`` made small), so the residuals are read over
-    several blocks, the last one partial."""
+    the state-vector kernel never moves; and random circuits with a real
+    and with a complex def whose unitary has rows of two entries. Inputs are
+    mixed, 9 samples each."""
     gates = standard_gates()
     h, s = GateApp(gates["H"], (1,)), GateApp(gates["S"], (1,))
     cnot = GateApp(gates["CNOT"], (1, 2))
     defs = (derive_gate("RE", 2, [h, cnot]), derive_gate("CX", 2, [h, s, cnot]))
-    assert not oracle.gate_unitary(defs[0]).imag.any()
-    assert oracle._monomial(defs[1]) is None and oracle.gate_unitary(defs[1]).imag.any()
+    for spec, real in zip(defs, (True, False)):
+        rows = pyoracle._sparse_unitary(spec)
+        assert all(len(row) == 2 for row in rows)
+        assert all(complex(e).imag == 0 for row in rows for _, e in row) == real
     diagonal = [gates[name] for name in ("S", "Sdg", "Z", "CZ", "T", "Tdg")]
     rng = random.Random(2029)
     seen = dict.fromkeys(CASES, 0)
@@ -148,7 +155,6 @@ def test_verdicts_match_the_numpy_oracle_on_five_to_eight_qubits(monkeypatch):
         if kind:
             specs.insert(rng.randrange(len(specs) + 1), defs[kind - 1])
         apps = tuple(GateApp(g, tuple(rng.sample(range(1, n + 1), g.arity))) for g in specs)
-        monkeypatch.setattr(oracle, "_DRAW_BLOCK", 2 * n * 2**n)
         input_type = random_stab_type(n, rng, rank=rng.randrange(1, n))
         assert_kernels_agree(Circuit(n, apps), input_type, 9, trial, rng, seen)
     assert min(seen[case] for case in CASES[:-1]) > 10, seen
@@ -167,8 +173,10 @@ def test_decode_reads_the_letters():
         assert pyoracle._decode(p) == ref_decode(p), p
 
 
-# A gate's unitary as each kernel builds it.
-KERNEL_UNITARIES = (pyoracle._sparse_unitary, oracle.gate_unitary)
+# A gate's form as each kernel builds it: its sparse unitary, and its
+# action on the Pauli strings over its wires.
+KERNEL_FORMS = (pyoracle._sparse_unitary, pyoracle._conjugation)
+KERNELS = (pyoracle._verify, pyoracle._exact)
 
 
 def test_toffoli_decomposition_is_checked():
@@ -180,32 +188,41 @@ def test_toffoli_decomposition_is_checked():
         derive_gate("TOFFOLI", 3, steps),
         derive_gate("TOFFOLI", 2, [GateApp(cnot, (1, 2))]),
     ):
-        for unitary in KERNEL_UNITARIES:
+        for form in KERNEL_FORMS:
             with pytest.raises(OracleError) as info:
-                unitary(wrong)
+                form(wrong)
             assert str(info.value) == "TOFFOLI decomposition disagrees with its matrix"
     assert pyoracle._sparse_unitary(GATES["TOFFOLI"])[6] == ((7, 1),)
-    assert abs(oracle.gate_unitary(GATES["TOFFOLI"])[6, 7] - 1) < TOLERANCE
+    # Local bit b is wire 3 - b. TOFFOLI fixes X on its target (wire 3)
+    # and Z on its controls; X on a control and Z on the target go to sums
+    # of Pauli strings.
+    xs, zs, _ = pyoracle._conjugation(GATES["TOFFOLI"])
+    assert xs == ((1, 0, 0), None, None) and zs == (None, (0, 2, 0), (0, 4, 0))
 
 
 def test_gate_without_unitary_rejected():
     opaque = GateSpec("OPAQUE", 1, (P("Z"),), (P("X"),))
-    for unitary in KERNEL_UNITARIES:
+    for form in KERNEL_FORMS:
         with pytest.raises(OracleError) as info:
-            unitary(opaque)
+            form(opaque)
         assert str(info.value) == "no unitary known for gate OPAQUE"
-    with pytest.raises(OracleError, match="no unitary known"):
-        circuit = Circuit(1, (GateApp(opaque, (1,)),))
-        pyoracle._verify(circuit, [(P("Z"), P("X"))], None, (), 1, 0)
+    circuit = Circuit(1, (GateApp(opaque, (1,)),))
+    for kernel in KERNELS:
+        with pytest.raises(OracleError, match="no unitary known"):
+            kernel(circuit, [(P("Z"), P("X"))], None, (), 1, 0)
 
 
-def test_faults_raise_as_in_the_numpy_oracle():
-    with pytest.raises(MeasurementError):
-        pyoracle.verify_claims(Circuit(1, (Measure(1),)), [(P("Z"), P("Z"))])
-    with pytest.raises(TopOperandError):
-        pyoracle.verify_claims(Circuit(1), [(P("Z"), PauliString.top(1))])
-    with pytest.raises(ArityError):
-        pyoracle.verify_claims(Circuit(2), [(P("Z"), P("Z"))])
+def test_faults_raise_as_in_the_numpy_oracle(monkeypatch):
+    """Each fault raises as it did when large work ran on numpy, on either
+    kernel."""
+    for budget in KERNEL_BUDGETS.values():
+        monkeypatch.setattr(pyoracle, "WORK_BUDGET", budget)
+        with pytest.raises(MeasurementError):
+            pyoracle.verify_claims(Circuit(1, (Measure(1),)), [(P("Z"), P("Z"))])
+        with pytest.raises(TopOperandError):
+            pyoracle.verify_claims(Circuit(1), [(P("Z"), PauliString.top(1))])
+        with pytest.raises(ArityError):
+            pyoracle.verify_claims(Circuit(2), [(P("Z"), P("Z"))])
     # +Z and -Z on one qubit project every draw to zero.
     with pytest.raises(EmptyEigenspaceError):
         pyoracle._sample_states(2, [P("ZI"), P("-ZI")], 1, random.Random(0))
@@ -222,29 +239,18 @@ def test_samples_are_unit_eigenvectors():
                 assert max(abs(a - b) for a, b in zip(g_v, v)) < 1e-12
 
 
-def test_oracle_shares_the_caps():
-    caps = ("TOLERANCE", "MAX_QUBITS", "DEFAULT_SEED", "DEFAULT_SAMPLES", "PROBES")
-    caps += ("MAX_BATCH_BYTES",)
-    imported = [name for name in caps if hasattr(oracle, name)]
-    assert imported == ["TOLERANCE", "MAX_QUBITS", "PROBES"]
-    for name in imported:
-        assert getattr(oracle, name) is getattr(pyoracle, name)
-    assert not hasattr(oracle, "check_size")  # the caps are checked in verify_claims
-    over = StabType.of("Z" * (pyoracle.MAX_QUBITS + 1))
-    with pytest.raises(OracleUnavailableError, match="dense cap"):
-        pyoracle.verify_claims(Circuit(over.arity), (), over)
-
-
 def test_numpy_oracle_has_no_entry_of_its_own():
-    assert not hasattr(oracle, "verify_claims")
+    """There is no numpy kernel, and ``verify_claims`` is the one public
+    callable of the dense check."""
+    assert importlib.util.find_spec("gottesman.oracle") is None
     public = {
         name
-        for name, value in vars(oracle).items()
+        for name, value in vars(pyoracle).items()
         if callable(value)
-        and getattr(value, "__module__", None) == oracle.__name__
+        and getattr(value, "__module__", None) == pyoracle.__name__
         and not name.startswith("_")
     }
-    assert public == {"gate_unitary"}
+    assert public == {"verify_claims"}
 
 
 @pytest.fixture
@@ -260,7 +266,7 @@ def ran(monkeypatch):
         return kernel
 
     monkeypatch.setattr(pyoracle, "_verify", recorder("plain"))
-    monkeypatch.setattr(oracle, "_verify", recorder("numpy"))
+    monkeypatch.setattr(pyoracle, "_exact", recorder("exact"))
     return calls
 
 
@@ -271,13 +277,13 @@ def test_work_budget_chooses_the_kernel(ran):
     pyoracle.verify_claims(Circuit(1), (), mixed, (), samples=8190)  # W = 2^14
     assert ran == ["plain"]
     pyoracle.verify_claims(Circuit(1), (), mixed, (), samples=8191)
-    assert ran == ["plain", "numpy"]
+    assert ran == ["plain", "exact"]
     # Without an input type no sample is drawn, so none is counted.
     pyoracle.verify_claims(Circuit(1), (), None, (), samples=8191)
-    assert ran == ["plain", "numpy", "plain"]
+    assert ran == ["plain", "exact", "plain"]
     # The pure Z is drawn once, whatever is asked: W = 2 x 3 x 1.
     pyoracle.verify_claims(Circuit(1), (), StabType.of("Z"), (), samples=8191)
-    assert ran == ["plain", "numpy", "plain", "plain"]
+    assert ran == ["plain", "exact", "plain", "plain"]
 
 
 def test_round_trips_keep_standard_gates_at_one_pass(ran, monkeypatch):
@@ -290,27 +296,23 @@ def test_round_trips_keep_standard_gates_at_one_pass(ran, monkeypatch):
         pyoracle.verify_claims(twin, ())
     monkeypatch.setattr(pyoracle, "WORK_BUDGET", 16 * 2 * 7 - 1)
     pyoracle.verify_claims(circuit, ())
-    assert ran == ["plain"] * 3 + ["numpy"]
-
-
-# Work budgets under which ``verify_claims`` runs each kernel.
-KERNEL_BUDGETS = {"plain": 2**62, "numpy": -1}
+    assert ran == ["plain"] * 3 + ["exact"]
 
 
 @pytest.mark.parametrize("kernel", KERNEL_BUDGETS)
 def test_a_pure_input_type_is_drawn_once(kernel, monkeypatch):
-    """Each kernel draws one eigenstate of a type whose rows' bits have rank
-    n, and every sample asked for of any other, a type that lies about its
-    rank included: the rank is read from the rows, not their number."""
+    """The state-vector kernel draws one eigenstate of a type whose rows'
+    bits have rank n, and every sample asked for of any other, a type that
+    lies about its rank included: the rank is read from the rows, not their
+    number. The exact kernel draws none."""
     monkeypatch.setattr(pyoracle, "WORK_BUDGET", KERNEL_BUDGETS[kernel])
-    module = pyoracle if kernel == "plain" else oracle
-    drawn, sample = [], module._sample_states
+    drawn, sample = [], pyoracle._sample_states
 
     def spy(n, gens, count, rng):
         drawn.append(count)
         return sample(n, gens, count, rng)
 
-    monkeypatch.setattr(module, "_sample_states", spy)
+    monkeypatch.setattr(pyoracle, "_sample_states", spy)
     rng = random.Random(33)
     lying = (P("ZZI"), P("IZZ"), P("ZIZ"))  # three rows, rank 2
     cases = [(random_stab_type(n, rng, rank=n), 1) for n in range(1, 9)]
@@ -324,7 +326,7 @@ def test_a_pure_input_type_is_drawn_once(kernel, monkeypatch):
     for input_type, want in cases:
         drawn.clear()
         pyoracle.verify_claims(Circuit(input_type.arity), (), input_type, (), samples=5)
-        assert drawn == [want], input_type
+        assert drawn == ([want] if kernel == "plain" else []), input_type
 
 
 @pytest.mark.parametrize("kernel", KERNEL_BUDGETS)
@@ -334,7 +336,7 @@ def test_one_draw_of_a_pure_type_reads_as_every_sample(kernel, monkeypatch):
     draw gives the verdicts and residuals of all 16 samples: for the
     generators, and for +Z claimed as a factor at every qubit."""
     monkeypatch.setattr(pyoracle, "WORK_BUDGET", KERNEL_BUDGETS[kernel])
-    run = pyoracle._verify if kernel == "plain" else oracle._verify
+    run = pyoracle._verify if kernel == "plain" else pyoracle._exact
     rng = random.Random(4242)
     wrong = refuted = 0
     for trial in range(200):
@@ -359,17 +361,16 @@ def test_one_draw_of_a_pure_type_reads_as_every_sample(kernel, monkeypatch):
 
 @pytest.fixture
 def refused(monkeypatch):
-    """Both kernels and both eigenstate draws, each raising if reached."""
+    """Both kernels and the eigenstate draw, each raising if reached."""
 
     def refuse(*args):
         raise AssertionError("operands must be checked before any kernel or draw")
 
-    for module in (pyoracle, oracle):
-        for name in ("_verify", "_sample_states"):
-            monkeypatch.setattr(module, name, refuse)
+    for name in ("_verify", "_exact", "_sample_states"):
+        monkeypatch.setattr(pyoracle, name, refuse)
 
 
-@pytest.mark.parametrize("samples", [1, 4000])  # the plain and the numpy kernel's work
+@pytest.mark.parametrize("samples", [1, 4000])  # the plain and the exact kernel's work
 def test_every_operand_is_checked_before_either_kernel(refused, samples):
     h1 = Circuit(2, (GateApp(GATES["H"], (1,)),))
     bell = Circuit(2, h1.instructions + (GateApp(GATES["CNOT"], (1, 2)),))
@@ -389,7 +390,7 @@ def test_valid_operands_reach_the_kernel_the_size_chooses(ran):
     h1 = Circuit(2, (GateApp(GATES["H"], (1,)),))
     for samples in (1, 4000):
         pyoracle.verify_claims(h1, (), StabType.of("ZI"), (P("XI"), P("IZ")), samples, 7)
-    assert ran == ["plain", "numpy"]
+    assert ran == ["plain", "exact"]
 
 
 def test_measured_circuit_refused_before_either_kernel(ran):
@@ -414,3 +415,40 @@ def test_small_work_leaves_numpy_unloaded():
     (verdicts, residuals), numpy_loaded = fresh_run(code)
     assert verdicts == [True] and len(residuals) == 2 and max(residuals) < TOLERANCE
     assert not numpy_loaded
+
+
+def test_exact_residual_is_the_dense_supremum():
+    """On random types through random Clifford circuits, each claimed string's
+    exact residual is sup |M(q) U v - U v| over the unit eigenvectors v,
+    from a dense eigenvalue, within 1e-9: for the output's generators (0),
+    their negations (2), the first with its phase off by i (sqrt 2), and
+    random strings of every phase. All three values are reached."""
+    rng = random.Random(5501)
+    seen = set()
+    for trial in range(120):
+        n = 1 + trial % 4
+        circuit = random_clifford_circuit(n, rng.randrange(12), rng)
+        input_type = random_stab_type(n, rng)
+        gens = check(circuit, QType(n, input_type)).stab.generators
+        claimed = [*gens, *(-g for g in gens), pauli(gens[0].k + 1, letters(gens[0]))]
+        claimed += [pauli(rng.randrange(4), rng.choices("IXYZ", k=n)) for _ in range(3)]
+        _, residuals = pyoracle._exact(circuit, (), input_type, claimed, 1, trial)
+        for q, got in zip(claimed, residuals, strict=True):
+            assert abs(got - ref_supremum_residual(circuit, input_type, q)) < 1e-9, (trial, q)
+            seen.add(round(got * got))
+    assert seen == {0, 2, 4}
+
+
+def test_a_sum_of_pauli_terms_is_unavailable_not_refuted(monkeypatch):
+    """T T = S takes X to Y, but T alone takes X to (X + Y)/sqrt 2: the exact
+    kernel cannot follow the true pair (X, Y) through it, and says so, naming
+    the gate, rather than refute it. The state-vector kernel confirms it."""
+    t = GateApp(GATES["T"], (1,))
+    circuit = Circuit(1, (t, t))
+    monkeypatch.setattr(pyoracle, "WORK_BUDGET", -1)
+    with pytest.raises(OracleUnavailableError, match="^T 1 takes a claimed string"):
+        pyoracle.verify_claims(circuit, [(P("X"), P("Y"))])
+    assert pyoracle._verify(circuit, [(P("X"), P("Y"))], None, (), 1, 0)[0] == [True]
+    # Z is fixed by T, so it is followed exactly, with its sign.
+    verdicts, _ = pyoracle.verify_claims(circuit, [(P("Z"), P("Z")), (P("Z"), P("-Z"))])
+    assert verdicts == [True, False]
