@@ -8,9 +8,10 @@ are. :func:`verify_claims`, the one way in for ``verify`` and for library
 callers alike, checks every operand before any kernel runs, then chooses
 by the work W that state vectors would take. Up to ``WORK_BUDGET`` it runs
 :func:`_verify` on state vectors; above it, :func:`_exact`, which decides
-each claim exactly by propagating single Pauli strings (Gottesman,
-arXiv:quant-ph/9807006) at O(n) work per gate and string (Aaronson and
-Gottesman, arXiv:quant-ph/0406196). Neither imports numpy.
+each claim exactly by propagating Pauli strings (Gottesman,
+arXiv:quant-ph/9807006), all of them through each gate at once, a column
+of bits per qubit (Aaronson and Gottesman, arXiv:quant-ph/0406196).
+Neither imports numpy.
 
 State vectors. A batch is a list of 2^n rows, one per basis index (qubit 1
 its top bit), each holding one amplitude per state column. A gate sends
@@ -23,10 +24,12 @@ their own with the same seed.
 Propagation. A string is ``(x, z, power)``, M = i^power Z^z X^x with qubit
 1 the top bit, multiplied by its own rule, :func:`_mul`. A primitive's
 images of its wires' units X_w and Z_w are read from its matrix by trace
-decomposition, a derived gate's by pushing each unit through its
-decomposition, and a restriction's image is their product. An image of
-more than one Pauli term (T on X) makes a claim unavailable, not false:
-T T = S recombines what T alone splits.
+decomposition, a derived gate's by pushing its units through its
+decomposition. :func:`_push` holds the strings as columns, a bit per
+string, and applies :func:`_mul`'s rule to whole columns: O(g^2) word
+operations per gate on g wires, however many strings. An image of more
+than one Pauli term (T on X) makes a claim unavailable, not false: T T =
+S recombines what T alone splits.
 
 Both kernels read a string through :func:`_decode`, from its masks
 reversed and ``.k``, sharing no code with ``gates``, ``pauli`` or
@@ -38,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, wraps
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -51,7 +54,7 @@ from .errors import (
     OracleUnavailableError,
     TopOperandError,
 )
-from .gates import GateSpec, _build_order, standard_gates
+from .gates import GateApp, GateSpec, _build_order, standard_gates
 from .pauli import PauliString
 from .typesys import StabType
 
@@ -250,6 +253,8 @@ def verify_claims(
         raise ArityError("operands must match the circuit's register size")
     if circuit.has_measurement:
         raise MeasurementError("no unitary for a circuit with measurements")
+    if any(s.is_top for s in operands[: 2 * len(pairs)]):
+        raise TopOperandError("Top strings have no matrix")
     if drawn and len(_echelon(map(_decode, input_type.tableau), n)) == n:
         drawn = 1  # a pure type's eigenspace is one state: every draw is it times a phase
     builtin = standard_gates()
@@ -324,13 +329,12 @@ def _one_term(u, s: tuple[int, int, int]) -> tuple[int, int, int] | None:
 
 
 @_leaves_first
-def _conjugation(spec: GateSpec) -> tuple[tuple, tuple, dict]:
+def _conjugation(spec: GateSpec) -> tuple[tuple, tuple]:
     """The gate's action on strings over its g wires (wire 1 the top bit):
     the images of X and of Z at each local bit b, each ``(x, z, power)`` or
-    None if it is not one Pauli term, and a table of restrictions' images,
-    filled by :func:`_restricted` on use. A primitive's images come from
-    its matrix by :func:`_one_term`, a derived gate's by pushing each unit
-    through its decomposition: 2g images, however wide the gate."""
+    None if it is not one Pauli term. A primitive's images come from its
+    matrix by :func:`_one_term`, a derived gate's by pushing its 2g units
+    through its decomposition at once: 2g images, however wide the gate."""
     g = spec.arity
     units = [(1 << b, 0, 0) for b in range(g)] + [(0, 1 << b, 0) for b in range(g)]
     if spec.name in _BASE_UNITARIES:
@@ -338,70 +342,59 @@ def _conjugation(spec: GateSpec) -> tuple[tuple, tuple, dict]:
     else:
         if spec.decomposition is None or spec.name == "TOFFOLI":
             _sparse_unitary(spec)  # refuses a gate with no unitary, or a faulty TOFFOLI
-        steps = _steps(spec.decomposition, g)
-        images = []
-        for unit in units:
-            try:
-                images.append(_push(steps, unit))
-            except OracleUnavailableError:
-                images.append(None)
-    return tuple(images[:g]), tuple(images[g:]), {}
+        images, _ = _push(spec.decomposition, g, units)
+    return tuple(images[:g]), tuple(images[g:])
 
 
-def _restricted(spec: GateSpec, lx: int, lz: int) -> tuple[int, int, int] | None:
-    """The image of Z^lz X^lx on the gate's wires: the product of the images
-    of its Zs, then of its Xs, or None if one of them is not one term."""
-    xs, zs, table = _conjugation(spec)
-    key = lx << spec.arity | lz
-    if key not in table:
-        units = [u for bits, us in ((lz, zs), (lx, xs)) for b, u in enumerate(us) if bits >> b & 1]
-        table[key] = None if None in units else reduce(_mul, units, (0, 0, 0))
-    return table[key]
+def _transposed(rows: Sequence[int], width: int) -> list[int]:
+    """The bit matrix ``rows``, each row ``width`` bits, transposed: entry i
+    has bit j set iff row j has bit width - 1 - i."""
+    bits = [format(row | 1 << width, "b")[1:] for row in reversed(rows)]
+    return [int("".join(column), 2) for column in zip(*bits)] or [0] * width
 
 
-def _steps(apps, n: int) -> list:
-    """Per instruction of ``apps`` on n qubits: the app, the bit of each of
-    its wires (wire w at bit n - w), their mask, and a table of each
-    restriction's flips, shared by repeats of one app and filled by
-    :func:`_push` on use."""
-    flips, steps = {}, []
+def _push(apps, n: int, strings: Sequence[tuple[int, int, int]]) -> tuple[list, GateApp | None]:
+    """U M(s) U+ through ``apps`` for each string s on n qubits, all at once
+    (None for a cut string), and the app that cut the first one cut, or None.
+    Column w - 1 of X (n + w - 1 of Z) has bit j set when string j has qubit
+    w; two more hold the powers' high and low bits. Per gate, the strings
+    holding each unit, Zs then Xs, multiply an accumulator on its wires by
+    the unit's image, by :func:`_mul`'s rule on columns; a unit of more
+    than one term cuts them. The accumulator replaces the gate's columns."""
+    m = len(strings)
+    cols = _transposed([(x << n | z) << 2 | power for x, z, power in strings], 2 * n + 2)
+    p1, p0 = cols[-2:]
+    live, cuts = (1 << m) - 1, []
     for app in apps:
-        _conjugation(app.gate)  # every gate's table built, leaves first, before any push
-        bits = [1 << n - w for w in app.wires]
-        steps.append((app, bits, sum(bits), flips.setdefault(id(app), {})))
-    return steps
-
-
-def _push(steps, s: tuple[int, int, int]) -> tuple[int, int, int]:
-    """U M(s) U+ through ``steps``, one gate at a time. A string that is I on
-    a gate's wires passes; any other looks its restriction up, read first
-    wire first, and XORs in the bits the image flips. A restriction whose
-    image is not one Pauli term raises OracleUnavailableError naming the
-    gate."""
-    x, z, power = s
-    for app, bits, mask, flips in steps:
-        if not (x | z) & mask:
-            continue
-        key = x & mask, z & mask
-        if key not in flips:
-            lx = lz = 0
-            for bit in bits:
-                lx = lx << 1 | bool(x & bit)
-                lz = lz << 1 | bool(z & bit)
-            image = _restricted(app.gate, lx, lz)
-            if image is not None:  # local bit b is bits[-1 - b]
+        (xs, zs), wires = _conjugation(app.gate), app.wires
+        g = len(wires)
+        acc = [0] * (2 * g)  # the product's X then Z columns, by local bit
+        for images, base in ((zs, n - 1), (xs, -1)):
+            for b, image in enumerate(images):  # local bit b is wires[-1 - b]
+                sel = cols[base + wires[~b]]
+                if image is None:
+                    cuts.append((sel & live, app))
+                    live &= ~sel
+                    continue
                 ix, iz, k = image
-                dx = sum(bit for b, bit in enumerate(reversed(bits)) if (ix ^ lx) >> b & 1)
-                dz = sum(bit for b, bit in enumerate(reversed(bits)) if (iz ^ lz) >> b & 1)
-                image = dx, dz, k
-            flips[key] = image
-        if flips[key] is None:
-            raise OracleUnavailableError(
-                f"{app} takes a claimed string to more than one Pauli term"
-            )
-        dx, dz, k = flips[key]
-        x, z, power = x ^ dx, z ^ dz, power + k
-    return x, z, power % 4
+                parity = 0  # |acc_x & iz| mod 2 per string, as in _mul
+                for c in range(g):
+                    if iz >> c & 1:
+                        parity ^= acc[c]
+                        acc[g + c] ^= sel
+                    if ix >> c & 1:
+                        acc[c] ^= sel
+                if k & 1:
+                    p1 ^= p0 & sel  # the carry
+                    p0 ^= sel
+                p1 ^= (parity ^ (sel if k & 2 else 0)) & sel
+        for b, w in enumerate(reversed(wires)):
+            cols[w - 1], cols[n + w - 1] = acc[b], acc[g + b]
+    cols[-2:] = p1, p0
+    dead, low = (1 << m) - 1 & ~live, (1 << n) - 1
+    first = next((app for mask, app in cuts if mask & dead & -dead), None)
+    out = [(v >> n + 2, v >> 2 & low, v & 3) for v in reversed(_transposed(cols[::-1], m))]
+    return [s if live >> j & 1 else None for j, s in enumerate(out)], first
 
 
 def _reduced(s: tuple[int, int, int], kept: dict, n: int) -> tuple[int, int, int]:
@@ -429,18 +422,23 @@ def _echelon(rows, n: int) -> dict:
 
 def _exact(circuit, pairs, input_type, transported, samples, seed):
     """:func:`verify_claims`' result by exact propagation, on arguments it has
-    checked; ``samples`` and ``seed`` are not read. The pushed rows generate
+    checked; ``samples`` and ``seed`` are not read. Each pair's p and the
+    input rows are pushed in one pass; if any is cut, the gate that cut the
+    first of them, pairs before rows, is named. The pushed rows generate
     the evolved group S; each claimed q is reduced by them. If q = lambda g
     for some g in S, M(q) acts on the eigenspace as lambda, so the residual
     is |lambda - 1|: 0, sqrt(2) or 2. If q anticommutes with a row, M(q) U v
     is orthogonal to U v: sqrt(2). Any other q acts as a logical Pauli times
     lambda, with eigenvalues +-lambda: 2 if lambda is real, else sqrt(2)."""
     n = circuit.n_qubits
-    steps = _steps(circuit.instructions, n)
-    verdicts = [_push(steps, _decode(p)) == _decode(q) for p, q in pairs]
     # Rows are pushed only for a string to check on them: a Top q reads 0.
-    live = any(not q.is_top for q in transported)
-    rows = [_push(steps, _decode(g)) for g in input_type.tableau] if live else []
+    gens = input_type.tableau if any(not q.is_top for q in transported) else ()
+    strings = [_decode(s) for s in (*(p for p, _ in pairs), *gens)]
+    pushed, cut = _push(circuit.instructions, n, strings)
+    if cut is not None:
+        raise OracleUnavailableError(f"{cut} takes a claimed string to more than one Pauli term")
+    verdicts = [image == _decode(q) for image, (_, q) in zip(pushed, pairs)]
+    rows = pushed[len(pairs) :]
     kept, residuals = _echelon(rows, n), []
     for q in transported:
         if q.is_top:

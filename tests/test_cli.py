@@ -840,7 +840,7 @@ class TestRunVerify:
                 record = json.loads(capsys.readouterr().out)
                 assert record["checks"] == 2 and record["failures"] == []
         chain, h = parse(source)[0].instructions[0].gate, standard_gates()["H"]
-        assert pyoracle._conjugation(chain)[:2] == pyoracle._conjugation(h)[:2]
+        assert pyoracle._conjugation(chain) == pyoracle._conjugation(h)
         got, want = pyoracle._sparse_unitary(chain), pyoracle._sparse_unitary(h)
         assert [[c for c, _ in row] for row in got] == [[c for c, _ in row] for row in want]
         assert max(abs(e - f) for r, t in zip(got, want) for (_, e), (_, f) in zip(r, t)) < 1e-12

@@ -13,6 +13,9 @@ for circuits of diagonal gates only and for real and complex
 non-monomial defs. The exact residual is the supremum over eigenstates
 that a dense eigenvalue gives. Both kernels read a string through
 ``pyoracle._decode``, which is pinned to a letter-level reading of it.
+The exact kernel pushes every string at once, as pushing each alone and
+as the reference gate by gate would, and names the gate that cut the
+first claimed string.
 """
 
 import copy
@@ -38,6 +41,8 @@ from gottesman.pauli import PauliString
 from gottesman.typesys import QType, StabType, _unchecked, parse_qtype
 
 from helpers import (
+    CLIFFORD_1Q,
+    CLIFFORD_2Q,
     embed,
     fresh_run,
     lift,
@@ -47,6 +52,7 @@ from helpers import (
     random_circuit,
     random_clifford_circuit,
     random_stab_type,
+    ref_apply_gate,
     ref_decode,
     ref_supremum_residual,
 )
@@ -196,7 +202,7 @@ def test_toffoli_decomposition_is_checked():
     # Local bit b is wire 3 - b. TOFFOLI fixes X on its target (wire 3)
     # and Z on its controls; X on a control and Z on the target go to sums
     # of Pauli strings.
-    xs, zs, _ = pyoracle._conjugation(GATES["TOFFOLI"])
+    xs, zs = pyoracle._conjugation(GATES["TOFFOLI"])
     assert xs == ((1, 0, 0), None, None) and zs == (None, (0, 2, 0), (0, 4, 0))
 
 
@@ -221,6 +227,12 @@ def test_faults_raise_as_in_the_numpy_oracle(monkeypatch):
             pyoracle.verify_claims(Circuit(1, (Measure(1),)), [(P("Z"), P("Z"))])
         with pytest.raises(TopOperandError):
             pyoracle.verify_claims(Circuit(1), [(P("Z"), PauliString.top(1))])
+        # A Top pair operand is refused before the exact kernel could find
+        # the first pair unavailable at T 1.
+        t1 = Circuit(1, (GateApp(GATES["T"], (1,)),))
+        for pair in [(P("Z"), PauliString.top(1)), (PauliString.top(1), P("Z"))]:
+            with pytest.raises(TopOperandError):
+                pyoracle.verify_claims(t1, [(P("X"), P("Y")), pair])
         with pytest.raises(ArityError):
             pyoracle.verify_claims(Circuit(2), [(P("Z"), P("Z"))])
     # +Z and -Z on one qubit project every draw to zero.
@@ -452,3 +464,53 @@ def test_a_sum_of_pauli_terms_is_unavailable_not_refuted(monkeypatch):
     # Z is fixed by T, so it is followed exactly, with its sign.
     verdicts, _ = pyoracle.verify_claims(circuit, [(P("Z"), P("Z")), (P("Z"), P("-Z"))])
     assert verdicts == [True, False]
+
+
+def random_clifford_apps(n, count, defs, rng):
+    """``count`` random Clifford gates on n qubits, ``defs`` among them."""
+    pool = [GATES[name] for name in CLIFFORD_1Q + CLIFFORD_2Q] + list(defs)
+    specs = [rng.choice([g for g in pool if g.arity <= n]) for _ in range(count)]
+    return [GateApp(g, tuple(rng.sample(range(1, n + 1), g.arity))) for g in specs]
+
+
+def test_strings_pushed_at_once_are_pushed_alone():
+    """Pushing m strings of random phases at once through random Clifford
+    circuits with defs (1 to 10 qubits, m up to 3n + 5) gives each string
+    the image it has when pushed alone, and the image the reference gives
+    gate by gate."""
+    rng = random.Random(6121)
+    for trial in range(160):
+        n = 1 + trial % 10
+        defs = []
+        for arity in range(1, min(n, 3) + 1):
+            body = random_clifford_apps(arity, rng.randrange(1, 6), defs, rng)
+            defs.append(derive_gate(f"D{arity}", arity, body))
+        apps = random_clifford_apps(n, rng.randrange(1, 16), defs, rng)
+        m = rng.randrange(1, 3 * n + 6)
+        strings = [pauli(rng.randrange(4), rng.choices("IXYZ", k=n)) for _ in range(m)]
+        want = []
+        for s in strings:
+            for app in apps:
+                s = ref_apply_gate(app, s)
+            want.append(pyoracle._decode(s))
+        decoded = [pyoracle._decode(s) for s in strings]
+        assert pyoracle._push(apps, n, decoded) == (want, None), trial
+        assert [pyoracle._push(apps, n, [s])[0][0] for s in decoded] == want, trial
+
+
+def test_unavailable_names_the_gate_of_the_first_claim_cut(monkeypatch):
+    """The exact kernel names the gate where the first claimed string, in
+    claim order, stops being one Pauli term: T 1 for X1 through T 2; T 1
+    though T 2 cuts X2 first, T 2 with the pairs swapped, and T 1 for X
+    through T 1; Tdg 1, which turns it back into X. The state-vector
+    kernel confirms the last."""
+    monkeypatch.setattr(pyoracle, "WORK_BUDGET", -1)
+    t1, t2 = GateApp(GATES["T"], (1,)), GateApp(GATES["T"], (2,))
+    pairs = [(P("XI"), P("XI")), (P("IX"), P("IX"))]
+    for order, gate in ((pairs, "T 1"), (pairs[::-1], "T 2")):
+        with pytest.raises(OracleUnavailableError, match=f"^{gate} takes"):
+            pyoracle.verify_claims(Circuit(2, (t2, t1)), order)
+    there_and_back = Circuit(1, (GateApp(GATES["T"], (1,)), GateApp(GATES["Tdg"], (1,))))
+    with pytest.raises(OracleUnavailableError, match="^T 1 takes"):
+        pyoracle.verify_claims(there_and_back, [(P("X"), P("X"))])
+    assert pyoracle._verify(there_and_back, [(P("X"), P("X"))], None, (), 1, 0)[0] == [True]
