@@ -44,7 +44,7 @@ class ParseError(GottesmanError):
 
 
 class OracleError(GottesmanError):
-    """The dense-matrix layer cannot run or found an inconsistency."""
+    """The dense check (``pyoracle``) cannot run or found an inconsistency."""
 
 
 class OracleUnavailableError(OracleError):
@@ -53,4 +53,4 @@ class OracleUnavailableError(OracleError):
 
 
 class EmptyEigenspaceError(OracleError):
-    """Eigenspace sampling found no joint +1 eigenstate."""
+    """No joint +1 eigenstate: every sample projected to 0, or rows give -I."""

@@ -215,14 +215,12 @@ def _table(*specs: GateSpec) -> tuple[list[tuple], dict[int, int]]:
 
 def _built_table(table: list) -> list[GateSpec]:
     """The gates of a ``_table``'s rows, each built in turn: unpickling. A
-    row equal to a standard gate gives that gate itself, so an unpickled
-    circuit's gates are standard gates as its parse's were."""
-    built, standard = [], standard_gates()
+    row of a standard gate gives a gate equal to it, not that gate itself."""
+    built = []
     for name, arity, x_images, z_images, steps in table:
         if steps is not None:
             steps = tuple(GateApp(built[i], wires) for i, wires in steps)
-        spec = GateSpec(name, arity, x_images, z_images, steps)
-        built.append(standard[name] if spec == standard.get(name) else spec)
+        built.append(GateSpec(name, arity, x_images, z_images, steps))
     return built
 
 

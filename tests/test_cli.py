@@ -43,8 +43,9 @@ def write(tmp_path, text, name="test.qc"):
 
 def above_budget(tmp_path):
     """A seeded 6-qubit, 40-gate Clifford file with an input type: 2^6 x 27
-    columns (its pure input type is drawn once) x 41 passes, far above
-    ``pyoracle.WORK_BUDGET``, so ``verify`` takes the exact kernel."""
+    columns (its pure input type is drawn once) x 117 passes (2^g for each
+    gate on g wires, and one more), far above ``pyoracle.WORK_BUDGET``, so
+    ``verify`` takes the exact kernel."""
     circuit = random_clifford_circuit(6, 40, random.Random(6))
     return write(tmp_path, format_source(circuit, all_z(6)), "above_budget.qc")
 

@@ -15,7 +15,10 @@ that a dense eigenvalue gives. Both kernels read a string through
 ``pyoracle._decode``, which is pinned to a letter-level reading of it.
 The exact kernel pushes every string at once, as pushing each alone and
 as the reference gate by gate would, and names the gate that cut the
-first claimed string.
+first claimed string. A gate is read from the table only when its name
+and its width match an entry; W counts 2^g passes for each gate on g wires,
+parsed or round-tripped, and keeps every measurement-free worked example
+on state vectors.
 """
 
 import copy
@@ -186,18 +189,24 @@ KERNELS = (pyoracle._verify, pyoracle._exact)
 
 
 def test_toffoli_decomposition_is_checked():
-    """A wrong 3-wire TOFFOLI, and a 2-wire one whose matrix cannot be the
-    8x8 reference, are refused alike by both kernels."""
+    """TOFFOLI is read from its 8x8 matrix, whatever its decomposition says.
+    A wrong 3-wire TOFFOLI is judged by that matrix, so the checker's image
+    of X3 from its decomposition is refuted by both kernels; a 2-wire one
+    cannot be the table's, so it is read through its decomposition, as the
+    CNOT it is."""
     h, t, cnot = GATES["H"], GATES["T"], GATES["CNOT"]
     steps = [GateApp(h, (3,)), GateApp(cnot, (1, 3)), GateApp(t, (3,))]
-    for wrong in (
-        derive_gate("TOFFOLI", 3, steps),
-        derive_gate("TOFFOLI", 2, [GateApp(cnot, (1, 2))]),
-    ):
-        for form in KERNEL_FORMS:
-            with pytest.raises(OracleError) as info:
-                form(wrong)
-            assert str(info.value) == "TOFFOLI decomposition disagrees with its matrix"
+    wrong = derive_gate("TOFFOLI", 3, steps)
+    assert wrong.x_images[2] == P("ZIZ")
+    circuit = Circuit(3, (GateApp(wrong, (1, 2, 3)),))
+    for kernel in KERNELS:
+        assert kernel(circuit, [(P("IIX"), P("ZIZ"))], None, (), 1, 0)[0] == [False]
+    narrow = derive_gate("TOFFOLI", 2, [GateApp(cnot, (1, 2))])
+    for form in KERNEL_FORMS:
+        assert form(narrow) == form(cnot)
+    circuit = Circuit(2, (GateApp(narrow, (1, 2)),))
+    for kernel in KERNELS:
+        assert kernel(circuit, claims(circuit), None, (), 1, 0)[0] == [True] * 4
     assert pyoracle._sparse_unitary(GATES["TOFFOLI"])[6] == ((7, 1),)
     # Local bit b is wire 3 - b. TOFFOLI fixes X on its target (wire 3)
     # and Z on its controls; X on a control and Z on the target go to sums
@@ -207,15 +216,34 @@ def test_toffoli_decomposition_is_checked():
 
 
 def test_gate_without_unitary_rejected():
-    opaque = GateSpec("OPAQUE", 1, (P("Z"),), (P("X"),))
+    """A gate is read from the table only when its name and its width both
+    match an entry, else through its decomposition; one with neither is
+    refused, by both forms and both kernels. A two-wire H is thus refused,
+    as is an X gate named CNOT, and a two-wire H with a decomposition is the
+    Bell circuit it is built from."""
+    refused = [
+        (GateSpec("OPAQUE", 1, (P("Z"),), (P("X"),)), (P("Z"), P("X"))),
+        (GateSpec("H", 2, (P("ZI"), P("IZ")), (P("XI"), P("IX"))), (P("ZI"), P("XI"))),
+        (GateSpec("CNOT", 1, (P("X"),), (P("-Z"),)), (P("Z"), P("-Z"))),
+    ]
+    for gate, pair in refused:
+        for form in KERNEL_FORMS:
+            with pytest.raises(OracleError) as info:
+                form(gate)
+            assert str(info.value) == f"no unitary known for gate {gate.name}"
+        circuit = Circuit(gate.arity, (GateApp(gate, tuple(range(1, gate.arity + 1))),))
+        for kernel in KERNELS:
+            with pytest.raises(OracleError, match=f"^no unitary known for gate {gate.name}$"):
+                kernel(circuit, [pair], None, (), 1, 0)
+    bell = [GateApp(GATES["H"], (1,)), GateApp(GATES["CNOT"], (1, 2))]
+    wide_h = derive_gate("H", 2, bell)
     for form in KERNEL_FORMS:
-        with pytest.raises(OracleError) as info:
-            form(opaque)
-        assert str(info.value) == "no unitary known for gate OPAQUE"
-    circuit = Circuit(1, (GateApp(opaque, (1,)),))
+        assert form(wide_h) == form(derive_gate("BELL", 2, bell))
+    circuit = Circuit(2, (GateApp(wide_h, (1, 2)),))
+    pairs = claims(circuit)
+    assert len(pairs) == 4
     for kernel in KERNELS:
-        with pytest.raises(OracleError, match="no unitary known"):
-            kernel(circuit, [(P("Z"), P("X"))], None, (), 1, 0)
+        assert kernel(circuit, pairs, None, (), 1, 0)[0] == [True] * 4
 
 
 def test_faults_raise_as_in_the_numpy_oracle(monkeypatch):
@@ -298,17 +326,30 @@ def test_work_budget_chooses_the_kernel(ran):
     assert ran == ["plain", "exact", "plain", "plain"]
 
 
-def test_round_trips_keep_standard_gates_at_one_pass(ran, monkeypatch):
-    """A standard gate counts one pass and a def 2^arity, so superdense.qc's
-    six instructions of standard gates make 7 passes (W = 2^4 x 2 probes x
-    7), 21 if they were counted as defs: after pickle and deepcopy too."""
+def test_round_trips_count_passes_by_arity(ran, monkeypatch):
+    """Each gate counts 2^g passes on g wires, whatever its name, so
+    superdense.qc's two one-wire and four two-wire gates make 1 + 2 x 2 +
+    4 x 4 = 21 passes (W = 2^4 x 2 probes x 21): parsed, after pickle and
+    after deepcopy, each at a budget of W and of W - 1."""
     circuit, _ = cli.parse((CIRCUITS / "superdense.qc").read_text())
-    monkeypatch.setattr(pyoracle, "WORK_BUDGET", 16 * 2 * 7)
+    work = 16 * 2 * 21
     for twin in (circuit, pickle.loads(pickle.dumps(circuit)), copy.deepcopy(circuit)):
-        pyoracle.verify_claims(twin, ())
-    monkeypatch.setattr(pyoracle, "WORK_BUDGET", 16 * 2 * 7 - 1)
-    pyoracle.verify_claims(circuit, ())
-    assert ran == ["plain"] * 3 + ["exact"]
+        assert twin == circuit
+        for budget in (work, work - 1):
+            monkeypatch.setattr(pyoracle, "WORK_BUDGET", budget)
+            pyoracle.verify_claims(twin, ())
+    assert ran == ["plain", "exact"] * 3
+
+
+def test_worked_examples_run_state_vectors(ran):
+    """``verify`` on every measurement-free worked example runs the
+    state-vector kernel."""
+    paths = sorted(CIRCUITS.glob("*.qc"))
+    unitary = [p for p in paths if "MEAS" not in p.read_text()]
+    assert 0 < len(unitary) < len(paths)
+    for path in unitary:
+        assert cli.run(["verify", str(path)]) == cli.EXIT_OK, path
+    assert ran == ["plain"] * len(unitary)
 
 
 @pytest.mark.parametrize("kernel", KERNEL_BUDGETS)
